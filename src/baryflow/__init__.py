@@ -11,7 +11,7 @@ drives the constraint multiplier.
 
 __version__ = "0.1.0"
 
-from .costs import CostModel, cost_grad, cost_hessian_blocks, cost_value, parse_cost_spec
+from .costs import CostModel, cost_grad, cost_value, parse_cost_spec
 from .couplings import (
     Covariates,
     CouplingMatrices,
@@ -74,7 +74,6 @@ __all__ = [
     "categorical_coupling",
     "centering_matrix",
     "cost_grad",
-    "cost_hessian_blocks",
     "cost_value",
     "descent_check",
     "evaluate",

@@ -1,10 +1,11 @@
-"""Cost families: value, per-point gradient, per-point Hessian blocks.
+"""Cost families: value, per-point gradient, Hessian-vector product.
 
 Pairwise families (squared Euclidean, smoothed p-norm, great-circle on the
-unit sphere) average a per-sample cost c(x_i, y_i) and produce only diagonal
-d x d Hessian blocks.  The distortion family couples sample pairs through the
-coupling matrix Z, penalizing deviation of pairwise distance ratios from one,
-and therefore also produces cross blocks.
+unit sphere) average a per-sample cost c(x_i, y_i), so their Hessian is
+block diagonal and the product applies per-point d x d blocks.  The
+distortion family couples sample pairs through the coupling matrix Z,
+penalizing deviation of pairwise distance ratios from one; its product sums
+over pairs in O(N^2 d) without forming the (N, N, d, d) Hessian.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import InvalidInputError
 __all__ = [
     "CostModel",
     "cost_grad",
-    "cost_hessian_blocks",
     "cost_parts",
     "cost_value",
     "parse_cost_spec",
@@ -121,18 +121,30 @@ def _validate(model, x, y, Z):
     return x, y, Z
 
 
-def _sq_euclidean_parts(x, y, want_hessian):
-    n, d = x.shape
+def pair_outer_hvp(A, y, c, v):
+    """sum_i A[j, i] (y_j - c_i) ((y_j - c_i) . (v_j - v_i)) for every j.
+
+    Expands the inner product into N x N matrix products, so no (N, N, d)
+    difference array is formed.
+    """
+    W = np.hstack([y, v]) @ np.hstack([v, c]).T  # y_j . v_i + v_j . c_i
+    W *= -1.0
+    W += np.einsum("ja,ja->j", y, v)[:, None]
+    W += np.einsum("ia,ia->i", c, v)[None, :]
+    W *= A
+    return W.sum(axis=1)[:, None] * y - W @ c
+
+
+def _sq_euclidean_parts(x, y, want_hvp):
+    n = x.shape[0]
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
     grad = diff / n
-    hess = None
-    if want_hessian:
-        hess = np.broadcast_to(np.eye(d) / n, (n, d, d)).copy()
-    return value, grad, hess, None
+    hvp = (lambda v: v / n) if want_hvp else None
+    return value, grad, hvp
 
 
-def _p_norm_parts(model, x, y, want_hessian):
+def _p_norm_parts(model, x, y, want_hvp):
     n, _ = x.shape
     p, eps = model.p, model.eps_abs
     t = x - y
@@ -141,18 +153,16 @@ def _p_norm_parts(model, x, y, want_hessian):
     value = float(np.sum(s**p)) / n
     sprime = t / si
     grad = -(p / n) * s ** (p - 1.0) * sprime
-    hess = None
-    if want_hessian:
+    hvp = None
+    if want_hvp:
         # (p-1) s^(p-2) s'^2 has a removable singularity at t = 0 for p < 2.
         curv1 = np.zeros_like(s)
         mask = s > 0
         curv1[mask] = (p - 1.0) * s[mask] ** (p - 2.0) * sprime[mask] ** 2
         curv2 = s ** (p - 1.0) * eps / si**3
-        diag = (p / n) * (curv1 + curv2)
-        nd = x.shape[1]
-        hess = np.zeros((n, nd, nd))
-        hess[:, np.arange(nd), np.arange(nd)] = diag
-    return value, grad, hess, None
+        diag = (p / n) * (curv1 + curv2)  # the Hessian is diagonal per coordinate
+        hvp = lambda v: diag * v
+    return value, grad, hvp
 
 
 def _geodesic_q(arg, dist, squared):
@@ -177,7 +187,7 @@ def _geodesic_q(arg, dist, squared):
     return qp, qpp
 
 
-def _geodesic_parts(model, x, y, want_hessian):
+def _geodesic_parts(model, x, y, want_hvp):
     n, _ = x.shape
     theta_x, phi_x = x[:, 0], x[:, 1]
     theta_y, phi_y = y[:, 0], y[:, 1]
@@ -202,8 +212,8 @@ def _geodesic_parts(model, x, y, want_hessian):
     grad = (qp[:, None] * dA) / n
     grad[antipodal] = 0.0
 
-    hess = None
-    if want_hessian:
+    hvp = None
+    if want_hvp:
         hA = np.empty((n, 2, 2))
         hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
         hA[:, 0, 1] = 0.5 * cpx * np.sin(phi_y) * np.sin(dtheta)
@@ -214,11 +224,12 @@ def _geodesic_parts(model, x, y, want_hessian):
             + qp[:, None, None] * hA
         ) / n
         hess[antipodal] = 0.0
-    return value, grad, hess, None
+        hvp = lambda v: np.einsum("iab,ib->ia", hess, v)
+    return value, grad, hvp
 
 
-def _distortion_parts(model, x, y, Z, want_hessian):
-    n, d = x.shape
+def _distortion_parts(model, x, y, Z, want_hvp):
+    n = x.shape[0]
     eps2 = model.eps_dist**2
     omega = model.omega
     denom = cdist(x, x, metric="sqeuclidean") + eps2
@@ -237,34 +248,34 @@ def _distortion_parts(model, x, y, Z, want_hessian):
         2.0 * omega / n
     ) * anchor_diff
 
-    hess_diag = hess_cross = None
-    if want_hessian:
-        diffs = y[:, None, :] - y[None, :, :]
+    hvp = None
+    if want_hvp:
+        # Pair (j, i) contributes c_outer (d d^T) + c_eye I, d = y_j - y_i, to
+        # the (j, j) block and its negative to the (j, i) block; W has a zero
+        # diagonal, so the pair (j, j) contributes nothing.
         c_outer = (16.0 / n**2) * W / denom**2
         c_eye = (8.0 / n**2) * coeff
-        blocks = c_outer[:, :, None, None] * diffs[:, :, :, None] * diffs[:, :, None, :]
-        blocks += c_eye[:, :, None, None] * np.eye(d)
-        idx = np.arange(n)
-        blocks[idx, idx] = 0.0
-        hess_diag = blocks.sum(axis=1) + (2.0 * omega / n) * np.eye(d)
-        hess_cross = -blocks
-    return value, grad, hess_diag, hess_cross
+        eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * omega / n
+
+        def hvp(v):
+            return pair_outer_hvp(c_outer, y, y, v) + eye_rows * v - c_eye @ v
+    return value, grad, hvp
 
 
-def cost_parts(model, x, y, Z=None, want_hessian=False):
-    """Value, gradient and (optionally) Hessian blocks in one pass.
+def cost_parts(model, x, y, Z=None, want_hvp=False):
+    """Value, gradient and (optionally) Hessian-vector product in one pass.
 
-    Returns ``(value, grad, hess_diag, hess_cross)``; ``hess_cross`` is None
-    for pairwise families.
+    Returns ``(value, grad, hvp)``.  ``hvp`` maps an N x d array v to the
+    Hessian of the cost at y applied to v; it is None unless ``want_hvp``.
     """
     x, y, Z = _validate(model, x, y, Z)
     if model.family == "sq_euclidean":
-        return _sq_euclidean_parts(x, y, want_hessian)
+        return _sq_euclidean_parts(x, y, want_hvp)
     if model.family == "p_norm":
-        return _p_norm_parts(model, x, y, want_hessian)
+        return _p_norm_parts(model, x, y, want_hvp)
     if model.family == "geodesic_sphere":
-        return _geodesic_parts(model, x, y, want_hessian)
-    return _distortion_parts(model, x, y, Z, want_hessian)
+        return _geodesic_parts(model, x, y, want_hvp)
+    return _distortion_parts(model, x, y, Z, want_hvp)
 
 
 def cost_value(model, x, y, Z=None):
@@ -275,13 +286,3 @@ def cost_value(model, x, y, Z=None):
 def cost_grad(model, x, y, Z=None):
     """Gradient of ``cost_value`` with respect to each mapped point; N x d."""
     return cost_parts(model, x, y, Z)[1]
-
-
-def cost_hessian_blocks(model, x, y, Z=None):
-    """Second derivatives of ``cost_value``: ``(diag, cross)`` blocks.
-
-    ``diag`` has shape (N, d, d).  ``cross`` is (N, N, d, d) for the
-    distortion family (zero diagonal) and None otherwise.
-    """
-    _, _, hess_diag, hess_cross = cost_parts(model, x, y, Z, want_hessian=True)
-    return hess_diag, hess_cross

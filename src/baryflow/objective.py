@@ -1,4 +1,4 @@
-"""Objective assembly: constraint functionals, gradients, Hessian blocks.
+"""Objective assembly: constraint functionals, gradients, Hessian-vector products.
 
 The full objective is L = L_C + lambda * L_F, where L_C is a cost from
 :mod:`baryflow.costs` and L_F tests whether the mapped points depend on the
@@ -15,19 +15,23 @@ covariate.  Two constraint modes exist:
   (the two one-sided terms coincide; couplings built by this package are
   always symmetric).
 
-Hessian blocks are the Jacobian of the returned gradient field, so they
-include the cross terms that arise from the kernel centers (or feature
-averages) tracking the points.
+Hessian-vector products apply the Jacobian of the returned gradient field,
+so they include the cross terms that arise from the kernel centers (or
+feature averages) tracking the points.  They reuse the gradient's
+intermediate terms and never form the (N, N, d, d) Hessian: a kde product
+costs O(N^2 d) in matrix products, a features product O(N^2 m + N m d^2)
+for m features.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import cost_parts
+from .costs import cost_parts, pair_outer_hvp
 from .couplings import kernel_cross_matrix
 from .errors import InvalidInputError, NumericError
 
@@ -178,24 +182,21 @@ def lf_features(y, C, features, weights=None):
     return float(np.asarray(weights, dtype=float) @ terms)
 
 
-def _kde_parts(y, C, bandwidth, centers, want_hessian):
+def _kde_parts(y, C, bandwidth, centers, want_hvp):
     a2 = bandwidth**2
-    K = kernel_cross_matrix(y, centers, bandwidth)
-    M = K * C.T  # M[j, i] = K(y_j, centers_i) * C[i, j]
+    M = kernel_cross_matrix(y, centers, bandwidth)
+    M *= C.T  # M[j, i] = K(y_j, centers_i) * C[i, j]
     value = float(M.sum())
     s = M.sum(axis=1)
     grad = -(s[:, None] * y - M @ centers) / a2
-    hess_diag = hess_cross = None
-    if want_hessian:
-        d = y.shape[1]
-        diffs = y[:, None, :] - centers[None, :, :]
-        outer = np.einsum("ji,jia,jib->jiab", M, diffs, diffs)
-        hess_diag = outer.sum(axis=1) / a2**2 - s[:, None, None] * np.eye(d) / a2
-        hess_cross = M[:, :, None, None] * np.eye(d) / a2 - outer / a2**2
-    return value, grad, hess_diag, hess_cross
+    hvp = None
+    if want_hvp:
+        def hvp(v):
+            return (pair_outer_hvp(M, y, centers, v) / a2 - s[:, None] * v + M @ v) / a2
+    return value, grad, hvp
 
 
-def _features_parts(y, C, features, weights, want_hessian):
+def _features_parts(y, C, features, weights, want_hvp):
     m = len(features)
     w = np.ones(m) if weights is None else weights
     vals = np.stack([f.value(y) for f in features])
@@ -203,22 +204,25 @@ def _features_parts(y, C, features, weights, want_hessian):
     cv = vals @ C.T
     value = float(w @ np.einsum("li,li->l", vals, cv))
     grad = 2.0 * np.einsum("l,li,lia->ia", w, cv, grads)
-    hess_diag = hess_cross = None
-    if want_hessian:
+    hvp = None
+    if want_hvp:
         hesses = np.stack([f.hess(y) for f in features])
-        hess_diag = 2.0 * np.einsum("l,li,liab->iab", w, cv, hesses)
-        hess_cross = 2.0 * np.einsum("l,lia,lkb->ikab", w, grads, grads) * C[:, :, None, None]
-    return value, grad, hess_diag, hess_cross
+        diag = 2.0 * np.einsum("l,li,liab->iab", w, cv, hesses)
+
+        def hvp(v):
+            g = np.einsum("lkb,kb->lk", grads, v)  # g[l, k] = f_l'(y_k) . v_k
+            cross = 2.0 * np.einsum("l,lia,li->ia", w, grads, g @ C.T)
+            return np.einsum("iab,ib->ia", diag, v) + cross
+    return value, grad, hvp
 
 
-def constraint_parts(y, C, tf_spec, centers=None, want_hessian=False):
-    """Constraint value, gradient and optional Hessian blocks.
+def constraint_parts(y, C, tf_spec, centers=None, want_hvp=False):
+    """Constraint value, gradient and optional Hessian-vector product.
 
     For kde mode the gradient differentiates only the evaluation slot of the
-    kernel (centers held fixed at ``centers``, default ``y``); the Hessian
-    blocks are the Jacobian of that gradient field once the centers track
-    the points again, split into diagonal (N, d, d) and cross (N, N, d, d)
-    parts.
+    kernel (centers held fixed at ``centers``, default ``y``); ``hvp`` (None
+    unless ``want_hvp``) applies the Jacobian of that gradient field once the
+    centers track the points again to an N x d array.
     """
     y = np.asarray(y, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -226,16 +230,16 @@ def constraint_parts(y, C, tf_spec, centers=None, want_hessian=False):
         raise InvalidInputError("y must be N x d with a matching N x N centering matrix")
     if tf_spec.mode == "kde":
         centers = y if centers is None else np.asarray(centers, dtype=float)
-        return _kde_parts(y, C, tf_spec.bandwidth_a, centers, want_hessian)
-    return _features_parts(y, C, tf_spec.features, tf_spec.feature_weights, want_hessian)
+        return _kde_parts(y, C, tf_spec.bandwidth_a, centers, want_hvp)
+    return _features_parts(y, C, tf_spec.features, tf_spec.feature_weights, want_hvp)
 
 
 @dataclass
 class ObjectiveEval:
-    """One objective evaluation: totals, split parts, derivative blocks.
+    """One objective evaluation: totals, split parts, Hessian-vector products.
 
-    ``grad``/``hess_*`` combine cost and constraint at the ``lam`` supplied
-    at evaluation time; the ``*_cost`` / ``*_constraint`` parts allow
+    ``grad`` combines cost and constraint at the ``lam`` supplied at
+    evaluation time; the ``*_cost`` / ``*_constraint`` parts allow
     recombination at a different multiplier without re-evaluating.
     """
 
@@ -246,57 +250,46 @@ class ObjectiveEval:
     grad: np.ndarray
     grad_cost: np.ndarray
     grad_constraint: np.ndarray
-    hess_diag: np.ndarray | None = None
-    hess_cross: np.ndarray | None = None
-    hess_diag_cost: np.ndarray | None = None
-    hess_cross_cost: np.ndarray | None = None
-    hess_diag_constraint: np.ndarray | None = None
-    hess_cross_constraint: np.ndarray | None = None
+    hvp_cost: Callable | None = None
+    hvp_constraint: Callable | None = None
 
-    def combined_hessian(self, lam):
-        """(diag, cross) blocks of the full Hessian at multiplier ``lam``."""
-        if self.hess_diag_cost is None:
-            raise InvalidInputError("evaluation was performed without Hessians")
-        diag = self.hess_diag_cost + lam * self.hess_diag_constraint
-        cross = lam * self.hess_cross_constraint
-        if self.hess_cross_cost is not None:
-            cross = cross + self.hess_cross_cost
-        return diag, cross
+    def hvp(self, lam):
+        """Hessian-vector product v -> (H_C + lam * H_F) v at multiplier ``lam``."""
+        if self.hvp_cost is None:
+            raise InvalidInputError("evaluation was performed without Hessian-vector products")
+        return lambda v: self.hvp_cost(v) + lam * self.hvp_constraint(v)
 
 
-def evaluate(x, y, lam, cost_model, C, tf_spec, Z=None, want_hessian=False):
-    """Evaluate L = L_C + lam * L_F with gradients (and Hessians on request).
+def evaluate(x, y, lam, cost_model, C, tf_spec, Z=None, want_hvp=False):
+    """Evaluate L = L_C + lam * L_F with gradients (and Hessian-vector products on request).
 
     Kernel centers sit at the current ``y``.  Raises NumericError when a
     non-finite value or gradient shows up.
     """
     if not np.isfinite(lam) or lam < 0:
         raise InvalidInputError("lam must be a nonnegative finite number")
-    cv, cg, chd, chc = cost_parts(cost_model, x, y, Z, want_hessian=want_hessian)
-    fv, fg, fhd, fhc = constraint_parts(y, C, tf_spec, want_hessian=want_hessian)
+    cv, cg, chvp = cost_parts(cost_model, x, y, Z, want_hvp=want_hvp)
+    fv, fg, fhvp = constraint_parts(y, C, tf_spec, want_hvp=want_hvp)
     total = cv + lam * fv
     grad = cg + lam * fg
     if not (np.isfinite(total) and np.isfinite(grad).all()):
         raise NumericError("non-finite objective evaluation")
-    ev = ObjectiveEval(
+    return ObjectiveEval(
         L=total, L_C=cv, L_F=fv, lam=lam,
         grad=grad, grad_cost=cg, grad_constraint=fg,
-        hess_diag_cost=chd, hess_cross_cost=chc,
-        hess_diag_constraint=fhd, hess_cross_constraint=fhc,
+        hvp_cost=chvp, hvp_constraint=fhvp,
     )
-    if want_hessian:
-        ev.hess_diag, ev.hess_cross = ev.combined_hessian(lam)
-    return ev
 
 
-def objective_value(x, y, lam, cost_model, C, tf_spec, Z=None, centers=None):
+def objective_value(x, y, lam, cost_model, C, tf_spec, Z=None, centers=None, L_C=None):
     """Value-only evaluation ``(L, L_C, L_F)``, with optional off-center kernels.
 
     ``centers`` only affects kde mode; it is what the descent check uses to
     compare the objective before and after a step with the kernel centers
-    pinned at the stepped positions.
+    pinned at the stepped positions.  ``L_C``, when given, is the already
+    known cost at ``y`` and is used instead of evaluating it again.
     """
-    cv = cost_parts(cost_model, x, y, Z)[0]
+    cv = cost_parts(cost_model, x, y, Z)[0] if L_C is None else L_C
     if tf_spec.mode == "kde":
         fv = lf_kde(y, C, tf_spec.bandwidth_a, centers=centers)
     else:

@@ -10,12 +10,11 @@ evaluated at the stepped positions on both sides.
 
 from __future__ import annotations
 
-import warnings
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .couplings import build_couplings, median_heuristic_bandwidth
 from .errors import InvalidInputError, NumericError
@@ -35,7 +34,9 @@ __all__ = [
 ]
 
 _GRAD_SQ_FLOOR = 1e-30
-_RCOND_FLOOR = 1e-12  # condition estimate above 1e12 falls back to explicit
+_KRYLOV_RTOL = 1e-12  # MINRES stopping tolerance of the implicit step
+_KRYLOV_MAXITER = 500
+_RESIDUAL_RTOL = 1e-8  # accepted ||b - A x|| / ||b|| of the implicit step
 
 
 def as_points(x):
@@ -48,12 +49,18 @@ def as_points(x):
     return x
 
 
+def _positive_number(value):
+    """True for a finite positive real number; strings and None are not numbers."""
+    return isinstance(value, numbers.Real) and bool(np.isfinite(value)) and value > 0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable knobs of the penalty flow; defaults are desk-scale safe.
 
     ``lambda0="auto"`` estimates 1/spectral-radius of the constraint Hessian
-    at the starting positions (power iteration, seeded).  ``bandwidth_a``
+    at the starting positions: 50 steps of seeded power iteration on its
+    Hessian-vector product, so the Hessian is never formed.  ``bandwidth_a``
     applies to kde mode and resolves "auto" with the median heuristic on the
     starting positions.  ``feature_degree`` applies to features mode.
     """
@@ -80,20 +87,20 @@ class SolverConfig:
             raise InvalidInputError("update must be 'explicit' or 'implicit'")
         if not (0.0 < self.omega_alpha < 1.0):
             raise InvalidInputError("omega_alpha must lie in (0, 1)")
-        if self.eta0 <= 0 or self.niter < 1 or self.max_halvings < 0:
+        if self.eta0 <= 0 or self.niter < 1:
             raise InvalidInputError("eta0 must be positive and niter >= 1")
+        if self.max_halvings < 0:
+            raise InvalidInputError("max_halvings must be >= 0")
         if self.tol_y <= 0 or self.tol_lf <= 0:
             raise InvalidInputError("tolerances must be positive")
         if self.lambda0 != "auto":
-            if not np.isfinite(self.lambda0) or self.lambda0 <= 0:
+            if not _positive_number(self.lambda0):
                 raise InvalidInputError("lambda0 must be positive or 'auto'")
             if self.lambda_max < self.lambda0:
                 raise InvalidInputError("lambda_max must be >= lambda0")
         if self.lambda_max <= 0:
             raise InvalidInputError("lambda_max must be positive")
-        if self.bandwidth_a != "auto" and (
-            not np.isfinite(self.bandwidth_a) or self.bandwidth_a <= 0
-        ):
+        if self.bandwidth_a != "auto" and not _positive_number(self.bandwidth_a):
             raise InvalidInputError("bandwidth_a must be positive or 'auto'")
         if self.feature_degree < 1:
             raise InvalidInputError("feature_degree must be >= 1")
@@ -215,38 +222,40 @@ def step_explicit(y, grad, eta):
     return y - eta * grad
 
 
-def step_implicit(y, grad, hess_diag, hess_cross, eta):
-    """Resolvent step: solve (I + eta*H) delta = eta*grad, H from the blocks.
+def step_implicit(y, grad, hvp, eta):
+    """Resolvent step: solve (I + eta*H) delta = eta*grad, H given by ``hvp``.
 
-    Falls back to the explicit step when the system is singular or its
-    condition estimate exceeds 1e12.  Returns ``(candidate, used_fallback)``.
+    ``hvp`` maps an N x d array v to H v.  The symmetric, possibly indefinite
+    system is solved matrix-free with MINRES (relative tolerance 1e-12, at
+    most 500 iterations), warm-started from the explicit step's delta.  Falls
+    back to the explicit step when MINRES hits its iteration cap or when the
+    explicitly recomputed residual ||eta*grad - (I + eta*H) delta|| is not
+    within 1e-8 * ||eta*grad||; that test also catches a breakdown (singular
+    or non-symmetric operator) and a non-finite delta, whose residual is NaN.
+    Returns ``(candidate, used_fallback)``.
     """
     n, d = y.shape
-    if hess_cross is not None:
-        H = hess_cross.copy()
-    else:
-        H = np.zeros((n, n, d, d))
-    idx = np.arange(n)
-    H[idx, idx] += hess_diag
-    A = np.eye(n * d) + eta * H.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    anorm = np.linalg.norm(A, 1)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(A)
-        rcond, info = dgecon(lu, anorm, norm="1")
-    except np.linalg.LinAlgError:
+    b = eta * grad.ravel()
+
+    def matvec(u):
+        return u + eta * hvp(u.reshape(n, d)).ravel()
+
+    A = LinearOperator((n * d, n * d), matvec=matvec, dtype=float)
+    delta, info = minres(A, b, x0=b, rtol=_KRYLOV_RTOL, maxiter=_KRYLOV_MAXITER)
+    residual = np.linalg.norm(b - matvec(delta))
+    if info != 0 or not residual <= _RESIDUAL_RTOL * np.linalg.norm(b):
         return step_explicit(y, grad, eta), True
-    if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
-        return step_explicit(y, grad, eta), True
-    delta = lu_solve((lu, piv), eta * grad.ravel())
     return y - delta.reshape(n, d), False
 
 
-def _descent_sides(x, y_old, y_new, lam, cost_model, C, tf_spec, Z=None):
-    """Objective on both sides of the step, kernel centers at the new points."""
+def _descent_sides(x, y_old, y_new, lam, cost_model, C, tf_spec, Z=None, L_C_old=None):
+    """Objective on both sides of the step, kernel centers at the new points.
+
+    ``L_C_old``, when given, is the cost at ``y_old`` (it does not depend on
+    the kernel centers), so it is not evaluated again.
+    """
     lhs = objective_value(x, y_new, lam, cost_model, C, tf_spec, Z, centers=y_new)
-    rhs = objective_value(x, y_old, lam, cost_model, C, tf_spec, Z, centers=y_new)
+    rhs = objective_value(x, y_old, lam, cost_model, C, tf_spec, Z, centers=y_new, L_C=L_C_old)
     return lhs, rhs
 
 
@@ -259,18 +268,11 @@ def descent_check(x, y_old, y_new, lam, cost_model, C, tf_spec, Z=None):
 def _auto_lambda0(y, C, tf_spec, lambda_max, seed, n_steps=50):
     """1 / spectral-radius estimate of the constraint Hessian at the start.
 
-    Power iteration on the full (diagonal + cross) constraint Hessian; when
-    the estimate is nonpositive (constraint locally flat) returns 1.
+    Power iteration on the constraint's Hessian-vector product; when the
+    estimate is nonpositive (constraint locally flat) returns 1.
     """
-    _, _, hd, hc = constraint_parts(y, C, tf_spec, want_hessian=True)
+    hvp = constraint_parts(y, C, tf_spec, want_hvp=True)[2]
     n, d = y.shape
-    idx = np.arange(n)
-    H = hc.copy()
-    H[idx, idx] += hd
-
-    def matvec(v):
-        return np.einsum("ikab,kb->ia", H, v)
-
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, d))
     norm = np.linalg.norm(v)
@@ -279,7 +281,7 @@ def _auto_lambda0(y, C, tf_spec, lambda_max, seed, n_steps=50):
     v /= norm
     estimate = 0.0
     for _ in range(n_steps):
-        w = matvec(v)
+        w = hvp(v)
         estimate = np.linalg.norm(w)
         if estimate < 1e-30:
             return 1.0
@@ -334,7 +336,7 @@ def solve(x, covariates, cost_model, config=None):
 
     lambda0 = lam
     state = FlowState(y=y, lam=lam, eta=config.eta0, n=0)
-    want_hessian = config.update == "implicit"
+    implicit = config.update == "implicit"
     converged = False
 
     for it in range(config.niter):
@@ -342,7 +344,7 @@ def solve(x, covariates, cost_model, config=None):
         state.eta = min(2.01 * state.eta, config.eta0)
         try:
             ev = evaluate(x_cost, state.y, state.lam, cost_model, C, tf_spec,
-                          Z=Z_cost, want_hessian=want_hessian)
+                          Z=Z_cost, want_hvp=implicit)
         except NumericError as err:
             raise NumericError(str(err), iteration=it, state=state) from err
 
@@ -352,6 +354,7 @@ def solve(x, covariates, cost_model, config=None):
         )
         state.lam = new_lam
         grad = ev.grad_cost + new_lam * ev.grad_constraint
+        hvp = ev.hvp(new_lam) if implicit else None
 
         accepted = False
         halvings = 0
@@ -359,14 +362,13 @@ def solve(x, covariates, cost_model, config=None):
         candidate = state.y
         lhs = rhs = (np.nan, np.nan, np.nan)
         while halvings <= config.max_halvings:
-            if config.update == "implicit":
-                hd, hc = ev.combined_hessian(new_lam)
-                candidate, fallback = step_implicit(state.y, grad, hd, hc, state.eta)
+            if implicit:
+                candidate, fallback = step_implicit(state.y, grad, hvp, state.eta)
             else:
                 candidate = step_explicit(state.y, grad, state.eta)
             try:
                 lhs, rhs = _descent_sides(x_cost, state.y, candidate, new_lam,
-                                          cost_model, C, tf_spec, Z_cost)
+                                          cost_model, C, tf_spec, Z_cost, ev.L_C)
                 ok = np.isfinite(lhs[0]) and lhs[0] <= rhs[0]
             except InvalidInputError:
                 ok = False  # candidate left the cost's domain; treat as rejected

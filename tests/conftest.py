@@ -34,15 +34,28 @@ def central_diff_jacobian(g, y, h=1e-6):
     return out
 
 
-def full_hessian(hess_diag, hess_cross):
-    """Assemble (N, d, N, d) from diagonal blocks plus optional cross blocks."""
-    n, d = hess_diag.shape[0], hess_diag.shape[1]
+def operator_matrix(hvp, n, d):
+    """Matrix of an (N, d) -> (N, d) operator, assembled column by column from hvp(e_k).
+
+    Returns shape (N, d, N, d), laid out like ``central_diff_jacobian``.
+    """
     out = np.zeros((n, d, n, d))
-    for i in range(n):
-        out[i, :, i, :] = hess_diag[i]
-    if hess_cross is not None:
-        out += hess_cross.transpose(0, 2, 1, 3)
+    for k in range(n):
+        for b in range(d):
+            e = np.zeros((n, d))
+            e[k, b] = 1.0
+            out[:, :, k, b] = hvp(e)
     return out
+
+
+def assert_symmetric(hvp, rng, n, d, trials=5):
+    """|<u, H v> - <H u, v>| <= 1e-12 * ||u|| * ||H v|| on random u, v."""
+    for _ in range(trials):
+        u = rng.standard_normal((n, d))
+        v = rng.standard_normal((n, d))
+        hv = hvp(v)
+        gap = abs(np.sum(u * hv) - np.sum(hvp(u) * v))
+        assert gap <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
 
 
 def rel_err(a, b):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from baryflow.costs import CostModel, cost_grad, cost_hessian_blocks, cost_value, parse_cost_spec
+from baryflow.costs import CostModel, cost_grad, cost_parts, cost_value, parse_cost_spec
 from baryflow.couplings import categorical_coupling
 from baryflow.errors import InvalidInputError
 
-from conftest import central_diff_grad, central_diff_jacobian, full_hessian, rel_err
+from conftest import (
+    assert_symmetric,
+    central_diff_grad,
+    central_diff_jacobian,
+    operator_matrix,
+    rel_err,
+)
 
 ALL_FAMILIES = ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"]
 
@@ -130,24 +136,38 @@ class TestCostGrad:
         assert rel_err(analytic, fd) <= 1e-5
 
 
+def cost_hessian(model, x, y, Z=None):
+    """The cost's Hessian as (N, d, N, d), assembled from its Hessian-vector product."""
+    hvp = cost_parts(model, x, y, Z, want_hvp=True)[2]
+    return operator_matrix(hvp, *y.shape)
+
+
 class TestCostHessian:
     def test_sq_euclidean_blocks(self, rng):
         model, x, y, _ = make_instance("sq_euclidean", rng)
-        diag, cross = cost_hessian_blocks(model, x, y)
-        assert cross is None
-        assert np.allclose(diag, np.eye(2) / len(x))
+        n = len(x)
+        assert np.allclose(cost_hessian(model, x, y).reshape(2 * n, 2 * n), np.eye(2 * n) / n)
 
     def test_p2_small_eps_limit(self, rng):
         model = CostModel("p_norm", p=2.0, eps_abs=1e-12)
         x = rng.standard_normal((5, 2))
         y = x + rng.standard_normal((5, 2))
-        diag, _ = cost_hessian_blocks(model, x, y)
-        assert np.allclose(diag, 2 * np.eye(2) / 5, atol=1e-6)
+        H = cost_hessian(model, x, y).reshape(10, 10)
+        assert np.allclose(H, 2 * np.eye(10) / 5, atol=1e-6)
+
+    def test_no_hvp_unless_requested(self, rng):
+        for family in ALL_FAMILIES:
+            model, x, y, Z = make_instance(family, rng)
+            assert cost_parts(model, x, y, Z)[2] is None
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences_of_grad(self, family, rng):
         model, x, y, Z = make_instance(family, rng, n=4)
-        diag, cross = cost_hessian_blocks(model, x, y, Z)
-        analytic = full_hessian(diag, cross)
+        analytic = cost_hessian(model, x, y, Z)
         fd = central_diff_jacobian(lambda yy: cost_grad(model, x, yy, Z), y)
         assert rel_err(analytic, fd) <= 1e-4
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_hvp_symmetric(self, family, rng):
+        model, x, y, Z = make_instance(family, rng, n=7)
+        assert_symmetric(cost_parts(model, x, y, Z, want_hvp=True)[2], rng, *y.shape)

@@ -15,7 +15,13 @@ from baryflow.objective import (
     objective_value,
 )
 
-from conftest import central_diff_grad, central_diff_jacobian, full_hessian, rel_err
+from conftest import (
+    assert_symmetric,
+    central_diff_grad,
+    central_diff_jacobian,
+    operator_matrix,
+    rel_err,
+)
 
 
 def two_singletons():
@@ -180,14 +186,30 @@ class TestEvaluate:
         tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
         lam = 0.6
         model = CostModel("p_norm", p=2.5)
-        ev = evaluate(x, y, lam, model, C, tf, want_hessian=True)
-        analytic = full_hessian(ev.hess_diag, ev.hess_cross)
+        ev = evaluate(x, y, lam, model, C, tf, want_hvp=True)
+        analytic = operator_matrix(ev.hvp(lam), n, 2)
 
         def grad_at(u):
             return evaluate(x, u, lam, model, C, tf).grad
 
         fd = central_diff_jacobian(grad_at, y)
         assert rel_err(analytic, fd) <= 1e-4
+
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_constraint_hvp_symmetric(self, mode, rng):
+        n = 9
+        y = rng.standard_normal((n, 2))
+        # categorical C is symmetric to roundoff; a Sinkhorn coupling only to its tolerance
+        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+        tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 3)
+        assert_symmetric(constraint_parts(y, C, tf, want_hvp=True)[2], rng, n, 2)
+
+    def test_hvp_needs_request(self, rng):
+        y = rng.standard_normal((4, 2))
+        C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
+        ev = evaluate(y, y, 1.0, CostModel("sq_euclidean"), C, TestFunctionSpec.kde(1.0))
+        with pytest.raises(InvalidInputError):
+            ev.hvp(1.0)
 
     def test_off_center_value(self, rng):
         # objective_value with centers fixed differs from the slaved value

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baryflow import solver
 from baryflow.costs import CostModel
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses
@@ -15,6 +16,8 @@ from baryflow.solver import (
     step_explicit,
     step_implicit,
 )
+
+from conftest import operator_matrix
 
 
 class TestPreconditionMeanShift:
@@ -123,8 +126,7 @@ class TestSteps:
 
     def test_implicit_zero_grad(self, rng):
         y = rng.standard_normal((4, 2))
-        hd = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-        cand, fallback = step_implicit(y, np.zeros_like(y), hd, None, 0.3)
+        cand, fallback = step_implicit(y, np.zeros_like(y), lambda v: v, 0.3)
         assert np.allclose(cand, y) and not fallback
 
     def test_implicit_identity_hessian_resolvent(self, rng):
@@ -134,9 +136,9 @@ class TestSteps:
         y = x + rng.standard_normal((n, 2))
         model = CostModel("sq_euclidean")
         C = centering_matrix(categorical_coupling(np.zeros(n, dtype=int)))
-        ev = evaluate(x, y, 0.0, model, C, TestFunctionSpec.kde(1.0), want_hessian=True)
+        ev = evaluate(x, y, 0.0, model, C, TestFunctionSpec.kde(1.0), want_hvp=True)
         eta = 0.7
-        cand, fallback = step_implicit(y, ev.grad, ev.hess_diag, ev.hess_cross, eta)
+        cand, fallback = step_implicit(y, ev.grad, ev.hvp(0.0), eta)
         expected = y - (eta / (1 + eta / n)) * ev.grad
         assert not fallback
         assert np.abs(cand - expected).max() <= 1e-12
@@ -147,20 +149,61 @@ class TestSteps:
         y = x + 0.5 * rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = TestFunctionSpec.kde(0.8)
-        ev = evaluate(x, y, 1.0, CostModel("sq_euclidean"), C, tf, want_hessian=True)
+        ev = evaluate(x, y, 1.0, CostModel("sq_euclidean"), C, tf, want_hvp=True)
         eta = 1e-8
-        cand, _ = step_implicit(y, ev.grad, ev.hess_diag, ev.hess_cross, eta)
+        cand, _ = step_implicit(y, ev.grad, ev.hvp(1.0), eta)
         delta_rate = (y - cand) / eta
         assert np.abs(delta_rate - ev.grad).max() / np.abs(ev.grad).max() <= 1e-4
 
     def test_implicit_singular_falls_back(self, rng):
-        # Hessian blocks crafted so I + eta*H is singular
+        # H = -I, so I + eta*H vanishes at eta = 1
         y = rng.standard_normal((1, 1))
-        hd = np.array([[[-1.0]]])
         grad = np.array([[1.0]])
-        cand, fallback = step_implicit(y, grad, hd, None, 1.0)
+        cand, fallback = step_implicit(y, grad, lambda v: -v, 1.0)
         assert fallback
         assert np.allclose(cand, y - grad)
+
+    @pytest.mark.parametrize("hvp", [
+        lambda v: np.full_like(v, np.nan),  # non-finite result
+        lambda v: 10.0 * np.array([v[1], -v[0]]),  # skew: MINRES returns a non-solution
+    ])
+    def test_implicit_unsolved_falls_back(self, hvp):
+        y = np.zeros((2, 1))
+        grad = np.array([[1.0], [0.5]])
+        cand, fallback = step_implicit(y, grad, hvp, 0.5)
+        assert fallback
+        assert np.array_equal(cand, step_explicit(y, grad, 0.5))
+
+    def test_implicit_iteration_cap_falls_back(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "_KRYLOV_MAXITER", 1)
+        B = rng.standard_normal((6, 6))
+        H = B @ B.T  # symmetric positive definite, needs more than one MINRES step
+        y = np.zeros((6, 1))
+        grad = rng.standard_normal((6, 1))
+        cand, fallback = step_implicit(y, grad, lambda v: H @ v, 0.5)
+        assert fallback
+        assert np.array_equal(cand, step_explicit(y, grad, 0.5))
+
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_implicit_matches_dense_solve(self, mode, rng):
+        # indefinite system: the dense reference exists only in this test
+        n = 12
+        x = rng.standard_normal((n, 2))
+        y = x + 0.5 * rng.standard_normal((n, 2))
+        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+        tf = TestFunctionSpec.kde(0.6) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        lam, eta = 40.0, 0.3
+        model = CostModel("distortion")
+        Z = categorical_coupling(rng.integers(0, 2, n))
+        ev = evaluate(x, y, lam, model, C, tf, Z=Z, want_hvp=True)
+        hvp = ev.hvp(lam)
+        A = np.eye(2 * n) + eta * operator_matrix(hvp, n, 2).reshape(2 * n, 2 * n)
+        eigenvalues = np.linalg.eigvalsh(A)
+        assert eigenvalues.min() < 0 < eigenvalues.max()
+        expected = y - np.linalg.solve(A, eta * ev.grad.ravel()).reshape(n, 2)
+        cand, fallback = step_implicit(y, ev.grad, hvp, eta)
+        assert not fallback
+        assert np.linalg.norm(cand - expected) <= 1e-8 * np.linalg.norm(expected - y)
 
 
 class TestDescentCheck:
@@ -185,6 +228,22 @@ class TestDescentCheck:
         ev = evaluate(x, x, 1.0, self.model, self.C, self.tf)
         y_new = step_explicit(x, ev.grad, 1e3)
         assert not descent_check(x, x, y_new, 1.0, self.model, self.C, self.tf)
+
+
+class TestDescentSides:
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_known_cost_matches_recomputation(self, mode, rng):
+        # the cost at y_old is evaluate's L_C, so passing it in changes no bit
+        x = rng.standard_normal((10, 2))
+        y = x + 0.3 * rng.standard_normal((10, 2))
+        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 10)))
+        tf = TestFunctionSpec.kde(0.8) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        model = CostModel("p_norm", p=1.5)
+        ev = evaluate(x, y, 2.0, model, C, tf)
+        y_new = step_explicit(y, ev.grad, 0.05)
+        full = solver._descent_sides(x, y, y_new, 2.0, model, C, tf)
+        reused = solver._descent_sides(x, y, y_new, 2.0, model, C, tf, L_C_old=ev.L_C)
+        assert reused == full
 
 
 class TestSolve:
@@ -258,3 +317,14 @@ class TestSolve:
             SolverConfig(lambda0=2.0, lambda_max=1.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(update="magic")
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda0", "fast"), ("bandwidth_a", "wide"), ("lambda0", None), ("bandwidth_a", -1.0),
+    ])
+    def test_bad_auto_fields_rejected(self, field, value):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(**{field: value})
+
+    def test_negative_max_halvings_message(self):
+        with pytest.raises(InvalidInputError, match="max_halvings must be >= 0"):
+            SolverConfig(max_halvings=-1)
