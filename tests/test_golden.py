@@ -35,6 +35,11 @@ CASES = {
         ["gen", "ellipses", "--seed", "0", "--n-per-class", "10"],
         ["solve", "--problem", "features", "--eta0", "2", "--niter", "60"],
     ),
+    "ellipses-features-cubic": (
+        ["gen", "ellipses", "--seed", "0", "--n-per-class", "10"],
+        ["solve", "--problem", "features", "--feature-degree", "3", "--eta0", "2",
+         "--niter", "60"],
+    ),
     "sphere-patches": (
         ["gen", "sphere-patches", "--seed", "1", "--n-per-class", "12"],
         ["solve", "--cost", "geodesic-sphere", "--eta0", "5", "--niter", "30"],
