@@ -11,14 +11,13 @@ drives the constraint multiplier.
 
 __version__ = "0.1.0"
 
-from .costs import CostModel, cost_grad, cost_value, parse_cost_spec
+from .costs import CostModel, parse_cost_spec
 from .couplings import (
     Covariates,
     CouplingMatrices,
     build_couplings,
     categorical_coupling,
     centering_matrix,
-    gaussian_kernel,
     kernel_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
@@ -39,14 +38,11 @@ from .objective import (
     ObjectiveEval,
     TestFunctionSpec,
     evaluate,
-    lf_features,
-    lf_kde,
     monomial_features,
 )
 from .solver import (
     BarycenterResult,
     SolverConfig,
-    descent_check,
     lambda_update,
     precondition_mean_shift,
     solve,
@@ -73,11 +69,7 @@ __all__ = [
     "cart2sph",
     "categorical_coupling",
     "centering_matrix",
-    "cost_grad",
-    "cost_value",
-    "descent_check",
     "evaluate",
-    "gaussian_kernel",
     "gen_ellipses",
     "gen_hidden_signal",
     "gen_sphere_patches",
@@ -85,8 +77,6 @@ __all__ = [
     "kernel_matrix",
     "lagged_dataset",
     "lambda_update",
-    "lf_features",
-    "lf_kde",
     "median_heuristic_bandwidth",
     "monomial_features",
     "parse_cost_spec",

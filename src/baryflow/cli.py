@@ -19,6 +19,7 @@ reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -54,25 +55,24 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def _open_input(path):
-    if path == "-":
-        return sys.stdin, False
-    return open(path, "r", newline=""), True
+@contextlib.contextmanager
+def _opened(target, mode):
+    """Yield a file for a path, ``-`` (stdin or stdout) or an open file object.
 
-
-def _open_output(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+    Only a file opened here is closed here.
+    """
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
+    elif os.fspath(target) == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(target, mode, newline="") as fileobj:
+            yield fileobj
 
 
 def load_dataset(source):
     """Parse a dataset CSV from a path, ``-`` (stdin), or a file object."""
-    if isinstance(source, (str, os.PathLike)):
-        fileobj, should_close = _open_input(os.fspath(source))
-    else:
-        fileobj, should_close = source, False
-    try:
+    with _opened(source, "r") as fileobj:
         reader = csv.reader(fileobj)
         try:
             header = next(reader)
@@ -137,9 +137,6 @@ def load_dataset(source):
         else:
             covariates = Covariates.continuous(np.asarray(rows_z, dtype=float))
         return Dataset(x=x, covariates=covariates)
-    finally:
-        if should_close:
-            fileobj.close()
 
 
 def _covariate_header_and_rows(covariates):
@@ -176,11 +173,7 @@ def _write_series_csv(series, fileobj):
 
 def load_series(source):
     """Read a time-series CSV (columns t, x_theta, x_phi[, w_theta, w_phi])."""
-    if isinstance(source, (str, os.PathLike)):
-        fileobj, should_close = _open_input(os.fspath(source))
-    else:
-        fileobj, should_close = source, False
-    try:
+    with _opened(source, "r") as fileobj:
         reader = csv.DictReader(fileobj)
         if reader.fieldnames is None or not {"x_theta", "x_phi"} <= set(reader.fieldnames):
             raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
@@ -200,9 +193,6 @@ def load_series(source):
         else:
             w = np.full_like(x, np.nan)
         return TimeSeriesSample(x=x, w_hidden=w, t=np.arange(len(theta)))
-    finally:
-        if should_close:
-            fileobj.close()
 
 
 def _write_result_csv(dataset, y, fileobj):
@@ -251,14 +241,16 @@ def _positive_or_auto(text):
 
 
 def _cost_spec(text):
+    """Check a --cost value; the text itself is kept, for the summary echo."""
     try:
-        return parse_cost_spec(text)
+        parse_cost_spec(text)
     except InvalidInputError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    return text
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--cost", type=_cost_spec, default=parse_cost_spec("l2"),
+    parser.add_argument("--cost", type=_cost_spec, default="l2",
                         help="l2 | pnorm:<p> | geodesic-sphere | distortion:<omega>")
     parser.add_argument("--problem", choices=("kde", "features"), default="kde")
     parser.add_argument("--feature-degree", type=int, default=2)
@@ -301,7 +293,7 @@ def _solver_config(args, seed):
 
 def _config_echo(args, seed, extra=None):
     echo = {
-        "cost": args.cost_text,
+        "cost": args.cost,
         "problem": args.problem,
         "feature_degree": args.feature_degree,
         "bandwidth_a": args.bandwidth_a,
@@ -336,7 +328,7 @@ def _run_solve(args, dataset, config_extra=None):
         )
     config = _solver_config(args, seed)
     started = time.perf_counter()
-    result = solve(dataset.x, dataset.covariates, args.cost, config)
+    result = solve(dataset.x, dataset.covariates, parse_cost_spec(args.cost), config)
     wall = time.perf_counter() - started
 
     summary = {
@@ -354,14 +346,10 @@ def _run_solve(args, dataset, config_extra=None):
 
     created = []
     try:
-        out, close_out = _open_output(args.output)
-        try:
-            if close_out:
+        with _opened(args.output, "w") as out:
+            if args.output != "-":
                 created.append(args.output)
             _write_result_csv(dataset, result.y_final, out)
-        finally:
-            if close_out:
-                out.close()
         with open(args.history, "w", newline="") as fh:
             created.append(args.history)
             _write_history_csv(result.history, fh)
@@ -387,8 +375,7 @@ def _default_n_per_class(args):
 
 def _cmd_gen(args):
     seed = _resolve_seed(args)
-    out, should_close = _open_output(args.output)
-    try:
+    with _opened(args.output, "w") as out:
         if args.what == "ellipses":
             save_dataset(gen_ellipses(seed, n_per_class=_default_n_per_class(args)), out)
         elif args.what == "sphere-patches":
@@ -399,20 +386,15 @@ def _cmd_gen(args):
             )
         else:
             _write_series_csv(gen_hidden_signal(seed, steps=args.steps), out)
-    finally:
-        if should_close:
-            out.close()
     return 0
 
 
 def _cmd_solve(args):
-    args.cost_text = args.cost_raw
     dataset = load_dataset(args.input)
     return _run_solve(args, dataset)
 
 
 def _cmd_filter_timeseries(args):
-    args.cost_text = args.cost_raw
     series = load_series(args.input)
     dataset = lagged_dataset(series, space=args.lag_space,
                              bandwidth_b=args.bandwidth_b)
@@ -453,24 +435,12 @@ def _build_parser():
 def main(argv=None):
     """Entry point; returns the process exit status."""
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Keep the raw cost string for the summary echo before argparse converts it.
     args = parser.parse_args(argv)
-    args.cost_raw = _extract_cost_text(argv)
     try:
         return args.func(args)
     except (BaryflowError, OSError) as err:
         print(f"baryflow: error: {err}", file=sys.stderr)
         return 1
-
-
-def _extract_cost_text(argv):
-    for k, token in enumerate(argv):
-        if token == "--cost" and k + 1 < len(argv):
-            return argv[k + 1]
-        if token.startswith("--cost="):
-            return token.split("=", 1)[1]
-    return "l2"
 
 
 def entrypoint():

@@ -19,9 +19,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "CostModel",
-    "cost_grad",
     "cost_parts",
-    "cost_value",
     "parse_cost_spec",
 ]
 
@@ -277,12 +275,3 @@ def cost_parts(model, x, y, Z=None, want_hvp=False):
         return _geodesic_parts(model, x, y, want_hvp)
     return _distortion_parts(model, x, y, Z, want_hvp)
 
-
-def cost_value(model, x, y, Z=None):
-    """Total cost of mapping x to y (sample average; pair average for distortion)."""
-    return cost_parts(model, x, y, Z)[0]
-
-
-def cost_grad(model, x, y, Z=None):
-    """Gradient of ``cost_value`` with respect to each mapped point; N x d."""
-    return cost_parts(model, x, y, Z)[1]

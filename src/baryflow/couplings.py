@@ -23,7 +23,6 @@ __all__ = [
     "build_couplings",
     "categorical_coupling",
     "centering_matrix",
-    "gaussian_kernel",
     "kernel_cross_matrix",
     "kernel_matrix",
     "median_heuristic_bandwidth",
@@ -31,28 +30,12 @@ __all__ = [
 ]
 
 
-def gaussian_kernel(u, v, bandwidth):
-    """Isotropic Gaussian density kernel, normalized to integrate to one.
-
-    Evaluates (2*pi*a^2)^(-d/2) * exp(-||u - v||^2 / (2*a^2)) with a the
-    bandwidth and d the trailing dimension of the inputs.  Symmetric in its
-    first two arguments.
-    """
-    if not np.isfinite(bandwidth) or bandwidth <= 0:
-        raise InvalidInputError("bandwidth must be a positive finite number")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise InvalidInputError("kernel inputs must be finite")
-    d = u.shape[-1]
-    sq = np.sum((u - v) ** 2, axis=-1)
-    norm = (2.0 * np.pi * bandwidth**2) ** (-0.5 * d)
-    out = norm * np.exp(-sq / (2.0 * bandwidth**2))
-    return float(out) if np.isscalar(sq) or out.ndim == 0 else out
-
-
 def kernel_cross_matrix(points_a, points_b, bandwidth):
-    """Matrix of normalized Gaussian kernel values K[i, j] = k(a_i, b_j)."""
+    """Matrix of normalized Gaussian kernel values K[i, j] = k(a_i, b_j).
+
+    k(u, v) = (2*pi*h^2)^(-d/2) * exp(-||u - v||^2 / (2*h^2)) with h the
+    bandwidth and d the width of the point sets; it integrates to one.
+    """
     if not np.isfinite(bandwidth) or bandwidth <= 0:
         raise InvalidInputError("bandwidth must be a positive finite number")
     a = np.asarray(points_a, dtype=float)
@@ -61,10 +44,13 @@ def kernel_cross_matrix(points_a, points_b, bandwidth):
         raise InvalidInputError("point sets must be 2-D arrays with matching width")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidInputError("point sets must be finite")
-    sq = cdist(a, b, metric="sqeuclidean")
     d = a.shape[1]
     norm = (2.0 * np.pi * bandwidth**2) ** (-0.5 * d)
-    return norm * np.exp(-sq / (2.0 * bandwidth**2))
+    K = cdist(a, b, metric="sqeuclidean")  # built in place: one N x M array
+    K /= -(2.0 * bandwidth**2)
+    np.exp(K, out=K)
+    K *= norm
+    return K
 
 
 def kernel_matrix(points, bandwidth):

@@ -25,11 +25,12 @@ class ConvergenceError(BaryflowError, RuntimeError):
 class NumericError(BaryflowError, ArithmeticError):
     """A computation produced non-finite intermediates.
 
-    ``iteration`` and ``state`` identify where a solver run blew up; both are
-    None when the error is raised outside an iteration loop.
+    ``iteration`` is set when the solver's evaluation at its starting points
+    fails (0); it is None when the error is raised outside a solve.  Inside
+    the loop a non-finite evaluation at a candidate step only rejects that
+    step.
     """
 
-    def __init__(self, message, iteration=None, state=None):
+    def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
-        self.state = state

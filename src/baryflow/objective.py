@@ -7,8 +7,10 @@ covariate.  Two constraint modes exist:
 * ``kde`` scores the discrepancy between conditional kernel density
   estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l].
   Its descent direction differentiates the kernel only through the
-  evaluation slot, holding the kernel centers at the current positions;
-  ``centers`` can be supplied separately to evaluate off-center values.
+  evaluation slot, holding the kernel centers at the current positions.
+  :func:`constraint_parts` accepts other ``centers``: the solver's descent
+  check scores the points before a step against centers at the stepped
+  points.
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l.  Gradients use the symmetric form
   2 * (C f_l)_i * f_l'(y_i), which is the exact derivative for symmetric C
@@ -41,11 +43,7 @@ __all__ = [
     "TestFunctionSpec",
     "constraint_parts",
     "evaluate",
-    "lf_feature_terms",
-    "lf_features",
-    "lf_kde",
     "monomial_features",
-    "objective_value",
 ]
 
 
@@ -153,35 +151,6 @@ class TestFunctionSpec:
                    feature_weights=feature_weights)
 
 
-def lf_kde(y, C, bandwidth, centers=None):
-    """Kernel constraint value sum_{i,l} K_a(y_l, centers_i) * C[i, l].
-
-    ``centers`` defaults to ``y``.  Nonnegative (up to roundoff) whenever C
-    comes from a positive semidefinite bi-stochastic coupling.
-    """
-    y = np.asarray(y, dtype=float)
-    centers = y if centers is None else np.asarray(centers, dtype=float)
-    K = kernel_cross_matrix(y, centers, bandwidth)  # [l, i] = K(y_l, centers_i)
-    return float(np.sum(K * C.T))
-
-
-def lf_feature_terms(y, C, features):
-    """Per-feature quadratic forms f_l' C f_l as a vector."""
-    y = np.asarray(y, dtype=float)
-    C = np.asarray(C, dtype=float)
-    vals = np.stack([f.value(y) for f in features])  # (m, N)
-    cv = vals @ C.T  # row l is C @ f_l
-    return np.einsum("li,li->l", vals, cv)
-
-
-def lf_features(y, C, features, weights=None):
-    """Feature constraint value sum_l w_l * f_l' C f_l (uniform w by default)."""
-    terms = lf_feature_terms(y, C, features)
-    if weights is None:
-        return float(terms.sum())
-    return float(np.asarray(weights, dtype=float) @ terms)
-
-
 def _kde_parts(y, C, bandwidth, centers, want_hvp):
     a2 = bandwidth**2
     M = kernel_cross_matrix(y, centers, bandwidth)
@@ -201,8 +170,9 @@ def _features_parts(y, C, features, weights, want_hvp):
     w = np.ones(m) if weights is None else weights
     vals = np.stack([f.value(y) for f in features])
     grads = np.stack([f.grad(y) for f in features])
-    cv = vals @ C.T
-    value = float(w @ np.einsum("li,li->l", vals, cv))
+    cv = vals @ C.T  # row l is C @ f_l
+    terms = np.einsum("li,li->l", vals, cv)  # f_l' C f_l
+    value = float(terms.sum() if weights is None else weights @ terms)
     grad = 2.0 * np.einsum("l,li,lia->ia", w, cv, grads)
     hvp = None
     if want_hvp:
@@ -279,19 +249,3 @@ def evaluate(x, y, lam, cost_model, C, tf_spec, Z=None, want_hvp=False):
         grad=grad, grad_cost=cg, grad_constraint=fg,
         hvp_cost=chvp, hvp_constraint=fhvp,
     )
-
-
-def objective_value(x, y, lam, cost_model, C, tf_spec, Z=None, centers=None, L_C=None):
-    """Value-only evaluation ``(L, L_C, L_F)``, with optional off-center kernels.
-
-    ``centers`` only affects kde mode; it is what the descent check uses to
-    compare the objective before and after a step with the kernel centers
-    pinned at the stepped positions.  ``L_C``, when given, is the already
-    known cost at ``y`` and is used instead of evaluating it again.
-    """
-    cv = cost_parts(cost_model, x, y, Z)[0] if L_C is None else L_C
-    if tf_spec.mode == "kde":
-        fv = lf_kde(y, C, tf_spec.bandwidth_a, centers=centers)
-    else:
-        fv = lf_features(y, C, tf_spec.features, tf_spec.feature_weights)
-    return cv + lam * fv, cv, fv

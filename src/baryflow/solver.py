@@ -1,31 +1,31 @@
 """Penalty-method gradient flow driving mapped points to the barycenter.
 
-One solve owns its state exclusively.  The loop per iteration: grow the
-learning rate, evaluate the objective, raise the multiplier to keep the
-descent direction of the full objective a descent direction for the
-constraint, step (explicit or implicit), and backtrack the learning rate
-until the stepped objective does not increase with the kernel centers
-evaluated at the stepped positions on both sides.
+One solve owns its state exclusively.  The objective is evaluated once on
+the starting points; then each iteration grows the learning rate, raises the
+multiplier to keep the descent direction of the full objective a descent
+direction for the constraint, steps (explicit or implicit), and backtracks
+the learning rate until the stepped objective does not increase with the
+kernel centers at the stepped positions on both sides.  The evaluation at
+the accepted step is the next iteration's evaluation, so each point set is
+evaluated once.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .couplings import build_couplings, median_heuristic_bandwidth
 from .errors import InvalidInputError, NumericError
-from .objective import TestFunctionSpec, constraint_parts, evaluate, objective_value
+from .objective import TestFunctionSpec, constraint_parts, evaluate
 
 __all__ = [
     "BarycenterResult",
-    "FlowState",
     "HistoryRecord",
     "SolverConfig",
-    "descent_check",
     "lambda_update",
     "precondition_mean_shift",
     "solve",
@@ -62,7 +62,9 @@ class SolverConfig:
     at the starting positions: 50 steps of seeded power iteration on its
     Hessian-vector product, so the Hessian is never formed.  ``bandwidth_a``
     applies to kde mode and resolves "auto" with the median heuristic on the
-    starting positions.  ``feature_degree`` applies to features mode.
+    starting positions.  ``feature_degree`` applies to features mode.  Every
+    field is checked on construction: reals must be finite and positive,
+    counts must be integers, and a bad value raises InvalidInputError.
     """
 
     problem: str = "kde"
@@ -85,25 +87,24 @@ class SolverConfig:
             raise InvalidInputError("problem must be 'kde' or 'features'")
         if self.update not in ("explicit", "implicit"):
             raise InvalidInputError("update must be 'explicit' or 'implicit'")
-        if not (0.0 < self.omega_alpha < 1.0):
+        for name in ("eta0", "lambda_max", "tol_y", "tol_lf"):
+            if not _positive_number(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be a positive finite number")
+        if not (_positive_number(self.omega_alpha) and self.omega_alpha < 1.0):
             raise InvalidInputError("omega_alpha must lie in (0, 1)")
-        if self.eta0 <= 0 or self.niter < 1:
-            raise InvalidInputError("eta0 must be positive and niter >= 1")
-        if self.max_halvings < 0:
-            raise InvalidInputError("max_halvings must be >= 0")
-        if self.tol_y <= 0 or self.tol_lf <= 0:
-            raise InvalidInputError("tolerances must be positive")
+        for name, low in (("niter", 1), ("feature_degree", 1), ("max_halvings", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidInputError(f"{name} must be an integer")
+            if value < low:
+                raise InvalidInputError(f"{name} must be >= {low}")
         if self.lambda0 != "auto":
             if not _positive_number(self.lambda0):
                 raise InvalidInputError("lambda0 must be positive or 'auto'")
             if self.lambda_max < self.lambda0:
                 raise InvalidInputError("lambda_max must be >= lambda0")
-        if self.lambda_max <= 0:
-            raise InvalidInputError("lambda_max must be positive")
         if self.bandwidth_a != "auto" and not _positive_number(self.bandwidth_a):
             raise InvalidInputError("bandwidth_a must be positive or 'auto'")
-        if self.feature_degree < 1:
-            raise InvalidInputError("feature_degree must be >= 1")
 
 
 @dataclass
@@ -123,17 +124,6 @@ class HistoryRecord:
     lambda_clamped: bool
     lambda_skipped: bool
     implicit_fallback: bool
-
-
-@dataclass
-class FlowState:
-    """Mutable state of one flow: positions, multiplier, rate, history."""
-
-    y: np.ndarray
-    lam: float
-    eta: float
-    n: int
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -248,23 +238,6 @@ def step_implicit(y, grad, hvp, eta):
     return y - delta.reshape(n, d), False
 
 
-def _descent_sides(x, y_old, y_new, lam, cost_model, C, tf_spec, Z=None, L_C_old=None):
-    """Objective on both sides of the step, kernel centers at the new points.
-
-    ``L_C_old``, when given, is the cost at ``y_old`` (it does not depend on
-    the kernel centers), so it is not evaluated again.
-    """
-    lhs = objective_value(x, y_new, lam, cost_model, C, tf_spec, Z, centers=y_new)
-    rhs = objective_value(x, y_old, lam, cost_model, C, tf_spec, Z, centers=y_new, L_C=L_C_old)
-    return lhs, rhs
-
-
-def descent_check(x, y_old, y_new, lam, cost_model, C, tf_spec, Z=None):
-    """True when stepping does not increase L, centers at y_new on both sides."""
-    (lhs, _, _), (rhs, _, _) = _descent_sides(x, y_old, y_new, lam, cost_model, C, tf_spec, Z)
-    return lhs <= rhs
-
-
 def _auto_lambda0(y, C, tf_spec, lambda_max, seed, n_steps=50):
     """1 / spectral-radius estimate of the constraint Hessian at the start.
 
@@ -307,7 +280,12 @@ def solve(x, covariates, cost_model, config=None):
     mean-matching shift (in which case every cost except the canonical
     squared-Euclidean one keeps being evaluated against the original
     points), and iterates until the positions stall with a satisfied
-    constraint or ``config.niter`` is reached.
+    constraint or ``config.niter`` is reached.  A candidate step is
+    rejected, and the learning rate halved, when it raises the objective,
+    leaves the cost's domain, or gives a non-finite value or gradient; the
+    run ends early when ``config.max_halvings`` halvings find no step.
+    Raises :class:`NumericError` only when the objective at the starting
+    points is not finite.
     """
     config = config or SolverConfig()
     x = as_points(x)
@@ -335,75 +313,71 @@ def solve(x, covariates, cost_model, config=None):
         lam = float(config.lambda0)
 
     lambda0 = lam
-    state = FlowState(y=y, lam=lam, eta=config.eta0, n=0)
     implicit = config.update == "implicit"
+    eta = config.eta0
+    history = []
     converged = False
+    try:
+        ev = evaluate(x_cost, y, lam, cost_model, C, tf_spec, Z=Z_cost, want_hvp=implicit)
+    except NumericError as err:
+        raise NumericError(str(err), iteration=0) from err
 
     for it in range(config.niter):
-        state.n = it
-        state.eta = min(2.01 * state.eta, config.eta0)
-        try:
-            ev = evaluate(x_cost, state.y, state.lam, cost_model, C, tf_spec,
-                          Z=Z_cost, want_hvp=implicit)
-        except NumericError as err:
-            raise NumericError(str(err), iteration=it, state=state) from err
-
-        new_lam, clamped, skipped, slack = lambda_update(
-            state.lam, ev.grad_cost, ev.grad_constraint,
-            config.omega_alpha, config.lambda_max,
+        eta = min(2.01 * eta, config.eta0)
+        lam, clamped, skipped, slack = lambda_update(
+            lam, ev.grad_cost, ev.grad_constraint, config.omega_alpha, config.lambda_max,
         )
-        state.lam = new_lam
-        grad = ev.grad_cost + new_lam * ev.grad_constraint
-        hvp = ev.hvp(new_lam) if implicit else None
+        grad = ev.grad_cost + lam * ev.grad_constraint
+        hvp = ev.hvp(lam) if implicit else None
 
-        accepted = False
+        # Descent check: L must not increase with the kernel centers at the
+        # stepped points on both sides.  The left side is the next
+        # iteration's evaluation; the right side is formed first, so its
+        # kernel is freed before the left side builds one.
+        ev_new = None
         halvings = 0
         fallback = False
-        candidate = state.y
-        lhs = rhs = (np.nan, np.nan, np.nan)
         while halvings <= config.max_halvings:
             if implicit:
-                candidate, fallback = step_implicit(state.y, grad, hvp, state.eta)
+                candidate, fallback = step_implicit(y, grad, hvp, eta)
             else:
-                candidate = step_explicit(state.y, grad, state.eta)
+                candidate = step_explicit(y, grad, eta)
             try:
-                lhs, rhs = _descent_sides(x_cost, state.y, candidate, new_lam,
-                                          cost_model, C, tf_spec, Z_cost, ev.L_C)
-                ok = np.isfinite(lhs[0]) and lhs[0] <= rhs[0]
-            except InvalidInputError:
-                ok = False  # candidate left the cost's domain; treat as rejected
-            if ok:
-                accepted = True
-                break
-            state.eta *= 0.5
+                L_F_old = ev.L_F  # features have no kernel centers to move
+                if tf_spec.mode == "kde":
+                    L_F_old = constraint_parts(y, C, tf_spec, centers=candidate)[0]
+                rhs = ev.L_C + lam * L_F_old
+                ev_new = evaluate(x_cost, candidate, lam, cost_model, C, tf_spec,
+                                  Z=Z_cost, want_hvp=implicit)
+                if ev_new.L <= rhs:
+                    break
+            except (InvalidInputError, NumericError):
+                pass  # candidate left the cost's domain or blew up
+            ev_new = None  # rejected
+            eta *= 0.5
             halvings += 1
 
-        if not accepted:
+        if ev_new is None:
             break
 
-        rel_change = float(np.abs(candidate - state.y).max()) / max(
-            1.0, float(np.abs(state.y).max())
-        )
-        state.y = candidate
-        if not np.isfinite(state.y).all():
-            raise NumericError("positions became non-finite", iteration=it, state=state)
-        L_new, L_C_new, L_F_new = lhs
-        state.history.append(HistoryRecord(
-            n=it, L=L_new, L_C=L_C_new, L_F=L_F_new,
-            lam=new_lam, eta=state.eta, eta_halvings=halvings,
-            descent_lhs=lhs[0], descent_rhs=rhs[0],
+        rel_change = float(np.abs(candidate - y).max()) / max(1.0, float(np.abs(y).max()))
+        y, ev = candidate, ev_new
+        history.append(HistoryRecord(
+            n=it, L=ev.L, L_C=ev.L_C, L_F=ev.L_F,
+            lam=lam, eta=eta, eta_halvings=halvings,
+            descent_lhs=ev.L, descent_rhs=rhs,
             lambda_slack=slack, lambda_clamped=clamped, lambda_skipped=skipped,
             implicit_fallback=fallback,
         ))
-        if rel_change < config.tol_y and L_F_new < config.tol_lf:
+        if rel_change < config.tol_y and ev.L_F < config.tol_lf:
             converged = True
             break
 
     return BarycenterResult(
-        y_final=state.y,
+        y_final=y,
         converged=converged,
-        iterations=len(state.history),
-        history=state.history,
+        iterations=len(history),
+        history=history,
         precondition_shift=shift,
         x_original=x,
         lambda0=lambda0,

@@ -138,6 +138,35 @@ class TestCli:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cost_args", [
+        ["--cost", "l2", "--cost", "pnorm:3"],  # the last occurrence wins
+        ["--cos", "pnorm:3"],  # argparse abbreviation
+        ["--cost=pnorm:3"],
+    ])
+    def test_summary_echoes_the_cost_that_ran(self, cost_args, tmp_path):
+        data = str(tmp_path / "d.csv")
+        main(["gen", "ellipses", "--seed", "0", "--n-per-class", "5", "--output", data])
+        results = {}
+        for tag, args in (("ref", ["--cost", "pnorm:3"]), ("run", cost_args)):
+            out, summ = tmp_path / f"r{tag}.csv", tmp_path / f"s{tag}.json"
+            assert main(["solve", "--input", data, "--niter", "5", *args,
+                         "--output", str(out), "--history", str(tmp_path / f"h{tag}.csv"),
+                         "--summary", str(summ)]) == 0
+            assert json.loads(summ.read_text())["config"]["cost"] == "pnorm:3"
+            results[tag] = out.read_text()
+        assert results["run"] == results["ref"]
+
+    def test_nan_eta0_is_error(self, tmp_path, capsys):
+        data = str(tmp_path / "d.csv")
+        main(["gen", "ellipses", "--seed", "0", "--n-per-class", "5", "--output", data])
+        code = main(["solve", "--input", data, "--eta0", "nan",
+                     "--output", str(tmp_path / "r.csv"),
+                     "--history", str(tmp_path / "h.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert "eta0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.csv")
+
     def test_missing_input_is_error(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "r.csv"),

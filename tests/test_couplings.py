@@ -6,7 +6,7 @@ from baryflow.couplings import (
     build_couplings,
     categorical_coupling,
     centering_matrix,
-    gaussian_kernel,
+    kernel_cross_matrix,
     kernel_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
@@ -17,32 +17,34 @@ from baryflow.errors import ConvergenceError, InvalidInputError
 class TestGaussianKernel:
     def test_peak_value_1d(self):
         # Gaussian at its center: (2*pi)^(-1/2)
-        assert gaussian_kernel([0.0], [0.0], 1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi))
+        K = kernel_cross_matrix([[0.0]], [[0.0]], 1.0)
+        assert K[0, 0] == pytest.approx(1.0 / np.sqrt(2 * np.pi))
 
     def test_symmetry(self, rng):
         for _ in range(10):
-            u, v = rng.normal(size=3), rng.normal(size=3)
-            assert gaussian_kernel(u, v, 0.7) == gaussian_kernel(v, u, 0.7)
+            u, v = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+            assert np.array_equal(kernel_cross_matrix(u, v, 0.7), kernel_cross_matrix(v, u, 0.7).T)
 
     def test_unit_distance_2d(self):
         # ||u - v|| = a in d=2: value is (2*pi*a^2)^(-1) * exp(-1/2), computed
         # independently from the closed form.
         a = 0.8
         expected = np.exp(-0.5) / (2.0 * np.pi * a**2)
-        assert gaussian_kernel([0.0, 0.0], [a, 0.0], a) == pytest.approx(expected, rel=1e-14)
+        K = kernel_cross_matrix([[0.0, 0.0]], [[a, 0.0]], a)
+        assert K[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_integrates_to_one_1d(self):
         # quadrature oracle on a wide grid
         a = 0.5
         t = np.linspace(-8, 8, 20001)[:, None]
-        vals = gaussian_kernel(t, np.zeros((1, 1)), a)
+        vals = kernel_cross_matrix(t, np.zeros((1, 1)), a)[:, 0]
         assert np.trapezoid(vals, t[:, 0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
-            gaussian_kernel([np.nan], [0.0], 1.0)
+            kernel_cross_matrix([[np.nan]], [[0.0]], 1.0)
         with pytest.raises(InvalidInputError):
-            gaussian_kernel([0.0], [0.0], 0.0)
+            kernel_cross_matrix([[0.0]], [[0.0]], 0.0)
 
 
 class TestKernelMatrix:

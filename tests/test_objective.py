@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from baryflow.costs import CostModel
+from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import categorical_coupling, centering_matrix, kernel_matrix, sinkhorn_bistochastic
 from baryflow.errors import InvalidInputError
 from baryflow.objective import (
     TestFunctionSpec,
     constraint_parts,
     evaluate,
-    lf_feature_terms,
-    lf_features,
-    lf_kde,
     monomial_features,
-    objective_value,
 )
 
 from conftest import (
@@ -22,6 +18,19 @@ from conftest import (
     operator_matrix,
     rel_err,
 )
+
+
+def kde_value(y, C, bandwidth):
+    return constraint_parts(y, C, TestFunctionSpec.kde(bandwidth))[0]
+
+
+def features_value(y, C, features):
+    return constraint_parts(y, C, TestFunctionSpec(mode="features", features=tuple(features)))[0]
+
+
+def feature_terms(y, C, features):
+    """Per-feature quadratic forms f_l' C f_l, one single-feature constraint each."""
+    return np.array([features_value(y, C, (f,)) for f in features])
 
 
 def two_singletons():
@@ -55,7 +64,7 @@ class TestLfKde:
     def test_single_class_zero(self, rng):
         y = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(np.zeros(6, dtype=int)))
-        assert lf_kde(y, C, 0.8) == pytest.approx(0.0, abs=1e-14)
+        assert kde_value(y, C, 0.8) == pytest.approx(0.0, abs=1e-14)
 
     def test_identical_class_clouds_vanish(self, rng):
         # two classes mapped onto the same point set: conditional estimates agree
@@ -63,7 +72,7 @@ class TestLfKde:
         y = np.vstack([pts, pts])
         labels = np.array([0] * 8 + [1] * 8)
         C = centering_matrix(categorical_coupling(labels))
-        assert abs(lf_kde(y, C, 0.6)) <= 1e-8
+        assert abs(kde_value(y, C, 0.6)) <= 1e-8
 
     def test_randomized_positivity(self, rng):
         for _ in range(100):
@@ -72,7 +81,7 @@ class TestLfKde:
             z = rng.standard_normal((n, 1))
             Z, _ = sinkhorn_bistochastic(kernel_matrix(z, 0.7))
             C = centering_matrix(Z)
-            assert lf_kde(y, C, 0.5) >= -1e-10
+            assert kde_value(y, C, 0.5) >= -1e-10
 
 
 class TestLfFeatures:
@@ -80,7 +89,7 @@ class TestLfFeatures:
         y = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.5], [-0.5, -0.5]])
         labels = np.array([0, 0, 1, 1])  # both class means are (0, 0)
         C = centering_matrix(categorical_coupling(labels))
-        assert lf_features(y, C, monomial_features(2, 1)) == pytest.approx(0.0, abs=1e-14)
+        assert features_value(y, C, monomial_features(2, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_feature_annihilated(self, rng):
         class One:
@@ -96,11 +105,11 @@ class TestLfFeatures:
         y = rng.standard_normal((7, 2))
         Z, _ = sinkhorn_bistochastic(kernel_matrix(rng.standard_normal((7, 1)), 0.8))
         C = centering_matrix(Z)
-        assert lf_features(y, C, (One(),)) == pytest.approx(0.0, abs=1e-12)
+        assert features_value(y, C, (One(),)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_singletons_value(self):
         x, C = two_singletons()
-        assert lf_features(x, C, monomial_features(1, 1)) == pytest.approx(2.0)
+        assert features_value(x, C, monomial_features(1, 1)) == pytest.approx(2.0)
 
     def test_moment_matching_iff_vanishing(self, rng):
         # identical mean+cov across classes -> degree-2 terms vanish;
@@ -110,10 +119,10 @@ class TestLfFeatures:
         labels = np.array([0] * 10 + [1] * 10)
         C = centering_matrix(categorical_coupling(labels))
         feats = monomial_features(2, 2)
-        assert np.abs(lf_feature_terms(y, C, feats)).max() <= 1e-12
+        assert np.abs(feature_terms(y, C, feats)).max() <= 1e-12
         y2 = y.copy()
         y2[10:, 0] += 0.5
-        assert lf_feature_terms(y2, C, feats)[0] > 1e-3
+        assert feature_terms(y2, C, feats)[0] > 1e-3
 
     def test_per_feature_terms_nonnegative(self, rng):
         for _ in range(50):
@@ -121,7 +130,7 @@ class TestLfFeatures:
             y = rng.standard_normal((n, 2))
             labels = rng.integers(0, 3, n)
             C = centering_matrix(categorical_coupling(labels))
-            terms = lf_feature_terms(y, C, monomial_features(2, 2))
+            terms = feature_terms(y, C, monomial_features(2, 2))
             assert terms.min() >= -1e-10
 
     def test_translation_invariance_linear(self, rng):
@@ -129,9 +138,17 @@ class TestLfFeatures:
         labels = rng.integers(0, 2, 9)
         C = centering_matrix(categorical_coupling(labels))
         feats = monomial_features(2, 1)
-        v0 = lf_features(y, C, feats)
-        v1 = lf_features(y + np.array([5.0, -3.0]), C, feats)
+        v0 = features_value(y, C, feats)
+        v1 = features_value(y + np.array([5.0, -3.0]), C, feats)
         assert v0 == pytest.approx(v1, abs=1e-9)
+
+    def test_weights_scale_terms(self, rng):
+        y = rng.standard_normal((9, 2))
+        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 9)))
+        w = np.array([0.5, 2.0, 0.0, 1.0, 3.0])
+        tf = TestFunctionSpec.polynomial(2, 2, feature_weights=w)
+        expected = w @ feature_terms(y, C, monomial_features(2, 2))
+        assert constraint_parts(y, C, tf)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestEvaluate:
@@ -171,8 +188,8 @@ class TestEvaluate:
         ev = evaluate(x, y, lam, CostModel("sq_euclidean"), C, tf)
         centers = y.copy()
         fd = central_diff_grad(
-            lambda u: objective_value(x, u, lam, CostModel("sq_euclidean"), C, tf,
-                                      centers=centers)[0],
+            lambda u: cost_parts(CostModel("sq_euclidean"), x, u)[0]
+            + lam * constraint_parts(u, C, tf, centers=centers)[0],
             y,
         )
         assert rel_err(ev.grad, fd) <= 1e-5
@@ -212,14 +229,17 @@ class TestEvaluate:
             ev.hvp(1.0)
 
     def test_off_center_value(self, rng):
-        # objective_value with centers fixed differs from the slaved value
+        # the constraint with centers fixed elsewhere differs from the slaved value
         y = rng.standard_normal((6, 2))
         centers = rng.standard_normal((6, 2))
-        x = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
-        tf = TestFunctionSpec.kde(0.9)
-        _, _, lf_off = objective_value(x, y, 1.0, CostModel("sq_euclidean"), C, tf, centers=centers)
-        assert lf_off == pytest.approx(lf_kde(y, C, 0.9, centers=centers))
+        a = 0.9
+        tf = TestFunctionSpec.kde(a)
+        lf_off = constraint_parts(y, C, tf, centers=centers)[0]
+        sq = np.sum((y[:, None, :] - centers[None, :, :]) ** 2, axis=-1)  # [l, i]
+        K = np.exp(-sq / (2 * a**2)) / (2 * np.pi * a**2)
+        assert lf_off == pytest.approx(np.sum(K * C.T))
+        assert lf_off != pytest.approx(constraint_parts(y, C, tf)[0])
 
     def test_invalid_lambda(self, rng):
         y = rng.standard_normal((4, 2))

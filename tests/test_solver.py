@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from baryflow import solver
-from baryflow.costs import CostModel
+from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses
 from baryflow.errors import InvalidInputError
-from baryflow.objective import TestFunctionSpec, evaluate
+from baryflow.objective import TestFunctionSpec, constraint_parts, evaluate
 from baryflow.solver import (
     SolverConfig,
-    descent_check,
     lambda_update,
     precondition_mean_shift,
     solve,
@@ -207,43 +206,51 @@ class TestSteps:
 
 
 class TestDescentCheck:
+    """The recorded sides of the check: L after and before each accepted step."""
+
     def setup_method(self):
         self.ds = gen_ellipses(seed=0, n_per_class=40)
-        self.C = centering_matrix(categorical_coupling(self.ds.covariates.labels))
-        self.tf = TestFunctionSpec.kde(1.0)
         self.model = CostModel("sq_euclidean")
 
-    def test_no_step_passes(self):
-        y = self.ds.x
-        assert descent_check(self.ds.x, y, y, 1.0, self.model, self.C, self.tf)
+    def run(self, **config):
+        return solve(self.ds.x, self.ds.covariates, self.model, SolverConfig(**config))
+
+    def test_no_step_passes(self, rng):
+        # one class at y = x: both gradients vanish, the step is zero
+        x = rng.standard_normal((10, 2))
+        cov = Covariates.categorical(np.zeros(10, dtype=int))
+        rec = solve(x, cov, self.model, SolverConfig(niter=1)).history[0]
+        assert rec.eta_halvings == 0
+        assert rec.descent_lhs == rec.descent_rhs
 
     def test_small_step_passes(self):
-        x = self.ds.x
-        ev = evaluate(x, x, 1.0, self.model, self.C, self.tf)
-        y_new = step_explicit(x, ev.grad, 1e-6)
-        assert descent_check(x, x, y_new, 1.0, self.model, self.C, self.tf)
+        res = self.run(eta0=1e-6, niter=5)
+        assert [rec.eta_halvings for rec in res.history] == [0] * 5
+        assert all(rec.descent_lhs <= rec.descent_rhs for rec in res.history)
 
     def test_huge_step_fails(self):
-        x = self.ds.x
-        ev = evaluate(x, x, 1.0, self.model, self.C, self.tf)
-        y_new = step_explicit(x, ev.grad, 1e3)
-        assert not descent_check(x, x, y_new, 1.0, self.model, self.C, self.tf)
+        res = self.run(eta0=1e3, niter=5)
+        assert res.history[0].eta_halvings > 0
+        assert all(rec.descent_lhs <= rec.descent_rhs for rec in res.history)
 
 
 class TestDescentSides:
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_known_cost_matches_recomputation(self, mode, rng):
-        # the cost at y_old is evaluate's L_C, so passing it in changes no bit
+        # the recorded sides equal both objectives recomputed from scratch,
+        # kernel centers at the stepped points
         x = rng.standard_normal((10, 2))
-        y = x + 0.3 * rng.standard_normal((10, 2))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 10)))
-        tf = TestFunctionSpec.kde(0.8) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        cov = Covariates.categorical(rng.integers(0, 2, 10))
         model = CostModel("p_norm", p=1.5)
-        ev = evaluate(x, y, 2.0, model, C, tf)
-        y_new = step_explicit(y, ev.grad, 0.05)
-        full = solver._descent_sides(x, y, y_new, 2.0, model, C, tf)
-        reused = solver._descent_sides(x, y, y_new, 2.0, model, C, tf, L_C_old=ev.L_C)
-        assert reused == full
+        res = solve(x, cov, model, SolverConfig(problem=mode, niter=1, eta0=0.05))
+        rec, y_new = res.history[0], res.y_final
+        tf = TestFunctionSpec.kde(res.bandwidth_a) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        C = build_couplings(cov).C
+        lhs = evaluate(x, y_new, rec.lam, model, C, tf).L
+        rhs = cost_parts(model, x, x)[0] + rec.lam * constraint_parts(x, C, tf, centers=y_new)[0]
+        assert (rec.descent_lhs, rec.descent_rhs) == (lhs, rhs)
+        L_C, L_F = cost_parts(model, x, y_new)[0], constraint_parts(y_new, C, tf)[0]
+        assert (rec.L, rec.L_C, rec.L_F) == (lhs, L_C, L_F)
 
 
 class TestSolve:
@@ -324,6 +331,22 @@ class TestSolve:
     def test_bad_auto_fields_rejected(self, field, value):
         with pytest.raises(InvalidInputError):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("eta0", float("nan")), ("eta0", "0.1"), ("eta0", 0.0), ("eta0", None),
+        ("tol_y", float("nan")), ("tol_lf", float("inf")), ("lambda_max", float("nan")),
+        ("lambda_max", float("inf")), ("omega_alpha", float("nan")), ("omega_alpha", "0.5"),
+        ("lambda0", float("nan")), ("bandwidth_a", float("inf")),
+        ("niter", 2.5), ("niter", 0), ("niter", True), ("niter", "10"),
+        ("feature_degree", 2.0), ("max_halvings", 1.5), ("seed", 0.5), ("seed", -1),
+    ])
+    def test_non_numbers_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(niter=np.int64(5), seed=np.uint32(3), eta0=np.float32(0.5))
+        assert cfg.niter == 5 and cfg.seed == 3
 
     def test_negative_max_halvings_message(self):
         with pytest.raises(InvalidInputError, match="max_halvings must be >= 0"):
