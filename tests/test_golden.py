@@ -40,6 +40,16 @@ CASES = {
         ["solve", "--problem", "features", "--feature-degree", "3", "--eta0", "2",
          "--niter", "60"],
     ),
+    "ellipses-features-implicit": (
+        ["gen", "ellipses", "--seed", "0", "--n-per-class", "10"],
+        ["solve", "--problem", "features", "--update", "implicit", "--feature-degree", "3",
+         "--eta0", "50", "--niter", "30"],
+    ),
+    "ellipses-distortion-implicit": (
+        ["gen", "ellipses", "--seed", "0", "--n-per-class", "10"],
+        ["solve", "--cost", "distortion:0.01", "--update", "implicit", "--eta0", "5",
+         "--niter", "15"],
+    ),
     "sphere-patches": (
         ["gen", "sphere-patches", "--seed", "1", "--n-per-class", "12"],
         ["solve", "--cost", "geodesic-sphere", "--eta0", "5", "--niter", "30"],
