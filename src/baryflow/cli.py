@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -269,56 +270,13 @@ def _add_solver_flags(parser):
                         help="defaults to $BARYFLOW_SEED, else 0")
     parser.add_argument("--output", default="result.csv",
                         help="result CSV path ('-' for stdout)")
-    parser.add_argument("--history", default="history.csv", help="history CSV path")
-    parser.add_argument("--summary", default="summary.json", help="run summary JSON path")
+    parser.add_argument("--history", default="history.csv",
+                        help="history CSV path ('-' for stdout)")
+    parser.add_argument("--summary", default="summary.json",
+                        help="run summary JSON path ('-' for stdout)")
 
 
-def _solver_config(args, seed):
-    return SolverConfig(
-        problem=args.problem,
-        update=args.update,
-        eta0=args.eta0,
-        niter=args.niter,
-        lambda0=args.lambda0,
-        lambda_max=args.lambda_max,
-        omega_alpha=args.omega_alpha,
-        tol_y=args.tol_y,
-        tol_lf=args.tol_lf,
-        precondition=args.precondition,
-        bandwidth_a=args.bandwidth_a,
-        feature_degree=args.feature_degree,
-        seed=seed,
-    )
-
-
-def _config_echo(args, seed, extra=None):
-    echo = {
-        "cost": args.cost,
-        "problem": args.problem,
-        "feature_degree": args.feature_degree,
-        "bandwidth_a": args.bandwidth_a,
-        "bandwidth_b": args.bandwidth_b,
-        "update": args.update,
-        "eta0": args.eta0,
-        "niter": args.niter,
-        "lambda0": args.lambda0,
-        "lambda_max": args.lambda_max,
-        "omega_alpha": args.omega_alpha,
-        "tol_y": args.tol_y,
-        "tol_lf": args.tol_lf,
-        "precondition": args.precondition,
-        "seed": seed,
-        "input": args.input,
-        "output": args.output,
-        "history": args.history,
-        "summary": args.summary,
-    }
-    if extra:
-        echo.update(extra)
-    return echo
-
-
-def _run_solve(args, dataset, config_extra=None):
+def _run_solve(args, dataset):
     seed = _resolve_seed(args)
     if dataset.covariates.kind == "continuous" and args.bandwidth_b != "auto":
         dataset = Dataset(
@@ -326,13 +284,16 @@ def _run_solve(args, dataset, config_extra=None):
             covariates=Covariates.continuous(dataset.covariates.values,
                                              bandwidth_b=args.bandwidth_b),
         )
-    config = _solver_config(args, seed)
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
+             if hasattr(args, f.name)}
+    config = SolverConfig(**dict(flags, seed=seed))
     started = time.perf_counter()
     result = solve(dataset.x, dataset.covariates, parse_cost_spec(args.cost), config)
     wall = time.perf_counter() - started
 
+    echo = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     summary = {
-        "config": _config_echo(args, seed, config_extra),
+        "config": dict(echo, seed=seed),  # every flag of the run, with the seed used
         "converged": result.converged,
         "iterations": result.iterations,
         "final_L_C": result.final_L_C,
@@ -344,25 +305,22 @@ def _run_solve(args, dataset, config_extra=None):
         "version": __version__,
     }
 
+    writers = (
+        (args.output, lambda fh: _write_result_csv(dataset, result.y_final, fh)),
+        (args.history, lambda fh: _write_history_csv(result.history, fh)),
+        (args.summary, lambda fh: fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")),
+    )
     created = []
     try:
-        with _opened(args.output, "w") as out:
-            if args.output != "-":
-                created.append(args.output)
-            _write_result_csv(dataset, result.y_final, out)
-        with open(args.history, "w", newline="") as fh:
-            created.append(args.history)
-            _write_history_csv(result.history, fh)
-        with open(args.summary, "w") as fh:
-            created.append(args.summary)
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        for target, write in writers:
+            with _opened(target, "w") as fh:
+                if target != "-":
+                    created.append(target)
+                write(fh)
     except BaseException:
         for path in created:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
         raise
     return 0
 
@@ -398,7 +356,7 @@ def _cmd_filter_timeseries(args):
     series = load_series(args.input)
     dataset = lagged_dataset(series, space=args.lag_space,
                              bandwidth_b=args.bandwidth_b)
-    return _run_solve(args, dataset, config_extra={"lag_space": args.lag_space})
+    return _run_solve(args, dataset)
 
 
 def _build_parser():

@@ -119,6 +119,17 @@ def _validate(model, x, y, Z):
     return x, y, Z
 
 
+def deferred(build):
+    """``build()`` on the first call, the same result after: set-up never used is never built."""
+    box = {"build": build}
+
+    def get():
+        if "build" in box:
+            box["value"] = box.pop("build")()  # releases build and what it holds
+        return box["value"]
+    return get
+
+
 def pair_outer_hvp(A, y, c, v):
     """sum_i A[j, i] (y_j - c_i) ((y_j - c_i) . (v_j - v_i)) for every j.
 
@@ -212,17 +223,19 @@ def _geodesic_parts(model, x, y, want_hvp):
 
     hvp = None
     if want_hvp:
-        hA = np.empty((n, 2, 2))
-        hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
-        hA[:, 0, 1] = 0.5 * cpx * np.sin(phi_y) * np.sin(dtheta)
-        hA[:, 1, 0] = hA[:, 0, 1]
-        hA[:, 1, 1] = 0.5 * np.cos(dphi) - cpx * cpy * st2
-        hess = (
-            qpp[:, None, None] * dA[:, :, None] * dA[:, None, :]
-            + qp[:, None, None] * hA
-        ) / n
-        hess[antipodal] = 0.0
-        hvp = lambda v: np.einsum("iab,ib->ia", hess, v)
+        @deferred
+        def hess():
+            hA = np.empty((n, 2, 2))
+            hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
+            hA[:, 0, 1] = 0.5 * cpx * np.sin(phi_y) * np.sin(dtheta)
+            hA[:, 1, 0] = hA[:, 0, 1]
+            hA[:, 1, 1] = 0.5 * np.cos(dphi) - cpx * cpy * st2
+            out = (qpp[:, None, None] * dA[:, :, None] * dA[:, None, :]
+                   + qp[:, None, None] * hA) / n
+            out[antipodal] = 0.0
+            return out
+
+        hvp = lambda v: np.einsum("iab,ib->ia", hess(), v)
     return value, grad, hvp
 
 
@@ -251,11 +264,14 @@ def _distortion_parts(model, x, y, Z, want_hvp):
         # Pair (j, i) contributes c_outer (d d^T) + c_eye I, d = y_j - y_i, to
         # the (j, j) block and its negative to the (j, i) block; W has a zero
         # diagonal, so the pair (j, j) contributes nothing.
-        c_outer = (16.0 / n**2) * W / denom**2
-        c_eye = (8.0 / n**2) * coeff
-        eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * omega / n
+        @deferred
+        def coefficients():
+            c_eye = (8.0 / n**2) * coeff
+            eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * omega / n
+            return (16.0 / n**2) * W / denom**2, c_eye, eye_rows
 
         def hvp(v):
+            c_outer, c_eye, eye_rows = coefficients()
             return pair_outer_hvp(c_outer, y, y, v) + eye_rows * v - c_eye @ v
     return value, grad, hvp
 

@@ -12,10 +12,11 @@ covariate.  Two constraint modes exist:
   check scores the points before a step against centers at the stepped
   points.
 * ``features`` penalizes disagreement of conditional feature averages
-  through the quadratic forms f_l' C f_l.  Gradients use the symmetric form
-  2 * (C f_l)_i * f_l'(y_i), which is the exact derivative for symmetric C
-  (the two one-sided terms coincide; couplings built by this package are
-  always symmetric).
+  through the quadratic forms f_l' C f_l over the m monomials f_l of one
+  :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
+  (m, N) values and (m, N, d) gradients and ``hess(y)`` their (m, N, d, d)
+  Hessians.  Gradients use the symmetric form 2 * (C f_l)_i * f_l'(y_i),
+  exact for symmetric C (couplings built by this package are symmetric).
 
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
@@ -33,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import cost_parts, pair_outer_hvp
+from .costs import cost_parts, deferred, pair_outer_hvp
 from .couplings import kernel_cross_matrix
 from .errors import InvalidInputError, NumericError
 
 __all__ = [
-    "Monomial",
+    "MonomialBasis",
     "ObjectiveEval",
     "TestFunctionSpec",
     "constraint_parts",
@@ -47,83 +48,114 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Monomial feature prod_j y_j**e_j with analytic gradient and Hessian."""
+def _product(factors):
+    """Left-to-right product of a sequence of arrays; 1.0 when it is empty."""
+    out = None
+    for f in factors:
+        out = f if out is None else out * f
+    return 1.0 if out is None else out
 
-    exponents: tuple
 
-    def _partial(self, y, skip):
-        out = np.ones(y.shape[0])
-        for j, e in enumerate(self.exponents):
-            if j in skip or e == 0:
-                continue
-            out = out * y[:, j] ** e
-        return out
+@dataclass(frozen=True, eq=False)
+class MonomialBasis:
+    """The m monomials prod_j y_j**E[l, j], one per row l of an (m, d) exponent matrix E.
 
-    def value(self, y):
-        return self._partial(y, skip=())
+    All are evaluated together: each takes its rows from one table of y[:, j]**e
+    and one of e * y[:, j]**(e - 1).  Products run over the coordinates in index
+    order, and an entry that vanishes because of a small exponent is +0.0.
+    """
 
-    def grad(self, y):
+    exponents: np.ndarray
+
+    def __post_init__(self):
+        E = np.array(self.exponents)
+        if E.ndim != 2 or 0 in E.shape or E.dtype.kind not in "iu" or (E < 0).any():
+            raise InvalidInputError("exponents must be a nonempty (m, d) array of integers >= 0")
+        E = E.astype(np.intp)
+        E.setflags(write=False)
+        object.__setattr__(self, "exponents", E)
+        object.__setattr__(self, "_degree", max(int(E.max()), 1))
+        # (d, m): the row of a flattened (degree + 1, d, N) table that holds y_j**E[l, j]
+        object.__setattr__(self, "_rows", (E * E.shape[1] + np.arange(E.shape[1])).T)
+
+    def __len__(self):
+        return self.exponents.shape[0]
+
+    def _powers(self, y):
         n, d = y.shape
-        out = np.zeros((n, d))
-        for j, e in enumerate(self.exponents):
-            if e == 0:
-                continue
-            rest = self._partial(y, skip=(j,))
-            out[:, j] = e * y[:, j] ** (e - 1) * rest
-        return out
+        if d != self.exponents.shape[1]:
+            raise InvalidInputError(f"points have {d} coordinates, not {self.exponents.shape[1]}")
+        powers = np.empty((self._degree + 1, d, n))
+        powers[0] = 1.0
+        powers[1] = y.T  # y**1 is y
+        for e, j in itertools.product(range(2, self._degree + 1), range(d)):
+            powers[e, j] = y[:, j] ** e
+        return powers
+
+    def value_and_grad(self, y):
+        n, d = y.shape
+        powers = self._powers(y)
+        slopes = np.zeros_like(powers)  # row e: e * y_j**(e - 1)
+        for e in range(1, self._degree + 1):
+            np.multiply(e, powers[e - 1], out=slopes[e])
+        factors = powers.reshape(-1, n).take(self._rows, axis=0)  # (d, m, N)
+        grads = slopes.reshape(-1, n).take(self._rows, axis=0)
+        del powers, slopes  # the tables are freed once their rows are taken
+        for j in range(d):
+            grads[j] *= _product(factors[k] for k in range(d) if k != j)
+        grads[self.exponents.T == 0] = 0.0
+        vals = _product(factors)
+        del factors
+        return vals, np.ascontiguousarray(grads.transpose(1, 2, 0))
 
     def hess(self, y):
         n, d = y.shape
-        out = np.zeros((n, d, d))
-        for j1, e1 in enumerate(self.exponents):
-            if e1 == 0:
-                continue
-            if e1 >= 2:
-                rest = self._partial(y, skip=(j1,))
-                out[:, j1, j1] = e1 * (e1 - 1) * y[:, j1] ** (e1 - 2) * rest
-            for j2 in range(j1 + 1, d):
-                e2 = self.exponents[j2]
-                if e2 == 0:
-                    continue
-                rest = self._partial(y, skip=(j1, j2))
-                mixed = e1 * e2 * y[:, j1] ** (e1 - 1) * y[:, j2] ** (e2 - 1) * rest
-                out[:, j1, j2] = mixed
-                out[:, j2, j1] = mixed
+        E = self.exponents
+        powers = self._powers(y)
+        factors = powers.reshape(-1, n).take(self._rows, axis=0)
+        out = np.zeros((len(self), n, d, d))
+        for j1, j2 in itertools.combinations_with_replacement(range(d), 2):
+            if j1 == j2:  # e (e - 1) y_j**(e - 2)
+                rows = np.flatnonzero(E[:, j1] >= 2)
+                e = E[rows, j1]
+                block = (e * (e - 1))[:, None] * powers[e - 2, j1]
+            else:  # e1 e2 y_j1**(e1 - 1) y_j2**(e2 - 1)
+                rows = np.flatnonzero(E[:, j1] * E[:, j2])
+                e1, e2 = E[rows, j1], E[rows, j2]
+                block = (e1 * e2)[:, None] * powers[e1 - 1, j1] * powers[e2 - 1, j2]
+            block *= _product(factors[k, rows] for k in range(d) if k not in (j1, j2))
+            out[rows, :, j1, j2] = out[rows, :, j2, j1] = block
         return out
 
 
 def monomial_features(dim, degree):
-    """All monomials of total degree 1..degree in ``dim`` variables.
+    """The basis of all monomials of total degree 1..degree in ``dim`` variables.
 
     Degree 1 yields the coordinates; degree 2 adds squares and cross terms,
     ordered by total degree then lexicographically (y1, y2, y1^2, y1*y2, ...).
     """
     if dim < 1 or degree < 1:
         raise InvalidInputError("dim and degree must be >= 1")
-    feats = []
-    for total in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(dim), total):
-            exps = [0] * dim
-            for j in combo:
-                exps[j] += 1
-            feats.append(Monomial(exponents=tuple(exps)))
-    return tuple(feats)
+    return MonomialBasis([
+        np.bincount(combo, minlength=dim)
+        for total in range(1, degree + 1)
+        for combo in itertools.combinations_with_replacement(range(dim), total)
+    ])
 
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """Which constraint functional to use and its parameters.
 
-    ``mode`` is "kde" (needs ``bandwidth_a``) or "features" (needs a
-    non-empty tuple of feature objects exposing value/grad/hess).  Optional
-    ``feature_weights`` reweight the per-feature terms; uniform when None.
+    ``mode`` is "kde" (needs ``bandwidth_a``) or "features" (needs a :class:`MonomialBasis`
+    of ``len`` m: ``value_and_grad(y)`` gives the (m, N) values and (m, N, d) gradients,
+    ``hess(y)`` the (m, N, d, d) Hessians).  Optional ``feature_weights`` reweight the m
+    per-feature terms; uniform when None.
     """
 
     mode: str
     bandwidth_a: float | None = None
-    features: tuple = ()
+    features: MonomialBasis | None = None
     feature_weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -131,8 +163,8 @@ class TestFunctionSpec:
             if self.bandwidth_a is None or not np.isfinite(self.bandwidth_a) or self.bandwidth_a <= 0:
                 raise InvalidInputError("kde mode needs a positive bandwidth_a")
         elif self.mode == "features":
-            if len(self.features) == 0:
-                raise InvalidInputError("features mode needs at least one feature")
+            if not isinstance(self.features, MonomialBasis):
+                raise InvalidInputError("features mode needs a MonomialBasis")
             if self.feature_weights is not None:
                 w = np.asarray(self.feature_weights, dtype=float)
                 if w.shape != (len(self.features),) or np.any(w < 0):
@@ -165,24 +197,21 @@ def _kde_parts(y, C, bandwidth, centers, want_hvp):
     return value, grad, hvp
 
 
-def _features_parts(y, C, features, weights, want_hvp):
-    m = len(features)
-    w = np.ones(m) if weights is None else weights
-    vals = np.stack([f.value(y) for f in features])
-    grads = np.stack([f.grad(y) for f in features])
+def _features_parts(y, C, basis, weights, want_hvp):
+    w = np.ones(len(basis)) if weights is None else weights
+    vals, grads = basis.value_and_grad(y)
     cv = vals @ C.T  # row l is C @ f_l
     terms = np.einsum("li,li->l", vals, cv)  # f_l' C f_l
     value = float(terms.sum() if weights is None else weights @ terms)
     grad = 2.0 * np.einsum("l,li,lia->ia", w, cv, grads)
     hvp = None
     if want_hvp:
-        hesses = np.stack([f.hess(y) for f in features])
-        diag = 2.0 * np.einsum("l,li,liab->iab", w, cv, hesses)
+        diag = deferred(lambda: 2.0 * np.einsum("l,li,liab->iab", w, cv, basis.hess(y)))
 
         def hvp(v):
             g = np.einsum("lkb,kb->lk", grads, v)  # g[l, k] = f_l'(y_k) . v_k
             cross = 2.0 * np.einsum("l,lia,li->ia", w, grads, g @ C.T)
-            return np.einsum("iab,ib->ia", diag, v) + cross
+            return np.einsum("iab,ib->ia", diag(), v) + cross
     return value, grad, hvp
 
 

@@ -248,10 +248,7 @@ def _auto_lambda0(y, C, tf_spec, lambda_max, seed, n_steps=50):
     n, d = y.shape
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, d))
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        return 1.0
-    v /= norm
+    v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(n_steps):
         w = hvp(v)

@@ -4,6 +4,58 @@ import numpy as np
 import pytest
 
 
+class ReferenceMonomial:
+    """One monomial prod_j y_j**e_j, evaluated on its own: the reference for MonomialBasis.
+
+    ``value``, ``grad`` and ``hess`` give the (N,), (N, d) and (N, d, d)
+    arrays; products run over the coordinates in index order, and entries
+    that vanish because of a small exponent are never written (+0.0).
+    """
+
+    def __init__(self, exponents):
+        self.exponents = tuple(int(e) for e in exponents)
+
+    def _partial(self, y, skip):
+        out = np.ones(y.shape[0])
+        for j, e in enumerate(self.exponents):
+            if j in skip or e == 0:
+                continue
+            out = out * y[:, j] ** e
+        return out
+
+    def value(self, y):
+        return self._partial(y, skip=())
+
+    def grad(self, y):
+        n, d = y.shape
+        out = np.zeros((n, d))
+        for j, e in enumerate(self.exponents):
+            if e == 0:
+                continue
+            rest = self._partial(y, skip=(j,))
+            out[:, j] = e * y[:, j] ** (e - 1) * rest
+        return out
+
+    def hess(self, y):
+        n, d = y.shape
+        out = np.zeros((n, d, d))
+        for j1, e1 in enumerate(self.exponents):
+            if e1 == 0:
+                continue
+            if e1 >= 2:
+                rest = self._partial(y, skip=(j1,))
+                out[:, j1, j1] = e1 * (e1 - 1) * y[:, j1] ** (e1 - 2) * rest
+            for j2 in range(j1 + 1, d):
+                e2 = self.exponents[j2]
+                if e2 == 0:
+                    continue
+                rest = self._partial(y, skip=(j1, j2))
+                mixed = e1 * e2 * y[:, j1] ** (e1 - 1) * y[:, j2] ** (e2 - 1) * rest
+                out[:, j1, j2] = mixed
+                out[:, j2, j1] = mixed
+        return out
+
+
 def central_diff_grad(f, y, h=1e-6):
     """Central finite-difference gradient of a scalar function of an N x d array."""
     g = np.zeros_like(y)

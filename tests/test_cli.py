@@ -192,6 +192,20 @@ class TestCli:
         assert rows[0] == "x1,x2,z1,z2,y1,y2"
         assert len(rows) == 60  # first step has no lag
 
+    def test_dash_history_and_summary_go_to_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["gen", "ellipses", "--seed", "1", "--n-per-class", "5", "--output", "d.csv"])
+        capsys.readouterr()
+        code = main(["solve", "--input", "d.csv", "--niter", "5", "--output", "out.csv",
+                     "--history", "-", "--summary", "-"])
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "out.csv"]
+        stdout = capsys.readouterr().out
+        history, brace, rest = stdout.partition("{")
+        assert history.splitlines()[0] == "iter,L,L_C,L_F,lambda,eta,eta_halvings"
+        assert len(history.splitlines()) == 6
+        assert json.loads(brace + rest)["iterations"] == 5
+
     def test_partial_outputs_removed_on_error(self, tmp_path):
         data = str(tmp_path / "d.csv")
         main(["gen", "ellipses", "--seed", "1", "--n-per-class", "5", "--output", data])

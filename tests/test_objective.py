@@ -5,6 +5,7 @@ from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import categorical_coupling, centering_matrix, kernel_matrix, sinkhorn_bistochastic
 from baryflow.errors import InvalidInputError
 from baryflow.objective import (
+    MonomialBasis,
     TestFunctionSpec,
     constraint_parts,
     evaluate,
@@ -12,6 +13,7 @@ from baryflow.objective import (
 )
 
 from conftest import (
+    ReferenceMonomial,
     assert_symmetric,
     central_diff_grad,
     central_diff_jacobian,
@@ -24,13 +26,14 @@ def kde_value(y, C, bandwidth):
     return constraint_parts(y, C, TestFunctionSpec.kde(bandwidth))[0]
 
 
-def features_value(y, C, features):
-    return constraint_parts(y, C, TestFunctionSpec(mode="features", features=tuple(features)))[0]
+def features_value(y, C, basis):
+    return constraint_parts(y, C, TestFunctionSpec(mode="features", features=basis))[0]
 
 
-def feature_terms(y, C, features):
-    """Per-feature quadratic forms f_l' C f_l, one single-feature constraint each."""
-    return np.array([features_value(y, C, (f,)) for f in features])
+def feature_terms(y, C, basis):
+    """Per-feature quadratic forms f_l' C f_l, one single-row basis each."""
+    E = basis.exponents
+    return np.array([features_value(y, C, MonomialBasis(E[l:l + 1])) for l in range(len(E))])
 
 
 def two_singletons():
@@ -42,22 +45,59 @@ def two_singletons():
 
 class TestMonomialFeatures:
     def test_degree_two_basis_order(self):
-        feats = monomial_features(2, 2)
-        assert [f.exponents for f in feats] == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        basis = monomial_features(2, 2)
+        assert basis.exponents.tolist() == [[1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
 
     def test_values_and_derivatives(self, rng):
         y = rng.standard_normal((5, 2))
-        f = monomial_features(2, 2)[3]  # y1 * y2
-        assert np.allclose(f.value(y), y[:, 0] * y[:, 1])
-        assert np.allclose(f.grad(y), np.column_stack([y[:, 1], y[:, 0]]))
-        h = f.hess(y)
+        basis = monomial_features(2, 2)  # row 3 is y1 * y2
+        vals, grads = basis.value_and_grad(y)
+        assert np.allclose(vals[3], y[:, 0] * y[:, 1])
+        assert np.allclose(grads[3], np.column_stack([y[:, 1], y[:, 0]]))
+        h = basis.hess(y)[3]
         assert np.allclose(h[:, 0, 1], 1.0) and np.allclose(h[:, 0, 0], 0.0)
 
     def test_grad_hess_match_fd(self, rng):
         y = rng.standard_normal((4, 3))
-        for f in monomial_features(3, 3):
-            fd = central_diff_grad(lambda u: f.value(u).sum(), y)
-            assert rel_err(f.grad(y), fd) <= 1e-6 or np.linalg.norm(fd) < 1e-9
+        basis = monomial_features(3, 3)
+        grads = basis.value_and_grad(y)[1]
+        hess = basis.hess(y)
+        points = np.arange(4)
+        for l in range(len(basis)):
+            fd = central_diff_grad(lambda u: basis.value_and_grad(u)[0][l].sum(), y)
+            assert rel_err(grads[l], fd) <= 1e-6 or np.linalg.norm(fd) < 1e-9
+            jac = central_diff_jacobian(lambda u: basis.value_and_grad(u)[1][l], y)
+            fd = jac[points, :, points, :]  # each point's gradient depends on that point only
+            assert rel_err(hess[l], fd) <= 1e-6 or np.linalg.norm(fd) < 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_matches_per_monomial_reference_bitwise(self, d, degree, rng):
+        y = rng.standard_normal((7, d)) * 2.0
+        y[0] = 0.0
+        y[1, 0] = -0.0
+        y[2] = -np.abs(y[2])
+        basis = monomial_features(d, degree)
+        vals, grads = basis.value_and_grad(y)
+        hess = basis.hess(y)
+        refs = [ReferenceMonomial(e) for e in basis.exponents]
+        assert vals.shape == (len(basis), 7) and grads.shape == (len(basis), 7, d)
+        assert hess.shape == (len(basis), 7, d, d)
+        assert vals.tobytes() == np.stack([f.value(y) for f in refs]).tobytes()
+        assert grads.tobytes() == np.stack([f.grad(y) for f in refs]).tobytes()
+        assert hess.tobytes() == np.stack([f.hess(y) for f in refs]).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_point_width_must_match_basis(self, width, rng):
+        y = rng.standard_normal((6, width))
+        C = centering_matrix(categorical_coupling(np.array([0, 0, 0, 1, 1, 1])))
+        with pytest.raises(InvalidInputError, match="coordinates"):
+            constraint_parts(y, C, TestFunctionSpec.polynomial(2, 2))
+
+    @pytest.mark.parametrize("exponents", [[], [[1, -1]], [[0.5, 1.0]], [1, 2]])
+    def test_bad_exponents_rejected(self, exponents):
+        with pytest.raises(InvalidInputError):
+            MonomialBasis(exponents)
 
 
 class TestLfKde:
@@ -92,20 +132,11 @@ class TestLfFeatures:
         assert features_value(y, C, monomial_features(2, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_feature_annihilated(self, rng):
-        class One:
-            def value(self, y):
-                return np.ones(y.shape[0])
-
-            def grad(self, y):
-                return np.zeros_like(y)
-
-            def hess(self, y):
-                return np.zeros((y.shape[0], y.shape[1], y.shape[1]))
-
+        one = MonomialBasis([[0, 0]])
         y = rng.standard_normal((7, 2))
         Z, _ = sinkhorn_bistochastic(kernel_matrix(rng.standard_normal((7, 1)), 0.8))
         C = centering_matrix(Z)
-        assert features_value(y, C, (One(),)) == pytest.approx(0.0, abs=1e-12)
+        assert features_value(y, C, one) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_singletons_value(self):
         x, C = two_singletons()
@@ -210,6 +241,19 @@ class TestEvaluate:
             return evaluate(x, u, lam, model, C, tf).grad
 
         fd = central_diff_jacobian(grad_at, y)
+        assert rel_err(analytic, fd) <= 1e-4
+
+    def test_features_hessian_matches_fd_of_gradient_3d_cubic(self, rng):
+        n = 5
+        y = rng.standard_normal((n, 3))
+        x = rng.standard_normal((n, 3))
+        C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
+        tf = TestFunctionSpec.polynomial(3, 3)
+        lam = 0.6
+        model = CostModel("p_norm", p=2.5)
+        ev = evaluate(x, y, lam, model, C, tf, want_hvp=True)
+        analytic = operator_matrix(ev.hvp(lam), n, 3)
+        fd = central_diff_jacobian(lambda u: evaluate(x, u, lam, model, C, tf).grad, y)
         assert rel_err(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("mode", ["kde", "features"])

@@ -6,7 +6,7 @@ from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses
 from baryflow.errors import InvalidInputError
-from baryflow.objective import TestFunctionSpec, constraint_parts, evaluate
+from baryflow.objective import MonomialBasis, TestFunctionSpec, constraint_parts, evaluate
 from baryflow.solver import (
     SolverConfig,
     lambda_update,
@@ -295,6 +295,18 @@ class TestSolve:
         assert [(h.L, h.lam, h.eta) for h in r1.history] == [
             (h.L, h.lam, h.eta) for h in r2.history
         ]
+
+    def test_hessians_built_once_per_iteration(self, monkeypatch):
+        # rejected implicit candidates never apply their Hessian-vector product
+        builds = []
+        hess = MonomialBasis.hess
+        monkeypatch.setattr(MonomialBasis, "hess", lambda self, y: builds.append(1) or hess(self, y))
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(problem="features", update="implicit", feature_degree=3,
+                           eta0=50.0, niter=30)
+        result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"), cfg)
+        assert sum(h.eta_halvings for h in result.history) > 0
+        assert 0 < len(builds) <= result.iterations + 1  # plus one for the lambda0 estimate
 
     def test_precondition_result_carries_provenance(self):
         ds = gen_ellipses(seed=4, n_per_class=20)
