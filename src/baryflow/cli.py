@@ -149,14 +149,16 @@ def _covariate_header_and_rows(covariates):
     ]
 
 
-def save_dataset(dataset, fileobj):
-    """Write a dataset CSV (header plus one row per sample)."""
+def save_dataset(dataset, fileobj, y=None):
+    """Write a dataset CSV; with mapped points ``y``, columns y1..yd follow (the result CSV)."""
     writer = csv.writer(fileobj, lineterminator="\n")
     d = dataset.dim
     z_header, z_rows = _covariate_header_and_rows(dataset.covariates)
-    writer.writerow([f"x{j + 1}" for j in range(d)] + z_header)
-    for xi, zi in zip(dataset.x, z_rows):
-        writer.writerow([_fmt(v) for v in xi] + zi)
+    y_header = [] if y is None else [f"y{j + 1}" for j in range(d)]
+    writer.writerow([f"x{j + 1}" for j in range(d)] + z_header + y_header)
+    y_rows = [[]] * dataset.n if y is None else [[_fmt(v) for v in yi] for yi in y]
+    for xi, zi, yi in zip(dataset.x, z_rows, y_rows):
+        writer.writerow([_fmt(v) for v in xi] + zi + yi)
 
 
 def _write_series_csv(series, fileobj):
@@ -181,11 +183,16 @@ def load_series(source):
         has_w = {"w_theta", "w_phi"} <= set(reader.fieldnames)
         theta, phi, w_theta, w_phi = [], [], [], []
         for row in reader:
-            theta.append(float(row["x_theta"]))
-            phi.append(float(row["x_phi"]))
-            if has_w:
-                w_theta.append(float(row["w_theta"]))
-                w_phi.append(float(row["w_phi"]))
+            try:
+                theta.append(float(row["x_theta"]))
+                phi.append(float(row["x_phi"]))
+                if has_w:
+                    w_theta.append(float(row["w_theta"]))
+                    w_phi.append(float(row["w_phi"]))
+            except (ValueError, TypeError):  # TypeError: a short row leaves None
+                raise InvalidInputError(
+                    f"non-numeric or missing value in row {reader.line_num}"
+                ) from None
         if len(theta) < 2:
             raise InvalidInputError("time series needs at least 2 steps")
         x = sph2cart(1.0, np.asarray(phi), np.asarray(theta))
@@ -194,17 +201,6 @@ def load_series(source):
         else:
             w = np.full_like(x, np.nan)
         return TimeSeriesSample(x=x, w_hidden=w, t=np.arange(len(theta)))
-
-
-def _write_result_csv(dataset, y, fileobj):
-    writer = csv.writer(fileobj, lineterminator="\n")
-    d = dataset.dim
-    z_header, z_rows = _covariate_header_and_rows(dataset.covariates)
-    writer.writerow(
-        [f"x{j + 1}" for j in range(d)] + z_header + [f"y{j + 1}" for j in range(d)]
-    )
-    for xi, zi, yi in zip(dataset.x, z_rows, y):
-        writer.writerow([_fmt(v) for v in xi] + zi + [_fmt(v) for v in yi])
 
 
 def _write_history_csv(history, fileobj):
@@ -218,15 +214,18 @@ def _write_history_csv(history, fileobj):
 
 
 def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("BARYFLOW_SEED")
-    if env is not None:
+    """The --seed flag, else $BARYFLOW_SEED, else 0; a negative seed is rejected."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get("BARYFLOW_SEED", "0")
+        source = "BARYFLOW_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InvalidInputError(f"BARYFLOW_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise InvalidInputError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _positive_or_auto(text):
@@ -306,7 +305,7 @@ def _run_solve(args, dataset):
     }
 
     writers = (
-        (args.output, lambda fh: _write_result_csv(dataset, result.y_final, fh)),
+        (args.output, lambda fh: save_dataset(dataset, fh, y=result.y_final)),
         (args.history, lambda fh: _write_history_csv(result.history, fh)),
         (args.summary, lambda fh: fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")),
     )
@@ -354,9 +353,7 @@ def _cmd_solve(args):
 
 def _cmd_filter_timeseries(args):
     series = load_series(args.input)
-    dataset = lagged_dataset(series, space=args.lag_space,
-                             bandwidth_b=args.bandwidth_b)
-    return _run_solve(args, dataset)
+    return _run_solve(args, lagged_dataset(series, space=args.lag_space))
 
 
 def _build_parser():

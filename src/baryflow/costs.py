@@ -40,9 +40,8 @@ class CostModel:
     Families: ``sq_euclidean`` (canonical 0.5||x-y||^2), ``p_norm`` (smoothed
     coordinate-wise |t|^p with |t| ~ sqrt(t^2+eps_abs)-sqrt(eps_abs)),
     ``geodesic_sphere`` (squared great-circle distance of (longitude,
-    latitude) pairs; set ``squared_geodesic=False`` for the plain distance),
-    and ``distortion`` (pairwise-distance-ratio penalty plus a small
-    anchoring term of weight ``omega``).
+    latitude) pairs) and ``distortion`` (pairwise-distance-ratio penalty
+    plus a small anchoring term of weight ``omega``).
     """
 
     family: str
@@ -50,7 +49,6 @@ class CostModel:
     eps_abs: float = 0.01
     eps_dist: float = 0.01
     omega: float = 0.01
-    squared_geodesic: bool = True
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -174,29 +172,23 @@ def _p_norm_parts(model, x, y, want_hvp):
     return value, grad, hvp
 
 
-def _geodesic_q(arg, dist, squared):
-    """Derivatives of the angle->cost profile q at the clipped haversine argument."""
+def _geodesic_q(arg, dist):
+    """Derivatives of the angle->cost profile q = dist^2 at the clipped haversine argument."""
     qp = np.empty_like(arg)
     qpp = np.empty_like(arg)
-    if squared:
-        small = arg < _SERIES_CUTOFF
-        big = ~small
-        a_s = arg[small]
-        qp[small] = 4.0 + (8.0 / 3.0) * a_s + (32.0 / 15.0) * a_s**2
-        qpp[small] = 8.0 / 3.0 + (64.0 / 15.0) * a_s
-        a_b = arg[big]
-        prod = a_b * (1.0 - a_b)
-        qp[big] = 2.0 * dist[big] / np.sqrt(prod)
-        qpp[big] = 2.0 / prod - dist[big] * (1.0 - 2.0 * a_b) / prod**1.5
-    else:
-        a = np.maximum(arg, 1e-30)
-        prod = a * (1.0 - a)
-        qp[:] = 1.0 / np.sqrt(prod)
-        qpp[:] = -0.5 * (1.0 - 2.0 * a) / prod**1.5
+    small = arg < _SERIES_CUTOFF
+    big = ~small
+    a_s = arg[small]
+    qp[small] = 4.0 + (8.0 / 3.0) * a_s + (32.0 / 15.0) * a_s**2
+    qpp[small] = 8.0 / 3.0 + (64.0 / 15.0) * a_s
+    a_b = arg[big]
+    prod = a_b * (1.0 - a_b)
+    qp[big] = 2.0 * dist[big] / np.sqrt(prod)
+    qpp[big] = 2.0 / prod - dist[big] * (1.0 - 2.0 * a_b) / prod**1.5
     return qp, qpp
 
 
-def _geodesic_parts(model, x, y, want_hvp):
+def _geodesic_parts(x, y, want_hvp):
     n, _ = x.shape
     theta_x, phi_x = x[:, 0], x[:, 1]
     theta_y, phi_y = y[:, 0], y[:, 1]
@@ -210,13 +202,12 @@ def _geodesic_parts(model, x, y, want_hvp):
     arg_c = np.minimum(arg, _ANTIPODAL_CLIP)
     dist = 2.0 * np.arcsin(np.sqrt(arg_c))
 
-    cost = dist**2 if model.squared_geodesic else dist
-    value = float(np.sum(cost)) / n
+    value = float(np.sum(dist**2)) / n
 
     dA = np.empty((n, 2))
     dA[:, 0] = -0.5 * cpx * cpy * np.sin(dtheta)
     dA[:, 1] = -0.5 * np.sin(dphi) - cpx * np.sin(phi_y) * st2
-    qp, qpp = _geodesic_q(arg_c, dist, model.squared_geodesic)
+    qp, qpp = _geodesic_q(arg_c, dist)
 
     grad = (qp[:, None] * dA) / n
     grad[antipodal] = 0.0
@@ -288,6 +279,6 @@ def cost_parts(model, x, y, Z=None, want_hvp=False):
     if model.family == "p_norm":
         return _p_norm_parts(model, x, y, want_hvp)
     if model.family == "geodesic_sphere":
-        return _geodesic_parts(model, x, y, want_hvp)
+        return _geodesic_parts(x, y, want_hvp)
     return _distortion_parts(model, x, y, Z, want_hvp)
 

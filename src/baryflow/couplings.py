@@ -56,14 +56,14 @@ def kernel_cross_matrix(points_a, points_b, bandwidth):
 def kernel_matrix(points, bandwidth):
     """Symmetric Gaussian kernel matrix of a point set with itself.
 
-    Positive definite for distinct points; duplicate points only lower the
-    rank, the matrix stays positive semidefinite.
+    Exactly symmetric, as ``cdist`` self-distances are.  Positive definite for
+    distinct points; duplicate points only lower the rank, the matrix stays
+    positive semidefinite.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty N x d array")
-    K = kernel_cross_matrix(points, points, bandwidth)
-    return 0.5 * (K + K.T)
+    return kernel_cross_matrix(points, points, bandwidth)
 
 
 def median_heuristic_bandwidth(points):
@@ -223,12 +223,12 @@ class CouplingMatrices:
     C: np.ndarray
 
 
-def build_couplings(covariates, sinkhorn_tol=1e-10, sinkhorn_max_iter=10_000):
+def build_couplings(covariates):
     """Build (Z, C) for a covariate set; computed once per solve."""
     if covariates.kind == "categorical":
         Z = categorical_coupling(covariates.labels)
     else:
         b = covariates.resolved_bandwidth()
         K = kernel_matrix(covariates.values, b)
-        Z, _ = sinkhorn_bistochastic(K, tol=sinkhorn_tol, max_iter=sinkhorn_max_iter)
+        Z, _ = sinkhorn_bistochastic(K)
     return CouplingMatrices(Z=Z, C=centering_matrix(Z))

@@ -25,12 +25,7 @@ class ConvergenceError(BaryflowError, RuntimeError):
 class NumericError(BaryflowError, ArithmeticError):
     """A computation produced non-finite intermediates.
 
-    ``iteration`` is set when the solver's evaluation at its starting points
-    fails (0); it is None when the error is raised outside a solve.  Inside
+    A solve raises it only from its evaluation at the starting points; inside
     the loop a non-finite evaluation at a candidate step only rejects that
     step.
     """
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration

@@ -2,7 +2,9 @@
 
 The full objective is L = L_C + lambda * L_F, where L_C is a cost from
 :mod:`baryflow.costs` and L_F tests whether the mapped points depend on the
-covariate.  Two constraint modes exist:
+covariate.  An evaluation returns the two parts separately; the multiplier
+lambda belongs to the solver's outer iteration, which combines them.  Two
+constraint modes exist:
 
 * ``kde`` scores the discrepancy between conditional kernel density
   estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l].
@@ -149,14 +151,12 @@ class TestFunctionSpec:
 
     ``mode`` is "kde" (needs ``bandwidth_a``) or "features" (needs a :class:`MonomialBasis`
     of ``len`` m: ``value_and_grad(y)`` gives the (m, N) values and (m, N, d) gradients,
-    ``hess(y)`` the (m, N, d, d) Hessians).  Optional ``feature_weights`` reweight the m
-    per-feature terms; uniform when None.
+    ``hess(y)`` the (m, N, d, d) Hessians).  The m per-feature terms weigh equally.
     """
 
     mode: str
     bandwidth_a: float | None = None
     features: MonomialBasis | None = None
-    feature_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode == "kde":
@@ -165,11 +165,6 @@ class TestFunctionSpec:
         elif self.mode == "features":
             if not isinstance(self.features, MonomialBasis):
                 raise InvalidInputError("features mode needs a MonomialBasis")
-            if self.feature_weights is not None:
-                w = np.asarray(self.feature_weights, dtype=float)
-                if w.shape != (len(self.features),) or np.any(w < 0):
-                    raise InvalidInputError("feature_weights must be nonnegative, one per feature")
-                object.__setattr__(self, "feature_weights", w)
         else:
             raise InvalidInputError(f"unknown test-function mode {self.mode!r}")
 
@@ -178,9 +173,8 @@ class TestFunctionSpec:
         return cls(mode="kde", bandwidth_a=float(bandwidth_a))
 
     @classmethod
-    def polynomial(cls, dim, degree, feature_weights=None):
-        return cls(mode="features", features=monomial_features(dim, degree),
-                   feature_weights=feature_weights)
+    def polynomial(cls, dim, degree):
+        return cls(mode="features", features=monomial_features(dim, degree))
 
 
 def _kde_parts(y, C, bandwidth, centers, want_hvp):
@@ -197,20 +191,18 @@ def _kde_parts(y, C, bandwidth, centers, want_hvp):
     return value, grad, hvp
 
 
-def _features_parts(y, C, basis, weights, want_hvp):
-    w = np.ones(len(basis)) if weights is None else weights
+def _features_parts(y, C, basis, want_hvp):
     vals, grads = basis.value_and_grad(y)
     cv = vals @ C.T  # row l is C @ f_l
-    terms = np.einsum("li,li->l", vals, cv)  # f_l' C f_l
-    value = float(terms.sum() if weights is None else weights @ terms)
-    grad = 2.0 * np.einsum("l,li,lia->ia", w, cv, grads)
+    value = float(np.einsum("li,li->l", vals, cv).sum())  # sum_l f_l' C f_l
+    grad = 2.0 * np.einsum("li,lia->ia", cv, grads)
     hvp = None
     if want_hvp:
-        diag = deferred(lambda: 2.0 * np.einsum("l,li,liab->iab", w, cv, basis.hess(y)))
+        diag = deferred(lambda: 2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)))
 
         def hvp(v):
             g = np.einsum("lkb,kb->lk", grads, v)  # g[l, k] = f_l'(y_k) . v_k
-            cross = 2.0 * np.einsum("l,lia,li->ia", w, grads, g @ C.T)
+            cross = 2.0 * np.einsum("lia,li->ia", grads, g @ C.T)
             return np.einsum("iab,ib->ia", diag(), v) + cross
     return value, grad, hvp
 
@@ -230,23 +222,20 @@ def constraint_parts(y, C, tf_spec, centers=None, want_hvp=False):
     if tf_spec.mode == "kde":
         centers = y if centers is None else np.asarray(centers, dtype=float)
         return _kde_parts(y, C, tf_spec.bandwidth_a, centers, want_hvp)
-    return _features_parts(y, C, tf_spec.features, tf_spec.feature_weights, want_hvp)
+    return _features_parts(y, C, tf_spec.features, want_hvp)
 
 
 @dataclass
 class ObjectiveEval:
-    """One objective evaluation: totals, split parts, Hessian-vector products.
+    """One objective evaluation, split into its cost and constraint parts.
 
-    ``grad`` combines cost and constraint at the ``lam`` supplied at
-    evaluation time; the ``*_cost`` / ``*_constraint`` parts allow
-    recombination at a different multiplier without re-evaluating.
+    No multiplier enters an evaluation: the solver forms L = L_C + lam * L_F
+    and its gradient at whatever multiplier its outer iteration holds, and
+    :meth:`hvp` combines the two products the same way.
     """
 
-    L: float
     L_C: float
     L_F: float
-    lam: float
-    grad: np.ndarray
     grad_cost: np.ndarray
     grad_constraint: np.ndarray
     hvp_cost: Callable | None = None
@@ -259,22 +248,15 @@ class ObjectiveEval:
         return lambda v: self.hvp_cost(v) + lam * self.hvp_constraint(v)
 
 
-def evaluate(x, y, lam, cost_model, C, tf_spec, Z=None, want_hvp=False):
-    """Evaluate L = L_C + lam * L_F with gradients (and Hessian-vector products on request).
+def evaluate(x, y, cost_model, C, tf_spec, Z=None, want_hvp=False):
+    """Evaluate the cost and the constraint with gradients (and Hessian-vector products on request).
 
     Kernel centers sit at the current ``y``.  Raises NumericError when a
-    non-finite value or gradient shows up.
+    non-finite value or gradient shows up in either part.
     """
-    if not np.isfinite(lam) or lam < 0:
-        raise InvalidInputError("lam must be a nonnegative finite number")
     cv, cg, chvp = cost_parts(cost_model, x, y, Z, want_hvp=want_hvp)
     fv, fg, fhvp = constraint_parts(y, C, tf_spec, want_hvp=want_hvp)
-    total = cv + lam * fv
-    grad = cg + lam * fg
-    if not (np.isfinite(total) and np.isfinite(grad).all()):
+    if not (np.isfinite([cv, fv]).all() and np.isfinite(cg).all() and np.isfinite(fg).all()):
         raise NumericError("non-finite objective evaluation")
-    return ObjectiveEval(
-        L=total, L_C=cv, L_F=fv, lam=lam,
-        grad=grad, grad_cost=cg, grad_constraint=fg,
-        hvp_cost=chvp, hvp_constraint=fhvp,
-    )
+    return ObjectiveEval(L_C=cv, L_F=fv, grad_cost=cg, grad_constraint=fg,
+                         hvp_cost=chvp, hvp_constraint=fhvp)

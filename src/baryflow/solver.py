@@ -109,7 +109,7 @@ class SolverConfig:
 
 @dataclass
 class HistoryRecord:
-    """Per-iteration diagnostics, recorded after the accepted step."""
+    """Per-iteration diagnostics after the accepted step, whose ``L`` was <= ``descent_rhs``."""
 
     n: int
     L: float
@@ -118,7 +118,6 @@ class HistoryRecord:
     lam: float
     eta: float
     eta_halvings: int
-    descent_lhs: float
     descent_rhs: float
     lambda_slack: float
     lambda_clamped: bool
@@ -238,16 +237,14 @@ def step_implicit(y, grad, hvp, eta):
     return y - delta.reshape(n, d), False
 
 
-def _auto_lambda0(y, C, tf_spec, lambda_max, seed, n_steps=50):
+def _auto_lambda0(hvp, shape, lambda_max, seed, n_steps=50):
     """1 / spectral-radius estimate of the constraint Hessian at the start.
 
-    Power iteration on the constraint's Hessian-vector product; when the
-    estimate is nonpositive (constraint locally flat) returns 1.
+    Seeded power iteration on the constraint's Hessian-vector product ``hvp``
+    over arrays of ``shape``; returns 1 when the constraint is locally flat.
     """
-    hvp = constraint_parts(y, C, tf_spec, want_hvp=True)[2]
-    n, d = y.shape
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, d))
+    v = rng.standard_normal(shape)
     v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(n_steps):
@@ -281,8 +278,8 @@ def solve(x, covariates, cost_model, config=None):
     rejected, and the learning rate halved, when it raises the objective,
     leaves the cost's domain, or gives a non-finite value or gradient; the
     run ends early when ``config.max_halvings`` halvings find no step.
-    Raises :class:`NumericError` only when the objective at the starting
-    points is not finite.
+    ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
+    :class:`NumericError` only when that evaluation is not finite.
     """
     config = config or SolverConfig()
     x = as_points(x)
@@ -304,20 +301,20 @@ def solve(x, covariates, cost_model, config=None):
         shift = None
 
     tf_spec, bandwidth_a = _resolve_tf_spec(config, y)
-    if config.lambda0 == "auto":
-        lam = _auto_lambda0(y, C, tf_spec, config.lambda_max, config.seed)
+    implicit = config.update == "implicit"
+    auto = config.lambda0 == "auto"
+    ev = evaluate(x_cost, y, cost_model, C, tf_spec, Z=Z_cost, want_hvp=implicit or auto)
+    if auto:
+        lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
+        if not implicit:  # the loop holds no product, nor the kernel it keeps
+            ev.hvp_cost = ev.hvp_constraint = None
     else:
         lam = float(config.lambda0)
 
     lambda0 = lam
-    implicit = config.update == "implicit"
     eta = config.eta0
     history = []
     converged = False
-    try:
-        ev = evaluate(x_cost, y, lam, cost_model, C, tf_spec, Z=Z_cost, want_hvp=implicit)
-    except NumericError as err:
-        raise NumericError(str(err), iteration=0) from err
 
     for it in range(config.niter):
         eta = min(2.01 * eta, config.eta0)
@@ -344,9 +341,10 @@ def solve(x, covariates, cost_model, config=None):
                 if tf_spec.mode == "kde":
                     L_F_old = constraint_parts(y, C, tf_spec, centers=candidate)[0]
                 rhs = ev.L_C + lam * L_F_old
-                ev_new = evaluate(x_cost, candidate, lam, cost_model, C, tf_spec,
+                ev_new = evaluate(x_cost, candidate, cost_model, C, tf_spec,
                                   Z=Z_cost, want_hvp=implicit)
-                if ev_new.L <= rhs:
+                L = ev_new.L_C + lam * ev_new.L_F
+                if L <= rhs:
                     break
             except (InvalidInputError, NumericError):
                 pass  # candidate left the cost's domain or blew up
@@ -360,9 +358,8 @@ def solve(x, covariates, cost_model, config=None):
         rel_change = float(np.abs(candidate - y).max()) / max(1.0, float(np.abs(y).max()))
         y, ev = candidate, ev_new
         history.append(HistoryRecord(
-            n=it, L=ev.L, L_C=ev.L_C, L_F=ev.L_F,
-            lam=lam, eta=eta, eta_halvings=halvings,
-            descent_lhs=ev.L, descent_rhs=rhs,
+            n=it, L=L, L_C=ev.L_C, L_F=ev.L_F,
+            lam=lam, eta=eta, eta_halvings=halvings, descent_rhs=rhs,
             lambda_slack=slack, lambda_clamped=clamped, lambda_skipped=skipped,
             implicit_fallback=fallback,
         ))

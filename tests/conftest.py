@@ -56,6 +56,11 @@ class ReferenceMonomial:
         return out
 
 
+def combined_grad(ev, lam):
+    """Gradient of L = L_C + lam * L_F from an ``ObjectiveEval``, formed as the solver forms it."""
+    return ev.grad_cost + lam * ev.grad_constraint
+
+
 def central_diff_grad(f, y, h=1e-6):
     """Central finite-difference gradient of a scalar function of an N x d array."""
     g = np.zeros_like(y)

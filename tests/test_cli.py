@@ -87,6 +87,16 @@ class TestCli:
         main(["gen", "ellipses", "--seed", "17", "--output", b])
         assert open(a).read() == open(b).read()
 
+    @pytest.mark.parametrize("what", ["ellipses", "hidden-signal"])
+    def test_negative_seed_is_error(self, what, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["gen", what, "--seed", "-1", "--output", str(out)]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        monkeypatch.setenv("BARYFLOW_SEED", "-3")
+        assert main(["gen", what, "--output", str(out)]) == 1
+        assert "BARYFLOW_SEED must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_end_to_end(self, tmp_path):
         data = str(tmp_path / "d.csv")
         main(["gen", "ellipses", "--seed", "0", "--n-per-class", "20", "--output", data])
@@ -191,6 +201,30 @@ class TestCli:
         rows = open(out).read().strip().splitlines()
         assert rows[0] == "x1,x2,z1,z2,y1,y2"
         assert len(rows) == 60  # first step has no lag
+
+    def test_filter_bandwidth_b_takes_effect(self, tmp_path):
+        series = str(tmp_path / "ts.csv")
+        main(["gen", "hidden-signal", "--seed", "0", "--steps", "30", "--output", series])
+        results = []
+        for b in ("auto", "0.05"):
+            out = tmp_path / f"r{b}.csv"
+            assert main(["filter-timeseries", "--input", series, "--cost", "geodesic-sphere",
+                         "--bandwidth-b", b, "--niter", "5", "--output", str(out),
+                         "--history", str(tmp_path / "h.csv"),
+                         "--summary", str(tmp_path / "s.json")]) == 0
+            results.append(out.read_text())
+        assert results[0] != results[1]
+
+    @pytest.mark.parametrize("row", ["1,0.5,abc,0.1,0.2", "1,0.5"])
+    def test_malformed_series_row_is_error(self, row, tmp_path, capsys):
+        series = write(tmp_path, "ts.csv",
+                       "t,x_theta,x_phi,w_theta,w_phi\n0,0.1,0.2,0.3,0.4\n" + row + "\n")
+        code = main(["filter-timeseries", "--input", series,
+                     "--output", str(tmp_path / "r.csv"),
+                     "--history", str(tmp_path / "h.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert "baryflow: error: non-numeric or missing value in row 3" in capsys.readouterr().err
 
     def test_dash_history_and_summary_go_to_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

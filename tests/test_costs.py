@@ -67,8 +67,6 @@ class TestCostValue:
         x = np.array([[0.0, 0.0]])
         y = np.array([[np.pi, 0.0]])
         assert cost_parts(CostModel("geodesic_sphere"), x, y)[0] == pytest.approx(np.pi**2, abs=1e-4)
-        plain = CostModel("geodesic_sphere", squared_geodesic=False)
-        assert cost_parts(plain, x, y)[0] == pytest.approx(np.pi, abs=1e-5)
         # gradient is defined as zero at exact antipodes
         assert np.allclose(cost_parts(CostModel("geodesic_sphere"), x, y)[1], 0.0)
 

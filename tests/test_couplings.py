@@ -64,7 +64,7 @@ class TestKernelMatrix:
     def test_positive_semidefinite(self, rng):
         pts = rng.normal(size=(5, 2))
         K = kernel_matrix(pts, 0.9)
-        assert np.allclose(K, K.T)
+        assert np.array_equal(K, K.T)
         assert np.all(K > 0)
         assert np.linalg.eigvalsh(K).min() >= -1e-12
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryflow import solver
+from baryflow import objective, solver
 from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses
@@ -16,7 +16,7 @@ from baryflow.solver import (
     step_implicit,
 )
 
-from conftest import operator_matrix
+from conftest import combined_grad, operator_matrix
 
 
 class TestPreconditionMeanShift:
@@ -114,8 +114,8 @@ class TestSteps:
         ys = [0.0, 2.0]
         eta, lam = 0.05, 1.0
         for _ in range(10):
-            ev = evaluate(x, y, lam, model, C, tf)
-            y = step_explicit(y, ev.grad, eta)
+            ev = evaluate(x, y, model, C, tf)
+            y = step_explicit(y, combined_grad(ev, lam), eta)
             # scalar replica: grad_i = (y_i - x_i)/2 + lam * 2 * (C f)_i
             f = [ys[0], ys[1]]
             cf = [0.5 * f[0] - 0.5 * f[1], -0.5 * f[0] + 0.5 * f[1]]
@@ -135,10 +135,11 @@ class TestSteps:
         y = x + rng.standard_normal((n, 2))
         model = CostModel("sq_euclidean")
         C = centering_matrix(categorical_coupling(np.zeros(n, dtype=int)))
-        ev = evaluate(x, y, 0.0, model, C, TestFunctionSpec.kde(1.0), want_hvp=True)
+        ev = evaluate(x, y, model, C, TestFunctionSpec.kde(1.0), want_hvp=True)
+        grad = combined_grad(ev, 0.0)
         eta = 0.7
-        cand, fallback = step_implicit(y, ev.grad, ev.hvp(0.0), eta)
-        expected = y - (eta / (1 + eta / n)) * ev.grad
+        cand, fallback = step_implicit(y, grad, ev.hvp(0.0), eta)
+        expected = y - (eta / (1 + eta / n)) * grad
         assert not fallback
         assert np.abs(cand - expected).max() <= 1e-12
 
@@ -148,11 +149,12 @@ class TestSteps:
         y = x + 0.5 * rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = TestFunctionSpec.kde(0.8)
-        ev = evaluate(x, y, 1.0, CostModel("sq_euclidean"), C, tf, want_hvp=True)
+        ev = evaluate(x, y, CostModel("sq_euclidean"), C, tf, want_hvp=True)
+        grad = combined_grad(ev, 1.0)
         eta = 1e-8
-        cand, _ = step_implicit(y, ev.grad, ev.hvp(1.0), eta)
+        cand, _ = step_implicit(y, grad, ev.hvp(1.0), eta)
         delta_rate = (y - cand) / eta
-        assert np.abs(delta_rate - ev.grad).max() / np.abs(ev.grad).max() <= 1e-4
+        assert np.abs(delta_rate - grad).max() / np.abs(grad).max() <= 1e-4
 
     def test_implicit_singular_falls_back(self, rng):
         # H = -I, so I + eta*H vanishes at eta = 1
@@ -194,13 +196,14 @@ class TestSteps:
         lam, eta = 40.0, 0.3
         model = CostModel("distortion")
         Z = categorical_coupling(rng.integers(0, 2, n))
-        ev = evaluate(x, y, lam, model, C, tf, Z=Z, want_hvp=True)
+        ev = evaluate(x, y, model, C, tf, Z=Z, want_hvp=True)
+        grad = combined_grad(ev, lam)
         hvp = ev.hvp(lam)
         A = np.eye(2 * n) + eta * operator_matrix(hvp, n, 2).reshape(2 * n, 2 * n)
         eigenvalues = np.linalg.eigvalsh(A)
         assert eigenvalues.min() < 0 < eigenvalues.max()
-        expected = y - np.linalg.solve(A, eta * ev.grad.ravel()).reshape(n, 2)
-        cand, fallback = step_implicit(y, ev.grad, hvp, eta)
+        expected = y - np.linalg.solve(A, eta * grad.ravel()).reshape(n, 2)
+        cand, fallback = step_implicit(y, grad, hvp, eta)
         assert not fallback
         assert np.linalg.norm(cand - expected) <= 1e-8 * np.linalg.norm(expected - y)
 
@@ -221,17 +224,17 @@ class TestDescentCheck:
         cov = Covariates.categorical(np.zeros(10, dtype=int))
         rec = solve(x, cov, self.model, SolverConfig(niter=1)).history[0]
         assert rec.eta_halvings == 0
-        assert rec.descent_lhs == rec.descent_rhs
+        assert rec.L == rec.descent_rhs
 
     def test_small_step_passes(self):
         res = self.run(eta0=1e-6, niter=5)
         assert [rec.eta_halvings for rec in res.history] == [0] * 5
-        assert all(rec.descent_lhs <= rec.descent_rhs for rec in res.history)
+        assert all(rec.L <= rec.descent_rhs for rec in res.history)
 
     def test_huge_step_fails(self):
         res = self.run(eta0=1e3, niter=5)
         assert res.history[0].eta_halvings > 0
-        assert all(rec.descent_lhs <= rec.descent_rhs for rec in res.history)
+        assert all(rec.L <= rec.descent_rhs for rec in res.history)
 
 
 class TestDescentSides:
@@ -246,11 +249,12 @@ class TestDescentSides:
         rec, y_new = res.history[0], res.y_final
         tf = TestFunctionSpec.kde(res.bandwidth_a) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
         C = build_couplings(cov).C
-        lhs = evaluate(x, y_new, rec.lam, model, C, tf).L
+        ev = evaluate(x, y_new, model, C, tf)
+        lhs = ev.L_C + rec.lam * ev.L_F
         rhs = cost_parts(model, x, x)[0] + rec.lam * constraint_parts(x, C, tf, centers=y_new)[0]
-        assert (rec.descent_lhs, rec.descent_rhs) == (lhs, rhs)
+        assert (rec.L, rec.descent_rhs) == (lhs, rhs)
         L_C, L_F = cost_parts(model, x, y_new)[0], constraint_parts(y_new, C, tf)[0]
-        assert (rec.L, rec.L_C, rec.L_F) == (lhs, L_C, L_F)
+        assert (rec.L_C, rec.L_F) == (L_C, L_F)
 
 
 class TestSolve:
@@ -275,7 +279,7 @@ class TestSolve:
         lams = [r.lam for r in res.history]
         assert all(a <= b for a, b in zip(lams, lams[1:]))
         for rec in res.history:
-            assert rec.descent_lhs <= rec.descent_rhs + 1e-12
+            assert rec.L <= rec.descent_rhs + 1e-12
             assert rec.L_F >= -1e-10
 
     def test_lambda_floor_inequality_on_history(self):
@@ -306,7 +310,20 @@ class TestSolve:
                            eta0=50.0, niter=30)
         result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"), cfg)
         assert sum(h.eta_halvings for h in result.history) > 0
-        assert 0 < len(builds) <= result.iterations + 1  # plus one for the lambda0 estimate
+        assert 0 < len(builds) <= result.iterations  # lambda0 uses the first iteration's
+
+    def test_kernels_built_once_per_point_set(self, monkeypatch):
+        # one kernel at the start, serving lambda0 too; two per tried step
+        builds = []
+        kernel = objective.kernel_cross_matrix
+        monkeypatch.setattr(objective, "kernel_cross_matrix",
+                            lambda *args: builds.append(1) or kernel(*args))
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                       SolverConfig(eta0=50.0, niter=1))
+        halvings = result.history[0].eta_halvings
+        assert halvings > 0
+        assert len(builds) == 1 + 2 * (1 + halvings)
 
     def test_precondition_result_carries_provenance(self):
         ds = gen_ellipses(seed=4, n_per_class=20)
