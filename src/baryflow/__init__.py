@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 from .costs import CostModel, parse_cost_spec
 from .couplings import (
     Covariates,
-    CouplingMatrices,
     build_couplings,
     categorical_coupling,
     centering_matrix,
-    kernel_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
 )
@@ -29,7 +27,6 @@ from .datagen import (
     gen_ellipses,
     gen_hidden_signal,
     gen_sphere_patches,
-    image_to_pointcloud,
     lagged_dataset,
     sph2cart,
 )
@@ -46,7 +43,6 @@ from .solver import (
     lambda_update,
     precondition_mean_shift,
     solve,
-    step_explicit,
     step_implicit,
 )
 
@@ -55,7 +51,6 @@ __all__ = [
     "BaryflowError",
     "ConvergenceError",
     "CostModel",
-    "CouplingMatrices",
     "Covariates",
     "Dataset",
     "InvalidInputError",
@@ -73,8 +68,6 @@ __all__ = [
     "gen_ellipses",
     "gen_hidden_signal",
     "gen_sphere_patches",
-    "image_to_pointcloud",
-    "kernel_matrix",
     "lagged_dataset",
     "lambda_update",
     "median_heuristic_bandwidth",
@@ -84,6 +77,5 @@ __all__ = [
     "sinkhorn_bistochastic",
     "solve",
     "sph2cart",
-    "step_explicit",
     "step_implicit",
 ]

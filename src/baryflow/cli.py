@@ -114,21 +114,21 @@ def load_dataset(source):
                 rows_x.append([float(row[pos]) for pos in x_positions])
             except (ValueError, IndexError):
                 raise InvalidInputError(
-                    f"non-numeric or missing x value in row {len(rows_x) + 2}"
+                    f"non-numeric or missing x value in row {reader.line_num}"
                 ) from None
             if z_cat_col is not None:
                 try:
                     labels.append(row[z_cat_col].strip())
                 except IndexError:
                     raise InvalidInputError(
-                        f"missing covariate in row {len(rows_x) + 1}"
+                        f"missing covariate in row {reader.line_num}"
                     ) from None
             else:
                 try:
                     rows_z.append([float(row[pos]) for pos in z_positions])
                 except (ValueError, IndexError):
                     raise InvalidInputError(
-                        f"non-numeric or missing z value in row {len(rows_x) + 1}"
+                        f"non-numeric or missing z value in row {reader.line_num}"
                     ) from None
         if len(rows_x) < 2:
             raise InvalidInputError("dataset needs at least 2 rows")
@@ -168,7 +168,7 @@ def _write_series_csv(series, fileobj):
     writer.writerow(["t", "x_theta", "x_phi", "w_theta", "w_phi"])
     for k in range(series.x.shape[0]):
         writer.writerow([
-            str(int(series.t[k])),
+            str(k),
             _fmt(theta_x[k]), _fmt(phi_x[k]),
             _fmt(theta_w[k]), _fmt(phi_w[k]),
         ])
@@ -200,7 +200,7 @@ def load_series(source):
             w = sph2cart(1.0, np.asarray(w_phi), np.asarray(w_theta))
         else:
             w = np.full_like(x, np.nan)
-        return TimeSeriesSample(x=x, w_hidden=w, t=np.arange(len(theta)))
+        return TimeSeriesSample(x=x, w_hidden=w)
 
 
 def _write_history_csv(history, fileobj):
@@ -278,13 +278,9 @@ def _add_solver_flags(parser):
 def _run_solve(args, dataset):
     seed = _resolve_seed(args)
     if dataset.covariates.kind == "continuous" and args.bandwidth_b != "auto":
-        dataset = Dataset(
-            x=dataset.x,
-            covariates=Covariates.continuous(dataset.covariates.values,
-                                             bandwidth_b=args.bandwidth_b),
-        )
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
-             if hasattr(args, f.name)}
+        covariates = dataclasses.replace(dataset.covariates, bandwidth_b=args.bandwidth_b)
+        dataset = dataclasses.replace(dataset, covariates=covariates)
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
     config = SolverConfig(**dict(flags, seed=seed))
     started = time.perf_counter()
     result = solve(dataset.x, dataset.covariates, parse_cost_spec(args.cost), config)

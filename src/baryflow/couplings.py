@@ -1,8 +1,8 @@
-"""Covariate couplings: kernel matrices, bi-stochastic scaling, centering.
+"""Covariate couplings: Gaussian kernels, bi-stochastic scaling, centering.
 
 The coupling matrix Z encodes similarity between covariate values.  For
 categorical covariates it averages over class members; for continuous ones it
-is the bi-stochastic rescaling of a Gaussian kernel matrix.  The centering
+is the bi-stochastic rescaling of their own Gaussian kernel matrix.  The centering
 matrix C = Z - rowmean(Z) is the quadratic form the objective contracts
 against: its columns sum to zero and x'Cx >= 0 for every x whenever Z is
 positive semidefinite with unit row sums.
@@ -19,12 +19,10 @@ from .errors import ConvergenceError, InvalidInputError
 
 __all__ = [
     "Covariates",
-    "CouplingMatrices",
     "build_couplings",
     "categorical_coupling",
     "centering_matrix",
     "kernel_cross_matrix",
-    "kernel_matrix",
     "median_heuristic_bandwidth",
     "sinkhorn_bistochastic",
 ]
@@ -34,7 +32,8 @@ def kernel_cross_matrix(points_a, points_b, bandwidth):
     """Matrix of normalized Gaussian kernel values K[i, j] = k(a_i, b_j).
 
     k(u, v) = (2*pi*h^2)^(-d/2) * exp(-||u - v||^2 / (2*h^2)) with h the
-    bandwidth and d the width of the point sets; it integrates to one.
+    bandwidth and d the width of the point sets; it integrates to one.  Against
+    itself a point set gives an exactly symmetric, positive semidefinite matrix.
     """
     if not np.isfinite(bandwidth) or bandwidth <= 0:
         raise InvalidInputError("bandwidth must be a positive finite number")
@@ -51,19 +50,6 @@ def kernel_cross_matrix(points_a, points_b, bandwidth):
     np.exp(K, out=K)
     K *= norm
     return K
-
-
-def kernel_matrix(points, bandwidth):
-    """Symmetric Gaussian kernel matrix of a point set with itself.
-
-    Exactly symmetric, as ``cdist`` self-distances are.  Positive definite for
-    distinct points; duplicate points only lower the rank, the matrix stays
-    positive semidefinite.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise InvalidInputError("points must be a non-empty N x d array")
-    return kernel_cross_matrix(points, points, bandwidth)
 
 
 def median_heuristic_bandwidth(points):
@@ -165,8 +151,8 @@ def centering_matrix(Z):
 class Covariates:
     """Conditioning data: class labels, or continuous vectors plus a bandwidth.
 
-    ``bandwidth_b`` applies to continuous covariates only and may be the
-    string "auto", resolved with the median heuristic at coupling build time.
+    ``bandwidth_b`` applies to continuous covariates only; :func:`build_couplings`
+    resolves "auto" with the median heuristic on the values.
     """
 
     kind: str
@@ -206,29 +192,13 @@ class Covariates:
             return int(np.asarray(self.labels).size)
         return int(self.values.shape[0])
 
-    def resolved_bandwidth(self):
-        """Numeric z-space bandwidth (None for categorical covariates)."""
-        if self.kind == "categorical":
-            return None
-        if self.bandwidth_b == "auto":
-            return median_heuristic_bandwidth(self.values)
-        return float(self.bandwidth_b)
-
-
-@dataclass(frozen=True)
-class CouplingMatrices:
-    """The precomputed coupling Z and its centering C; both N x N."""
-
-    Z: np.ndarray
-    C: np.ndarray
-
 
 def build_couplings(covariates):
-    """Build (Z, C) for a covariate set; computed once per solve."""
+    """Return ``(Z, C)``, the N x N coupling and its centering; computed once per solve."""
     if covariates.kind == "categorical":
         Z = categorical_coupling(covariates.labels)
     else:
-        b = covariates.resolved_bandwidth()
-        K = kernel_matrix(covariates.values, b)
-        Z, _ = sinkhorn_bistochastic(K)
-    return CouplingMatrices(Z=Z, C=centering_matrix(Z))
+        b = covariates.bandwidth_b
+        b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
+        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(covariates.values, covariates.values, b))
+    return Z, centering_matrix(Z)

@@ -23,7 +23,6 @@ __all__ = [
     "gen_ellipses",
     "gen_hidden_signal",
     "gen_sphere_patches",
-    "image_to_pointcloud",
     "lagged_dataset",
     "reflection_matrix",
     "sph2cart",
@@ -31,7 +30,11 @@ __all__ = [
 
 # Axis ratio 3:1, i.e. eccentricity sqrt(1 - (1/3)^2) = 2*sqrt(2)/3.
 _ELLIPSE_AXIS_RATIO = 3.0
-_DEFAULT_ELLIPSE_CENTERS = ((0.0, 3.0), (-2.0, 0.0), (2.0, 0.0))
+_ELLIPSE_CENTERS = ((0.0, 3.0), (-2.0, 0.0), (2.0, 0.0))
+_ELLIPSE_SEMI_MAJOR = 1.5
+# Latitude bands of the sphere patches: class 0, and class 1 on the same side.
+_PATCH_BAND0 = (3.0 * np.pi / 8.0, np.pi / 2.0)
+_PATCH_BAND1_SAME_HEMISPHERE = (np.pi / 8.0, np.pi / 4.0)
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
-    """Observed unit-sphere series ``x`` with its hidden driver ``w_hidden``."""
+    """Observed unit-sphere series ``x`` and its hidden driver ``w_hidden``; row k is step k."""
 
     x: np.ndarray
     w_hidden: np.ndarray
-    t: np.ndarray
 
 
 def sph2cart(r, phi, theta):
@@ -106,9 +108,9 @@ def reflection_matrix(axis):
     return np.eye(3) + 2.0 * (K @ K)
 
 
-def _sample_ellipse_interior(rng, n, center, semi_major, vertical):
+def _sample_ellipse_interior(rng, n, center, vertical):
     """Uniform points on an ellipse interior via rejection from the bounding box."""
-    semi_minor = semi_major / _ELLIPSE_AXIS_RATIO
+    semi_major, semi_minor = _ELLIPSE_SEMI_MAJOR, _ELLIPSE_SEMI_MAJOR / _ELLIPSE_AXIS_RATIO
     half_w, half_h = (semi_minor, semi_major) if vertical else (semi_major, semi_minor)
     out = np.empty((n, 2))
     k = 0
@@ -122,21 +124,20 @@ def _sample_ellipse_interior(rng, n, center, semi_major, vertical):
     return out
 
 
-def gen_ellipses(seed, n_per_class=100, centers=_DEFAULT_ELLIPSE_CENTERS, semi_major=1.5):
+def gen_ellipses(seed, n_per_class=100):
     """Three uniform ellipse clusters with categorical labels 0, 1, 2.
 
-    Class 0 has a vertical major axis, classes 1 and 2 horizontal ones; all
-    share axis ratio 3:1.  The default geometry places class 0 above the
-    horizontal pair, making it the outlier in both shape and position.
+    The geometry is fixed: centers (0, 3), (-2, 0) and (2, 0), semi-major
+    axis 1.5 and axis ratio 3:1.  Class 0 has a vertical major axis, classes
+    1 and 2 horizontal ones, so class 0 sits above the horizontal pair and is
+    the outlier in both shape and position.
     """
     if n_per_class < 1:
         raise InvalidInputError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     blocks, labels = [], []
-    for z, center in enumerate(centers):
-        blocks.append(
-            _sample_ellipse_interior(rng, n_per_class, center, semi_major, vertical=(z == 0))
-        )
+    for z, center in enumerate(_ELLIPSE_CENTERS):
+        blocks.append(_sample_ellipse_interior(rng, n_per_class, center, vertical=(z == 0)))
         labels.extend([z] * n_per_class)
     return Dataset(
         x=np.vstack(blocks),
@@ -144,26 +145,20 @@ def gen_ellipses(seed, n_per_class=100, centers=_DEFAULT_ELLIPSE_CENTERS, semi_m
     )
 
 
-def gen_sphere_patches(
-    seed,
-    n_per_class=250,
-    antipodal=True,
-    band0=(3.0 * np.pi / 8.0, np.pi / 2.0),
-    band1_same_hemisphere=(np.pi / 8.0, np.pi / 4.0),
-):
+def gen_sphere_patches(seed, n_per_class=250, antipodal=True):
     """Two uniform latitude-band patches on the unit sphere, labels 0 and 1.
 
-    Longitudes are uniform on [0, 2*pi) for both classes.  With
-    ``antipodal=True`` class 1 mirrors class 0 across the equator; otherwise
-    it sits in ``band1_same_hemisphere`` on the same side.  Columns are
-    (theta, phi).
+    Longitudes are uniform on [0, 2*pi) for both classes.  Class 0 covers
+    latitudes [3*pi/8, pi/2].  With ``antipodal=True`` class 1 mirrors it
+    across the equator, [-pi/2, -3*pi/8]; otherwise class 1 covers
+    [pi/8, pi/4] on the same side.  Columns are (theta, phi).
     """
     if n_per_class < 1:
         raise InvalidInputError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    band1 = (-band0[1], -band0[0]) if antipodal else band1_same_hemisphere
+    band1 = (-_PATCH_BAND0[1], -_PATCH_BAND0[0]) if antipodal else _PATCH_BAND1_SAME_HEMISPHERE
     blocks, labels = [], []
-    for z, (lo, hi) in enumerate((band0, band1)):
+    for z, (lo, hi) in enumerate((_PATCH_BAND0, band1)):
         theta = rng.uniform(0.0, 2.0 * np.pi, n_per_class)
         phi = rng.uniform(lo, hi, n_per_class)
         blocks.append(np.column_stack([theta, phi]))
@@ -199,17 +194,17 @@ def gen_hidden_signal(seed, steps=1000, cap_width=0.45):
         axis = sph2cart(1.0, 0.5 * (phi_t + np.pi / 2.0), theta_t)
         xs[n] = reflection_matrix(axis) @ w[n]
         _, phi, theta = cart2sph(xs[n])
-    return TimeSeriesSample(x=xs, w_hidden=w, t=np.arange(steps))
+    return TimeSeriesSample(x=xs, w_hidden=w)
 
 
-def lagged_dataset(series, space="spherical", bandwidth_b="auto"):
+def lagged_dataset(series, space="spherical"):
     """Pair each observation with the previous one as a continuous covariate.
 
     ``space="spherical"`` uses (theta, phi) for both the points and the lag
     covariates (the 2-D formulation); ``space="cartesian"`` keeps the points
     spherical but uses the lagged unit 3-vector as the covariate, which
     avoids the longitude wrap-around in covariate space.  The first
-    observation is dropped (it has no lag).
+    observation is dropped (it has no lag).  The covariate bandwidth is "auto".
     """
     x = np.asarray(series.x, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or x.shape[0] < 2:
@@ -224,30 +219,6 @@ def lagged_dataset(series, space="spherical", bandwidth_b="auto"):
         raise InvalidInputError("space must be 'spherical' or 'cartesian'")
     return Dataset(
         x=coords[1:],
-        covariates=Covariates.continuous(lag, bandwidth_b=bandwidth_b),
+        covariates=Covariates.continuous(lag),
     )
 
-
-def image_to_pointcloud(image, n_samples, threshold=0.0, seed=0):
-    """Sample pixel coordinates with probability proportional to intensity.
-
-    Pixels at or below ``threshold`` are excluded.  Output coordinates are
-    normalized to [0, 1]^2 with the image upright (row 0 maps to the top).
-    Raises InvalidInputError when no pixel exceeds the threshold.
-    """
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise InvalidInputError("image must be a 2-D grayscale array")
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
-    weights = np.where(img > threshold, img, 0.0)
-    total = weights.sum()
-    if total <= 0:
-        raise InvalidInputError("empty support: no pixel intensity above threshold")
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(img.size, size=n_samples, p=(weights / total).ravel())
-    rows, cols = np.divmod(flat, img.shape[1])
-    h, w = img.shape
-    xs = cols / (w - 1) if w > 1 else np.zeros(n_samples)
-    ys = (h - 1 - rows) / (h - 1) if h > 1 else np.zeros(n_samples)
-    return np.column_stack([xs, ys]).astype(float)

@@ -29,7 +29,6 @@ __all__ = [
     "lambda_update",
     "precondition_mean_shift",
     "solve",
-    "step_explicit",
     "step_implicit",
 ]
 
@@ -37,6 +36,8 @@ _GRAD_SQ_FLOOR = 1e-30
 _KRYLOV_RTOL = 1e-12  # MINRES stopping tolerance of the implicit step
 _KRYLOV_MAXITER = 500
 _RESIDUAL_RTOL = 1e-8  # accepted ||b - A x|| / ||b|| of the implicit step
+_MAX_HALVINGS = 60  # learning-rate halvings before a run ends without a step
+_POWER_STEPS = 50  # power-iteration steps of the lambda0 estimate
 
 
 def as_points(x):
@@ -58,6 +59,7 @@ def _positive_number(value):
 class SolverConfig:
     """Tunable knobs of the penalty flow; defaults are desk-scale safe.
 
+    Each field is a flag of the ``solve`` and ``filter-timeseries`` commands.
     ``lambda0="auto"`` estimates 1/spectral-radius of the constraint Hessian
     at the starting positions: 50 steps of seeded power iteration on its
     Hessian-vector product, so the Hessian is never formed.  ``bandwidth_a``
@@ -80,7 +82,6 @@ class SolverConfig:
     bandwidth_a: float | str = "auto"
     feature_degree: int = 2
     seed: int = 0
-    max_halvings: int = 60
 
     def __post_init__(self):
         if self.problem not in ("kde", "features"):
@@ -92,7 +93,7 @@ class SolverConfig:
                 raise InvalidInputError(f"{name} must be a positive finite number")
         if not (_positive_number(self.omega_alpha) and self.omega_alpha < 1.0):
             raise InvalidInputError("omega_alpha must lie in (0, 1)")
-        for name, low in (("niter", 1), ("feature_degree", 1), ("max_halvings", 0), ("seed", 0)):
+        for name, low in (("niter", 1), ("feature_degree", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidInputError(f"{name} must be an integer")
@@ -237,7 +238,7 @@ def step_implicit(y, grad, hvp, eta):
     return y - delta.reshape(n, d), False
 
 
-def _auto_lambda0(hvp, shape, lambda_max, seed, n_steps=50):
+def _auto_lambda0(hvp, shape, lambda_max, seed):
     """1 / spectral-radius estimate of the constraint Hessian at the start.
 
     Seeded power iteration on the constraint's Hessian-vector product ``hvp``
@@ -247,7 +248,7 @@ def _auto_lambda0(hvp, shape, lambda_max, seed, n_steps=50):
     v = rng.standard_normal(shape)
     v /= np.linalg.norm(v)
     estimate = 0.0
-    for _ in range(n_steps):
+    for _ in range(_POWER_STEPS):
         w = hvp(v)
         estimate = np.linalg.norm(w)
         if estimate < 1e-30:
@@ -277,7 +278,7 @@ def solve(x, covariates, cost_model, config=None):
     constraint or ``config.niter`` is reached.  A candidate step is
     rejected, and the learning rate halved, when it raises the objective,
     leaves the cost's domain, or gives a non-finite value or gradient; the
-    run ends early when ``config.max_halvings`` halvings find no step.
+    run ends early when 60 halvings find no step.
     ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
     :class:`NumericError` only when that evaluation is not finite.
     """
@@ -287,9 +288,7 @@ def solve(x, covariates, cost_model, config=None):
     if covariates.n != n:
         raise InvalidInputError("covariates and points disagree on N")
 
-    couplings = build_couplings(covariates)
-    Z, C = couplings.Z, couplings.C
-    Z_cost = Z if cost_model.requires_pairing else None
+    Z, C = build_couplings(covariates)
 
     if config.precondition:
         w, shift = precondition_mean_shift(x, covariates, Z)
@@ -303,7 +302,7 @@ def solve(x, covariates, cost_model, config=None):
     tf_spec, bandwidth_a = _resolve_tf_spec(config, y)
     implicit = config.update == "implicit"
     auto = config.lambda0 == "auto"
-    ev = evaluate(x_cost, y, cost_model, C, tf_spec, Z=Z_cost, want_hvp=implicit or auto)
+    ev = evaluate(x_cost, y, cost_model, C, tf_spec, Z=Z, want_hvp=implicit or auto)
     if auto:
         lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
         if not implicit:  # the loop holds no product, nor the kernel it keeps
@@ -331,7 +330,7 @@ def solve(x, covariates, cost_model, config=None):
         ev_new = None
         halvings = 0
         fallback = False
-        while halvings <= config.max_halvings:
+        while halvings <= _MAX_HALVINGS:
             if implicit:
                 candidate, fallback = step_implicit(y, grad, hvp, eta)
             else:
@@ -342,7 +341,7 @@ def solve(x, covariates, cost_model, config=None):
                     L_F_old = constraint_parts(y, C, tf_spec, centers=candidate)[0]
                 rhs = ev.L_C + lam * L_F_old
                 ev_new = evaluate(x_cost, candidate, cost_model, C, tf_spec,
-                                  Z=Z_cost, want_hvp=implicit)
+                                  Z=Z, want_hvp=implicit)
                 L = ev_new.L_C + lam * ev_new.L_F
                 if L <= rhs:
                     break

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -5,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from baryflow.cli import load_dataset, main, save_dataset
+from baryflow.cli import _build_parser, load_dataset, main, save_dataset
 from baryflow.datagen import gen_ellipses
 from baryflow.errors import InvalidInputError
+from baryflow.solver import SolverConfig
 
 
 def write(tmp_path, name, text):
@@ -225,6 +227,25 @@ class TestCli:
                      "--summary", str(tmp_path / "s.json")])
         assert code == 1
         assert "baryflow: error: non-numeric or missing value in row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("x1,x2,z\n1,2,a\n\n3,4,b\n5,x,a\n", "non-numeric or missing x value in row 5"),
+        ("x1,x2,z\n1,2,a\n\n3,4,b\n5,6\n", "missing covariate in row 5"),
+        ("x1,z1\n1,0.5\n\n2,0.1\n3,abc\n", "non-numeric or missing z value in row 5"),
+    ], ids=["x", "label", "z"])
+    def test_malformed_dataset_row_names_its_line(self, text, message, tmp_path, capsys):
+        # the blank line 3 is skipped by the reader but still counts as a line
+        data = write(tmp_path, "d.csv", text)
+        code = main(["solve", "--input", data, "--output", str(tmp_path / "r.csv"),
+                     "--history", str(tmp_path / "h.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert f"baryflow: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "filter-timeseries"])
+    def test_every_solver_field_is_a_flag(self, command):
+        args = _build_parser().parse_args([command])
+        assert [f.name for f in dataclasses.fields(SolverConfig) if not hasattr(args, f.name)] == []
 
     def test_dash_history_and_summary_go_to_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

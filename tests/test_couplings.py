@@ -7,7 +7,6 @@ from baryflow.couplings import (
     categorical_coupling,
     centering_matrix,
     kernel_cross_matrix,
-    kernel_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
 )
@@ -49,13 +48,14 @@ class TestGaussianKernel:
 
 class TestKernelMatrix:
     def test_single_point(self):
-        K = kernel_matrix(np.zeros((1, 3)), 2.0)
+        pts = np.zeros((1, 3))
+        K = kernel_cross_matrix(pts, pts, 2.0)
         assert K.shape == (1, 1)
         assert K[0, 0] == pytest.approx((2 * np.pi * 4.0) ** -1.5)
 
     def test_duplicate_points_rank_one(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0]])
-        K = kernel_matrix(pts, 1.0)
+        K = kernel_cross_matrix(pts, pts, 1.0)
         peak = 1.0 / (2 * np.pi)
         eigs = np.sort(np.linalg.eigvalsh(K))
         assert np.allclose(K, peak)
@@ -63,14 +63,15 @@ class TestKernelMatrix:
 
     def test_positive_semidefinite(self, rng):
         pts = rng.normal(size=(5, 2))
-        K = kernel_matrix(pts, 0.9)
+        K = kernel_cross_matrix(pts, pts, 0.9)
         assert np.array_equal(K, K.T)
         assert np.all(K > 0)
         assert np.linalg.eigvalsh(K).min() >= -1e-12
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
-            kernel_matrix(np.array([[0.0], [np.nan]]), 1.0)
+            pts = np.array([[0.0], [np.nan]])
+            kernel_cross_matrix(pts, pts, 1.0)
 
 
 class TestSinkhorn:
@@ -94,7 +95,7 @@ class TestSinkhorn:
 
     def test_rows_and_columns_sum_to_one(self, rng):
         pts = rng.normal(size=(40, 3))
-        K = kernel_matrix(pts, 1.2)
+        K = kernel_cross_matrix(pts, pts, 1.2)
         Z, _ = sinkhorn_bistochastic(K, tol=1e-10)
         assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
@@ -102,19 +103,19 @@ class TestSinkhorn:
     def test_scale_invariance(self, rng):
         # scaling K by c > 0 leaves Z unchanged
         pts = rng.normal(size=(15, 2))
-        K = kernel_matrix(pts, 0.8)
+        K = kernel_cross_matrix(pts, pts, 0.8)
         Z1, _ = sinkhorn_bistochastic(K)
         Z2, _ = sinkhorn_bistochastic(37.5 * K)
         assert np.abs(Z1 - Z2).max() <= 1e-9
 
     def test_output_psd(self, rng):
         pts = rng.normal(size=(20, 2))
-        Z, _ = sinkhorn_bistochastic(kernel_matrix(pts, 1.0))
+        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(pts, pts, 1.0))
         assert np.linalg.eigvalsh(Z).min() >= -1e-12
 
     def test_convergence_error_carries_residual(self, rng):
         pts = rng.normal(size=(30, 2))
-        K = kernel_matrix(pts, 0.3)
+        K = kernel_cross_matrix(pts, pts, 0.3)
         with pytest.raises(ConvergenceError) as exc:
             sinkhorn_bistochastic(K, tol=1e-10, max_iter=2)
         assert exc.value.residual > 0
@@ -159,13 +160,13 @@ class TestCenteringMatrix:
 
     def test_columns_sum_to_zero(self, rng):
         pts = rng.normal(size=(25, 2))
-        Z, _ = sinkhorn_bistochastic(kernel_matrix(pts, 1.0))
+        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(pts, pts, 1.0))
         C = centering_matrix(Z)
         assert np.abs(C.sum(axis=0)).max() <= 1e-10
 
     def test_quadratic_form_nonnegative(self, rng):
         pts = rng.normal(size=(20, 3))
-        Z, _ = sinkhorn_bistochastic(kernel_matrix(pts, 1.1))
+        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(pts, pts, 1.1))
         C = centering_matrix(Z)
         for _ in range(20):
             v = rng.normal(size=20)
@@ -187,22 +188,22 @@ class TestCovariatesAndBuild:
 
     def test_build_categorical(self):
         cov = Covariates.categorical(np.array([0, 0, 1, 1]))
-        cpl = build_couplings(cov)
-        assert np.allclose(cpl.Z.sum(axis=0), 1.0)
-        assert np.abs(cpl.C.sum(axis=0)).max() <= 1e-12
+        Z, C = build_couplings(cov)
+        assert np.allclose(Z.sum(axis=0), 1.0)
+        assert np.abs(C.sum(axis=0)).max() <= 1e-12
 
     def test_build_continuous_auto_bandwidth(self, rng):
         cov = Covariates.continuous(rng.normal(size=(20, 2)))
-        cpl = build_couplings(cov)
-        assert np.abs(cpl.Z.sum(axis=0) - 1).max() <= 1e-8
-        assert np.abs(cpl.Z.sum(axis=1) - 1).max() <= 1e-8
-        assert np.allclose(cpl.Z, cpl.Z.T)
+        Z, C = build_couplings(cov)
+        assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
+        assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
+        assert np.allclose(Z, Z.T)
 
     def test_duplicate_covariate_values_allowed(self):
         values = np.array([[0.0], [0.0], [1.0], [2.0]])
         cov = Covariates.continuous(values, bandwidth_b=0.5)
-        cpl = build_couplings(cov)
-        assert np.abs(cpl.Z.sum(axis=1) - 1).max() <= 1e-8
+        Z, C = build_couplings(cov)
+        assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
 
     def test_invalid_covariates(self):
         with pytest.raises(InvalidInputError):

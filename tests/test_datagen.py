@@ -8,7 +8,6 @@ from baryflow.datagen import (
     gen_ellipses,
     gen_hidden_signal,
     gen_sphere_patches,
-    image_to_pointcloud,
     lagged_dataset,
     reflection_matrix,
     sph2cart,
@@ -189,32 +188,3 @@ class TestLaggedDataset:
         assert ds.covariates.values.shape == (99, 3)
         assert np.allclose(ds.covariates.values, ts.x[:-1])
 
-
-class TestImageToPointcloud:
-    def test_single_lit_pixel(self):
-        img = np.zeros((5, 7))
-        img[2, 3] = 1.0
-        pts = image_to_pointcloud(img, 25, seed=0)
-        assert np.allclose(pts, [3 / 6, (4 - 2) / 4])
-
-    def test_all_black_rejected(self):
-        with pytest.raises(InvalidInputError):
-            image_to_pointcloud(np.zeros((4, 4)), 10)
-
-    def test_uniform_image_chi_square(self):
-        # uniform intensity: cell counts should pass a chi-square sanity bound
-        img = np.ones((4, 4))
-        pts = image_to_pointcloud(img, 16000, seed=1)
-        cols = np.rint(pts[:, 0] * 3).astype(int)
-        rows = np.rint((1 - pts[:, 1]) * 3).astype(int)
-        counts = np.zeros((4, 4))
-        for r, c in zip(rows, cols):
-            counts[r, c] += 1
-        expected = 16000 / 16.0
-        chi2 = ((counts - expected) ** 2 / expected).sum()
-        assert chi2 < 50.0  # 15 dof; ample margin
-
-    def test_threshold_excludes_pixels(self):
-        img = np.array([[0.2, 0.9], [0.1, 0.8]])
-        pts = image_to_pointcloud(img, 200, threshold=0.5, seed=2)
-        assert np.all(pts[:, 0] == 1.0)  # only the right column survives

@@ -5,9 +5,10 @@ working directory with relative file names, so the paths echoed in
 summary.json are the same everywhere.  ``wall_time_s`` is the only field
 dropped before comparing.
 
-Regenerate the files (only when an output change is intended) with::
+Regenerate the files of the named cases (only when an output change is
+intended for them) with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 """
 
 import json
@@ -89,7 +90,13 @@ def test_outputs_match_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    for case in sorted(CASES):
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown cases: {' '.join(unknown)}; cases: {' '.join(sorted(CASES))}")
+    if not names:
+        sys.exit(f"name the cases to regenerate: {' '.join(sorted(CASES))}")
+    for case in dict.fromkeys(names):
         with tempfile.TemporaryDirectory() as tmp:
             target = GOLDEN / case
             target.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from baryflow.costs import CostModel, cost_parts
-from baryflow.couplings import categorical_coupling, centering_matrix, kernel_matrix, sinkhorn_bistochastic
+from baryflow.couplings import (
+    categorical_coupling, centering_matrix, kernel_cross_matrix, sinkhorn_bistochastic,
+)
 from baryflow.errors import InvalidInputError
 from baryflow.objective import (
     MonomialBasis,
@@ -120,7 +122,7 @@ class TestLfKde:
             n = int(rng.integers(4, 30))
             y = rng.standard_normal((n, 2))
             z = rng.standard_normal((n, 1))
-            Z, _ = sinkhorn_bistochastic(kernel_matrix(z, 0.7))
+            Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(z, z, 0.7))
             C = centering_matrix(Z)
             assert kde_value(y, C, 0.5) >= -1e-10
 
@@ -135,7 +137,8 @@ class TestLfFeatures:
     def test_constant_feature_annihilated(self, rng):
         one = MonomialBasis([[0, 0]])
         y = rng.standard_normal((7, 2))
-        Z, _ = sinkhorn_bistochastic(kernel_matrix(rng.standard_normal((7, 1)), 0.8))
+        z = rng.standard_normal((7, 1))
+        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(z, z, 0.8))
         C = centering_matrix(Z)
         assert features_value(y, C, one) == pytest.approx(0.0, abs=1e-12)
 

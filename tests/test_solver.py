@@ -46,7 +46,7 @@ class TestPreconditionMeanShift:
         x = rng.standard_normal((12, 2))
         values = rng.standard_normal((12, 1))
         cov = Covariates.continuous(values, bandwidth_b=0.8)
-        Z = build_couplings(cov).Z
+        Z, _ = build_couplings(cov)
         w, shift = precondition_mean_shift(x, cov, Z)
         assert np.allclose(w, x + x.mean(axis=0) - Z.T @ x)
         assert np.allclose(shift, w - x)
@@ -248,7 +248,7 @@ class TestDescentSides:
         res = solve(x, cov, model, SolverConfig(problem=mode, niter=1, eta0=0.05))
         rec, y_new = res.history[0], res.y_final
         tf = TestFunctionSpec.kde(res.bandwidth_a) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
-        C = build_couplings(cov).C
+        _, C = build_couplings(cov)
         ev = evaluate(x, y_new, model, C, tf)
         lhs = ev.L_C + rec.lam * ev.L_F
         rhs = cost_parts(model, x, x)[0] + rec.lam * constraint_parts(x, C, tf, centers=y_new)[0]
@@ -367,7 +367,7 @@ class TestSolve:
         ("lambda_max", float("inf")), ("omega_alpha", float("nan")), ("omega_alpha", "0.5"),
         ("lambda0", float("nan")), ("bandwidth_a", float("inf")),
         ("niter", 2.5), ("niter", 0), ("niter", True), ("niter", "10"),
-        ("feature_degree", 2.0), ("max_halvings", 1.5), ("seed", 0.5), ("seed", -1),
+        ("feature_degree", 2.0), ("seed", 0.5), ("seed", -1),
     ])
     def test_non_numbers_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
@@ -376,7 +376,3 @@ class TestSolve:
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(niter=np.int64(5), seed=np.uint32(3), eta0=np.float32(0.5))
         assert cfg.niter == 5 and cfg.seed == 3
-
-    def test_negative_max_halvings_message(self):
-        with pytest.raises(InvalidInputError, match="max_halvings must be >= 0"):
-            SolverConfig(max_halvings=-1)
