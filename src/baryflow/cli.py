@@ -328,17 +328,16 @@ def _default_n_per_class(args):
 
 def _cmd_gen(args):
     seed = _resolve_seed(args)
-    with _opened(args.output, "w") as out:
-        if args.what == "ellipses":
-            save_dataset(gen_ellipses(seed, n_per_class=_default_n_per_class(args)), out)
-        elif args.what == "sphere-patches":
-            save_dataset(
-                gen_sphere_patches(seed, n_per_class=_default_n_per_class(args),
-                                   antipodal=not args.same_hemisphere),
-                out,
-            )
-        else:
-            _write_series_csv(gen_hidden_signal(seed, steps=args.steps), out)
+    if args.what == "ellipses":
+        data, write = gen_ellipses(seed, n_per_class=_default_n_per_class(args)), save_dataset
+    elif args.what == "sphere-patches":
+        data = gen_sphere_patches(seed, n_per_class=_default_n_per_class(args),
+                                  antipodal=not args.same_hemisphere)
+        write = save_dataset
+    else:
+        data, write = gen_hidden_signal(seed, steps=args.steps), _write_series_csv
+    with _opened(args.output, "w") as out:  # opened once the data exist: a bad argument writes no file
+        write(data, out)
     return 0
 
 

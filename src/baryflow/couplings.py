@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, positive_number
 
 __all__ = [
     "Covariates",
@@ -171,9 +171,7 @@ class Covariates:
             if not np.isfinite(values).all():
                 raise InvalidInputError("covariate values must be finite")
             object.__setattr__(self, "values", values)
-            if self.bandwidth_b != "auto" and (
-                not np.isfinite(self.bandwidth_b) or self.bandwidth_b <= 0
-            ):
+            if self.bandwidth_b != "auto" and not positive_number(self.bandwidth_b):
                 raise InvalidInputError("bandwidth_b must be positive or 'auto'")
         else:
             raise InvalidInputError(f"unknown covariate kind {self.kind!r}")

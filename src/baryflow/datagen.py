@@ -179,8 +179,8 @@ def gen_hidden_signal(seed, steps=1000, cap_width=0.45):
     reflection is an isometry of the sphere, so each step's conditional
     distribution is a rigidly transported copy of the cap.
     """
-    if steps < 1:
-        raise InvalidInputError("steps must be >= 1")
+    if steps < 2:  # a lagged dataset pairs each step with the one before
+        raise InvalidInputError("steps must be >= 2")
     rng = np.random.default_rng(seed)
     phi_w = rng.uniform(np.pi / 2.0 - cap_width, np.pi / 2.0, steps)
     theta_w = rng.uniform(0.0, 2.0 * np.pi, steps)

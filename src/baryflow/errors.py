@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check for a positive real."""
+
+import numbers
+
+import numpy as np
+
+
+def positive_number(value):
+    """True for a finite positive real number; strings, None and booleans are not numbers."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)) and value > 0)
 
 
 class BaryflowError(Exception):

@@ -20,6 +20,13 @@ constraint modes exist:
   Hessians.  Gradients use the symmetric form 2 * (C f_l)_i * f_l'(y_i),
   exact for symmetric C (couplings built by this package are symmetric).
 
+Both modes return the constraint gradient as a function that builds it from
+the terms the value left behind (the kde kernel matrix, the features' C f_l),
+which the Hessian-vector product shares.  An evaluation builds it on the
+first read of ``grad_constraint``.  The solver reads it only at the points it
+keeps, so a rejected step or a descent check's right side pays for its
+kernel and value alone.
+
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
 feature averages) tracking the points.  They reuse the gradient's
@@ -32,13 +39,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import cost_parts, deferred, pair_outer_hvp
 from .couplings import kernel_cross_matrix
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError, positive_number
 
 __all__ = [
     "MonomialBasis",
@@ -77,8 +84,27 @@ class MonomialBasis:
         E.setflags(write=False)
         object.__setattr__(self, "exponents", E)
         object.__setattr__(self, "_degree", max(int(E.max()), 1))
+        d = E.shape[1]
         # (d, m): the row of a flattened (degree + 1, d, N) table that holds y_j**E[l, j]
-        object.__setattr__(self, "_rows", (E * E.shape[1] + np.arange(E.shape[1])).T)
+        rows_of = (E * d + np.arange(d)).T
+        object.__setattr__(self, "_rows", rows_of)
+        # One Hessian term per coordinate pair j1 <= j2 that some monomial reaches:
+        # its monomials, their integer coefficients, the table rows of the
+        # differentiated factors and those of the factors left as they are.
+        terms = []
+        for j1, j2 in itertools.combinations_with_replacement(range(d), 2):
+            if j1 == j2:  # e (e - 1) y_j**(e - 2)
+                rows = np.flatnonzero(E[:, j1] >= 2)
+                e = E[rows, j1]
+                coeff, slots = e * (e - 1), [(e - 2) * d + j1]
+            else:  # e1 e2 y_j1**(e1 - 1) y_j2**(e2 - 1)
+                rows = np.flatnonzero(E[:, j1] * E[:, j2])
+                e1, e2 = E[rows, j1], E[rows, j2]
+                coeff, slots = e1 * e2, [(e1 - 1) * d + j1, (e2 - 1) * d + j2]
+            if rows.size:
+                rest = [rows_of[k, rows] for k in range(d) if k not in (j1, j2)]
+                terms.append((j1, j2, rows, coeff[:, None], slots, rest))
+        object.__setattr__(self, "_hess_terms", terms)
 
     def __len__(self):
         return self.exponents.shape[0]
@@ -112,20 +138,13 @@ class MonomialBasis:
 
     def hess(self, y):
         n, d = y.shape
-        E = self.exponents
-        powers = self._powers(y)
-        factors = powers.reshape(-1, n).take(self._rows, axis=0)
+        table = self._powers(y).reshape(-1, n)
         out = np.zeros((len(self), n, d, d))
-        for j1, j2 in itertools.combinations_with_replacement(range(d), 2):
-            if j1 == j2:  # e (e - 1) y_j**(e - 2)
-                rows = np.flatnonzero(E[:, j1] >= 2)
-                e = E[rows, j1]
-                block = (e * (e - 1))[:, None] * powers[e - 2, j1]
-            else:  # e1 e2 y_j1**(e1 - 1) y_j2**(e2 - 1)
-                rows = np.flatnonzero(E[:, j1] * E[:, j2])
-                e1, e2 = E[rows, j1], E[rows, j2]
-                block = (e1 * e2)[:, None] * powers[e1 - 1, j1] * powers[e2 - 1, j2]
-            block *= _product(factors[k, rows] for k in range(d) if k not in (j1, j2))
+        for j1, j2, rows, coeff, slots, rest in self._hess_terms:
+            block = coeff * table[slots[0]]
+            for slot in slots[1:]:
+                block *= table[slot]
+            block *= _product(table[r] for r in rest)
             out[rows, :, j1, j2] = out[rows, :, j2, j1] = block
         return out
 
@@ -160,8 +179,9 @@ class TestFunctionSpec:
 
     def __post_init__(self):
         if self.mode == "kde":
-            if self.bandwidth_a is None or not np.isfinite(self.bandwidth_a) or self.bandwidth_a <= 0:
+            if not positive_number(self.bandwidth_a):
                 raise InvalidInputError("kde mode needs a positive bandwidth_a")
+            object.__setattr__(self, "bandwidth_a", float(self.bandwidth_a))
         elif self.mode == "features":
             if not isinstance(self.features, MonomialBasis):
                 raise InvalidInputError("features mode needs a MonomialBasis")
@@ -170,7 +190,7 @@ class TestFunctionSpec:
 
     @classmethod
     def kde(cls, bandwidth_a):
-        return cls(mode="kde", bandwidth_a=float(bandwidth_a))
+        return cls(mode="kde", bandwidth_a=bandwidth_a)
 
     @classmethod
     def polynomial(cls, dim, degree):
@@ -182,12 +202,12 @@ def _kde_parts(y, C, bandwidth, centers, want_hvp):
     M = kernel_cross_matrix(y, centers, bandwidth)
     M *= C.T  # M[j, i] = K(y_j, centers_i) * C[i, j]
     value = float(M.sum())
-    s = M.sum(axis=1)
-    grad = -(s[:, None] * y - M @ centers) / a2
+    s = deferred(lambda: M.sum(axis=1))
+    grad = lambda: -(s()[:, None] * y - M @ centers) / a2
     hvp = None
     if want_hvp:
         def hvp(v):
-            return (pair_outer_hvp(M, y, centers, v) / a2 - s[:, None] * v + M @ v) / a2
+            return (pair_outer_hvp(M, y, centers, v) / a2 - s()[:, None] * v + M @ v) / a2
     return value, grad, hvp
 
 
@@ -195,7 +215,7 @@ def _features_parts(y, C, basis, want_hvp):
     vals, grads = basis.value_and_grad(y)
     cv = vals @ C.T  # row l is C @ f_l
     value = float(np.einsum("li,li->l", vals, cv).sum())  # sum_l f_l' C f_l
-    grad = 2.0 * np.einsum("li,lia->ia", cv, grads)
+    grad = lambda: 2.0 * np.einsum("li,lia->ia", cv, grads)
     hvp = None
     if want_hvp:
         diag = deferred(lambda: 2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)))
@@ -208,12 +228,16 @@ def _features_parts(y, C, basis, want_hvp):
 
 
 def constraint_parts(y, C, tf_spec, centers=None, want_hvp=False):
-    """Constraint value, gradient and optional Hessian-vector product.
+    """Constraint value, gradient and optional Hessian-vector product: ``(value, grad, hvp)``.
 
-    For kde mode the gradient differentiates only the evaluation slot of the
-    kernel (centers held fixed at ``centers``, default ``y``); ``hvp`` (None
-    unless ``want_hvp``) applies the Jacobian of that gradient field once the
-    centers track the points again to an N x d array.
+    ``grad`` is a function of no arguments that builds the N x d gradient,
+    so a caller that needs only the value never pays for it.  For kde mode
+    the gradient differentiates only the evaluation slot of the kernel
+    (centers held fixed at ``centers``, default ``y``); ``hvp`` (None unless
+    ``want_hvp``) applies the Jacobian of that gradient field once the
+    centers track the points again to an N x d array.  kde mode multiplies
+    the kernel by ``C.T`` entrywise; a Fortran-ordered C makes that read
+    contiguous.
     """
     y = np.asarray(y, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -231,15 +255,28 @@ class ObjectiveEval:
 
     No multiplier enters an evaluation: the solver forms L = L_C + lam * L_F
     and its gradient at whatever multiplier its outer iteration holds, and
-    :meth:`hvp` combines the two products the same way.
+    :meth:`hvp` combines the two products the same way.  ``grad_constraint``
+    is built by ``build_grad_constraint`` on its first read.
     """
 
     L_C: float
     L_F: float
     grad_cost: np.ndarray
-    grad_constraint: np.ndarray
+    build_grad_constraint: Callable | None = field(repr=False)
     hvp_cost: Callable | None = None
     hvp_constraint: Callable | None = None
+    _grad_constraint: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def grad_constraint(self):
+        """Built on the first read, which raises NumericError when it is not finite."""
+        if self._grad_constraint is None:
+            grad = self.build_grad_constraint()
+            if not np.isfinite(grad).all():
+                raise NumericError("non-finite constraint gradient")
+            # drop the build and what it held, such as the kernel matrix
+            self._grad_constraint, self.build_grad_constraint = grad, None
+        return self._grad_constraint
 
     def hvp(self, lam):
         """Hessian-vector product v -> (H_C + lam * H_F) v at multiplier ``lam``."""
@@ -251,12 +288,15 @@ class ObjectiveEval:
 def evaluate(x, y, cost_model, C, tf_spec, Z=None, want_hvp=False):
     """Evaluate the cost and the constraint with gradients (and Hessian-vector products on request).
 
-    Kernel centers sit at the current ``y``.  Raises NumericError when a
-    non-finite value or gradient shows up in either part.
+    Kernel centers sit at the current ``y``.  Raises NumericError when either
+    value or the cost gradient is not finite.  The constraint gradient is
+    built on the first read of ``grad_constraint``, and that read raises
+    NumericError when it is not finite; the solver reads it only at the
+    starting points and at each accepted step.
     """
     cv, cg, chvp = cost_parts(cost_model, x, y, Z, want_hvp=want_hvp)
     fv, fg, fhvp = constraint_parts(y, C, tf_spec, want_hvp=want_hvp)
-    if not (np.isfinite([cv, fv]).all() and np.isfinite(cg).all() and np.isfinite(fg).all()):
+    if not (np.isfinite([cv, fv]).all() and np.isfinite(cg).all()):
         raise NumericError("non-finite objective evaluation")
-    return ObjectiveEval(L_C=cv, L_F=fv, grad_cost=cg, grad_constraint=fg,
+    return ObjectiveEval(L_C=cv, L_F=fv, grad_cost=cg, build_grad_constraint=fg,
                          hvp_cost=chvp, hvp_constraint=fhvp)

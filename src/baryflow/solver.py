@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .couplings import build_couplings, median_heuristic_bandwidth
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError, positive_number
 from .objective import TestFunctionSpec, constraint_parts, evaluate
 
 __all__ = [
@@ -48,11 +48,6 @@ def as_points(x):
     if not np.isfinite(x).all():
         raise InvalidInputError("points must be finite")
     return x
-
-
-def _positive_number(value):
-    """True for a finite positive real number; strings and None are not numbers."""
-    return isinstance(value, numbers.Real) and bool(np.isfinite(value)) and value > 0
 
 
 @dataclass(frozen=True)
@@ -89,9 +84,9 @@ class SolverConfig:
         if self.update not in ("explicit", "implicit"):
             raise InvalidInputError("update must be 'explicit' or 'implicit'")
         for name in ("eta0", "lambda_max", "tol_y", "tol_lf"):
-            if not _positive_number(getattr(self, name)):
+            if not positive_number(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be a positive finite number")
-        if not (_positive_number(self.omega_alpha) and self.omega_alpha < 1.0):
+        if not (positive_number(self.omega_alpha) and self.omega_alpha < 1.0):
             raise InvalidInputError("omega_alpha must lie in (0, 1)")
         for name, low in (("niter", 1), ("feature_degree", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -100,11 +95,11 @@ class SolverConfig:
             if value < low:
                 raise InvalidInputError(f"{name} must be >= {low}")
         if self.lambda0 != "auto":
-            if not _positive_number(self.lambda0):
+            if not positive_number(self.lambda0):
                 raise InvalidInputError("lambda0 must be positive or 'auto'")
             if self.lambda_max < self.lambda0:
                 raise InvalidInputError("lambda_max must be >= lambda0")
-        if self.bandwidth_a != "auto" and not _positive_number(self.bandwidth_a):
+        if self.bandwidth_a != "auto" and not positive_number(self.bandwidth_a):
             raise InvalidInputError("bandwidth_a must be positive or 'auto'")
 
 
@@ -278,7 +273,8 @@ def solve(x, covariates, cost_model, config=None):
     constraint or ``config.niter`` is reached.  A candidate step is
     rejected, and the learning rate halved, when it raises the objective,
     leaves the cost's domain, or gives a non-finite value or gradient; the
-    run ends early when 60 halvings find no step.
+    constraint gradient is built only for the starting points and for each
+    accepted step.  The run ends early when 60 halvings find no step.
     ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
     :class:`NumericError` only when that evaluation is not finite.
     """
@@ -300,9 +296,12 @@ def solve(x, covariates, cost_model, config=None):
         shift = None
 
     tf_spec, bandwidth_a = _resolve_tf_spec(config, y)
+    if tf_spec.mode == "kde":
+        C = np.asfortranarray(C)  # the kde product reads C.T: one C-contiguous copy of it
     implicit = config.update == "implicit"
     auto = config.lambda0 == "auto"
     ev = evaluate(x_cost, y, cost_model, C, tf_spec, Z=Z, want_hvp=implicit or auto)
+    ev.grad_constraint  # built now: a non-finite start raises NumericError here
     if auto:
         lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
         if not implicit:  # the loop holds no product, nor the kernel it keeps
@@ -344,6 +343,7 @@ def solve(x, covariates, cost_model, config=None):
                                   Z=Z, want_hvp=implicit)
                 L = ev_new.L_C + lam * ev_new.L_F
                 if L <= rhs:
+                    ev_new.grad_constraint  # built only now; a non-finite one rejects the step
                     break
             except (InvalidInputError, NumericError):
                 pass  # candidate left the cost's domain or blew up

@@ -204,6 +204,13 @@ class TestCli:
         assert rows[0] == "x1,x2,z1,z2,y1,y2"
         assert len(rows) == 60  # first step has no lag
 
+    def test_one_step_hidden_signal_is_error(self, tmp_path, capsys):
+        # a 1-row series has no lagged pair, so filter-timeseries could not read it
+        series = tmp_path / "ts.csv"
+        assert main(["gen", "hidden-signal", "--steps", "1", "--output", str(series)]) == 1
+        assert "steps must be >= 2" in capsys.readouterr().err
+        assert not series.exists()
+
     def test_filter_bandwidth_b_takes_effect(self, tmp_path):
         series = str(tmp_path / "ts.csv")
         main(["gen", "hidden-signal", "--seed", "0", "--steps", "30", "--output", series])

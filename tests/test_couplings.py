@@ -205,6 +205,11 @@ class TestCovariatesAndBuild:
         Z, C = build_couplings(cov)
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
 
+    @pytest.mark.parametrize("bandwidth_b", ["wide", None, True, 0.0, float("nan")])
+    def test_bad_bandwidth_b_rejected(self, bandwidth_b):
+        with pytest.raises(InvalidInputError, match="bandwidth_b"):
+            Covariates.continuous(np.ones((3, 1)), bandwidth_b=bandwidth_b)
+
     def test_invalid_covariates(self):
         with pytest.raises(InvalidInputError):
             Covariates(kind="continuous", values=np.ones((3, 1)), bandwidth_b=-1.0)

@@ -137,6 +137,11 @@ class TestHiddenSignal:
         assert np.abs(np.linalg.norm(ts.x, axis=1) - 1).max() <= 1e-12
         assert np.abs(np.linalg.norm(ts.w_hidden, axis=1) - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_fewer_than_two_steps_rejected(self, steps):
+        with pytest.raises(InvalidInputError, match="steps"):
+            gen_hidden_signal(seed=0, steps=steps)
+
     def test_hidden_points_on_polar_cap(self):
         ts = gen_hidden_signal(seed=1, steps=500)
         _, phi, _ = cart2sph(ts.w_hidden)

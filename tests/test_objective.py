@@ -286,3 +286,10 @@ class TestEvaluate:
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(InvalidInputError):
             TestFunctionSpec.kde(0.0)
+
+    @pytest.mark.parametrize("bandwidth_a", ["wide", None, True, float("inf")])
+    def test_non_number_bandwidth_rejected(self, bandwidth_a):
+        with pytest.raises(InvalidInputError, match="bandwidth_a"):
+            TestFunctionSpec(mode="kde", bandwidth_a=bandwidth_a)
+        with pytest.raises(InvalidInputError, match="bandwidth_a"):
+            TestFunctionSpec.kde(bandwidth_a)

@@ -5,7 +5,7 @@ from baryflow import objective, solver
 from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses
-from baryflow.errors import InvalidInputError
+from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import MonomialBasis, TestFunctionSpec, constraint_parts, evaluate
 from baryflow.solver import (
     SolverConfig,
@@ -17,6 +17,24 @@ from baryflow.solver import (
 )
 
 from conftest import combined_grad, operator_matrix
+
+
+def count_constraint_gradients(monkeypatch, poisoned=()):
+    """Record each constraint-gradient build, in order; the builds numbered in ``poisoned`` give NaN."""
+    builds = []
+    parts = objective.constraint_parts
+
+    def counting(*args, **kwargs):
+        value, grad, hvp = parts(*args, **kwargs)
+
+        def build():
+            builds.append(1)
+            return np.full_like(grad(), np.nan) if len(builds) - 1 in poisoned else grad()
+        return value, build, hvp
+
+    monkeypatch.setattr(objective, "constraint_parts", counting)  # evaluate's
+    monkeypatch.setattr(solver, "constraint_parts", counting)  # the descent check's right side
+    return builds
 
 
 class TestPreconditionMeanShift:
@@ -325,6 +343,42 @@ class TestSolve:
         assert halvings > 0
         assert len(builds) == 1 + 2 * (1 + halvings)
 
+    @pytest.mark.parametrize("problem,update", [
+        ("kde", "explicit"), ("kde", "implicit"), ("features", "implicit"),
+    ])
+    def test_constraint_gradients_built_once_per_kept_point_set(self, problem, update, monkeypatch):
+        # the start and each accepted step; never a rejected candidate or a right side
+        builds = count_constraint_gradients(monkeypatch)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(problem=problem, update=update, eta0=50.0, niter=10)
+        result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"), cfg)
+        assert sum(h.eta_halvings for h in result.history) > 0
+        assert len(builds) == 1 + result.iterations
+
+    @pytest.mark.parametrize("problem", ["kde", "features"])
+    def test_non_finite_candidate_gradient_halves_eta(self, problem, monkeypatch):
+        # the first candidate passes the descent check, but its gradient is NaN
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        model = CostModel("sq_euclidean")
+        plain = solve(ds.x, ds.covariates, model,
+                      SolverConfig(problem=problem, eta0=5e-4, niter=1))
+        count_constraint_gradients(monkeypatch, poisoned={1})
+        result = solve(ds.x, ds.covariates, model,
+                       SolverConfig(problem=problem, eta0=1e-3, niter=1))
+        assert plain.history[0].eta_halvings == 0
+        assert result.history[0].eta_halvings == 1
+        assert result.history[0].eta == plain.history[0].eta
+        assert np.array_equal(result.y_final, plain.y_final)
+
+    @pytest.mark.parametrize("lambda0", ["auto", 1.0])
+    @pytest.mark.parametrize("problem", ["kde", "features"])
+    def test_non_finite_start_gradient_raises(self, problem, lambda0, monkeypatch):
+        count_constraint_gradients(monkeypatch, poisoned={0})
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        with pytest.raises(NumericError, match="gradient"):
+            solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                  SolverConfig(problem=problem, lambda0=lambda0))
+
     def test_precondition_result_carries_provenance(self):
         ds = gen_ellipses(seed=4, n_per_class=20)
         cfg = SolverConfig(problem="features", feature_degree=1, niter=100, precondition=True)
@@ -362,7 +416,7 @@ class TestSolve:
             SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("eta0", float("nan")), ("eta0", "0.1"), ("eta0", 0.0), ("eta0", None),
+        ("eta0", float("nan")), ("eta0", "0.1"), ("eta0", 0.0), ("eta0", None), ("eta0", True),
         ("tol_y", float("nan")), ("tol_lf", float("inf")), ("lambda_max", float("nan")),
         ("lambda_max", float("inf")), ("omega_alpha", float("nan")), ("omega_alpha", "0.5"),
         ("lambda0", float("nan")), ("bandwidth_a", float("inf")),
