@@ -4,8 +4,10 @@ Pairwise families (squared Euclidean, smoothed p-norm, great-circle on the
 unit sphere) average a per-sample cost c(x_i, y_i), so their Hessian is
 block diagonal and the product applies per-point d x d blocks.  The
 distortion family couples sample pairs through the coupling matrix Z,
-penalizing deviation of pairwise distance ratios from one; its product sums
-over pairs in O(N^2 d) without forming the (N, N, d, d) Hessian.
+penalizing deviation of pairwise distance ratios from one.  Its product never
+forms the (N, N, d, d) Hessian: :func:`pair_outer_operator` sets up per-point
+d x d blocks once in O(N^2 d^2), and each product is then one N x N by
+N x (d^2 + 2d + 1) matrix product.
 """
 
 from __future__ import annotations
@@ -128,18 +130,41 @@ def deferred(build):
     return get
 
 
-def pair_outer_hvp(A, y, c, v):
-    """sum_i A[j, i] (y_j - c_i) ((y_j - c_i) . (v_j - v_i)) for every j.
+def _lifted(p):
+    """[p_j, 1] and the d x (d + 1) block [I, -p_j] for every point p_j."""
+    n, d = p.shape
+    block = np.zeros((n, d, d + 1))
+    block[:, :, :d] = np.eye(d)
+    block[:, :, d] = -p
+    return np.hstack([p, np.ones((n, 1))]), block
 
-    Expands the inner product into N x N matrix products, so no (N, N, d)
-    difference array is formed.
+
+def pair_outer_operator(A, y, c):
+    """The map v -> (sum_i A[j, i] D_ji (D_ji . (v_j - v_i)) for every j, A @ v), D_ji = y_j - c_i.
+
+    With P_j = [I, -y_j] and Q_i = [I, -c_i], D_ji = -P_j [c_i, 1] and
+    D_ji . v_i = [y_j, 1] . Q_i^T v_i, so the pair term at j is
+    B_j v_j + S_j (A V)_j: B_j = P_j (sum_i A[j, i] [c_i, 1] [c_i, 1]^T) P_j^T,
+    S_j = [y_j, 1]^T (x) P_j, and V_i = (Q_i^T v_i) (x) [c_i, 1] = T_i v_i has
+    (d + 1)^2 columns, v_i among them.  Setting up B, S and T costs
+    O(N^2 d^2); each call then costs one N x N by N x (d + 1)^2 product and
+    forms no N x N array.  y and c are first shifted by the mean of c, which
+    leaves every D_ji unchanged and keeps far-off points from cancelling.
     """
-    W = np.hstack([y, v]) @ np.hstack([v, c]).T  # y_j . v_i + v_j . c_i
-    W *= -1.0
-    W += np.einsum("ja,ja->j", y, v)[:, None]
-    W += np.einsum("ia,ia->i", c, v)[None, :]
-    W *= A
-    return W.sum(axis=1)[:, None] * y - W @ c
+    n, d = y.shape
+    mean = c.mean(axis=0)
+    y1, P = _lifted(y - mean)
+    c1, Q = _lifted(c - mean)
+    G = (A @ (c1[:, :, None] * c1[:, None, :]).reshape(n, -1)).reshape(n, d + 1, d + 1)
+    B = P @ G @ P.transpose(0, 2, 1)
+    S = (y1[:, None, :, None] * P[:, :, None, :]).reshape(n, d, -1)
+    T = (Q.transpose(0, 2, 1)[:, :, None, :] * c1[:, None, :, None]).reshape(n, -1, d)
+
+    def apply(v):
+        AV = A @ np.einsum("ikb,ib->ik", T, v)
+        pair = np.einsum("jab,jb->ja", B, v) + np.einsum("jak,jk->ja", S, AV)
+        return pair, AV[:, d::d + 1][:, :d]  # the columns v_i (x) 1
+    return apply
 
 
 def _sq_euclidean_parts(x, y, want_hvp):
@@ -259,11 +284,11 @@ def _distortion_parts(model, x, y, Z, want_hvp):
         def coefficients():
             c_eye = (8.0 / n**2) * coeff
             eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * omega / n
-            return (16.0 / n**2) * W / denom**2, c_eye, eye_rows
+            return pair_outer_operator((16.0 / n**2) * W / denom**2, y, y), c_eye, eye_rows
 
         def hvp(v):
-            c_outer, c_eye, eye_rows = coefficients()
-            return pair_outer_hvp(c_outer, y, y, v) + eye_rows * v - c_eye @ v
+            pair, c_eye, eye_rows = coefficients()
+            return pair(v)[0] + eye_rows * v - c_eye @ v
     return value, grad, hvp
 
 

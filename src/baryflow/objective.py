@@ -18,7 +18,9 @@ constraint modes exist:
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
   (m, N) values and (m, N, d) gradients and ``hess(y)`` their (m, N, d, d)
   Hessians.  Gradients use the symmetric form 2 * (C f_l)_i * f_l'(y_i),
-  exact for symmetric C (couplings built by this package are symmetric).
+  exact for symmetric C.  The C built by this package is symmetric only to
+  rounding (categorical covariates) or to the Sinkhorn tolerance (continuous
+  ones), and so are the gradient and the Hessian-vector products MINRES reads.
 
 Both modes return the constraint gradient as a function that builds it from
 the terms the value left behind (the kde kernel matrix, the features' C f_l),
@@ -30,9 +32,11 @@ kernel and value alone.
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
 feature averages) tracking the points.  They reuse the gradient's
-intermediate terms and never form the (N, N, d, d) Hessian: a kde product
-costs O(N^2 d) in matrix products, a features product O(N^2 m + N m d^2)
-for m features.
+intermediate terms and never form the (N, N, d, d) Hessian.  kde sets up
+per-point d x d blocks once per evaluation, in O(N^2 d^2), on the first
+product (see :func:`baryflow.costs.pair_outer_operator`); each product is then
+one N x N by N x (d^2 + 2d + 1) matrix product.  A features product costs
+O(N^2 m + N m d^2) for m features.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import cost_parts, deferred, pair_outer_hvp
+from .costs import cost_parts, deferred, pair_outer_operator
 from .couplings import kernel_cross_matrix
 from .errors import InvalidInputError, NumericError, positive_number
 
@@ -206,8 +210,11 @@ def _kde_parts(y, C, bandwidth, centers, want_hvp):
     grad = lambda: -(s()[:, None] * y - M @ centers) / a2
     hvp = None
     if want_hvp:
+        pair = deferred(lambda: pair_outer_operator(M, y, centers))
+
         def hvp(v):
-            return (pair_outer_hvp(M, y, centers, v) / a2 - s()[:, None] * v + M @ v) / a2
+            outer, Mv = pair()(v)
+            return (outer / a2 - s()[:, None] * v + Mv) / a2
     return value, grad, hvp
 
 

@@ -237,7 +237,8 @@ def _auto_lambda0(hvp, shape, lambda_max, seed):
     """1 / spectral-radius estimate of the constraint Hessian at the start.
 
     Seeded power iteration on the constraint's Hessian-vector product ``hvp``
-    over arrays of ``shape``; returns 1 when the constraint is locally flat.
+    over arrays of ``shape``; the estimate is 1 when the constraint is
+    locally flat.  Never more than ``lambda_max``.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(shape)
@@ -247,11 +248,9 @@ def _auto_lambda0(hvp, shape, lambda_max, seed):
         w = hvp(v)
         estimate = np.linalg.norm(w)
         if estimate < 1e-30:
-            return 1.0
+            break
         v = w / estimate
-    if estimate <= 1e-12:
-        return 1.0
-    return min(1.0 / estimate, lambda_max)
+    return min(1.0 / estimate if estimate > 1e-12 else 1.0, lambda_max)
 
 
 def _resolve_tf_spec(config, y0):

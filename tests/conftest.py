@@ -1,5 +1,7 @@
 """Shared numerical helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,24 @@ def assert_symmetric(hvp, rng, n, d, trials=5):
         hv = hvp(v)
         gap = abs(np.sum(u * hv) - np.sum(hvp(u) * v))
         assert gap <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
+
+
+def direct_pair_outer(A, y, c, v):
+    """sum_i A[j, i] D_ji (D_ji . (v_j - v_i)), D_ji = y_j - c_i, from the (N, N, d) differences."""
+    D = y[:, None, :] - c[None, :, :]
+    dv = v[:, None, :] - v[None, :, :]
+    return np.einsum("ji,jia,ji->ja", A, D, np.einsum("jia,jia->ji", D, dv))
+
+
+def product_peak_bytes(hvp, v):
+    """tracemalloc peak of one call hvp(v), after a first call that does any deferred set-up."""
+    hvp(v)
+    tracemalloc.start()
+    try:
+        hvp(v)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rel_err(a, b):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryflow.costs import CostModel, cost_parts, parse_cost_spec
+from baryflow.costs import CostModel, cost_parts, pair_outer_operator, parse_cost_spec
 from baryflow.couplings import categorical_coupling
 from baryflow.errors import InvalidInputError
 
@@ -9,7 +9,9 @@ from conftest import (
     assert_symmetric,
     central_diff_grad,
     central_diff_jacobian,
+    direct_pair_outer,
     operator_matrix,
+    product_peak_bytes,
     rel_err,
 )
 
@@ -169,3 +171,23 @@ class TestCostHessian:
     def test_hvp_symmetric(self, family, rng):
         model, x, y, Z = make_instance(family, rng, n=7)
         assert_symmetric(cost_parts(model, x, y, Z, want_hvp=True)[2], rng, *y.shape)
+
+    def test_distortion_product_allocates_no_n_by_n_array(self, rng):
+        model, x, y, Z = make_instance("distortion", rng, n=400)
+        hvp = cost_parts(model, x, y, Z, want_hvp=True)[2]
+        assert product_peak_bytes(hvp, rng.standard_normal(y.shape)) < 400**2 * 8 / 4
+
+
+class TestPairOuterOperator:
+    @pytest.mark.parametrize("moved", [False, True], ids=["c=y", "c!=y"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_direct_sum(self, d, moved, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 41))
+            A = rng.standard_normal((n, n))  # not symmetric
+            y = rng.standard_normal((n, d)) + rng.uniform(-100.0, 100.0, d)
+            c = y + rng.standard_normal((n, d)) if moved else y
+            v = rng.standard_normal((n, d))
+            pair, Av = pair_outer_operator(A, y, c)(v)
+            assert rel_err(pair, direct_pair_outer(A, y, c, v)) <= 1e-12
+            assert rel_err(Av, A @ v) <= 1e-12

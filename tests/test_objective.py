@@ -20,7 +20,9 @@ from conftest import (
     central_diff_grad,
     central_diff_jacobian,
     combined_grad,
+    direct_pair_outer,
     operator_matrix,
+    product_peak_bytes,
     rel_err,
 )
 
@@ -262,6 +264,27 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 3)
         assert_symmetric(constraint_parts(y, C, tf, want_hvp=True)[2], rng, n, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kde_hvp_with_moved_centers_matches_direct_sum(self, d, rng):
+        # (pair term / a^2 - diag(M 1) v + M v) / a^2 with M[j, i] = K(y_j, c_i) C[i, j]
+        n, a = 12, 1.3
+        y = rng.standard_normal((n, d)) + rng.uniform(-100.0, 100.0, d)
+        centers = y + 0.5 * rng.standard_normal((n, d))
+        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+        v = rng.standard_normal((n, d))
+        hvp = constraint_parts(y, C, TestFunctionSpec.kde(a), centers=centers, want_hvp=True)[2]
+        M = kernel_cross_matrix(y, centers, a) * C.T
+        expected = (direct_pair_outer(M, y, centers, v) / a**2
+                    - M.sum(axis=1)[:, None] * v + M @ v) / a**2
+        assert rel_err(hvp(v), expected) <= 1e-12
+
+    def test_kde_product_allocates_no_n_by_n_array(self, rng):
+        n = 400
+        y = rng.standard_normal((n, 2))
+        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+        hvp = constraint_parts(y, C, TestFunctionSpec.kde(0.7), want_hvp=True)[2]
+        assert product_peak_bytes(hvp, rng.standard_normal((n, 2))) < n**2 * 8 / 4
 
     def test_hvp_needs_request(self, rng):
         y = rng.standard_normal((4, 2))

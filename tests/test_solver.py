@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryflow import objective, solver
+from baryflow import costs, objective, solver
 from baryflow.costs import CostModel, cost_parts
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses
@@ -34,6 +34,20 @@ def count_constraint_gradients(monkeypatch, poisoned=()):
 
     monkeypatch.setattr(objective, "constraint_parts", counting)  # evaluate's
     monkeypatch.setattr(solver, "constraint_parts", counting)  # the descent check's right side
+    return builds
+
+
+def count_pair_operators(monkeypatch):
+    """Record each pair-coupled Hessian-vector-product set-up, the kde constraint's and the distortion cost's."""
+    builds = []
+    operator = costs.pair_outer_operator
+
+    def counting(*args):
+        builds.append(1)
+        return operator(*args)
+
+    monkeypatch.setattr(objective, "pair_outer_operator", counting)
+    monkeypatch.setattr(costs, "pair_outer_operator", counting)
     return builds
 
 
@@ -329,6 +343,32 @@ class TestSolve:
         result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"), cfg)
         assert sum(h.eta_halvings for h in result.history) > 0
         assert 0 < len(builds) <= result.iterations  # lambda0 uses the first iteration's
+
+    @pytest.mark.parametrize("problem,cost", [("kde", "sq_euclidean"), ("features", "distortion")])
+    def test_pair_operators_set_up_once_per_iteration(self, problem, cost, monkeypatch):
+        # rejected implicit candidates never apply their Hessian-vector product
+        builds = count_pair_operators(monkeypatch)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(problem=problem, update="implicit", eta0=50.0, niter=30)
+        result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+        assert sum(h.eta_halvings for h in result.history) > 0
+        assert 0 < len(builds) <= result.iterations  # lambda0 uses the first iteration's
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    def test_explicit_fixed_lambda0_sets_up_no_pair_operator(self, cost, monkeypatch):
+        builds = count_pair_operators(monkeypatch)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        solve(ds.x, ds.covariates, CostModel(cost), SolverConfig(lambda0=1.0, niter=20))
+        assert builds == []
+
+    @pytest.mark.parametrize("problem", ["kde", "features"])
+    def test_flat_constraint_lambda0_respects_lambda_max(self, problem, rng):
+        x = rng.standard_normal((10, 2))
+        cov = Covariates.categorical(np.zeros(10, dtype=int))  # one class: C = 0
+        res = solve(x, cov, CostModel("sq_euclidean"),
+                    SolverConfig(problem=problem, lambda_max=0.5))
+        assert res.lambda0 == 0.5
+        assert res.history and all(h.lam <= 0.5 for h in res.history)
 
     def test_kernels_built_once_per_point_set(self, monkeypatch):
         # one kernel at the start, serving lambda0 too; two per tried step
