@@ -8,6 +8,9 @@ penalizing deviation of pairwise distance ratios from one.  Its product never
 forms the (N, N, d, d) Hessian: :func:`pair_outer_operator` sets up per-point
 d x d blocks once in O(N^2 d^2), and each product is then one N x N by
 N x (d^2 + 2d + 1) matrix product.
+
+:func:`cost_function` checks x and Z once per solve; per call, only the
+great-circle cost's latitudes of y are checked, as a step can pass a pole.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_points
 
 __all__ = [
     "CostModel",
-    "cost_parts",
+    "cost_function",
     "parse_cost_spec",
 ]
 
@@ -37,7 +40,7 @@ _LATITUDE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cost specification; ``requires_pairing`` families need Z at evaluation.
+    """Cost specification; the ``distortion`` family needs Z at binding.
 
     Families: ``sq_euclidean`` (canonical 0.5||x-y||^2), ``p_norm`` (smoothed
     coordinate-wise |t|^p with |t| ~ sqrt(t^2+eps_abs)-sqrt(eps_abs)),
@@ -66,10 +69,6 @@ class CostModel:
             if not np.isfinite(self.omega) or self.omega <= 0:
                 raise InvalidInputError("omega must be positive")
 
-    @property
-    def requires_pairing(self) -> bool:
-        return self.family == "distortion"
-
 
 def parse_cost_spec(text):
     """Parse a cost string: ``l2``, ``pnorm:<p>``, ``geodesic-sphere``, ``distortion:<omega>``."""
@@ -95,28 +94,9 @@ def parse_cost_spec(text):
     )
 
 
-def _validate(model, x, y, Z):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.shape != x.shape:
-        raise InvalidInputError("x and y must be matching N x d arrays")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidInputError("x and y must be finite")
-    if model.requires_pairing:
-        if Z is None:
-            raise InvalidInputError("the distortion cost requires the coupling matrix Z")
-        Z = np.asarray(Z, dtype=float)
-        if Z.shape != (x.shape[0], x.shape[0]):
-            raise InvalidInputError("Z must be N x N")
-    else:
-        Z = None
-    if model.family == "geodesic_sphere":
-        if x.shape[1] != 2:
-            raise InvalidInputError("geodesic cost expects 2 columns: (longitude, latitude)")
-        half_pi = 0.5 * np.pi + _LATITUDE_SLACK
-        if np.abs(x[:, 1]).max() > half_pi or np.abs(y[:, 1]).max() > half_pi:
-            raise InvalidInputError("latitude outside [-pi/2, pi/2]")
-    return x, y, Z
+def _check_latitudes(points):
+    if np.abs(points[:, 1]).max() > 0.5 * np.pi + _LATITUDE_SLACK:
+        raise InvalidInputError("latitude outside [-pi/2, pi/2]")
 
 
 def deferred(build):
@@ -255,15 +235,10 @@ def _geodesic_parts(x, y, want_hvp):
     return value, grad, hvp
 
 
-def _distortion_parts(model, x, y, Z, want_hvp):
+def _distortion_parts(model, x, y, denom, W, want_hvp):
     n = x.shape[0]
-    eps2 = model.eps_dist**2
     omega = model.omega
-    denom = cdist(x, x, metric="sqeuclidean") + eps2
     ratio = cdist(y, y, metric="sqeuclidean") / denom
-    W = 0.5 * (Z + Z.T)
-    np.fill_diagonal(W, 0.0)
-
     dev = ratio - 1.0
     anchor_diff = y - x
     value = float(np.sum(W * dev * dev)) / n**2 + omega * float(
@@ -292,18 +267,34 @@ def _distortion_parts(model, x, y, Z, want_hvp):
     return value, grad, hvp
 
 
-def cost_parts(model, x, y, Z=None, want_hvp=False):
-    """Value, gradient and (optionally) Hessian-vector product in one pass.
+def cost_function(model, x, Z=None):
+    """Bind ``model`` to the points x (and, for distortion, the N x N coupling Z) of one solve.
 
-    Returns ``(value, grad, hvp)``.  ``hvp`` maps an N x d array v to the
+    Checks x (finite N x d; 2 columns and latitudes in range for the
+    great-circle cost) and Z here, once; distortion also computes its x- and
+    Z-only terms here.  Returns ``parts(y, want_hvp=False) -> (value, grad,
+    hvp)`` for a finite float y of x's shape, which checks only the
+    great-circle latitudes of y.  ``hvp`` maps an N x d array v to the
     Hessian of the cost at y applied to v; it is None unless ``want_hvp``.
     """
-    x, y, Z = _validate(model, x, y, Z)
+    x = as_points(x)
     if model.family == "sq_euclidean":
-        return _sq_euclidean_parts(x, y, want_hvp)
+        return lambda y, want_hvp=False: _sq_euclidean_parts(x, y, want_hvp)
     if model.family == "p_norm":
-        return _p_norm_parts(model, x, y, want_hvp)
+        return lambda y, want_hvp=False: _p_norm_parts(model, x, y, want_hvp)
     if model.family == "geodesic_sphere":
-        return _geodesic_parts(x, y, want_hvp)
-    return _distortion_parts(model, x, y, Z, want_hvp)
+        if x.shape[1] != 2:
+            raise InvalidInputError("geodesic cost expects 2 columns: (longitude, latitude)")
+        _check_latitudes(x)
 
+        def parts(y, want_hvp=False):
+            _check_latitudes(y)
+            return _geodesic_parts(x, y, want_hvp)
+        return parts
+    if Z is None or np.shape(Z) != (len(x), len(x)):
+        raise InvalidInputError("the distortion cost requires an N x N coupling matrix Z")
+    Z = np.asarray(Z, dtype=float)
+    denom = cdist(x, x, metric="sqeuclidean") + model.eps_dist**2
+    W = 0.5 * (Z + Z.T)
+    np.fill_diagonal(W, 0.0)
+    return lambda y, want_hvp=False: _distortion_parts(model, x, y, denom, W, want_hvp)

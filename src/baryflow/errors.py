@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check for a positive real."""
+"""Exception types shared across the package, and the checks of a positive real and of a point set."""
 
 import numbers
 
@@ -9,6 +9,16 @@ def positive_number(value):
     """True for a finite positive real number; strings, None and booleans are not numbers."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and bool(np.isfinite(value)) and value > 0)
+
+
+def as_points(x):
+    """Coerce to a finite float N x d array, or raise InvalidInputError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise InvalidInputError("points must form a non-empty N x d array")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("points must be finite")
+    return x
 
 
 class BaryflowError(Exception):

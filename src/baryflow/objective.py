@@ -10,9 +10,9 @@ constraint modes exist:
   estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l].
   Its descent direction differentiates the kernel only through the
   evaluation slot, holding the kernel centers at the current positions.
-  :func:`constraint_parts` accepts other ``centers``: the solver's descent
-  check scores the points before a step against centers at the stepped
-  points.
+  The kernel centers default to the evaluated points; the solver's descent
+  check passes the stepped points as ``centers`` to score the points before
+  the step.
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
@@ -21,6 +21,9 @@ constraint modes exist:
   exact for symmetric C.  The C built by this package is symmetric only to
   rounding (categorical covariates) or to the Sinkhorn tolerance (continuous
   ones), and so are the gradient and the Hessian-vector products MINRES reads.
+
+:func:`constraint_function` checks C once per solve; per call, only the
+features' width is checked, and the solver checks that each candidate is finite.
 
 Both modes return the constraint gradient as a function that builds it from
 the terms the value left behind (the kde kernel matrix, the features' C f_l),
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import cost_parts, deferred, pair_outer_operator
+from .costs import deferred, pair_outer_operator
 from .couplings import kernel_cross_matrix
 from .errors import InvalidInputError, NumericError, positive_number
 
@@ -55,7 +58,7 @@ __all__ = [
     "MonomialBasis",
     "ObjectiveEval",
     "TestFunctionSpec",
-    "constraint_parts",
+    "constraint_function",
     "evaluate",
     "monomial_features",
 ]
@@ -201,10 +204,10 @@ class TestFunctionSpec:
         return cls(mode="features", features=monomial_features(dim, degree))
 
 
-def _kde_parts(y, C, bandwidth, centers, want_hvp):
+def _kde_parts(y, CT, bandwidth, centers, want_hvp):
     a2 = bandwidth**2
     M = kernel_cross_matrix(y, centers, bandwidth)
-    M *= C.T  # M[j, i] = K(y_j, centers_i) * C[i, j]
+    M *= CT  # M[j, i] = K(y_j, centers_i) * C[i, j]
     value = float(M.sum())
     s = deferred(lambda: M.sum(axis=1))
     grad = lambda: -(s()[:, None] * y - M @ centers) / a2
@@ -234,26 +237,27 @@ def _features_parts(y, C, basis, want_hvp):
     return value, grad, hvp
 
 
-def constraint_parts(y, C, tf_spec, centers=None, want_hvp=False):
-    """Constraint value, gradient and optional Hessian-vector product: ``(value, grad, hvp)``.
+def constraint_function(C, tf_spec):
+    """Bind the constraint of ``tf_spec`` to the N x N centering matrix C of one solve.
 
-    ``grad`` is a function of no arguments that builds the N x d gradient,
-    so a caller that needs only the value never pays for it.  For kde mode
-    the gradient differentiates only the evaluation slot of the kernel
-    (centers held fixed at ``centers``, default ``y``); ``hvp`` (None unless
-    ``want_hvp``) applies the Jacobian of that gradient field once the
-    centers track the points again to an N x d array.  kde mode multiplies
-    the kernel by ``C.T`` entrywise; a Fortran-ordered C makes that read
-    contiguous.
+    Checks here, once, that C is square; kde keeps the C-contiguous copy of
+    C^T its kernel product reads.  Returns ``parts(y, centers=None,
+    want_hvp=False) -> (value, grad, hvp)`` for a finite N x d float y.
+    ``grad`` is a function of no arguments that builds the N x d gradient.
+    For kde it differentiates only the evaluation slot of the kernel (centers
+    held at ``centers``, default ``y``; features ignore them).  ``hvp`` (None
+    unless ``want_hvp``) applies the Jacobian of that gradient field once the
+    centers track the points again to an N x d array.
     """
-    y = np.asarray(y, dtype=float)
     C = np.asarray(C, dtype=float)
-    if y.ndim != 2 or C.shape != (y.shape[0], y.shape[0]):
-        raise InvalidInputError("y must be N x d with a matching N x N centering matrix")
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise InvalidInputError("the centering matrix C must be square")
     if tf_spec.mode == "kde":
-        centers = y if centers is None else np.asarray(centers, dtype=float)
-        return _kde_parts(y, C, tf_spec.bandwidth_a, centers, want_hvp)
-    return _features_parts(y, C, tf_spec.features, want_hvp)
+        CT, a = np.ascontiguousarray(C.T), tf_spec.bandwidth_a
+        return lambda y, centers=None, want_hvp=False: _kde_parts(
+            y, CT, a, y if centers is None else centers, want_hvp)
+    return lambda y, centers=None, want_hvp=False: _features_parts(
+        y, C, tf_spec.features, want_hvp)
 
 
 @dataclass
@@ -292,17 +296,18 @@ class ObjectiveEval:
         return lambda v: self.hvp_cost(v) + lam * self.hvp_constraint(v)
 
 
-def evaluate(x, y, cost_model, C, tf_spec, Z=None, want_hvp=False):
-    """Evaluate the cost and the constraint with gradients (and Hessian-vector products on request).
+def evaluate(cost, constraint, y, want_hvp=False):
+    """Evaluate a bound cost and constraint at y, with gradients (and Hessian-vector products on request).
 
-    Kernel centers sit at the current ``y``.  Raises NumericError when either
-    value or the cost gradient is not finite.  The constraint gradient is
-    built on the first read of ``grad_constraint``, and that read raises
-    NumericError when it is not finite; the solver reads it only at the
-    starting points and at each accepted step.
+    ``cost`` and ``constraint`` come from :func:`baryflow.costs.cost_function`
+    and :func:`constraint_function`; kernel centers sit at y.  Raises
+    NumericError when either value or the cost gradient is not finite.  The
+    constraint gradient is built on the first read of ``grad_constraint``,
+    which raises NumericError when it is not finite; the solver reads it only
+    at the starting points and at each accepted step.
     """
-    cv, cg, chvp = cost_parts(cost_model, x, y, Z, want_hvp=want_hvp)
-    fv, fg, fhvp = constraint_parts(y, C, tf_spec, want_hvp=want_hvp)
+    cv, cg, chvp = cost(y, want_hvp=want_hvp)
+    fv, fg, fhvp = constraint(y, want_hvp=want_hvp)
     if not (np.isfinite([cv, fv]).all() and np.isfinite(cg).all()):
         raise NumericError("non-finite objective evaluation")
     return ObjectiveEval(L_C=cv, L_F=fv, grad_cost=cg, build_grad_constraint=fg,

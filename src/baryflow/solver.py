@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
+from .costs import cost_function
 from .couplings import build_couplings, median_heuristic_bandwidth
-from .errors import InvalidInputError, NumericError, positive_number
-from .objective import TestFunctionSpec, constraint_parts, evaluate
+from .errors import InvalidInputError, NumericError, as_points, positive_number
+from .objective import TestFunctionSpec, constraint_function, evaluate
 
 __all__ = [
     "BarycenterResult",
@@ -38,16 +39,6 @@ _KRYLOV_MAXITER = 500
 _RESIDUAL_RTOL = 1e-8  # accepted ||b - A x|| / ||b|| of the implicit step
 _MAX_HALVINGS = 60  # learning-rate halvings before a run ends without a step
 _POWER_STEPS = 50  # power-iteration steps of the lambda0 estimate
-
-
-def as_points(x):
-    """Coerce to a finite float N x d array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise InvalidInputError("points must form a non-empty N x d array")
-    if not np.isfinite(x).all():
-        raise InvalidInputError("points must be finite")
-    return x
 
 
 @dataclass(frozen=True)
@@ -269,8 +260,9 @@ def solve(x, covariates, cost_model, config=None):
     mean-matching shift (in which case every cost except the canonical
     squared-Euclidean one keeps being evaluated against the original
     points), and iterates until the positions stall with a satisfied
-    constraint or ``config.niter`` is reached.  A candidate step is
-    rejected, and the learning rate halved, when it raises the objective,
+    constraint or ``config.niter`` is reached.  x, Z and C are checked once,
+    when the cost and the constraint bind them.  A candidate step is rejected,
+    and the learning rate halved, when it is not finite, raises the objective,
     leaves the cost's domain, or gives a non-finite value or gradient; the
     constraint gradient is built only for the starting points and for each
     accepted step.  The run ends early when 60 halvings find no step.
@@ -295,11 +287,12 @@ def solve(x, covariates, cost_model, config=None):
         shift = None
 
     tf_spec, bandwidth_a = _resolve_tf_spec(config, y)
-    if tf_spec.mode == "kde":
-        C = np.asfortranarray(C)  # the kde product reads C.T: one C-contiguous copy of it
+    cost = cost_function(cost_model, x_cost, Z)
+    constraint = constraint_function(C, tf_spec)
+    del Z, C  # the bound terms keep what they read of them
     implicit = config.update == "implicit"
     auto = config.lambda0 == "auto"
-    ev = evaluate(x_cost, y, cost_model, C, tf_spec, Z=Z, want_hvp=implicit or auto)
+    ev = evaluate(cost, constraint, y, want_hvp=implicit or auto)
     ev.grad_constraint  # built now: a non-finite start raises NumericError here
     if auto:
         lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
@@ -334,12 +327,13 @@ def solve(x, covariates, cost_model, config=None):
             else:
                 candidate = step_explicit(y, grad, eta)
             try:
+                if not np.isfinite(candidate).all():
+                    raise NumericError("non-finite candidate")
                 L_F_old = ev.L_F  # features have no kernel centers to move
                 if tf_spec.mode == "kde":
-                    L_F_old = constraint_parts(y, C, tf_spec, centers=candidate)[0]
+                    L_F_old = constraint(y, centers=candidate)[0]
                 rhs = ev.L_C + lam * L_F_old
-                ev_new = evaluate(x_cost, candidate, cost_model, C, tf_spec,
-                                  Z=Z, want_hvp=implicit)
+                ev_new = evaluate(cost, constraint, candidate, want_hvp=implicit)
                 L = ev_new.L_C + lam * ev_new.L_F
                 if L <= rhs:
                     ev_new.grad_constraint  # built only now; a non-finite one rejects the step

@@ -124,15 +124,20 @@ def direct_pair_outer(A, y, c, v):
     return np.einsum("ji,jia,ji->ja", A, D, np.einsum("jia,jia->ji", D, dv))
 
 
-def product_peak_bytes(hvp, v):
-    """tracemalloc peak of one call hvp(v), after a first call that does any deferred set-up."""
-    hvp(v)
+def peak_bytes(call):
+    """tracemalloc peak of one call(), after a first call that does any deferred or first-use set-up."""
+    call()
     tracemalloc.start()
     try:
-        hvp(v)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def product_peak_bytes(hvp, v):
+    """tracemalloc peak of one call hvp(v), after a first call that does any deferred set-up."""
+    return peak_bytes(lambda: hvp(v))
 
 
 def rel_err(a, b):

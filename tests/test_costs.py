@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryflow.costs import CostModel, cost_parts, pair_outer_operator, parse_cost_spec
+from baryflow.costs import CostModel, cost_function, pair_outer_operator, parse_cost_spec
 from baryflow.couplings import categorical_coupling
 from baryflow.errors import InvalidInputError
 
@@ -52,29 +52,29 @@ class TestCostValue:
     def test_identity_map_pairwise(self, rng):
         for family in ("sq_euclidean", "p_norm", "geodesic_sphere"):
             model, x, _, Z = make_instance(family, rng)
-            assert cost_parts(model, x, x, Z)[0] == pytest.approx(0.0, abs=1e-12)
+            assert cost_function(model, x, Z)(x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_map_distortion_near_zero(self, rng):
         model, x, _, Z = make_instance("distortion", rng)
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         min_sq = sq[~np.eye(len(x), dtype=bool)].min()
         # ratio term at y = x is bounded by 2*eps^2 / min ||x_i - x_j||^2
-        assert cost_parts(model, x, x, Z)[0] <= 2 * model.eps_dist**2 / min_sq
+        assert cost_function(model, x, Z)(x)[0] <= 2 * model.eps_dist**2 / min_sq
 
     def test_sq_euclidean_single_point(self):
-        assert cost_parts(CostModel("sq_euclidean"), [[0.0, 0.0]], [[3.0, 4.0]])[0] == pytest.approx(12.5)
+        assert cost_function(CostModel("sq_euclidean"), [[0.0, 0.0]])([[3.0, 4.0]])[0] == pytest.approx(12.5)
 
     def test_geodesic_antipodal(self):
         # the arcsin argument is clamped at 1 - 1e-12, shaving ~1.3e-5 off pi^2
         x = np.array([[0.0, 0.0]])
         y = np.array([[np.pi, 0.0]])
-        assert cost_parts(CostModel("geodesic_sphere"), x, y)[0] == pytest.approx(np.pi**2, abs=1e-4)
+        assert cost_function(CostModel("geodesic_sphere"), x)(y)[0] == pytest.approx(np.pi**2, abs=1e-4)
         # gradient is defined as zero at exact antipodes
-        assert np.allclose(cost_parts(CostModel("geodesic_sphere"), x, y)[1], 0.0)
+        assert np.allclose(cost_function(CostModel("geodesic_sphere"), x)(y)[1], 0.0)
 
     def test_geodesic_symmetric(self, rng):
         model, x, y, _ = make_instance("geodesic_sphere", rng)
-        assert cost_parts(model, x, y)[0] == pytest.approx(cost_parts(model, y, x)[0], rel=1e-12)
+        assert cost_function(model, x)(y)[0] == pytest.approx(cost_function(model, y)(x)[0], rel=1e-12)
 
     def test_p_norm_against_scalar_oracle(self, rng):
         # independent per-coordinate loop with the smoothed absolute value
@@ -87,58 +87,63 @@ class TestCostValue:
             t = xi - yi
             s = np.sqrt(t * t + eps) - np.sqrt(eps)
             total += s**p
-        assert cost_parts(model, x, y)[0] == pytest.approx(total / 8, abs=1e-12)
+        assert cost_function(model, x)(y)[0] == pytest.approx(total / 8, abs=1e-12)
 
     def test_nonnegative_all_families(self, rng):
         for family in ALL_FAMILIES:
             model, x, y, Z = make_instance(family, rng)
-            assert cost_parts(model, x, y, Z)[0] >= 0.0
+            assert cost_function(model, x, Z)(y)[0] >= 0.0
 
     def test_distortion_translation_invariance_of_ratio_term(self, rng):
         model, x, y, Z = make_instance("distortion", rng)
         shift = np.array([3.7, -1.2])
-        base = cost_parts(model, x, y, Z)[0]
+        base = cost_function(model, x, Z)(y)[0]
         anchor = model.omega * np.mean(np.sum((y - x) ** 2, axis=1))
-        shifted = cost_parts(model, x + shift, y + shift, Z)[0]
+        shifted = cost_function(model, x + shift, Z)(y + shift)[0]
         anchor_shifted = model.omega * np.mean(np.sum((y - x) ** 2, axis=1))
         assert base - anchor == pytest.approx(shifted - anchor_shifted, abs=1e-12)
 
     def test_z_required_iff_pairing(self, rng):
         model, x, y, _ = make_instance("distortion", rng)
         with pytest.raises(InvalidInputError):
-            cost_parts(model, x, y)
+            cost_function(model, x)
+        with pytest.raises(InvalidInputError, match="N x N"):
+            cost_function(model, x, np.eye(len(x) + 1))
 
     def test_latitude_range_enforced(self):
         model = CostModel("geodesic_sphere")
         x = np.array([[0.0, 2.0], [1.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            cost_parts(model, x, x)
+        with pytest.raises(InvalidInputError, match="latitude"):
+            cost_function(model, x)  # checked once, at binding
+        parts = cost_function(model, np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="latitude"):
+            parts(x)  # and on every call, as a step can pass a pole
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            cost_parts(CostModel("sq_euclidean"), [[np.inf, 0.0]], [[0.0, 0.0]])
+            cost_function(CostModel("sq_euclidean"), [[np.inf, 0.0]])
 
 
 class TestCostGrad:
     def test_sq_euclidean_closed_form(self, rng):
         model, x, y, _ = make_instance("sq_euclidean", rng)
-        assert np.allclose(cost_parts(model, x, y)[1], (y - x) / len(x))
+        assert np.allclose(cost_function(model, x)(y)[1], (y - x) / len(x))
 
     def test_zero_at_identity(self, rng):
         model, x, _, _ = make_instance("sq_euclidean", rng)
-        assert np.allclose(cost_parts(model, x, x)[1], 0.0)
+        assert np.allclose(cost_function(model, x)(x)[1], 0.0)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences(self, family, rng):
         model, x, y, Z = make_instance(family, rng)
-        analytic = cost_parts(model, x, y, Z)[1]
-        fd = central_diff_grad(lambda yy: cost_parts(model, x, yy, Z)[0], y)
+        analytic = cost_function(model, x, Z)(y)[1]
+        fd = central_diff_grad(lambda yy: cost_function(model, x, Z)(yy)[0], y)
         assert rel_err(analytic, fd) <= 1e-5
 
 
 def cost_hessian(model, x, y, Z=None):
     """The cost's Hessian as (N, d, N, d), assembled from its Hessian-vector product."""
-    hvp = cost_parts(model, x, y, Z, want_hvp=True)[2]
+    hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
     return operator_matrix(hvp, *y.shape)
 
 
@@ -158,23 +163,23 @@ class TestCostHessian:
     def test_no_hvp_unless_requested(self, rng):
         for family in ALL_FAMILIES:
             model, x, y, Z = make_instance(family, rng)
-            assert cost_parts(model, x, y, Z)[2] is None
+            assert cost_function(model, x, Z)(y)[2] is None
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences_of_grad(self, family, rng):
         model, x, y, Z = make_instance(family, rng, n=4)
         analytic = cost_hessian(model, x, y, Z)
-        fd = central_diff_jacobian(lambda yy: cost_parts(model, x, yy, Z)[1], y)
+        fd = central_diff_jacobian(lambda yy: cost_function(model, x, Z)(yy)[1], y)
         assert rel_err(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_hvp_symmetric(self, family, rng):
         model, x, y, Z = make_instance(family, rng, n=7)
-        assert_symmetric(cost_parts(model, x, y, Z, want_hvp=True)[2], rng, *y.shape)
+        assert_symmetric(cost_function(model, x, Z)(y, want_hvp=True)[2], rng, *y.shape)
 
     def test_distortion_product_allocates_no_n_by_n_array(self, rng):
         model, x, y, Z = make_instance("distortion", rng, n=400)
-        hvp = cost_parts(model, x, y, Z, want_hvp=True)[2]
+        hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
         assert product_peak_bytes(hvp, rng.standard_normal(y.shape)) < 400**2 * 8 / 4
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryflow.costs import CostModel, cost_parts
+from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import (
     categorical_coupling, centering_matrix, kernel_cross_matrix, sinkhorn_bistochastic,
 )
@@ -9,7 +9,7 @@ from baryflow.errors import InvalidInputError
 from baryflow.objective import (
     MonomialBasis,
     TestFunctionSpec,
-    constraint_parts,
+    constraint_function,
     evaluate,
     monomial_features,
 )
@@ -28,11 +28,11 @@ from conftest import (
 
 
 def kde_value(y, C, bandwidth):
-    return constraint_parts(y, C, TestFunctionSpec.kde(bandwidth))[0]
+    return constraint_function(C, TestFunctionSpec.kde(bandwidth))(y)[0]
 
 
 def features_value(y, C, basis):
-    return constraint_parts(y, C, TestFunctionSpec(mode="features", features=basis))[0]
+    return constraint_function(C, TestFunctionSpec(mode="features", features=basis))(y)[0]
 
 
 def feature_terms(y, C, basis):
@@ -97,7 +97,7 @@ class TestMonomialFeatures:
         y = rng.standard_normal((6, width))
         C = centering_matrix(categorical_coupling(np.array([0, 0, 0, 1, 1, 1])))
         with pytest.raises(InvalidInputError, match="coordinates"):
-            constraint_parts(y, C, TestFunctionSpec.polynomial(2, 2))
+            constraint_function(C, TestFunctionSpec.polynomial(2, 2))(y)
 
     @pytest.mark.parametrize("exponents", [[], [[1, -1]], [[0.5, 1.0]], [1, 2]])
     def test_bad_exponents_rejected(self, exponents):
@@ -186,9 +186,9 @@ class TestEvaluate:
         x = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         tf = TestFunctionSpec.kde(0.7)
-        model = CostModel("sq_euclidean")
-        ev = evaluate(x, y, model, C, tf)
-        value, grad, _ = cost_parts(model, x, y)
+        cost = cost_function(CostModel("sq_euclidean"), x)
+        ev = evaluate(cost, constraint_function(C, tf), y)
+        value, grad, _ = cost(y)
         assert np.array_equal(combined_grad(ev, 0.0), grad)
         assert ev.L_C + 0.0 * ev.L_F == value
 
@@ -197,9 +197,9 @@ class TestEvaluate:
         x = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         tf = TestFunctionSpec.polynomial(2, 2)
-        model = CostModel("sq_euclidean")
-        ev = evaluate(x, y, model, C, tf)
-        assert (ev.L_C, ev.L_F) == (cost_parts(model, x, y)[0], constraint_parts(y, C, tf)[0])
+        cost, constraint = cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf)
+        ev = evaluate(cost, constraint, y)
+        assert (ev.L_C, ev.L_F) == (cost(y)[0], constraint(y)[0])
         assert ev.L_F >= -1e-10
 
     def test_two_singletons_hand_gradient(self):
@@ -207,7 +207,7 @@ class TestEvaluate:
         # cost grad 0; constraint grad 2 * (C f) = (-2, 2)
         x, C = two_singletons()
         tf = TestFunctionSpec.polynomial(1, 1)
-        ev = evaluate(x, x, CostModel("sq_euclidean"), C, tf)
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf), x)
         assert combined_grad(ev, 1.0) == pytest.approx(np.array([[-2.0], [2.0]]))
 
     def test_kde_gradient_matches_frozen_center_fd(self, rng):
@@ -216,11 +216,11 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 7)))
         tf = TestFunctionSpec.kde(0.6)
         lam = 0.8
-        ev = evaluate(x, y, CostModel("sq_euclidean"), C, tf)
+        cost, constraint = cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf)
+        ev = evaluate(cost, constraint, y)
         centers = y.copy()
         fd = central_diff_grad(
-            lambda u: cost_parts(CostModel("sq_euclidean"), x, u)[0]
-            + lam * constraint_parts(u, C, tf, centers=centers)[0],
+            lambda u: cost(u)[0] + lam * constraint(u, centers=centers)[0],
             y,
         )
         assert rel_err(combined_grad(ev, lam), fd) <= 1e-5
@@ -233,12 +233,12 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
         lam = 0.6
-        model = CostModel("p_norm", p=2.5)
-        ev = evaluate(x, y, model, C, tf, want_hvp=True)
+        cost, constraint = cost_function(CostModel("p_norm", p=2.5), x), constraint_function(C, tf)
+        ev = evaluate(cost, constraint, y, want_hvp=True)
         analytic = operator_matrix(ev.hvp(lam), n, 2)
 
         def grad_at(u):
-            return combined_grad(evaluate(x, u, model, C, tf), lam)
+            return combined_grad(evaluate(cost, constraint, u), lam)
 
         fd = central_diff_jacobian(grad_at, y)
         assert rel_err(analytic, fd) <= 1e-4
@@ -250,10 +250,10 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = TestFunctionSpec.polynomial(3, 3)
         lam = 0.6
-        model = CostModel("p_norm", p=2.5)
-        ev = evaluate(x, y, model, C, tf, want_hvp=True)
+        cost, constraint = cost_function(CostModel("p_norm", p=2.5), x), constraint_function(C, tf)
+        ev = evaluate(cost, constraint, y, want_hvp=True)
         analytic = operator_matrix(ev.hvp(lam), n, 3)
-        fd = central_diff_jacobian(lambda u: combined_grad(evaluate(x, u, model, C, tf), lam), y)
+        fd = central_diff_jacobian(lambda u: combined_grad(evaluate(cost, constraint, u), lam), y)
         assert rel_err(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
@@ -263,7 +263,7 @@ class TestEvaluate:
         # categorical C is symmetric to roundoff; a Sinkhorn coupling only to its tolerance
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 3)
-        assert_symmetric(constraint_parts(y, C, tf, want_hvp=True)[2], rng, n, 2)
+        assert_symmetric(constraint_function(C, tf)(y, want_hvp=True)[2], rng, n, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_kde_hvp_with_moved_centers_matches_direct_sum(self, d, rng):
@@ -273,7 +273,7 @@ class TestEvaluate:
         centers = y + 0.5 * rng.standard_normal((n, d))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         v = rng.standard_normal((n, d))
-        hvp = constraint_parts(y, C, TestFunctionSpec.kde(a), centers=centers, want_hvp=True)[2]
+        hvp = constraint_function(C, TestFunctionSpec.kde(a))(y, centers=centers, want_hvp=True)[2]
         M = kernel_cross_matrix(y, centers, a) * C.T
         expected = (direct_pair_outer(M, y, centers, v) / a**2
                     - M.sum(axis=1)[:, None] * v + M @ v) / a**2
@@ -283,13 +283,14 @@ class TestEvaluate:
         n = 400
         y = rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-        hvp = constraint_parts(y, C, TestFunctionSpec.kde(0.7), want_hvp=True)[2]
+        hvp = constraint_function(C, TestFunctionSpec.kde(0.7))(y, want_hvp=True)[2]
         assert product_peak_bytes(hvp, rng.standard_normal((n, 2))) < n**2 * 8 / 4
 
     def test_hvp_needs_request(self, rng):
         y = rng.standard_normal((4, 2))
         C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
-        ev = evaluate(y, y, CostModel("sq_euclidean"), C, TestFunctionSpec.kde(1.0))
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), y),
+                      constraint_function(C, TestFunctionSpec.kde(1.0)), y)
         with pytest.raises(InvalidInputError):
             ev.hvp(1.0)
 
@@ -299,12 +300,18 @@ class TestEvaluate:
         centers = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         a = 0.9
-        tf = TestFunctionSpec.kde(a)
-        lf_off = constraint_parts(y, C, tf, centers=centers)[0]
+        constraint = constraint_function(C, TestFunctionSpec.kde(a))
+        lf_off = constraint(y, centers=centers)[0]
         sq = np.sum((y[:, None, :] - centers[None, :, :]) ** 2, axis=-1)  # [l, i]
         K = np.exp(-sq / (2 * a**2)) / (2 * np.pi * a**2)
         assert lf_off == pytest.approx(np.sum(K * C.T))
-        assert lf_off != pytest.approx(constraint_parts(y, C, tf)[0])
+        assert lf_off != pytest.approx(constraint(y)[0])
+
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_non_square_centering_rejected(self, mode):
+        tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        with pytest.raises(InvalidInputError, match="square"):
+            constraint_function(np.ones((4, 3)), tf)
 
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from baryflow import costs, objective, solver
-from baryflow.costs import CostModel, cost_parts
+from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
-from baryflow.datagen import gen_ellipses
+from baryflow.datagen import gen_ellipses, gen_hidden_signal, lagged_dataset
 from baryflow.errors import InvalidInputError, NumericError
-from baryflow.objective import MonomialBasis, TestFunctionSpec, constraint_parts, evaluate
+from baryflow.objective import MonomialBasis, TestFunctionSpec, constraint_function, evaluate
 from baryflow.solver import (
     SolverConfig,
     lambda_update,
@@ -16,25 +18,42 @@ from baryflow.solver import (
     step_implicit,
 )
 
-from conftest import combined_grad, operator_matrix
+from conftest import combined_grad, operator_matrix, peak_bytes
 
 
 def count_constraint_gradients(monkeypatch, poisoned=()):
     """Record each constraint-gradient build, in order; the builds numbered in ``poisoned`` give NaN."""
     builds = []
-    parts = objective.constraint_parts
+    bind = objective.constraint_function
+
+    def counting_bind(*args):
+        parts = bind(*args)
+
+        def counting(*args, **kwargs):
+            value, grad, hvp = parts(*args, **kwargs)
+
+            def build():
+                builds.append(1)
+                return np.full_like(grad(), np.nan) if len(builds) - 1 in poisoned else grad()
+            return value, build, hvp
+        return counting
+
+    # every evaluate and the descent check's right side call the constraint the solve binds
+    monkeypatch.setattr(solver, "constraint_function", counting_bind)
+    return builds
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the positional arguments of each call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
-        value, grad, hvp = parts(*args, **kwargs)
+        calls.append(args)
+        return original(*args, **kwargs)
 
-        def build():
-            builds.append(1)
-            return np.full_like(grad(), np.nan) if len(builds) - 1 in poisoned else grad()
-        return value, build, hvp
-
-    monkeypatch.setattr(objective, "constraint_parts", counting)  # evaluate's
-    monkeypatch.setattr(solver, "constraint_parts", counting)  # the descent check's right side
-    return builds
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def count_pair_operators(monkeypatch):
@@ -145,8 +164,9 @@ class TestSteps:
         y = x.copy()
         ys = [0.0, 2.0]
         eta, lam = 0.05, 1.0
+        cost, constraint = cost_function(model, x), constraint_function(C, tf)
         for _ in range(10):
-            ev = evaluate(x, y, model, C, tf)
+            ev = evaluate(cost, constraint, y)
             y = step_explicit(y, combined_grad(ev, lam), eta)
             # scalar replica: grad_i = (y_i - x_i)/2 + lam * 2 * (C f)_i
             f = [ys[0], ys[1]]
@@ -167,7 +187,8 @@ class TestSteps:
         y = x + rng.standard_normal((n, 2))
         model = CostModel("sq_euclidean")
         C = centering_matrix(categorical_coupling(np.zeros(n, dtype=int)))
-        ev = evaluate(x, y, model, C, TestFunctionSpec.kde(1.0), want_hvp=True)
+        ev = evaluate(cost_function(model, x), constraint_function(C, TestFunctionSpec.kde(1.0)), y,
+                      want_hvp=True)
         grad = combined_grad(ev, 0.0)
         eta = 0.7
         cand, fallback = step_implicit(y, grad, ev.hvp(0.0), eta)
@@ -181,7 +202,8 @@ class TestSteps:
         y = x + 0.5 * rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = TestFunctionSpec.kde(0.8)
-        ev = evaluate(x, y, CostModel("sq_euclidean"), C, tf, want_hvp=True)
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf), y,
+                      want_hvp=True)
         grad = combined_grad(ev, 1.0)
         eta = 1e-8
         cand, _ = step_implicit(y, grad, ev.hvp(1.0), eta)
@@ -228,7 +250,7 @@ class TestSteps:
         lam, eta = 40.0, 0.3
         model = CostModel("distortion")
         Z = categorical_coupling(rng.integers(0, 2, n))
-        ev = evaluate(x, y, model, C, tf, Z=Z, want_hvp=True)
+        ev = evaluate(cost_function(model, x, Z), constraint_function(C, tf), y, want_hvp=True)
         grad = combined_grad(ev, lam)
         hvp = ev.hvp(lam)
         A = np.eye(2 * n) + eta * operator_matrix(hvp, n, 2).reshape(2 * n, 2 * n)
@@ -281,11 +303,12 @@ class TestDescentSides:
         rec, y_new = res.history[0], res.y_final
         tf = TestFunctionSpec.kde(res.bandwidth_a) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
         _, C = build_couplings(cov)
-        ev = evaluate(x, y_new, model, C, tf)
+        cost, constraint = cost_function(model, x), constraint_function(C, tf)
+        ev = evaluate(cost, constraint, y_new)
         lhs = ev.L_C + rec.lam * ev.L_F
-        rhs = cost_parts(model, x, x)[0] + rec.lam * constraint_parts(x, C, tf, centers=y_new)[0]
+        rhs = cost(x)[0] + rec.lam * constraint(x, centers=y_new)[0]
         assert (rec.L, rec.descent_rhs) == (lhs, rhs)
-        L_C, L_F = cost_parts(model, x, y_new)[0], constraint_parts(y_new, C, tf)[0]
+        L_C, L_F = cost(y_new)[0], constraint(y_new)[0]
         assert (rec.L_C, rec.L_F) == (L_C, L_F)
 
 
@@ -409,6 +432,88 @@ class TestSolve:
         assert result.history[0].eta_halvings == 1
         assert result.history[0].eta == plain.history[0].eta
         assert np.array_equal(result.y_final, plain.y_final)
+
+    @pytest.mark.parametrize("problem", ["kde", "features"])
+    def test_non_finite_candidate_halves_eta(self, problem, monkeypatch):
+        # the first candidate is NaN: rejected before anything reads it, so no warning
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        model = CostModel("sq_euclidean")
+        plain = solve(ds.x, ds.covariates, model,
+                      SolverConfig(problem=problem, eta0=5e-4, niter=1))
+        steps = []
+
+        def poisoned(y, grad, eta):
+            steps.append(eta)
+            candidate = step_explicit(y, grad, eta)
+            return np.full_like(candidate, np.nan) if len(steps) == 1 else candidate
+
+        monkeypatch.setattr(solver, "step_explicit", poisoned)
+        evaluations = count_calls(monkeypatch, solver, "evaluate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = solve(ds.x, ds.covariates, model,
+                           SolverConfig(problem=problem, eta0=1e-3, niter=1))
+        assert len(evaluations) == 2  # the start and the second candidate
+        assert plain.history[0].eta_halvings == 0
+        assert result.history[0].eta_halvings == 1
+        assert result.history[0].eta == plain.history[0].eta
+        assert np.array_equal(result.y_final, plain.y_final)
+
+    def test_geodesic_step_past_pole_rejected(self, monkeypatch):
+        latitudes = []
+
+        def recording(y, grad, eta):
+            candidate = step_explicit(y, grad, eta)
+            latitudes.append(np.abs(candidate[:, 1]).max())
+            return candidate
+
+        monkeypatch.setattr(solver, "step_explicit", recording)
+        # a flow that, unchecked, ends 0.22 rad past the north pole
+        ds = lagged_dataset(gen_hidden_signal(seed=0, steps=40))
+        result = solve(ds.x, ds.covariates, CostModel("geodesic_sphere"),
+                       SolverConfig(eta0=1.0, niter=10))
+        assert max(latitudes) > np.pi / 2 + 1e-9  # some candidates passed a pole
+        assert result.iterations == 10
+        assert np.abs(result.y_final[:, 1]).max() <= np.pi / 2 + 1e-9
+
+    def test_non_finite_points_rejected(self):
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        x = ds.x.copy()
+        x[3, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            solve(x, ds.covariates, CostModel("sq_euclidean"), SolverConfig(niter=1))
+
+    def test_distortion_distances_between_x_computed_once(self, monkeypatch):
+        # preconditioned, so the flow never evaluates at y = x
+        calls = count_calls(monkeypatch, costs, "cdist")
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        result = solve(ds.x, ds.covariates, CostModel("distortion"),
+                       SolverConfig(niter=5, precondition=True))
+        assert result.iterations == 5
+        assert sum(np.array_equal(a, ds.x) for a, _ in calls) == 1
+        assert len(calls) > 5  # and one cdist(y, y) per evaluation
+
+    @pytest.mark.parametrize("niter", [1, 10])
+    def test_fixed_inputs_checked_once_per_solve(self, niter, monkeypatch):
+        # x is checked where the cost binds it, C where the constraint binds it
+        x_checks = count_calls(monkeypatch, costs, "as_points")
+        c_checks = count_calls(monkeypatch, solver, "constraint_function")
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(update="implicit", eta0=50.0, niter=niter)
+        result = solve(ds.x, ds.covariates, CostModel("distortion"), cfg)
+        assert result.iterations == niter
+        assert (len(x_checks), len(c_checks)) == (1, 1)
+
+    def test_kde_implicit_solve_peak_memory(self):
+        # the solve holds one N x N copy of C^T and no Z; a second copy of either fails this
+        ds = gen_ellipses(seed=0, n_per_class=134)
+        n = len(ds.x)
+
+        def run():
+            solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                  SolverConfig(update="implicit", niter=2))
+
+        assert peak_bytes(run) < 3.6 * n**2 * 8
 
     @pytest.mark.parametrize("lambda0", ["auto", 1.0])
     @pytest.mark.parametrize("problem", ["kde", "features"])
