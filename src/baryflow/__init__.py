@@ -31,12 +31,7 @@ from .datagen import (
     sph2cart,
 )
 from .errors import BaryflowError, ConvergenceError, InvalidInputError, NumericError
-from .objective import (
-    ObjectiveEval,
-    TestFunctionSpec,
-    evaluate,
-    monomial_features,
-)
+from .objective import monomial_features
 from .solver import (
     BarycenterResult,
     SolverConfig,
@@ -55,16 +50,13 @@ __all__ = [
     "Dataset",
     "InvalidInputError",
     "NumericError",
-    "ObjectiveEval",
     "SolverConfig",
-    "TestFunctionSpec",
     "TimeSeriesSample",
     "__version__",
     "build_couplings",
     "cart2sph",
     "categorical_coupling",
     "centering_matrix",
-    "evaluate",
     "gen_ellipses",
     "gen_hidden_signal",
     "gen_sphere_patches",

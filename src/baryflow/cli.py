@@ -250,21 +250,22 @@ def _cost_spec(text):
 
 
 def _add_solver_flags(parser):
+    cfg = SolverConfig  # its fields' defaults are the flags' defaults, kept in one place
     parser.add_argument("--cost", type=_cost_spec, default="l2",
                         help="l2 | pnorm:<p> | geodesic-sphere | distortion:<omega>")
-    parser.add_argument("--problem", choices=("kde", "features"), default="kde")
-    parser.add_argument("--feature-degree", type=int, default=2)
-    parser.add_argument("--bandwidth-a", type=_positive_or_auto, default="auto")
+    parser.add_argument("--problem", choices=("kde", "features"), default=cfg.problem)
+    parser.add_argument("--feature-degree", type=int, default=cfg.feature_degree)
+    parser.add_argument("--bandwidth-a", type=_positive_or_auto, default=cfg.bandwidth_a)
     parser.add_argument("--bandwidth-b", type=_positive_or_auto, default="auto")
-    parser.add_argument("--update", choices=("explicit", "implicit"), default="explicit")
-    parser.add_argument("--eta0", type=float, default=0.1)
-    parser.add_argument("--niter", type=int, default=2000)
-    parser.add_argument("--lambda0", type=_positive_or_auto, default="auto")
-    parser.add_argument("--lambda-max", type=float, default=1e6)
-    parser.add_argument("--omega-alpha", type=float, default=0.5)
-    parser.add_argument("--tol-y", type=float, default=1e-6)
-    parser.add_argument("--tol-lf", type=float, default=1e-6)
-    parser.add_argument("--precondition", action="store_true")
+    parser.add_argument("--update", choices=("explicit", "implicit"), default=cfg.update)
+    parser.add_argument("--eta0", type=float, default=cfg.eta0)
+    parser.add_argument("--niter", type=int, default=cfg.niter)
+    parser.add_argument("--lambda0", type=_positive_or_auto, default=cfg.lambda0)
+    parser.add_argument("--lambda-max", type=float, default=cfg.lambda_max)
+    parser.add_argument("--omega-alpha", type=float, default=cfg.omega_alpha)
+    parser.add_argument("--tol-y", type=float, default=cfg.tol_y)
+    parser.add_argument("--tol-lf", type=float, default=cfg.tol_lf)
+    parser.add_argument("--precondition", action="store_true", default=cfg.precondition)
     parser.add_argument("--seed", type=int, default=None,
                         help="defaults to $BARYFLOW_SEED, else 0")
     parser.add_argument("--output", default="result.csv",
@@ -320,22 +321,22 @@ def _run_solve(args, dataset):
     return 0
 
 
-def _default_n_per_class(args):
-    if args.n_per_class is not None:
-        return args.n_per_class
-    return 250 if args.what == "sphere-patches" else 100
+def _given(args, name):
+    """``{name: value}`` for a flag that was given, else ``{}``: the generator's default applies."""
+    value = getattr(args, name)
+    return {} if value is None else {name: value}
 
 
 def _cmd_gen(args):
     seed = _resolve_seed(args)
     if args.what == "ellipses":
-        data, write = gen_ellipses(seed, n_per_class=_default_n_per_class(args)), save_dataset
+        data, write = gen_ellipses(seed, **_given(args, "n_per_class")), save_dataset
     elif args.what == "sphere-patches":
-        data = gen_sphere_patches(seed, n_per_class=_default_n_per_class(args),
-                                  antipodal=not args.same_hemisphere)
+        data = gen_sphere_patches(seed, antipodal=not args.same_hemisphere,
+                                  **_given(args, "n_per_class"))
         write = save_dataset
     else:
-        data, write = gen_hidden_signal(seed, steps=args.steps), _write_series_csv
+        data, write = gen_hidden_signal(seed, **_given(args, "steps")), _write_series_csv
     with _opened(args.output, "w") as out:  # opened once the data exist: a bad argument writes no file
         write(data, out)
     return 0
@@ -363,7 +364,7 @@ def _build_parser():
     gen.add_argument("--n-per-class", type=int, default=None)
     gen.add_argument("--same-hemisphere", action="store_true",
                      help="sphere-patches: place both patches in one hemisphere")
-    gen.add_argument("--steps", type=int, default=1000, help="hidden-signal length")
+    gen.add_argument("--steps", type=int, default=None, help="hidden-signal length")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--output", default="-", help="output CSV path ('-' for stdout)")
     gen.set_defaults(func=_cmd_gen)

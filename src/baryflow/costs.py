@@ -11,6 +11,9 @@ N x (d^2 + 2d + 1) matrix product.
 
 :func:`cost_function` checks x and Z once per solve; per call, only the
 great-circle cost's latitudes of y are checked, as a step can pass a pole.
+Every family returns its gradient as a function that builds it, as the
+constraint modes of :mod:`baryflow.objective` do, so an evaluation whose
+gradient is never read builds none.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInputError, as_points
+from .errors import InvalidInputError, as_points, positive_number
 
 __all__ = [
     "CostModel",
@@ -46,7 +49,8 @@ class CostModel:
     coordinate-wise |t|^p with |t| ~ sqrt(t^2+eps_abs)-sqrt(eps_abs)),
     ``geodesic_sphere`` (squared great-circle distance of (longitude,
     latitude) pairs) and ``distortion`` (pairwise-distance-ratio penalty
-    plus a small anchoring term of weight ``omega``).
+    plus a small anchoring term of weight ``omega``).  Every real must be
+    finite and positive, and ``p`` at least 1, whatever the family.
     """
 
     family: str
@@ -58,16 +62,11 @@ class CostModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidInputError(f"unknown cost family {self.family!r}")
-        if self.family == "p_norm":
-            if not np.isfinite(self.p) or self.p < 1.0:
-                raise InvalidInputError("p must be >= 1")
-            if not np.isfinite(self.eps_abs) or self.eps_abs <= 0:
-                raise InvalidInputError("eps_abs must be positive")
-        if self.family == "distortion":
-            if not np.isfinite(self.eps_dist) or self.eps_dist <= 0:
-                raise InvalidInputError("eps_dist must be positive")
-            if not np.isfinite(self.omega) or self.omega <= 0:
-                raise InvalidInputError("omega must be positive")
+        for name in ("p", "eps_abs", "eps_dist", "omega"):
+            if not positive_number(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be a positive finite number")
+        if self.p < 1.0:
+            raise InvalidInputError("p must be >= 1")
 
 
 def parse_cost_spec(text):
@@ -104,8 +103,9 @@ def deferred(build):
     box = {"build": build}
 
     def get():
-        if "build" in box:
-            box["value"] = box.pop("build")()  # releases build and what it holds
+        if "build" in box:  # a build that raises is kept, and raises again on the next call
+            box["value"] = box["build"]()
+            del box["build"]  # releases build and what it holds
         return box["value"]
     return get
 
@@ -151,7 +151,7 @@ def _sq_euclidean_parts(x, y, want_hvp):
     n = x.shape[0]
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
-    grad = diff / n
+    grad = lambda: diff / n
     hvp = (lambda v: v / n) if want_hvp else None
     return value, grad, hvp
 
@@ -164,7 +164,7 @@ def _p_norm_parts(model, x, y, want_hvp):
     s = si - np.sqrt(eps)
     value = float(np.sum(s**p)) / n
     sprime = t / si
-    grad = -(p / n) * s ** (p - 1.0) * sprime
+    grad = lambda: -(p / n) * s ** (p - 1.0) * sprime
     hvp = None
     if want_hvp:
         # (p-1) s^(p-2) s'^2 has a removable singularity at t = 0 for p < 2.
@@ -214,8 +214,7 @@ def _geodesic_parts(x, y, want_hvp):
     dA[:, 1] = -0.5 * np.sin(dphi) - cpx * np.sin(phi_y) * st2
     qp, qpp = _geodesic_q(arg_c, dist)
 
-    grad = (qp[:, None] * dA) / n
-    grad[antipodal] = 0.0
+    grad = lambda: np.where(antipodal[:, None], 0.0, (qp[:, None] * dA) / n)
 
     hvp = None
     if want_hvp:
@@ -238,17 +237,16 @@ def _geodesic_parts(x, y, want_hvp):
 def _distortion_parts(model, x, y, denom, W, want_hvp):
     n = x.shape[0]
     omega = model.omega
-    ratio = cdist(y, y, metric="sqeuclidean") / denom
-    dev = ratio - 1.0
+    dev = cdist(y, y, metric="sqeuclidean") / denom - 1.0
+    weighted = W * dev
     anchor_diff = y - x
-    value = float(np.sum(W * dev * dev)) / n**2 + omega * float(
+    value = float(np.sum(weighted * dev)) / n**2 + omega * float(
         np.sum(anchor_diff * anchor_diff)
     ) / n
+    coeff = deferred(lambda: weighted / denom)  # shared by the gradient and the product
 
-    coeff = W * dev / denom
-    grad = (8.0 / n**2) * (coeff.sum(axis=1)[:, None] * y - coeff @ y) + (
-        2.0 * omega / n
-    ) * anchor_diff
+    grad = lambda: (8.0 / n**2) * (coeff().sum(axis=1)[:, None] * y - coeff() @ y) + (
+        2.0 * omega / n) * anchor_diff
 
     hvp = None
     if want_hvp:
@@ -257,7 +255,7 @@ def _distortion_parts(model, x, y, denom, W, want_hvp):
         # diagonal, so the pair (j, j) contributes nothing.
         @deferred
         def coefficients():
-            c_eye = (8.0 / n**2) * coeff
+            c_eye = (8.0 / n**2) * coeff()
             eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * omega / n
             return pair_outer_operator((16.0 / n**2) * W / denom**2, y, y), c_eye, eye_rows
 
@@ -274,8 +272,9 @@ def cost_function(model, x, Z=None):
     great-circle cost) and Z here, once; distortion also computes its x- and
     Z-only terms here.  Returns ``parts(y, want_hvp=False) -> (value, grad,
     hvp)`` for a finite float y of x's shape, which checks only the
-    great-circle latitudes of y.  ``hvp`` maps an N x d array v to the
-    Hessian of the cost at y applied to v; it is None unless ``want_hvp``.
+    great-circle latitudes of y.  ``grad`` is a function of no arguments that
+    builds the N x d gradient.  ``hvp`` maps an N x d array v to the Hessian
+    of the cost at y applied to v; it is None unless ``want_hvp``.
     """
     x = as_points(x)
     if model.family == "sq_euclidean":

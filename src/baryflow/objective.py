@@ -22,15 +22,18 @@ constraint modes exist:
   rounding (categorical covariates) or to the Sinkhorn tolerance (continuous
   ones), and so are the gradient and the Hessian-vector products MINRES reads.
 
-:func:`constraint_function` checks C once per solve; per call, only the
-features' width is checked, and the solver checks that each candidate is finite.
+The constraint binds to one solve through :func:`constraint_function`, which
+takes a kde bandwidth or a features basis and checks it and C once; per call,
+only the features' width is checked, and the solver checks that each candidate
+is finite.
 
-Both modes return the constraint gradient as a function that builds it from
-the terms the value left behind (the kde kernel matrix, the features' C f_l),
-which the Hessian-vector product shares.  An evaluation builds it on the
-first read of ``grad_constraint``.  The solver reads it only at the points it
-keeps, so a rejected step or a descent check's right side pays for its
-kernel and value alone.
+Both terms of the objective share one contract: a bound term returns its value,
+its gradient as a function that builds it, and its Hessian-vector product.  The
+constraint's gradient builds from the terms the value left behind (the kde
+kernel matrix, the features' C f_l), which the Hessian-vector product shares.
+:func:`evaluate` computes both values and builds each gradient on its first
+read.  The solver reads them only at the points it keeps, so a rejected step
+or a descent check's right side pays for its values alone.
 
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
@@ -57,7 +60,6 @@ from .errors import InvalidInputError, NumericError, positive_number
 __all__ = [
     "MonomialBasis",
     "ObjectiveEval",
-    "TestFunctionSpec",
     "constraint_function",
     "evaluate",
     "monomial_features",
@@ -171,39 +173,6 @@ def monomial_features(dim, degree):
     ])
 
 
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """Which constraint functional to use and its parameters.
-
-    ``mode`` is "kde" (needs ``bandwidth_a``) or "features" (needs a :class:`MonomialBasis`
-    of ``len`` m: ``value_and_grad(y)`` gives the (m, N) values and (m, N, d) gradients,
-    ``hess(y)`` the (m, N, d, d) Hessians).  The m per-feature terms weigh equally.
-    """
-
-    mode: str
-    bandwidth_a: float | None = None
-    features: MonomialBasis | None = None
-
-    def __post_init__(self):
-        if self.mode == "kde":
-            if not positive_number(self.bandwidth_a):
-                raise InvalidInputError("kde mode needs a positive bandwidth_a")
-            object.__setattr__(self, "bandwidth_a", float(self.bandwidth_a))
-        elif self.mode == "features":
-            if not isinstance(self.features, MonomialBasis):
-                raise InvalidInputError("features mode needs a MonomialBasis")
-        else:
-            raise InvalidInputError(f"unknown test-function mode {self.mode!r}")
-
-    @classmethod
-    def kde(cls, bandwidth_a):
-        return cls(mode="kde", bandwidth_a=bandwidth_a)
-
-    @classmethod
-    def polynomial(cls, dim, degree):
-        return cls(mode="features", features=monomial_features(dim, degree))
-
-
 def _kde_parts(y, CT, bandwidth, centers, want_hvp):
     a2 = bandwidth**2
     M = kernel_cross_matrix(y, centers, bandwidth)
@@ -237,27 +206,41 @@ def _features_parts(y, C, basis, want_hvp):
     return value, grad, hvp
 
 
-def constraint_function(C, tf_spec):
-    """Bind the constraint of ``tf_spec`` to the N x N centering matrix C of one solve.
+def constraint_function(C, test_functions):
+    """Bind a constraint to the N x N centering matrix C of one solve.
 
-    Checks here, once, that C is square; kde keeps the C-contiguous copy of
-    C^T its kernel product reads.  Returns ``parts(y, centers=None,
-    want_hvp=False) -> (value, grad, hvp)`` for a finite N x d float y.
-    ``grad`` is a function of no arguments that builds the N x d gradient.
-    For kde it differentiates only the evaluation slot of the kernel (centers
-    held at ``centers``, default ``y``; features ignore them).  ``hvp`` (None
-    unless ``want_hvp``) applies the Jacobian of that gradient field once the
-    centers track the points again to an N x d array.
+    ``test_functions`` is a kde bandwidth (a positive number) or the
+    :class:`MonomialBasis` of features mode, whose m terms weigh equally.
+    Checks here, once, that C is square and ``test_functions`` is one of the
+    two; kde keeps the C-contiguous copy of C^T its kernel product reads.
+    Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
+    for a finite N x d float y.  ``grad`` is a function of no arguments that builds
+    the N x d gradient.  For kde it differentiates only the evaluation slot of
+    the kernel (centers held at ``centers``, default ``y``; features ignore
+    them).  ``hvp`` (None unless ``want_hvp``) applies the Jacobian of that
+    gradient field once the centers track the points again to an N x d array.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InvalidInputError("the centering matrix C must be square")
-    if tf_spec.mode == "kde":
-        CT, a = np.ascontiguousarray(C.T), tf_spec.bandwidth_a
-        return lambda y, centers=None, want_hvp=False: _kde_parts(
-            y, CT, a, y if centers is None else centers, want_hvp)
-    return lambda y, centers=None, want_hvp=False: _features_parts(
-        y, C, tf_spec.features, want_hvp)
+    if isinstance(test_functions, MonomialBasis):
+        return lambda y, centers=None, want_hvp=False: _features_parts(
+            y, C, test_functions, want_hvp)
+    if not positive_number(test_functions):
+        raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
+    CT, a = np.ascontiguousarray(C.T), float(test_functions)
+    return lambda y, centers=None, want_hvp=False: _kde_parts(
+        y, CT, a, y if centers is None else centers, want_hvp)
+
+
+def _built_on_first_read(build, term):
+    """``build()`` on the first call, kept after; raises NumericError when it is not finite."""
+    def checked():
+        grad = build()
+        if not np.isfinite(grad).all():
+            raise NumericError(f"non-finite {term} gradient")
+        return grad
+    return deferred(checked)
 
 
 @dataclass
@@ -266,28 +249,21 @@ class ObjectiveEval:
 
     No multiplier enters an evaluation: the solver forms L = L_C + lam * L_F
     and its gradient at whatever multiplier its outer iteration holds, and
-    :meth:`hvp` combines the two products the same way.  ``grad_constraint``
-    is built by ``build_grad_constraint`` on its first read.
+    :meth:`hvp` combines the two products the same way.  ``grads`` holds the
+    cost's and the constraint's gradient builders; each gradient is built on
+    the first read of ``grad_cost`` or ``grad_constraint``, which raises
+    NumericError when it is not finite, and the build and what it held (such
+    as the kernel matrix) are dropped then.
     """
 
     L_C: float
     L_F: float
-    grad_cost: np.ndarray
-    build_grad_constraint: Callable | None = field(repr=False)
+    grads: tuple = field(repr=False)
     hvp_cost: Callable | None = None
     hvp_constraint: Callable | None = None
-    _grad_constraint: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    @property
-    def grad_constraint(self):
-        """Built on the first read, which raises NumericError when it is not finite."""
-        if self._grad_constraint is None:
-            grad = self.build_grad_constraint()
-            if not np.isfinite(grad).all():
-                raise NumericError("non-finite constraint gradient")
-            # drop the build and what it held, such as the kernel matrix
-            self._grad_constraint, self.build_grad_constraint = grad, None
-        return self._grad_constraint
+    grad_cost = property(lambda self: self.grads[0]())
+    grad_constraint = property(lambda self: self.grads[1]())
 
     def hvp(self, lam):
         """Hessian-vector product v -> (H_C + lam * H_F) v at multiplier ``lam``."""
@@ -297,18 +273,19 @@ class ObjectiveEval:
 
 
 def evaluate(cost, constraint, y, want_hvp=False):
-    """Evaluate a bound cost and constraint at y, with gradients (and Hessian-vector products on request).
+    """Evaluate a bound cost and constraint at y: values now, gradients on first read.
 
     ``cost`` and ``constraint`` come from :func:`baryflow.costs.cost_function`
     and :func:`constraint_function`; kernel centers sit at y.  Raises
-    NumericError when either value or the cost gradient is not finite.  The
-    constraint gradient is built on the first read of ``grad_constraint``,
-    which raises NumericError when it is not finite; the solver reads it only
-    at the starting points and at each accepted step.
+    NumericError when either value is not finite.  Each gradient is built on
+    the first read of ``grad_cost`` or ``grad_constraint``, which raises
+    NumericError when it is not finite; the solver reads them only at the
+    starting points and at each accepted step.  Hessian-vector products come
+    on request.
     """
     cv, cg, chvp = cost(y, want_hvp=want_hvp)
     fv, fg, fhvp = constraint(y, want_hvp=want_hvp)
-    if not (np.isfinite([cv, fv]).all() and np.isfinite(cg).all()):
+    if not np.isfinite([cv, fv]).all():
         raise NumericError("non-finite objective evaluation")
-    return ObjectiveEval(L_C=cv, L_F=fv, grad_cost=cg, build_grad_constraint=fg,
-                         hvp_cost=chvp, hvp_constraint=fhvp)
+    grads = (_built_on_first_read(cg, "cost"), _built_on_first_read(fg, "constraint"))
+    return ObjectiveEval(L_C=cv, L_F=fv, grads=grads, hvp_cost=chvp, hvp_constraint=fhvp)

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .costs import cost_function
 from .couplings import build_couplings, median_heuristic_bandwidth
 from .errors import InvalidInputError, NumericError, as_points, positive_number
-from .objective import TestFunctionSpec, constraint_function, evaluate
+from .objective import constraint_function, evaluate, monomial_features
 
 __all__ = [
     "BarycenterResult",
@@ -148,8 +148,8 @@ def precondition_mean_shift(x, covariates, Z):
     """Rigid per-point translation matching all conditional means.
 
     Categorical covariates use exact class means; continuous ones use the
-    coupling-weighted conditional mean xbar(z_k) = sum_i Z[i, k] x_i.
-    Returns ``(w, shift)`` with ``w = x + shift``.
+    coupling-weighted conditional mean xbar(z_k) = sum_i Z[i, k] x_i, which
+    needs the N x N coupling Z.  Returns ``(w, shift)`` with ``w = x + shift``.
     """
     x = as_points(x)
     if covariates.kind == "categorical":
@@ -158,6 +158,8 @@ def precondition_mean_shift(x, covariates, Z):
         for value in np.unique(labels):
             idx = labels == value
             cond[idx] = x[idx].mean(axis=0)
+    elif Z is None or np.shape(Z) != (len(x), len(x)):
+        raise InvalidInputError("continuous covariates need an N x N coupling matrix Z")
     else:
         cond = np.asarray(Z, dtype=float).T @ x
     shift = x.mean(axis=0) - cond
@@ -244,15 +246,6 @@ def _auto_lambda0(hvp, shape, lambda_max, seed):
     return min(1.0 / estimate if estimate > 1e-12 else 1.0, lambda_max)
 
 
-def _resolve_tf_spec(config, y0):
-    if config.problem == "kde":
-        a = config.bandwidth_a
-        if a == "auto":
-            a = median_heuristic_bandwidth(y0)
-        return TestFunctionSpec.kde(a), float(a)
-    return TestFunctionSpec.polynomial(y0.shape[1], config.feature_degree), None
-
-
 def solve(x, covariates, cost_model, config=None):
     """Run the penalty flow; returns a :class:`BarycenterResult`.
 
@@ -263,11 +256,12 @@ def solve(x, covariates, cost_model, config=None):
     constraint or ``config.niter`` is reached.  x, Z and C are checked once,
     when the cost and the constraint bind them.  A candidate step is rejected,
     and the learning rate halved, when it is not finite, raises the objective,
-    leaves the cost's domain, or gives a non-finite value or gradient; the
-    constraint gradient is built only for the starting points and for each
-    accepted step.  The run ends early when 60 halvings find no step.
-    ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
-    :class:`NumericError` only when that evaluation is not finite.
+    leaves the cost's domain, or gives a non-finite value or gradient; both
+    gradients are built on first read, which happens only for the starting
+    points and for each accepted step.  The run ends early when 60 halvings
+    find no step.  ``lambda0="auto"`` runs on the starting points' one
+    evaluation.  Raises :class:`NumericError` only when that evaluation (its
+    values or either gradient) is not finite.
     """
     config = config or SolverConfig()
     x = as_points(x)
@@ -286,14 +280,19 @@ def solve(x, covariates, cost_model, config=None):
         x_cost = x
         shift = None
 
-    tf_spec, bandwidth_a = _resolve_tf_spec(config, y)
+    kde = config.problem == "kde"
+    bandwidth_a = None
+    if kde:
+        a = config.bandwidth_a
+        bandwidth_a = float(median_heuristic_bandwidth(y) if a == "auto" else a)
     cost = cost_function(cost_model, x_cost, Z)
-    constraint = constraint_function(C, tf_spec)
+    constraint = constraint_function(
+        C, bandwidth_a if kde else monomial_features(d, config.feature_degree))
     del Z, C  # the bound terms keep what they read of them
     implicit = config.update == "implicit"
     auto = config.lambda0 == "auto"
     ev = evaluate(cost, constraint, y, want_hvp=implicit or auto)
-    ev.grad_constraint  # built now: a non-finite start raises NumericError here
+    ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here
     if auto:
         lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
         if not implicit:  # the loop holds no product, nor the kernel it keeps
@@ -330,13 +329,14 @@ def solve(x, covariates, cost_model, config=None):
                 if not np.isfinite(candidate).all():
                     raise NumericError("non-finite candidate")
                 L_F_old = ev.L_F  # features have no kernel centers to move
-                if tf_spec.mode == "kde":
+                if kde:
                     L_F_old = constraint(y, centers=candidate)[0]
                 rhs = ev.L_C + lam * L_F_old
                 ev_new = evaluate(cost, constraint, candidate, want_hvp=implicit)
                 L = ev_new.L_C + lam * ev_new.L_F
                 if L <= rhs:
-                    ev_new.grad_constraint  # built only now; a non-finite one rejects the step
+                    # built only now: a non-finite gradient rejects the step
+                    ev_new.grad_cost, ev_new.grad_constraint
                     break
             except (InvalidInputError, NumericError):
                 pass  # candidate left the cost's domain or blew up

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from baryflow.cli import _build_parser, load_dataset, main, save_dataset
-from baryflow.datagen import gen_ellipses
+from baryflow.datagen import gen_ellipses, gen_hidden_signal, gen_sphere_patches
 from baryflow.errors import InvalidInputError
 from baryflow.solver import SolverConfig
 
@@ -253,6 +253,20 @@ class TestCli:
     def test_every_solver_field_is_a_flag(self, command):
         args = _build_parser().parse_args([command])
         assert [f.name for f in dataclasses.fields(SolverConfig) if not hasattr(args, f.name)] == []
+
+    def test_solver_flag_defaults_are_the_config_defaults(self):
+        args = _build_parser().parse_args(["solve"])
+        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
+        assert SolverConfig(**dict(flags, seed=0)) == SolverConfig()
+
+    @pytest.mark.parametrize("what,generate", [
+        ("ellipses", gen_ellipses), ("sphere-patches", gen_sphere_patches),
+        ("hidden-signal", gen_hidden_signal),
+    ])
+    def test_gen_sizes_default_to_the_generators(self, what, generate, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["gen", what, "--seed", "0", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + len(generate(0).x)
 
     def test_dash_history_and_summary_go_to_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -48,6 +48,24 @@ class TestParseCostSpec:
                 parse_cost_spec(text)
 
 
+class TestCostModel:
+    @pytest.mark.parametrize("family,field,value", [
+        ("p_norm", "p", "2"), ("p_norm", "p", True), ("p_norm", "p", None),
+        ("p_norm", "p", float("nan")), ("p_norm", "eps_abs", True), ("p_norm", "eps_abs", 0.0),
+        ("distortion", "omega", None), ("distortion", "omega", True),
+        ("distortion", "omega", float("inf")), ("distortion", "eps_dist", "0.01"),
+        ("distortion", "eps_dist", -1.0),
+    ])
+    def test_non_numbers_rejected(self, family, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be a positive finite number"):
+            CostModel(family, **{field: value})
+
+    @pytest.mark.parametrize("p", [0.5, np.float32(0.99)])
+    def test_p_below_one_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="p must be >= 1"):
+            CostModel("p_norm", p=p)
+
+
 class TestCostValue:
     def test_identity_map_pairwise(self, rng):
         for family in ("sq_euclidean", "p_norm", "geodesic_sphere"):
@@ -70,7 +88,7 @@ class TestCostValue:
         y = np.array([[np.pi, 0.0]])
         assert cost_function(CostModel("geodesic_sphere"), x)(y)[0] == pytest.approx(np.pi**2, abs=1e-4)
         # gradient is defined as zero at exact antipodes
-        assert np.allclose(cost_function(CostModel("geodesic_sphere"), x)(y)[1], 0.0)
+        assert np.allclose(cost_function(CostModel("geodesic_sphere"), x)(y)[1](), 0.0)
 
     def test_geodesic_symmetric(self, rng):
         model, x, y, _ = make_instance("geodesic_sphere", rng)
@@ -127,16 +145,16 @@ class TestCostValue:
 class TestCostGrad:
     def test_sq_euclidean_closed_form(self, rng):
         model, x, y, _ = make_instance("sq_euclidean", rng)
-        assert np.allclose(cost_function(model, x)(y)[1], (y - x) / len(x))
+        assert np.allclose(cost_function(model, x)(y)[1](), (y - x) / len(x))
 
     def test_zero_at_identity(self, rng):
         model, x, _, _ = make_instance("sq_euclidean", rng)
-        assert np.allclose(cost_function(model, x)(x)[1], 0.0)
+        assert np.allclose(cost_function(model, x)(x)[1](), 0.0)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences(self, family, rng):
         model, x, y, Z = make_instance(family, rng)
-        analytic = cost_function(model, x, Z)(y)[1]
+        analytic = cost_function(model, x, Z)(y)[1]()
         fd = central_diff_grad(lambda yy: cost_function(model, x, Z)(yy)[0], y)
         assert rel_err(analytic, fd) <= 1e-5
 
@@ -169,7 +187,7 @@ class TestCostHessian:
     def test_matches_finite_differences_of_grad(self, family, rng):
         model, x, y, Z = make_instance(family, rng, n=4)
         analytic = cost_hessian(model, x, y, Z)
-        fd = central_diff_jacobian(lambda yy: cost_function(model, x, Z)(yy)[1], y)
+        fd = central_diff_jacobian(lambda yy: cost_function(model, x, Z)(yy)[1](), y)
         assert rel_err(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)

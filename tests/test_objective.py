@@ -5,10 +5,9 @@ from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import (
     categorical_coupling, centering_matrix, kernel_cross_matrix, sinkhorn_bistochastic,
 )
-from baryflow.errors import InvalidInputError
+from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import (
     MonomialBasis,
-    TestFunctionSpec,
     constraint_function,
     evaluate,
     monomial_features,
@@ -28,11 +27,11 @@ from conftest import (
 
 
 def kde_value(y, C, bandwidth):
-    return constraint_function(C, TestFunctionSpec.kde(bandwidth))(y)[0]
+    return constraint_function(C, bandwidth)(y)[0]
 
 
 def features_value(y, C, basis):
-    return constraint_function(C, TestFunctionSpec(mode="features", features=basis))(y)[0]
+    return constraint_function(C, basis)(y)[0]
 
 
 def feature_terms(y, C, basis):
@@ -97,7 +96,7 @@ class TestMonomialFeatures:
         y = rng.standard_normal((6, width))
         C = centering_matrix(categorical_coupling(np.array([0, 0, 0, 1, 1, 1])))
         with pytest.raises(InvalidInputError, match="coordinates"):
-            constraint_function(C, TestFunctionSpec.polynomial(2, 2))(y)
+            constraint_function(C, monomial_features(2, 2))(y)
 
     @pytest.mark.parametrize("exponents", [[], [[1, -1]], [[0.5, 1.0]], [1, 2]])
     def test_bad_exponents_rejected(self, exponents):
@@ -185,18 +184,18 @@ class TestEvaluate:
         y = rng.standard_normal((6, 2))
         x = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
-        tf = TestFunctionSpec.kde(0.7)
+        tf = 0.7
         cost = cost_function(CostModel("sq_euclidean"), x)
         ev = evaluate(cost, constraint_function(C, tf), y)
         value, grad, _ = cost(y)
-        assert np.array_equal(combined_grad(ev, 0.0), grad)
+        assert np.array_equal(combined_grad(ev, 0.0), grad())
         assert ev.L_C + 0.0 * ev.L_F == value
 
     def test_objective_decomposition(self, rng):
         y = rng.standard_normal((6, 2))
         x = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
-        tf = TestFunctionSpec.polynomial(2, 2)
+        tf = monomial_features(2, 2)
         cost, constraint = cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf)
         ev = evaluate(cost, constraint, y)
         assert (ev.L_C, ev.L_F) == (cost(y)[0], constraint(y)[0])
@@ -206,7 +205,7 @@ class TestEvaluate:
         # linear feature, canonical cost, lambda = 1, evaluated at y = x:
         # cost grad 0; constraint grad 2 * (C f) = (-2, 2)
         x, C = two_singletons()
-        tf = TestFunctionSpec.polynomial(1, 1)
+        tf = monomial_features(1, 1)
         ev = evaluate(cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf), x)
         assert combined_grad(ev, 1.0) == pytest.approx(np.array([[-2.0], [2.0]]))
 
@@ -214,7 +213,7 @@ class TestEvaluate:
         y = rng.standard_normal((7, 2))
         x = rng.standard_normal((7, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 7)))
-        tf = TestFunctionSpec.kde(0.6)
+        tf = 0.6
         lam = 0.8
         cost, constraint = cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf)
         ev = evaluate(cost, constraint, y)
@@ -231,7 +230,7 @@ class TestEvaluate:
         y = rng.standard_normal((n, 2))
         x = rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
-        tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        tf = 0.7 if mode == "kde" else monomial_features(2, 2)
         lam = 0.6
         cost, constraint = cost_function(CostModel("p_norm", p=2.5), x), constraint_function(C, tf)
         ev = evaluate(cost, constraint, y, want_hvp=True)
@@ -248,7 +247,7 @@ class TestEvaluate:
         y = rng.standard_normal((n, 3))
         x = rng.standard_normal((n, 3))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
-        tf = TestFunctionSpec.polynomial(3, 3)
+        tf = monomial_features(3, 3)
         lam = 0.6
         cost, constraint = cost_function(CostModel("p_norm", p=2.5), x), constraint_function(C, tf)
         ev = evaluate(cost, constraint, y, want_hvp=True)
@@ -262,7 +261,7 @@ class TestEvaluate:
         y = rng.standard_normal((n, 2))
         # categorical C is symmetric to roundoff; a Sinkhorn coupling only to its tolerance
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-        tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 3)
+        tf = 0.7 if mode == "kde" else monomial_features(2, 3)
         assert_symmetric(constraint_function(C, tf)(y, want_hvp=True)[2], rng, n, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -273,7 +272,7 @@ class TestEvaluate:
         centers = y + 0.5 * rng.standard_normal((n, d))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         v = rng.standard_normal((n, d))
-        hvp = constraint_function(C, TestFunctionSpec.kde(a))(y, centers=centers, want_hvp=True)[2]
+        hvp = constraint_function(C, a)(y, centers=centers, want_hvp=True)[2]
         M = kernel_cross_matrix(y, centers, a) * C.T
         expected = (direct_pair_outer(M, y, centers, v) / a**2
                     - M.sum(axis=1)[:, None] * v + M @ v) / a**2
@@ -283,14 +282,26 @@ class TestEvaluate:
         n = 400
         y = rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-        hvp = constraint_function(C, TestFunctionSpec.kde(0.7))(y, want_hvp=True)[2]
+        hvp = constraint_function(C, 0.7)(y, want_hvp=True)[2]
         assert product_peak_bytes(hvp, rng.standard_normal((n, 2))) < n**2 * 8 / 4
+
+    @pytest.mark.parametrize("term", ["cost", "constraint"])
+    def test_non_finite_gradient_raises_on_every_read(self, term, rng):
+        # the values are finite, so evaluate succeeds; each read of the gradient raises
+        y = rng.standard_normal((4, 2))
+        terms = {name: lambda y, want_hvp: (0.0, lambda: np.zeros_like(y), None)
+                 for name in ("cost", "constraint")}
+        terms[term] = lambda y, want_hvp: (0.0, lambda: np.full_like(y, np.nan), None)
+        ev = evaluate(terms["cost"], terms["constraint"], y)
+        for _ in range(2):
+            with pytest.raises(NumericError, match=f"{term} gradient"):
+                getattr(ev, f"grad_{term}")
 
     def test_hvp_needs_request(self, rng):
         y = rng.standard_normal((4, 2))
         C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
         ev = evaluate(cost_function(CostModel("sq_euclidean"), y),
-                      constraint_function(C, TestFunctionSpec.kde(1.0)), y)
+                      constraint_function(C, 1.0), y)
         with pytest.raises(InvalidInputError):
             ev.hvp(1.0)
 
@@ -300,7 +311,7 @@ class TestEvaluate:
         centers = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         a = 0.9
-        constraint = constraint_function(C, TestFunctionSpec.kde(a))
+        constraint = constraint_function(C, a)
         lf_off = constraint(y, centers=centers)[0]
         sq = np.sum((y[:, None, :] - centers[None, :, :]) ** 2, axis=-1)  # [l, i]
         K = np.exp(-sq / (2 * a**2)) / (2 * np.pi * a**2)
@@ -309,17 +320,17 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_non_square_centering_rejected(self, mode):
-        tf = TestFunctionSpec.kde(0.7) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        tf = 0.7 if mode == "kde" else monomial_features(2, 2)
         with pytest.raises(InvalidInputError, match="square"):
             constraint_function(np.ones((4, 3)), tf)
 
     def test_bad_bandwidth_rejected(self):
+        C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
         with pytest.raises(InvalidInputError):
-            TestFunctionSpec.kde(0.0)
+            constraint_function(C, 0.0)
 
     @pytest.mark.parametrize("bandwidth_a", ["wide", None, True, float("inf")])
     def test_non_number_bandwidth_rejected(self, bandwidth_a):
+        C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
         with pytest.raises(InvalidInputError, match="bandwidth_a"):
-            TestFunctionSpec(mode="kde", bandwidth_a=bandwidth_a)
-        with pytest.raises(InvalidInputError, match="bandwidth_a"):
-            TestFunctionSpec.kde(bandwidth_a)
+            constraint_function(C, bandwidth_a)

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import Covariates, build_couplings, categorical_coupling, centering_matrix
 from baryflow.datagen import gen_ellipses, gen_hidden_signal, lagged_dataset
 from baryflow.errors import InvalidInputError, NumericError
-from baryflow.objective import MonomialBasis, TestFunctionSpec, constraint_function, evaluate
+from baryflow.objective import MonomialBasis, constraint_function, evaluate, monomial_features
 from baryflow.solver import (
     SolverConfig,
     lambda_update,
@@ -21,10 +22,14 @@ from baryflow.solver import (
 from conftest import combined_grad, operator_matrix, peak_bytes
 
 
-def count_constraint_gradients(monkeypatch, poisoned=()):
-    """Record each constraint-gradient build, in order; the builds numbered in ``poisoned`` give NaN."""
+def count_gradients(monkeypatch, binder, poisoned=()):
+    """Record each gradient build of the term ``solver.<binder>`` binds, in order.
+
+    ``binder`` is "cost_function" or "constraint_function"; the builds
+    numbered in ``poisoned`` give NaN.
+    """
     builds = []
-    bind = objective.constraint_function
+    bind = getattr(solver, binder)
 
     def counting_bind(*args):
         parts = bind(*args)
@@ -38,9 +43,24 @@ def count_constraint_gradients(monkeypatch, poisoned=()):
             return value, build, hvp
         return counting
 
-    # every evaluate and the descent check's right side call the constraint the solve binds
-    monkeypatch.setattr(solver, "constraint_function", counting_bind)
+    # every evaluate (and the descent check's right side) calls the term the solve binds
+    monkeypatch.setattr(solver, binder, counting_bind)
     return builds
+
+
+def record_live_kernels(monkeypatch):
+    """For each kernel build, in order, the number of kernels built before it that are still alive."""
+    kernels, alive = [], []
+    kernel = objective.kernel_cross_matrix
+
+    def recording(*args):
+        alive.append(sum(ref() is not None for ref in kernels))
+        out = kernel(*args)
+        kernels.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(objective, "kernel_cross_matrix", recording)
+    return alive
 
 
 def count_calls(monkeypatch, module, name):
@@ -102,6 +122,13 @@ class TestPreconditionMeanShift:
         assert np.allclose(w, x + x.mean(axis=0) - Z.T @ x)
         assert np.allclose(shift, w - x)
 
+    @pytest.mark.parametrize("Z", [None, np.eye(11)])
+    def test_continuous_needs_the_coupling(self, Z, rng):
+        x = rng.standard_normal((12, 2))
+        cov = Covariates.continuous(rng.standard_normal((12, 1)), bandwidth_b=0.8)
+        with pytest.raises(InvalidInputError, match="coupling matrix Z"):
+            precondition_mean_shift(x, cov, Z)
+
 
 class TestLambdaUpdate:
     def test_stationary_point_raises_floor(self, rng):
@@ -159,7 +186,7 @@ class TestSteps:
         # 1-D two-point flow vs a hand-rolled scalar loop, bitwise equal
         x = np.array([[0.0], [2.0]])
         C = centering_matrix(categorical_coupling(np.array([0, 1])))
-        tf = TestFunctionSpec.polynomial(1, 1)
+        tf = monomial_features(1, 1)
         model = CostModel("sq_euclidean")
         y = x.copy()
         ys = [0.0, 2.0]
@@ -187,7 +214,7 @@ class TestSteps:
         y = x + rng.standard_normal((n, 2))
         model = CostModel("sq_euclidean")
         C = centering_matrix(categorical_coupling(np.zeros(n, dtype=int)))
-        ev = evaluate(cost_function(model, x), constraint_function(C, TestFunctionSpec.kde(1.0)), y,
+        ev = evaluate(cost_function(model, x), constraint_function(C, 1.0), y,
                       want_hvp=True)
         grad = combined_grad(ev, 0.0)
         eta = 0.7
@@ -201,7 +228,7 @@ class TestSteps:
         x = rng.standard_normal((n, 2))
         y = x + 0.5 * rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
-        tf = TestFunctionSpec.kde(0.8)
+        tf = 0.8
         ev = evaluate(cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf), y,
                       want_hvp=True)
         grad = combined_grad(ev, 1.0)
@@ -246,7 +273,7 @@ class TestSteps:
         x = rng.standard_normal((n, 2))
         y = x + 0.5 * rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-        tf = TestFunctionSpec.kde(0.6) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        tf = 0.6 if mode == "kde" else monomial_features(2, 2)
         lam, eta = 40.0, 0.3
         model = CostModel("distortion")
         Z = categorical_coupling(rng.integers(0, 2, n))
@@ -301,7 +328,7 @@ class TestDescentSides:
         model = CostModel("p_norm", p=1.5)
         res = solve(x, cov, model, SolverConfig(problem=mode, niter=1, eta0=0.05))
         rec, y_new = res.history[0], res.y_final
-        tf = TestFunctionSpec.kde(res.bandwidth_a) if mode == "kde" else TestFunctionSpec.polynomial(2, 2)
+        tf = res.bandwidth_a if mode == "kde" else monomial_features(2, 2)
         _, C = build_couplings(cov)
         cost, constraint = cost_function(model, x), constraint_function(C, tf)
         ev = evaluate(cost, constraint, y_new)
@@ -411,12 +438,59 @@ class TestSolve:
     ])
     def test_constraint_gradients_built_once_per_kept_point_set(self, problem, update, monkeypatch):
         # the start and each accepted step; never a rejected candidate or a right side
-        builds = count_constraint_gradients(monkeypatch)
+        builds = count_gradients(monkeypatch, "constraint_function")
         ds = gen_ellipses(seed=0, n_per_class=10)
         cfg = SolverConfig(problem=problem, update=update, eta0=50.0, niter=10)
         result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"), cfg)
         assert sum(h.eta_halvings for h in result.history) > 0
         assert len(builds) == 1 + result.iterations
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    @pytest.mark.parametrize("update", ["explicit", "implicit"])
+    def test_cost_gradients_built_once_per_kept_point_set(self, update, cost, monkeypatch):
+        # the start and each accepted step; never a rejected candidate
+        builds = count_gradients(monkeypatch, "cost_function")
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(update=update, eta0=50.0, niter=10)
+        result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+        assert sum(h.eta_halvings for h in result.history) > 0
+        assert len(builds) == 1 + result.iterations
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    @pytest.mark.parametrize("lambda0", ["auto", 1.0])
+    def test_explicit_kernel_freed_before_the_next_is_built(self, lambda0, cost, monkeypatch):
+        # a whole-solve memory peak cannot see this, as set-up peaks higher
+        alive = record_live_kernels(monkeypatch)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(lambda0=lambda0, eta0=50.0, niter=10)
+        result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+        assert sum(h.eta_halvings for h in result.history) > 0
+        assert len(alive) > 2 * result.iterations
+        assert max(alive) == 0
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    @pytest.mark.parametrize("lambda0", ["auto", 1.0])
+    def test_implicit_keeps_one_kernel_alive(self, lambda0, cost, monkeypatch):
+        # the accepted evaluation's, which the loop's Hessian-vector product reads
+        alive = record_live_kernels(monkeypatch)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(update="implicit", lambda0=lambda0, eta0=50.0, niter=10)
+        result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+        assert len(alive) > 2 * result.iterations
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    def test_non_finite_candidate_cost_gradient_halves_eta(self, cost, monkeypatch):
+        # the first candidate passes the descent check, but its cost gradient is NaN
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        model = CostModel(cost)
+        plain = solve(ds.x, ds.covariates, model, SolverConfig(eta0=5e-4, niter=1))
+        count_gradients(monkeypatch, "cost_function", poisoned={1})
+        result = solve(ds.x, ds.covariates, model, SolverConfig(eta0=1e-3, niter=1))
+        assert plain.history[0].eta_halvings == 0
+        assert result.history[0].eta_halvings == 1
+        assert result.history[0].eta == plain.history[0].eta
+        assert np.array_equal(result.y_final, plain.y_final)
 
     @pytest.mark.parametrize("problem", ["kde", "features"])
     def test_non_finite_candidate_gradient_halves_eta(self, problem, monkeypatch):
@@ -425,7 +499,7 @@ class TestSolve:
         model = CostModel("sq_euclidean")
         plain = solve(ds.x, ds.covariates, model,
                       SolverConfig(problem=problem, eta0=5e-4, niter=1))
-        count_constraint_gradients(monkeypatch, poisoned={1})
+        count_gradients(monkeypatch, "constraint_function", poisoned={1})
         result = solve(ds.x, ds.covariates, model,
                        SolverConfig(problem=problem, eta0=1e-3, niter=1))
         assert plain.history[0].eta_halvings == 0
@@ -518,11 +592,18 @@ class TestSolve:
     @pytest.mark.parametrize("lambda0", ["auto", 1.0])
     @pytest.mark.parametrize("problem", ["kde", "features"])
     def test_non_finite_start_gradient_raises(self, problem, lambda0, monkeypatch):
-        count_constraint_gradients(monkeypatch, poisoned={0})
+        count_gradients(monkeypatch, "constraint_function", poisoned={0})
         ds = gen_ellipses(seed=0, n_per_class=10)
         with pytest.raises(NumericError, match="gradient"):
             solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
                   SolverConfig(problem=problem, lambda0=lambda0))
+
+    @pytest.mark.parametrize("lambda0", ["auto", 1.0])
+    def test_non_finite_start_cost_gradient_raises(self, lambda0, monkeypatch):
+        count_gradients(monkeypatch, "cost_function", poisoned={0})
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        with pytest.raises(NumericError, match="cost gradient"):
+            solve(ds.x, ds.covariates, CostModel("sq_euclidean"), SolverConfig(lambda0=lambda0))
 
     def test_precondition_result_carries_provenance(self):
         ds = gen_ellipses(seed=4, n_per_class=20)
