@@ -328,6 +328,11 @@ def _given(args, name):
 
 
 def _cmd_gen(args):
+    others = {"ellipses": ("same_hemisphere", "steps"), "sphere-patches": ("steps",),
+              "hidden-signal": ("n_per_class", "same_hemisphere")}[args.what]
+    stray = [f"--{name.replace('_', '-')}" for name in others if getattr(args, name) is not None]
+    if stray:
+        raise InvalidInputError(f"gen {args.what} does not take {' '.join(stray)}")
     seed = _resolve_seed(args)
     if args.what == "ellipses":
         data, write = gen_ellipses(seed, **_given(args, "n_per_class")), save_dataset
@@ -361,8 +366,8 @@ def _build_parser():
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
     gen.add_argument("what", choices=("ellipses", "sphere-patches", "hidden-signal"))
-    gen.add_argument("--n-per-class", type=int, default=None)
-    gen.add_argument("--same-hemisphere", action="store_true",
+    gen.add_argument("--n-per-class", type=int, default=None, help="ellipses, sphere-patches")
+    gen.add_argument("--same-hemisphere", action="store_true", default=None,
                      help="sphere-patches: place both patches in one hemisphere")
     gen.add_argument("--steps", type=int, default=None, help="hidden-signal length")
     gen.add_argument("--seed", type=int, default=None)

@@ -32,7 +32,8 @@ def kernel_cross_matrix(points_a, points_b, bandwidth):
 
     k(u, v) = (2*pi*h^2)^(-d/2) * exp(-||u - v||^2 / (2*h^2)) with h the
     bandwidth and d the width of the point sets; it integrates to one.  Against
-    itself a point set gives an exactly symmetric, positive semidefinite matrix.
+    itself a point set gives an exactly symmetric, positive semidefinite matrix,
+    as the couplings need; the kde constraint builds its own and does not call this.
     Unchecked: callers pass finite points and a positive bandwidth, checked where they entered.
     """
     a = np.asarray(points_a, dtype=float)

@@ -12,7 +12,9 @@ constraint modes exist:
   evaluation slot, holding the kernel centers at the current positions.
   The kernel centers default to the evaluated points; the solver's descent
   check passes the stepped points as ``centers`` to score the points before
-  the step.
+  the step.  A value is one matrix product, ``exp`` and one dot product with
+  C^T, taken about the centers' mean so that far-off clouds lose no digits;
+  (2 pi a^2)^(-d/2) scales the value and the O(N d) outputs, never N x N arrays.
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
@@ -38,10 +40,11 @@ or a descent check's right side pays for its values alone.
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
 feature averages) tracking the points.  They reuse the gradient's
-intermediate terms and never form the (N, N, d, d) Hessian.  kde sets up
-per-point d x d blocks once per evaluation, in O(N^2 d^2), on the first
-product (see :func:`baryflow.costs.pair_outer_operator`); each product is then
-one N x N by N x (d^2 + 2d + 1) matrix product.  A features product costs
+intermediate terms and never form the (N, N, d, d) Hessian.  kde weighs its
+kernel by C^T in place on the first gradient or product read, and sets up
+per-point d x d blocks on the first product, in O(N^2 d^2) (see
+:func:`baryflow.costs.pair_outer_operator`); each product is then one N x N by
+N x (d^2 + 2d + 1) matrix product.  A features product costs
 O(N^2 m + N m d^2) for m features.
 """
 
@@ -54,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import deferred, pair_outer_operator
-from .couplings import kernel_cross_matrix
 from .errors import InvalidInputError, NumericError, positive_number
 
 __all__ = [
@@ -173,20 +175,36 @@ def monomial_features(dim, degree):
     ])
 
 
+def _kde_kernel(u, w):
+    """exp(-|u_j - w_i|^2) for every j, i, from one matrix product and ``exp`` in place.
+
+    The exponent is [u_j, |u_j|^2, 1] . [2 w_i, -1, -|w_i|^2].  Callers center
+    both point sets on the w's mean, so the squares stay near the distances.
+    """
+    A, B = np.ones((len(u), u.shape[1] + 2)), np.full((u.shape[1] + 2, len(w)), -1.0)
+    A[:, :-2], B[:-2] = u, 2.0 * w.T
+    np.einsum("ja,ja->j", u, u, out=A[:, -2])
+    B[-1] = -np.einsum("ja,ja->j", w, w)
+    E = A @ B
+    return np.exp(E, out=E)
+
+
 def _kde_parts(y, CT, bandwidth, centers, want_hvp):
-    a2 = bandwidth**2
-    M = kernel_cross_matrix(y, centers, bandwidth)
-    M *= CT  # M[j, i] = K(y_j, centers_i) * C[i, j]
-    value = float(M.sum())
-    s = deferred(lambda: M.sum(axis=1))
-    grad = lambda: -(s()[:, None] * y - M @ centers) / a2
+    mean, r = centers.sum(axis=0) / len(centers), np.sqrt(2.0) * bandwidth
+    u, w = (y - mean) / r, (centers - mean) / r  # u_j - w_i = D_ji / r, D_ji = y_j - c_i
+    norm = (np.pi * r * r) ** (-0.5 * y.shape[1])  # (2 pi a^2)^(-d/2)
+    E = _kde_kernel(u, w)
+    value = norm * float(np.vdot(E, CT))
+    M = deferred(lambda: np.multiply(E, CT, out=E))  # M[j, i] = E[j, i] * C[i, j]
+    s = deferred(lambda: M().sum(axis=1))
+    grad = lambda: -2.0 * norm / r * (s()[:, None] * u - M() @ w)
     hvp = None
     if want_hvp:
-        pair = deferred(lambda: pair_outer_operator(M, y, centers))
+        pair = deferred(lambda: pair_outer_operator(M(), u, w))
 
-        def hvp(v):
+        def hvp(v):  # the pair term in D over a^2 is twice ``outer``, in units of r
             outer, Mv = pair()(v)
-            return (outer / a2 - s()[:, None] * v + Mv) / a2
+            return 2.0 * norm / r**2 * (2.0 * outer - s()[:, None] * v + Mv)
     return value, grad, hvp
 
 
@@ -212,7 +230,8 @@ def constraint_function(C, test_functions):
     ``test_functions`` is a kde bandwidth (a positive number) or the
     :class:`MonomialBasis` of features mode, whose m terms weigh equally.
     Checks here, once, that C is square and ``test_functions`` is one of the
-    two; kde keeps the C-contiguous copy of C^T its kernel product reads.
+    two; kde keeps a C-contiguous C^T.  Its value is one dot product of the
+    unnormalized kernel with C^T, and (2 pi a^2)^(-d/2) scales only O(N d) outputs.
     Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
     for a finite N x d float y.  ``grad`` is a function of no arguments that builds
     the N x d gradient.  For kde it differentiates only the evaluation slot of

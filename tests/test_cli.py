@@ -268,6 +268,20 @@ class TestCli:
         assert main(["gen", what, "--seed", "0", "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + len(generate(0).x)
 
+    @pytest.mark.parametrize("what,flag", [
+        ("hidden-signal", ["--n-per-class", "3"]),
+        ("ellipses", ["--steps", "7"]),
+        ("ellipses", ["--steps", "0"]),
+        ("sphere-patches", ["--steps", "7"]),
+        ("ellipses", ["--same-hemisphere"]),
+        ("hidden-signal", ["--same-hemisphere"]),
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+    def test_gen_flag_of_another_generator_is_error(self, what, flag, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["gen", what, "--seed", "0", *flag, "--output", str(out)]) == 1
+        assert f"baryflow: error: gen {what} does not take {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dash_history_and_summary_go_to_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         main(["gen", "ellipses", "--seed", "1", "--n-per-class", "5", "--output", "d.csv"])

@@ -9,13 +9,19 @@ Regenerate the files of the named cases (only when an output change is
 intended for them) with::
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
+
+For each case it prints the old and the new final history row and the
+largest change in y, relative to the largest |y| of the old result.
 """
 
+import csv
+import io
 import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from baryflow.cli import main
@@ -80,6 +86,22 @@ def run_case(name, cwd):
     return outputs
 
 
+def y_columns(result_csv):
+    """The y1, y2, ... columns of a result.csv, as one float array."""
+    rows = list(csv.reader(io.StringIO(result_csv.decode())))
+    cols = [k for k, name in enumerate(rows[0]) if name.startswith("y")]
+    return np.array([[float(row[k]) for k in cols] for row in rows[1:]])
+
+
+def report_change(name, old, new):
+    """Old and new final history rows, and max |y_new - y_old| / max |y_old|."""
+    last = lambda files: files["history.csv"].decode().splitlines()[-1]
+    y_old, y_new = y_columns(old["result.csv"]), y_columns(new["result.csv"])
+    change = (f"{np.abs(y_new - y_old).max() / np.abs(y_old).max():.3g}"
+              if y_old.shape == y_new.shape else "shape changed")
+    return f"{name}\n  old: {last(old)}\n  new: {last(new)}\n  y change: {change}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden(name, tmp_path):
     outputs = run_case(name, tmp_path)
@@ -97,9 +119,13 @@ if __name__ == "__main__":
     if not names:
         sys.exit(f"name the cases to regenerate: {' '.join(sorted(CASES))}")
     for case in dict.fromkeys(names):
+        target = GOLDEN / case
+        old = {out: (target / out).read_bytes() for out in OUTPUTS if (target / out).exists()}
         with tempfile.TemporaryDirectory() as tmp:
-            target = GOLDEN / case
-            target.mkdir(parents=True, exist_ok=True)
-            for out, data in run_case(case, tmp).items():
-                (target / out).write_bytes(data)
-        print(f"wrote {GOLDEN / case}", file=sys.stderr)
+            new = run_case(case, tmp)
+        target.mkdir(parents=True, exist_ok=True)
+        for out, data in new.items():
+            (target / out).write_bytes(data)
+        if len(old) == len(OUTPUTS):
+            print(report_change(case, old, new))
+        print(f"wrote {target}", file=sys.stderr)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -224,11 +226,12 @@ class TestEvaluate:
         )
         assert rel_err(combined_grad(ev, lam), fd) <= 1e-5
 
-    @pytest.mark.parametrize("mode", ["kde", "features"])
-    def test_hessian_matches_fd_of_gradient(self, mode, rng):
+    @pytest.mark.parametrize("mode,offset", [("kde", 0.0), ("features", 0.0), ("kde", 1e3)],
+                             ids=["kde", "features", "kde-far"])
+    def test_hessian_matches_fd_of_gradient(self, mode, offset, rng):
         n = 5
-        y = rng.standard_normal((n, 2))
-        x = rng.standard_normal((n, 2))
+        y = rng.standard_normal((n, 2)) + offset
+        x = rng.standard_normal((n, 2)) + offset
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = 0.7 if mode == "kde" else monomial_features(2, 2)
         lam = 0.6
@@ -255,10 +258,11 @@ class TestEvaluate:
         fd = central_diff_jacobian(lambda u: combined_grad(evaluate(cost, constraint, u), lam), y)
         assert rel_err(analytic, fd) <= 1e-4
 
-    @pytest.mark.parametrize("mode", ["kde", "features"])
-    def test_constraint_hvp_symmetric(self, mode, rng):
+    @pytest.mark.parametrize("mode,offset", [("kde", 0.0), ("features", 0.0), ("kde", 1e3)],
+                             ids=["kde", "features", "kde-far"])
+    def test_constraint_hvp_symmetric(self, mode, offset, rng):
         n = 9
-        y = rng.standard_normal((n, 2))
+        y = rng.standard_normal((n, 2)) + offset
         # categorical C is symmetric to roundoff; a Sinkhorn coupling only to its tolerance
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
@@ -277,6 +281,23 @@ class TestEvaluate:
         expected = (direct_pair_outer(M, y, centers, v) / a**2
                     - M.sum(axis=1)[:, None] * v + M @ v) / a**2
         assert rel_err(hvp(v), expected) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kde_matches_pairwise_reference(self, d, offset, rng):
+        # from the differences D_ji = y_j - c_i themselves, with M[j, i] = K(y_j, c_i) C[i, j]
+        for n, a, moved in itertools.product([2, 9, 40], [0.3, 1.0, 3.0], [False, True]):
+            y = rng.standard_normal((n, d)) + offset
+            centers = y + 0.5 * rng.standard_normal((n, d)) if moved else y
+            C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+            value, grad, _ = constraint_function(C, a)(y, centers=centers)
+            D = y[:, None, :] - centers[None, :, :]
+            K = np.exp(-np.einsum("jia,jia->ji", D, D) / (2 * a**2)) / (2 * np.pi * a**2) ** (d / 2)
+            M = K * C.T
+            assert abs(value - M.sum()) <= 1e-13 * np.abs(M).sum()
+            scale = np.einsum("ji,ji->j", np.abs(M), np.linalg.norm(D, axis=2)).max() / a**2
+            expected = -np.einsum("ji,jia->ja", M, D) / a**2
+            assert np.abs(grad() - expected).max() <= 1e-12 * scale
 
     def test_kde_product_allocates_no_n_by_n_array(self, rng):
         n = 400

@@ -51,7 +51,7 @@ def count_gradients(monkeypatch, binder, poisoned=()):
 def record_live_kernels(monkeypatch):
     """For each kernel build, in order, the number of kernels built before it that are still alive."""
     kernels, alive = [], []
-    kernel = objective.kernel_cross_matrix
+    kernel = objective._kde_kernel
 
     def recording(*args):
         alive.append(sum(ref() is not None for ref in kernels))
@@ -59,7 +59,7 @@ def record_live_kernels(monkeypatch):
         kernels.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(objective, "kernel_cross_matrix", recording)
+    monkeypatch.setattr(objective, "_kde_kernel", recording)
     return alive
 
 
@@ -423,8 +423,8 @@ class TestSolve:
     def test_kernels_built_once_per_point_set(self, monkeypatch):
         # one kernel at the start, serving lambda0 too; two per tried step
         builds = []
-        kernel = objective.kernel_cross_matrix
-        monkeypatch.setattr(objective, "kernel_cross_matrix",
+        kernel = objective._kde_kernel
+        monkeypatch.setattr(objective, "_kde_kernel",
                             lambda *args: builds.append(1) or kernel(*args))
         ds = gen_ellipses(seed=0, n_per_class=10)
         result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
