@@ -278,7 +278,9 @@ def _add_solver_flags(parser):
 
 def _run_solve(args, dataset):
     seed = _resolve_seed(args)
-    if dataset.covariates.kind == "continuous" and args.bandwidth_b != "auto":
+    if args.bandwidth_b != "auto":
+        if dataset.covariates.kind != "continuous":
+            raise InvalidInputError("--bandwidth-b applies only to continuous covariates z1..zm")
         covariates = dataclasses.replace(dataset.covariates, bandwidth_b=args.bandwidth_b)
         dataset = dataclasses.replace(dataset, covariates=covariates)
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}

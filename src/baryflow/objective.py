@@ -10,9 +10,12 @@ constraint modes exist:
   estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l].
   Its descent direction differentiates the kernel only through the
   evaluation slot, holding the kernel centers at the current positions.
-  The kernel centers default to the evaluated points; the solver's descent
-  check passes the stepped points as ``centers`` to score the points before
-  the step.  A value is one matrix product, ``exp`` and one dot product with
+  The kernel centers default to the evaluated points.  The solver's descent
+  check evaluates the stepped points with ``before`` set to the points before
+  the step: one call forms the centers' frame (their mean, the scaled centers
+  and the kernel's centers factor) once, scores both point sets in it, and
+  frees the kernel at ``before`` before it builds the one at the stepped
+  points.  A value is one matrix product, ``exp`` and one dot product with
   C^T, taken about the centers' mean so that far-off clouds lose no digits;
   (2 pi a^2)^(-d/2) scales the value and the O(N d) outputs, never N x N arrays.
 * ``features`` penalizes disagreement of conditional feature averages
@@ -175,25 +178,49 @@ def monomial_features(dim, degree):
     ])
 
 
-def _kde_kernel(u, w):
+def _sq_norms(p):
+    """|p_j|^2 for every row j."""
+    return np.einsum("ja,ja->j", p, p)
+
+
+def _kde_frame(centers, r):
+    """The centers' frame: mean, w = (centers - mean) / r, |w|^2 and the factor [2 w, -1, -|w|^2]^T.
+
+    Centered on the mean, a kernel's squares stay near its distances.
+    """
+    mean = centers.sum(axis=0) / len(centers)
+    w = (centers - mean) / r
+    ww = _sq_norms(w)
+    B = np.full((w.shape[1] + 2, len(w)), -1.0)
+    B[:-2], B[-1] = 2.0 * w.T, -ww
+    return mean, w, ww, B
+
+
+def _kde_kernel(u, uu, B):
     """exp(-|u_j - w_i|^2) for every j, i, from one matrix product and ``exp`` in place.
 
-    The exponent is [u_j, |u_j|^2, 1] . [2 w_i, -1, -|w_i|^2].  Callers center
-    both point sets on the w's mean, so the squares stay near the distances.
+    The exponent is [u_j, |u_j|^2, 1] . [2 w_i, -1, -|w_i|^2], with ``uu`` the
+    |u_j|^2, u taken in the frame of :func:`_kde_frame` and ``B`` its factor.
     """
-    A, B = np.ones((len(u), u.shape[1] + 2)), np.full((u.shape[1] + 2, len(w)), -1.0)
-    A[:, :-2], B[:-2] = u, 2.0 * w.T
-    np.einsum("ja,ja->j", u, u, out=A[:, -2])
-    B[-1] = -np.einsum("ja,ja->j", w, w)
+    A = np.ones((len(u), u.shape[1] + 2))
+    A[:, :-2], A[:, -2] = u, uu
     E = A @ B
     return np.exp(E, out=E)
 
 
-def _kde_parts(y, CT, bandwidth, centers, want_hvp):
-    mean, r = centers.sum(axis=0) / len(centers), np.sqrt(2.0) * bandwidth
-    u, w = (y - mean) / r, (centers - mean) / r  # u_j - w_i = D_ji / r, D_ji = y_j - c_i
+def _kde_parts(y, CT, bandwidth, centers, want_hvp, before=None):
+    r = np.sqrt(2.0) * bandwidth
+    mean, w, ww, B = _kde_frame(centers, r)  # u_j - w_i = D_ji / r, D_ji = y_j - c_i
     norm = (np.pi * r * r) ** (-0.5 * y.shape[1])  # (2 pi a^2)^(-d/2)
-    E = _kde_kernel(u, w)
+    if before is not None:  # a kernel of its own, freed before y's is built
+        ub = (before - mean) / r
+        value_before = norm * float(np.vdot(_kde_kernel(ub, _sq_norms(ub), B), CT))
+    if centers is y:  # y in its own frame is w
+        u, uu = w, ww
+    else:
+        u = (y - mean) / r
+        uu = _sq_norms(u)
+    E = _kde_kernel(u, uu, B)
     value = norm * float(np.vdot(E, CT))
     M = deferred(lambda: np.multiply(E, CT, out=E))  # M[j, i] = E[j, i] * C[i, j]
     s = deferred(lambda: M().sum(axis=1))
@@ -205,6 +232,8 @@ def _kde_parts(y, CT, bandwidth, centers, want_hvp):
         def hvp(v):  # the pair term in D over a^2 is twice ``outer``, in units of r
             outer, Mv = pair()(v)
             return 2.0 * norm / r**2 * (2.0 * outer - s()[:, None] * v + Mv)
+    if before is not None:
+        return value, grad, hvp, value_before
     return value, grad, hvp
 
 
@@ -238,6 +267,9 @@ def constraint_function(C, test_functions):
     the kernel (centers held at ``centers``, default ``y``; features ignore
     them).  ``hvp`` (None unless ``want_hvp``) applies the Jacobian of that
     gradient field once the centers track the points again to an N x d array.
+    kde's ``parts`` also takes ``before``, points of y's shape, and then returns
+    ``(value, grad, hvp, value_before)``: the value at ``before`` with the same
+    centers, in the same centers' frame, its kernel freed before y's is built.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -248,8 +280,8 @@ def constraint_function(C, test_functions):
     if not positive_number(test_functions):
         raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
     CT, a = np.ascontiguousarray(C.T), float(test_functions)
-    return lambda y, centers=None, want_hvp=False: _kde_parts(
-        y, CT, a, y if centers is None else centers, want_hvp)
+    return lambda y, centers=None, want_hvp=False, before=None: _kde_parts(
+        y, CT, a, y if centers is None else centers, want_hvp, before)
 
 
 def _built_on_first_read(build, term):
@@ -272,7 +304,9 @@ class ObjectiveEval:
     cost's and the constraint's gradient builders; each gradient is built on
     the first read of ``grad_cost`` or ``grad_constraint``, which raises
     NumericError when it is not finite, and the build and what it held (such
-    as the kernel matrix) are dropped then.
+    as the kernel matrix) are dropped then.  ``L_F_before`` is the kde
+    constraint at the points :func:`evaluate` was given as ``before``, with
+    the kernel centers at the evaluated points; None when none were given.
     """
 
     L_C: float
@@ -280,6 +314,7 @@ class ObjectiveEval:
     grads: tuple = field(repr=False)
     hvp_cost: Callable | None = None
     hvp_constraint: Callable | None = None
+    L_F_before: float | None = None
 
     grad_cost = property(lambda self: self.grads[0]())
     grad_constraint = property(lambda self: self.grads[1]())
@@ -291,7 +326,7 @@ class ObjectiveEval:
         return lambda v: self.hvp_cost(v) + lam * self.hvp_constraint(v)
 
 
-def evaluate(cost, constraint, y, want_hvp=False):
+def evaluate(cost, constraint, y, want_hvp=False, before=None):
     """Evaluate a bound cost and constraint at y: values now, gradients on first read.
 
     ``cost`` and ``constraint`` come from :func:`baryflow.costs.cost_function`
@@ -300,11 +335,18 @@ def evaluate(cost, constraint, y, want_hvp=False):
     the first read of ``grad_cost`` or ``grad_constraint``, which raises
     NumericError when it is not finite; the solver reads them only at the
     starting points and at each accepted step.  Hessian-vector products come
-    on request.
+    on request.  With ``before`` (kde only), the same constraint call also
+    scores those points with the centers at y, as ``L_F_before``: the descent
+    check's right side, from the frame y's own kernel uses.
     """
     cv, cg, chvp = cost(y, want_hvp=want_hvp)
-    fv, fg, fhvp = constraint(y, want_hvp=want_hvp)
+    fv_before = None
+    if before is None:
+        fv, fg, fhvp = constraint(y, want_hvp=want_hvp)
+    else:
+        fv, fg, fhvp, fv_before = constraint(y, want_hvp=want_hvp, before=before)
     if not np.isfinite([cv, fv]).all():
         raise NumericError("non-finite objective evaluation")
     grads = (_built_on_first_read(cg, "cost"), _built_on_first_read(fg, "constraint"))
-    return ObjectiveEval(L_C=cv, L_F=fv, grads=grads, hvp_cost=chvp, hvp_constraint=fhvp)
+    return ObjectiveEval(L_C=cv, L_F=fv, grads=grads, hvp_cost=chvp, hvp_constraint=fhvp,
+                         L_F_before=fv_before)

@@ -5,9 +5,11 @@ the starting points; then each iteration grows the learning rate, raises the
 multiplier to keep the descent direction of the full objective a descent
 direction for the constraint, steps (explicit or implicit), and backtracks
 the learning rate until the stepped objective does not increase with the
-kernel centers at the stepped positions on both sides.  The evaluation at
-the accepted step is the next iteration's evaluation, so each point set is
-evaluated once.
+kernel centers at the stepped positions on both sides.  Each try scores both
+sides with one evaluation of the stepped points, which in kde mode also
+scores the points before the step in the same centers' frame.  The
+evaluation at the accepted step is the next iteration's evaluation, so each
+point set is evaluated once.
 """
 
 from __future__ import annotations
@@ -315,8 +317,9 @@ def solve(x, covariates, cost_model, config=None):
 
         # Descent check: L must not increase with the kernel centers at the
         # stepped points on both sides.  The left side is the next
-        # iteration's evaluation; the right side is formed first, so its
-        # kernel is freed before the left side builds one.
+        # iteration's evaluation.  For kde the same constraint call scores
+        # the right side in the centers' frame the left side's kernel uses,
+        # and frees that kernel before it builds the left side's.
         ev_new = None
         halvings = 0
         fallback = False
@@ -328,11 +331,10 @@ def solve(x, covariates, cost_model, config=None):
             try:
                 if not np.isfinite(candidate).all():
                     raise NumericError("non-finite candidate")
-                L_F_old = ev.L_F  # features have no kernel centers to move
-                if kde:
-                    L_F_old = constraint(y, centers=candidate)[0]
-                rhs = ev.L_C + lam * L_F_old
-                ev_new = evaluate(cost, constraint, candidate, want_hvp=implicit)
+                ev_new = evaluate(cost, constraint, candidate, want_hvp=implicit,
+                                  before=y if kde else None)
+                # features have no kernel centers to move
+                rhs = ev.L_C + lam * (ev_new.L_F_before if kde else ev.L_F)
                 L = ev_new.L_C + lam * ev_new.L_F
                 if L <= rhs:
                     # built only now: a non-finite gradient rejects the step

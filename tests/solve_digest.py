@@ -1,0 +1,81 @@
+"""One sha256 per small solve, over y_final, every HistoryRecord and lambda0.
+
+A change that claims its outputs are bitwise unchanged runs this on both
+commits and compares the printed lines::
+
+    PYTHONPATH=src python tests/solve_digest.py
+
+The solves cover every cost family, both constraint modes, both updates,
+categorical and Sinkhorn couplings, preconditioning, fixed and automatic
+lambda0, and runs whose learning rate is halved.  Each line reads
+``name iterations halvings sha256``.  The name does not start with ``test_``,
+so pytest does not collect this file.
+"""
+
+import dataclasses
+import hashlib
+import sys
+
+import numpy as np
+
+from baryflow.costs import CostModel
+from baryflow.datagen import gen_ellipses, gen_hidden_signal, gen_sphere_patches, lagged_dataset
+from baryflow.solver import SolverConfig, solve
+
+ELLIPSES = gen_ellipses(seed=0, n_per_class=10)
+PATCHES = gen_sphere_patches(seed=1, n_per_class=12)
+SIGNAL = lagged_dataset(gen_hidden_signal(seed=2, steps=40), space="cartesian")
+SIGNAL_SPHERICAL = lagged_dataset(gen_hidden_signal(seed=3, steps=30))
+
+# name: (dataset, cost, config)
+SOLVES = {
+    "l2-kde-explicit": (ELLIPSES, CostModel("sq_euclidean"), SolverConfig(eta0=5.0, niter=40)),
+    "l2-kde-explicit-eta50": (ELLIPSES, CostModel("sq_euclidean"),
+                              SolverConfig(eta0=50.0, niter=20)),
+    "pnorm-kde-explicit-lambda1": (ELLIPSES, CostModel("p_norm", p=1.5),
+                                   SolverConfig(lambda0=1.0, eta0=2.0, niter=30)),
+    "l2-kde-implicit": (ELLIPSES, CostModel("sq_euclidean"),
+                        SolverConfig(update="implicit", eta0=50.0, niter=10)),
+    "distortion-kde-implicit": (ELLIPSES, CostModel("distortion"),
+                                SolverConfig(update="implicit", eta0=5.0, niter=10)),
+    "geodesic-kde-sinkhorn": (SIGNAL, CostModel("geodesic_sphere"), SolverConfig(niter=20)),
+    "l2-kde-sinkhorn-precondition": (SIGNAL_SPHERICAL, CostModel("sq_euclidean"),
+                                     SolverConfig(precondition=True, eta0=1.0, niter=20)),
+    "geodesic-kde-patches": (PATCHES, CostModel("geodesic_sphere"),
+                             SolverConfig(eta0=5.0, niter=20)),
+    "l2-features-explicit": (ELLIPSES, CostModel("sq_euclidean"),
+                             SolverConfig(problem="features", eta0=2.0, niter=40)),
+    "distortion-features-explicit-lambda1": (
+        ELLIPSES, CostModel("distortion"),
+        SolverConfig(problem="features", lambda0=1.0, eta0=2.0, niter=20)),
+    "l2-features-implicit-precondition": (
+        ELLIPSES, CostModel("sq_euclidean"),
+        SolverConfig(problem="features", update="implicit", feature_degree=3,
+                     precondition=True, eta0=50.0, niter=15)),
+    "pnorm-features-sinkhorn": (SIGNAL, CostModel("p_norm", p=1.5),
+                                SolverConfig(problem="features", eta0=1.0, niter=20)),
+}
+
+
+def digest(result):
+    """sha256 of the final points' bytes, each history record's field reprs and lambda0."""
+    h = hashlib.sha256()
+    y = np.ascontiguousarray(result.y_final, dtype=float)
+    h.update(repr(y.shape).encode())
+    h.update(y.tobytes())
+    for record in result.history:
+        h.update(repr(dataclasses.astuple(record)).encode())
+    h.update(repr(float(result.lambda0)).encode())
+    return h.hexdigest()
+
+
+def main(names):
+    for name in names or SOLVES:
+        data, cost, config = SOLVES[name]
+        result = solve(data.x, data.covariates, cost, config)
+        halvings = sum(rec.eta_halvings for rec in result.history)
+        print(f"{name} {result.iterations} {halvings} {digest(result)}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

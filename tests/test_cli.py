@@ -224,6 +224,17 @@ class TestCli:
             results.append(out.read_text())
         assert results[0] != results[1]
 
+    def test_bandwidth_b_on_categorical_covariates_is_error(self, tmp_path, capsys):
+        data = str(tmp_path / "d.csv")
+        main(["gen", "ellipses", "--seed", "0", "--n-per-class", "5", "--output", data])
+        capsys.readouterr()
+        code = main(["solve", "--input", data, "--bandwidth-b", "0.5", "--niter", "5",
+                     "--output", str(tmp_path / "r.csv"), "--history", str(tmp_path / "h.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert "baryflow: error: --bandwidth-b applies only" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["d.csv"]
+
     @pytest.mark.parametrize("row", ["1,0.5,abc,0.1,0.2", "1,0.5"])
     def test_malformed_series_row_is_error(self, row, tmp_path, capsys):
         series = write(tmp_path, "ts.csv",

@@ -35,15 +35,15 @@ def count_gradients(monkeypatch, binder, poisoned=()):
         parts = bind(*args)
 
         def counting(*args, **kwargs):
-            value, grad, hvp = parts(*args, **kwargs)
+            value, grad, *rest = parts(*args, **kwargs)  # rest: hvp, and kde's value_before
 
             def build():
                 builds.append(1)
                 return np.full_like(grad(), np.nan) if len(builds) - 1 in poisoned else grad()
-            return value, build, hvp
+            return value, build, *rest
         return counting
 
-    # every evaluate (and the descent check's right side) calls the term the solve binds
+    # every evaluate calls the term the solve binds
     monkeypatch.setattr(solver, binder, counting_bind)
     return builds
 
@@ -318,22 +318,56 @@ class TestDescentCheck:
         assert all(rec.L <= rec.descent_rhs for rec in res.history)
 
 
-class TestDescentSides:
-    @pytest.mark.parametrize("mode", ["kde", "features"])
-    def test_known_cost_matches_recomputation(self, mode, rng):
-        # the recorded sides equal both objectives recomputed from scratch,
-        # kernel centers at the stepped points
+def categorical_p_norm(problem):
+    def case(rng):
         x = rng.standard_normal((10, 2))
         cov = Covariates.categorical(rng.integers(0, 2, 10))
-        model = CostModel("p_norm", p=1.5)
-        res = solve(x, cov, model, SolverConfig(problem=mode, niter=1, eta0=0.05))
-        rec, y_new = res.history[0], res.y_final
-        tf = res.bandwidth_a if mode == "kde" else monomial_features(2, 2)
-        _, C = build_couplings(cov)
-        cost, constraint = cost_function(model, x), constraint_function(C, tf)
+        return x, cov, CostModel("p_norm", p=1.5), dict(problem=problem, eta0=0.05), 0
+    return case
+
+
+def ellipses_l2(k, **config):
+    def case(rng):
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        return ds.x, ds.covariates, CostModel("sq_euclidean"), config, k
+    return case
+
+
+def hidden_signal_geodesic(rng):
+    ds = lagged_dataset(gen_hidden_signal(seed=0, steps=40))  # continuous: Sinkhorn coupling
+    return ds.x, ds.covariates, CostModel("geodesic_sphere"), {}, 3
+
+
+# mode: rng -> (x, covariates, cost model, config, k); iteration k is checked
+DESCENT_SIDES = {
+    "kde": categorical_p_norm("kde"),
+    "features": categorical_p_norm("features"),
+    "kde-sinkhorn-geodesic": hidden_signal_geodesic,
+    "kde-halvings": ellipses_l2(4, eta0=50.0),
+    "kde-implicit": ellipses_l2(3, update="implicit", eta0=50.0),
+}
+
+
+class TestDescentSides:
+    @pytest.mark.parametrize("mode", list(DESCENT_SIDES))
+    def test_known_cost_matches_recomputation(self, mode, rng):
+        # the recorded sides of iteration k equal both objectives recomputed
+        # from scratch, kernel centers at the stepped points
+        x, cov, model, config, k = DESCENT_SIDES[mode](rng)
+        run = lambda niter: solve(x, cov, model, SolverConfig(**config, niter=niter))
+        y = x if k == 0 else run(k).y_final
+        res = run(k + 1)
+        assert res.iterations == k + 1
+        rec, y_new = res.history[k], res.y_final
+        if mode == "kde-halvings":
+            assert rec.eta_halvings > 0  # the recorded right side is a retried step's
+        kde = config.get("problem", "kde") == "kde"
+        tf = res.bandwidth_a if kde else monomial_features(x.shape[1], 2)
+        Z, C = build_couplings(cov)
+        cost, constraint = cost_function(model, x, Z), constraint_function(C, tf)
         ev = evaluate(cost, constraint, y_new)
         lhs = ev.L_C + rec.lam * ev.L_F
-        rhs = cost(x)[0] + rec.lam * constraint(x, centers=y_new)[0]
+        rhs = cost(y)[0] + rec.lam * constraint(y, centers=y_new)[0]
         assert (rec.L, rec.descent_rhs) == (lhs, rhs)
         L_C, L_F = cost(y_new)[0], constraint(y_new)[0]
         assert (rec.L_C, rec.L_F) == (L_C, L_F)
@@ -432,6 +466,33 @@ class TestSolve:
         halvings = result.history[0].eta_halvings
         assert halvings > 0
         assert len(builds) == 1 + 2 * (1 + halvings)
+
+    @pytest.mark.parametrize("update", ["explicit", "implicit"])
+    def test_centers_frame_formed_once_per_try(self, update, monkeypatch):
+        # one frame at the start; each try builds both its kernels, the points
+        # before the step and the stepped points, on the stepped points' frame
+        frames, factors = [], []
+        frame, kernel = objective._kde_frame, objective._kde_kernel
+
+        def recording_frame(*args):
+            frames.append(frame(*args))
+            return frames[-1]
+
+        def recording_kernel(u, uu, B):
+            factors.append(B)
+            return kernel(u, uu, B)
+
+        monkeypatch.setattr(objective, "_kde_frame", recording_frame)
+        monkeypatch.setattr(objective, "_kde_kernel", recording_kernel)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                       SolverConfig(update=update, eta0=50.0, niter=3))
+        tries = sum(1 + h.eta_halvings for h in result.history)
+        assert tries > result.iterations
+        assert len(frames) == 1 + tries
+        expected = [frames[0][-1]] + [B for *_, B in frames[1:] for _ in range(2)]
+        assert len(factors) == len(expected)
+        assert all(a is b for a, b in zip(factors, expected))
 
     @pytest.mark.parametrize("problem,update", [
         ("kde", "explicit"), ("kde", "implicit"), ("features", "implicit"),
