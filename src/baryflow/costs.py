@@ -129,12 +129,13 @@ def pair_outer_operator(A, y, c):
     (d + 1)^2 columns, v_i among them.  Setting up B, S and T costs
     O(N^2 d^2); each call then costs one N x N by N x (d + 1)^2 product and
     forms no N x N array.  y and c are first shifted by the mean of c, which
-    leaves every D_ji unchanged and keeps far-off points from cancelling.
+    leaves every D_ji unchanged and keeps far-off points from cancelling;
+    when c is y, the points are lifted once.
     """
     n, d = y.shape
     mean = c.mean(axis=0)
     y1, P = _lifted(y - mean)
-    c1, Q = _lifted(c - mean)
+    c1, Q = (y1, P) if c is y else _lifted(c - mean)
     G = (A @ (c1[:, :, None] * c1[:, None, :]).reshape(n, -1)).reshape(n, d + 1, d + 1)
     B = P @ G @ P.transpose(0, 2, 1)
     S = (y1[:, None, :, None] * P[:, :, None, :]).reshape(n, d, -1)

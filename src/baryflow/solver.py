@@ -9,16 +9,21 @@ kernel centers at the stepped positions on both sides.  Each try scores both
 sides with one evaluation of the stepped points, which in kde mode also
 scores the points before the step in the same centers' frame.  The
 evaluation at the accepted step is the next iteration's evaluation, so each
-point set is evaluated once.
+point set is evaluated once.  The implicit step solves its symmetric system
+matrix-free with the module's own MINRES (:func:`_minres`), which runs
+scipy's recurrences and stopping tests (residual estimate within
+1e-12 * ||A|| ||x||) on buffers updated in place, so its steps are bitwise
+scipy's.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .costs import cost_function
 from .couplings import build_couplings, median_heuristic_bandwidth
@@ -206,13 +211,15 @@ def step_implicit(y, grad, hvp, eta):
     """Resolvent step: solve (I + eta*H) delta = eta*grad, H given by ``hvp``.
 
     ``hvp`` maps an N x d array v to H v.  The symmetric, possibly indefinite
-    system is solved matrix-free with MINRES (relative tolerance 1e-12, at
-    most 500 iterations), warm-started from the explicit step's delta.  Falls
-    back to the explicit step when MINRES hits its iteration cap or when the
-    explicitly recomputed residual ||eta*grad - (I + eta*H) delta|| is not
-    within 1e-8 * ||eta*grad||; that test also catches a breakdown (singular
-    or non-symmetric operator) and a non-finite delta, whose residual is NaN.
-    Returns ``(candidate, used_fallback)``.
+    system is solved matrix-free by :func:`_minres` (stopping when its
+    residual estimate is within 1e-12 * ||A|| ||delta||, at most 500
+    iterations), warm-started from the explicit step's delta.  Falls back to
+    the explicit step when MINRES hits its iteration cap or meets a
+    non-finite Lanczos norm, or when the explicitly recomputed residual
+    ||eta*grad - (I + eta*H) delta|| is not within 1e-8 * ||eta*grad||; that
+    test also catches a breakdown (singular or non-symmetric operator) and a
+    non-finite delta, whose residual is NaN.  Returns
+    ``(candidate, used_fallback)``.
     """
     n, d = y.shape
     b = eta * grad.ravel()
@@ -220,12 +227,104 @@ def step_implicit(y, grad, hvp, eta):
     def matvec(u):
         return u + eta * hvp(u.reshape(n, d)).ravel()
 
-    A = LinearOperator((n * d, n * d), matvec=matvec, dtype=float)
-    delta, info = minres(A, b, x0=b, rtol=_KRYLOV_RTOL, maxiter=_KRYLOV_MAXITER)
-    residual = np.linalg.norm(b - matvec(delta))
-    if info != 0 or not residual <= _RESIDUAL_RTOL * np.linalg.norm(b):
-        return step_explicit(y, grad, eta), True
-    return y - delta.reshape(n, d), False
+    delta, converged = _minres(matvec, b, b, _KRYLOV_RTOL, _KRYLOV_MAXITER)
+    if converged and np.linalg.norm(b - matvec(delta)) <= _RESIDUAL_RTOL * np.linalg.norm(b):
+        return y - delta.reshape(n, d), False
+    return step_explicit(y, grad, eta), True
+
+
+def _minres(matvec, b, x0, rtol, maxiter):
+    """MINRES (Paige & Saunders 1975) for A x = b, A symmetric and given by ``matvec``.
+
+    Unpreconditioned, with the recurrences, operation order and stopping
+    tests of ``scipy.sparse.linalg.minres``, so the iterates are bitwise
+    equal to scipy's; the vectors are updated in place.  The first residual
+    is b - A x0.  The run stops when the residual estimate is within
+    ``rtol * ||A|| ||x||`` (or A r within ``rtol * ||A|| ||r||``), when x is
+    accurate to machine precision or A looks singular, and after ``maxiter``
+    iterations.  Returns ``(x, converged)``: ``converged`` is False only at
+    the iteration cap or at a non-finite Lanczos norm beta, where the run
+    stops at once.
+    """
+    eps = sys.float_info.epsilon
+    x = x0.copy()
+    r1 = b - matvec(x)
+    beta1 = np.inner(r1, r1)
+    if beta1 == 0:
+        return x, True
+    if b.dot(b) == 0:  # ||b|| is 0, to rounding
+        return b, True
+    if not math.isfinite(beta1):
+        return x, False
+    beta1 = math.sqrt(beta1)
+
+    n = len(b)
+    v, tmp, w1 = np.empty(n), np.empty(n), np.empty(n)
+    w, w2 = np.zeros(n), np.zeros(n)
+    # The 2-norm of a Givens pair is taken as numpy's norm takes it, a dot
+    # product of a 2-element array: math.hypot and sqrt(a*a + b*b) differ
+    # from it in the last bit for some pairs.
+    pair = np.empty(2)
+    r2 = y = r1
+    oldb, beta, dbar, epsln, phibar, tnorm2 = 0, beta1, 0, 0, beta1, 0
+    gmax, gmin = 0, sys.float_info.max
+    cs, sn = -1, 0
+    for itn in range(1, maxiter + 1):
+        # Lanczos step: v = y / beta, y = A v - (beta/oldb) r1 - (alfa/beta) r2
+        np.multiply(y, 1.0 / beta, out=v)
+        y = matvec(v)
+        if itn >= 2:
+            np.multiply(r1, beta / oldb, out=tmp)
+            y -= tmp
+        alfa = float(np.inner(v, y))
+        np.multiply(r2, alfa / beta, out=tmp)
+        y -= tmp
+        r1, r2 = r2, y
+        oldb, beta = beta, np.inner(r2, y)
+        if not math.isfinite(beta):
+            return x, False
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        eigenvector = itn == 1 and beta / beta1 <= 10 * eps  # b - A x0 is an eigenvector of A
+
+        # apply the previous rotation, then form the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        pair[0], pair[1] = gbar, dbar
+        root = math.sqrt(pair.dot(pair))
+        pair[1] = beta
+        gamma = max(math.sqrt(pair.dot(pair)), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        # x += phi * w with w = (v - oldeps * w1 - delta * w2) / gamma
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=w)
+        np.subtract(v, w, out=w)
+        np.multiply(w2, delta, out=tmp)
+        w -= tmp
+        w *= 1.0 / gamma
+        np.multiply(w, phi, out=tmp)
+        x += tmp
+
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        Anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(x.dot(x))
+        test1 = math.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = math.inf if Anorm == 0 else root / Anorm
+        if eigenvector or test1 <= rtol or test2 <= rtol:
+            return x, True
+        if Anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps:
+            return x, True  # x is as accurate as eps allows, or cond(A) exceeds 0.1/eps
+        if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1):
+            return x, True  # the tests above at an rtol below eps
+    return x, False
 
 
 def _auto_lambda0(hvp, shape, lambda_max, seed):

@@ -1,10 +1,15 @@
 """One sha256 per small solve, over y_final, every HistoryRecord and lambda0.
 
-A change that claims its outputs are bitwise unchanged runs this on both
-commits and compares the printed lines::
+A change that claims its outputs are bitwise unchanged saves the listing of
+the parent commit and checks the change against it::
 
-    PYTHONPATH=src python tests/solve_digest.py
+    PYTHONPATH=src python tests/solve_digest.py > parent.txt    # at the parent
+    PYTHONPATH=src python tests/solve_digest.py parent.txt      # at the change
 
+With a saved listing as its argument the script still prints every line,
+then names on stderr each solve whose line differs from the listing (or is
+missing from one side) and exits 1 if there is any; it exits 0 when all
+lines match.  With no argument it prints the lines and exits 0.
 The solves cover every cost family, both constraint modes, both updates,
 categorical and Sinkhorn couplings, preconditioning, fixed and automatic
 lambda0, and runs whose learning rate is halved.  Each line reads
@@ -69,13 +74,28 @@ def digest(result):
     return h.hexdigest()
 
 
-def main(names):
-    for name in names or SOLVES:
-        data, cost, config = SOLVES[name]
+def main(argv):
+    if len(argv) > 1:
+        sys.exit("usage: solve_digest.py [SAVED_LISTING]")
+    expected = None
+    if argv:
+        with open(argv[0]) as fh:
+            expected = dict(line.rstrip("\n").split(" ", 1) for line in fh if line.strip())
+    differing = []
+    for name, (data, cost, config) in SOLVES.items():
         result = solve(data.x, data.covariates, cost, config)
         halvings = sum(rec.eta_halvings for rec in result.history)
-        print(f"{name} {result.iterations} {halvings} {digest(result)}")
+        line = f"{result.iterations} {halvings} {digest(result)}"
+        print(name, line, flush=True)
+        if expected is not None and expected.pop(name, None) != line:
+            differing.append(name)
+    if expected is None:
+        return 0
+    differing += list(expected)  # listed solves that no longer run
+    for name in differing:
+        print(f"differs from {argv[0]}: {name}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

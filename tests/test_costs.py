@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baryflow import costs
 from baryflow.costs import CostModel, cost_function, pair_outer_operator, parse_cost_spec
 from baryflow.couplings import categorical_coupling
 from baryflow.errors import InvalidInputError
@@ -214,3 +215,17 @@ class TestPairOuterOperator:
             pair, Av = pair_outer_operator(A, y, c)(v)
             assert rel_err(pair, direct_pair_outer(A, y, c, v)) <= 1e-12
             assert rel_err(Av, A @ v) <= 1e-12
+
+    def test_same_points_lifted_once(self, rng, monkeypatch):
+        lifts = []
+        lifted = costs._lifted
+        monkeypatch.setattr(costs, "_lifted", lambda p: lifts.append(1) or lifted(p))
+        n, d = 9, 2
+        A = rng.standard_normal((n, n))
+        y = rng.standard_normal((n, d)) + 50.0
+        v = rng.standard_normal((n, d))
+        pair, Av = pair_outer_operator(A, y, y)(v)
+        assert len(lifts) == 1
+        pair_copy, Av_copy = pair_outer_operator(A, y, y.copy())(v)
+        assert len(lifts) == 3
+        assert np.array_equal(pair, pair_copy) and np.array_equal(Av, Av_copy)

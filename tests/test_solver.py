@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, minres
 
 from baryflow import costs, objective, solver
 from baryflow.costs import CostModel, cost_function
@@ -88,6 +89,43 @@ def count_pair_operators(monkeypatch):
     monkeypatch.setattr(objective, "pair_outer_operator", counting)
     monkeypatch.setattr(costs, "pair_outer_operator", counting)
     return builds
+
+
+def scipy_step_implicit(y, grad, hvp, eta):
+    """The implicit step through scipy's MINRES: ``step_implicit`` must equal it bit for bit."""
+    n, d = y.shape
+    b = eta * grad.ravel()
+
+    def matvec(u):
+        return u + eta * hvp(u.reshape(n, d)).ravel()
+
+    A = LinearOperator((n * d, n * d), matvec=matvec, dtype=float)
+    delta, info = minres(A, b, x0=b, rtol=solver._KRYLOV_RTOL, maxiter=solver._KRYLOV_MAXITER)
+    residual = np.linalg.norm(b - matvec(delta))
+    if info != 0 or not residual <= solver._RESIDUAL_RTOL * np.linalg.norm(b):
+        return step_explicit(y, grad, eta), True
+    return y - delta.reshape(n, d), False
+
+
+def random_implicit_system(kind, rng):
+    """``(y, grad, hvp, eta)`` of one implicit step; ``kind`` names the operator H."""
+    n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+    y = rng.standard_normal((n, d))
+    grad = rng.standard_normal((n, d))
+    eta = float(rng.uniform(0.05, 2.0))
+    if kind in ("spd", "indefinite"):
+        B = rng.standard_normal((n * d, n * d))
+        H = B @ B.T / (n * d) if kind == "spd" else (B + B.T) / 2.0
+        return y, grad, lambda v: (H @ v.ravel()).reshape(v.shape), eta
+    # the solver's own operators, at a random multiplier
+    x = y + 0.5 * rng.standard_normal((n, d))
+    C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+    tf = float(rng.uniform(0.3, 1.5)) if kind == "kde" else monomial_features(d, 2)
+    model = CostModel("distortion")
+    Z = categorical_coupling(rng.integers(0, 2, n))
+    ev = evaluate(cost_function(model, x, Z), constraint_function(C, tf), y, want_hvp=True)
+    lam = float(10.0 ** rng.uniform(-1.0, 2.0))
+    return y, combined_grad(ev, lam), ev.hvp(lam), eta
 
 
 class TestPreconditionMeanShift:
@@ -265,6 +303,36 @@ class TestSteps:
         cand, fallback = step_implicit(y, grad, lambda v: H @ v, 0.5)
         assert fallback
         assert np.array_equal(cand, step_explicit(y, grad, 0.5))
+
+    @pytest.mark.parametrize("maxiter", [3, 500])
+    @pytest.mark.parametrize("kind", ["spd", "indefinite", "kde", "features"])
+    def test_implicit_equals_scipy_minres(self, kind, maxiter, rng, monkeypatch):
+        monkeypatch.setattr(solver, "_KRYLOV_MAXITER", maxiter)
+        fallbacks = 0
+        for _ in range(25):
+            y, grad, hvp, eta = random_implicit_system(kind, rng)
+            cand, fallback = step_implicit(y, grad, hvp, eta)
+            expected, expected_fallback = scipy_step_implicit(y, grad, hvp, eta)
+            assert fallback == expected_fallback
+            assert np.array_equal(cand, expected)
+            fallbacks += fallback
+        if maxiter == 3 and kind != "spd":
+            assert fallbacks > 0  # the cap is hit, and both sides fall back alike
+
+    @pytest.mark.parametrize("poisoned", [0, 1], ids=["first-residual", "first-iteration"])
+    def test_implicit_non_finite_product_stops_at_once(self, poisoned):
+        products = []
+
+        def hvp(v):  # H = 2 I, until a product comes back NaN
+            products.append(1)
+            return np.full_like(v, np.nan) if len(products) > poisoned else 2.0 * v
+
+        y = np.zeros((2, 1))
+        grad = np.array([[1.0], [0.5]])
+        cand, fallback = step_implicit(y, grad, hvp, 0.5)
+        assert fallback
+        assert np.array_equal(cand, step_explicit(y, grad, 0.5))
+        assert len(products) <= 2
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_implicit_matches_dense_solve(self, mode, rng):
