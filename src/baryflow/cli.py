@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import os
 import re
@@ -360,7 +359,6 @@ def _cmd_filter_timeseries(args):
     return _run_solve(args, lagged_dataset(series, space=args.lag_space))
 
 
-@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="baryflow",

@@ -242,7 +242,10 @@ def _minres(matvec, b, x0, rtol, maxiter):
     is b - A x0.  The run stops when the residual estimate is within
     ``rtol * ||A|| ||x||`` (or A r within ``rtol * ||A|| ||r||``), when x is
     accurate to machine precision or A looks singular, and after ``maxiter``
-    iterations.  Returns ``(x, converged)``: ``converged`` is False only at
+    iterations.  ``rtol`` must be at least machine epsilon: scipy's further
+    exits for a test below eps are then implied by the rtol tests, and
+    scipy's exit for ``b == 0`` by ``b - A x0 == 0`` (the only caller
+    passes ``x0 = b``).  Returns ``(x, converged)``: ``converged`` is False only at
     the iteration cap or at a non-finite Lanczos norm beta, where the run
     stops at once.
     """
@@ -252,8 +255,6 @@ def _minres(matvec, b, x0, rtol, maxiter):
     beta1 = np.inner(r1, r1)
     if beta1 == 0:
         return x, True
-    if b.dot(b) == 0:  # ||b|| is 0, to rounding
-        return b, True
     if not math.isfinite(beta1):
         return x, False
     beta1 = math.sqrt(beta1)
@@ -322,8 +323,6 @@ def _minres(matvec, b, x0, rtol, maxiter):
             return x, True
         if Anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps:
             return x, True  # x is as accurate as eps allows, or cond(A) exceeds 0.1/eps
-        if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1):
-            return x, True  # the tests above at an rtol below eps
     return x, False
 
 

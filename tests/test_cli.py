@@ -133,21 +133,23 @@ class TestCli:
             assert dst.startswith(src)
 
     def test_rerun_byte_identical(self, tmp_path):
-        # one process, one parser: a usage error between the runs leaves no trace
+        # two runs in one process, each to its own files, with a usage error after each
         data = str(tmp_path / "d.csv")
         main(["gen", "ellipses", "--seed", "3", "--n-per-class", "10", "--output", data])
-        files = [str(tmp_path / name) for name in ("r.csv", "h.csv", "s.json")]
         outs = []
-        for _ in range(2):
+        for tag in ("1", "2"):
+            files = [str(tmp_path / f"{stem}{tag}.{ext}")
+                     for stem, ext in (("r", "csv"), ("h", "csv"), ("s", "json"))]
             assert main(["solve", "--input", data, "--niter", "50", "--seed", "0",
                          "--output", files[0], "--history", files[1], "--summary", files[2]]) == 0
             summary = json.load(open(files[2]))
             del summary["wall_time_s"]
+            for key, path in zip(("output", "history", "summary"), files):
+                assert summary["config"].pop(key) == path
             outs.append([open(files[0]).read(), open(files[1]).read(), summary])
             with pytest.raises(SystemExit) as exc:
                 main(["solve", "--input", data, "--niter", "many", "--update", "sideways"])
             assert exc.value.code == 2
-        assert _build_parser() is _build_parser()
         assert outs[0] == outs[1]
 
     def test_invalid_cost_usage_error(self, tmp_path, capsys):
