@@ -245,9 +245,9 @@ def _minres(matvec, b, x0, rtol, maxiter):
     iterations.  ``rtol`` must be at least machine epsilon: scipy's further
     exits for a test below eps are then implied by the rtol tests, and
     scipy's exit for ``b == 0`` by ``b - A x0 == 0`` (the only caller
-    passes ``x0 = b``).  Returns ``(x, converged)``: ``converged`` is False only at
-    the iteration cap or at a non-finite Lanczos norm beta, where the run
-    stops at once.
+    passes ``x0 = b``).  Returns ``(x, converged)``: ``converged`` is False
+    only at the iteration cap or at a non-finite Lanczos norm beta, where the
+    run stops at once.
     """
     eps = sys.float_info.epsilon
     x = x0.copy()
