@@ -204,13 +204,13 @@ def load_series(source):
 
 
 def _write_history_csv(history, fileobj):
+    """One row per accepted step, read column by column from the solver's history."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["iter", "L", "L_C", "L_F", "lambda", "eta", "eta_halvings"])
-    for rec in history:
-        writer.writerow([
-            str(rec.n), _fmt(rec.L), _fmt(rec.L_C), _fmt(rec.L_F),
-            _fmt(rec.lam), _fmt(rec.eta), str(rec.eta_halvings),
-        ])
+    columns = [history.column(name).tolist()
+               for name in ("n", "L", "L_C", "L_F", "lam", "eta", "eta_halvings")]
+    for n, L, L_C, L_F, lam, eta, halvings in zip(*columns):
+        writer.writerow([str(n), _fmt(L), _fmt(L_C), _fmt(L_F), _fmt(lam), _fmt(eta), str(halvings)])
 
 
 def _resolve_seed(args):

@@ -85,9 +85,13 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
     if np.any(K < 0):
         raise InvalidInputError("K must have nonnegative entries")
     scale = max(1.0, float(np.abs(K).max()))
-    if float(np.abs(K - K.T).max()) > 1e-8 * scale:
+    asymmetry = K - K.T
+    np.abs(asymmetry, out=asymmetry)
+    if float(asymmetry.max()) > 1e-8 * scale:
         raise InvalidInputError("K must be symmetric")
-    K = 0.5 * (K + K.T)
+    del asymmetry
+    K = np.add(K, K.T)  # the one working copy: symmetrised here, scaled by d in place below
+    K *= 0.5
 
     d = np.ones(K.shape[0])
     residual = np.inf
@@ -107,8 +111,10 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
             residual=residual,
             iterations=max_iter,
         )
-    Z = d[:, None] * K * d[None, :]
-    Z = 0.5 * (Z + Z.T)
+    K *= d[:, None]
+    K *= d[None, :]
+    Z = np.add(K, K.T)
+    Z *= 0.5
     return Z, d
 
 

@@ -13,14 +13,19 @@ point set is evaluated once.  The implicit step solves its symmetric system
 matrix-free with the module's own MINRES (:func:`_minres`), which runs
 scipy's recurrences and stopping tests (residual estimate within
 1e-12 * ||A|| ||x||) on buffers updated in place, so its steps are bitwise
-scipy's.
+scipy's.  Each accepted step writes one row of the run's :class:`History`,
+a structured array of 75 bytes a row that builds a :class:`HistoryRecord`
+only when one is read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .objective import constraint_function, evaluate, monomial_features
 
 __all__ = [
     "BarycenterResult",
+    "History",
     "HistoryRecord",
     "SolverConfig",
     "lambda_update",
@@ -119,36 +125,82 @@ class HistoryRecord:
     implicit_fallback: bool
 
 
+class History(Sequence):
+    """The accepted steps of one solve, read as a sequence of :class:`HistoryRecord`.
+
+    Rows live in one structured numpy array with a column per record field
+    (float64, int64 or bool, 75 bytes a row), which doubles when full, so
+    it never holds more than twice the rows used.  Indexing (negative
+    indices too) and iteration build records of Python floats, ints and
+    bools; :meth:`column` reads one field of every row without building any.
+    """
+
+    _DTYPE = np.dtype([(f.name, {"float": "f8", "int": "i8", "bool": "?"}[f.type])
+                       for f in dataclasses.fields(HistoryRecord)])
+
+    def __init__(self):
+        self._rows = np.empty(0, dtype=self._DTYPE)
+        self._len = 0
+
+    def append(self, *values):
+        """Write one row; ``values`` come in the field order of :class:`HistoryRecord`."""
+        if self._len == len(self._rows):
+            grown = np.empty(max(1, 2 * self._len), dtype=self._DTYPE)
+            grown[:self._len] = self._rows
+            self._rows = grown
+        self._rows[self._len] = values
+        self._len += 1
+
+    def column(self, name):
+        """Read-only view of field ``name`` over every record, in index order."""
+        view = self._rows[name][:self._len]
+        view.flags.writeable = False
+        return view
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        row = range(self._len)[operator.index(index)]  # negative from the end; IndexError past it
+        return HistoryRecord(*self._rows[row].item())
+
+
 @dataclass
 class BarycenterResult:
     """Final positions plus provenance of one solve.
 
-    ``x_original`` is always the unshifted input, so costs of the composed
-    map can be recomputed against it; ``precondition_shift`` is the rigid
-    per-point translation applied before the flow (None when preconditioning
-    was off).
+    ``history`` is a :class:`History`, one record per accepted step, which
+    holds each value in a column of one array and builds a record only when
+    one is read.  ``x_original`` is always the unshifted input, so costs of
+    the composed map can be recomputed against it; ``precondition_shift`` is
+    the rigid per-point translation applied before the flow (None when
+    preconditioning was off).
     """
 
     y_final: np.ndarray
     converged: bool
     iterations: int
-    history: list
+    history: History
     precondition_shift: np.ndarray | None
     x_original: np.ndarray
     lambda0: float
     bandwidth_a: float | None
 
+    def _last(self, name, default):
+        column = self.history.column(name)
+        return column[-1].item() if len(column) else default
+
     @property
     def final_L_C(self):
-        return self.history[-1].L_C if self.history else None
+        return self._last("L_C", None)
 
     @property
     def final_L_F(self):
-        return self.history[-1].L_F if self.history else None
+        return self._last("L_F", None)
 
     @property
     def final_lambda(self):
-        return self.history[-1].lam if self.history else self.lambda0
+        return self._last("lam", self.lambda0)
 
 
 def precondition_mean_shift(x, covariates, Z):
@@ -343,7 +395,7 @@ def _auto_lambda0(hvp, shape, lambda_max, seed):
         if estimate < 1e-30:
             break
         v = w / estimate
-    return min(1.0 / estimate if estimate > 1e-12 else 1.0, lambda_max)
+    return float(min(1.0 / estimate if estimate > 1e-12 else 1.0, lambda_max))
 
 
 def solve(x, covariates, cost_model, config=None):
@@ -402,7 +454,7 @@ def solve(x, covariates, cost_model, config=None):
 
     lambda0 = lam
     eta = config.eta0
-    history = []
+    history = History()
     converged = False
 
     for it in range(config.niter):
@@ -449,12 +501,8 @@ def solve(x, covariates, cost_model, config=None):
 
         rel_change = float(np.abs(candidate - y).max()) / max(1.0, float(np.abs(y).max()))
         y, ev = candidate, ev_new
-        history.append(HistoryRecord(
-            n=it, L=L, L_C=ev.L_C, L_F=ev.L_F,
-            lam=lam, eta=eta, eta_halvings=halvings, descent_rhs=rhs,
-            lambda_slack=slack, lambda_clamped=clamped, lambda_skipped=skipped,
-            implicit_fallback=fallback,
-        ))
+        history.append(it, L, ev.L_C, ev.L_F, lam, eta, halvings, rhs,  # HistoryRecord's order
+                       slack, clamped, skipped, fallback)
         if rel_change < config.tol_y and ev.L_F < config.tol_lf:
             converged = True
             break

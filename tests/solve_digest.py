@@ -14,7 +14,11 @@ The solves cover every cost family, both constraint modes, both updates,
 categorical and Sinkhorn couplings, preconditioning, fixed and automatic
 lambda0, and runs whose learning rate is halved.  Each line reads
 ``name iterations halvings sha256``.  The name does not start with ``test_``,
-so pytest does not collect this file.
+so pytest does not collect this file.  Listings saved before the history
+moved into one structured array differ, with no value changed, on every
+solve whose records then held numpy float64 values (all but the features
+solve with a fixed lambda0): that repr differs from a Python float's, and
+records now hold Python floats only.
 """
 
 import dataclasses

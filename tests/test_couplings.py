@@ -12,6 +12,8 @@ from baryflow.couplings import (
 )
 from baryflow.errors import ConvergenceError, InvalidInputError
 
+from conftest import peak_bytes
+
 
 class TestGaussianKernel:
     def test_peak_value_1d(self):
@@ -112,6 +114,19 @@ class TestSinkhorn:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
             sinkhorn_bistochastic(np.array([[1.0, 0.2], [0.8, 1.0]]))
+
+    def test_set_up_works_on_one_copy(self, rng):
+        # at most 3 N x N doubles beyond the input, which is left as it was,
+        # and Z bitwise equal to the formula the in-place steps replace
+        n = 200
+        pts = rng.normal(size=(n, 2))
+        K = kernel_cross_matrix(pts, pts, 0.8)
+        given = K.copy()
+        assert peak_bytes(lambda: sinkhorn_bistochastic(K)) <= 3 * n**2 * 8
+        assert np.array_equal(K, given)
+        Z, d = sinkhorn_bistochastic(K)
+        ref = d[:, None] * (0.5 * (K + K.T)) * d[None, :]
+        assert np.array_equal(Z, 0.5 * (ref + ref.T))
 
 
 class TestCategoricalCoupling:

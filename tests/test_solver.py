@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 import weakref
 
@@ -12,6 +14,7 @@ from baryflow.datagen import gen_ellipses, gen_hidden_signal, lagged_dataset
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import MonomialBasis, constraint_function, evaluate, monomial_features
 from baryflow.solver import (
+    HistoryRecord,
     SolverConfig,
     lambda_update,
     precondition_mean_shift,
@@ -384,6 +387,56 @@ class TestDescentCheck:
         res = self.run(eta0=1e3, niter=5)
         assert res.history[0].eta_halvings > 0
         assert all(rec.L <= rec.descent_rhs for rec in res.history)
+
+
+class TestHistory:
+    """Records read back from the rows of the solver's history."""
+
+    def setup_method(self):
+        ds = gen_ellipses(seed=0, n_per_class=10)  # kde with halvings: eta, lam and L vary
+        self.result = solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                            SolverConfig(eta0=50.0, niter=20))
+
+    def test_records_hold_python_types(self):
+        kinds = {"float": float, "int": int, "bool": bool}
+        for rec in self.result.history:
+            for field in dataclasses.fields(HistoryRecord):
+                assert type(getattr(rec, field.name)) is kinds[field.type]
+
+    def test_indexing_and_iteration(self):
+        history = self.result.history
+        n = len(history)
+        assert n == self.result.iterations == 20
+        last_row = tuple(history.column(f.name)[-1] for f in dataclasses.fields(HistoryRecord))
+        assert dataclasses.astuple(history[-1]) == last_row
+        assert history[-1] == history[n - 1]
+        assert list(history) == [history[k] for k in range(n)]
+        assert [rec.n for rec in history] == list(range(n))
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                history[index]
+
+    def test_final_values_and_read_only_columns(self):
+        res, last = self.result, self.result.history[-1]
+        assert (res.final_L_C, res.final_L_F, res.final_lambda) == (last.L_C, last.L_F, last.lam)
+        with pytest.raises(ValueError):
+            res.history.column("L")[0] = 0.0
+
+    def test_retains_at_most_100_bytes_per_iteration(self):
+        ds = gen_ellipses(seed=0, n_per_class=5)
+
+        def run():
+            return solve(ds.x, ds.covariates, CostModel("sq_euclidean"), SolverConfig(niter=2000))
+
+        run()  # first-use set-up
+        tracemalloc.start()
+        try:
+            result = run()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 2000
+        assert retained <= 100 * 2000
 
 
 def categorical_p_norm(problem):
