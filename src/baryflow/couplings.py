@@ -6,6 +6,14 @@ is the bi-stochastic rescaling of their own Gaussian kernel matrix.  The centeri
 matrix C = Z - rowmean(Z) is the quadratic form the objective contracts
 against: its columns sum to zero and x'Cx >= 0 for every x whenever Z is
 positive semidefinite with unit row sums.
+
+:func:`build_couplings` returns one small object per solve.  A
+:class:`CategoricalCoupling` holds only each point's class and the class
+sizes: with U = [class indicator | 1] and w = [1/N_c | -1/N], C is
+U diag(w) U^T, symmetric by construction, and a product with C^T costs
+O(N m K) for m stacked rows and K classes.  A :class:`DenseCoupling`
+holds the N x N arrays of a Sinkhorn coupling.  Both give the product, kde's
+C-contiguous C^T and the dense Z, the last two only when a caller asks.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from scipy.spatial.distance import cdist, pdist
 from .errors import ConvergenceError, InvalidInputError, positive_number
 
 __all__ = [
+    "CategoricalCoupling",
     "Covariates",
+    "DenseCoupling",
     "build_couplings",
     "categorical_coupling",
     "centering_matrix",
@@ -58,7 +68,7 @@ def median_heuristic_bandwidth(points):
         raise InvalidInputError("points must be a 2-D array")
     if points.shape[0] < 2:
         return 1.0
-    med = float(np.median(pdist(points)))
+    med = float(np.median(pdist(points), overwrite_input=True))  # no copy of the N^2/2 distances
     if med <= 0.0:
         return 1.0
     return med / np.sqrt(2.0)
@@ -118,21 +128,23 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
     return Z, d
 
 
+def _check_labels(labels):
+    """Labels as a non-empty 1-D array; raises InvalidInputError on NaN labels."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise InvalidInputError("labels must be a non-empty 1-D sequence")
+    if labels.dtype.kind in "fc" and np.isnan(labels).any():
+        raise InvalidInputError("labels must not be NaN")
+    return labels
+
+
 def categorical_coupling(labels):
     """Class-indicator coupling: Z[i, j] = 1/N_i when labels agree, else 0.
 
     Bi-stochastic and symmetric by construction; block diagonal under any
     class-sorted permutation.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise InvalidInputError("labels must be a non-empty 1-D sequence")
-    n = labels.size
-    Z = np.zeros((n, n))
-    for value in np.unique(labels):
-        idx = np.flatnonzero(labels == value)
-        Z[np.ix_(idx, idx)] = 1.0 / idx.size
-    return Z
+    return CategoricalCoupling(_check_labels(labels)).Z()
 
 
 def centering_matrix(Z):
@@ -152,6 +164,7 @@ def centering_matrix(Z):
 class Covariates:
     """Conditioning data: class labels, or continuous vectors plus a bandwidth.
 
+    Labels are checked here, once: a non-empty 1-D array with no NaN.
     ``bandwidth_b`` applies to continuous covariates only; :func:`build_couplings`
     resolves "auto" with the median heuristic on the values.
     """
@@ -163,8 +176,7 @@ class Covariates:
 
     def __post_init__(self):
         if self.kind == "categorical":
-            if self.labels is None or np.asarray(self.labels).size == 0:
-                raise InvalidInputError("categorical covariates need labels")
+            object.__setattr__(self, "labels", _check_labels(self.labels))
         elif self.kind == "continuous":
             values = np.asarray(self.values, dtype=float) if self.values is not None else None
             if values is None or values.ndim != 2 or values.shape[0] == 0:
@@ -188,16 +200,94 @@ class Covariates:
     @property
     def n(self):
         if self.kind == "categorical":
-            return int(np.asarray(self.labels).size)
+            return len(self.labels)
         return int(self.values.shape[0])
 
 
+class CategoricalCoupling:
+    """The coupling of class labels, held as each point's class index and the class sizes.
+
+    Z[i, j] is 1/N_c when points i and j share class c, else 0.  With
+    U = [class indicator | 1], an N x (K + 1) matrix, and w = [1/N_c | -1/N],
+    C = Z - 11^T/N = U diag(w) U^T, symmetric by construction.  Only the
+    class index and sizes are stored; each method builds what it returns.
+    ``labels`` must be a checked 1-D array, as :class:`Covariates` holds them.
+    """
+
+    def __init__(self, labels):
+        _, self.index, self.counts = np.unique(labels, return_inverse=True, return_counts=True)
+
+    def product(self):
+        """F -> F @ C^T for an (m, N) array F, as ((F @ U) * w) @ U^T.
+
+        Row l of the result is f_l's class means minus its overall mean.
+        The function holds U, N x (K + 1) doubles for K classes, and costs
+        O(N m K): linear in N for a fixed number of classes.
+        """
+        index, k = self.index, len(self.counts)
+        U = np.zeros((len(index), k + 1))
+        U[np.arange(len(index)), index] = 1.0
+        U[:, k] = 1.0
+        w = np.append(1.0 / self.counts, -1.0 / len(index))
+        return lambda F: ((F @ U) * w) @ U.T
+
+    def CT(self):
+        """C-contiguous C^T, bitwise equal to that of ``centering_matrix(self.Z())``.
+
+        Each class's row mean of Z is taken from one O(N) representative row,
+        as :func:`centering_matrix` takes it from every row of Z; one
+        comparison of the class index then fills C^T[l, i] = Z[i, l] - mean_i.
+        """
+        index, inv = self.index, 1.0 / self.counts
+        row_means = np.empty(len(inv))
+        row = np.zeros(len(index))
+        for c in range(len(inv)):
+            members = index == c
+            row[members] = inv[c]
+            row_means[c] = row.mean()
+            row[members] = 0.0
+        return np.where(index[:, None] == index, (inv - row_means)[index], -row_means[index])
+
+    def Z(self):
+        """The dense N x N coupling, from one comparison of the class index."""
+        return np.where(self.index[:, None] == self.index, (1.0 / self.counts)[self.index], 0.0)
+
+
+class DenseCoupling:
+    """A coupling held as its dense N x N arrays: C, and Z when it is known.
+
+    Sinkhorn couplings take this form; so does a centering matrix C passed
+    on its own, whose Z is then None.
+    """
+
+    def __init__(self, C, Z=None):
+        self.C, self._Z = C, Z
+
+    def product(self):
+        """F -> F @ C^T for an (m, N) array F; the function holds C alone."""
+        C = self.C
+        return lambda F: F @ C.T
+
+    def CT(self):
+        """C-contiguous copy of C^T."""
+        return np.ascontiguousarray(self.C.T)
+
+    def Z(self):
+        """The dense Z; None when only C was given."""
+        return self._Z
+
+
 def build_couplings(covariates):
-    """Return ``(Z, C)``, the N x N coupling and its centering; computed once per solve."""
+    """Return the coupling of one solve: a :class:`CategoricalCoupling` or a :class:`DenseCoupling`.
+
+    Computed once per solve.  Categorical covariates give the O(N) class
+    form, built from the labels :class:`Covariates` checked; continuous ones
+    give the dense form of the bi-stochastic scaling of their Gaussian kernel
+    matrix, with its C = Z - rowmean(Z).
+    """
     if covariates.kind == "categorical":
-        Z = categorical_coupling(covariates.labels)
-    else:
-        b = covariates.bandwidth_b
-        b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
-        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(covariates.values, covariates.values, b))
-    return Z, centering_matrix(Z)
+        return CategoricalCoupling(covariates.labels)
+    b = covariates.bandwidth_b
+    b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
+    Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(covariates.values, covariates.values, b))
+    return DenseCoupling(centering_matrix(Z), Z)

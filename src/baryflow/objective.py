@@ -23,14 +23,16 @@ constraint modes exist:
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
   (m, N) values and (m, N, d) gradients and ``hess(y)`` their (m, N, d, d)
   Hessians.  Gradients use the symmetric form 2 * (C f_l)_i * f_l'(y_i),
-  exact for symmetric C.  The C built by this package is symmetric only to
-  rounding (categorical covariates) or to the Sinkhorn tolerance (continuous
-  ones), and so are the gradient and the Hessian-vector products MINRES reads.
+  exact for symmetric C.  For categorical covariates C = U diag(w) U^T is
+  applied in its class form, symmetric by construction, and so are the
+  gradient and the Hessian-vector products MINRES reads.  For continuous
+  ones C is symmetric to the Sinkhorn tolerance only.  kde's categorical
+  C^T is dense, with the values of Z - rowmean(Z), symmetric to rounding.
 
 The constraint binds to one solve through :func:`constraint_function`, which
-takes a kde bandwidth or a features basis and checks it and C once; per call,
-only the features' width is checked, and the solver checks that each candidate
-is finite.
+takes the solve's coupling (or a dense C) and a kde bandwidth or a features
+basis, and checks them once; per call, only the features' width is checked,
+and the solver checks that each candidate is finite.
 
 Both terms of the objective share one contract: a bound term returns its value,
 its gradient as a function that builds it, and its Hessian-vector product.  The
@@ -48,7 +50,8 @@ kernel by C^T in place on the first gradient or product read, and sets up
 per-point d x d blocks on the first product, in O(N^2 d^2) (see
 :func:`baryflow.costs.pair_outer_operator`); each product is then one N x N by
 N x (d^2 + 2d + 1) matrix product.  A features product costs
-O(N^2 m + N m d^2) for m features.
+O(N m d^2) plus two products with C^T of m stacked rows: O(N m K) each for
+categorical covariates in K classes, O(N^2 m) for a dense C.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import deferred, pair_outer_operator
+from .couplings import CategoricalCoupling, DenseCoupling
 from .errors import InvalidInputError, NumericError, positive_number
 
 __all__ = [
@@ -237,9 +241,9 @@ def _kde_parts(y, CT, bandwidth, centers, want_hvp, before=None):
     return value, grad, hvp
 
 
-def _features_parts(y, C, basis, want_hvp):
+def _features_parts(y, product, basis, want_hvp):
     vals, grads = basis.value_and_grad(y)
-    cv = vals @ C.T  # row l is C @ f_l
+    cv = product(vals)  # row l is C @ f_l
     value = float(np.einsum("li,li->l", vals, cv).sum())  # sum_l f_l' C f_l
     grad = lambda: 2.0 * np.einsum("li,lia->ia", cv, grads)
     hvp = None
@@ -248,19 +252,23 @@ def _features_parts(y, C, basis, want_hvp):
 
         def hvp(v):
             g = np.einsum("lkb,kb->lk", grads, v)  # g[l, k] = f_l'(y_k) . v_k
-            cross = 2.0 * np.einsum("lia,li->ia", grads, g @ C.T)
+            cross = 2.0 * np.einsum("lia,li->ia", grads, product(g))
             return np.einsum("iab,ib->ia", diag(), v) + cross
     return value, grad, hvp
 
 
-def constraint_function(C, test_functions):
-    """Bind a constraint to the N x N centering matrix C of one solve.
+def constraint_function(coupling, test_functions):
+    """Bind a constraint to the coupling of one solve.
 
-    ``test_functions`` is a kde bandwidth (a positive number) or the
-    :class:`MonomialBasis` of features mode, whose m terms weigh equally.
-    Checks here, once, that C is square and ``test_functions`` is one of the
-    two; kde keeps a C-contiguous C^T.  Its value is one dot product of the
-    unnormalized kernel with C^T, and (2 pi a^2)^(-d/2) scales only O(N d) outputs.
+    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns,
+    or an N x N centering matrix C, which is wrapped once, here, as a
+    :class:`~baryflow.couplings.DenseCoupling`.  ``test_functions`` is a kde
+    bandwidth (a positive number) or the :class:`MonomialBasis` of features
+    mode, whose m terms weigh equally.  Checks here, once, that C is square
+    and ``test_functions`` is one of the two.  Features keep the coupling's
+    product with C^T, which holds only what it reads.  kde keeps a
+    C-contiguous C^T; its value is one dot product of the unnormalized
+    kernel with C^T, and (2 pi a^2)^(-d/2) scales only O(N d) outputs.
     Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
     for a finite N x d float y.  ``grad`` is a function of no arguments that builds
     the N x d gradient.  For kde it differentiates only the evaluation slot of
@@ -271,15 +279,18 @@ def constraint_function(C, test_functions):
     ``(value, grad, hvp, value_before)``: the value at ``before`` with the same
     centers, in the same centers' frame, its kernel freed before y's is built.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise InvalidInputError("the centering matrix C must be square")
+    if not isinstance(coupling, (CategoricalCoupling, DenseCoupling)):
+        C = np.asarray(coupling, dtype=float)
+        if C.ndim != 2 or C.shape[0] != C.shape[1]:
+            raise InvalidInputError("the centering matrix C must be square")
+        coupling = DenseCoupling(C)
     if isinstance(test_functions, MonomialBasis):
+        product = coupling.product()
         return lambda y, centers=None, want_hvp=False: _features_parts(
-            y, C, test_functions, want_hvp)
+            y, product, test_functions, want_hvp)
     if not positive_number(test_functions):
         raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
-    CT, a = np.ascontiguousarray(C.T), float(test_functions)
+    CT, a = coupling.CT(), float(test_functions)
     return lambda y, centers=None, want_hvp=False, before=None: _kde_parts(
         y, CT, a, y if centers is None else centers, want_hvp, before)
 

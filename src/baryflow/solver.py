@@ -405,15 +405,17 @@ def solve(x, covariates, cost_model, config=None):
     mean-matching shift (in which case every cost except the canonical
     squared-Euclidean one keeps being evaluated against the original
     points), and iterates until the positions stall with a satisfied
-    constraint or ``config.niter`` is reached.  x, Z and C are checked once,
-    when the cost and the constraint bind them.  A candidate step is rejected,
-    and the learning rate halved, when it is not finite, raises the objective,
-    leaves the cost's domain, or gives a non-finite value or gradient; both
-    gradients are built on first read, which happens only for the starting
-    points and for each accepted step.  The run ends early when 60 halvings
-    find no step.  ``lambda0="auto"`` runs on the starting points' one
-    evaluation.  Raises :class:`NumericError` only when that evaluation (its
-    values or either gradient) is not finite.
+    constraint or ``config.niter`` is reached.  x and the coupling are
+    checked once, when the cost and the constraint bind them; a categorical
+    coupling forms no N x N array unless the distortion cost reads Z or kde
+    its C^T.  A candidate step is rejected, and the learning rate halved,
+    when it is not finite, raises the objective, leaves the cost's domain,
+    or gives a non-finite value or gradient; both gradients are built on
+    first read, which happens only for the starting points and for each
+    accepted step.  The run ends early when 60 halvings find no step.
+    ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
+    :class:`NumericError` only when that evaluation (its values or either
+    gradient) is not finite.
     """
     config = config or SolverConfig()
     x = as_points(x)
@@ -421,10 +423,11 @@ def solve(x, covariates, cost_model, config=None):
     if covariates.n != n:
         raise InvalidInputError("covariates and points disagree on N")
 
-    Z, C = build_couplings(covariates)
+    coupling = build_couplings(covariates)
 
-    if config.precondition:
-        w, shift = precondition_mean_shift(x, covariates, Z)
+    if config.precondition:  # categorical covariates use class means, not Z
+        w, shift = precondition_mean_shift(
+            x, covariates, coupling.Z() if covariates.kind == "continuous" else None)
         y = w.copy()
         x_cost = w if cost_model.family == "sq_euclidean" else x
     else:
@@ -437,10 +440,12 @@ def solve(x, covariates, cost_model, config=None):
     if kde:
         a = config.bandwidth_a
         bandwidth_a = float(median_heuristic_bandwidth(y) if a == "auto" else a)
-    cost = cost_function(cost_model, x_cost, Z)
+    # only the distortion cost reads Z, which a categorical coupling builds on request
+    cost = cost_function(cost_model, x_cost,
+                         coupling.Z() if cost_model.family == "distortion" else None)
     constraint = constraint_function(
-        C, bandwidth_a if kde else monomial_features(d, config.feature_degree))
-    del Z, C  # the bound terms keep what they read of them
+        coupling, bandwidth_a if kde else monomial_features(d, config.feature_degree))
+    del coupling  # the bound terms keep what they read of it
     implicit = config.update == "implicit"
     auto = config.lambda0 == "auto"
     ev = evaluate(cost, constraint, y, want_hvp=implicit or auto)

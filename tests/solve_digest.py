@@ -18,7 +18,12 @@ so pytest does not collect this file.  Listings saved before the history
 moved into one structured array differ, with no value changed, on every
 solve whose records then held numpy float64 values (all but the features
 solve with a fixed lambda0): that repr differs from a Python float's, and
-records now hold Python floats only.
+records now hold Python floats only.  Listings saved before features mode
+applied a categorical C in its class form differ on the three categorical
+features solves (``l2-features-explicit``,
+``distortion-features-explicit-lambda1`` and
+``l2-features-implicit-precondition``), whose products with C round
+differently; the kde solves and ``pnorm-features-sinkhorn`` match.
 """
 
 import dataclasses

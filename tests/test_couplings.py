@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from baryflow.couplings import (
+    CategoricalCoupling,
     Covariates,
+    DenseCoupling,
     build_couplings,
     categorical_coupling,
     centering_matrix,
@@ -13,6 +16,21 @@ from baryflow.couplings import (
 from baryflow.errors import ConvergenceError, InvalidInputError
 
 from conftest import peak_bytes
+
+_rng = np.random.default_rng(7)
+# label sets with 1 to 7 classes: unequal sizes, singletons, ints and strings
+LABEL_SETS = [
+    np.zeros(5, dtype=int),
+    np.array([3]),
+    np.array([0, 1]),
+    np.array(["b", "a", "b", "b", "c", "a", "c", "b"]),
+    np.array([5, 5, 5, 5, 5, 5, 5, 5, 5, 2]),
+    np.arange(7),
+    np.concatenate([np.zeros(40, dtype=int), [1], np.full(3, 2), [3]]),
+    _rng.integers(0, 7, 200),
+    _rng.permutation(np.repeat(np.array(["x", "y", "zz", "w"]), [1, 13, 50, 100])),
+    _rng.integers(-3, 4, 1500),
+]
 
 
 class TestGaussianKernel:
@@ -152,6 +170,44 @@ class TestCategoricalCoupling:
         diff = labels[:, None] != labels[None, :]
         assert np.all(Z[diff] == 0.0)
 
+    @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
+    def test_equals_the_per_class_block_build(self, case):
+        labels = LABEL_SETS[case]
+        ref = np.zeros((labels.size, labels.size))
+        for value in np.unique(labels):
+            idx = np.flatnonzero(labels == value)
+            ref[np.ix_(idx, idx)] = 1.0 / idx.size
+        assert np.array_equal(categorical_coupling(labels), ref)
+
+
+class TestCategoricalForm:
+    """The class form of build_couplings against the dense Z and C it replaces."""
+
+    @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
+    def test_product_equals_dense(self, case, rng):
+        labels = LABEL_SETS[case]
+        F = rng.standard_normal((4, labels.size)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
+        dense = F @ centering_matrix(categorical_coupling(labels)).T
+        got = build_couplings(Covariates.categorical(labels)).product()(F)
+        assert got.shape == dense.shape
+        assert np.abs(got - dense).max() <= 1e-15 * np.abs(F).max()
+
+    @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
+    def test_kde_transpose_bitwise_equals_dense(self, case):
+        labels = LABEL_SETS[case]
+        dense = np.ascontiguousarray(centering_matrix(categorical_coupling(labels)).T)
+        CT = build_couplings(Covariates.categorical(labels)).CT()
+        assert CT.flags.c_contiguous
+        assert CT.tobytes() == dense.tobytes()
+
+    def test_holds_no_square_array(self):
+        n = 3000
+        labels = np.arange(n) % 7
+        assert peak_bytes(lambda: build_couplings(Covariates.categorical(labels))) < n * n
+        product = build_couplings(Covariates.categorical(labels)).product()
+        F = np.ones((5, n))
+        assert peak_bytes(lambda: product(F)) < 8 * n * 8
+
 
 class TestCenteringMatrix:
     def test_single_class_is_zero(self):
@@ -182,6 +238,12 @@ class TestCenteringMatrix:
 
 
 class TestCovariatesAndBuild:
+    def test_median_heuristic_holds_one_copy_of_the_distances(self, rng):
+        n = 400
+        pts = rng.normal(size=(n, 2))
+        assert peak_bytes(lambda: median_heuristic_bandwidth(pts)) <= 1.25 * n * (n - 1) // 2 * 8
+        assert median_heuristic_bandwidth(pts) == np.median(pdist(pts)) / np.sqrt(2.0)
+
     def test_median_heuristic(self, rng):
         pts = rng.normal(size=(30, 2))
         b = median_heuristic_bandwidth(pts)
@@ -192,13 +254,17 @@ class TestCovariatesAndBuild:
 
     def test_build_categorical(self):
         cov = Covariates.categorical(np.array([0, 0, 1, 1]))
-        Z, C = build_couplings(cov)
-        assert np.allclose(Z.sum(axis=0), 1.0)
-        assert np.abs(C.sum(axis=0)).max() <= 1e-12
+        coupling = build_couplings(cov)
+        assert isinstance(coupling, CategoricalCoupling)
+        assert np.allclose(coupling.Z().sum(axis=0), 1.0)
+        assert np.abs(coupling.CT().sum(axis=1)).max() <= 1e-12  # columns of C
+        assert np.abs(coupling.product()(np.ones((2, 4)))).max() <= 1e-12
 
     def test_build_continuous_auto_bandwidth(self, rng):
         cov = Covariates.continuous(rng.normal(size=(20, 2)))
-        Z, C = build_couplings(cov)
+        coupling = build_couplings(cov)
+        assert isinstance(coupling, DenseCoupling)
+        Z = coupling.Z()
         assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
         assert np.allclose(Z, Z.T)
@@ -206,7 +272,7 @@ class TestCovariatesAndBuild:
     def test_duplicate_covariate_values_allowed(self):
         values = np.array([[0.0], [0.0], [1.0], [2.0]])
         cov = Covariates.continuous(values, bandwidth_b=0.5)
-        Z, C = build_couplings(cov)
+        Z = build_couplings(cov).Z()
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
 
     @pytest.mark.parametrize("bandwidth_b", ["wide", None, True, 0.0, float("nan")])
@@ -217,6 +283,18 @@ class TestCovariatesAndBuild:
     def test_non_finite_values_rejected(self):
         with pytest.raises(InvalidInputError, match="finite"):
             Covariates.continuous(np.array([[0.0], [np.nan], [1.0]]), bandwidth_b=1.0)
+
+    def test_nan_labels_rejected(self):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            Covariates.categorical(np.array([0.0, np.nan, np.nan, 1.0, 0.0, 1.0]))
+
+    def test_labels_must_be_one_dimensional(self):
+        with pytest.raises(InvalidInputError, match="1-D"):
+            Covariates.categorical(np.array([[0, 1], [1, 0]]))
+
+    def test_string_and_float_labels_accepted(self):
+        assert Covariates.categorical(np.array(["a", "b", "a"])).n == 3
+        assert Covariates.categorical([0.5, 1.5, 0.5]).n == 3
 
     def test_invalid_covariates(self):
         with pytest.raises(InvalidInputError):

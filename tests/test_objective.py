@@ -5,7 +5,8 @@ import pytest
 
 from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import (
-    categorical_coupling, centering_matrix, kernel_cross_matrix, sinkhorn_bistochastic,
+    Covariates, build_couplings, categorical_coupling, centering_matrix, kernel_cross_matrix,
+    sinkhorn_bistochastic,
 )
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import (
@@ -267,6 +268,25 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
         assert_symmetric(constraint_function(C, tf)(y, want_hvp=True)[2], rng, n, 2)
+
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_categorical_coupling_matches_its_dense_C(self, mode, rng):
+        # kde reads the same C^T bit for bit; features apply C in its class form
+        n = 30
+        labels = rng.integers(0, 4, n)
+        y = rng.standard_normal((n, 2))
+        v = rng.standard_normal((n, 2))
+        tf = 0.7 if mode == "kde" else monomial_features(2, 3)
+        coupling = build_couplings(Covariates.categorical(labels))
+        C = centering_matrix(categorical_coupling(labels))
+        got, ref = (constraint_function(c, tf)(y, want_hvp=True) for c in (coupling, C))
+        if mode == "kde":
+            assert got[0] == ref[0]
+            assert np.array_equal(got[1](), ref[1]()) and np.array_equal(got[2](v), ref[2](v))
+        else:
+            assert got[0] == pytest.approx(ref[0], rel=1e-13)
+            assert rel_err(got[1](), ref[1]()) <= 1e-13
+            assert rel_err(got[2](v), ref[2](v)) <= 1e-13
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_kde_hvp_with_moved_centers_matches_direct_sum(self, d, rng):

@@ -158,7 +158,7 @@ class TestPreconditionMeanShift:
         x = rng.standard_normal((12, 2))
         values = rng.standard_normal((12, 1))
         cov = Covariates.continuous(values, bandwidth_b=0.8)
-        Z, _ = build_couplings(cov)
+        Z = build_couplings(cov).Z()
         w, shift = precondition_mean_shift(x, cov, Z)
         assert np.allclose(w, x + x.mean(axis=0) - Z.T @ x)
         assert np.allclose(shift, w - x)
@@ -484,8 +484,9 @@ class TestDescentSides:
             assert rec.eta_halvings > 0  # the recorded right side is a retried step's
         kde = config.get("problem", "kde") == "kde"
         tf = res.bandwidth_a if kde else monomial_features(x.shape[1], 2)
-        Z, C = build_couplings(cov)
-        cost, constraint = cost_function(model, x, Z), constraint_function(C, tf)
+        coupling = build_couplings(cov)  # the object solve binds, not a dense C of its own
+        cost = cost_function(model, x, coupling.Z())
+        constraint = constraint_function(coupling, tf)
         ev = evaluate(cost, constraint, y_new)
         lhs = ev.L_C + rec.lam * ev.L_F
         rhs = cost(y)[0] + rec.lam * constraint(y, centers=y_new)[0]
@@ -770,6 +771,31 @@ class TestSolve:
                   SolverConfig(update="implicit", niter=2))
 
         assert peak_bytes(run) < 3.6 * n**2 * 8
+
+    @pytest.mark.parametrize("update", ["explicit", "implicit"])
+    def test_categorical_features_solve_holds_no_square_array(self, update, rng):
+        # Z and C in their class form: the whole solve, lambda0 included, stays
+        # far below one N x N array of doubles
+        n = 2000
+        x = rng.standard_normal((n, 2))
+        cov = Covariates.categorical(rng.integers(0, 3, n))
+
+        def run():
+            solve(x, cov, CostModel("sq_euclidean"),
+                  SolverConfig(problem="features", update=update, niter=2))
+
+        assert peak_bytes(run) < n**2 * 8 / 4
+
+    def test_categorical_kde_solve_peak_memory(self, rng):
+        # C^T is built from the labels, with no Z or C beside it: C^T and one kernel
+        n = 600
+        x = rng.standard_normal((n, 2))
+        cov = Covariates.categorical(rng.integers(0, 3, n))
+
+        def run():
+            solve(x, cov, CostModel("sq_euclidean"), SolverConfig(lambda0=1.0, niter=1))
+
+        assert peak_bytes(run) <= 2.2 * n**2 * 8
 
     @pytest.mark.parametrize("lambda0", ["auto", 1.0])
     @pytest.mark.parametrize("problem", ["kde", "features"])
