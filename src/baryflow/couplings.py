@@ -11,14 +11,16 @@ positive semidefinite with unit row sums.
 :class:`CategoricalCoupling` holds only each point's class and the class
 sizes: with U = [class indicator | 1] and w = [1/N_c | -1/N], C is
 U diag(w) U^T, symmetric by construction, and a product with C^T costs
-O(N m K) for m stacked rows and K classes.  A :class:`DenseCoupling`
-holds the N x N arrays of a Sinkhorn coupling.  Both give the product, kde's
-C-contiguous C^T and the dense Z, the last two only when a caller asks.
+O(N m K) for m stacked rows and K classes.  C^T has only K distinct rows,
+one per class, so kde weighs its N x N kernel by C^T from those K rows and
+forms no N x N array of its own.  A :class:`DenseCoupling` holds the N x N
+arrays of a Sinkhorn coupling.  Both give the features product, kde's
+reads of C^T and the dense Z, the last only when a caller asks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -35,6 +37,9 @@ __all__ = [
     "median_heuristic_bandwidth",
     "sinkhorn_bistochastic",
 ]
+
+
+_WEIGH_ROWS = 32  # rows per block of kde's in-place weighting by a categorical C^T
 
 
 def kernel_cross_matrix(points_a, points_b, bandwidth):
@@ -128,14 +133,23 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
     return Z, d
 
 
-def _check_labels(labels):
-    """Labels as a non-empty 1-D array; raises InvalidInputError on NaN labels."""
+def _classes(labels):
+    """Labels as a non-empty 1-D array, with each label's class index and the class sizes.
+
+    Classes are numbered in sorted label order.  Raises InvalidInputError on
+    NaN labels, of any dtype, and on labels that cannot be ordered together
+    (None beside numbers, or numbers beside strings).
+    """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise InvalidInputError("labels must be a non-empty 1-D sequence")
-    if labels.dtype.kind in "fc" and np.isnan(labels).any():
+    if labels.dtype.kind in "fcO" and (labels != labels).any():
         raise InvalidInputError("labels must not be NaN")
-    return labels
+    try:
+        _, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    except TypeError as err:
+        raise InvalidInputError(f"labels must be mutually comparable: {err}") from None
+    return labels, index, counts
 
 
 def categorical_coupling(labels):
@@ -144,7 +158,7 @@ def categorical_coupling(labels):
     Bi-stochastic and symmetric by construction; block diagonal under any
     class-sorted permutation.
     """
-    return CategoricalCoupling(_check_labels(labels)).Z()
+    return CategoricalCoupling(*_classes(labels)[1:]).Z()
 
 
 def centering_matrix(Z):
@@ -164,7 +178,10 @@ def centering_matrix(Z):
 class Covariates:
     """Conditioning data: class labels, or continuous vectors plus a bandwidth.
 
-    Labels are checked here, once: a non-empty 1-D array with no NaN.
+    Labels are checked here, once: a non-empty 1-D array of mutually
+    comparable labels with no NaN.  Their class ``index`` (classes numbered
+    in sorted label order) and class sizes ``counts`` are taken here too, and
+    shared by the coupling and the preconditioner.
     ``bandwidth_b`` applies to continuous covariates only; :func:`build_couplings`
     resolves "auto" with the median heuristic on the values.
     """
@@ -173,10 +190,13 @@ class Covariates:
     labels: np.ndarray | None = None
     values: np.ndarray | None = None
     bandwidth_b: float | str = "auto"
+    index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "categorical":
-            object.__setattr__(self, "labels", _check_labels(self.labels))
+            for name, value in zip(("labels", "index", "counts"), _classes(self.labels)):
+                object.__setattr__(self, name, value)
         elif self.kind == "continuous":
             values = np.asarray(self.values, dtype=float) if self.values is not None else None
             if values is None or values.ndim != 2 or values.shape[0] == 0:
@@ -210,12 +230,12 @@ class CategoricalCoupling:
     Z[i, j] is 1/N_c when points i and j share class c, else 0.  With
     U = [class indicator | 1], an N x (K + 1) matrix, and w = [1/N_c | -1/N],
     C = Z - 11^T/N = U diag(w) U^T, symmetric by construction.  Only the
-    class index and sizes are stored; each method builds what it returns.
-    ``labels`` must be a checked 1-D array, as :class:`Covariates` holds them.
+    class index and sizes are stored, as :class:`Covariates` takes them; each
+    method builds what it returns.
     """
 
-    def __init__(self, labels):
-        _, self.index, self.counts = np.unique(labels, return_inverse=True, return_counts=True)
+    def __init__(self, index, counts):
+        self.index, self.counts = index, counts
 
     def product(self):
         """F -> F @ C^T for an (m, N) array F, as ((F @ U) * w) @ U^T.
@@ -231,22 +251,47 @@ class CategoricalCoupling:
         w = np.append(1.0 / self.counts, -1.0 / len(index))
         return lambda F: ((F @ U) * w) @ U.T
 
-    def CT(self):
-        """C-contiguous C^T, bitwise equal to that of ``centering_matrix(self.Z())``.
+    def kde(self):
+        """kde's reads of C^T from its K distinct rows, as :meth:`DenseCoupling.kde` gives them.
 
-        Each class's row mean of Z is taken from one O(N) representative row,
-        as :func:`centering_matrix` takes it from every row of Z; one
-        comparison of the class index then fills C^T[l, i] = Z[i, l] - mean_i.
+        Row l of C^T is CTrow[c(l)], CTrow[c, i] = Z[i, l] - mean_i, each
+        class's row mean of Z taken from one O(N) representative row as
+        :func:`centering_matrix` takes it from every row.  ``value(E)`` is
+        vdot(Ind @ E, CTrow), Ind the K x N class indicator.  ``terms`` takes
+        s and M @ w from one product E @ (CTrow^T (x) [1 | w]), gathered by
+        class; ``weigh()`` forms M in E in blocks of 32 rows, bitwise the
+        product with a dense C^T.  Holds 3 K N doubles; forms no N x N array.
         """
         index, inv = self.index, 1.0 / self.counts
-        row_means = np.empty(len(inv))
-        row = np.zeros(len(index))
-        for c in range(len(inv)):
+        n, k = len(index), len(inv)
+        row_means = np.empty(k)
+        row = np.zeros(n)
+        for c in range(k):
             members = index == c
             row[members] = inv[c]
             row_means[c] = row.mean()
             row[members] = 0.0
-        return np.where(index[:, None] == index, (inv - row_means)[index], -row_means[index])
+        is_class = np.arange(k)[:, None] == index
+        CTrow = np.where(is_class, (inv - row_means)[index], -row_means[index])
+        Ind = is_class.astype(float)
+        CTcol = np.ascontiguousarray(CTrow.T)
+        own = np.arange(n) * k + index  # row (j, c(j)) of an (N K, .) array
+
+        def weigh(E):
+            for r0 in range(0, n, _WEIGH_ROWS):
+                E[r0:r0 + _WEIGH_ROWS] *= CTrow[index[r0:r0 + _WEIGH_ROWS]]
+            return E
+
+        def terms(E, w):
+            w1 = np.ones((n, w.shape[1] + 1))
+            w1[:, 1:] = w
+            # P[j, c] = sum_i E[j, i] CTrow[c, i] w1[i]; einsum, unlike a
+            # broadcast product, takes no iterator buffer to form its factor
+            P = E @ np.einsum("ic,ib->icb", CTcol, w1).reshape(n, -1)
+            G = np.take(P.reshape(n * k, -1), own, axis=0)
+            return G[:, 0], G[:, 1:], lambda: weigh(E)
+
+        return lambda E: float(np.vdot(Ind @ E, CTrow)), terms
 
     def Z(self):
         """The dense N x N coupling, from one comparison of the class index."""
@@ -256,11 +301,13 @@ class CategoricalCoupling:
 class DenseCoupling:
     """A coupling held as its dense N x N arrays: C, and Z when it is known.
 
-    Sinkhorn couplings take this form; so does a centering matrix C passed
-    on its own, whose Z is then None.
+    Sinkhorn couplings take this form; so does a square centering matrix C
+    passed on its own, whose Z is then None.
     """
 
     def __init__(self, C, Z=None):
+        if C.ndim != 2 or C.shape[0] != C.shape[1]:
+            raise InvalidInputError("the centering matrix C must be square")
         self.C, self._Z = C, Z
 
     def product(self):
@@ -268,9 +315,21 @@ class DenseCoupling:
         C = self.C
         return lambda F: F @ C.T
 
-    def CT(self):
-        """C-contiguous copy of C^T."""
-        return np.ascontiguousarray(self.C.T)
+    def kde(self):
+        """kde's reads of C^T: ``(value, terms)``, which hold one C-contiguous copy of it.
+
+        For an N x N kernel E, ``value(E)`` is sum_{j,i} E[j, i] C[i, j].
+        ``terms(E, w)``, for an N x d w, returns the row sums s of
+        M = E * C^T, M @ w, and ``weigh()``, called at most once, which
+        returns M formed in E.  Here M is formed when ``terms`` is called.
+        """
+        CT = np.ascontiguousarray(self.C.T)
+
+        def terms(E, w):
+            M = np.multiply(E, CT, out=E)
+            return M.sum(axis=1), M @ w, lambda: M
+
+        return lambda E: float(np.vdot(E, CT)), terms
 
     def Z(self):
         """The dense Z; None when only C was given."""
@@ -281,12 +340,12 @@ def build_couplings(covariates):
     """Return the coupling of one solve: a :class:`CategoricalCoupling` or a :class:`DenseCoupling`.
 
     Computed once per solve.  Categorical covariates give the O(N) class
-    form, built from the labels :class:`Covariates` checked; continuous ones
+    form, built from the class index :class:`Covariates` took; continuous ones
     give the dense form of the bi-stochastic scaling of their Gaussian kernel
     matrix, with its C = Z - rowmean(Z).
     """
     if covariates.kind == "categorical":
-        return CategoricalCoupling(covariates.labels)
+        return CategoricalCoupling(covariates.index, covariates.counts)
     b = covariates.bandwidth_b
     b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
     Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(covariates.values, covariates.values, b))

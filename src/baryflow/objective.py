@@ -15,9 +15,13 @@ constraint modes exist:
   the step: one call forms the centers' frame (their mean, the scaled centers
   and the kernel's centers factor) once, scores both point sets in it, and
   frees the kernel at ``before`` before it builds the one at the stepped
-  points.  A value is one matrix product, ``exp`` and one dot product with
-  C^T, taken about the centers' mean so that far-off clouds lose no digits;
-  (2 pi a^2)^(-d/2) scales the value and the O(N d) outputs, never N x N arrays.
+  points.  A value is one matrix product and ``exp``, taken about the
+  centers' mean so that far-off clouds lose no digits, then the coupling's
+  value read of C^T: one dot product with a dense C^T, or for categorical
+  covariates, whose C^T has one distinct row per class, a K x N class sum
+  of the kernel dotted with those K rows.  The kernel is the only N x N
+  array a categorical kde evaluation forms; (2 pi a^2)^(-d/2) scales the
+  value and the O(N d) outputs, never N x N arrays.
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
@@ -26,11 +30,10 @@ constraint modes exist:
   exact for symmetric C.  For categorical covariates C = U diag(w) U^T is
   applied in its class form, symmetric by construction, and so are the
   gradient and the Hessian-vector products MINRES reads.  For continuous
-  ones C is symmetric to the Sinkhorn tolerance only.  kde's categorical
-  C^T is dense, with the values of Z - rowmean(Z), symmetric to rounding.
+  ones C is symmetric to the Sinkhorn tolerance only.
 
 The constraint binds to one solve through :func:`constraint_function`, which
-takes the solve's coupling (or a dense C) and a kde bandwidth or a features
+takes the solve's coupling and a kde bandwidth or a features
 basis, and checks them once; per call, only the features' width is checked,
 and the solver checks that each candidate is finite.
 
@@ -45,9 +48,13 @@ or a descent check's right side pays for its values alone.
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
 feature averages) tracking the points.  They reuse the gradient's
-intermediate terms and never form the (N, N, d, d) Hessian.  kde weighs its
-kernel by C^T in place on the first gradient or product read, and sets up
-per-point d x d blocks on the first product, in O(N^2 d^2) (see
+intermediate terms and never form the (N, N, d, d) Hessian.  kde's gradient
+reads the row sums s of the weighted kernel M = E * C^T and M @ w, where w
+holds the centers: a dense coupling forms M in place on the first gradient
+read and takes both from it; a categorical one takes both from one product
+of the kernel with K (d + 1) columns, and forms M in place only for a
+Hessian-vector product, which reads the same s.  The product sets up
+per-point d x d blocks from M on its first call, in O(N^2 d^2) (see
 :func:`baryflow.costs.pair_outer_operator`); each product is then one N x N by
 N x (d^2 + 2d + 1) matrix product.  A features product costs
 O(N m d^2) plus two products with C^T of m stacked rows: O(N m K) each for
@@ -63,7 +70,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import deferred, pair_outer_operator
-from .couplings import CategoricalCoupling, DenseCoupling
 from .errors import InvalidInputError, NumericError, positive_number
 
 __all__ = [
@@ -212,30 +218,31 @@ def _kde_kernel(u, uu, B):
     return np.exp(E, out=E)
 
 
-def _kde_parts(y, CT, bandwidth, centers, want_hvp, before=None):
+def _kde_parts(y, kde, bandwidth, centers, want_hvp, before=None):
+    kde_value, kde_terms = kde
     r = np.sqrt(2.0) * bandwidth
     mean, w, ww, B = _kde_frame(centers, r)  # u_j - w_i = D_ji / r, D_ji = y_j - c_i
     norm = (np.pi * r * r) ** (-0.5 * y.shape[1])  # (2 pi a^2)^(-d/2)
     if before is not None:  # a kernel of its own, freed before y's is built
         ub = (before - mean) / r
-        value_before = norm * float(np.vdot(_kde_kernel(ub, _sq_norms(ub), B), CT))
+        value_before = norm * kde_value(_kde_kernel(ub, _sq_norms(ub), B))
     if centers is y:  # y in its own frame is w
         u, uu = w, ww
     else:
         u = (y - mean) / r
         uu = _sq_norms(u)
     E = _kde_kernel(u, uu, B)
-    value = norm * float(np.vdot(E, CT))
-    M = deferred(lambda: np.multiply(E, CT, out=E))  # M[j, i] = E[j, i] * C[i, j]
-    s = deferred(lambda: M().sum(axis=1))
-    grad = lambda: -2.0 * norm / r * (s()[:, None] * u - M() @ w)
+    value = norm * kde_value(E)
+    # s = M 1, M @ w and weigh() -> M, with M[j, i] = E[j, i] * C[i, j]
+    terms = deferred(lambda: kde_terms(E, w))
+    grad = lambda: -2.0 * norm / r * (terms()[0][:, None] * u - terms()[1])
     hvp = None
     if want_hvp:
-        pair = deferred(lambda: pair_outer_operator(M(), u, w))
+        pair = deferred(lambda: pair_outer_operator(terms()[2](), u, w))
 
         def hvp(v):  # the pair term in D over a^2 is twice ``outer``, in units of r
             outer, Mv = pair()(v)
-            return 2.0 * norm / r**2 * (2.0 * outer - s()[:, None] * v + Mv)
+            return 2.0 * norm / r**2 * (2.0 * outer - terms()[0][:, None] * v + Mv)
     if before is not None:
         return value, grad, hvp, value_before
     return value, grad, hvp
@@ -260,15 +267,17 @@ def _features_parts(y, product, basis, want_hvp):
 def constraint_function(coupling, test_functions):
     """Bind a constraint to the coupling of one solve.
 
-    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns,
-    or an N x N centering matrix C, which is wrapped once, here, as a
+    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns:
+    a :class:`~baryflow.couplings.CategoricalCoupling` or a
     :class:`~baryflow.couplings.DenseCoupling`.  ``test_functions`` is a kde
     bandwidth (a positive number) or the :class:`MonomialBasis` of features
-    mode, whose m terms weigh equally.  Checks here, once, that C is square
-    and ``test_functions`` is one of the two.  Features keep the coupling's
-    product with C^T, which holds only what it reads.  kde keeps a
-    C-contiguous C^T; its value is one dot product of the unnormalized
-    kernel with C^T, and (2 pi a^2)^(-d/2) scales only O(N d) outputs.
+    mode, whose m terms weigh equally.  Checks here, once, that
+    ``test_functions`` is one of the two.  Features keep the coupling's
+    product with C^T, which holds only what it reads.  kde keeps the
+    coupling's reads of C^T: a value, the gradient's terms and the weighted
+    kernel; a dense coupling holds a C-contiguous C^T for them, a
+    categorical one its K distinct rows.  (2 pi a^2)^(-d/2) scales only
+    O(N d) outputs.
     Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
     for a finite N x d float y.  ``grad`` is a function of no arguments that builds
     the N x d gradient.  For kde it differentiates only the evaluation slot of
@@ -279,20 +288,15 @@ def constraint_function(coupling, test_functions):
     ``(value, grad, hvp, value_before)``: the value at ``before`` with the same
     centers, in the same centers' frame, its kernel freed before y's is built.
     """
-    if not isinstance(coupling, (CategoricalCoupling, DenseCoupling)):
-        C = np.asarray(coupling, dtype=float)
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise InvalidInputError("the centering matrix C must be square")
-        coupling = DenseCoupling(C)
     if isinstance(test_functions, MonomialBasis):
         product = coupling.product()
         return lambda y, centers=None, want_hvp=False: _features_parts(
             y, product, test_functions, want_hvp)
     if not positive_number(test_functions):
         raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
-    CT, a = coupling.CT(), float(test_functions)
+    kde, a = coupling.kde(), float(test_functions)
     return lambda y, centers=None, want_hvp=False, before=None: _kde_parts(
-        y, CT, a, y if centers is None else centers, want_hvp, before)
+        y, kde, a, y if centers is None else centers, want_hvp, before)
 
 
 def _built_on_first_read(build, term):

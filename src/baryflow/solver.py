@@ -206,16 +206,16 @@ class BarycenterResult:
 def precondition_mean_shift(x, covariates, Z):
     """Rigid per-point translation matching all conditional means.
 
-    Categorical covariates use exact class means; continuous ones use the
+    Categorical covariates use exact class means, over the classes
+    :class:`Covariates` indexed; continuous ones use the
     coupling-weighted conditional mean xbar(z_k) = sum_i Z[i, k] x_i, which
     needs the N x N coupling Z.  Returns ``(w, shift)`` with ``w = x + shift``.
     """
     x = as_points(x)
     if covariates.kind == "categorical":
-        labels = np.asarray(covariates.labels)
         cond = np.empty_like(x)
-        for value in np.unique(labels):
-            idx = labels == value
+        for c in range(len(covariates.counts)):
+            idx = covariates.index == c
             cond[idx] = x[idx].mean(axis=0)
     elif Z is None or np.shape(Z) != (len(x), len(x)):
         raise InvalidInputError("continuous covariates need an N x N coupling matrix Z")
@@ -407,8 +407,8 @@ def solve(x, covariates, cost_model, config=None):
     points), and iterates until the positions stall with a satisfied
     constraint or ``config.niter`` is reached.  x and the coupling are
     checked once, when the cost and the constraint bind them; a categorical
-    coupling forms no N x N array unless the distortion cost reads Z or kde
-    its C^T.  A candidate step is rejected, and the learning rate halved,
+    coupling forms no N x N array beside kde's kernel unless the distortion
+    cost reads Z.  A candidate step is rejected, and the learning rate halved,
     when it is not finite, raises the objective, leaves the cost's domain,
     or gives a non-finite value or gradient; both gradients are built on
     first read, which happens only for the starting points and for each

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from baryflow.couplings import DenseCoupling
+
 
 class ReferenceMonomial:
     """One monomial prod_j y_j**e_j, evaluated on its own: the reference for MonomialBasis.
@@ -56,6 +58,11 @@ class ReferenceMonomial:
                 out[:, j1, j2] = mixed
                 out[:, j2, j1] = mixed
         return out
+
+
+def dense_coupling(C):
+    """A dense centering matrix C, wrapped as the coupling ``constraint_function`` binds."""
+    return DenseCoupling(np.asarray(C, dtype=float))
 
 
 def combined_grad(ev, lam):

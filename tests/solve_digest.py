@@ -24,6 +24,14 @@ features solves (``l2-features-explicit``,
 ``distortion-features-explicit-lambda1`` and
 ``l2-features-implicit-precondition``), whose products with C round
 differently; the kde solves and ``pnorm-features-sinkhorn`` match.
+Listings saved before kde read a categorical C^T in its class form differ
+on the six categorical kde solves (``l2-kde-explicit``,
+``l2-kde-explicit-eta50``, ``pnorm-kde-explicit-lambda1``,
+``l2-kde-implicit``, ``distortion-kde-implicit`` and
+``geodesic-kde-patches``), whose values and gradients round differently;
+the Sinkhorn and features solves match, and ``l2-kde-shuffled-strings``,
+a categorical kde solve on shuffled, unequal, string-labelled classes, is
+new with that change.
 """
 
 import dataclasses
@@ -33,13 +41,28 @@ import sys
 import numpy as np
 
 from baryflow.costs import CostModel
-from baryflow.datagen import gen_ellipses, gen_hidden_signal, gen_sphere_patches, lagged_dataset
+from baryflow.couplings import Covariates
+from baryflow.datagen import (
+    Dataset, gen_ellipses, gen_hidden_signal, gen_sphere_patches, lagged_dataset,
+)
 from baryflow.solver import SolverConfig, solve
 
 ELLIPSES = gen_ellipses(seed=0, n_per_class=10)
 PATCHES = gen_sphere_patches(seed=1, n_per_class=12)
 SIGNAL = lagged_dataset(gen_hidden_signal(seed=2, steps=40), space="cartesian")
 SIGNAL_SPHERICAL = lagged_dataset(gen_hidden_signal(seed=3, steps=30))
+
+
+def shuffled_strings():
+    """Ellipses of 12, 5 and 2 points, labelled "upper", "left" and "right", in shuffled order."""
+    data = gen_ellipses(seed=4, n_per_class=12)
+    keep = np.concatenate([np.arange(12), np.arange(12, 17), np.arange(24, 26)])
+    order = np.random.default_rng(4).permutation(keep)
+    names = np.array(["upper", "left", "right"])[data.covariates.index]
+    return Dataset(x=data.x[order], covariates=Covariates.categorical(names[order]))
+
+
+SHUFFLED_STRINGS = shuffled_strings()
 
 # name: (dataset, cost, config)
 SOLVES = {
@@ -57,6 +80,8 @@ SOLVES = {
                                      SolverConfig(precondition=True, eta0=1.0, niter=20)),
     "geodesic-kde-patches": (PATCHES, CostModel("geodesic_sphere"),
                              SolverConfig(eta0=5.0, niter=20)),
+    "l2-kde-shuffled-strings": (SHUFFLED_STRINGS, CostModel("sq_euclidean"),
+                                SolverConfig(eta0=5.0, niter=30)),
     "l2-features-explicit": (ELLIPSES, CostModel("sq_euclidean"),
                              SolverConfig(problem="features", eta0=2.0, niter=40)),
     "distortion-features-explicit-lambda1": (

@@ -193,12 +193,30 @@ class TestCategoricalForm:
         assert np.abs(got - dense).max() <= 1e-15 * np.abs(F).max()
 
     @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
-    def test_kde_transpose_bitwise_equals_dense(self, case):
+    def test_kde_transpose_bitwise_equals_dense(self, case, rng):
+        # the kernel weighted by C^T in place, from C^T's class rows, against a dense C^T
         labels = LABEL_SETS[case]
-        dense = np.ascontiguousarray(centering_matrix(categorical_coupling(labels)).T)
-        CT = build_couplings(Covariates.categorical(labels)).CT()
-        assert CT.flags.c_contiguous
-        assert CT.tobytes() == dense.tobytes()
+        n = labels.size
+        E = rng.uniform(0.0, 1.0, (n, n))
+        dense = E * np.ascontiguousarray(centering_matrix(categorical_coupling(labels)).T)
+        _, terms = build_couplings(Covariates.categorical(labels)).kde()
+        M = terms(E, rng.standard_normal((n, 2)))[2]()
+        assert M is E
+        assert M.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
+    def test_kde_terms_match_dense(self, case, rng):
+        # value, row sums and M @ w against those of the dense C^T, to rounding
+        labels = LABEL_SETS[case]
+        n = labels.size
+        E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
+        CT = centering_matrix(categorical_coupling(labels)).T
+        value, terms = build_couplings(Covariates.categorical(labels)).kde()
+        scale = np.abs(E * CT).sum(axis=1)
+        assert abs(value(E) - (E * CT).sum()) <= 1e-14 * scale.sum()
+        s, Mw, _ = terms(E.copy(), w)
+        assert np.abs(s - (E * CT).sum(axis=1)).max() <= 1e-14 * scale.max()
+        assert np.abs(Mw - (E * CT) @ w).max() <= 1e-14 * scale.max() * np.abs(w).max()
 
     def test_holds_no_square_array(self):
         n = 3000
@@ -207,6 +225,19 @@ class TestCategoricalForm:
         product = build_couplings(Covariates.categorical(labels)).product()
         F = np.ones((5, n))
         assert peak_bytes(lambda: product(F)) < 8 * n * 8
+
+    def test_kde_reads_form_no_square_array(self, rng):
+        # beside the given kernel: C^T's class rows, the gradient's product and
+        # the weighting's 32-row blocks
+        n = 1000
+        coupling = build_couplings(Covariates.categorical(rng.integers(0, 4, n)))
+        E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
+        assert peak_bytes(coupling.kde) < 40 * n * 8
+        value, terms = coupling.kde()
+        assert peak_bytes(lambda: value(E)) < 40 * n * 8
+        assert peak_bytes(lambda: terms(E, w)) < 40 * n * 8
+        weigh = terms(E, w)[2]
+        assert peak_bytes(weigh) < 40 * n * 8
 
 
 class TestCenteringMatrix:
@@ -257,7 +288,8 @@ class TestCovariatesAndBuild:
         coupling = build_couplings(cov)
         assert isinstance(coupling, CategoricalCoupling)
         assert np.allclose(coupling.Z().sum(axis=0), 1.0)
-        assert np.abs(coupling.CT().sum(axis=1)).max() <= 1e-12  # columns of C
+        row_sums = coupling.kde()[1](np.ones((4, 4)), np.zeros((4, 1)))[0]
+        assert np.abs(row_sums).max() <= 1e-12  # of C^T: the columns of C
         assert np.abs(coupling.product()(np.ones((2, 4)))).max() <= 1e-12
 
     def test_build_continuous_auto_bandwidth(self, rng):
@@ -287,6 +319,33 @@ class TestCovariatesAndBuild:
     def test_nan_labels_rejected(self):
         with pytest.raises(InvalidInputError, match="NaN"):
             Covariates.categorical(np.array([0.0, np.nan, np.nan, 1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("labels", [[0.0, float("nan")], [float("nan"), 1, "a"]])
+    def test_object_nan_labels_rejected(self, labels):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            Covariates.categorical(np.array(labels, dtype=object))
+
+    @pytest.mark.parametrize("labels", [[0, None, 1], ["a", 1, "b"]])
+    def test_incomparable_labels_rejected(self, labels):
+        with pytest.raises(InvalidInputError, match="comparable"):
+            Covariates.categorical(np.array(labels, dtype=object))
+        with pytest.raises(InvalidInputError, match="comparable"):
+            categorical_coupling(np.array(labels, dtype=object))
+
+    @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
+    def test_class_index_taken_once(self, case):
+        # classes in sorted label order; the coupling shares the covariates' arrays
+        labels = LABEL_SETS[case]
+        cov = Covariates.categorical(labels)
+        classes = np.unique(labels)
+        assert np.array_equal(classes[cov.index], labels)
+        assert np.array_equal(cov.counts, [np.sum(labels == c) for c in classes])
+        coupling = build_couplings(cov)
+        assert coupling.index is cov.index and coupling.counts is cov.counts
+
+    def test_object_labels_of_one_kind_accepted(self):
+        cov = Covariates.categorical(np.array(["b", "a", "b"], dtype=object))
+        assert cov.index.tolist() == [1, 0, 1] and cov.counts.tolist() == [1, 2]
 
     def test_labels_must_be_one_dimensional(self):
         with pytest.raises(InvalidInputError, match="1-D"):

@@ -22,6 +22,7 @@ from conftest import (
     central_diff_grad,
     central_diff_jacobian,
     combined_grad,
+    dense_coupling,
     direct_pair_outer,
     operator_matrix,
     product_peak_bytes,
@@ -29,12 +30,22 @@ from conftest import (
 )
 
 
+_labels_rng = np.random.default_rng(11)
+# categorical kde label sets: each is compared with the dense C of its labels
+KDE_LABELS = {
+    "shuffled-unequal": _labels_rng.permutation(np.repeat([0, 1, 2], [5, 11, 20])),
+    "singleton": _labels_rng.permutation(np.repeat([4, 7, 9], [8, 1, 6])),
+    "strings": _labels_rng.permutation(np.repeat(["north", "east", "west"], [3, 12, 7])),
+    "one-class": np.zeros(14, dtype=int),
+}
+
+
 def kde_value(y, C, bandwidth):
-    return constraint_function(C, bandwidth)(y)[0]
+    return constraint_function(dense_coupling(C), bandwidth)(y)[0]
 
 
 def features_value(y, C, basis):
-    return constraint_function(C, basis)(y)[0]
+    return constraint_function(dense_coupling(C), basis)(y)[0]
 
 
 def feature_terms(y, C, basis):
@@ -99,7 +110,7 @@ class TestMonomialFeatures:
         y = rng.standard_normal((6, width))
         C = centering_matrix(categorical_coupling(np.array([0, 0, 0, 1, 1, 1])))
         with pytest.raises(InvalidInputError, match="coordinates"):
-            constraint_function(C, monomial_features(2, 2))(y)
+            constraint_function(dense_coupling(C), monomial_features(2, 2))(y)
 
     @pytest.mark.parametrize("exponents", [[], [[1, -1]], [[0.5, 1.0]], [1, 2]])
     def test_bad_exponents_rejected(self, exponents):
@@ -189,7 +200,7 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         tf = 0.7
         cost = cost_function(CostModel("sq_euclidean"), x)
-        ev = evaluate(cost, constraint_function(C, tf), y)
+        ev = evaluate(cost, constraint_function(dense_coupling(C), tf), y)
         value, grad, _ = cost(y)
         assert np.array_equal(combined_grad(ev, 0.0), grad())
         assert ev.L_C + 0.0 * ev.L_F == value
@@ -199,7 +210,8 @@ class TestEvaluate:
         x = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         tf = monomial_features(2, 2)
-        cost, constraint = cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf)
+        cost = cost_function(CostModel("sq_euclidean"), x)
+        constraint = constraint_function(dense_coupling(C), tf)
         ev = evaluate(cost, constraint, y)
         assert (ev.L_C, ev.L_F) == (cost(y)[0], constraint(y)[0])
         assert ev.L_F >= -1e-10
@@ -209,7 +221,8 @@ class TestEvaluate:
         # cost grad 0; constraint grad 2 * (C f) = (-2, 2)
         x, C = two_singletons()
         tf = monomial_features(1, 1)
-        ev = evaluate(cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf), x)
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), x),
+                      constraint_function(dense_coupling(C), tf), x)
         assert combined_grad(ev, 1.0) == pytest.approx(np.array([[-2.0], [2.0]]))
 
     def test_kde_gradient_matches_frozen_center_fd(self, rng):
@@ -218,7 +231,8 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 7)))
         tf = 0.6
         lam = 0.8
-        cost, constraint = cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf)
+        cost = cost_function(CostModel("sq_euclidean"), x)
+        constraint = constraint_function(dense_coupling(C), tf)
         ev = evaluate(cost, constraint, y)
         centers = y.copy()
         fd = central_diff_grad(
@@ -236,7 +250,8 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = 0.7 if mode == "kde" else monomial_features(2, 2)
         lam = 0.6
-        cost, constraint = cost_function(CostModel("p_norm", p=2.5), x), constraint_function(C, tf)
+        cost = cost_function(CostModel("p_norm", p=2.5), x)
+        constraint = constraint_function(dense_coupling(C), tf)
         ev = evaluate(cost, constraint, y, want_hvp=True)
         analytic = operator_matrix(ev.hvp(lam), n, 2)
 
@@ -253,7 +268,8 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = monomial_features(3, 3)
         lam = 0.6
-        cost, constraint = cost_function(CostModel("p_norm", p=2.5), x), constraint_function(C, tf)
+        cost = cost_function(CostModel("p_norm", p=2.5), x)
+        constraint = constraint_function(dense_coupling(C), tf)
         ev = evaluate(cost, constraint, y, want_hvp=True)
         analytic = operator_matrix(ev.hvp(lam), n, 3)
         fd = central_diff_jacobian(lambda u: combined_grad(evaluate(cost, constraint, u), lam), y)
@@ -267,11 +283,11 @@ class TestEvaluate:
         # categorical C is symmetric to roundoff; a Sinkhorn coupling only to its tolerance
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
-        assert_symmetric(constraint_function(C, tf)(y, want_hvp=True)[2], rng, n, 2)
+        assert_symmetric(constraint_function(dense_coupling(C), tf)(y, want_hvp=True)[2], rng, n, 2)
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_categorical_coupling_matches_its_dense_C(self, mode, rng):
-        # kde reads the same C^T bit for bit; features apply C in its class form
+        # both modes apply C in its class form, and match the dense C to rounding
         n = 30
         labels = rng.integers(0, 4, n)
         y = rng.standard_normal((n, 2))
@@ -279,12 +295,27 @@ class TestEvaluate:
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
         coupling = build_couplings(Covariates.categorical(labels))
         C = centering_matrix(categorical_coupling(labels))
-        got, ref = (constraint_function(c, tf)(y, want_hvp=True) for c in (coupling, C))
-        if mode == "kde":
-            assert got[0] == ref[0]
-            assert np.array_equal(got[1](), ref[1]()) and np.array_equal(got[2](v), ref[2](v))
-        else:
-            assert got[0] == pytest.approx(ref[0], rel=1e-13)
+        got, ref = (constraint_function(c, tf)(y, want_hvp=True)
+                    for c in (coupling, dense_coupling(C)))
+        assert got[0] == pytest.approx(ref[0], rel=1e-13)
+        assert rel_err(got[1](), ref[1]()) <= 1e-13
+        assert rel_err(got[2](v), ref[2](v)) <= 1e-13
+
+    @pytest.mark.parametrize("labels", list(KDE_LABELS.values()), ids=list(KDE_LABELS))
+    def test_categorical_kde_matches_dense_coupling(self, labels, rng):
+        # the class form's value, value before the step, gradient and product
+        # against a DenseCoupling of the same labels' C
+        n = labels.size
+        y = rng.standard_normal((n, 2)) + 50.0
+        before = y + 0.3 * rng.standard_normal((n, 2))
+        v = rng.standard_normal((n, 2))
+        coupling = build_couplings(Covariates.categorical(labels))
+        C = centering_matrix(categorical_coupling(labels))
+        for a in (0.4, 1.5):
+            got, ref = (constraint_function(c, a)(y, want_hvp=True, before=before)
+                        for c in (coupling, dense_coupling(C)))
+            assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
+            assert got[3] == pytest.approx(ref[3], rel=1e-13, abs=1e-300)
             assert rel_err(got[1](), ref[1]()) <= 1e-13
             assert rel_err(got[2](v), ref[2](v)) <= 1e-13
 
@@ -296,7 +327,7 @@ class TestEvaluate:
         centers = y + 0.5 * rng.standard_normal((n, d))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
         v = rng.standard_normal((n, d))
-        hvp = constraint_function(C, a)(y, centers=centers, want_hvp=True)[2]
+        hvp = constraint_function(dense_coupling(C), a)(y, centers=centers, want_hvp=True)[2]
         M = kernel_cross_matrix(y, centers, a) * C.T
         expected = (direct_pair_outer(M, y, centers, v) / a**2
                     - M.sum(axis=1)[:, None] * v + M @ v) / a**2
@@ -310,7 +341,7 @@ class TestEvaluate:
             y = rng.standard_normal((n, d)) + offset
             centers = y + 0.5 * rng.standard_normal((n, d)) if moved else y
             C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-            value, grad, _ = constraint_function(C, a)(y, centers=centers)
+            value, grad, _ = constraint_function(dense_coupling(C), a)(y, centers=centers)
             D = y[:, None, :] - centers[None, :, :]
             K = np.exp(-np.einsum("jia,jia->ji", D, D) / (2 * a**2)) / (2 * np.pi * a**2) ** (d / 2)
             M = K * C.T
@@ -323,7 +354,7 @@ class TestEvaluate:
         n = 400
         y = rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-        hvp = constraint_function(C, 0.7)(y, want_hvp=True)[2]
+        hvp = constraint_function(dense_coupling(C), 0.7)(y, want_hvp=True)[2]
         assert product_peak_bytes(hvp, rng.standard_normal((n, 2))) < n**2 * 8 / 4
 
     @pytest.mark.parametrize("term", ["cost", "constraint"])
@@ -342,7 +373,7 @@ class TestEvaluate:
         y = rng.standard_normal((4, 2))
         C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
         ev = evaluate(cost_function(CostModel("sq_euclidean"), y),
-                      constraint_function(C, 1.0), y)
+                      constraint_function(dense_coupling(C), 1.0), y)
         with pytest.raises(InvalidInputError):
             ev.hvp(1.0)
 
@@ -352,7 +383,7 @@ class TestEvaluate:
         centers = rng.standard_normal((6, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
         a = 0.9
-        constraint = constraint_function(C, a)
+        constraint = constraint_function(dense_coupling(C), a)
         lf_off = constraint(y, centers=centers)[0]
         sq = np.sum((y[:, None, :] - centers[None, :, :]) ** 2, axis=-1)  # [l, i]
         K = np.exp(-sq / (2 * a**2)) / (2 * np.pi * a**2)
@@ -363,15 +394,15 @@ class TestEvaluate:
     def test_non_square_centering_rejected(self, mode):
         tf = 0.7 if mode == "kde" else monomial_features(2, 2)
         with pytest.raises(InvalidInputError, match="square"):
-            constraint_function(np.ones((4, 3)), tf)
+            constraint_function(dense_coupling(np.ones((4, 3))), tf)
 
     def test_bad_bandwidth_rejected(self):
         C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
         with pytest.raises(InvalidInputError):
-            constraint_function(C, 0.0)
+            constraint_function(dense_coupling(C), 0.0)
 
     @pytest.mark.parametrize("bandwidth_a", ["wide", None, True, float("inf")])
     def test_non_number_bandwidth_rejected(self, bandwidth_a):
         C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
         with pytest.raises(InvalidInputError, match="bandwidth_a"):
-            constraint_function(C, bandwidth_a)
+            constraint_function(dense_coupling(C), bandwidth_a)

@@ -23,7 +23,7 @@ from baryflow.solver import (
     step_implicit,
 )
 
-from conftest import combined_grad, operator_matrix, peak_bytes
+from conftest import combined_grad, dense_coupling, operator_matrix, peak_bytes
 
 
 def count_gradients(monkeypatch, binder, poisoned=()):
@@ -126,7 +126,8 @@ def random_implicit_system(kind, rng):
     tf = float(rng.uniform(0.3, 1.5)) if kind == "kde" else monomial_features(d, 2)
     model = CostModel("distortion")
     Z = categorical_coupling(rng.integers(0, 2, n))
-    ev = evaluate(cost_function(model, x, Z), constraint_function(C, tf), y, want_hvp=True)
+    ev = evaluate(cost_function(model, x, Z), constraint_function(dense_coupling(C), tf), y,
+                  want_hvp=True)
     lam = float(10.0 ** rng.uniform(-1.0, 2.0))
     return y, combined_grad(ev, lam), ev.hvp(lam), eta
 
@@ -153,6 +154,17 @@ class TestPreconditionMeanShift:
         global_mean = ds.x.mean(axis=0)
         for z in (0, 1, 2):
             assert np.abs(w[labels == z].mean(axis=0) - global_mean).max() <= 1e-12
+
+    def test_categorical_equals_per_label_means(self, rng):
+        # the class index Covariates took gives each label's own mean, bit for bit
+        labels = rng.permutation(np.repeat(["b", "a", "c"], [7, 1, 12]))
+        x = rng.standard_normal((20, 2)) * 10.0
+        cond = np.empty_like(x)
+        for value in np.unique(labels):
+            cond[labels == value] = x[labels == value].mean(axis=0)
+        w, shift = precondition_mean_shift(x, Covariates.categorical(labels), None)
+        assert shift.tobytes() == (x.mean(axis=0) - cond).tobytes()
+        assert w.tobytes() == (x + shift).tobytes()
 
     def test_continuous_uses_coupling_weights(self, rng):
         x = rng.standard_normal((12, 2))
@@ -232,7 +244,7 @@ class TestSteps:
         y = x.copy()
         ys = [0.0, 2.0]
         eta, lam = 0.05, 1.0
-        cost, constraint = cost_function(model, x), constraint_function(C, tf)
+        cost, constraint = cost_function(model, x), constraint_function(dense_coupling(C), tf)
         for _ in range(10):
             ev = evaluate(cost, constraint, y)
             y = step_explicit(y, combined_grad(ev, lam), eta)
@@ -255,7 +267,7 @@ class TestSteps:
         y = x + rng.standard_normal((n, 2))
         model = CostModel("sq_euclidean")
         C = centering_matrix(categorical_coupling(np.zeros(n, dtype=int)))
-        ev = evaluate(cost_function(model, x), constraint_function(C, 1.0), y,
+        ev = evaluate(cost_function(model, x), constraint_function(dense_coupling(C), 1.0), y,
                       want_hvp=True)
         grad = combined_grad(ev, 0.0)
         eta = 0.7
@@ -270,8 +282,8 @@ class TestSteps:
         y = x + 0.5 * rng.standard_normal((n, 2))
         C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
         tf = 0.8
-        ev = evaluate(cost_function(CostModel("sq_euclidean"), x), constraint_function(C, tf), y,
-                      want_hvp=True)
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), x),
+                      constraint_function(dense_coupling(C), tf), y, want_hvp=True)
         grad = combined_grad(ev, 1.0)
         eta = 1e-8
         cand, _ = step_implicit(y, grad, ev.hvp(1.0), eta)
@@ -348,7 +360,8 @@ class TestSteps:
         lam, eta = 40.0, 0.3
         model = CostModel("distortion")
         Z = categorical_coupling(rng.integers(0, 2, n))
-        ev = evaluate(cost_function(model, x, Z), constraint_function(C, tf), y, want_hvp=True)
+        ev = evaluate(cost_function(model, x, Z), constraint_function(dense_coupling(C), tf), y,
+                  want_hvp=True)
         grad = combined_grad(ev, lam)
         hvp = ev.hvp(lam)
         A = np.eye(2 * n) + eta * operator_matrix(hvp, n, 2).reshape(2 * n, 2 * n)
@@ -762,7 +775,7 @@ class TestSolve:
         assert (len(x_checks), len(c_checks)) == (1, 1)
 
     def test_kde_implicit_solve_peak_memory(self):
-        # the solve holds one N x N copy of C^T and no Z; a second copy of either fails this
+        # no dense Z; test_categorical_kde_solve_holds_kernels_alone pins the peak closer
         ds = gen_ellipses(seed=0, n_per_class=134)
         n = len(ds.x)
 
@@ -787,7 +800,7 @@ class TestSolve:
         assert peak_bytes(run) < n**2 * 8 / 4
 
     def test_categorical_kde_solve_peak_memory(self, rng):
-        # C^T is built from the labels, with no Z or C beside it: C^T and one kernel
+        # no Z or C beside the kernel; ..._holds_kernels_alone pins the peak closer
         n = 600
         x = rng.standard_normal((n, 2))
         cov = Covariates.categorical(rng.integers(0, 3, n))
@@ -796,6 +809,23 @@ class TestSolve:
             solve(x, cov, CostModel("sq_euclidean"), SolverConfig(lambda0=1.0, niter=1))
 
         assert peak_bytes(run) <= 2.2 * n**2 * 8
+
+    @pytest.mark.parametrize("update,lambda0,niter,bound", [
+        ("explicit", 1.0, 1, 1.15), ("explicit", "auto", 1, 1.25), ("implicit", "auto", 2, 2.2),
+    ])
+    def test_categorical_kde_solve_holds_kernels_alone(self, update, lambda0, niter, bound, rng):
+        # C^T in its class form: kernels are the solve's only N x N arrays, one
+        # at a time in an explicit solve; an implicit solve keeps the accepted
+        # points' weighted kernel for its products beside the candidate's
+        n = 600
+        x = rng.standard_normal((n, 2))
+        cov = Covariates.categorical(rng.integers(0, 3, n))
+
+        def run():
+            solve(x, cov, CostModel("sq_euclidean"),
+                  SolverConfig(update=update, lambda0=lambda0, niter=niter))
+
+        assert peak_bytes(run) <= bound * n**2 * 8
 
     @pytest.mark.parametrize("lambda0", ["auto", 1.0])
     @pytest.mark.parametrize("problem", ["kde", "features"])
