@@ -12,10 +12,12 @@ positive semidefinite with unit row sums.
 sizes: with U = [class indicator | 1] and w = [1/N_c | -1/N], C is
 U diag(w) U^T, symmetric by construction, and a product with C^T costs
 O(N m K) for m stacked rows and K classes.  C^T has only K distinct rows,
-one per class, so kde weighs its N x N kernel by C^T from those K rows and
-forms no N x N array of its own.  A :class:`DenseCoupling` holds the N x N
-arrays of a Sinkhorn coupling.  Both give the features product, kde's
-reads of C^T and the dense Z, the last only when a caller asks.
+one per class; with at most four classes kde weighs its N x N kernel by
+C^T from those K rows and forms no N x N array of its own, and with more
+it reads a dense C^T, built from the class index.  A :class:`DenseCoupling`
+holds the N x N arrays of a Sinkhorn coupling.  Both give the features
+product, kde's reads of C^T and the dense Z, the last only when a caller
+asks.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 
 
 _WEIGH_ROWS = 32  # rows per block of kde's in-place weighting by a categorical C^T
+_CLASS_FORM_MAX_K = 4  # most classes for which kde reads a categorical C^T in its class form
 
 
 def kernel_cross_matrix(points_a, points_b, bandwidth):
@@ -224,6 +227,15 @@ class Covariates:
         return int(self.values.shape[0])
 
 
+def _dense_kde(CT):
+    """kde's reads of a C-contiguous C^T, as :meth:`DenseCoupling.kde` describes them."""
+    def terms(E, w):
+        M = np.multiply(E, CT, out=E)
+        return M.sum(axis=1), lambda: M @ w, lambda: M
+
+    return lambda E: float(np.vdot(E, CT)), terms
+
+
 class CategoricalCoupling:
     """The coupling of class labels, held as each point's class index and the class sizes.
 
@@ -252,15 +264,21 @@ class CategoricalCoupling:
         return lambda F: ((F @ U) * w) @ U.T
 
     def kde(self):
-        """kde's reads of C^T from its K distinct rows, as :meth:`DenseCoupling.kde` gives them.
+        """kde's reads of C^T, as :meth:`DenseCoupling.kde` gives them, from C^T's K distinct rows.
 
         Row l of C^T is CTrow[c(l)], CTrow[c, i] = Z[i, l] - mean_i, each
         class's row mean of Z taken from one O(N) representative row as
-        :func:`centering_matrix` takes it from every row.  ``value(E)`` is
-        vdot(Ind @ E, CTrow), Ind the K x N class indicator.  ``terms`` takes
-        s and M @ w from one product E @ (CTrow^T (x) [1 | w]), gathered by
-        class; ``weigh()`` forms M in E in blocks of 32 rows, bitwise the
-        product with a dense C^T.  Holds 3 K N doubles; forms no N x N array.
+        :func:`centering_matrix` takes it from every row.  With at most
+        ``_CLASS_FORM_MAX_K`` classes the reads take the class form:
+        ``value(E)`` is vdot(Ind @ E, CTrow), Ind the K x N class indicator;
+        ``terms`` takes s and M @ w from one product E @ (CTrow^T (x) [1 | w]),
+        gathered by class; ``weigh()`` forms M in E in blocks of 32 rows,
+        bitwise the product with a dense C^T.  For N x d points the class
+        form holds 3 K N doubles, a gradient forms 2 K (d + 1) N more, and
+        no N x N array is formed.  Its products take K and K (d + 1)
+        multiply-adds per kernel entry, so with more classes the reads are a
+        dense C^T's, built in one comparison of the class index, and hold
+        and cost what a Sinkhorn coupling's do.
         """
         index, inv = self.index, 1.0 / self.counts
         n, k = len(index), len(inv)
@@ -271,8 +289,11 @@ class CategoricalCoupling:
             row[members] = inv[c]
             row_means[c] = row.mean()
             row[members] = 0.0
-        is_class = np.arange(k)[:, None] == index
+        dense = k > _CLASS_FORM_MAX_K  # then one row of C^T per point: C^T itself
+        is_class = (index if dense else np.arange(k))[:, None] == index
         CTrow = np.where(is_class, (inv - row_means)[index], -row_means[index])
+        if dense:
+            return _dense_kde(CTrow)
         Ind = is_class.astype(float)
         CTcol = np.ascontiguousarray(CTrow.T)
         own = np.arange(n) * k + index  # row (j, c(j)) of an (N K, .) array
@@ -283,13 +304,13 @@ class CategoricalCoupling:
             return E
 
         def terms(E, w):
-            w1 = np.ones((n, w.shape[1] + 1))
-            w1[:, 1:] = w
-            # P[j, c] = sum_i E[j, i] CTrow[c, i] w1[i]; einsum, unlike a
-            # broadcast product, takes no iterator buffer to form its factor
-            P = E @ np.einsum("ic,ib->icb", CTcol, w1).reshape(n, -1)
-            G = np.take(P.reshape(n * k, -1), own, axis=0)
-            return G[:, 0], G[:, 1:], lambda: weigh(E)
+            # P[j, (c, b)] = sum_i E[j, i] CTrow[c, i] [1 | w][i, b]
+            F = np.empty((n, k, w.shape[1] + 1))
+            F[:, :, 0] = CTcol
+            for b in range(w.shape[1]):
+                np.multiply(CTcol, w[:, b:b + 1], out=F[:, :, b + 1])
+            G = np.take((E @ F.reshape(n, -1)).reshape(n * k, -1), own, axis=0)
+            return G[:, 0], lambda: G[:, 1:], lambda: weigh(E)
 
         return lambda E: float(np.vdot(Ind @ E, CTrow)), terms
 
@@ -320,16 +341,11 @@ class DenseCoupling:
 
         For an N x N kernel E, ``value(E)`` is sum_{j,i} E[j, i] C[i, j].
         ``terms(E, w)``, for an N x d w, returns the row sums s of
-        M = E * C^T, M @ w, and ``weigh()``, called at most once, which
-        returns M formed in E.  Here M is formed when ``terms`` is called.
+        M = E * C^T and two functions: one returns M @ w, and ``weigh()``,
+        called at most once, returns M formed in E.  Here M is formed when
+        ``terms`` is called, and M @ w when it is asked for.
         """
-        CT = np.ascontiguousarray(self.C.T)
-
-        def terms(E, w):
-            M = np.multiply(E, CT, out=E)
-            return M.sum(axis=1), M @ w, lambda: M
-
-        return lambda E: float(np.vdot(E, CT)), terms
+        return _dense_kde(np.ascontiguousarray(self.C.T))
 
     def Z(self):
         """The dense Z; None when only C was given."""

@@ -18,9 +18,10 @@ constraint modes exist:
   points.  A value is one matrix product and ``exp``, taken about the
   centers' mean so that far-off clouds lose no digits, then the coupling's
   value read of C^T: one dot product with a dense C^T, or for categorical
-  covariates, whose C^T has one distinct row per class, a K x N class sum
-  of the kernel dotted with those K rows.  The kernel is the only N x N
-  array a categorical kde evaluation forms; (2 pi a^2)^(-d/2) scales the
+  covariates in at most four classes, whose C^T has one distinct row per
+  class, a K x N class sum of the kernel dotted with those K rows.  The
+  kernel is then the only N x N array a kde evaluation forms; with more
+  classes a categorical C^T is read dense.  (2 pi a^2)^(-d/2) scales the
   value and the O(N d) outputs, never N x N arrays.
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
@@ -51,14 +52,14 @@ feature averages) tracking the points.  They reuse the gradient's
 intermediate terms and never form the (N, N, d, d) Hessian.  kde's gradient
 reads the row sums s of the weighted kernel M = E * C^T and M @ w, where w
 holds the centers: a dense coupling forms M in place on the first gradient
-read and takes both from it; a categorical one takes both from one product
-of the kernel with K (d + 1) columns, and forms M in place only for a
-Hessian-vector product, which reads the same s.  The product sets up
-per-point d x d blocks from M on its first call, in O(N^2 d^2) (see
-:func:`baryflow.costs.pair_outer_operator`); each product is then one N x N by
-N x (d^2 + 2d + 1) matrix product.  A features product costs
-O(N m d^2) plus two products with C^T of m stacked rows: O(N m K) each for
-categorical covariates in K classes, O(N^2 m) for a dense C.
+read and takes both from it; a categorical one in K <= 4 classes takes
+both from one product of the kernel with K (d + 1) columns, and forms M in
+place only for a Hessian-vector product, which reads the same s.  The
+product sets up per-point d x d blocks from M on its first call, in
+O(N^2 d^2) (see :func:`baryflow.costs.pair_outer_operator`); each product
+is then one N x N by N x (d^2 + 2d + 1) matrix product.  A features product
+costs O(N m d^2) plus two products with C^T of m stacked rows: O(N m K)
+each for categorical covariates in K classes, O(N^2 m) for a dense C.
 """
 
 from __future__ import annotations
@@ -233,16 +234,17 @@ def _kde_parts(y, kde, bandwidth, centers, want_hvp, before=None):
         uu = _sq_norms(u)
     E = _kde_kernel(u, uu, B)
     value = norm * kde_value(E)
-    # s = M 1, M @ w and weigh() -> M, with M[j, i] = E[j, i] * C[i, j]
+    # s = M 1, () -> M @ w and weigh() -> M, with M[j, i] = E[j, i] * C[i, j]
     terms = deferred(lambda: kde_terms(E, w))
-    grad = lambda: -2.0 * norm / r * (terms()[0][:, None] * u - terms()[1])
+    s = deferred(lambda: terms()[0])  # the product keeps s, not what M @ w holds
+    grad = lambda: -2.0 * norm / r * (s()[:, None] * u - terms()[1]())
     hvp = None
     if want_hvp:
         pair = deferred(lambda: pair_outer_operator(terms()[2](), u, w))
 
         def hvp(v):  # the pair term in D over a^2 is twice ``outer``, in units of r
             outer, Mv = pair()(v)
-            return 2.0 * norm / r**2 * (2.0 * outer - terms()[0][:, None] * v + Mv)
+            return 2.0 * norm / r**2 * (2.0 * outer - s()[:, None] * v + Mv)
     if before is not None:
         return value, grad, hvp, value_before
     return value, grad, hvp
@@ -276,8 +278,8 @@ def constraint_function(coupling, test_functions):
     product with C^T, which holds only what it reads.  kde keeps the
     coupling's reads of C^T: a value, the gradient's terms and the weighted
     kernel; a dense coupling holds a C-contiguous C^T for them, a
-    categorical one its K distinct rows.  (2 pi a^2)^(-d/2) scales only
-    O(N d) outputs.
+    categorical one its K distinct rows when K <= 4, else the dense C^T
+    too.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
     Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
     for a finite N x d float y.  ``grad`` is a function of no arguments that builds
     the N x d gradient.  For kde it differentiates only the evaluation slot of

@@ -408,9 +408,10 @@ def solve(x, covariates, cost_model, config=None):
     constraint or ``config.niter`` is reached.  x and the coupling are
     checked once, when the cost and the constraint bind them; a categorical
     coupling forms no N x N array beside kde's kernel unless the distortion
-    cost reads Z.  A candidate step is rejected, and the learning rate halved,
-    when it is not finite, raises the objective, leaves the cost's domain,
-    or gives a non-finite value or gradient; both gradients are built on
+    cost reads Z or kde reads the C^T of more than four classes.  A
+    candidate step is rejected, and the learning rate halved, when it is
+    not finite, raises the objective, leaves the cost's domain, or gives a
+    non-finite value or gradient; both gradients are built on
     first read, which happens only for the starting points and for each
     accepted step.  The run ends early when 60 halvings find no step.
     ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from baryflow.couplings import (
+    _CLASS_FORM_MAX_K,
     CategoricalCoupling,
     Covariates,
     DenseCoupling,
@@ -215,8 +216,31 @@ class TestCategoricalForm:
         scale = np.abs(E * CT).sum(axis=1)
         assert abs(value(E) - (E * CT).sum()) <= 1e-14 * scale.sum()
         s, Mw, _ = terms(E.copy(), w)
+        Mw = Mw()
         assert np.abs(s - (E * CT).sum(axis=1)).max() <= 1e-14 * scale.max()
         assert np.abs(Mw - (E * CT) @ w).max() <= 1e-14 * scale.max() * np.abs(w).max()
+
+    @pytest.mark.parametrize("k", [_CLASS_FORM_MAX_K + 1, 50])
+    def test_many_classes_read_a_dense_CT(self, k, rng):
+        # past _CLASS_FORM_MAX_K classes the reads are those of the dense C^T, bit for bit
+        n = 200
+        labels = rng.permutation(np.arange(n) % k)
+        CT = np.ascontiguousarray(centering_matrix(categorical_coupling(labels)).T)
+        E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
+        M = E * CT
+        value, terms = build_couplings(Covariates.categorical(labels)).kde()
+        assert value(E) == float(np.vdot(E, CT))
+        s, Mw, weigh = terms(E, w)
+        assert s.tobytes() == M.sum(axis=1).tobytes()
+        assert Mw().tobytes() == (M @ w).tobytes()
+        assert weigh() is E and E.tobytes() == M.tobytes()
+
+    def test_many_classes_hold_one_dense_CT(self, rng):
+        # K = N / 4 classes: C^T is built from one comparison of the class
+        # index, so the build holds C^T and N x N booleans, 1.155 N^2 doubles
+        n = 800
+        coupling = build_couplings(Covariates.categorical(rng.permutation(np.arange(n) % (n // 4))))
+        assert peak_bytes(coupling.kde) <= 1.16 * n * n * 8
 
     def test_holds_no_square_array(self):
         n = 3000

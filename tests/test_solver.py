@@ -811,6 +811,24 @@ class TestSolve:
         assert peak_bytes(run) <= 2.2 * n**2 * 8
 
     @pytest.mark.parametrize("update,lambda0,niter,bound", [
+        ("explicit", 1.0, 1, 2.05), ("explicit", "auto", 1, 2.17), ("implicit", "auto", 2, 3.12),
+    ])
+    def test_categorical_kde_solve_many_classes_peak_memory(self, update, lambda0, niter, bound,
+                                                            rng):
+        # K = N / 4 classes read a dense C^T, as a Sinkhorn coupling does: the
+        # class form would hold and form O(K N d) doubles and take O(K N^2 d)
+        # time.  A dense C^T read peaks at 2.045, 2.163 and 3.114 N^2 here
+        n = 600
+        x = rng.standard_normal((n, 2))
+        cov = Covariates.categorical(rng.permutation(np.arange(n) % (n // 4)))
+
+        def run():
+            solve(x, cov, CostModel("sq_euclidean"),
+                  SolverConfig(update=update, lambda0=lambda0, niter=niter))
+
+        assert peak_bytes(run) <= bound * n**2 * 8
+
+    @pytest.mark.parametrize("update,lambda0,niter,bound", [
         ("explicit", 1.0, 1, 1.15), ("explicit", "auto", 1, 1.25), ("implicit", "auto", 2, 2.2),
     ])
     def test_categorical_kde_solve_holds_kernels_alone(self, update, lambda0, niter, bound, rng):
