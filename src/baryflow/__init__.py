@@ -15,8 +15,6 @@ from .costs import CostModel, parse_cost_spec
 from .couplings import (
     Covariates,
     build_couplings,
-    categorical_coupling,
-    centering_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
 )
@@ -31,12 +29,10 @@ from .datagen import (
     sph2cart,
 )
 from .errors import BaryflowError, ConvergenceError, InvalidInputError, NumericError
-from .objective import monomial_features
 from .solver import (
     BarycenterResult,
     SolverConfig,
     lambda_update,
-    precondition_mean_shift,
     solve,
     step_implicit,
 )
@@ -55,17 +51,13 @@ __all__ = [
     "__version__",
     "build_couplings",
     "cart2sph",
-    "categorical_coupling",
-    "centering_matrix",
     "gen_ellipses",
     "gen_hidden_signal",
     "gen_sphere_patches",
     "lagged_dataset",
     "lambda_update",
     "median_heuristic_bandwidth",
-    "monomial_features",
     "parse_cost_spec",
-    "precondition_mean_shift",
     "sinkhorn_bistochastic",
     "solve",
     "sph2cart",

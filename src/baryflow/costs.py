@@ -1,13 +1,22 @@
 """Cost families: value, per-point gradient, Hessian-vector product.
 
+Every Hessian-vector product (HVP), of a cost here or of a constraint in
+:mod:`baryflow.objective`, takes one form, :class:`BlockHvp`: per-point
+d x d blocks D plus at most one remainder product R, v -> D v + R v.
 Pairwise families (squared Euclidean, smoothed p-norm, great-circle on the
 unit sphere) average a per-sample cost c(x_i, y_i), so their Hessian is
-block diagonal and the product applies per-point d x d blocks.  The
-distortion family couples sample pairs through the coupling matrix Z,
-penalizing deviation of pairwise distance ratios from one.  Its product never
-forms the (N, N, d, d) Hessian: :func:`pair_outer_operator` sets up per-point
-d x d blocks once in O(N^2 d^2), and each product is then one N x N by
-N x (d^2 + 2d + 1) matrix product.
+block diagonal and their product is its blocks alone.  The distortion
+family couples sample pairs through the coupling matrix Z, penalizing
+deviation of pairwise distance ratios from one.  Its product never forms
+the (N, N, d, d) Hessian: :func:`pair_outer_operator` sets up per-point
+d x d blocks once in O(N^2 d^2), the per-point terms fold into them, and
+the remainder is one N x N by N x (d^2 + 2d + 1) matrix product plus the
+product with the N x N identity-term coefficients.  A product costs one
+einsum over the (N, d, d) blocks, O(N d^2), plus its remainder.  Sums and
+scalings act on the blocks and remainders themselves:
+:meth:`BlockHvp.operator` forms the implicit step's I + eta (H_C + lam H_F)
+once per step, so each of MINRES's products for l2 and kde is three
+einsums, one N x N by N x (d + 1)^2 matrix product and an add.
 
 :func:`cost_function` checks x and Z once per solve; per call, only the
 great-circle cost's latitudes of y are checked, as a step can pass a pole.
@@ -110,6 +119,62 @@ def deferred(build):
     return get
 
 
+class BlockHvp:
+    """A Hessian-vector product in block form: v -> D v + the remainders' products.
+
+    D holds per-point d x d blocks, an (N, d, d) array.  Each remainder is
+    a function ``rest(s)`` that sets up, once, the product v -> s R v, with
+    the scale s folded into its factors.  ``parts() -> (D, remainders)``
+    gives both; a cost or constraint passes a :func:`deferred` build, so an
+    evaluation whose product is never used sets up none.  Calling the object
+    applies the product; :meth:`operator` forms a scaled and shifted product
+    once for many applications.
+    """
+
+    def __init__(self, parts):
+        self._parts = parts
+
+    def __call__(self, v):
+        return self.operator()(v)
+
+    def plus(self, lam, other):
+        """The product of H + lam * H_other.
+
+        Its blocks are added when an operator is formed, and not kept: the
+        sum lives only as long as that operator.
+        """
+        def parts():
+            (D, rests), (D_other, rests_other) = self._parts(), other._parts()
+            return D + lam * D_other, rests + tuple(
+                (lambda s, rest=rest: rest(lam * s)) for rest in rests_other)
+        return BlockHvp(parts)
+
+    def operator(self, scale=1.0, shift=0.0):
+        """v -> (shift I + scale H) v, its blocks and scaled remainders formed now, once.
+
+        Each application is one einsum over the blocks plus one product per
+        remainder, added in place.
+        """
+        D, rests = self._parts()
+        if scale != 1.0 or shift:
+            D = scale * D + shift * np.eye(D.shape[-1])
+        products = [rest(scale) for rest in rests]
+
+        def apply(v):
+            out = np.einsum("jab,jb->ja", D, v)
+            for product in products:
+                out += product(v)
+            return out
+        return apply
+
+
+def add_diagonal(blocks, values):
+    """Add ``values`` (a scalar, (N, 1) or (N, d)) to the diagonal of every block, in place."""
+    r = np.arange(blocks.shape[-1])
+    blocks[:, r, r] += values
+    return blocks
+
+
 def _lifted(p):
     """[p_j, 1] and the d x (d + 1) block [I, -p_j] for every point p_j."""
     n, d = p.shape
@@ -120,17 +185,22 @@ def _lifted(p):
 
 
 def pair_outer_operator(A, y, c):
-    """The map v -> (sum_i A[j, i] D_ji (D_ji . (v_j - v_i)) for every j, A @ v), D_ji = y_j - c_i.
+    """Blocks and remainder of v -> sum_i A[j, i] D_ji (D_ji . (v_j - v_i)), D_ji = y_j - c_i.
 
     With P_j = [I, -y_j] and Q_i = [I, -c_i], D_ji = -P_j [c_i, 1] and
     D_ji . v_i = [y_j, 1] . Q_i^T v_i, so the pair term at j is
     B_j v_j + S_j (A V)_j: B_j = P_j (sum_i A[j, i] [c_i, 1] [c_i, 1]^T) P_j^T,
     S_j = [y_j, 1]^T (x) P_j, and V_i = (Q_i^T v_i) (x) [c_i, 1] = T_i v_i has
-    (d + 1)^2 columns, v_i among them.  Setting up B, S and T costs
-    O(N^2 d^2); each call then costs one N x N by N x (d + 1)^2 product and
-    forms no N x N array.  y and c are first shifted by the mean of c, which
-    leaves every D_ji unchanged and keeps far-off points from cancelling;
-    when c is y, the points are lifted once.
+    (d + 1)^2 columns, v_i among them: column a (d + 1) + d of A V is
+    (A v)_a.  Returns ``(B, S, rest)``: the (N, d, d) blocks, the
+    (N, d, (d + 1)^2) factor and ``rest(s)`` -> (v -> s S_j (A T v)_j), which
+    reads S when it is called, so a caller may fold terms into B and S in
+    place first: adding k to S[j, a, a (d + 1) + d] adds k (A v)[j, a] to
+    row j of the product.  Setting
+    up B, S and T costs O(N^2 d^2); each product then costs one N x N by
+    N x (d + 1)^2 product and forms no N x N array.  y and c are first
+    shifted by the mean of c, which leaves every D_ji unchanged and keeps
+    far-off points from cancelling; when c is y, the points are lifted once.
     """
     n, d = y.shape
     mean = c.mean(axis=0)
@@ -139,26 +209,26 @@ def pair_outer_operator(A, y, c):
     G = (A @ (c1[:, :, None] * c1[:, None, :]).reshape(n, -1)).reshape(n, d + 1, d + 1)
     B = P @ G @ P.transpose(0, 2, 1)
     S = (y1[:, None, :, None] * P[:, :, None, :]).reshape(n, d, -1)
-    T = (Q.transpose(0, 2, 1)[:, :, None, :] * c1[:, None, :, None]).reshape(n, -1, d)
+    T = (Q[:, :, :, None] * c1[:, None, None, :]).reshape(n, d, -1)  # T_i^T, rows of length (d+1)^2
 
-    def apply(v):
-        AV = A @ np.einsum("ikb,ib->ik", T, v)
-        pair = np.einsum("jab,jb->ja", B, v) + np.einsum("jak,jk->ja", S, AV)
-        return pair, AV[:, d::d + 1][:, :d]  # the columns v_i (x) 1
-    return apply
+    def rest(s):
+        Ss = S if s == 1.0 else s * S
+        return lambda v: np.einsum("jak,jk->ja", Ss, A @ np.einsum("ibk,ib->ik", T, v))
+    return B, S, rest
 
 
 def _sq_euclidean_parts(x, y, want_hvp):
-    n = x.shape[0]
+    n, d = x.shape
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
     grad = lambda: diff / n
-    hvp = (lambda v: v / n) if want_hvp else None
+    # the blocks I / n, one d x d block read for every point
+    hvp = BlockHvp(lambda: (np.broadcast_to(np.eye(d) / n, (n, d, d)), ())) if want_hvp else None
     return value, grad, hvp
 
 
 def _p_norm_parts(model, x, y, want_hvp):
-    n, _ = x.shape
+    n, d = x.shape
     p, eps = model.p, model.eps_abs
     t = x - y
     si = np.sqrt(t * t + eps)
@@ -174,7 +244,7 @@ def _p_norm_parts(model, x, y, want_hvp):
         curv1[mask] = (p - 1.0) * s[mask] ** (p - 2.0) * sprime[mask] ** 2
         curv2 = s ** (p - 1.0) * eps / si**3
         diag = (p / n) * (curv1 + curv2)  # the Hessian is diagonal per coordinate
-        hvp = lambda v: diag * v
+        hvp = BlockHvp(deferred(lambda: (add_diagonal(np.zeros((n, d, d)), diag), ())))
     return value, grad, hvp
 
 
@@ -219,7 +289,6 @@ def _geodesic_parts(x, y, want_hvp):
 
     hvp = None
     if want_hvp:
-        @deferred
         def hess():
             hA = np.empty((n, 2, 2))
             hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
@@ -229,9 +298,9 @@ def _geodesic_parts(x, y, want_hvp):
             out = (qpp[:, None, None] * dA[:, :, None] * dA[:, None, :]
                    + qp[:, None, None] * hA) / n
             out[antipodal] = 0.0
-            return out
+            return out, ()
 
-        hvp = lambda v: np.einsum("iab,ib->ia", hess(), v)
+        hvp = BlockHvp(deferred(hess))
     return value, grad, hvp
 
 
@@ -253,16 +322,20 @@ def _distortion_parts(model, x, y, denom, W, want_hvp):
     if want_hvp:
         # Pair (j, i) contributes c_outer (d d^T) + c_eye I, d = y_j - y_i, to
         # the (j, j) block and its negative to the (j, i) block; W has a zero
-        # diagonal, so the pair (j, j) contributes nothing.
-        @deferred
-        def coefficients():
+        # diagonal, so the pair (j, j) contributes nothing.  The (j, j) terms
+        # fold into the pair operator's blocks; the remainder is
+        # S (A T v) - c_eye @ v.
+        def hessian():
             c_eye = (8.0 / n**2) * coeff()
-            eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * omega / n
-            return pair_outer_operator((16.0 / n**2) * W / denom**2, y, y), c_eye, eye_rows
+            B, _, pair = pair_outer_operator((16.0 / n**2) * W / denom**2, y, y)
+            add_diagonal(B, c_eye.sum(axis=1)[:, None] + 2.0 * omega / n)
 
-        def hvp(v):
-            pair, c_eye, eye_rows = coefficients()
-            return pair(v)[0] + eye_rows * v - c_eye @ v
+            def rest(s):
+                pair_s = pair(s)
+                return lambda v: pair_s(v) - s * (c_eye @ v)
+            return B, (rest,)
+
+        hvp = BlockHvp(deferred(hessian))
     return value, grad, hvp
 
 

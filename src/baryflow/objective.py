@@ -49,28 +49,34 @@ or a descent check's right side pays for its values alone.
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
 feature averages) tracking the points.  They reuse the gradient's
-intermediate terms and never form the (N, N, d, d) Hessian.  kde's gradient
+intermediate terms and never form the (N, N, d, d) Hessian.  Both modes
+give them in the block form of :class:`baryflow.costs.BlockHvp`: per-point
+d x d blocks D plus one remainder product.  kde's gradient
 reads the row sums s of the weighted kernel M = E * C^T and M @ w, where w
 holds the centers: a dense coupling forms M in place on the first gradient
 read and takes both from it; a categorical one in K <= 4 classes takes
 both from one product of the kernel with K (d + 1) columns, and forms M in
 place only for a Hessian-vector product, which reads the same s.  The
-product sets up per-point d x d blocks from M on its first call, in
-O(N^2 d^2) (see :func:`baryflow.costs.pair_outer_operator`); each product
-is then one N x N by N x (d^2 + 2d + 1) matrix product.  A features product
-costs O(N m d^2) plus two products with C^T of m stacked rows: O(N m K)
-each for categorical covariates in K classes, O(N^2 m) for a dense C.
+product's first use sets up the pair operator of M in O(N^2 d^2) (see
+:func:`baryflow.costs.pair_outer_operator`) and folds the product's scale,
+its -s v and its M v into the operator's blocks and its factor S, in place;
+the remainder is S (M (T v)), so a kde product is the blocks' einsum, two
+more einsums and one N x N by N x (d + 1)^2 matrix product.  Features
+take the blocks 2 sum_l (C f_l)_i Hess f_l(y_i), and the cross term
+2 sum_l grad f_l (C g_l) as the remainder: O(N m d) plus two products with
+C^T of m stacked rows, O(N m K) each for categorical covariates in K
+classes and O(N^2 m) for a dense C.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import deferred, pair_outer_operator
+from .costs import BlockHvp, add_diagonal, deferred, pair_outer_operator
 from .errors import InvalidInputError, NumericError, positive_number
 
 __all__ = [
@@ -240,11 +246,20 @@ def _kde_parts(y, kde, bandwidth, centers, want_hvp, before=None):
     grad = lambda: -2.0 * norm / r * (s()[:, None] * u - terms()[1]())
     hvp = None
     if want_hvp:
-        pair = deferred(lambda: pair_outer_operator(terms()[2](), u, w))
+        def hessian():
+            # The product is k (2 pair - s v + M v), the pair term in units of
+            # r.  k, the 2 and -s v fold into the pair operator's blocks; k,
+            # the 2 and the columns M v of M (T v) fold into S.
+            k = 2.0 * norm / r**2
+            D, S, pair = pair_outer_operator(terms()[2](), u, w)
+            D *= 2.0 * k
+            add_diagonal(D, -k * s()[:, None])
+            S *= 2.0 * k
+            d = u.shape[1]
+            S[:, np.arange(d), np.arange(d) * (d + 1) + d] += k
+            return D, (pair,)
 
-        def hvp(v):  # the pair term in D over a^2 is twice ``outer``, in units of r
-            outer, Mv = pair()(v)
-            return 2.0 * norm / r**2 * (2.0 * outer - s()[:, None] * v + Mv)
+        hvp = BlockHvp(deferred(hessian))
     if before is not None:
         return value, grad, hvp, value_before
     return value, grad, hvp
@@ -257,12 +272,14 @@ def _features_parts(y, product, basis, want_hvp):
     grad = lambda: 2.0 * np.einsum("li,lia->ia", cv, grads)
     hvp = None
     if want_hvp:
-        diag = deferred(lambda: 2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)))
+        def cross(s):  # v -> s * 2 sum_l grad f_l (C g_l), g[l, k] = f_l'(y_k) . v_k
+            def apply(v):
+                g = np.einsum("lkb,kb->lk", grads, v)
+                return (2.0 * s) * np.einsum("lia,li->ia", grads, product(g))
+            return apply
 
-        def hvp(v):
-            g = np.einsum("lkb,kb->lk", grads, v)  # g[l, k] = f_l'(y_k) . v_k
-            cross = 2.0 * np.einsum("lia,li->ia", grads, product(g))
-            return np.einsum("iab,ib->ia", diag(), v) + cross
+        hvp = BlockHvp(deferred(lambda: (2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)),
+                                         (cross,))))
     return value, grad, hvp
 
 
@@ -329,18 +346,23 @@ class ObjectiveEval:
     L_C: float
     L_F: float
     grads: tuple = field(repr=False)
-    hvp_cost: Callable | None = None
-    hvp_constraint: Callable | None = None
+    hvp_cost: BlockHvp | None = None
+    hvp_constraint: BlockHvp | None = None
     L_F_before: float | None = None
 
     grad_cost = property(lambda self: self.grads[0]())
     grad_constraint = property(lambda self: self.grads[1]())
 
     def hvp(self, lam):
-        """Hessian-vector product v -> (H_C + lam * H_F) v at multiplier ``lam``."""
+        """Hessian-vector product v -> (H_C + lam * H_F) v at multiplier ``lam``, in block form.
+
+        A :class:`~baryflow.costs.BlockHvp` whose blocks D_C + lam * D_F are
+        added once for each operator formed from it, and whose remainders
+        are the two terms'.
+        """
         if self.hvp_cost is None:
             raise InvalidInputError("evaluation was performed without Hessian-vector products")
-        return lambda v: self.hvp_cost(v) + lam * self.hvp_constraint(v)
+        return self.hvp_cost.plus(lam, self.hvp_constraint)
 
 
 def evaluate(cost, constraint, y, want_hvp=False, before=None):
@@ -362,7 +384,7 @@ def evaluate(cost, constraint, y, want_hvp=False, before=None):
         fv, fg, fhvp = constraint(y, want_hvp=want_hvp)
     else:
         fv, fg, fhvp, fv_before = constraint(y, want_hvp=want_hvp, before=before)
-    if not np.isfinite([cv, fv]).all():
+    if not (math.isfinite(cv) and math.isfinite(fv)):
         raise NumericError("non-finite objective evaluation")
     grads = (_built_on_first_read(cg, "cost"), _built_on_first_read(fg, "constraint"))
     return ObjectiveEval(L_C=cv, L_F=fv, grads=grads, hvp_cost=chvp, hvp_constraint=fhvp,

@@ -9,7 +9,11 @@ kernel centers at the stepped positions on both sides.  Each try scores both
 sides with one evaluation of the stepped points, which in kde mode also
 scores the points before the step in the same centers' frame.  The
 evaluation at the accepted step is the next iteration's evaluation, so each
-point set is evaluated once.  The implicit step solves its symmetric system
+point set is evaluated once.  The implicit step forms its operator
+I + eta (H_C + lam H_F) once per try, from the block form of the two
+Hessian-vector products (per-point blocks plus one remainder each, see
+:class:`baryflow.costs.BlockHvp`): the blocks are added and scaled, and each
+remainder takes its scale into its factors.  It solves the symmetric system
 matrix-free with the module's own MINRES (:func:`_minres`), which runs
 scipy's recurrences and stopping tests (residual estimate within
 1e-12 * ||A|| ||x||) on buffers updated in place, so its steps are bitwise
@@ -262,12 +266,15 @@ def step_explicit(y, grad, eta):
 def step_implicit(y, grad, hvp, eta):
     """Resolvent step: solve (I + eta*H) delta = eta*grad, H given by ``hvp``.
 
-    ``hvp`` maps an N x d array v to H v.  The symmetric, possibly indefinite
-    system is solved matrix-free by :func:`_minres` (stopping when its
-    residual estimate is within 1e-12 * ||A|| ||delta||, at most 500
-    iterations), warm-started from the explicit step's delta.  Falls back to
-    the explicit step when MINRES hits its iteration cap or meets a
-    non-finite Lanczos norm, or when the explicitly recomputed residual
+    ``hvp`` is H's product in block form, a :class:`~baryflow.costs.BlockHvp`
+    such as :meth:`~baryflow.objective.ObjectiveEval.hvp` returns.  The step
+    forms the operator I + eta*H once: its blocks I + eta*D and its
+    remainders scaled by eta.  The symmetric, possibly indefinite system is
+    solved matrix-free by :func:`_minres` (stopping when its residual
+    estimate is within 1e-12 * ||A|| ||delta||, at most 500 iterations),
+    warm-started from the explicit step's delta.  Falls back to the explicit
+    step when MINRES hits its iteration cap or meets a non-finite Lanczos
+    norm, or when the explicitly recomputed residual
     ||eta*grad - (I + eta*H) delta|| is not within 1e-8 * ||eta*grad||; that
     test also catches a breakdown (singular or non-symmetric operator) and a
     non-finite delta, whose residual is NaN.  Returns
@@ -275,9 +282,10 @@ def step_implicit(y, grad, hvp, eta):
     """
     n, d = y.shape
     b = eta * grad.ravel()
+    operator = hvp.operator(eta, shift=1.0)
 
     def matvec(u):
-        return u + eta * hvp(u.reshape(n, d)).ravel()
+        return operator(u.reshape(n, d)).ravel()
 
     delta, converged = _minres(matvec, b, b, _KRYLOV_RTOL, _KRYLOV_MAXITER)
     if converged and np.linalg.norm(b - matvec(delta)) <= _RESIDUAL_RTOL * np.linalg.norm(b):
@@ -381,10 +389,12 @@ def _minres(matvec, b, x0, rtol, maxiter):
 def _auto_lambda0(hvp, shape, lambda_max, seed):
     """1 / spectral-radius estimate of the constraint Hessian at the start.
 
-    Seeded power iteration on the constraint's Hessian-vector product ``hvp``
-    over arrays of ``shape``; the estimate is 1 when the constraint is
-    locally flat.  Never more than ``lambda_max``.
+    Seeded power iteration on the constraint's Hessian-vector product ``hvp``,
+    a :class:`~baryflow.costs.BlockHvp` whose product is formed once, over
+    arrays of ``shape``; the estimate is 1 when the constraint is locally
+    flat.  Never more than ``lambda_max``.
     """
+    hvp = hvp.operator()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(shape)
     v /= np.linalg.norm(v)

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from baryflow.costs import BlockHvp
 from baryflow.couplings import DenseCoupling
 
 
@@ -129,6 +131,90 @@ def direct_pair_outer(A, y, c, v):
     D = y[:, None, :] - c[None, :, :]
     dv = v[:, None, :] - v[None, :, :]
     return np.einsum("ji,jia,ji->ja", A, D, np.einsum("jia,jia->ji", D, dv))
+
+
+def kde_hvp_reference(y, centers, a, CT):
+    """The kde product 2 norm / r^2 (2 outer - s v + M v), r^2 = 2 a^2, from its direct terms.
+
+    Written as (pair / a^2 - s v + M v) / a^2 with M[j, i] = K_a(y_j, c_i) C[i, j]
+    (K_a the normalized Gaussian kernel), s = M 1 and the pair term of
+    :func:`direct_pair_outer`; ``CT`` is the dense C^T.
+    """
+    D = y[:, None, :] - centers[None, :, :]
+    d = y.shape[1]
+    M = np.exp(-np.einsum("jia,jia->ji", D, D) / (2 * a**2)) / (2 * np.pi * a**2) ** (d / 2) * CT
+    s = M.sum(axis=1)[:, None]
+    return lambda v: (direct_pair_outer(M, y, centers, v) / a**2 - s * v + M @ v) / a**2
+
+
+def distortion_hvp_reference(model, x, y, Z):
+    """The distortion cost's product pair + eye_rows v - c_eye @ v, from dense coefficients."""
+    n = len(x)
+    denom = cdist(x, x, "sqeuclidean") + model.eps_dist**2
+    W = 0.5 * (Z + Z.T)
+    np.fill_diagonal(W, 0.0)
+    c_eye = (8.0 / n**2) * W * (cdist(y, y, "sqeuclidean") / denom - 1.0) / denom
+    eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * model.omega / n
+    A = (16.0 / n**2) * W / denom**2
+    return lambda v: direct_pair_outer(A, y, y, v) + eye_rows * v - c_eye @ v
+
+
+def pairwise_hessian_reference(model, x, y):
+    """The (N, d, d) Hessian blocks of a squared-Euclidean, p-norm or great-circle cost at y.
+
+    The p-norm cost differentiates |t|_eps^p, t = x - y, coordinate by
+    coordinate; the great-circle cost differentiates q(h) = (2 arcsin sqrt h)^2
+    with the haversine h = (1 - cos phi_x cos phi_y cos dtheta - sin phi_x sin phi_y) / 2
+    written in cosines, away from coincident and antipodal points.
+    """
+    n, d = x.shape
+    if model.family == "sq_euclidean":
+        return np.broadcast_to(np.eye(d) / n, (n, d, d))
+    if model.family == "p_norm":
+        p, eps = model.p, model.eps_abs
+        t = x - y
+        root = np.sqrt(t * t + eps)
+        s = root - np.sqrt(eps)
+        second = (p * (p - 1.0) * s ** (p - 2.0) * (t / root) ** 2
+                  + p * s ** (p - 1.0) * eps / root**3)
+        return np.einsum("ia,ab->iab", second / n, np.eye(d))
+    dtheta = x[:, 0] - y[:, 0]
+    cx, sx, cy, sy = np.cos(x[:, 1]), np.sin(x[:, 1]), np.cos(y[:, 1]), np.sin(y[:, 1])
+    h = 0.5 * (1.0 - cx * cy * np.cos(dtheta) - sx * sy)
+    dh = np.column_stack([-0.5 * cx * cy * np.sin(dtheta),
+                          0.5 * (cx * sy * np.cos(dtheta) - sx * cy)])
+    d2h = np.empty((n, 2, 2))
+    d2h[:, 0, 0] = 0.5 * cx * cy * np.cos(dtheta)
+    d2h[:, 0, 1] = d2h[:, 1, 0] = 0.5 * cx * sy * np.sin(dtheta)
+    d2h[:, 1, 1] = 0.5 * (cx * cy * np.cos(dtheta) + sx * sy)
+    dist = 2.0 * np.arcsin(np.sqrt(h))
+    hh = h * (1.0 - h)
+    q1 = 2.0 * dist / np.sqrt(hh)
+    q2 = 2.0 / hh - dist * (1.0 - 2.0 * h) / hh**1.5
+    return (q2[:, None, None] * dh[:, :, None] * dh[:, None, :] + q1[:, None, None] * d2h) / n
+
+
+def features_hvp_reference(y, C, exponents):
+    """The features product 2 sum_l [(C f_l)_i H_l(y_i) v_i + grad f_l(y_i) (C g_l)_i].
+
+    g_l[k] = grad f_l(y_k) . v_k, each monomial a :class:`ReferenceMonomial`.
+    """
+    monomials = [ReferenceMonomial(e) for e in exponents]
+    grads = [m.grad(y) for m in monomials]
+    weighted = [(C @ m.value(y))[:, None, None] * m.hess(y) for m in monomials]
+
+    def hvp(v):
+        out = np.zeros_like(v)
+        for g, wh in zip(grads, weighted):
+            cross = g * (C @ np.einsum("kb,kb->k", g, v))[:, None]
+            out += 2.0 * (np.einsum("iab,ib->ia", wh, v) + cross)
+        return out
+    return hvp
+
+
+def remainder_hvp(product, n, d):
+    """A bare product v -> H v of N x d arrays in block form: zero blocks, H the one remainder."""
+    return BlockHvp(lambda: (np.zeros((n, d, d)), (lambda s: lambda v: s * product(v),)))
 
 
 def peak_bytes(call):

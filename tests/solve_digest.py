@@ -31,7 +31,17 @@ on the six categorical kde solves (``l2-kde-explicit``,
 ``geodesic-kde-patches``), whose values and gradients round differently;
 the Sinkhorn and features solves match, and ``l2-kde-shuffled-strings``,
 a categorical kde solve on shuffled, unequal, string-labelled classes, is
-new with that change.
+new with that change.  Listings saved before Hessian-vector products took
+block form (per-point blocks plus one remainder) differ on the three
+implicit solves ``l2-kde-implicit``, ``distortion-kde-implicit`` and
+``l2-features-implicit-precondition``, whose step operator rounds
+differently, and on ``l2-kde-explicit``, ``l2-kde-explicit-eta50`` and
+``geodesic-kde-patches``, whose lambda0 power iteration on the kde product
+does; the other solves match, the other kde solves with automatic lambda0
+included.  ``pnorm-kde-implicit`` and
+``geodesic-features-implicit-sinkhorn``, which take the p-norm cost's
+diagonal blocks and the great-circle cost's 2 x 2 blocks through an
+implicit step, are new with that change.
 """
 
 import dataclasses
@@ -75,6 +85,8 @@ SOLVES = {
                         SolverConfig(update="implicit", eta0=50.0, niter=10)),
     "distortion-kde-implicit": (ELLIPSES, CostModel("distortion"),
                                 SolverConfig(update="implicit", eta0=5.0, niter=10)),
+    "pnorm-kde-implicit": (ELLIPSES, CostModel("p_norm", p=1.5),
+                           SolverConfig(update="implicit", eta0=5.0, niter=10)),
     "geodesic-kde-sinkhorn": (SIGNAL, CostModel("geodesic_sphere"), SolverConfig(niter=20)),
     "l2-kde-sinkhorn-precondition": (SIGNAL_SPHERICAL, CostModel("sq_euclidean"),
                                      SolverConfig(precondition=True, eta0=1.0, niter=20)),
@@ -93,6 +105,9 @@ SOLVES = {
                      precondition=True, eta0=50.0, niter=15)),
     "pnorm-features-sinkhorn": (SIGNAL, CostModel("p_norm", p=1.5),
                                 SolverConfig(problem="features", eta0=1.0, niter=20)),
+    "geodesic-features-implicit-sinkhorn": (
+        SIGNAL, CostModel("geodesic_sphere"),
+        SolverConfig(problem="features", update="implicit", eta0=1.0, niter=10)),
 }
 
 

@@ -11,7 +11,9 @@ from conftest import (
     central_diff_grad,
     central_diff_jacobian,
     direct_pair_outer,
+    distortion_hvp_reference,
     operator_matrix,
+    pairwise_hessian_reference,
     product_peak_bytes,
     rel_err,
 )
@@ -196,10 +198,37 @@ class TestCostHessian:
         model, x, y, Z = make_instance(family, rng, n=7)
         assert_symmetric(cost_function(model, x, Z)(y, want_hvp=True)[2], rng, *y.shape)
 
+    @pytest.mark.parametrize("family,d", [(f, d) for f in ALL_FAMILIES if f != "geodesic_sphere"
+                                          for d in (1, 2, 3)] + [("geodesic_sphere", 2)])
+    def test_block_form_matches_reference(self, family, d, rng):
+        # the blocks plus the remainder against the product from its direct terms
+        for _ in range(5):
+            model, x, y, Z = make_instance(family, rng, n=int(rng.integers(2, 30)))
+            if family != "geodesic_sphere":
+                x = rng.standard_normal((len(x), d)) + rng.uniform(-50.0, 50.0, d)
+                y = x + 0.4 * rng.standard_normal(x.shape)
+            v = rng.standard_normal(y.shape)
+            hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
+            if family == "distortion":
+                expected = distortion_hvp_reference(model, x, y, Z)(v)
+            else:
+                expected = np.einsum("iab,ib->ia", pairwise_hessian_reference(model, x, y), v)
+            assert rel_err(hvp(v), expected) <= 1e-12
+
     def test_distortion_product_allocates_no_n_by_n_array(self, rng):
         model, x, y, Z = make_instance("distortion", rng, n=400)
         hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
         assert product_peak_bytes(hvp, rng.standard_normal(y.shape)) < 400**2 * 8 / 4
+
+
+def pair_products(A, y, c, v):
+    """The pair term B v + S (A T v) of ``pair_outer_operator``, and A v read through S."""
+    B, S, rest = pair_outer_operator(A, y, c)
+    pair = np.einsum("jab,jb->ja", B, v) + rest(1.0)(v)
+    d = y.shape[1]
+    S[...] = 0.0
+    S[:, np.arange(d), np.arange(d) * (d + 1) + d] = 1.0
+    return pair, rest(1.0)(v)
 
 
 class TestPairOuterOperator:
@@ -212,7 +241,7 @@ class TestPairOuterOperator:
             y = rng.standard_normal((n, d)) + rng.uniform(-100.0, 100.0, d)
             c = y + rng.standard_normal((n, d)) if moved else y
             v = rng.standard_normal((n, d))
-            pair, Av = pair_outer_operator(A, y, c)(v)
+            pair, Av = pair_products(A, y, c, v)
             assert rel_err(pair, direct_pair_outer(A, y, c, v)) <= 1e-12
             assert rel_err(Av, A @ v) <= 1e-12
 
@@ -224,8 +253,8 @@ class TestPairOuterOperator:
         A = rng.standard_normal((n, n))
         y = rng.standard_normal((n, d)) + 50.0
         v = rng.standard_normal((n, d))
-        pair, Av = pair_outer_operator(A, y, y)(v)
+        pair, Av = pair_products(A, y, y, v)
         assert len(lifts) == 1
-        pair_copy, Av_copy = pair_outer_operator(A, y, y.copy())(v)
+        pair_copy, Av_copy = pair_products(A, y, y.copy(), v)
         assert len(lifts) == 3
         assert np.array_equal(pair, pair_copy) and np.array_equal(Av, Av_copy)

@@ -24,6 +24,8 @@ from conftest import (
     combined_grad,
     dense_coupling,
     direct_pair_outer,
+    features_hvp_reference,
+    kde_hvp_reference,
     operator_matrix,
     product_peak_bytes,
     rel_err,
@@ -349,6 +351,32 @@ class TestEvaluate:
             scale = np.einsum("ji,ji->j", np.abs(M), np.linalg.norm(D, axis=2)).max() / a**2
             expected = -np.einsum("ji,jia->ja", M, D) / a**2
             assert np.abs(grad() - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("coupling", ["categorical", "dense"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["kde", "kde-moved", "features"])
+    def test_block_form_matches_reference(self, mode, d, coupling, rng):
+        # the blocks plus the remainder against the product from its direct terms
+        for _ in range(3):
+            n = int(rng.integers(2, 30))
+            labels = rng.integers(0, 3, n)
+            y = rng.standard_normal((n, d))
+            if mode != "features":
+                y += rng.uniform(-50.0, 50.0, d)  # kde takes its frame at the centers' mean
+            v = rng.standard_normal((n, d))
+            C = centering_matrix(categorical_coupling(labels))
+            bound = (build_couplings(Covariates.categorical(labels)) if coupling == "categorical"
+                     else dense_coupling(C))
+            if mode == "features":
+                basis = monomial_features(d, 2)
+                hvp = constraint_function(bound, basis)(y, want_hvp=True)[2]
+                expected = features_hvp_reference(y, C, basis.exponents)(v)
+            else:
+                a = float(rng.uniform(0.5, 2.0))
+                centers = y + 0.5 * rng.standard_normal((n, d)) if mode == "kde-moved" else y
+                hvp = constraint_function(bound, a)(y, centers=centers, want_hvp=True)[2]
+                expected = kde_hvp_reference(y, centers, a, C.T)(v)
+            assert rel_err(hvp(v), expected) <= 1e-12
 
     def test_kde_product_allocates_no_n_by_n_array(self, rng):
         n = 400

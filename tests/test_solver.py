@@ -23,7 +23,19 @@ from baryflow.solver import (
     step_implicit,
 )
 
-from conftest import combined_grad, dense_coupling, operator_matrix, peak_bytes
+from conftest import (
+    combined_grad,
+    dense_coupling,
+    distortion_hvp_reference,
+    features_hvp_reference,
+    kde_hvp_reference,
+    operator_matrix,
+    pairwise_hessian_reference,
+    peak_bytes,
+    product_peak_bytes,
+    rel_err,
+    remainder_hvp,
+)
 
 
 def count_gradients(monkeypatch, binder, poisoned=()):
@@ -95,12 +107,16 @@ def count_pair_operators(monkeypatch):
 
 
 def scipy_step_implicit(y, grad, hvp, eta):
-    """The implicit step through scipy's MINRES: ``step_implicit`` must equal it bit for bit."""
+    """The implicit step through scipy's MINRES: ``step_implicit`` must equal it bit for bit.
+
+    Both sides apply the same operator I + eta*H, formed by ``hvp.operator``.
+    """
     n, d = y.shape
     b = eta * grad.ravel()
+    operator = hvp.operator(eta, shift=1.0)
 
     def matvec(u):
-        return u + eta * hvp(u.reshape(n, d)).ravel()
+        return operator(u.reshape(n, d)).ravel()
 
     A = LinearOperator((n * d, n * d), matvec=matvec, dtype=float)
     delta, info = minres(A, b, x0=b, rtol=solver._KRYLOV_RTOL, maxiter=solver._KRYLOV_MAXITER)
@@ -119,7 +135,7 @@ def random_implicit_system(kind, rng):
     if kind in ("spd", "indefinite"):
         B = rng.standard_normal((n * d, n * d))
         H = B @ B.T / (n * d) if kind == "spd" else (B + B.T) / 2.0
-        return y, grad, lambda v: (H @ v.ravel()).reshape(v.shape), eta
+        return y, grad, remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape), n, d), eta
     # the solver's own operators, at a random multiplier
     x = y + 0.5 * rng.standard_normal((n, d))
     C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
@@ -257,7 +273,7 @@ class TestSteps:
 
     def test_implicit_zero_grad(self, rng):
         y = rng.standard_normal((4, 2))
-        cand, fallback = step_implicit(y, np.zeros_like(y), lambda v: v, 0.3)
+        cand, fallback = step_implicit(y, np.zeros_like(y), remainder_hvp(lambda v: v, 4, 2), 0.3)
         assert np.allclose(cand, y) and not fallback
 
     def test_implicit_identity_hessian_resolvent(self, rng):
@@ -294,7 +310,7 @@ class TestSteps:
         # H = -I, so I + eta*H vanishes at eta = 1
         y = rng.standard_normal((1, 1))
         grad = np.array([[1.0]])
-        cand, fallback = step_implicit(y, grad, lambda v: -v, 1.0)
+        cand, fallback = step_implicit(y, grad, remainder_hvp(lambda v: -v, 1, 1), 1.0)
         assert fallback
         assert np.allclose(cand, y - grad)
 
@@ -305,7 +321,7 @@ class TestSteps:
     def test_implicit_unsolved_falls_back(self, hvp):
         y = np.zeros((2, 1))
         grad = np.array([[1.0], [0.5]])
-        cand, fallback = step_implicit(y, grad, hvp, 0.5)
+        cand, fallback = step_implicit(y, grad, remainder_hvp(hvp, 2, 1), 0.5)
         assert fallback
         assert np.array_equal(cand, step_explicit(y, grad, 0.5))
 
@@ -315,7 +331,7 @@ class TestSteps:
         H = B @ B.T  # symmetric positive definite, needs more than one MINRES step
         y = np.zeros((6, 1))
         grad = rng.standard_normal((6, 1))
-        cand, fallback = step_implicit(y, grad, lambda v: H @ v, 0.5)
+        cand, fallback = step_implicit(y, grad, remainder_hvp(lambda v: H @ v, 6, 1), 0.5)
         assert fallback
         assert np.array_equal(cand, step_explicit(y, grad, 0.5))
 
@@ -344,10 +360,49 @@ class TestSteps:
 
         y = np.zeros((2, 1))
         grad = np.array([[1.0], [0.5]])
-        cand, fallback = step_implicit(y, grad, hvp, 0.5)
+        cand, fallback = step_implicit(y, grad, remainder_hvp(hvp, 2, 1), 0.5)
         assert fallback
         assert np.array_equal(cand, step_explicit(y, grad, 0.5))
         assert len(products) <= 2
+
+    @staticmethod
+    def step_system(mode, cost, rng, n):
+        """An evaluation with products at y, its bound inputs and the dense C."""
+        x = rng.uniform(-1.2, 1.2, (n, 2))  # latitudes in range for the great-circle cost
+        y = np.clip(x + 0.2 * rng.standard_normal((n, 2)), -1.5, 1.5)
+        labels = rng.integers(0, 3, n)
+        model = CostModel(cost)
+        Z = categorical_coupling(rng.integers(0, 2, n)) if cost == "distortion" else None
+        tf = 0.8 if mode == "kde" else monomial_features(2, 2)
+        coupling = build_couplings(Covariates.categorical(labels))
+        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y,
+                      want_hvp=True)
+        return ev, model, x, y, Z, tf, centering_matrix(categorical_coupling(labels))
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"])
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_step_operator_matches_reference(self, mode, cost, rng):
+        # I + eta (D_C + lam D_F) plus the scaled remainders against
+        # v + eta (H_C + lam H_F) v from the products' direct terms
+        ev, model, x, y, Z, tf, C = self.step_system(mode, cost, rng, 15)
+        lam, eta = 30.0, 0.2
+        if cost == "distortion":
+            hc = distortion_hvp_reference(model, x, y, Z)
+        else:
+            blocks = pairwise_hessian_reference(model, x, y)
+            hc = lambda v: np.einsum("iab,ib->ia", blocks, v)
+        hf = (kde_hvp_reference(y, y, tf, C.T) if mode == "kde"
+              else features_hvp_reference(y, C, tf.exponents))
+        v = rng.standard_normal(y.shape)
+        expected = v + eta * (hc(v) + lam * hf(v))
+        assert rel_err(ev.hvp(lam).operator(eta, shift=1.0)(v), expected) <= 1e-12
+
+    @pytest.mark.parametrize("mode,cost", [("kde", "sq_euclidean"), ("features", "distortion")])
+    def test_step_operator_product_allocates_no_n_by_n_array(self, mode, cost, rng):
+        n = 400
+        ev = self.step_system(mode, cost, rng, n)[0]
+        operator = ev.hvp(30.0).operator(0.2, shift=1.0)
+        assert product_peak_bytes(operator, rng.standard_normal((n, 2))) < n**2 * 8 / 4
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_implicit_matches_dense_solve(self, mode, rng):
@@ -572,6 +627,37 @@ class TestSolve:
         result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
         assert sum(h.eta_halvings for h in result.history) > 0
         assert 0 < len(builds) <= result.iterations  # lambda0 uses the first iteration's
+
+    @pytest.mark.parametrize("problem,cost", [("kde", "sq_euclidean"), ("features", "distortion")])
+    def test_blocks_combined_once_per_try(self, problem, cost, monkeypatch):
+        # each try adds D_C + lam D_F and forms I + eta (...) once; MINRES
+        # then applies that operator many times
+        tries = count_calls(monkeypatch, solver, "step_implicit")
+        sums, operators, products = [], [], []
+        plus, operator = costs.BlockHvp.plus, costs.BlockHvp.operator
+
+        def counting_plus(self, lam, other):
+            summed = plus(self, lam, other)
+            parts = summed._parts
+            summed._parts = lambda: sums.append(1) or parts()
+            return summed
+
+        def counting_operator(self, *args, **kwargs):
+            operators.append(1)
+            apply = operator(self, *args, **kwargs)
+            return lambda v: products.append(1) or apply(v)
+
+        monkeypatch.setattr(costs.BlockHvp, "plus", counting_plus)
+        monkeypatch.setattr(costs.BlockHvp, "operator", counting_operator)
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(problem=problem, update="implicit", eta0=50.0, niter=30)
+        result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+        halvings = sum(h.eta_halvings for h in result.history)
+        assert halvings > 0
+        assert len(tries) == result.iterations + halvings
+        assert len(sums) == len(tries)
+        assert len(operators) == len(tries) + 1  # and lambda0's, on the constraint alone
+        assert len(products) > 3 * len(operators)
 
     @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
     def test_explicit_fixed_lambda0_sets_up_no_pair_operator(self, cost, monkeypatch):
