@@ -131,6 +131,8 @@ class BlockHvp:
     once for many applications.
     """
 
+    __slots__ = ("_parts",)
+
     def __init__(self, parts):
         self._parts = parts
 
@@ -222,8 +224,7 @@ def _sq_euclidean_parts(x, y, want_hvp):
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
     grad = lambda: diff / n
-    # the blocks I / n, one d x d block read for every point
-    hvp = BlockHvp(lambda: (np.broadcast_to(np.eye(d) / n, (n, d, d)), ())) if want_hvp else None
+    hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ())) if want_hvp else None
     return value, grad, hvp
 
 
