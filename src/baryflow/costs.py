@@ -219,12 +219,11 @@ def pair_outer_operator(A, y, c):
     return B, S, rest
 
 
-def _sq_euclidean_parts(x, y, want_hvp):
-    n, d = x.shape
+def _sq_euclidean_parts(x, y, hvp):
+    n = x.shape[0]
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
     grad = lambda: diff / n
-    hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ())) if want_hvp else None
     return value, grad, hvp
 
 
@@ -353,7 +352,10 @@ def cost_function(model, x, Z=None):
     """
     x = as_points(x)
     if model.family == "sq_euclidean":
-        return lambda y, want_hvp=False: _sq_euclidean_parts(x, y, want_hvp)
+        n, d = x.shape
+        # the same product at every y: blocks I / n, formed only with an operator
+        hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()))
+        return lambda y, want_hvp=False: _sq_euclidean_parts(x, y, hvp if want_hvp else None)
     if model.family == "p_norm":
         return lambda y, want_hvp=False: _p_norm_parts(model, x, y, want_hvp)
     if model.family == "geodesic_sphere":
