@@ -28,6 +28,7 @@ gradient is never read builds none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -198,11 +199,11 @@ def pair_outer_operator(A, y, c):
     (N, d, (d + 1)^2) factor and ``rest(s)`` -> (v -> s S_j (A T v)_j), which
     reads S when it is called, so a caller may fold terms into B and S in
     place first: adding k to S[j, a, a (d + 1) + d] adds k (A v)[j, a] to
-    row j of the product.  Setting
-    up B, S and T costs O(N^2 d^2); each product then costs one N x N by
-    N x (d + 1)^2 product and forms no N x N array.  y and c are first
-    shifted by the mean of c, which leaves every D_ji unchanged and keeps
-    far-off points from cancelling; when c is y, the points are lifted once.
+    row j of the product.  Setting up B, S and T costs O(N^2 d^2); each
+    product then costs one N x N by N x (d + 1)^2 product and forms no
+    N x N array.  y and c are first shifted by the mean of c, which leaves
+    every D_ji unchanged and keeps far-off points from cancelling; when c
+    is y, the points are lifted once.
     """
     n, d = y.shape
     mean = c.mean(axis=0)
@@ -211,7 +212,7 @@ def pair_outer_operator(A, y, c):
     G = (A @ (c1[:, :, None] * c1[:, None, :]).reshape(n, -1)).reshape(n, d + 1, d + 1)
     B = P @ G @ P.transpose(0, 2, 1)
     S = (y1[:, None, :, None] * P[:, :, None, :]).reshape(n, d, -1)
-    T = (Q[:, :, :, None] * c1[:, None, None, :]).reshape(n, d, -1)  # T_i^T, rows of length (d+1)^2
+    T = (Q[:, :, :, None] * c1[:, None, None, :]).reshape(n, d, -1)  # T_i^T, row-major
 
     def rest(s):
         Ss = S if s == 1.0 else s * S
@@ -219,11 +220,19 @@ def pair_outer_operator(A, y, c):
     return B, S, rest
 
 
-def _sq_euclidean_parts(x, y, hvp):
+def _identity_blocks(x):
+    """The squared-Euclidean Hessian's blocks I / N, the same at every y."""
+    n, d = x.shape
+    return add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()
+
+
+def _sq_euclidean_parts(x, y, want_hvp):
     n = x.shape[0]
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
     grad = lambda: diff / n
+    # a partial holds fewer objects than a closure, in every implicit evaluation
+    hvp = BlockHvp(partial(_identity_blocks, x)) if want_hvp else None
     return value, grad, hvp
 
 
@@ -347,15 +356,12 @@ def cost_function(model, x, Z=None):
     Z-only terms here.  Returns ``parts(y, want_hvp=False) -> (value, grad,
     hvp)`` for a finite float y of x's shape, which checks only the
     great-circle latitudes of y.  ``grad`` is a function of no arguments that
-    builds the N x d gradient.  ``hvp`` maps an N x d array v to the Hessian
-    of the cost at y applied to v; it is None unless ``want_hvp``.
+    builds the N x d gradient.  ``hvp`` is the product of the cost's Hessian
+    at y in block form, a :class:`BlockHvp`; it is None unless ``want_hvp``.
     """
     x = as_points(x)
     if model.family == "sq_euclidean":
-        n, d = x.shape
-        # the same product at every y: blocks I / n, formed only with an operator
-        hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()))
-        return lambda y, want_hvp=False: _sq_euclidean_parts(x, y, hvp if want_hvp else None)
+        return lambda y, want_hvp=False: _sq_euclidean_parts(x, y, want_hvp)
     if model.family == "p_norm":
         return lambda y, want_hvp=False: _p_norm_parts(model, x, y, want_hvp)
     if model.family == "geodesic_sphere":

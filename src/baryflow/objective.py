@@ -301,7 +301,8 @@ def constraint_function(coupling, test_functions):
     for a finite N x d float y.  ``grad`` is a function of no arguments that builds
     the N x d gradient.  For kde it differentiates only the evaluation slot of
     the kernel (centers held at ``centers``, default ``y``; features ignore
-    them).  ``hvp`` (None unless ``want_hvp``) applies the Jacobian of that
+    them).  ``hvp`` (None unless ``want_hvp``) is a
+    :class:`~baryflow.costs.BlockHvp` that applies the Jacobian of that
     gradient field once the centers track the points again to an N x d array.
     kde's ``parts`` also takes ``before``, points of y's shape, and then returns
     ``(value, grad, hvp, value_before)``: the value at ``before`` with the same
