@@ -13,13 +13,15 @@ point set is evaluated once.  The implicit step forms its operator
 I + eta (H_C + lam H_F) once per try, from the block form of the two
 Hessian-vector products (per-point blocks plus one remainder each, see
 :class:`baryflow.costs.BlockHvp`): the blocks are added and scaled, and each
-remainder takes its scale into its factors.  It solves the symmetric system
-matrix-free with the module's own MINRES (:func:`_minres`), which runs
-scipy's recurrences and stopping tests (residual estimate within
-1e-12 * ||A|| ||x||) on buffers updated in place, so its steps are bitwise
-scipy's.  Each accepted step writes one row of the run's :class:`History`,
-a structured array of 75 bytes a row that builds a :class:`HistoryRecord`
-only when one is read.
+remainder takes its scale into its factors.  Each of its products is then
+one einsum over the blocks plus the remainders' products: for l2 and kde,
+three einsums, one N x N by N x (d + 1)^2 product and an add.  It solves
+the symmetric system matrix-free with the module's own MINRES
+(:func:`_minres`), which runs scipy's recurrences and stopping tests
+(residual estimate within 1e-12 * ||A|| ||x||) on buffers updated in
+place, so its steps are bitwise scipy's.  Each accepted step writes one
+row of the run's :class:`History`, a structured array of 75 bytes a row
+that builds a :class:`HistoryRecord` only when one is read.
 """
 
 from __future__ import annotations
