@@ -29,13 +29,7 @@ from .datagen import (
     sph2cart,
 )
 from .errors import BaryflowError, ConvergenceError, InvalidInputError, NumericError
-from .solver import (
-    BarycenterResult,
-    SolverConfig,
-    lambda_update,
-    solve,
-    step_implicit,
-)
+from .solver import BarycenterResult, SolverConfig, lambda_update, solve
 
 __all__ = [
     "BarycenterResult",
@@ -61,5 +55,4 @@ __all__ = [
     "sinkhorn_bistochastic",
     "solve",
     "sph2cart",
-    "step_implicit",
 ]

@@ -338,10 +338,13 @@ class ObjectiveEval:
     :meth:`hvp` combines the two products the same way.  ``grads`` holds the
     cost's and the constraint's gradient builders; each gradient is built on
     the first read of ``grad_cost`` or ``grad_constraint``, which raises
-    NumericError when it is not finite, and the build and what it held (such
-    as the kernel matrix) are dropped then.  ``L_F_before`` is the kde
-    constraint at the points :func:`evaluate` was given as ``before``, with
-    the kernel centers at the evaluated points; None when none were given.
+    NumericError when it is not finite, and the build and what it held (such as
+    the kernel matrix) are dropped then.  ``hvp_cost`` and ``hvp_constraint``,
+    set up on first use, live until their last step: the solver's iterations
+    drop them, an implicit one after taking :meth:`hvp`, which its step frees,
+    with the kernel, before the candidate is scored.  ``L_F_before`` is the kde
+    constraint at the points :func:`evaluate` was given as ``before``, with the
+    kernel centers at the evaluated points; None when none were given.
     """
 
     L_C: float

@@ -9,19 +9,22 @@ kernel centers at the stepped positions on both sides.  Each try scores both
 sides with one evaluation of the stepped points, which in kde mode also
 scores the points before the step in the same centers' frame.  The
 evaluation at the accepted step is the next iteration's evaluation, so each
-point set is evaluated once.  The implicit step forms its operator
-I + eta (H_C + lam H_F) once per try, from the block form of the two
-Hessian-vector products (per-point blocks plus one remainder each, see
-:class:`baryflow.costs.BlockHvp`): the blocks are added and scaled, and each
-remainder takes its scale into its factors.  Each of its products is then
-one einsum over the blocks plus the remainders' products: for l2 and kde,
-three einsums, one N x N by N x (d + 1)^2 product and an add.  It solves
-the symmetric system matrix-free with the module's own MINRES
-(:func:`_minres`), which runs scipy's recurrences and stopping tests
-(residual estimate within 1e-12 * ||A|| ||x||) on buffers updated in
-place, so its steps are bitwise scipy's.  Each accepted step writes one
-row of the run's :class:`History`, a structured array of 75 bytes a row
-that builds a :class:`HistoryRecord` only when one is read.
+point set is evaluated once.  A Hessian-vector product lives until its last
+step: the start's serves lambda0 and the first implicit step, each step
+frees its own, with kde's weighted kernel, before its candidate is scored,
+and a try after a rejected one rebuilds it at the same points, bit for bit.
+The implicit step forms its operator I + eta (H_C + lam H_F) once per try,
+from the block form of the two Hessian-vector products (per-point blocks
+plus one remainder each, see :class:`baryflow.costs.BlockHvp`): the blocks
+are added and scaled, and each remainder takes its scale into its factors.
+Each of its products is then one einsum over the blocks plus the remainders'
+products: for l2 and kde, three einsums, one N x N by N x (d + 1)^2 product
+and an add.  It solves the symmetric system matrix-free with the module's
+own MINRES (:func:`_minres`), which runs scipy's recurrences and stopping
+tests (residual estimate within 1e-12 * ||A|| ||x||) on buffers updated in
+place, so its steps are bitwise scipy's.  Each accepted step writes one row
+of the run's :class:`History`, a structured array of 75 bytes a row that
+builds a :class:`HistoryRecord` only when one is read.
 """
 
 from __future__ import annotations
@@ -260,11 +263,6 @@ def lambda_update(lam, grad_cost, grad_constraint, omega_alpha, lambda_max):
     return new_lam, clamped, False, slack
 
 
-def step_explicit(y, grad, eta):
-    """Plain gradient step y - eta * grad."""
-    return y - eta * grad
-
-
 def step_implicit(y, grad, hvp, eta):
     """Resolvent step: solve (I + eta*H) delta = eta*grad, H given by ``hvp``.
 
@@ -292,7 +290,7 @@ def step_implicit(y, grad, hvp, eta):
     delta, converged = _minres(matvec, b, b, _KRYLOV_RTOL, _KRYLOV_MAXITER)
     if converged and np.linalg.norm(b - matvec(delta)) <= _RESIDUAL_RTOL * np.linalg.norm(b):
         return y - delta.reshape(n, d), False
-    return step_explicit(y, grad, eta), True
+    return y - eta * grad, True
 
 
 def _minres(matvec, b, x0, rtol, maxiter):
@@ -415,16 +413,17 @@ def solve(x, covariates, cost_model, config=None):
 
     Builds the couplings once, optionally preconditions with the rigid
     mean-matching shift (in which case every cost except the canonical
-    squared-Euclidean one keeps being evaluated against the original
-    points), and iterates until the positions stall with a satisfied
-    constraint or ``config.niter`` is reached.  x and the coupling are
-    checked once, when the cost and the constraint bind them; a categorical
-    coupling forms no N x N array beside kde's kernel unless the distortion
-    cost reads Z or kde reads the C^T of more than four classes.  A
-    candidate step is rejected, and the learning rate halved, when it is
-    not finite, raises the objective, leaves the cost's domain, or gives a
-    non-finite value or gradient; both gradients are built on
-    first read, which happens only for the starting points and for each
+    squared-Euclidean one keeps being evaluated against the original points),
+    and iterates until the positions stall with a satisfied constraint or
+    ``config.niter`` is reached.  x and the coupling are checked once, when the
+    cost and the constraint bind them; a categorical coupling forms no N x N
+    array beside kde's kernel, in explicit and implicit solves alike, unless
+    the distortion cost reads Z or kde reads the C^T of more than four classes:
+    an implicit step frees its products, with the weighted kernel, before its
+    candidate is scored.  A candidate step is rejected, and the learning rate
+    halved, when it is not finite, raises the objective, leaves the cost's
+    domain, or gives a non-finite value or gradient; both gradients are built
+    on first read, which happens only for the starting points and for each
     accepted step.  The run ends early when 60 halvings find no step.
     ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
     :class:`NumericError` only when that evaluation (its values or either
@@ -465,8 +464,6 @@ def solve(x, covariates, cost_model, config=None):
     ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here
     if auto:
         lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
-        if not implicit:  # the loop holds no product, nor the kernel it keeps
-            ev.hvp_cost = ev.hvp_constraint = None
     else:
         lam = float(config.lambda0)
 
@@ -481,7 +478,9 @@ def solve(x, covariates, cost_model, config=None):
             lam, ev.grad_cost, ev.grad_constraint, config.omega_alpha, config.lambda_max,
         )
         grad = ev.grad_cost + lam * ev.grad_constraint
+        # A product lives until its last step: the loop's hvp holds it from here.
         hvp = ev.hvp(lam) if implicit else None
+        ev.hvp_cost = ev.hvp_constraint = None
 
         # Descent check: L must not increase with the kernel centers at the
         # stepped points on both sides.  The left side is the next
@@ -493,9 +492,12 @@ def solve(x, covariates, cost_model, config=None):
         fallback = False
         while halvings <= _MAX_HALVINGS:
             if implicit:
+                if hvp is None:  # a rejected try released it: rebuild it at y, bit for bit
+                    hvp = evaluate(cost, constraint, y, want_hvp=True).hvp(lam)
                 candidate, fallback = step_implicit(y, grad, hvp, eta)
+                hvp = None  # frees M and the operator's factors before the candidate is scored
             else:
-                candidate = step_explicit(y, grad, eta)
+                candidate = y - eta * grad
             try:
                 if not np.isfinite(candidate).all():
                     raise NumericError("non-finite candidate")

@@ -72,6 +72,11 @@ def combined_grad(ev, lam):
     return ev.grad_cost + lam * ev.grad_constraint
 
 
+def step_explicit(y, grad, eta):
+    """Plain gradient step y - eta * grad, the expression the solver's explicit step evaluates."""
+    return y - eta * grad
+
+
 def central_diff_grad(f, y, h=1e-6):
     """Central finite-difference gradient of a scalar function of an N x d array."""
     g = np.zeros_like(y)
