@@ -2,10 +2,11 @@
 
 The coupling matrix Z encodes similarity between covariate values.  For
 categorical covariates it averages over class members; for continuous ones it
-is the bi-stochastic rescaling of their own Gaussian kernel matrix.  The centering
-matrix C = Z - rowmean(Z) is the quadratic form the objective contracts
-against: its columns sum to zero and x'Cx >= 0 for every x whenever Z is
-positive semidefinite with unit row sums.
+is the bi-stochastic rescaling of their own Gaussian kernel matrix.  Both are
+exactly symmetric, with unit row and column sums (a Sinkhorn Z's to its
+tolerance), so the centering matrix C = Z - 11^T/N, the quadratic form the
+objective contracts against, is symmetric: its columns sum to zero and
+x'Cx >= 0 for every x whenever Z is positive semidefinite.
 
 :func:`build_couplings` returns one small object per solve.  A
 :class:`CategoricalCoupling` holds only each point's class and the class
@@ -15,9 +16,11 @@ O(N m K) for m stacked rows and K classes.  C^T has only K distinct rows,
 one per class; with at most four classes kde weighs its N x N kernel by
 C^T from those K rows and forms no N x N array of its own, and with more
 it reads a dense C^T, built from the class index.  A :class:`DenseCoupling`
-holds the N x N arrays of a Sinkhorn coupling.  Both give the features
-product, kde's reads of C^T and the dense Z, the last only when a caller
-asks.
+holds a Sinkhorn coupling as its N x N Z alone, with C implied; its kernel
+is scaled into Z in place, so a continuous-covariate solve holds one N x N
+coupling array from the kernel to the last read of kde.  Both give the
+features product, kde's reads of C^T and the dense Z, the last only when a
+caller asks.
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ __all__ = [
     "DenseCoupling",
     "build_couplings",
     "categorical_coupling",
-    "centering_matrix",
     "median_heuristic_bandwidth",
     "sinkhorn_bistochastic",
 ]
 
 
-_WEIGH_ROWS = 32  # rows per block of kde's in-place weighting by a categorical C^T
+_BLOCK = 32  # rows (and columns) per block of in-place work on an N x N array
 _CLASS_FORM_MAX_K = 4  # most classes for which kde reads a categorical C^T in its class form
 
 
@@ -89,7 +91,8 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
     keeps a single scaling vector (rows and columns are balanced together)
     and converges for symmetric matrices with positive entries.  Returns
     ``(Z, d)`` where Z is exactly symmetric and positive semidefinite
-    whenever K is.
+    whenever K is.  K is left as it was: (K + K^T) / 2 is the one working
+    copy, scaled into Z in place; the symmetry check forms no N x N array.
 
     Raises ConvergenceError (carrying the achieved residual) if the maximum
     row/column-sum residual does not fall below ``tol`` within ``max_iter``
@@ -102,15 +105,22 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
         raise InvalidInputError("K must be finite")
     if np.any(K < 0):
         raise InvalidInputError("K must have nonnegative entries")
-    scale = max(1.0, float(np.abs(K).max()))
-    asymmetry = K - K.T
-    np.abs(asymmetry, out=asymmetry)
-    if float(asymmetry.max()) > 1e-8 * scale:
-        raise InvalidInputError("K must be symmetric")
-    del asymmetry
-    K = np.add(K, K.T)  # the one working copy: symmetrised here, scaled by d in place below
-    K *= 0.5
+    scale = max(1.0, float(K.max()))  # K >= 0
+    for r0 in range(0, len(K), _BLOCK):
+        asymmetry = K[r0:r0 + _BLOCK] - K[:, r0:r0 + _BLOCK].T
+        if float(np.abs(asymmetry, out=asymmetry).max()) > 1e-8 * scale:
+            raise InvalidInputError("K must be symmetric")
+    Z = np.add(K, K.T)
+    Z *= 0.5
+    return Z, _scale_in_place(Z, tol, max_iter)
 
+
+def _scale_in_place(K, tol=1e-10, max_iter=10_000):
+    """Scale an exactly symmetric K in place into the Z of :func:`sinkhorn_bistochastic`; returns d.
+
+    Z = (D K D + (D K D)^T) / 2 is formed in mirrored pairs of 32 x 32
+    blocks, so it is exactly symmetric.  Raises as :func:`sinkhorn_bistochastic` does.
+    """
     d = np.ones(K.shape[0])
     residual = np.inf
     for _ in range(max_iter):
@@ -131,9 +141,16 @@ def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
         )
     K *= d[:, None]
     K *= d[None, :]
-    Z = np.add(K, K.T)
-    Z *= 0.5
-    return Z, d
+    n = len(K)
+    for r0 in range(0, n, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        for c0 in range(r0, n, _BLOCK):
+            cols = slice(c0, c0 + _BLOCK)
+            block = np.add(K[rows, cols], K[cols, rows].T)
+            block *= 0.5
+            K[rows, cols] = block
+            K[cols, rows] = block.T
+    return d
 
 
 def _classes(labels):
@@ -162,19 +179,6 @@ def categorical_coupling(labels):
     class-sorted permutation.
     """
     return CategoricalCoupling(*_classes(labels)[1:]).Z()
-
-
-def centering_matrix(Z):
-    """Subtract each row's mean: C[i, l] = Z[i, l] - mean_k Z[i, k].
-
-    Every column of C sums to zero when Z is bi-stochastic, and the
-    quadratic form x'Cx is nonnegative for every x when Z is positive
-    semidefinite with unit row sums.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise InvalidInputError("Z must be a square matrix")
-    return Z - Z.mean(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -267,8 +271,8 @@ class CategoricalCoupling:
         """kde's reads of C^T, as :meth:`DenseCoupling.kde` gives them, from C^T's K distinct rows.
 
         Row l of C^T is CTrow[c(l)], CTrow[c, i] = Z[i, l] - mean_i, each
-        class's row mean of Z taken from one O(N) representative row as
-        :func:`centering_matrix` takes it from every row.  With at most
+        class's row mean of Z, 1/N to rounding, taken from one O(N)
+        representative row of the class.  With at most
         ``_CLASS_FORM_MAX_K`` classes the reads take the class form:
         ``value(E)`` is vdot(Ind @ E, CTrow), Ind the K x N class indicator;
         ``terms`` takes s and M @ w from one product E @ (CTrow^T (x) [1 | w]),
@@ -299,8 +303,8 @@ class CategoricalCoupling:
         own = np.arange(n) * k + index  # row (j, c(j)) of an (N K, .) array
 
         def weigh(E):
-            for r0 in range(0, n, _WEIGH_ROWS):
-                E[r0:r0 + _WEIGH_ROWS] *= CTrow[index[r0:r0 + _WEIGH_ROWS]]
+            for r0 in range(0, n, _BLOCK):
+                E[r0:r0 + _BLOCK] *= CTrow[index[r0:r0 + _BLOCK]]
             return E
 
         def terms(E, w):
@@ -320,36 +324,46 @@ class CategoricalCoupling:
 
 
 class DenseCoupling:
-    """A coupling held as its dense N x N arrays: C, and Z when it is known.
+    """A coupling held as its dense, exactly symmetric N x N Z alone: a Sinkhorn coupling.
 
-    Sinkhorn couplings take this form; so does a square centering matrix C
-    passed on its own, whose Z is then None.
+    C = Z - 11^T/N is implied, never stored, and exactly symmetric because Z
+    is.  kde forms C^T = C in place on Z, which spends the coupling: it is
+    taken last, as :func:`baryflow.solver.solve` takes it, and ``Z()`` or
+    ``product()`` after it raises.
     """
 
-    def __init__(self, C, Z=None):
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise InvalidInputError("the centering matrix C must be square")
-        self.C, self._Z = C, Z
+    def __init__(self, Z):
+        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+            raise InvalidInputError("the coupling Z must be square")
+        self._Z = Z
+
+    def _held(self):
+        if self._Z is None:
+            raise InvalidInputError("the coupling is spent: kde() formed C^T in place on Z")
+        return self._Z
 
     def product(self):
-        """F -> F @ C^T for an (m, N) array F; the function holds C alone."""
-        C = self.C
-        return lambda F: F @ C.T
+        """F -> F @ C^T = F Z - (F 1) 1^T / N for an (m, N) array F; the function holds Z alone."""
+        Z = self._held()
+        return lambda F: F @ Z - F.sum(axis=1, keepdims=True) / len(Z)
 
     def kde(self):
-        """kde's reads of C^T: ``(value, terms)``, which hold one C-contiguous copy of it.
+        """kde's reads of C^T: ``(value, terms)``, which hold C^T = Z - 1/N, formed in place on Z.
 
         For an N x N kernel E, ``value(E)`` is sum_{j,i} E[j, i] C[i, j].
         ``terms(E, w)``, for an N x d w, returns the row sums s of
         M = E * C^T and two functions: one returns M @ w, and ``weigh()``,
         called at most once, returns M formed in E.  Here M is formed when
-        ``terms`` is called, and M @ w when it is asked for.
+        ``terms`` is called, and M @ w when it is asked for.  The coupling
+        is spent: its Z became C^T.
         """
-        return _dense_kde(np.ascontiguousarray(self.C.T))
+        CT, self._Z = self._held(), None
+        CT -= 1.0 / len(CT)
+        return _dense_kde(CT)
 
     def Z(self):
-        """The dense Z; None when only C was given."""
-        return self._Z
+        """The dense Z itself, until kde spends it."""
+        return self._held()
 
 
 def build_couplings(covariates):
@@ -357,12 +371,14 @@ def build_couplings(covariates):
 
     Computed once per solve.  Categorical covariates give the O(N) class
     form, built from the class index :class:`Covariates` took; continuous ones
-    give the dense form of the bi-stochastic scaling of their Gaussian kernel
-    matrix, with its C = Z - rowmean(Z).
+    give the dense Z of the bi-stochastic scaling of their Gaussian kernel
+    matrix, scaled in place from the kernel, which is exactly symmetric, so
+    the build holds one N x N array.
     """
     if covariates.kind == "categorical":
         return CategoricalCoupling(covariates.index, covariates.counts)
     b = covariates.bandwidth_b
     b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
-    Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(covariates.values, covariates.values, b))
-    return DenseCoupling(centering_matrix(Z), Z)
+    Z = kernel_cross_matrix(covariates.values, covariates.values, b)
+    _scale_in_place(Z)
+    return DenseCoupling(Z)

@@ -17,7 +17,8 @@ constraint modes exist:
   frees the kernel at ``before`` before it builds the one at the stepped
   points.  A value is one matrix product and ``exp``, taken about the
   centers' mean so that far-off clouds lose no digits, then the coupling's
-  value read of C^T: one dot product with a dense C^T, or for categorical
+  value read of C^T: one dot product with a dense C^T (for a Sinkhorn
+  coupling Z - 1/N, formed in place on Z), or for categorical
   covariates in at most four classes, whose C^T has one distinct row per
   class, a K x N class sum of the kernel dotted with those K rows.  The
   kernel is then the only N x N array a kde evaluation forms; with more
@@ -31,7 +32,8 @@ constraint modes exist:
   exact for symmetric C.  For categorical covariates C = U diag(w) U^T is
   applied in its class form, symmetric by construction, and so are the
   gradient and the Hessian-vector products MINRES reads.  For continuous
-  ones C is symmetric to the Sinkhorn tolerance only.
+  ones C = Z - 11^T/N of the exactly symmetric Sinkhorn Z is exactly
+  symmetric too, applied as F Z - (F 1) 1^T/N.
 
 The constraint binds to one solve through :func:`constraint_function`, which
 takes the solve's coupling and a kde bandwidth or a features
@@ -65,7 +67,7 @@ more einsums and one N x N by N x (d + 1)^2 matrix product.  Features
 take the blocks 2 sum_l (C f_l)_i Hess f_l(y_i), and the cross term
 2 sum_l grad f_l (C g_l) as the remainder: O(N m d) plus two products with
 C^T of m stacked rows, O(N m K) each for categorical covariates in K
-classes and O(N^2 m) for a dense C.
+classes and O(N^2 m) for a Sinkhorn Z.
 """
 
 from __future__ import annotations
@@ -294,9 +296,9 @@ def constraint_function(coupling, test_functions):
     ``test_functions`` is one of the two.  Features keep the coupling's
     product with C^T, which holds only what it reads.  kde keeps the
     coupling's reads of C^T: a value, the gradient's terms and the weighted
-    kernel; a dense coupling holds a C-contiguous C^T for them, a
-    categorical one its K distinct rows when K <= 4, else the dense C^T
-    too.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
+    kernel; a Sinkhorn coupling forms C^T = Z - 1/N in place on its Z for
+    them, which spends it, a categorical one holds its K distinct rows when
+    K <= 4, else a dense C^T.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
     Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
     for a finite N x d float y.  ``grad`` is a function of no arguments that builds
     the N x d gradient.  For kde it differentiates only the evaluation slot of

@@ -420,11 +420,13 @@ def solve(x, covariates, cost_model, config=None):
     array beside kde's kernel, in explicit and implicit solves alike, unless
     the distortion cost reads Z or kde reads the C^T of more than four classes:
     an implicit step frees its products, with the weighted kernel, before its
-    candidate is scored.  A candidate step is rejected, and the learning rate
-    halved, when it is not finite, raises the objective, leaves the cost's
-    domain, or gives a non-finite value or gradient; both gradients are built
-    on first read, which happens only for the starting points and for each
-    accepted step.  The run ends early when 60 halvings find no step.
+    candidate is scored.  A Sinkhorn coupling is one N x N array, Z, from its
+    kernel on: kde, bound last, forms its C^T in place on Z.  A candidate
+    step is rejected, and the learning rate halved, when it is not finite,
+    raises the objective, leaves the cost's domain, or gives a non-finite
+    value or gradient; both gradients are built on first read, which happens
+    only for the starting points and for each accepted step.  The run ends
+    early when 60 halvings find no step.
     ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
     :class:`NumericError` only when that evaluation (its values or either
     gradient) is not finite.

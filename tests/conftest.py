@@ -7,7 +7,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from baryflow.costs import BlockHvp
-from baryflow.couplings import DenseCoupling
+from baryflow.couplings import DenseCoupling, _dense_kde
+from baryflow.errors import InvalidInputError
 
 
 class ReferenceMonomial:
@@ -62,9 +63,41 @@ class ReferenceMonomial:
         return out
 
 
-def dense_coupling(C):
-    """A dense centering matrix C, wrapped as the coupling ``constraint_function`` binds."""
-    return DenseCoupling(np.asarray(C, dtype=float))
+def dense_coupling(Z):
+    """A copy of a dense, symmetric coupling Z, wrapped as the coupling ``constraint_function`` binds.
+
+    The copy is the one kde spends, so the caller's Z stays as it was.
+    """
+    return DenseCoupling(np.array(Z, dtype=float))
+
+
+class ExplicitCoupling:
+    """kde's dense reads of an explicit centering matrix C, bound as a coupling is.
+
+    The reference for the categorical class form, whose C^T takes each
+    class's row mean of Z, 1/N only to rounding, where a
+    :class:`DenseCoupling` reads the exact Z - 1/N.
+    """
+
+    def __init__(self, C):
+        self.C = np.asarray(C, dtype=float)
+
+    def kde(self):
+        return _dense_kde(np.ascontiguousarray(self.C.T))
+
+
+def centering_matrix(Z):
+    """Subtract each row's mean: C[i, l] = Z[i, l] - mean_k Z[i, k].
+
+    Every column of C sums to zero when Z is bi-stochastic, and the
+    quadratic form x'Cx is nonnegative for every x when Z is positive
+    semidefinite with unit row sums.  Row i differs from the C = Z - 11^T/N
+    the couplings imply by (sum_k Z[i, k] - 1) / N.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise InvalidInputError("Z must be a square matrix")
+    return Z - Z.mean(axis=1, keepdims=True)
 
 
 def combined_grad(ev, lam):

@@ -1,10 +1,17 @@
 """One sha256 per small solve, over y_final, every HistoryRecord and lambda0.
 
-A change that claims its outputs are bitwise unchanged saves the listing of
-the parent commit and checks the change against it::
+The listing of the committed code is ``tests/golden/solve_digest.txt``;
+``test_golden.py::test_solve_digest_matches_listing`` compares every line
+against it in tier-1.  A change that claims its outputs are bitwise
+unchanged leaves it as it is; a change meant to move some solves
+regenerates it and names them::
 
-    PYTHONPATH=src python tests/solve_digest.py > parent.txt    # at the parent
-    PYTHONPATH=src python tests/solve_digest.py parent.txt      # at the change
+    PYTHONPATH=src python tests/solve_digest.py > tests/golden/solve_digest.txt
+
+A listing saved elsewhere, of the parent commit say, checks a change
+against it::
+
+    PYTHONPATH=src python tests/solve_digest.py parent.txt
 
 With a saved listing as its argument the script still prints every line,
 then names on stderr each solve whose line differs from the listing (or is
@@ -41,7 +48,12 @@ does; the other solves match, the other kde solves with automatic lambda0
 included.  ``pnorm-kde-implicit`` and
 ``geodesic-features-implicit-sinkhorn``, which take the p-norm cost's
 diagonal blocks and the great-circle cost's 2 x 2 blocks through an
-implicit step, are new with that change.
+implicit step, are new with that change.  Listings saved before a
+Sinkhorn coupling was held as Z alone, with C = Z - 11^T/N in place of
+Z - rowmean(Z), differ on the four Sinkhorn solves
+(``geodesic-kde-sinkhorn``, ``l2-kde-sinkhorn-precondition``,
+``pnorm-features-sinkhorn`` and ``geodesic-features-implicit-sinkhorn``),
+whose C moved by at most 1e-10 / N an entry; the categorical solves match.
 """
 
 import dataclasses
@@ -123,6 +135,14 @@ def digest(result):
     return h.hexdigest()
 
 
+def listing():
+    """Run the solves in order; yields ``(name, "iterations halvings sha256")`` for each."""
+    for name, (data, cost, config) in SOLVES.items():
+        result = solve(data.x, data.covariates, cost, config)
+        halvings = sum(rec.eta_halvings for rec in result.history)
+        yield name, f"{result.iterations} {halvings} {digest(result)}"
+
+
 def main(argv):
     if len(argv) > 1:
         sys.exit("usage: solve_digest.py [SAVED_LISTING]")
@@ -131,10 +151,7 @@ def main(argv):
         with open(argv[0]) as fh:
             expected = dict(line.rstrip("\n").split(" ", 1) for line in fh if line.strip())
     differing = []
-    for name, (data, cost, config) in SOLVES.items():
-        result = solve(data.x, data.covariates, cost, config)
-        halvings = sum(rec.eta_halvings for rec in result.history)
-        line = f"{result.iterations} {halvings} {digest(result)}"
+    for name, line in listing():
         print(name, line, flush=True)
         if expected is not None and expected.pop(name, None) != line:
             differing.append(name)

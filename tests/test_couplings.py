@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -9,14 +11,13 @@ from baryflow.couplings import (
     DenseCoupling,
     build_couplings,
     categorical_coupling,
-    centering_matrix,
     kernel_cross_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
 )
 from baryflow.errors import ConvergenceError, InvalidInputError
 
-from conftest import peak_bytes
+from conftest import centering_matrix, peak_bytes
 
 _rng = np.random.default_rng(7)
 # label sets with 1 to 7 classes: unequal sizes, singletons, ints and strings
@@ -135,13 +136,14 @@ class TestSinkhorn:
             sinkhorn_bistochastic(np.array([[1.0, 0.2], [0.8, 1.0]]))
 
     def test_set_up_works_on_one_copy(self, rng):
-        # at most 3 N x N doubles beyond the input, which is left as it was,
-        # and Z bitwise equal to the formula the in-place steps replace
+        # one N x N copy beyond the input, which is left as it was, and the
+        # copy's buffered add (1.26 N^2 here); Z bitwise equal to the
+        # formula the in-place steps replace
         n = 200
         pts = rng.normal(size=(n, 2))
         K = kernel_cross_matrix(pts, pts, 0.8)
         given = K.copy()
-        assert peak_bytes(lambda: sinkhorn_bistochastic(K)) <= 3 * n**2 * 8
+        assert peak_bytes(lambda: sinkhorn_bistochastic(K)) <= 1.35 * n**2 * 8
         assert np.array_equal(K, given)
         Z, d = sinkhorn_bistochastic(K)
         ref = d[:, None] * (0.5 * (K + K.T)) * d[None, :]
@@ -324,6 +326,46 @@ class TestCovariatesAndBuild:
         assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
         assert np.allclose(Z, Z.T)
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_continuous_C_is_exactly_symmetric(self, n, rng):
+        # C = Z - 11^T/N of the exactly symmetric Sinkhorn Z, never stored
+        coupling = build_couplings(Covariates.continuous(rng.normal(size=(n, 2))))
+        C = coupling.Z() - 1.0 / n
+        assert np.array_equal(C, C.T)
+        F = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
+        got = coupling.product()(F)
+        assert np.all(np.abs(got - F @ C) <= 1e-15 * np.abs(F).max(axis=1, keepdims=True))
+        value, terms = coupling.kde()
+        # each entry of C^T read on its own, then a dense kernel's weighting:
+        # E and E^T agree bit for bit.  (A dense E's value sums in another
+        # order than E^T's, so it agrees only to rounding.)
+        one = np.zeros((n, n))
+        for j, i in itertools.product(range(n), repeat=2):
+            one[j, i] = 1.0
+            read = value(one)
+            one[j, i], one[i, j] = 0.0, 1.0
+            assert value(one) == read
+            one[i, j] = 0.0
+        E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
+        M = terms(E.copy(), w)[2]()
+        assert M.tobytes() == np.ascontiguousarray(terms(E.T.copy(), w)[2]().T).tobytes()
+        # C's column sums, kde's row sums of C^T, are Z's column sums less
+        # one: zero to the Sinkhorn tolerance, 1e-10
+        assert np.abs(terms(np.ones((n, n)), w)[0]).max() <= 1e-10
+
+    def test_kde_spends_a_dense_coupling(self, rng):
+        # kde forms C^T in place on Z: the coupling's one N x N array
+        coupling = build_couplings(Covariates.continuous(rng.normal(size=(12, 1))))
+        Z = coupling.Z()
+        C = Z - 1.0 / 12
+        value, _ = coupling.kde()
+        assert np.array_equal(Z, C)
+        E = rng.uniform(0.0, 1.0, (12, 12))
+        assert value(E) == float(np.vdot(E, C))
+        for read in (coupling.Z, coupling.product, coupling.kde):
+            with pytest.raises(InvalidInputError, match="spent"):
+                read()
 
     def test_duplicate_covariate_values_allowed(self):
         values = np.array([[0.0], [0.0], [1.0], [2.0]])

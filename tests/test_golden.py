@@ -12,6 +12,10 @@ intended for them) with::
 
 For each case it prints the old and the new final history row and the
 largest change in y, relative to the largest |y| of the old result.
+
+The one-line digests of ``solve_digest.py``'s solves are checked here too,
+against ``golden/solve_digest.txt``; that script's docstring says how to
+regenerate the listing.
 """
 
 import csv
@@ -25,6 +29,8 @@ import numpy as np
 import pytest
 
 from baryflow.cli import main
+
+import solve_digest
 
 GOLDEN = Path(__file__).parent / "golden"
 OUTPUTS = ("result.csv", "history.csv", "summary.json")
@@ -107,6 +113,11 @@ def test_outputs_match_golden(name, tmp_path):
     outputs = run_case(name, tmp_path)
     for out in OUTPUTS:
         assert outputs[out] == (GOLDEN / name / out).read_bytes(), f"{name}/{out} changed"
+
+
+def test_solve_digest_matches_listing():
+    listed = (GOLDEN / "solve_digest.txt").read_text().splitlines()
+    assert dict(solve_digest.listing()) == dict(line.split(" ", 1) for line in listed if line)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ import pytest
 
 from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import (
-    Covariates, build_couplings, categorical_coupling, centering_matrix, kernel_cross_matrix,
-    sinkhorn_bistochastic,
+    Covariates, build_couplings, categorical_coupling, kernel_cross_matrix, sinkhorn_bistochastic,
 )
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import (
@@ -17,10 +16,12 @@ from baryflow.objective import (
 )
 
 from conftest import (
+    ExplicitCoupling,
     ReferenceMonomial,
     assert_symmetric,
     central_diff_grad,
     central_diff_jacobian,
+    centering_matrix,
     combined_grad,
     dense_coupling,
     direct_pair_outer,
@@ -42,25 +43,25 @@ KDE_LABELS = {
 }
 
 
-def kde_value(y, C, bandwidth):
-    return constraint_function(dense_coupling(C), bandwidth)(y)[0]
+def kde_value(y, Z, bandwidth):
+    return constraint_function(dense_coupling(Z), bandwidth)(y)[0]
 
 
-def features_value(y, C, basis):
-    return constraint_function(dense_coupling(C), basis)(y)[0]
+def features_value(y, Z, basis):
+    return constraint_function(dense_coupling(Z), basis)(y)[0]
 
 
-def feature_terms(y, C, basis):
+def feature_terms(y, Z, basis):
     """Per-feature quadratic forms f_l' C f_l, one single-row basis each."""
     E = basis.exponents
-    return np.array([features_value(y, C, MonomialBasis(E[l:l + 1])) for l in range(len(E))])
+    return np.array([features_value(y, Z, MonomialBasis(E[l:l + 1])) for l in range(len(E))])
 
 
 def two_singletons():
-    """1-D classes {0} and {2}; C = [[1/2, -1/2], [-1/2, 1/2]]."""
+    """1-D classes {0} and {2}; Z = I, so C = [[1/2, -1/2], [-1/2, 1/2]]."""
     x = np.array([[0.0], [2.0]])
-    C = centering_matrix(categorical_coupling(np.array([0, 1])))
-    return x, C
+    Z = categorical_coupling(np.array([0, 1]))
+    return x, Z
 
 
 class TestMonomialFeatures:
@@ -110,9 +111,9 @@ class TestMonomialFeatures:
     @pytest.mark.parametrize("width", [1, 3])
     def test_point_width_must_match_basis(self, width, rng):
         y = rng.standard_normal((6, width))
-        C = centering_matrix(categorical_coupling(np.array([0, 0, 0, 1, 1, 1])))
+        Z = categorical_coupling(np.array([0, 0, 0, 1, 1, 1]))
         with pytest.raises(InvalidInputError, match="coordinates"):
-            constraint_function(dense_coupling(C), monomial_features(2, 2))(y)
+            constraint_function(dense_coupling(Z), monomial_features(2, 2))(y)
 
     @pytest.mark.parametrize("exponents", [[], [[1, -1]], [[0.5, 1.0]], [1, 2]])
     def test_bad_exponents_rejected(self, exponents):
@@ -123,16 +124,16 @@ class TestMonomialFeatures:
 class TestLfKde:
     def test_single_class_zero(self, rng):
         y = rng.standard_normal((6, 2))
-        C = centering_matrix(categorical_coupling(np.zeros(6, dtype=int)))
-        assert kde_value(y, C, 0.8) == pytest.approx(0.0, abs=1e-14)
+        Z = categorical_coupling(np.zeros(6, dtype=int))
+        assert kde_value(y, Z, 0.8) == pytest.approx(0.0, abs=1e-14)
 
     def test_identical_class_clouds_vanish(self, rng):
         # two classes mapped onto the same point set: conditional estimates agree
         pts = rng.standard_normal((8, 2))
         y = np.vstack([pts, pts])
         labels = np.array([0] * 8 + [1] * 8)
-        C = centering_matrix(categorical_coupling(labels))
-        assert abs(kde_value(y, C, 0.6)) <= 1e-8
+        Z = categorical_coupling(labels)
+        assert abs(kde_value(y, Z, 0.6)) <= 1e-8
 
     def test_randomized_positivity(self, rng):
         for _ in range(100):
@@ -140,28 +141,26 @@ class TestLfKde:
             y = rng.standard_normal((n, 2))
             z = rng.standard_normal((n, 1))
             Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(z, z, 0.7))
-            C = centering_matrix(Z)
-            assert kde_value(y, C, 0.5) >= -1e-10
+            assert kde_value(y, Z, 0.5) >= -1e-10
 
 
 class TestLfFeatures:
     def test_equal_class_means_linear(self):
         y = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.5], [-0.5, -0.5]])
         labels = np.array([0, 0, 1, 1])  # both class means are (0, 0)
-        C = centering_matrix(categorical_coupling(labels))
-        assert features_value(y, C, monomial_features(2, 1)) == pytest.approx(0.0, abs=1e-14)
+        Z = categorical_coupling(labels)
+        assert features_value(y, Z, monomial_features(2, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_feature_annihilated(self, rng):
         one = MonomialBasis([[0, 0]])
         y = rng.standard_normal((7, 2))
         z = rng.standard_normal((7, 1))
         Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(z, z, 0.8))
-        C = centering_matrix(Z)
-        assert features_value(y, C, one) == pytest.approx(0.0, abs=1e-12)
+        assert features_value(y, Z, one) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_singletons_value(self):
-        x, C = two_singletons()
-        assert features_value(x, C, monomial_features(1, 1)) == pytest.approx(2.0)
+        x, Z = two_singletons()
+        assert features_value(x, Z, monomial_features(1, 1)) == pytest.approx(2.0)
 
     def test_moment_matching_iff_vanishing(self, rng):
         # identical mean+cov across classes -> degree-2 terms vanish;
@@ -169,29 +168,29 @@ class TestLfFeatures:
         pts = rng.standard_normal((10, 2))
         y = np.vstack([pts, pts])
         labels = np.array([0] * 10 + [1] * 10)
-        C = centering_matrix(categorical_coupling(labels))
+        Z = categorical_coupling(labels)
         feats = monomial_features(2, 2)
-        assert np.abs(feature_terms(y, C, feats)).max() <= 1e-12
+        assert np.abs(feature_terms(y, Z, feats)).max() <= 1e-12
         y2 = y.copy()
         y2[10:, 0] += 0.5
-        assert feature_terms(y2, C, feats)[0] > 1e-3
+        assert feature_terms(y2, Z, feats)[0] > 1e-3
 
     def test_per_feature_terms_nonnegative(self, rng):
         for _ in range(50):
             n = int(rng.integers(4, 25))
             y = rng.standard_normal((n, 2))
             labels = rng.integers(0, 3, n)
-            C = centering_matrix(categorical_coupling(labels))
-            terms = feature_terms(y, C, monomial_features(2, 2))
+            Z = categorical_coupling(labels)
+            terms = feature_terms(y, Z, monomial_features(2, 2))
             assert terms.min() >= -1e-10
 
     def test_translation_invariance_linear(self, rng):
         y = rng.standard_normal((9, 2))
         labels = rng.integers(0, 2, 9)
-        C = centering_matrix(categorical_coupling(labels))
+        Z = categorical_coupling(labels)
         feats = monomial_features(2, 1)
-        v0 = features_value(y, C, feats)
-        v1 = features_value(y + np.array([5.0, -3.0]), C, feats)
+        v0 = features_value(y, Z, feats)
+        v1 = features_value(y + np.array([5.0, -3.0]), Z, feats)
         assert v0 == pytest.approx(v1, abs=1e-9)
 
 
@@ -199,10 +198,10 @@ class TestEvaluate:
     def test_lambda_zero_grad_is_cost_grad(self, rng):
         y = rng.standard_normal((6, 2))
         x = rng.standard_normal((6, 2))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
+        Z = categorical_coupling(rng.integers(0, 2, 6))
         tf = 0.7
         cost = cost_function(CostModel("sq_euclidean"), x)
-        ev = evaluate(cost, constraint_function(dense_coupling(C), tf), y)
+        ev = evaluate(cost, constraint_function(dense_coupling(Z), tf), y)
         value, grad, _ = cost(y)
         assert np.array_equal(combined_grad(ev, 0.0), grad())
         assert ev.L_C + 0.0 * ev.L_F == value
@@ -210,10 +209,10 @@ class TestEvaluate:
     def test_objective_decomposition(self, rng):
         y = rng.standard_normal((6, 2))
         x = rng.standard_normal((6, 2))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
+        Z = categorical_coupling(rng.integers(0, 2, 6))
         tf = monomial_features(2, 2)
         cost = cost_function(CostModel("sq_euclidean"), x)
-        constraint = constraint_function(dense_coupling(C), tf)
+        constraint = constraint_function(dense_coupling(Z), tf)
         ev = evaluate(cost, constraint, y)
         assert (ev.L_C, ev.L_F) == (cost(y)[0], constraint(y)[0])
         assert ev.L_F >= -1e-10
@@ -221,20 +220,20 @@ class TestEvaluate:
     def test_two_singletons_hand_gradient(self):
         # linear feature, canonical cost, lambda = 1, evaluated at y = x:
         # cost grad 0; constraint grad 2 * (C f) = (-2, 2)
-        x, C = two_singletons()
+        x, Z = two_singletons()
         tf = monomial_features(1, 1)
         ev = evaluate(cost_function(CostModel("sq_euclidean"), x),
-                      constraint_function(dense_coupling(C), tf), x)
+                      constraint_function(dense_coupling(Z), tf), x)
         assert combined_grad(ev, 1.0) == pytest.approx(np.array([[-2.0], [2.0]]))
 
     def test_kde_gradient_matches_frozen_center_fd(self, rng):
         y = rng.standard_normal((7, 2))
         x = rng.standard_normal((7, 2))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 7)))
+        Z = categorical_coupling(rng.integers(0, 2, 7))
         tf = 0.6
         lam = 0.8
         cost = cost_function(CostModel("sq_euclidean"), x)
-        constraint = constraint_function(dense_coupling(C), tf)
+        constraint = constraint_function(dense_coupling(Z), tf)
         ev = evaluate(cost, constraint, y)
         centers = y.copy()
         fd = central_diff_grad(
@@ -249,11 +248,11 @@ class TestEvaluate:
         n = 5
         y = rng.standard_normal((n, 2)) + offset
         x = rng.standard_normal((n, 2)) + offset
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
+        Z = categorical_coupling(rng.integers(0, 2, n))
         tf = 0.7 if mode == "kde" else monomial_features(2, 2)
         lam = 0.6
         cost = cost_function(CostModel("p_norm", p=2.5), x)
-        constraint = constraint_function(dense_coupling(C), tf)
+        constraint = constraint_function(dense_coupling(Z), tf)
         ev = evaluate(cost, constraint, y, want_hvp=True)
         analytic = operator_matrix(ev.hvp(lam), n, 2)
 
@@ -267,11 +266,11 @@ class TestEvaluate:
         n = 5
         y = rng.standard_normal((n, 3))
         x = rng.standard_normal((n, 3))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, n)))
+        Z = categorical_coupling(rng.integers(0, 2, n))
         tf = monomial_features(3, 3)
         lam = 0.6
         cost = cost_function(CostModel("p_norm", p=2.5), x)
-        constraint = constraint_function(dense_coupling(C), tf)
+        constraint = constraint_function(dense_coupling(Z), tf)
         ev = evaluate(cost, constraint, y, want_hvp=True)
         analytic = operator_matrix(ev.hvp(lam), n, 3)
         fd = central_diff_jacobian(lambda u: combined_grad(evaluate(cost, constraint, u), lam), y)
@@ -282,10 +281,20 @@ class TestEvaluate:
     def test_constraint_hvp_symmetric(self, mode, offset, rng):
         n = 9
         y = rng.standard_normal((n, 2)) + offset
-        # categorical C is symmetric to roundoff; a Sinkhorn coupling only to its tolerance
-        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+        # C = Z - 11^T/N of a symmetric Z is exactly symmetric, categorical or Sinkhorn
+        Z = categorical_coupling(rng.integers(0, 3, n))
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
-        assert_symmetric(constraint_function(dense_coupling(C), tf)(y, want_hvp=True)[2], rng, n, 2)
+        assert_symmetric(constraint_function(dense_coupling(Z), tf)(y, want_hvp=True)[2], rng, n, 2)
+
+    @pytest.mark.parametrize("mode", ["kde", "features"])
+    def test_sinkhorn_constraint_hvp_symmetric(self, mode, rng):
+        # a Sinkhorn coupling's C = Z - 11^T/N is exactly symmetric, as MINRES assumes
+        n = 9
+        for _ in range(5):
+            y = rng.standard_normal((n, 2))
+            coupling = build_couplings(Covariates.continuous(rng.standard_normal((n, 1))))
+            tf = 0.7 if mode == "kde" else monomial_features(2, 3)
+            assert_symmetric(constraint_function(coupling, tf)(y, want_hvp=True)[2], rng, n, 2)
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_categorical_coupling_matches_its_dense_C(self, mode, rng):
@@ -296,9 +305,9 @@ class TestEvaluate:
         v = rng.standard_normal((n, 2))
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
         coupling = build_couplings(Covariates.categorical(labels))
-        C = centering_matrix(categorical_coupling(labels))
+        Z = categorical_coupling(labels)
         got, ref = (constraint_function(c, tf)(y, want_hvp=True)
-                    for c in (coupling, dense_coupling(C)))
+                    for c in (coupling, dense_coupling(Z)))
         assert got[0] == pytest.approx(ref[0], rel=1e-13)
         assert rel_err(got[1](), ref[1]()) <= 1e-13
         assert rel_err(got[2](v), ref[2](v)) <= 1e-13
@@ -306,7 +315,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("labels", list(KDE_LABELS.values()), ids=list(KDE_LABELS))
     def test_categorical_kde_matches_dense_coupling(self, labels, rng):
         # the class form's value, value before the step, gradient and product
-        # against a DenseCoupling of the same labels' C
+        # against the dense reads of the same labels' C = Z - rowmean(Z), the
+        # row means the class form takes (1/N to rounding: one class of 14
+        # reads 4e-16 where the exact Z - 1/N reads 0)
         n = labels.size
         y = rng.standard_normal((n, 2)) + 50.0
         before = y + 0.3 * rng.standard_normal((n, 2))
@@ -315,7 +326,7 @@ class TestEvaluate:
         C = centering_matrix(categorical_coupling(labels))
         for a in (0.4, 1.5):
             got, ref = (constraint_function(c, a)(y, want_hvp=True, before=before)
-                        for c in (coupling, dense_coupling(C)))
+                        for c in (coupling, ExplicitCoupling(C)))
             assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
             assert got[3] == pytest.approx(ref[3], rel=1e-13, abs=1e-300)
             assert rel_err(got[1](), ref[1]()) <= 1e-13
@@ -327,9 +338,10 @@ class TestEvaluate:
         n, a = 12, 1.3
         y = rng.standard_normal((n, d)) + rng.uniform(-100.0, 100.0, d)
         centers = y + 0.5 * rng.standard_normal((n, d))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
+        Z = categorical_coupling(rng.integers(0, 3, n))
+        C = centering_matrix(Z)
         v = rng.standard_normal((n, d))
-        hvp = constraint_function(dense_coupling(C), a)(y, centers=centers, want_hvp=True)[2]
+        hvp = constraint_function(dense_coupling(Z), a)(y, centers=centers, want_hvp=True)[2]
         M = kernel_cross_matrix(y, centers, a) * C.T
         expected = (direct_pair_outer(M, y, centers, v) / a**2
                     - M.sum(axis=1)[:, None] * v + M @ v) / a**2
@@ -342,8 +354,9 @@ class TestEvaluate:
         for n, a, moved in itertools.product([2, 9, 40], [0.3, 1.0, 3.0], [False, True]):
             y = rng.standard_normal((n, d)) + offset
             centers = y + 0.5 * rng.standard_normal((n, d)) if moved else y
-            C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-            value, grad, _ = constraint_function(dense_coupling(C), a)(y, centers=centers)
+            Z = categorical_coupling(rng.integers(0, 3, n))
+            C = centering_matrix(Z)
+            value, grad, _ = constraint_function(dense_coupling(Z), a)(y, centers=centers)
             D = y[:, None, :] - centers[None, :, :]
             K = np.exp(-np.einsum("jia,jia->ji", D, D) / (2 * a**2)) / (2 * np.pi * a**2) ** (d / 2)
             M = K * C.T
@@ -364,9 +377,10 @@ class TestEvaluate:
             if mode != "features":
                 y += rng.uniform(-50.0, 50.0, d)  # kde takes its frame at the centers' mean
             v = rng.standard_normal((n, d))
-            C = centering_matrix(categorical_coupling(labels))
+            Z = categorical_coupling(labels)
+            C = centering_matrix(Z)
             bound = (build_couplings(Covariates.categorical(labels)) if coupling == "categorical"
-                     else dense_coupling(C))
+                     else dense_coupling(Z))
             if mode == "features":
                 basis = monomial_features(d, 2)
                 hvp = constraint_function(bound, basis)(y, want_hvp=True)[2]
@@ -381,8 +395,8 @@ class TestEvaluate:
     def test_kde_product_allocates_no_n_by_n_array(self, rng):
         n = 400
         y = rng.standard_normal((n, 2))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 3, n)))
-        hvp = constraint_function(dense_coupling(C), 0.7)(y, want_hvp=True)[2]
+        Z = categorical_coupling(rng.integers(0, 3, n))
+        hvp = constraint_function(dense_coupling(Z), 0.7)(y, want_hvp=True)[2]
         assert product_peak_bytes(hvp, rng.standard_normal((n, 2))) < n**2 * 8 / 4
 
     @pytest.mark.parametrize("term", ["cost", "constraint"])
@@ -399,9 +413,9 @@ class TestEvaluate:
 
     def test_hvp_needs_request(self, rng):
         y = rng.standard_normal((4, 2))
-        C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
+        Z = categorical_coupling(np.array([0, 0, 1, 1]))
         ev = evaluate(cost_function(CostModel("sq_euclidean"), y),
-                      constraint_function(dense_coupling(C), 1.0), y)
+                      constraint_function(dense_coupling(Z), 1.0), y)
         with pytest.raises(InvalidInputError):
             ev.hvp(1.0)
 
@@ -409,9 +423,10 @@ class TestEvaluate:
         # the constraint with centers fixed elsewhere differs from the slaved value
         y = rng.standard_normal((6, 2))
         centers = rng.standard_normal((6, 2))
-        C = centering_matrix(categorical_coupling(rng.integers(0, 2, 6)))
+        Z = categorical_coupling(rng.integers(0, 2, 6))
+        C = centering_matrix(Z)
         a = 0.9
-        constraint = constraint_function(dense_coupling(C), a)
+        constraint = constraint_function(dense_coupling(Z), a)
         lf_off = constraint(y, centers=centers)[0]
         sq = np.sum((y[:, None, :] - centers[None, :, :]) ** 2, axis=-1)  # [l, i]
         K = np.exp(-sq / (2 * a**2)) / (2 * np.pi * a**2)
@@ -425,12 +440,12 @@ class TestEvaluate:
             constraint_function(dense_coupling(np.ones((4, 3))), tf)
 
     def test_bad_bandwidth_rejected(self):
-        C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
+        Z = categorical_coupling(np.array([0, 0, 1, 1]))
         with pytest.raises(InvalidInputError):
-            constraint_function(dense_coupling(C), 0.0)
+            constraint_function(dense_coupling(Z), 0.0)
 
     @pytest.mark.parametrize("bandwidth_a", ["wide", None, True, float("inf")])
     def test_non_number_bandwidth_rejected(self, bandwidth_a):
-        C = centering_matrix(categorical_coupling(np.array([0, 0, 1, 1])))
+        Z = categorical_coupling(np.array([0, 0, 1, 1]))
         with pytest.raises(InvalidInputError, match="bandwidth_a"):
-            constraint_function(dense_coupling(C), bandwidth_a)
+            constraint_function(dense_coupling(Z), bandwidth_a)
