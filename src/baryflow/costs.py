@@ -8,7 +8,9 @@ unit sphere) average a per-sample cost c(x_i, y_i), so their Hessian is
 block diagonal and their product is its blocks alone.  The distortion
 family couples sample pairs through the coupling matrix Z, penalizing
 deviation of pairwise distance ratios from one.  Its product never forms
-the (N, N, d, d) Hessian: :func:`pair_outer_operator` sets up per-point
+the (N, N, d, d) Hessian: :func:`pair_outer_operator`, which takes one
+point set, the pairs' differences y_j - y_i (the distortion cost's and the
+kde constraint's, whose kernel centers are the points), sets up per-point
 d x d blocks once in O(N^2 d^2), the per-point terms fold into them, and
 the remainder is one N x N by N x (d^2 + 2d + 1) matrix product plus the
 product with the N x N identity-term coefficients.  A product costs one
@@ -178,22 +180,13 @@ def add_diagonal(blocks, values):
     return blocks
 
 
-def _lifted(p):
-    """[p_j, 1] and the d x (d + 1) block [I, -p_j] for every point p_j."""
-    n, d = p.shape
-    block = np.zeros((n, d, d + 1))
-    block[:, :, :d] = np.eye(d)
-    block[:, :, d] = -p
-    return np.hstack([p, np.ones((n, 1))]), block
+def pair_outer_operator(A, y):
+    """Blocks and remainder of v -> sum_i A[j, i] D_ji (D_ji . (v_j - v_i)), D_ji = y_j - y_i.
 
-
-def pair_outer_operator(A, y, c):
-    """Blocks and remainder of v -> sum_i A[j, i] D_ji (D_ji . (v_j - v_i)), D_ji = y_j - c_i.
-
-    With P_j = [I, -y_j] and Q_i = [I, -c_i], D_ji = -P_j [c_i, 1] and
-    D_ji . v_i = [y_j, 1] . Q_i^T v_i, so the pair term at j is
-    B_j v_j + S_j (A V)_j: B_j = P_j (sum_i A[j, i] [c_i, 1] [c_i, 1]^T) P_j^T,
-    S_j = [y_j, 1]^T (x) P_j, and V_i = (Q_i^T v_i) (x) [c_i, 1] = T_i v_i has
+    With P_j = [I, -y_j], D_ji = -P_j [y_i, 1] and
+    D_ji . v_i = [y_j, 1] . P_i^T v_i, so the pair term at j is
+    B_j v_j + S_j (A V)_j: B_j = P_j (sum_i A[j, i] [y_i, 1] [y_i, 1]^T) P_j^T,
+    S_j = [y_j, 1]^T (x) P_j, and V_i = (P_i^T v_i) (x) [y_i, 1] = T_i v_i has
     (d + 1)^2 columns, v_i among them: column a (d + 1) + d of A V is
     (A v)_a.  Returns ``(B, S, rest)``: the (N, d, d) blocks, the
     (N, d, (d + 1)^2) factor and ``rest(s)`` -> (v -> s S_j (A T v)_j), which
@@ -201,18 +194,18 @@ def pair_outer_operator(A, y, c):
     place first: adding k to S[j, a, a (d + 1) + d] adds k (A v)[j, a] to
     row j of the product.  Setting up B, S and T costs O(N^2 d^2); each
     product then costs one N x N by N x (d + 1)^2 product and forms no
-    N x N array.  y and c are first shifted by the mean of c, which leaves
-    every D_ji unchanged and keeps far-off points from cancelling; when c
-    is y, the points are lifted once.
+    N x N array.  y is first shifted by its mean, which leaves every D_ji
+    unchanged and keeps far-off points from cancelling.
     """
     n, d = y.shape
-    mean = c.mean(axis=0)
-    y1, P = _lifted(y - mean)
-    c1, Q = (y1, P) if c is y else _lifted(c - mean)
-    G = (A @ (c1[:, :, None] * c1[:, None, :]).reshape(n, -1)).reshape(n, d + 1, d + 1)
+    y1 = np.hstack([y - y.mean(axis=0), np.ones((n, 1))])  # [y_j, 1], shifted
+    P = np.zeros((n, d, d + 1))
+    P[:, :, :d] = np.eye(d)
+    P[:, :, d] = -y1[:, :d]
+    G = (A @ (y1[:, :, None] * y1[:, None, :]).reshape(n, -1)).reshape(n, d + 1, d + 1)
     B = P @ G @ P.transpose(0, 2, 1)
     S = (y1[:, None, :, None] * P[:, :, None, :]).reshape(n, d, -1)
-    T = (Q[:, :, :, None] * c1[:, None, None, :]).reshape(n, d, -1)  # T_i^T, row-major
+    T = (P[:, :, :, None] * y1[:, None, None, :]).reshape(n, d, -1)  # T_i^T, row-major
 
     def rest(s):
         Ss = S if s == 1.0 else s * S
@@ -336,7 +329,7 @@ def _distortion_parts(model, x, y, denom, W, want_hvp):
         # S (A T v) - c_eye @ v.
         def hessian():
             c_eye = (8.0 / n**2) * coeff()
-            B, _, pair = pair_outer_operator((16.0 / n**2) * W / denom**2, y, y)
+            B, _, pair = pair_outer_operator((16.0 / n**2) * W / denom**2, y)
             add_diagonal(B, c_eye.sum(axis=1)[:, None] + 2.0 * omega / n)
 
             def rest(s):

@@ -12,10 +12,12 @@ x'Cx >= 0 for every x whenever Z is positive semidefinite.
 :class:`CategoricalCoupling` holds only each point's class and the class
 sizes: with U = [class indicator | 1] and w = [1/N_c | -1/N], C is
 U diag(w) U^T, symmetric by construction, and a product with C^T costs
-O(N m K) for m stacked rows and K classes.  C^T has only K distinct rows,
-one per class; with at most four classes kde weighs its N x N kernel by
-C^T from those K rows and forms no N x N array of its own, and with more
-it reads a dense C^T, built from the class index.  A :class:`DenseCoupling`
+O(N m K) for m stacked rows and K classes.  Every coupling's C is
+Z - 11^T/N exactly, so C^T = C.  A categorical C^T has only K distinct
+rows, one per class; with at most four classes kde weighs its N x N
+kernel by C^T from those K rows and forms no N x N array of its own, and
+with more it reads the dense Z as a :class:`DenseCoupling`, bit for bit
+the Sinkhorn path.  A :class:`DenseCoupling`
 holds a Sinkhorn coupling as its N x N Z alone, with C implied; its kernel
 is scaled into Z in place, so a continuous-covariate solve holds one N x N
 coupling array from the kernel to the last read of kde.  Both give the
@@ -37,7 +39,6 @@ __all__ = [
     "Covariates",
     "DenseCoupling",
     "build_couplings",
-    "categorical_coupling",
     "median_heuristic_bandwidth",
     "sinkhorn_bistochastic",
 ]
@@ -172,15 +173,6 @@ def _classes(labels):
     return labels, index, counts
 
 
-def categorical_coupling(labels):
-    """Class-indicator coupling: Z[i, j] = 1/N_i when labels agree, else 0.
-
-    Bi-stochastic and symmetric by construction; block diagonal under any
-    class-sorted permutation.
-    """
-    return CategoricalCoupling(*_classes(labels)[1:]).Z()
-
-
 @dataclass(frozen=True)
 class Covariates:
     """Conditioning data: class labels, or continuous vectors plus a bandwidth.
@@ -231,15 +223,6 @@ class Covariates:
         return int(self.values.shape[0])
 
 
-def _dense_kde(CT):
-    """kde's reads of a C-contiguous C^T, as :meth:`DenseCoupling.kde` describes them."""
-    def terms(E, w):
-        M = np.multiply(E, CT, out=E)
-        return M.sum(axis=1), lambda: M @ w, lambda: M
-
-    return lambda E: float(np.vdot(E, CT)), terms
-
-
 class CategoricalCoupling:
     """The coupling of class labels, held as each point's class index and the class sizes.
 
@@ -270,34 +253,25 @@ class CategoricalCoupling:
     def kde(self):
         """kde's reads of C^T, as :meth:`DenseCoupling.kde` gives them, from C^T's K distinct rows.
 
-        Row l of C^T is CTrow[c(l)], CTrow[c, i] = Z[i, l] - mean_i, each
-        class's row mean of Z, 1/N to rounding, taken from one O(N)
-        representative row of the class.  With at most
-        ``_CLASS_FORM_MAX_K`` classes the reads take the class form:
-        ``value(E)`` is vdot(Ind @ E, CTrow), Ind the K x N class indicator;
-        ``terms`` takes s and M @ w from one product E @ (CTrow^T (x) [1 | w]),
-        gathered by class; ``weigh()`` forms M in E in blocks of 32 rows,
-        bitwise the product with a dense C^T.  For N x d points the class
-        form holds 3 K N doubles, a gradient forms 2 K (d + 1) N more, and
-        no N x N array is formed.  Its products take K and K (d + 1)
-        multiply-adds per kernel entry, so with more classes the reads are a
-        dense C^T's, built in one comparison of the class index, and hold
-        and cost what a Sinkhorn coupling's do.
+        Row l of C^T is CTrow[c(l)], CTrow[c, i] = [c(i) = c] / N_c - 1/N,
+        the entries of Z - 1/N exactly.  With at most ``_CLASS_FORM_MAX_K``
+        classes the reads take the class form: ``value(E)`` is
+        vdot(Ind @ E, CTrow), Ind the K x N class indicator; ``terms`` takes
+        s and M @ w from one product E @ (CTrow^T (x) [1 | w]), gathered by
+        class; ``weigh()`` forms M in E in blocks of 32 rows, bitwise the
+        product with a dense C^T.  For N x d points the class form holds
+        3 K N doubles, a gradient forms 2 K (d + 1) N more, and no N x N
+        array is formed.  Its products take K and K (d + 1) multiply-adds
+        per kernel entry, so with more classes the reads are those of
+        :class:`DenseCoupling` on the dense Z, bit for bit, and hold and
+        cost what a Sinkhorn coupling's do.
         """
-        index, inv = self.index, 1.0 / self.counts
-        n, k = len(index), len(inv)
-        row_means = np.empty(k)
-        row = np.zeros(n)
-        for c in range(k):
-            members = index == c
-            row[members] = inv[c]
-            row_means[c] = row.mean()
-            row[members] = 0.0
-        dense = k > _CLASS_FORM_MAX_K  # then one row of C^T per point: C^T itself
-        is_class = (index if dense else np.arange(k))[:, None] == index
-        CTrow = np.where(is_class, (inv - row_means)[index], -row_means[index])
-        if dense:
-            return _dense_kde(CTrow)
+        index, n, k = self.index, len(self.index), len(self.counts)
+        if k > _CLASS_FORM_MAX_K:
+            return DenseCoupling(self.Z()).kde()
+        is_class = np.arange(k)[:, None] == index
+        w = np.append(1.0 / self.counts, -1.0 / n)  # product()'s w: C = U diag(w) U^T
+        CTrow = np.where(is_class, w[:k, None] + w[k], w[k])
         Ind = is_class.astype(float)
         CTcol = np.ascontiguousarray(CTrow.T)
         own = np.arange(n) * k + index  # row (j, c(j)) of an (N K, .) array
@@ -329,7 +303,8 @@ class DenseCoupling:
     C = Z - 11^T/N is implied, never stored, and exactly symmetric because Z
     is.  kde forms C^T = C in place on Z, which spends the coupling: it is
     taken last, as :func:`baryflow.solver.solve` takes it, and ``Z()`` or
-    ``product()`` after it raises.
+    ``product()`` after it raises.  A categorical coupling of more than
+    four classes reads kde through one, built from its dense Z.
     """
 
     def __init__(self, Z):
@@ -359,7 +334,12 @@ class DenseCoupling:
         """
         CT, self._Z = self._held(), None
         CT -= 1.0 / len(CT)
-        return _dense_kde(CT)
+
+        def terms(E, w):
+            M = np.multiply(E, CT, out=E)
+            return M.sum(axis=1), lambda: M @ w, lambda: M
+
+        return lambda E: float(np.vdot(E, CT)), terms
 
     def Z(self):
         """The dense Z itself, until kde spends it."""

@@ -8,22 +8,23 @@ constraint modes exist:
 
 * ``kde`` scores the discrepancy between conditional kernel density
   estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l].
-  Its descent direction differentiates the kernel only through the
-  evaluation slot, holding the kernel centers at the current positions.
-  The kernel centers default to the evaluated points.  The solver's descent
-  check evaluates the stepped points with ``before`` set to the points before
-  the step: one call forms the centers' frame (their mean, the scaled centers
-  and the kernel's centers factor) once, scores both point sets in it, and
-  frees the kernel at ``before`` before it builds the one at the stepped
-  points.  A value is one matrix product and ``exp``, taken about the
-  centers' mean so that far-off clouds lose no digits, then the coupling's
-  value read of C^T: one dot product with a dense C^T (for a Sinkhorn
-  coupling Z - 1/N, formed in place on Z), or for categorical
-  covariates in at most four classes, whose C^T has one distinct row per
-  class, a K x N class sum of the kernel dotted with those K rows.  The
-  kernel is then the only N x N array a kde evaluation forms; with more
-  classes a categorical C^T is read dense.  (2 pi a^2)^(-d/2) scales the
-  value and the O(N d) outputs, never N x N arrays.
+  The kernel centers are the evaluated points themselves.  The descent
+  direction differentiates the kernel only through the evaluation slot,
+  holding the centers at the current positions.  ``before`` is the one way
+  to score points against centers elsewhere: the solver's descent check
+  evaluates the stepped points with ``before`` set to the points before the
+  step, and one call forms the stepped points' frame (their mean, the
+  scaled points and the kernel's centers factor) once, scores both point
+  sets in it, and frees the kernel at ``before`` before it builds the one
+  at the stepped points.  A value is one matrix product and ``exp``, taken
+  about the points' mean so that far-off clouds lose no digits, then the
+  coupling's value read of C^T = Z - 1/N: one dot product with a dense C^T
+  (formed in place on a Sinkhorn Z, or on a categorical Z of more than
+  four classes), or for categorical covariates in at most four classes,
+  whose C^T has one distinct row per class, a K x N class sum of the
+  kernel dotted with those K rows.  The kernel is then the only N x N
+  array a kde evaluation forms.  (2 pi a^2)^(-d/2) scales the value and
+  the O(N d) outputs, never N x N arrays.
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
@@ -55,10 +56,11 @@ intermediate terms and never form the (N, N, d, d) Hessian.  Both modes
 give them in the block form of :class:`baryflow.costs.BlockHvp`: per-point
 d x d blocks D plus one remainder product.  kde's gradient
 reads the row sums s of the weighted kernel M = E * C^T and M @ w, where w
-holds the centers: a dense coupling forms M in place on the first gradient
-read and takes both from it; a categorical one in K <= 4 classes takes
-both from one product of the kernel with K (d + 1) columns, and forms M in
-place only for a Hessian-vector product, which reads the same s.  The
+holds the points in their frame: a dense coupling forms M in place on the
+first gradient read and takes both from it; a categorical one in K <= 4
+classes takes both from one product of the kernel with K (d + 1) columns,
+and forms M in place only for a Hessian-vector product, which reads the
+same s.  The
 product's first use sets up the pair operator of M in O(N^2 d^2) (see
 :func:`baryflow.costs.pair_outer_operator`) and folds the product's scale,
 its -s v and its M v into the operator's blocks and its factor S, in place;
@@ -202,13 +204,14 @@ def _sq_norms(p):
     return np.einsum("ja,ja->j", p, p)
 
 
-def _kde_frame(centers, r):
-    """The centers' frame: mean, w = (centers - mean) / r, |w|^2 and the factor [2 w, -1, -|w|^2]^T.
+def _kde_frame(y, r):
+    """The points' frame: mean, w = (y - mean) / r, |w|^2 and the factor [2 w, -1, -|w|^2]^T.
 
+    The kernel centers are the points, so this is the centers' frame too.
     Centered on the mean, a kernel's squares stay near its distances.
     """
-    mean = centers.sum(axis=0) / len(centers)
-    w = (centers - mean) / r
+    mean = y.sum(axis=0) / len(y)
+    w = (y - mean) / r
     ww = _sq_norms(w)
     B = np.full((w.shape[1] + 2, len(w)), -1.0)
     B[:-2], B[-1] = 2.0 * w.T, -ww
@@ -227,25 +230,20 @@ def _kde_kernel(u, uu, B):
     return np.exp(E, out=E)
 
 
-def _kde_parts(y, kde, bandwidth, centers, want_hvp, before=None):
+def _kde_parts(y, kde, bandwidth, want_hvp, before=None):
     kde_value, kde_terms = kde
     r = np.sqrt(2.0) * bandwidth
-    mean, w, ww, B = _kde_frame(centers, r)  # u_j - w_i = D_ji / r, D_ji = y_j - c_i
+    mean, w, ww, B = _kde_frame(y, r)  # w_j - w_i = D_ji / r, D_ji = y_j - y_i
     norm = (np.pi * r * r) ** (-0.5 * y.shape[1])  # (2 pi a^2)^(-d/2)
     if before is not None:  # a kernel of its own, freed before y's is built
         ub = (before - mean) / r
         value_before = norm * kde_value(_kde_kernel(ub, _sq_norms(ub), B))
-    if centers is y:  # y in its own frame is w
-        u, uu = w, ww
-    else:
-        u = (y - mean) / r
-        uu = _sq_norms(u)
-    E = _kde_kernel(u, uu, B)
+    E = _kde_kernel(w, ww, B)
     value = norm * kde_value(E)
     # s = M 1, () -> M @ w and weigh() -> M, with M[j, i] = E[j, i] * C[i, j]
     terms = deferred(lambda: kde_terms(E, w))
     s = deferred(lambda: terms()[0])  # the product keeps s, not what M @ w holds
-    grad = lambda: -2.0 * norm / r * (s()[:, None] * u - terms()[1]())
+    grad = lambda: -2.0 * norm / r * (s()[:, None] * w - terms()[1]())
     hvp = None
     if want_hvp:
         def hessian():
@@ -253,11 +251,11 @@ def _kde_parts(y, kde, bandwidth, centers, want_hvp, before=None):
             # r.  k, the 2 and -s v fold into the pair operator's blocks; k,
             # the 2 and the columns M v of M (T v) fold into S.
             k = 2.0 * norm / r**2
-            D, S, pair = pair_outer_operator(terms()[2](), u, w)
+            D, S, pair = pair_outer_operator(terms()[2](), w)
             D *= 2.0 * k
             add_diagonal(D, -k * s()[:, None])
             S *= 2.0 * k
-            d = u.shape[1]
+            d = w.shape[1]
             S[:, np.arange(d), np.arange(d) * (d + 1) + d] += k
             return D, (pair,)
 
@@ -295,30 +293,29 @@ def constraint_function(coupling, test_functions):
     mode, whose m terms weigh equally.  Checks here, once, that
     ``test_functions`` is one of the two.  Features keep the coupling's
     product with C^T, which holds only what it reads.  kde keeps the
-    coupling's reads of C^T: a value, the gradient's terms and the weighted
-    kernel; a Sinkhorn coupling forms C^T = Z - 1/N in place on its Z for
+    coupling's reads of C^T = Z - 1/N: a value, the gradient's terms and
+    the weighted kernel; a Sinkhorn coupling forms C^T in place on its Z for
     them, which spends it, a categorical one holds its K distinct rows when
-    K <= 4, else a dense C^T.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
-    Returns ``parts(y, centers=None, want_hvp=False) -> (value, grad, hvp)``
-    for a finite N x d float y.  ``grad`` is a function of no arguments that builds
-    the N x d gradient.  For kde it differentiates only the evaluation slot of
-    the kernel (centers held at ``centers``, default ``y``; features ignore
-    them).  ``hvp`` (None unless ``want_hvp``) is a
-    :class:`~baryflow.costs.BlockHvp` that applies the Jacobian of that
-    gradient field once the centers track the points again to an N x d array.
-    kde's ``parts`` also takes ``before``, points of y's shape, and then returns
-    ``(value, grad, hvp, value_before)``: the value at ``before`` with the same
-    centers, in the same centers' frame, its kernel freed before y's is built.
+    K <= 4, else forms C^T in place on its dense Z.  (2 pi a^2)^(-d/2)
+    scales only O(N d) outputs.  Returns
+    ``parts(y, want_hvp=False) -> (value, grad, hvp)`` for a finite N x d
+    float y.  ``grad`` is a function of no arguments that builds the N x d
+    gradient.  kde's kernel centers are the points y, and its gradient
+    differentiates only the kernel's evaluation slot.  ``hvp`` (None unless
+    ``want_hvp``) is a :class:`~baryflow.costs.BlockHvp` that applies the
+    Jacobian of that gradient field, with the centers tracking the points,
+    to an N x d array.  kde's ``parts`` also takes ``before``, points of y's
+    shape, and then returns ``(value, grad, hvp, value_before)``: the value
+    at ``before`` with the centers at y, in y's frame, its kernel freed
+    before y's is built.
     """
     if isinstance(test_functions, MonomialBasis):
         product = coupling.product()
-        return lambda y, centers=None, want_hvp=False: _features_parts(
-            y, product, test_functions, want_hvp)
+        return lambda y, want_hvp=False: _features_parts(y, product, test_functions, want_hvp)
     if not positive_number(test_functions):
         raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
     kde, a = coupling.kde(), float(test_functions)
-    return lambda y, centers=None, want_hvp=False, before=None: _kde_parts(
-        y, kde, a, y if centers is None else centers, want_hvp, before)
+    return lambda y, want_hvp=False, before=None: _kde_parts(y, kde, a, want_hvp, before)
 
 
 def _built_on_first_read(build, term):

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from baryflow.costs import BlockHvp
-from baryflow.couplings import DenseCoupling, _dense_kde
+from baryflow.couplings import Covariates, DenseCoupling, build_couplings
 from baryflow.errors import InvalidInputError
 
 
@@ -71,19 +71,13 @@ def dense_coupling(Z):
     return DenseCoupling(np.array(Z, dtype=float))
 
 
-class ExplicitCoupling:
-    """kde's dense reads of an explicit centering matrix C, bound as a coupling is.
+def categorical_coupling(labels):
+    """Class-indicator coupling: Z[i, j] = 1/N_c when points i and j share class c, else 0.
 
-    The reference for the categorical class form, whose C^T takes each
-    class's row mean of Z, 1/N only to rounding, where a
-    :class:`DenseCoupling` reads the exact Z - 1/N.
+    Bi-stochastic and symmetric by construction; block diagonal under any
+    class-sorted permutation.  The dense Z of the coupling ``build_couplings`` returns.
     """
-
-    def __init__(self, C):
-        self.C = np.asarray(C, dtype=float)
-
-    def kde(self):
-        return _dense_kde(np.ascontiguousarray(self.C.T))
+    return build_couplings(Covariates.categorical(labels)).Z()
 
 
 def centering_matrix(Z):
@@ -164,25 +158,25 @@ def assert_symmetric(hvp, rng, n, d, trials=5):
         assert gap <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
 
 
-def direct_pair_outer(A, y, c, v):
-    """sum_i A[j, i] D_ji (D_ji . (v_j - v_i)), D_ji = y_j - c_i, from the (N, N, d) differences."""
-    D = y[:, None, :] - c[None, :, :]
+def direct_pair_outer(A, y, v):
+    """sum_i A[j, i] D_ji (D_ji . (v_j - v_i)), D_ji = y_j - y_i, from the (N, N, d) differences."""
+    D = y[:, None, :] - y[None, :, :]
     dv = v[:, None, :] - v[None, :, :]
     return np.einsum("ji,jia,ji->ja", A, D, np.einsum("jia,jia->ji", D, dv))
 
 
-def kde_hvp_reference(y, centers, a, CT):
+def kde_hvp_reference(y, a, CT):
     """The kde product 2 norm / r^2 (2 outer - s v + M v), r^2 = 2 a^2, from its direct terms.
 
-    Written as (pair / a^2 - s v + M v) / a^2 with M[j, i] = K_a(y_j, c_i) C[i, j]
+    Written as (pair / a^2 - s v + M v) / a^2 with M[j, i] = K_a(y_j, y_i) C[i, j]
     (K_a the normalized Gaussian kernel), s = M 1 and the pair term of
     :func:`direct_pair_outer`; ``CT`` is the dense C^T.
     """
-    D = y[:, None, :] - centers[None, :, :]
+    D = y[:, None, :] - y[None, :, :]
     d = y.shape[1]
     M = np.exp(-np.einsum("jia,jia->ji", D, D) / (2 * a**2)) / (2 * np.pi * a**2) ** (d / 2) * CT
     s = M.sum(axis=1)[:, None]
-    return lambda v: (direct_pair_outer(M, y, centers, v) / a**2 - s * v + M @ v) / a**2
+    return lambda v: (direct_pair_outer(M, y, v) / a**2 - s * v + M @ v) / a**2
 
 
 def distortion_hvp_reference(model, x, y, Z):
@@ -194,7 +188,7 @@ def distortion_hvp_reference(model, x, y, Z):
     c_eye = (8.0 / n**2) * W * (cdist(y, y, "sqeuclidean") / denom - 1.0) / denom
     eye_rows = c_eye.sum(axis=1)[:, None] + 2.0 * model.omega / n
     A = (16.0 / n**2) * W / denom**2
-    return lambda v: direct_pair_outer(A, y, y, v) + eye_rows * v - c_eye @ v
+    return lambda v: direct_pair_outer(A, y, v) + eye_rows * v - c_eye @ v
 
 
 def pairwise_hessian_reference(model, x, y):

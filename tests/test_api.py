@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import baryflow
@@ -12,3 +14,19 @@ def test_every_export_resolves():
     missing = [f"{module.__name__}.{name}" for module in [baryflow, *submodules]
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_submodule_export_is_used():
+    # a submodule's export is public (in baryflow.__all__) or used somewhere in
+    # src/; one that only tests reach belongs in the tests
+    used = set()
+    for source in pathlib.Path(baryflow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{info.name}.{name}" for info in pkgutil.iter_modules(baryflow.__path__)
+              for name in getattr(importlib.import_module(f"baryflow.{info.name}"), "__all__", ())
+              if name not in baryflow.__all__ and name not in used]
+    assert unused == []

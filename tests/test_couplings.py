@@ -10,14 +10,13 @@ from baryflow.couplings import (
     Covariates,
     DenseCoupling,
     build_couplings,
-    categorical_coupling,
     kernel_cross_matrix,
     median_heuristic_bandwidth,
     sinkhorn_bistochastic,
 )
 from baryflow.errors import ConvergenceError, InvalidInputError
 
-from conftest import centering_matrix, peak_bytes
+from conftest import categorical_coupling, centering_matrix, peak_bytes
 
 _rng = np.random.default_rng(7)
 # label sets with 1 to 7 classes: unequal sizes, singletons, ints and strings
@@ -197,11 +196,11 @@ class TestCategoricalForm:
 
     @pytest.mark.parametrize("case", range(len(LABEL_SETS)))
     def test_kde_transpose_bitwise_equals_dense(self, case, rng):
-        # the kernel weighted by C^T in place, from C^T's class rows, against a dense C^T
+        # the kernel weighted by C^T in place, from C^T's class rows, against a dense C^T = Z - 1/N
         labels = LABEL_SETS[case]
         n = labels.size
         E = rng.uniform(0.0, 1.0, (n, n))
-        dense = E * np.ascontiguousarray(centering_matrix(categorical_coupling(labels)).T)
+        dense = E * (categorical_coupling(labels) - 1.0 / n)
         _, terms = build_couplings(Covariates.categorical(labels)).kde()
         M = terms(E, rng.standard_normal((n, 2)))[2]()
         assert M is E
@@ -227,7 +226,7 @@ class TestCategoricalForm:
         # past _CLASS_FORM_MAX_K classes the reads are those of the dense C^T, bit for bit
         n = 200
         labels = rng.permutation(np.arange(n) % k)
-        CT = np.ascontiguousarray(centering_matrix(categorical_coupling(labels)).T)
+        CT = categorical_coupling(labels) - 1.0 / n
         E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
         M = E * CT
         value, terms = build_couplings(Covariates.categorical(labels)).kde()

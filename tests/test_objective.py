@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from baryflow.costs import CostModel, cost_function
-from baryflow.couplings import (
-    Covariates, build_couplings, categorical_coupling, kernel_cross_matrix, sinkhorn_bistochastic,
-)
+from baryflow.couplings import Covariates, build_couplings, kernel_cross_matrix, sinkhorn_bistochastic
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import (
     MonomialBasis,
@@ -16,15 +14,14 @@ from baryflow.objective import (
 )
 
 from conftest import (
-    ExplicitCoupling,
     ReferenceMonomial,
     assert_symmetric,
+    categorical_coupling,
     central_diff_grad,
     central_diff_jacobian,
     centering_matrix,
     combined_grad,
     dense_coupling,
-    direct_pair_outer,
     features_hvp_reference,
     kde_hvp_reference,
     operator_matrix,
@@ -34,7 +31,7 @@ from conftest import (
 
 
 _labels_rng = np.random.default_rng(11)
-# categorical kde label sets: each is compared with the dense C of its labels
+# categorical kde label sets: each is compared with the dense Z of its labels
 KDE_LABELS = {
     "shuffled-unequal": _labels_rng.permutation(np.repeat([0, 1, 2], [5, 11, 20])),
     "singleton": _labels_rng.permutation(np.repeat([4, 7, 9], [8, 1, 6])),
@@ -126,6 +123,14 @@ class TestLfKde:
         y = rng.standard_normal((6, 2))
         Z = categorical_coupling(np.zeros(6, dtype=int))
         assert kde_value(y, Z, 0.8) == pytest.approx(0.0, abs=1e-14)
+
+    def test_categorical_single_class_exactly_zero(self, rng):
+        # C^T = Z - 1/N is exactly zero for one class, so are the value and the gradient
+        y = rng.standard_normal((14, 2)) + 50.0
+        coupling = build_couplings(Covariates.categorical(np.zeros(14, dtype=int)))
+        value, grad, _ = constraint_function(coupling, 0.8)(y)
+        assert value == 0.0
+        assert np.all(grad() == 0.0)
 
     def test_identical_class_clouds_vanish(self, rng):
         # two classes mapped onto the same point set: conditional estimates agree
@@ -235,9 +240,9 @@ class TestEvaluate:
         cost = cost_function(CostModel("sq_euclidean"), x)
         constraint = constraint_function(dense_coupling(Z), tf)
         ev = evaluate(cost, constraint, y)
-        centers = y.copy()
+        # the value at u with the kernel centers held at y
         fd = central_diff_grad(
-            lambda u: cost(u)[0] + lam * constraint(u, centers=centers)[0],
+            lambda u: cost(u)[0] + lam * constraint(y, before=u)[3],
             y,
         )
         assert rel_err(combined_grad(ev, lam), fd) <= 1e-5
@@ -315,59 +320,44 @@ class TestEvaluate:
     @pytest.mark.parametrize("labels", list(KDE_LABELS.values()), ids=list(KDE_LABELS))
     def test_categorical_kde_matches_dense_coupling(self, labels, rng):
         # the class form's value, value before the step, gradient and product
-        # against the dense reads of the same labels' C = Z - rowmean(Z), the
-        # row means the class form takes (1/N to rounding: one class of 14
-        # reads 4e-16 where the exact Z - 1/N reads 0)
+        # against the dense reads of the same labels' C = Z - 11^T/N
         n = labels.size
         y = rng.standard_normal((n, 2)) + 50.0
         before = y + 0.3 * rng.standard_normal((n, 2))
         v = rng.standard_normal((n, 2))
         coupling = build_couplings(Covariates.categorical(labels))
-        C = centering_matrix(categorical_coupling(labels))
+        Z = categorical_coupling(labels)
         for a in (0.4, 1.5):
             got, ref = (constraint_function(c, a)(y, want_hvp=True, before=before)
-                        for c in (coupling, ExplicitCoupling(C)))
+                        for c in (coupling, dense_coupling(Z)))
             assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
             assert got[3] == pytest.approx(ref[3], rel=1e-13, abs=1e-300)
             assert rel_err(got[1](), ref[1]()) <= 1e-13
             assert rel_err(got[2](v), ref[2](v)) <= 1e-13
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_kde_hvp_with_moved_centers_matches_direct_sum(self, d, rng):
-        # (pair term / a^2 - diag(M 1) v + M v) / a^2 with M[j, i] = K(y_j, c_i) C[i, j]
-        n, a = 12, 1.3
-        y = rng.standard_normal((n, d)) + rng.uniform(-100.0, 100.0, d)
-        centers = y + 0.5 * rng.standard_normal((n, d))
-        Z = categorical_coupling(rng.integers(0, 3, n))
-        C = centering_matrix(Z)
-        v = rng.standard_normal((n, d))
-        hvp = constraint_function(dense_coupling(Z), a)(y, centers=centers, want_hvp=True)[2]
-        M = kernel_cross_matrix(y, centers, a) * C.T
-        expected = (direct_pair_outer(M, y, centers, v) / a**2
-                    - M.sum(axis=1)[:, None] * v + M @ v) / a**2
-        assert rel_err(hvp(v), expected) <= 1e-12
-
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_kde_matches_pairwise_reference(self, d, offset, rng):
-        # from the differences D_ji = y_j - c_i themselves, with M[j, i] = K(y_j, c_i) C[i, j]
+        # from the differences D_ji = y_j - c_i themselves, with M[j, i] = K(y_j, c_i) C[i, j]:
+        # the value with the centers c moved through ``before``, the gradient at c = y
         for n, a, moved in itertools.product([2, 9, 40], [0.3, 1.0, 3.0], [False, True]):
             y = rng.standard_normal((n, d)) + offset
             centers = y + 0.5 * rng.standard_normal((n, d)) if moved else y
             Z = categorical_coupling(rng.integers(0, 3, n))
             C = centering_matrix(Z)
-            value, grad, _ = constraint_function(dense_coupling(Z), a)(y, centers=centers)
+            value, grad, _, value_at_y = constraint_function(dense_coupling(Z), a)(centers, before=y)
             D = y[:, None, :] - centers[None, :, :]
             K = np.exp(-np.einsum("jia,jia->ji", D, D) / (2 * a**2)) / (2 * np.pi * a**2) ** (d / 2)
             M = K * C.T
-            assert abs(value - M.sum()) <= 1e-13 * np.abs(M).sum()
-            scale = np.einsum("ji,ji->j", np.abs(M), np.linalg.norm(D, axis=2)).max() / a**2
-            expected = -np.einsum("ji,jia->ja", M, D) / a**2
-            assert np.abs(grad() - expected).max() <= 1e-12 * scale
+            assert abs(value_at_y - M.sum()) <= 1e-13 * np.abs(M).sum()
+            if not moved:
+                scale = np.einsum("ji,ji->j", np.abs(M), np.linalg.norm(D, axis=2)).max() / a**2
+                expected = -np.einsum("ji,jia->ja", M, D) / a**2
+                assert np.abs(grad() - expected).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("coupling", ["categorical", "dense"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("mode", ["kde", "kde-moved", "features"])
+    @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_block_form_matches_reference(self, mode, d, coupling, rng):
         # the blocks plus the remainder against the product from its direct terms
         for _ in range(3):
@@ -375,7 +365,7 @@ class TestEvaluate:
             labels = rng.integers(0, 3, n)
             y = rng.standard_normal((n, d))
             if mode != "features":
-                y += rng.uniform(-50.0, 50.0, d)  # kde takes its frame at the centers' mean
+                y += rng.uniform(-50.0, 50.0, d)  # kde takes its frame at the points' mean
             v = rng.standard_normal((n, d))
             Z = categorical_coupling(labels)
             C = centering_matrix(Z)
@@ -387,9 +377,8 @@ class TestEvaluate:
                 expected = features_hvp_reference(y, C, basis.exponents)(v)
             else:
                 a = float(rng.uniform(0.5, 2.0))
-                centers = y + 0.5 * rng.standard_normal((n, d)) if mode == "kde-moved" else y
-                hvp = constraint_function(bound, a)(y, centers=centers, want_hvp=True)[2]
-                expected = kde_hvp_reference(y, centers, a, C.T)(v)
+                hvp = constraint_function(bound, a)(y, want_hvp=True)[2]
+                expected = kde_hvp_reference(y, a, C.T)(v)
             assert rel_err(hvp(v), expected) <= 1e-12
 
     def test_kde_product_allocates_no_n_by_n_array(self, rng):
@@ -427,7 +416,7 @@ class TestEvaluate:
         C = centering_matrix(Z)
         a = 0.9
         constraint = constraint_function(dense_coupling(Z), a)
-        lf_off = constraint(y, centers=centers)[0]
+        lf_off = constraint(centers, before=y)[3]  # the value at y, centers at ``centers``
         sq = np.sum((y[:, None, :] - centers[None, :, :]) ** 2, axis=-1)  # [l, i]
         K = np.exp(-sq / (2 * a**2)) / (2 * np.pi * a**2)
         assert lf_off == pytest.approx(np.sum(K * C.T))

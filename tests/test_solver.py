@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from baryflow import costs, objective, solver
 from baryflow.costs import CostModel, cost_function
-from baryflow.couplings import Covariates, build_couplings, categorical_coupling
+from baryflow.couplings import Covariates, build_couplings
 from baryflow.datagen import gen_ellipses, gen_hidden_signal, lagged_dataset
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import MonomialBasis, constraint_function, evaluate, monomial_features
@@ -23,6 +23,7 @@ from baryflow.solver import (
 )
 
 from conftest import (
+    categorical_coupling,
     centering_matrix,
     combined_grad,
     dense_coupling,
@@ -411,7 +412,7 @@ class TestSteps:
         else:
             blocks = pairwise_hessian_reference(model, x, y)
             hc = lambda v: np.einsum("iab,ib->ia", blocks, v)
-        hf = (kde_hvp_reference(y, y, tf, C.T) if mode == "kde"
+        hf = (kde_hvp_reference(y, tf, C.T) if mode == "kde"
               else features_hvp_reference(y, C, tf.exponents))
         v = rng.standard_normal(y.shape)
         expected = v + eta * (hc(v) + lam * hf(v))
@@ -577,7 +578,9 @@ class TestDescentSides:
         constraint = constraint_function(coupling, tf)
         ev = evaluate(cost, constraint, y_new)
         lhs = ev.L_C + rec.lam * ev.L_F
-        rhs = cost(y)[0] + rec.lam * constraint(y, centers=y_new)[0]
+        # kde scores y with the centers at y_new through ``before``; features have no centers
+        L_F_before = constraint(y_new, before=y)[3] if kde else constraint(y)[0]
+        rhs = cost(y)[0] + rec.lam * L_F_before
         assert (rec.L, rec.descent_rhs) == (lhs, rhs)
         L_C, L_F = cost(y_new)[0], constraint(y_new)[0]
         assert (rec.L_C, rec.L_F) == (L_C, L_F)
