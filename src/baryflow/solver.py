@@ -60,7 +60,10 @@ _KRYLOV_RTOL = 1e-12  # MINRES stopping tolerance of the implicit step
 _KRYLOV_MAXITER = 500
 _RESIDUAL_RTOL = 1e-8  # accepted ||b - A x|| / ||b|| of the implicit step
 _MAX_HALVINGS = 60  # learning-rate halvings before a run ends without a step
-_POWER_STEPS = 50  # power-iteration steps of the lambda0 estimate
+_LANCZOS_RTOL = 1e-3  # settled move of the lambda0 estimate between two readings
+_LANCZOS_BREAKDOWN = 1e-12  # beta_k / ||T_k|| at which the lambda0 estimate is exact
+_LANCZOS_SEMI_ORTH = math.sqrt(sys.float_info.epsilon)  # Ritz residual / radius that ends it
+_LANCZOS_MAX_PRODUCTS = 50  # Hessian-vector products of the lambda0 estimate at most
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,15 @@ class SolverConfig:
 
     Each field is a flag of the ``solve`` and ``filter-timeseries`` commands.
     ``lambda0="auto"`` estimates 1/spectral-radius of the constraint Hessian
-    at the starting positions: 50 steps of seeded power iteration on its
-    Hessian-vector product, so the Hessian is never formed.  ``bandwidth_a``
-    applies to kde mode and resolves "auto" with the median heuristic on the
-    starting positions.  ``feature_degree`` applies to features mode.  Every
-    field is checked on construction: reals must be finite and positive,
-    counts must be integers, and a bad value raises InvalidInputError.
+    at the starting positions: Lanczos on its Hessian-vector product, at
+    most 50 products, started from the constraint gradient there, so the
+    Hessian is never formed and the estimate moves with the data.  ``seed``
+    draws the start vector only when that gradient is zero, as it is for a
+    flat constraint such as one class.  ``bandwidth_a`` applies to kde mode
+    and resolves "auto" with the median heuristic on the starting positions.
+    ``feature_degree`` applies to features mode.  Every field is checked on
+    construction: reals must be finite and positive, counts must be
+    integers, and a bad value raises InvalidInputError.
     """
 
     problem: str = "kde"
@@ -386,26 +392,55 @@ def _minres(matvec, b, x0, rtol, maxiter):
     return x, False
 
 
-def _auto_lambda0(hvp, shape, lambda_max, seed):
-    """1 / spectral-radius estimate of the constraint Hessian at the start.
+def _auto_lambda0(hvp, grad, lambda_max, seed):
+    """1 / spectral-radius estimate of the constraint Hessian H at the start.
 
-    Seeded power iteration on the constraint's Hessian-vector product ``hvp``,
-    a :class:`~baryflow.costs.BlockHvp` whose product is formed once, over
-    arrays of ``shape``; the estimate is 1 when the constraint is locally
-    flat.  Never more than ``lambda_max``.
+    Lanczos on ``hvp``, the constraint's :class:`~baryflow.costs.BlockHvp`,
+    whose product is formed once, started from the starting constraint
+    gradient ``grad``.  That vector moves with the data, so the estimate is
+    permutation-equivariant, and rotation-equivariant wherever the
+    constraint is; a gradient whose squared norm is below the solver's floor
+    gives way to a standard normal vector drawn with ``seed``.  The
+    recurrence holds three vectors and the tridiagonal T_k, but no Krylov
+    basis.  The radius, max |theta| over T_k's eigenvalues, is read at every
+    other product from the fourth.  The estimate stops when a reading moves
+    by at most 1e-3 of itself; at a breakdown, beta_k <= 1e-12 ||T_k||, where
+    T_k's eigenvalues are H's own; once a Ritz residual beta_k |s_ki| falls
+    to sqrt(eps) times the radius, past which the Lanczos vectors lose
+    orthogonality along that pair (Paige 1971) and take in rounding that
+    differs between a data set and its permuted or rotated copy; and after
+    50 products.  Points with a symmetry (two in the plane, say) confine the
+    gradient to an invariant subspace of H, whose spectrum alone it sees.
+    The estimate is 1 when the constraint is locally flat, and never more
+    than ``lambda_max``.
     """
     hvp = hvp.operator()
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(shape)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(_POWER_STEPS):
+    if float(np.sum(grad * grad)) < _GRAD_SQ_FLOOR:
+        grad = np.random.default_rng(seed).standard_normal(grad.shape)
+    v = grad / np.linalg.norm(grad)
+    v_old = np.zeros_like(v)
+    alphas, betas = [], []  # T_k's diagonal and subdiagonal
+    beta = t_norm2 = radius = 0.0
+    for k in range(1, _LANCZOS_MAX_PRODUCTS + 1):
         w = hvp(v)
-        estimate = np.linalg.norm(w)
-        if estimate < 1e-30:
-            break
-        v = w / estimate
-    return float(min(1.0 / estimate if estimate > 1e-12 else 1.0, lambda_max))
+        w -= beta * v_old
+        alpha = float(np.vdot(v, w))
+        w -= alpha * v
+        alphas.append(alpha)
+        t_norm2 += alpha**2 + 2 * beta**2
+        beta = float(np.linalg.norm(w))
+        done = beta <= _LANCZOS_BREAKDOWN * math.sqrt(t_norm2) or k == _LANCZOS_MAX_PRODUCTS
+        if done or (k >= 4 and k % 2 == 0):
+            # eigh reads T_k's lower triangle; S[-1] gives the Ritz residuals
+            theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            last, radius = radius, max(-theta[0], theta[-1])
+            if (done or beta * np.abs(S[-1]).min() <= _LANCZOS_SEMI_ORTH * radius
+                    or k > 4 and abs(radius - last) <= _LANCZOS_RTOL * radius):
+                break
+        betas.append(beta)
+        v_old, v = v, w
+        v /= beta
+    return float(min(1.0 / radius if radius > 1e-12 else 1.0, lambda_max))
 
 
 def solve(x, covariates, cost_model, config=None):
@@ -427,9 +462,10 @@ def solve(x, covariates, cost_model, config=None):
     value or gradient; both gradients are built on first read, which happens
     only for the starting points and for each accepted step.  The run ends
     early when 60 halvings find no step.
-    ``lambda0="auto"`` runs on the starting points' one evaluation.  Raises
-    :class:`NumericError` only when that evaluation (its values or either
-    gradient) is not finite.
+    ``lambda0="auto"`` runs on the starting points' one evaluation: Lanczos on
+    its constraint Hessian-vector product, started from its constraint
+    gradient.  Raises :class:`NumericError` only when that evaluation (its
+    values or either gradient) is not finite.
     """
     config = config or SolverConfig()
     x = as_points(x)
@@ -465,7 +501,7 @@ def solve(x, covariates, cost_model, config=None):
     ev = evaluate(cost, constraint, y, want_hvp=implicit or auto)
     ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here
     if auto:
-        lam = _auto_lambda0(ev.hvp_constraint, y.shape, config.lambda_max, config.seed)
+        lam = _auto_lambda0(ev.hvp_constraint, ev.grad_constraint, config.lambda_max, config.seed)
     else:
         lam = float(config.lambda0)
 

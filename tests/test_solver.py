@@ -5,7 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator, minres
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, eigsh, minres
 
 from baryflow import costs, objective, solver
 from baryflow.costs import CostModel, cost_function
@@ -1064,3 +1066,175 @@ class TestSolve:
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(niter=np.int64(5), seed=np.uint32(3), eta0=np.float32(0.5))
         assert cfg.niter == 5 and cfg.seed == 3
+
+
+def start_system(kind, rng, n=None, d=2):
+    """``(hvp, grad)``: the constraint's product and gradient at random starting points.
+
+    ``kind`` is "kde" (three classes), "kde-sinkhorn" (continuous
+    covariates) or "features" (degree 2), bound as ``solve`` binds them.
+    """
+    n = n or int(rng.integers(8, 30))
+    y = rng.standard_normal((n, d))
+    if kind == "kde-sinkhorn":
+        covariates = Covariates.continuous(rng.standard_normal((n, 1)))
+    else:
+        covariates = Covariates.categorical(np.arange(n) % 3)
+    tf = monomial_features(d, 2) if kind == "features" else float(rng.uniform(0.5, 2.0))
+    constraint = constraint_function(build_couplings(covariates), tf)
+    ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y, want_hvp=True)
+    return ev.hvp_constraint, ev.grad_constraint
+
+
+def spectral_radius(hvp, shape):
+    """|lambda|max of the product by scipy's ``eigsh``, to 1e-13."""
+    m = int(np.prod(shape))
+    A = LinearOperator((m, m), matvec=lambda u: hvp(u.reshape(shape)).ravel(), dtype=float)
+    return abs(eigsh(A, k=1, which="LM", tol=1e-13)[0][0])
+
+
+def count_products(hvp):
+    """``(counting, products)``: ``hvp`` whose operator records each of its applications."""
+    products = []
+
+    class Counting:
+        def operator(self, *args, **kwargs):
+            apply = hvp.operator(*args, **kwargs)
+            return lambda v: products.append(1) or apply(v)
+
+    return Counting(), products
+
+
+class TestAutoLambda0:
+    @pytest.mark.parametrize("kind", ["kde", "kde-sinkhorn", "features"])
+    def test_within_one_percent_of_eigsh(self, kind, rng):
+        for _ in range(4):
+            hvp, grad = start_system(kind, rng)
+            radius = 1.0 / solver._auto_lambda0(hvp, grad, 1e6, 0)
+            assert rel_err(radius, spectral_radius(hvp, grad.shape)) <= 1e-2
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (1, 4)])
+    def test_tiny_system_breaks_down_at_the_exact_radius(self, n, d, rng):
+        # a Krylov space of at most n d <= 4 vectors is exhausted before the
+        # first reading: the breakdown returns T_k's exact eigenvalues
+        A = rng.standard_normal((n * d, n * d))
+        H = (A + A.T) / 2.0
+        hvp, products = count_products(remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape),
+                                                     n, d))
+        grad = rng.standard_normal((n, d))
+        radius = 1.0 / solver._auto_lambda0(hvp, grad, 1e6, 0)
+        assert len(products) <= n * d
+        assert rel_err(radius, np.abs(np.linalg.eigvalsh(H)).max()) <= 1e-12
+
+    @pytest.mark.parametrize("kind,n,d", [("kde", 3, 1), ("kde", 4, 1), ("features", 4, 1),
+                                          ("features", 2, 2)])
+    def test_tiny_solver_system_is_exact(self, kind, n, d, rng):
+        # the solver's own product, on points in general position: two points
+        # in the plane are not, as kde's gradient there is blind to the
+        # pair's rotation
+        y = rng.standard_normal((n, d))
+        constraint = constraint_function(
+            build_couplings(Covariates.categorical(np.arange(n) % 2)),
+            1.0 if kind == "kde" else monomial_features(d, 2))
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y, want_hvp=True)
+        hvp, products = count_products(ev.hvp_constraint)
+        radius = 1.0 / solver._auto_lambda0(hvp, ev.grad_constraint, 1e6, 0)
+        H = operator_matrix(ev.hvp_constraint, n, d).reshape(n * d, n * d)
+        assert len(products) <= n * d
+        assert rel_err(radius, np.abs(np.linalg.eigvalsh(H)).max()) <= 1e-12
+
+    def test_zero_gradient_starts_from_the_seeded_vector(self, rng, monkeypatch):
+        hvp, grad = start_system("kde", rng)
+        seeds = count_calls(monkeypatch, np.random, "default_rng")
+        radius = 1.0 / solver._auto_lambda0(hvp, np.zeros_like(grad), 1e6, 7)
+        assert seeds == [(7,)]
+        assert rel_err(radius, spectral_radius(hvp, grad.shape)) <= 1e-2
+
+    def test_one_class_takes_the_seeded_fallback(self, rng, monkeypatch):
+        # C = 0: the start gradient is zero and the product flat
+        seeds = count_calls(monkeypatch, np.random, "default_rng")
+        x = rng.standard_normal((10, 2))
+        res = solve(x, Covariates.categorical(np.zeros(10, dtype=int)),
+                    CostModel("sq_euclidean"), SolverConfig(seed=5, niter=1))
+        assert seeds == [(5,)]
+        assert res.lambda0 == 1.0
+
+    @pytest.mark.parametrize("kind", ["kde", "kde-sinkhorn", "features"])
+    def test_products_within_fifty(self, kind, rng):
+        for _ in range(4):
+            hvp, grad = start_system(kind, rng, n=int(rng.integers(20, 60)))
+            counting, products = count_products(hvp)
+            solver._auto_lambda0(counting, grad, 1e6, 0)
+            assert 4 <= len(products) <= 50
+
+    def test_products_capped_at_fifty(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "_LANCZOS_RTOL", 0.0)  # never settles
+        monkeypatch.setattr(solver, "_LANCZOS_SEMI_ORTH", 0.0)  # never loses orthogonality
+        A = rng.standard_normal((120, 120))
+        H = (A + A.T) / 2.0  # no breakdown in 50 products
+        hvp, products = count_products(remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape),
+                                                     60, 2))
+        radius = 1.0 / solver._auto_lambda0(hvp, rng.standard_normal((60, 2)), 1e6, 0)
+        assert len(products) == 50
+        assert radius <= np.abs(np.linalg.eigvalsh(H)).max() * (1 + 1e-12)  # a Ritz value
+
+    @pytest.mark.parametrize("n_per_class", [5, 20, 50])
+    @pytest.mark.parametrize("problem,bound", [("kde", 50), ("features", 10)])
+    def test_solve_sets_up_lambda0_within_bound(self, problem, bound, n_per_class, monkeypatch):
+        # an explicit solve forms no operator but lambda0's
+        products = []
+        operator = costs.BlockHvp.operator
+
+        def counting(self, *args, **kwargs):
+            apply = operator(self, *args, **kwargs)
+            return lambda v: products.append(1) or apply(v)
+
+        monkeypatch.setattr(costs.BlockHvp, "operator", counting)
+        for seed in range(4):
+            products.clear()
+            ds = gen_ellipses(seed=seed, n_per_class=n_per_class)
+            solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                  SolverConfig(problem=problem, niter=1))
+            assert 4 <= len(products) <= bound
+
+
+# Equivariance properties of short solves with automatic lambda0 (N <= 39,
+# at most 30 iterations).  A fixed lambda0 holds kde to 3e-15, so 1e-9 on y
+# is fair; lambda0 itself moves only in rounding.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def property_solve(x, labels, problem, niter, eta0):
+    return solve(x, Covariates.categorical(labels), CostModel("sq_euclidean"),
+                 SolverConfig(problem=problem, niter=niter, eta0=eta0))
+
+
+def assert_equivariant(moved, result, y_expected):
+    assert rel_err(moved.lambda0, result.lambda0) <= 1e-12
+    assert np.abs(moved.y_final - y_expected).max() <= 1e-9 * np.abs(y_expected).max()
+
+
+class TestEquivariance:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n_per_class=st.integers(2, 13),
+           problem=st.sampled_from(["kde", "features"]), niter=st.integers(1, 30),
+           eta0=st.sampled_from([0.1, 1.0, 5.0]))
+    def test_permutation(self, seed, n_per_class, problem, niter, eta0):
+        ds = gen_ellipses(seed=seed, n_per_class=n_per_class)
+        labels = ds.covariates.labels
+        order = np.random.default_rng(seed).permutation(len(ds.x))
+        result = property_solve(ds.x, labels, problem, niter, eta0)
+        moved = property_solve(ds.x[order], labels[order], problem, niter, eta0)
+        assert_equivariant(moved, result, result.y_final[order])
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n_per_class=st.integers(2, 13),
+           angle=st.floats(-np.pi, np.pi), niter=st.integers(1, 30),
+           eta0=st.sampled_from([0.1, 1.0, 5.0]))
+    def test_rotation_kde_l2(self, seed, n_per_class, angle, niter, eta0):
+        ds = gen_ellipses(seed=seed, n_per_class=n_per_class)
+        labels = ds.covariates.labels
+        R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        result = property_solve(ds.x, labels, "kde", niter, eta0)
+        moved = property_solve(ds.x @ R.T, labels, "kde", niter, eta0)
+        assert_equivariant(moved, result, result.y_final @ R.T)
