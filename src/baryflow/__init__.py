@@ -12,12 +12,7 @@ drives the constraint multiplier.
 __version__ = "0.1.0"
 
 from .costs import CostModel, parse_cost_spec
-from .couplings import (
-    Covariates,
-    build_couplings,
-    median_heuristic_bandwidth,
-    sinkhorn_bistochastic,
-)
+from .couplings import Covariates, build_couplings, median_heuristic_bandwidth
 from .datagen import (
     Dataset,
     TimeSeriesSample,
@@ -52,7 +47,6 @@ __all__ = [
     "lambda_update",
     "median_heuristic_bandwidth",
     "parse_cost_spec",
-    "sinkhorn_bistochastic",
     "solve",
     "sph2cart",
 ]

@@ -213,21 +213,6 @@ def _write_history_csv(history, fileobj):
         writer.writerow([str(n), _fmt(L), _fmt(L_C), _fmt(L_F), _fmt(lam), _fmt(eta), str(halvings)])
 
 
-def _resolve_seed(args):
-    """The --seed flag, else $BARYFLOW_SEED, else 0; a negative seed is rejected."""
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        env = os.environ.get("BARYFLOW_SEED", "0")
-        source = "BARYFLOW_SEED"
-        try:
-            seed = int(env)
-        except ValueError:
-            raise InvalidInputError(f"BARYFLOW_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise InvalidInputError(f"{source} must be >= 0, got {seed}")
-    return seed
-
-
 def _positive_or_auto(text):
     if text == "auto":
         return "auto"
@@ -266,8 +251,7 @@ def _add_solver_flags(parser):
     parser.add_argument("--tol-y", type=float, default=cfg.tol_y)
     parser.add_argument("--tol-lf", type=float, default=cfg.tol_lf)
     parser.add_argument("--precondition", action="store_true", default=cfg.precondition)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="defaults to $BARYFLOW_SEED, else 0")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default="result.csv",
                         help="result CSV path ('-' for stdout)")
     parser.add_argument("--history", default="history.csv",
@@ -277,21 +261,19 @@ def _add_solver_flags(parser):
 
 
 def _run_solve(args, dataset):
-    seed = _resolve_seed(args)
     if args.bandwidth_b != "auto":
         if dataset.covariates.kind != "continuous":
             raise InvalidInputError("--bandwidth-b applies only to continuous covariates z1..zm")
         covariates = dataclasses.replace(dataset.covariates, bandwidth_b=args.bandwidth_b)
         dataset = dataclasses.replace(dataset, covariates=covariates)
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
-    config = SolverConfig(**dict(flags, seed=seed))
+    config = SolverConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)})
     started = time.perf_counter()
     result = solve(dataset.x, dataset.covariates, parse_cost_spec(args.cost), config)
     wall = time.perf_counter() - started
 
     echo = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     summary = {
-        "config": dict(echo, seed=seed),  # every flag of the run, with the seed used
+        "config": echo,  # every flag of the run
         "converged": result.converged,
         "iterations": result.iterations,
         "final_L_C": result.final_L_C,
@@ -335,15 +317,14 @@ def _cmd_gen(args):
     stray = [f"--{name.replace('_', '-')}" for name in others if getattr(args, name) is not None]
     if stray:
         raise InvalidInputError(f"gen {args.what} does not take {' '.join(stray)}")
-    seed = _resolve_seed(args)
     if args.what == "ellipses":
-        data, write = gen_ellipses(seed, **_given(args, "n_per_class")), save_dataset
+        data, write = gen_ellipses(args.seed, **_given(args, "n_per_class")), save_dataset
     elif args.what == "sphere-patches":
-        data = gen_sphere_patches(seed, antipodal=not args.same_hemisphere,
+        data = gen_sphere_patches(args.seed, antipodal=not args.same_hemisphere,
                                   **_given(args, "n_per_class"))
         write = save_dataset
     else:
-        data, write = gen_hidden_signal(seed, **_given(args, "steps")), _write_series_csv
+        data, write = gen_hidden_signal(args.seed, **_given(args, "steps")), _write_series_csv
     with _opened(args.output, "w") as out:  # opened once the data exist: a bad argument writes no file
         write(data, out)
     return 0
@@ -372,7 +353,7 @@ def _build_parser():
     gen.add_argument("--same-hemisphere", action="store_true", default=None,
                      help="sphere-patches: place both patches in one hemisphere")
     gen.add_argument("--steps", type=int, default=None, help="hidden-signal length")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", default="-", help="output CSV path ('-' for stdout)")
     gen.set_defaults(func=_cmd_gen)
 
@@ -395,6 +376,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand takes --seed
+            raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (BaryflowError, OSError) as err:
         print(f"baryflow: error: {err}", file=sys.stderr)

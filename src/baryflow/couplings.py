@@ -1,8 +1,8 @@
-"""Covariate couplings: Gaussian kernels, bi-stochastic scaling, centering.
+"""Covariate couplings: the coupling Z of class labels or of continuous covariates.
 
 The coupling matrix Z encodes similarity between covariate values.  For
 categorical covariates it averages over class members; for continuous ones it
-is the bi-stochastic rescaling of their own Gaussian kernel matrix.  Both are
+is the bi-stochastic scaling of their own Gaussian kernel matrix.  Both are
 exactly symmetric, with unit row and column sums (a Sinkhorn Z's to its
 tolerance), so the centering matrix C = Z - 11^T/N, the quadratic form the
 objective contracts against, is symmetric: its columns sum to zero and
@@ -17,12 +17,12 @@ Z - 11^T/N exactly, so C^T = C.  A categorical C^T has only K distinct
 rows, one per class; with at most four classes kde weighs its N x N
 kernel by C^T from those K rows and forms no N x N array of its own, and
 with more it reads the dense Z as a :class:`DenseCoupling`, bit for bit
-the Sinkhorn path.  A :class:`DenseCoupling`
-holds a Sinkhorn coupling as its N x N Z alone, with C implied; its kernel
-is scaled into Z in place, so a continuous-covariate solve holds one N x N
-coupling array from the kernel to the last read of kde.  Both give the
-features product, kde's reads of C^T and the dense Z, the last only when a
-caller asks.
+the Sinkhorn path.  A :class:`DenseCoupling` holds a Sinkhorn coupling as
+its N x N Z alone, with C implied.  The continuous covariates' kernel is
+formed and scaled into Z in place, so a continuous-covariate solve holds
+one N x N coupling array from the kernel to the last read of kde.  Both
+give the features product, kde's reads of C^T and the dense Z, the last
+only when a caller asks.
 """
 
 from __future__ import annotations
@@ -40,32 +40,11 @@ __all__ = [
     "DenseCoupling",
     "build_couplings",
     "median_heuristic_bandwidth",
-    "sinkhorn_bistochastic",
 ]
 
 
 _BLOCK = 32  # rows (and columns) per block of in-place work on an N x N array
 _CLASS_FORM_MAX_K = 4  # most classes for which kde reads a categorical C^T in its class form
-
-
-def kernel_cross_matrix(points_a, points_b, bandwidth):
-    """Matrix of normalized Gaussian kernel values K[i, j] = k(a_i, b_j).
-
-    k(u, v) = (2*pi*h^2)^(-d/2) * exp(-||u - v||^2 / (2*h^2)) with h the
-    bandwidth and d the width of the point sets; it integrates to one.  Against
-    itself a point set gives an exactly symmetric, positive semidefinite matrix,
-    as the couplings need; the kde constraint builds its own and does not call this.
-    Unchecked: callers pass finite points and a positive bandwidth, checked where they entered.
-    """
-    a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
-    d = a.shape[1]
-    norm = (2.0 * np.pi * bandwidth**2) ** (-0.5 * d)
-    K = cdist(a, b, metric="sqeuclidean")  # built in place: one N x M array
-    K /= -(2.0 * bandwidth**2)
-    np.exp(K, out=K)
-    K *= norm
-    return K
 
 
 def median_heuristic_bandwidth(points):
@@ -85,42 +64,16 @@ def median_heuristic_bandwidth(points):
     return med / np.sqrt(2.0)
 
 
-def sinkhorn_bistochastic(K, tol=1e-10, max_iter=10_000):
-    """Scale a symmetric matrix with positive row action to Z = D K D bi-stochastic.
-
-    Uses the damped symmetric fixed-point step d <- sqrt(d / (K d)), which
-    keeps a single scaling vector (rows and columns are balanced together)
-    and converges for symmetric matrices with positive entries.  Returns
-    ``(Z, d)`` where Z is exactly symmetric and positive semidefinite
-    whenever K is.  K is left as it was: (K + K^T) / 2 is the one working
-    copy, scaled into Z in place; the symmetry check forms no N x N array.
-
-    Raises ConvergenceError (carrying the achieved residual) if the maximum
-    row/column-sum residual does not fall below ``tol`` within ``max_iter``
-    iterations.
-    """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInputError("K must be a square matrix")
-    if not np.isfinite(K).all():
-        raise InvalidInputError("K must be finite")
-    if np.any(K < 0):
-        raise InvalidInputError("K must have nonnegative entries")
-    scale = max(1.0, float(K.max()))  # K >= 0
-    for r0 in range(0, len(K), _BLOCK):
-        asymmetry = K[r0:r0 + _BLOCK] - K[:, r0:r0 + _BLOCK].T
-        if float(np.abs(asymmetry, out=asymmetry).max()) > 1e-8 * scale:
-            raise InvalidInputError("K must be symmetric")
-    Z = np.add(K, K.T)
-    Z *= 0.5
-    return Z, _scale_in_place(Z, tol, max_iter)
-
-
 def _scale_in_place(K, tol=1e-10, max_iter=10_000):
-    """Scale an exactly symmetric K in place into the Z of :func:`sinkhorn_bistochastic`; returns d.
+    """Scale a symmetric, nonnegative K in place into the bi-stochastic Z = D K D.
 
-    Z = (D K D + (D K D)^T) / 2 is formed in mirrored pairs of 32 x 32
-    blocks, so it is exactly symmetric.  Raises as :func:`sinkhorn_bistochastic` does.
+    The damped symmetric fixed-point step d <- sqrt(d / (K d)) keeps one
+    scaling vector, so rows and columns are balanced together.  Z is formed
+    as (D K D + (D K D)^T) / 2 in mirrored pairs of 32 x 32 blocks, so it is
+    exactly symmetric, and positive semidefinite whenever K is.  Raises
+    InvalidInputError when K d has an entry <= 0, and ConvergenceError,
+    carrying the achieved residual, when the largest row-sum residual is
+    above ``tol`` after ``max_iter`` steps.
     """
     d = np.ones(K.shape[0])
     residual = np.inf
@@ -151,7 +104,6 @@ def _scale_in_place(K, tol=1e-10, max_iter=10_000):
             block *= 0.5
             K[rows, cols] = block
             K[cols, rows] = block.T
-    return d
 
 
 def _classes(labels):
@@ -181,8 +133,9 @@ class Covariates:
     comparable labels with no NaN.  Their class ``index`` (classes numbered
     in sorted label order) and class sizes ``counts`` are taken here too, and
     shared by the coupling and the preconditioner.
-    ``bandwidth_b`` applies to continuous covariates only; :func:`build_couplings`
-    resolves "auto" with the median heuristic on the values.
+    Continuous values are checked here too: a finite N x m float matrix,
+    N >= 1, with ``bandwidth_b`` a positive number or "auto", which
+    :func:`build_couplings` resolves with the median heuristic on the values.
     """
 
     kind: str
@@ -350,15 +303,20 @@ def build_couplings(covariates):
     """Return the coupling of one solve: a :class:`CategoricalCoupling` or a :class:`DenseCoupling`.
 
     Computed once per solve.  Categorical covariates give the O(N) class
-    form, built from the class index :class:`Covariates` took; continuous ones
-    give the dense Z of the bi-stochastic scaling of their Gaussian kernel
-    matrix, scaled in place from the kernel, which is exactly symmetric, so
-    the build holds one N x N array.
+    form, built from the class index :class:`Covariates` took.  Continuous
+    values v_i of width m with bandwidth b give the Gaussian kernel
+    K[i, j] = (2 pi b^2)^(-m/2) exp(-||v_i - v_j||^2 / (2 b^2)), formed in
+    place from the squared distances and scaled in place by
+    :func:`_scale_in_place` into the dense Z: the build holds one N x N array.
     """
     if covariates.kind == "categorical":
         return CategoricalCoupling(covariates.index, covariates.counts)
     b = covariates.bandwidth_b
     b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
-    Z = kernel_cross_matrix(covariates.values, covariates.values, b)
+    values = covariates.values
+    Z = cdist(values, values, metric="sqeuclidean")
+    Z /= -(2.0 * b**2)
+    np.exp(Z, out=Z)
+    Z *= (2.0 * np.pi * b**2) ** (-0.5 * values.shape[1])
     _scale_in_place(Z)
     return DenseCoupling(Z)

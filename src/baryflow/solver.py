@@ -293,30 +293,28 @@ def step_implicit(y, grad, hvp, eta):
     def matvec(u):
         return operator(u.reshape(n, d)).ravel()
 
-    delta, converged = _minres(matvec, b, b, _KRYLOV_RTOL, _KRYLOV_MAXITER)
+    delta, converged = _minres(matvec, b)
     if converged and np.linalg.norm(b - matvec(delta)) <= _RESIDUAL_RTOL * np.linalg.norm(b):
         return y - delta.reshape(n, d), False
     return y - eta * grad, True
 
 
-def _minres(matvec, b, x0, rtol, maxiter):
+def _minres(matvec, b):
     """MINRES (Paige & Saunders 1975) for A x = b, A symmetric and given by ``matvec``.
 
     Unpreconditioned, with the recurrences, operation order and stopping
-    tests of ``scipy.sparse.linalg.minres``, so the iterates are bitwise
-    equal to scipy's; the vectors are updated in place.  The first residual
-    is b - A x0.  The run stops when the residual estimate is within
-    ``rtol * ||A|| ||x||`` (or A r within ``rtol * ||A|| ||r||``), when x is
-    accurate to machine precision or A looks singular, and after ``maxiter``
-    iterations.  ``rtol`` must be at least machine epsilon: scipy's further
-    exits for a test below eps are then implied by the rtol tests, and
-    scipy's exit for ``b == 0`` by ``b - A x0 == 0`` (the only caller
-    passes ``x0 = b``).  Returns ``(x, converged)``: ``converged`` is False
-    only at the iteration cap or at a non-finite Lanczos norm beta, where the
-    run stops at once.
+    tests of ``scipy.sparse.linalg.minres`` started from x0 = b, with
+    ``rtol=_KRYLOV_RTOL`` and ``maxiter=_KRYLOV_MAXITER``, so the iterates are
+    bitwise equal to scipy's; the vectors are updated in place.  The run
+    stops when the residual estimate is within ``rtol * ||A|| ||x||`` (or
+    A r within ``rtol * ||A|| ||r||``), when x is accurate to machine
+    precision or A looks singular, and after ``maxiter`` iterations.
+    Returns ``(x, converged)``: ``converged`` is False only at the iteration
+    cap or at a non-finite Lanczos norm beta, where the run stops at once.
     """
     eps = sys.float_info.epsilon
-    x = x0.copy()
+    rtol, maxiter = _KRYLOV_RTOL, _KRYLOV_MAXITER
+    x = b.copy()
     r1 = b - matvec(x)
     beta1 = np.inner(r1, r1)
     if beta1 == 0:

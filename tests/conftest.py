@@ -80,6 +80,18 @@ def categorical_coupling(labels):
     return build_couplings(Covariates.categorical(labels)).Z()
 
 
+def gaussian_kernel(points, bandwidth):
+    """Normalized Gaussian kernel of a point set against itself, from its closed form.
+
+    K[i, j] = (2 pi h^2)^(-m/2) exp(-||p_i - p_j||^2 / (2 h^2)) for N x m
+    points and bandwidth h; each row integrates to one.  The kernel
+    ``build_couplings`` scales into the Z of continuous covariates.
+    """
+    points = np.asarray(points, dtype=float)
+    sq = cdist(points, points, "sqeuclidean")
+    return (2.0 * np.pi * bandwidth**2) ** (-points.shape[1] / 2) * np.exp(-sq / (2.0 * bandwidth**2))
+
+
 def centering_matrix(Z):
     """Subtract each row's mean: C[i, l] = Z[i, l] - mean_k Z[i, k].
 

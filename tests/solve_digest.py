@@ -21,46 +21,8 @@ The solves cover every cost family, both constraint modes, both updates,
 categorical and Sinkhorn couplings, preconditioning, fixed and automatic
 lambda0, and runs whose learning rate is halved.  Each line reads
 ``name iterations halvings sha256``.  The name does not start with ``test_``,
-so pytest does not collect this file.  Listings saved before the history
-moved into one structured array differ, with no value changed, on every
-solve whose records then held numpy float64 values (all but the features
-solve with a fixed lambda0): that repr differs from a Python float's, and
-records now hold Python floats only.  Listings saved before features mode
-applied a categorical C in its class form differ on the three categorical
-features solves (``l2-features-explicit``,
-``distortion-features-explicit-lambda1`` and
-``l2-features-implicit-precondition``), whose products with C round
-differently; the kde solves and ``pnorm-features-sinkhorn`` match.
-Listings saved before kde read a categorical C^T in its class form differ
-on the six categorical kde solves (``l2-kde-explicit``,
-``l2-kde-explicit-eta50``, ``pnorm-kde-explicit-lambda1``,
-``l2-kde-implicit``, ``distortion-kde-implicit`` and
-``geodesic-kde-patches``), whose values and gradients round differently;
-the Sinkhorn and features solves match, and ``l2-kde-shuffled-strings``,
-a categorical kde solve on shuffled, unequal, string-labelled classes, is
-new with that change.  Listings saved before Hessian-vector products took
-block form (per-point blocks plus one remainder) differ on the three
-implicit solves ``l2-kde-implicit``, ``distortion-kde-implicit`` and
-``l2-features-implicit-precondition``, whose step operator rounds
-differently, and on ``l2-kde-explicit``, ``l2-kde-explicit-eta50`` and
-``geodesic-kde-patches``, whose lambda0 power iteration on the kde product
-does; the other solves match, the other kde solves with automatic lambda0
-included.  ``pnorm-kde-implicit`` and
-``geodesic-features-implicit-sinkhorn``, which take the p-norm cost's
-diagonal blocks and the great-circle cost's 2 x 2 blocks through an
-implicit step, are new with that change.  Listings saved before a
-Sinkhorn coupling was held as Z alone, with C = Z - 11^T/N in place of
-Z - rowmean(Z), differ on the four Sinkhorn solves
-(``geodesic-kde-sinkhorn``, ``l2-kde-sinkhorn-precondition``,
-``pnorm-features-sinkhorn`` and ``geodesic-features-implicit-sinkhorn``),
-whose C moved by at most 1e-10 / N an entry; the categorical solves match.
-Listings saved before lambda0 was estimated by Lanczos from the starting
-constraint gradient, in place of 50 steps of seeded power iteration, differ
-on the thirteen solves with automatic lambda0, whose lambda0 moved; the two
-with a fixed lambda0, ``pnorm-kde-explicit-lambda1`` and
-``distortion-features-explicit-lambda1``, match.  Each of the thirteen
-lines equals the one the earlier code gives with lambda0 fixed at the new
-estimate, so lambda0 is all that moved.
+so pytest does not collect this file.  CHANGES.md records which solves
+each regeneration of the listing moved, and why.
 """
 
 import dataclasses

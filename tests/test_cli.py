@@ -81,22 +81,11 @@ class TestCli:
         main(["gen", "ellipses", "--seed", "5", "--output", b])
         assert open(a).read() == open(b).read()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        a = str(tmp_path / "a.csv")
-        b = str(tmp_path / "b.csv")
-        monkeypatch.setenv("BARYFLOW_SEED", "17")
-        main(["gen", "ellipses", "--output", a])
-        main(["gen", "ellipses", "--seed", "17", "--output", b])
-        assert open(a).read() == open(b).read()
-
     @pytest.mark.parametrize("what", ["ellipses", "hidden-signal"])
-    def test_negative_seed_is_error(self, what, tmp_path, monkeypatch, capsys):
+    def test_negative_seed_is_error(self, what, tmp_path, capsys):
         out = tmp_path / "a.csv"
         assert main(["gen", what, "--seed", "-1", "--output", str(out)]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err
-        monkeypatch.setenv("BARYFLOW_SEED", "-3")
-        assert main(["gen", what, "--output", str(out)]) == 1
-        assert "BARYFLOW_SEED must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_solve_end_to_end(self, tmp_path):
@@ -118,6 +107,7 @@ class TestCli:
         assert all(a <= b for a, b in zip(lams, lams[1:]))
         summary = json.load(open(summ))
         assert summary["config"]["cost"] == "pnorm:2"
+        assert summary["config"]["seed"] == 0  # the default, echoed as parsed
         assert "final_L_F" in summary and "wall_time_s" in summary
 
     def test_result_rows_follow_input_order(self, tmp_path):
@@ -276,7 +266,7 @@ class TestCli:
     def test_solver_flag_defaults_are_the_config_defaults(self):
         args = _build_parser().parse_args(["solve"])
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
-        assert SolverConfig(**dict(flags, seed=0)) == SolverConfig()
+        assert SolverConfig(**flags) == SolverConfig()
 
     @pytest.mark.parametrize("what,generate", [
         ("ellipses", gen_ellipses), ("sphere-patches", gen_sphere_patches),

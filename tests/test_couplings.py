@@ -9,14 +9,14 @@ from baryflow.couplings import (
     CategoricalCoupling,
     Covariates,
     DenseCoupling,
+    _scale_in_place,
     build_couplings,
-    kernel_cross_matrix,
     median_heuristic_bandwidth,
-    sinkhorn_bistochastic,
 )
+from baryflow.datagen import gen_hidden_signal, lagged_dataset
 from baryflow.errors import ConvergenceError, InvalidInputError
 
-from conftest import categorical_coupling, centering_matrix, peak_bytes
+from conftest import categorical_coupling, centering_matrix, gaussian_kernel, peak_bytes
 
 _rng = np.random.default_rng(7)
 # label sets with 1 to 7 classes: unequal sizes, singletons, ints and strings
@@ -34,119 +34,132 @@ LABEL_SETS = [
 ]
 
 
+def scaled(K, **limits):
+    """The Z that ``_scale_in_place`` forms from a copy of K; K is left as it was."""
+    Z = np.array(K, dtype=float)
+    _scale_in_place(Z, **limits)
+    return Z
+
+
+def continuous_z(values, bandwidth_b):
+    """The dense Z that ``build_couplings`` gives continuous covariates."""
+    return build_couplings(Covariates.continuous(values, bandwidth_b=bandwidth_b)).Z()
+
+
+def _normal(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+# (values, bandwidth_b): the benchmark's hidden-signal covariates (151 steps,
+# cartesian lags) and random sets of several sizes, widths and scales
+CONTINUOUS_SETS = [
+    *((lagged_dataset(gen_hidden_signal(seed, steps=151), space="cartesian").covariates.values,
+       "auto") for seed in (0, 1)),
+    (_normal(2, 1, 1), 1.0),
+    (_normal(3, 2, 3), 0.5),
+    (_normal(4, 17, 1), "auto"),
+    (_normal(5, 40, 2), 0.7),
+    (1e3 * _normal(6, 65, 3), "auto"),
+    (1e-3 * _normal(7, 130, 2), "auto"),
+    (np.repeat(_normal(8, 20, 2), 3, axis=0), "auto"),  # every value three times
+]
+
+
 class TestGaussianKernel:
+    """The reference kernel's closed form: the kernel build_couplings scales into Z."""
+
     def test_peak_value_1d(self):
         # Gaussian at its center: (2*pi)^(-1/2)
-        K = kernel_cross_matrix([[0.0]], [[0.0]], 1.0)
+        K = gaussian_kernel([[0.0]], 1.0)
         assert K[0, 0] == pytest.approx(1.0 / np.sqrt(2 * np.pi))
-
-    def test_symmetry(self, rng):
-        for _ in range(10):
-            u, v = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-            assert np.array_equal(kernel_cross_matrix(u, v, 0.7), kernel_cross_matrix(v, u, 0.7).T)
 
     def test_unit_distance_2d(self):
         # ||u - v|| = a in d=2: value is (2*pi*a^2)^(-1) * exp(-1/2), computed
         # independently from the closed form.
         a = 0.8
         expected = np.exp(-0.5) / (2.0 * np.pi * a**2)
-        K = kernel_cross_matrix([[0.0, 0.0]], [[a, 0.0]], a)
-        assert K[0, 0] == pytest.approx(expected, rel=1e-14)
+        K = gaussian_kernel([[0.0, 0.0], [a, 0.0]], a)
+        assert K[0, 1] == pytest.approx(expected, rel=1e-14)
 
     def test_integrates_to_one_1d(self):
-        # quadrature oracle on a wide grid
+        # quadrature oracle on a wide grid, of the kernel centred on its middle point
         a = 0.5
-        t = np.linspace(-8, 8, 20001)[:, None]
-        vals = kernel_cross_matrix(t, np.zeros((1, 1)), a)[:, 0]
+        t = np.linspace(-8, 8, 1001)[:, None]
+        vals = gaussian_kernel(t, a)[:, 500]
         assert np.trapezoid(vals, t[:, 0]) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("case", range(len(CONTINUOUS_SETS)))
+    def test_build_scales_the_reference_kernel(self, case):
+        # bitwise: build_couplings forms this kernel in place and scales it
+        values, b = CONTINUOUS_SETS[case]
+        h = median_heuristic_bandwidth(values) if b == "auto" else b
+        Z = continuous_z(values, b)
+        assert Z.tobytes() == scaled(gaussian_kernel(values, h)).tobytes()
 
 
 class TestKernelMatrix:
     def test_single_point(self):
         pts = np.zeros((1, 3))
-        K = kernel_cross_matrix(pts, pts, 2.0)
+        K = gaussian_kernel(pts, 2.0)
         assert K.shape == (1, 1)
         assert K[0, 0] == pytest.approx((2 * np.pi * 4.0) ** -1.5)
+        assert continuous_z(pts, 2.0)[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_duplicate_points_rank_one(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0]])
-        K = kernel_cross_matrix(pts, pts, 1.0)
+        K = gaussian_kernel(pts, 1.0)
         peak = 1.0 / (2 * np.pi)
         eigs = np.sort(np.linalg.eigvalsh(K))
         assert np.allclose(K, peak)
         assert eigs == pytest.approx([0.0, 2 * peak], abs=1e-12)
+        assert np.allclose(continuous_z(pts, 1.0), 0.5)
 
     def test_positive_semidefinite(self, rng):
         pts = rng.normal(size=(5, 2))
-        K = kernel_cross_matrix(pts, pts, 0.9)
+        K = gaussian_kernel(pts, 0.9)
         assert np.array_equal(K, K.T)
         assert np.all(K > 0)
         assert np.linalg.eigvalsh(K).min() >= -1e-12
 
 
 class TestSinkhorn:
+    """``_scale_in_place`` on a copy: the scaling build_couplings applies to its kernel."""
+
     def test_identity_fixed_point(self):
-        Z, d = sinkhorn_bistochastic(np.eye(4))
-        assert np.allclose(Z, np.eye(4))
-        assert np.allclose(d, 1.0)
+        assert np.allclose(scaled(np.eye(4)), np.eye(4))
 
     def test_all_ones(self):
         n = 5
-        Z, d = sinkhorn_bistochastic(np.ones((n, n)))
-        assert np.allclose(Z, 1.0 / n)
-        assert np.allclose(d, 1.0 / np.sqrt(n))
+        assert np.allclose(scaled(np.ones((n, n))), 1.0 / n)
 
     def test_two_by_two_fixed_point(self):
         # hand-solved: d = sqrt(2/3) makes diag(d) K diag(d) bi-stochastic
-        K = np.array([[1.0, 0.5], [0.5, 1.0]])
-        Z, d = sinkhorn_bistochastic(K)
-        assert d == pytest.approx([np.sqrt(2 / 3), np.sqrt(2 / 3)], rel=1e-9)
+        Z = scaled(np.array([[1.0, 0.5], [0.5, 1.0]]))
         assert Z == pytest.approx(np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]]), rel=1e-9)
 
     def test_rows_and_columns_sum_to_one(self, rng):
         pts = rng.normal(size=(40, 3))
-        K = kernel_cross_matrix(pts, pts, 1.2)
-        Z, _ = sinkhorn_bistochastic(K, tol=1e-10)
+        Z = scaled(gaussian_kernel(pts, 1.2), tol=1e-10)
         assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
 
     def test_scale_invariance(self, rng):
         # scaling K by c > 0 leaves Z unchanged
         pts = rng.normal(size=(15, 2))
-        K = kernel_cross_matrix(pts, pts, 0.8)
-        Z1, _ = sinkhorn_bistochastic(K)
-        Z2, _ = sinkhorn_bistochastic(37.5 * K)
-        assert np.abs(Z1 - Z2).max() <= 1e-9
+        K = gaussian_kernel(pts, 0.8)
+        assert np.abs(scaled(K) - scaled(37.5 * K)).max() <= 1e-9
 
     def test_output_psd(self, rng):
         pts = rng.normal(size=(20, 2))
-        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(pts, pts, 1.0))
+        Z = scaled(gaussian_kernel(pts, 1.0))
         assert np.linalg.eigvalsh(Z).min() >= -1e-12
 
     def test_convergence_error_carries_residual(self, rng):
         pts = rng.normal(size=(30, 2))
-        K = kernel_cross_matrix(pts, pts, 0.3)
+        K = gaussian_kernel(pts, 0.3)
         with pytest.raises(ConvergenceError) as exc:
-            sinkhorn_bistochastic(K, tol=1e-10, max_iter=2)
+            scaled(K, tol=1e-10, max_iter=2)
         assert exc.value.residual > 0
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInputError):
-            sinkhorn_bistochastic(np.array([[1.0, 0.2], [0.8, 1.0]]))
-
-    def test_set_up_works_on_one_copy(self, rng):
-        # one N x N copy beyond the input, which is left as it was, and the
-        # copy's buffered add (1.26 N^2 here); Z bitwise equal to the
-        # formula the in-place steps replace
-        n = 200
-        pts = rng.normal(size=(n, 2))
-        K = kernel_cross_matrix(pts, pts, 0.8)
-        given = K.copy()
-        assert peak_bytes(lambda: sinkhorn_bistochastic(K)) <= 1.35 * n**2 * 8
-        assert np.array_equal(K, given)
-        Z, d = sinkhorn_bistochastic(K)
-        ref = d[:, None] * (0.5 * (K + K.T)) * d[None, :]
-        assert np.array_equal(Z, 0.5 * (ref + ref.T))
 
 
 class TestCategoricalCoupling:
@@ -276,14 +289,12 @@ class TestCenteringMatrix:
 
     def test_columns_sum_to_zero(self, rng):
         pts = rng.normal(size=(25, 2))
-        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(pts, pts, 1.0))
-        C = centering_matrix(Z)
+        C = centering_matrix(continuous_z(pts, 1.0))
         assert np.abs(C.sum(axis=0)).max() <= 1e-10
 
     def test_quadratic_form_nonnegative(self, rng):
         pts = rng.normal(size=(20, 3))
-        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(pts, pts, 1.1))
-        C = centering_matrix(Z)
+        C = centering_matrix(continuous_z(pts, 1.1))
         for _ in range(20):
             v = rng.normal(size=20)
             assert v @ C @ v >= -1e-10
@@ -325,6 +336,18 @@ class TestCovariatesAndBuild:
         assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
         assert np.allclose(Z, Z.T)
+
+    @pytest.mark.parametrize("bandwidth_b", ["auto", 0.8])
+    def test_continuous_build_holds_one_square_array(self, bandwidth_b, rng):
+        # the kernel is formed and scaled into Z in place, and the median
+        # heuristic's distances are freed before it: 1.059 N^2 doubles here,
+        # Z and about 75 kB of vectors and blocks
+        n = 400
+        values = rng.normal(size=(n, 2))
+        build = lambda: build_couplings(Covariates.continuous(values, bandwidth_b=bandwidth_b))
+        assert peak_bytes(build) <= 1.1 * n**2 * 8
+        Z = build().Z()
+        assert np.array_equal(Z, Z.T)
 
     @pytest.mark.parametrize("n", [9, 60])
     def test_continuous_C_is_exactly_symmetric(self, n, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baryflow.costs import CostModel, cost_function
-from baryflow.couplings import Covariates, build_couplings, kernel_cross_matrix, sinkhorn_bistochastic
+from baryflow.couplings import Covariates, build_couplings
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import (
     MonomialBasis,
@@ -145,7 +145,7 @@ class TestLfKde:
             n = int(rng.integers(4, 30))
             y = rng.standard_normal((n, 2))
             z = rng.standard_normal((n, 1))
-            Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(z, z, 0.7))
+            Z = build_couplings(Covariates.continuous(z, bandwidth_b=0.7)).Z()
             assert kde_value(y, Z, 0.5) >= -1e-10
 
 
@@ -160,7 +160,7 @@ class TestLfFeatures:
         one = MonomialBasis([[0, 0]])
         y = rng.standard_normal((7, 2))
         z = rng.standard_normal((7, 1))
-        Z, _ = sinkhorn_bistochastic(kernel_cross_matrix(z, z, 0.8))
+        Z = build_couplings(Covariates.continuous(z, bandwidth_b=0.8)).Z()
         assert features_value(y, Z, one) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_singletons_value(self):
