@@ -251,7 +251,7 @@ def _add_solver_flags(parser):
     parser.add_argument("--tol-y", type=float, default=cfg.tol_y)
     parser.add_argument("--tol-lf", type=float, default=cfg.tol_lf)
     parser.add_argument("--precondition", action="store_true", default=cfg.precondition)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=cfg.seed)
     parser.add_argument("--output", default="result.csv",
                         help="result CSV path ('-' for stdout)")
     parser.add_argument("--history", default="history.csv",

@@ -22,15 +22,16 @@ einsums, one N x N by N x (d + 1)^2 matrix product and an add.
 
 :func:`cost_function` checks x and Z once per solve; per call, only the
 great-circle cost's latitudes of y are checked, as a step can pass a pole.
-Every family returns its gradient as a function that builds it, as the
-constraint modes of :mod:`baryflow.objective` do, so an evaluation whose
-gradient is never read builds none.
+Every family returns its gradient as a function that builds it and its
+product as a :class:`BlockHvp` that sets up nothing until it is read, as
+the constraint modes of :mod:`baryflow.objective` do.  A product's build
+holds only what the gradient holds, x and y; the squared-Euclidean
+product, I / N at every y, is made once per solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -110,16 +111,22 @@ def _check_latitudes(points):
         raise InvalidInputError("latitude outside [-pi/2, pi/2]")
 
 
-def deferred(build):
-    """``build()`` on the first call, the same result after: set-up never used is never built."""
-    box = {"build": build}
+class deferred:
+    """``build()`` on the first call, the same result after: set-up never used is never built.
 
-    def get():
-        if "build" in box:  # a build that raises is kept, and raises again on the next call
-            box["value"] = box["build"]()
-            del box["build"]  # releases build and what it holds
-        return box["value"]
-    return get
+    A slotted object rather than a closure: every evaluation makes several.
+    """
+
+    __slots__ = ("_build", "_value")
+
+    def __init__(self, build):
+        self._build = build
+
+    def __call__(self):
+        if self._build is not None:  # a build that raises is kept, and raises again on the next call
+            self._value = self._build()
+            self._build = None  # releases build and what it holds
+        return self._value
 
 
 class BlockHvp:
@@ -213,23 +220,15 @@ def pair_outer_operator(A, y):
     return B, S, rest
 
 
-def _identity_blocks(x):
-    """The squared-Euclidean Hessian's blocks I / N, the same at every y."""
-    n, d = x.shape
-    return add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()
-
-
-def _sq_euclidean_parts(x, y, want_hvp):
+def _sq_euclidean_parts(x, y, hvp):
     n = x.shape[0]
     diff = y - x
     value = 0.5 * float(np.sum(diff * diff)) / n
     grad = lambda: diff / n
-    # a partial holds fewer objects than a closure, in every implicit evaluation
-    hvp = BlockHvp(partial(_identity_blocks, x)) if want_hvp else None
     return value, grad, hvp
 
 
-def _p_norm_parts(model, x, y, want_hvp):
+def _p_norm_parts(model, x, y):
     n, d = x.shape
     p, eps = model.p, model.eps_abs
     t = x - y
@@ -238,16 +237,19 @@ def _p_norm_parts(model, x, y, want_hvp):
     value = float(np.sum(s**p)) / n
     sprime = t / si
     grad = lambda: -(p / n) * s ** (p - 1.0) * sprime
-    hvp = None
-    if want_hvp:
+
+    def hessian():
+        t = x - y
+        si = np.sqrt(t * t + eps)  # recomputed, bit for bit, rather than kept
         # (p-1) s^(p-2) s'^2 has a removable singularity at t = 0 for p < 2.
         curv1 = np.zeros_like(s)
         mask = s > 0
         curv1[mask] = (p - 1.0) * s[mask] ** (p - 2.0) * sprime[mask] ** 2
         curv2 = s ** (p - 1.0) * eps / si**3
         diag = (p / n) * (curv1 + curv2)  # the Hessian is diagonal per coordinate
-        hvp = BlockHvp(deferred(lambda: (add_diagonal(np.zeros((n, d, d)), diag), ())))
-    return value, grad, hvp
+        return add_diagonal(np.zeros((n, d, d)), diag), ()
+
+    return value, grad, BlockHvp(deferred(hessian))
 
 
 def _geodesic_q(arg, dist):
@@ -266,47 +268,49 @@ def _geodesic_q(arg, dist):
     return qp, qpp
 
 
-def _geodesic_parts(x, y, want_hvp):
-    n, _ = x.shape
-    theta_x, phi_x = x[:, 0], x[:, 1]
-    theta_y, phi_y = y[:, 0], y[:, 1]
-    dtheta = theta_x - theta_y
-    dphi = phi_x - phi_y
-    cpx, cpy = np.cos(phi_x), np.cos(phi_y)
+def _geodesic_angles(x, y):
+    """dtheta, dphi, cos phi_x, cos phi_y, sin^2(dtheta/2), the clipped haversine arg, dist."""
+    dtheta = x[:, 0] - y[:, 0]
+    dphi = x[:, 1] - y[:, 1]
+    cpx, cpy = np.cos(x[:, 1]), np.cos(y[:, 1])
     st2 = np.sin(0.5 * dtheta) ** 2
-    arg = np.sin(0.5 * dphi) ** 2 + cpx * cpy * st2
-    arg = np.clip(arg, 0.0, 1.0)
+    arg = np.clip(np.sin(0.5 * dphi) ** 2 + cpx * cpy * st2, 0.0, 1.0)
+    arg = np.minimum(arg, _ANTIPODAL_CLIP)  # at the clip exactly when antipodal
+    return dtheta, dphi, cpx, cpy, st2, arg, 2.0 * np.arcsin(np.sqrt(arg))
+
+
+def _geodesic_parts(x, y):
+    n, _ = x.shape
+    dtheta, dphi, cpx, cpy, st2, arg, dist = _geodesic_angles(x, y)
     antipodal = arg >= _ANTIPODAL_CLIP
-    arg_c = np.minimum(arg, _ANTIPODAL_CLIP)
-    dist = 2.0 * np.arcsin(np.sqrt(arg_c))
 
     value = float(np.sum(dist**2)) / n
 
     dA = np.empty((n, 2))
     dA[:, 0] = -0.5 * cpx * cpy * np.sin(dtheta)
-    dA[:, 1] = -0.5 * np.sin(dphi) - cpx * np.sin(phi_y) * st2
-    qp, qpp = _geodesic_q(arg_c, dist)
+    dA[:, 1] = -0.5 * np.sin(dphi) - cpx * np.sin(y[:, 1]) * st2
+    qp, _ = _geodesic_q(arg, dist)
 
     grad = lambda: np.where(antipodal[:, None], 0.0, (qp[:, None] * dA) / n)
 
-    hvp = None
-    if want_hvp:
-        def hess():
-            hA = np.empty((n, 2, 2))
-            hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
-            hA[:, 0, 1] = 0.5 * cpx * np.sin(phi_y) * np.sin(dtheta)
-            hA[:, 1, 0] = hA[:, 0, 1]
-            hA[:, 1, 1] = 0.5 * np.cos(dphi) - cpx * cpy * st2
-            out = (qpp[:, None, None] * dA[:, :, None] * dA[:, None, :]
-                   + qp[:, None, None] * hA) / n
-            out[antipodal] = 0.0
-            return out, ()
+    def hessian():
+        # the angles are recomputed from x and y, bit for bit, rather than kept
+        dtheta, dphi, cpx, cpy, st2, arg, dist = _geodesic_angles(x, y)
+        _, qpp = _geodesic_q(arg, dist)
+        hA = np.empty((n, 2, 2))
+        hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
+        hA[:, 0, 1] = 0.5 * cpx * np.sin(y[:, 1]) * np.sin(dtheta)
+        hA[:, 1, 0] = hA[:, 0, 1]
+        hA[:, 1, 1] = 0.5 * np.cos(dphi) - cpx * cpy * st2
+        out = (qpp[:, None, None] * dA[:, :, None] * dA[:, None, :]
+               + qp[:, None, None] * hA) / n
+        out[antipodal] = 0.0
+        return out, ()
 
-        hvp = BlockHvp(deferred(hess))
-    return value, grad, hvp
+    return value, grad, BlockHvp(deferred(hessian))
 
 
-def _distortion_parts(model, x, y, denom, W, want_hvp):
+def _distortion_parts(model, x, y, denom, W):
     n = x.shape[0]
     omega = model.omega
     dev = cdist(y, y, metric="sqeuclidean") / denom - 1.0
@@ -320,25 +324,22 @@ def _distortion_parts(model, x, y, denom, W, want_hvp):
     grad = lambda: (8.0 / n**2) * (coeff().sum(axis=1)[:, None] * y - coeff() @ y) + (
         2.0 * omega / n) * anchor_diff
 
-    hvp = None
-    if want_hvp:
-        # Pair (j, i) contributes c_outer (d d^T) + c_eye I, d = y_j - y_i, to
-        # the (j, j) block and its negative to the (j, i) block; W has a zero
-        # diagonal, so the pair (j, j) contributes nothing.  The (j, j) terms
-        # fold into the pair operator's blocks; the remainder is
-        # S (A T v) - c_eye @ v.
-        def hessian():
-            c_eye = (8.0 / n**2) * coeff()
-            B, _, pair = pair_outer_operator((16.0 / n**2) * W / denom**2, y)
-            add_diagonal(B, c_eye.sum(axis=1)[:, None] + 2.0 * omega / n)
+    # Pair (j, i) contributes c_outer (d d^T) + c_eye I, d = y_j - y_i, to
+    # the (j, j) block and its negative to the (j, i) block; W has a zero
+    # diagonal, so the pair (j, j) contributes nothing.  The (j, j) terms
+    # fold into the pair operator's blocks; the remainder is
+    # S (A T v) - c_eye @ v.
+    def hessian():
+        c_eye = (8.0 / n**2) * coeff()
+        B, _, pair = pair_outer_operator((16.0 / n**2) * W / denom**2, y)
+        add_diagonal(B, c_eye.sum(axis=1)[:, None] + 2.0 * omega / n)
 
-            def rest(s):
-                pair_s = pair(s)
-                return lambda v: pair_s(v) - s * (c_eye @ v)
-            return B, (rest,)
+        def rest(s):
+            pair_s = pair(s)
+            return lambda v: pair_s(v) - s * (c_eye @ v)
+        return B, (rest,)
 
-        hvp = BlockHvp(deferred(hessian))
-    return value, grad, hvp
+    return value, grad, BlockHvp(deferred(hessian))
 
 
 def cost_function(model, x, Z=None):
@@ -346,25 +347,27 @@ def cost_function(model, x, Z=None):
 
     Checks x (finite N x d; 2 columns and latitudes in range for the
     great-circle cost) and Z here, once; distortion also computes its x- and
-    Z-only terms here.  Returns ``parts(y, want_hvp=False) -> (value, grad,
-    hvp)`` for a finite float y of x's shape, which checks only the
-    great-circle latitudes of y.  ``grad`` is a function of no arguments that
-    builds the N x d gradient.  ``hvp`` is the product of the cost's Hessian
-    at y in block form, a :class:`BlockHvp`; it is None unless ``want_hvp``.
+    Z-only terms here.  Returns ``parts(y) -> (value, grad, hvp)`` for a
+    finite float y of x's shape, which checks only the great-circle
+    latitudes of y.  ``grad`` is a function of no arguments that builds the
+    N x d gradient.  ``hvp`` is the product of the cost's Hessian at y in
+    block form, a :class:`BlockHvp` that sets up nothing until it is read.
     """
     x = as_points(x)
     if model.family == "sq_euclidean":
-        return lambda y, want_hvp=False: _sq_euclidean_parts(x, y, want_hvp)
+        n, d = x.shape
+        hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()))  # I / N at every y
+        return lambda y: _sq_euclidean_parts(x, y, hvp)
     if model.family == "p_norm":
-        return lambda y, want_hvp=False: _p_norm_parts(model, x, y, want_hvp)
+        return lambda y: _p_norm_parts(model, x, y)
     if model.family == "geodesic_sphere":
         if x.shape[1] != 2:
             raise InvalidInputError("geodesic cost expects 2 columns: (longitude, latitude)")
         _check_latitudes(x)
 
-        def parts(y, want_hvp=False):
+        def parts(y):
             _check_latitudes(y)
-            return _geodesic_parts(x, y, want_hvp)
+            return _geodesic_parts(x, y)
         return parts
     if Z is None or np.shape(Z) != (len(x), len(x)):
         raise InvalidInputError("the distortion cost requires an N x N coupling matrix Z")
@@ -372,4 +375,4 @@ def cost_function(model, x, Z=None):
     denom = cdist(x, x, metric="sqeuclidean") + model.eps_dist**2
     W = 0.5 * (Z + Z.T)
     np.fill_diagonal(W, 0.0)
-    return lambda y, want_hvp=False: _distortion_parts(model, x, y, denom, W, want_hvp)
+    return lambda y: _distortion_parts(model, x, y, denom, W)

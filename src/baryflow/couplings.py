@@ -27,6 +27,7 @@ only when a caller asks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,15 +309,22 @@ def build_couplings(covariates):
     K[i, j] = (2 pi b^2)^(-m/2) exp(-||v_i - v_j||^2 / (2 b^2)), formed in
     place from the squared distances and scaled in place by
     :func:`_scale_in_place` into the dense Z: the build holds one N x N array.
+    A b whose 2 b^2 is subnormal, or whose scale is 0 or overflows, raises InvalidInputError.
     """
     if covariates.kind == "categorical":
         return CategoricalCoupling(covariates.index, covariates.counts)
-    b = covariates.bandwidth_b
-    b = median_heuristic_bandwidth(covariates.values) if b == "auto" else float(b)
     values = covariates.values
+    b = covariates.bandwidth_b
+    b = float(median_heuristic_bandwidth(values) if b == "auto" else b)
+    try:  # in Python floats, which raise where numpy would warn
+        norm = (2.0 * np.pi * b**2) ** (-0.5 * values.shape[1])
+    except ArithmeticError:  # 2 b^2 is zero, or b^2 or the scale overflows
+        norm = 0.0
+    if not (norm > 0.0 and 2.0 * b**2 >= sys.float_info.min):  # numpy divides by 2 b^2
+        raise InvalidInputError(f"bandwidth_b = {b!r} is out of the Gaussian kernel's float range")
     Z = cdist(values, values, metric="sqeuclidean")
     Z /= -(2.0 * b**2)
     np.exp(Z, out=Z)
-    Z *= (2.0 * np.pi * b**2) ** (-0.5 * values.shape[1])
+    Z *= norm
     _scale_in_place(Z)
     return DenseCoupling(Z)

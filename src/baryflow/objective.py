@@ -37,36 +37,35 @@ constraint modes exist:
   symmetric too, applied as F Z - (F 1) 1^T/N.
 
 The constraint binds to one solve through :func:`constraint_function`, which
-takes the solve's coupling and a kde bandwidth or a features
-basis, and checks them once; per call, only the features' width is checked,
-and the solver checks that each candidate is finite.
+takes the solve's coupling and a kde bandwidth or a features basis and
+checks them once; per call, only the features' width is checked, and the
+solver checks that each candidate is finite.
 
-Both terms of the objective share one contract: a bound term returns its value,
-its gradient as a function that builds it, and its Hessian-vector product.  The
-constraint's gradient builds from the terms the value left behind (the kde
-kernel matrix, the features' C f_l), which the Hessian-vector product shares.
-:func:`evaluate` computes both values and builds each gradient on its first
-read.  The solver reads them only at the points it keeps, so a rejected step
-or a descent check's right side pays for its values alone.
+Both terms of the objective share one lazy contract: a bound term returns
+its value, its gradient as a function that builds it, and its Hessian-vector
+product as a :class:`~baryflow.costs.BlockHvp` that sets up nothing until it
+is read.  Gradient and product build from what the value left behind (the
+kde kernel matrix, the features' C f_l) and the points, nothing else.
+:func:`evaluate` computes both values; the solver reads gradients only at
+the points it keeps and products only for lambda0 and implicit steps, so a
+rejected step or a descent check's right side pays for its values alone.
 
 Hessian-vector products apply the Jacobian of the returned gradient field,
 so they include the cross terms that arise from the kernel centers (or
-feature averages) tracking the points.  They reuse the gradient's
-intermediate terms and never form the (N, N, d, d) Hessian.  Both modes
-give them in the block form of :class:`baryflow.costs.BlockHvp`: per-point
-d x d blocks D plus one remainder product.  kde's gradient
-reads the row sums s of the weighted kernel M = E * C^T and M @ w, where w
-holds the points in their frame: a dense coupling forms M in place on the
-first gradient read and takes both from it; a categorical one in K <= 4
-classes takes both from one product of the kernel with K (d + 1) columns,
-and forms M in place only for a Hessian-vector product, which reads the
-same s.  The
-product's first use sets up the pair operator of M in O(N^2 d^2) (see
+feature averages) tracking the points.  They never form the (N, N, d, d)
+Hessian: both modes give per-point d x d blocks D plus one remainder
+product.  kde's gradient reads the row sums s of the weighted kernel
+M = E * C^T and M @ w, where w holds the points in their frame: a dense
+coupling forms M in place on the first gradient read and takes both from
+it; a categorical one in K <= 4 classes takes both from one product of the
+kernel with K (d + 1) columns, and forms M in place only for a
+Hessian-vector product, which reads the same s.  The product's first use
+sets up the pair operator of M in O(N^2 d^2) (see
 :func:`baryflow.costs.pair_outer_operator`) and folds the product's scale,
 its -s v and its M v into the operator's blocks and its factor S, in place;
 the remainder is S (M (T v)), so a kde product is the blocks' einsum, two
-more einsums and one N x N by N x (d + 1)^2 matrix product.  Features
-take the blocks 2 sum_l (C f_l)_i Hess f_l(y_i), and the cross term
+more einsums and one N x N by N x (d + 1)^2 matrix product.  Features take
+the blocks 2 sum_l (C f_l)_i Hess f_l(y_i), and the cross term
 2 sum_l grad f_l (C g_l) as the remainder: O(N m d) plus two products with
 C^T of m stacked rows, O(N m K) each for categorical covariates in K
 classes and O(N^2 m) for a Sinkhorn Z.
@@ -230,7 +229,7 @@ def _kde_kernel(u, uu, B):
     return np.exp(E, out=E)
 
 
-def _kde_parts(y, kde, bandwidth, want_hvp, before=None):
+def _kde_parts(y, kde, bandwidth, before=None):
     kde_value, kde_terms = kde
     r = np.sqrt(2.0) * bandwidth
     mean, w, ww, B = _kde_frame(y, r)  # w_j - w_i = D_ji / r, D_ji = y_j - y_i
@@ -244,78 +243,72 @@ def _kde_parts(y, kde, bandwidth, want_hvp, before=None):
     terms = deferred(lambda: kde_terms(E, w))
     s = deferred(lambda: terms()[0])  # the product keeps s, not what M @ w holds
     grad = lambda: -2.0 * norm / r * (s()[:, None] * w - terms()[1]())
-    hvp = None
-    if want_hvp:
-        def hessian():
-            # The product is k (2 pair - s v + M v), the pair term in units of
-            # r.  k, the 2 and -s v fold into the pair operator's blocks; k,
-            # the 2 and the columns M v of M (T v) fold into S.
-            k = 2.0 * norm / r**2
-            D, S, pair = pair_outer_operator(terms()[2](), w)
-            D *= 2.0 * k
-            add_diagonal(D, -k * s()[:, None])
-            S *= 2.0 * k
-            d = w.shape[1]
-            S[:, np.arange(d), np.arange(d) * (d + 1) + d] += k
-            return D, (pair,)
 
-        hvp = BlockHvp(deferred(hessian))
-    if before is not None:
-        return value, grad, hvp, value_before
-    return value, grad, hvp
+    def hessian():
+        # The product is k (2 pair - s v + M v), the pair term in units of
+        # r.  k, the 2 and -s v fold into the pair operator's blocks; k,
+        # the 2 and the columns M v of M (T v) fold into S.
+        k = 2.0 * norm / r**2
+        D, S, pair = pair_outer_operator(terms()[2](), w)
+        D *= 2.0 * k
+        add_diagonal(D, -k * s()[:, None])
+        S *= 2.0 * k
+        d = w.shape[1]
+        S[:, np.arange(d), np.arange(d) * (d + 1) + d] += k
+        return D, (pair,)
+
+    parts = value, grad, BlockHvp(deferred(hessian))
+    return parts if before is None else (*parts, value_before)
 
 
-def _features_parts(y, product, basis, want_hvp):
+def _features_parts(y, product, basis):
     vals, grads = basis.value_and_grad(y)
     cv = product(vals)  # row l is C @ f_l
     value = float(np.einsum("li,li->l", vals, cv).sum())  # sum_l f_l' C f_l
     grad = lambda: 2.0 * np.einsum("li,lia->ia", cv, grads)
-    hvp = None
-    if want_hvp:
+
+    def hessian():
         def cross(s):  # v -> s * 2 sum_l grad f_l (C g_l), g[l, k] = f_l'(y_k) . v_k
             def apply(v):
                 g = np.einsum("lkb,kb->lk", grads, v)
                 return (2.0 * s) * np.einsum("lia,li->ia", grads, product(g))
             return apply
+        return 2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)), (cross,)
 
-        hvp = BlockHvp(deferred(lambda: (2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)),
-                                         (cross,))))
-    return value, grad, hvp
+    return value, grad, BlockHvp(deferred(hessian))
 
 
 def constraint_function(coupling, test_functions):
     """Bind a constraint to the coupling of one solve.
 
-    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns:
-    a :class:`~baryflow.couplings.CategoricalCoupling` or a
+    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns: a
+    :class:`~baryflow.couplings.CategoricalCoupling` or a
     :class:`~baryflow.couplings.DenseCoupling`.  ``test_functions`` is a kde
     bandwidth (a positive number) or the :class:`MonomialBasis` of features
     mode, whose m terms weigh equally.  Checks here, once, that
-    ``test_functions`` is one of the two.  Features keep the coupling's
-    product with C^T, which holds only what it reads.  kde keeps the
-    coupling's reads of C^T = Z - 1/N: a value, the gradient's terms and
-    the weighted kernel; a Sinkhorn coupling forms C^T in place on its Z for
-    them, which spends it, a categorical one holds its K distinct rows when
-    K <= 4, else forms C^T in place on its dense Z.  (2 pi a^2)^(-d/2)
-    scales only O(N d) outputs.  Returns
-    ``parts(y, want_hvp=False) -> (value, grad, hvp)`` for a finite N x d
-    float y.  ``grad`` is a function of no arguments that builds the N x d
-    gradient.  kde's kernel centers are the points y, and its gradient
-    differentiates only the kernel's evaluation slot.  ``hvp`` (None unless
-    ``want_hvp``) is a :class:`~baryflow.costs.BlockHvp` that applies the
-    Jacobian of that gradient field, with the centers tracking the points,
-    to an N x d array.  kde's ``parts`` also takes ``before``, points of y's
-    shape, and then returns ``(value, grad, hvp, value_before)``: the value
-    at ``before`` with the centers at y, in y's frame, its kernel freed
-    before y's is built.
+    ``test_functions`` is one of the two.  Features keep the coupling's product
+    with C^T, which holds only what it reads.  kde keeps the coupling's reads of
+    C^T = Z - 1/N: a value, the gradient's terms and the weighted kernel; a
+    Sinkhorn coupling forms C^T in place on its Z for them, which spends it, a
+    categorical one holds its K distinct rows when K <= 4, else forms C^T in
+    place on its dense Z.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
+    Returns ``parts(y) -> (value, grad, hvp)`` for a finite N x d float y, under
+    the module's lazy contract: ``grad()`` builds the N x d gradient and
+    ``hvp``, a :class:`~baryflow.costs.BlockHvp`, applies the Jacobian of that
+    gradient field, with the centers tracking the points.  kde's kernel centers
+    are the points y, and its gradient differentiates only the kernel's
+    evaluation slot.  kde's ``parts`` also takes ``before``, points of y's
+    shape, and then returns ``(value, grad, hvp, value_before)``: the value at
+    ``before`` with the centers at y, in y's frame, its kernel freed before y's
+    is built.
     """
     if isinstance(test_functions, MonomialBasis):
         product = coupling.product()
-        return lambda y, want_hvp=False: _features_parts(y, product, test_functions, want_hvp)
+        return lambda y: _features_parts(y, product, test_functions)
     if not positive_number(test_functions):
         raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
     kde, a = coupling.kde(), float(test_functions)
-    return lambda y, want_hvp=False, before=None: _kde_parts(y, kde, a, want_hvp, before)
+    return lambda y, before=None: _kde_parts(y, kde, a, before)
 
 
 def _built_on_first_read(build, term):
@@ -332,18 +325,18 @@ def _built_on_first_read(build, term):
 class ObjectiveEval:
     """One objective evaluation, split into its cost and constraint parts.
 
-    No multiplier enters an evaluation: the solver forms L = L_C + lam * L_F
-    and its gradient at whatever multiplier its outer iteration holds, and
+    No multiplier enters an evaluation: the solver forms L = L_C + lam * L_F and
+    its gradient at whatever multiplier its outer iteration holds, and
     :meth:`hvp` combines the two products the same way.  ``grads`` holds the
-    cost's and the constraint's gradient builders; each gradient is built on
-    the first read of ``grad_cost`` or ``grad_constraint``, which raises
-    NumericError when it is not finite, and the build and what it held (such as
-    the kernel matrix) are dropped then.  ``hvp_cost`` and ``hvp_constraint``,
-    set up on first use, live until their last step: the solver's iterations
-    drop them, an implicit one after taking :meth:`hvp`, which its step frees,
-    with the kernel, before the candidate is scored.  ``L_F_before`` is the kde
-    constraint at the points :func:`evaluate` was given as ``before``, with the
-    kernel centers at the evaluated points; None when none were given.
+    cost's and the constraint's gradient builders; each gradient is built on the
+    first read of ``grad_cost`` or ``grad_constraint``, which raises
+    NumericError when it is not finite, and the build and what it held are
+    dropped then.  ``hvp_cost`` and ``hvp_constraint`` set up nothing until
+    read, but hold what the gradients held (kde's weighted kernel among it)
+    until the solver drops them: an explicit step at its acceptance, an implicit
+    one after taking :meth:`hvp`.  ``L_F_before`` is the kde constraint at the
+    points :func:`evaluate` was given as ``before``, with the kernel centers at
+    the evaluated points; None when none were given.
     """
 
     L_C: float
@@ -363,32 +356,24 @@ class ObjectiveEval:
         added once for each operator formed from it, and whose remainders
         are the two terms'.
         """
-        if self.hvp_cost is None:
-            raise InvalidInputError("evaluation was performed without Hessian-vector products")
         return self.hvp_cost.plus(lam, self.hvp_constraint)
 
 
-def evaluate(cost, constraint, y, want_hvp=False, before=None):
-    """Evaluate a bound cost and constraint at y: values now, gradients on first read.
+def evaluate(cost, constraint, y, before=None):
+    """Evaluate a bound cost and constraint at y: values now, gradients and products on first read.
 
     ``cost`` and ``constraint`` come from :func:`baryflow.costs.cost_function`
     and :func:`constraint_function`; kernel centers sit at y.  Raises
-    NumericError when either value is not finite.  Each gradient is built on
-    the first read of ``grad_cost`` or ``grad_constraint``, which raises
-    NumericError when it is not finite; the solver reads them only at the
-    starting points and at each accepted step.  Hessian-vector products come
-    on request.  With ``before`` (kde only), the same constraint call also
-    scores those points with the centers at y, as ``L_F_before``: the descent
-    check's right side, from the frame y's own kernel uses.
+    NumericError when either value is not finite, and on a read of ``grad_cost``
+    or ``grad_constraint`` whose gradient is not finite.  With ``before`` (kde
+    only), the same constraint call also scores those points with the centers at
+    y, as ``L_F_before``: the descent check's right side, from the frame y's own
+    kernel uses.
     """
-    cv, cg, chvp = cost(y, want_hvp=want_hvp)
-    fv_before = None
-    if before is None:
-        fv, fg, fhvp = constraint(y, want_hvp=want_hvp)
-    else:
-        fv, fg, fhvp, fv_before = constraint(y, want_hvp=want_hvp, before=before)
+    cv, cg, chvp = cost(y)
+    fv, fg, fhvp, *fv_before = constraint(y) if before is None else constraint(y, before=before)
     if not (math.isfinite(cv) and math.isfinite(fv)):
         raise NumericError("non-finite objective evaluation")
     grads = (_built_on_first_read(cg, "cost"), _built_on_first_read(fg, "constraint"))
     return ObjectiveEval(L_C=cv, L_F=fv, grads=grads, hvp_cost=chvp, hvp_constraint=fhvp,
-                         L_F_before=fv_before)
+                         L_F_before=fv_before[0] if fv_before else None)

@@ -9,15 +9,17 @@ kernel centers at the stepped positions on both sides.  Each try scores both
 sides with one evaluation of the stepped points, which in kde mode also
 scores the points before the step in the same centers' frame.  The
 evaluation at the accepted step is the next iteration's evaluation, so each
-point set is evaluated once.  A Hessian-vector product lives until its last
-step: the start's serves lambda0 and the first implicit step, each step
-frees its own, with kde's weighted kernel, before its candidate is scored,
-and a try after a rejected one rebuilds it at the same points, bit for bit.
-The implicit step forms its operator I + eta (H_C + lam H_F) once per try,
-from the block form of the two Hessian-vector products (per-point blocks
-plus one remainder each, see :class:`baryflow.costs.BlockHvp`): the blocks
-are added and scaled, and each remainder takes its scale into its factors.
-Each of its products is then one einsum over the blocks plus the remainders'
+point set is evaluated once.  Every evaluation carries its Hessian-vector
+products unbuilt, and the solver owns their lifetime: the start's serve
+lambda0 and the first implicit step; an accepted explicit step drops its own
+at once, as they would keep kde's weighted kernel alive; an implicit step
+frees its own, with that kernel, before its candidate is scored, and a try
+after a rejected one rebuilds them at the same points, bit for bit.  The
+implicit step forms its operator I + eta (H_C + lam H_F) once per try, from
+the block form of the two Hessian-vector products (per-point blocks plus one
+remainder each, see :class:`baryflow.costs.BlockHvp`): the blocks are added
+and scaled, and each remainder takes its scale into its factors.  Each of
+its products is then one einsum over the blocks plus the remainders'
 products: for l2 and kde, three einsums, one N x N by N x (d + 1)^2 product
 and an add.  It solves the symmetric system matrix-free with the module's
 own MINRES (:func:`_minres`), which runs scipy's recurrences and stopping
@@ -452,10 +454,11 @@ def solve(x, covariates, cost_model, config=None):
     cost and the constraint bind them; a categorical coupling forms no N x N
     array beside kde's kernel, in explicit and implicit solves alike, unless
     the distortion cost reads Z or kde reads the C^T of more than four classes:
-    an implicit step frees its products, with the weighted kernel, before its
-    candidate is scored.  A Sinkhorn coupling is one N x N array, Z, from its
-    kernel on: kde, bound last, forms its C^T in place on Z.  A candidate
-    step is rejected, and the learning rate halved, when it is not finite,
+    an accepted explicit step drops its Hessian-vector products, which it
+    never reads, and an implicit step frees its own, with the weighted kernel,
+    before its candidate is scored.  A Sinkhorn coupling is one N x N array,
+    Z, from its kernel on: kde, bound last, forms its C^T in place on Z.  A
+    candidate step is rejected, and the learning rate halved, when it is not finite,
     raises the objective, leaves the cost's domain, or gives a non-finite
     value or gradient; both gradients are built on first read, which happens
     only for the starting points and for each accepted step.  The run ends
@@ -495,10 +498,9 @@ def solve(x, covariates, cost_model, config=None):
         coupling, bandwidth_a if kde else monomial_features(d, config.feature_degree))
     del coupling  # the bound terms keep what they read of it
     implicit = config.update == "implicit"
-    auto = config.lambda0 == "auto"
-    ev = evaluate(cost, constraint, y, want_hvp=implicit or auto)
+    ev = evaluate(cost, constraint, y)
     ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here
-    if auto:
+    if config.lambda0 == "auto":
         lam = _auto_lambda0(ev.hvp_constraint, ev.grad_constraint, config.lambda_max, config.seed)
     else:
         lam = float(config.lambda0)
@@ -529,7 +531,7 @@ def solve(x, covariates, cost_model, config=None):
         while halvings <= _MAX_HALVINGS:
             if implicit:
                 if hvp is None:  # a rejected try released it: rebuild it at y, bit for bit
-                    hvp = evaluate(cost, constraint, y, want_hvp=True).hvp(lam)
+                    hvp = evaluate(cost, constraint, y).hvp(lam)
                 candidate, fallback = step_implicit(y, grad, hvp, eta)
                 hvp = None  # frees M and the operator's factors before the candidate is scored
             else:
@@ -537,14 +539,15 @@ def solve(x, covariates, cost_model, config=None):
             try:
                 if not np.isfinite(candidate).all():
                     raise NumericError("non-finite candidate")
-                ev_new = evaluate(cost, constraint, candidate, want_hvp=implicit,
-                                  before=y if kde else None)
+                ev_new = evaluate(cost, constraint, candidate, before=y if kde else None)
                 # features have no kernel centers to move
                 rhs = ev.L_C + lam * (ev_new.L_F_before if kde else ev.L_F)
                 L = ev_new.L_C + lam * ev_new.L_F
                 if L <= rhs:
                     # built only now: a non-finite gradient rejects the step
                     ev_new.grad_cost, ev_new.grad_constraint
+                    if not implicit:  # its products, and kde's kernel, are not read
+                        ev_new.hvp_cost = ev_new.hvp_constraint = None
                     break
             except (InvalidInputError, NumericError):
                 pass  # candidate left the cost's domain or blew up

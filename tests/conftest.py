@@ -261,6 +261,29 @@ def remainder_hvp(product, n, d):
     return BlockHvp(lambda: (np.zeros((n, d, d)), (lambda s: lambda v: s * product(v),)))
 
 
+def count_product_setups(monkeypatch):
+    """Record each set-up of a Hessian-vector product and each operator formed from one.
+
+    Returns ``(setups, operators)``: ``setups`` gains an entry each time a
+    :class:`BlockHvp`'s blocks and remainders are built (its ``parts()`` is
+    called, a sum's and its terms' alike), ``operators`` each time
+    :meth:`BlockHvp.operator` runs.
+    """
+    setups, operators = [], []
+    init, operator = BlockHvp.__init__, BlockHvp.operator
+
+    def counting_init(self, parts):
+        init(self, lambda: setups.append(1) or parts())
+
+    def counting_operator(self, *args, **kwargs):
+        operators.append(1)
+        return operator(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockHvp, "__init__", counting_init)
+    monkeypatch.setattr(BlockHvp, "operator", counting_operator)
+    return setups, operators
+
+
 def peak_bytes(call):
     """tracemalloc peak of one call(), after a first call that does any deferred or first-use set-up."""
     call()

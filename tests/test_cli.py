@@ -222,6 +222,17 @@ class TestCli:
             results.append(out.read_text())
         assert results[0] != results[1]
 
+    def test_tiny_bandwidth_b_is_error(self, tmp_path, capsys):
+        series = str(tmp_path / "ts.csv")
+        main(["gen", "hidden-signal", "--seed", "0", "--steps", "30", "--output", series])
+        capsys.readouterr()
+        code = main(["filter-timeseries", "--input", series, "--bandwidth-b", "1e-200",
+                     "--output", str(tmp_path / "r.csv"), "--history", str(tmp_path / "h.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert "baryflow: error: bandwidth_b" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ts.csv"]
+
     def test_bandwidth_b_on_categorical_covariates_is_error(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
         main(["gen", "ellipses", "--seed", "0", "--n-per-class", "5", "--output", data])

@@ -9,6 +9,7 @@ from conftest import (
     categorical_coupling,
     central_diff_grad,
     central_diff_jacobian,
+    count_product_setups,
     direct_pair_outer,
     distortion_hvp_reference,
     operator_matrix,
@@ -163,7 +164,7 @@ class TestCostGrad:
 
 def cost_hessian(model, x, y, Z=None):
     """The cost's Hessian as (N, d, N, d), assembled from its Hessian-vector product."""
-    hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
+    hvp = cost_function(model, x, Z)(y)[2]
     return operator_matrix(hvp, *y.shape)
 
 
@@ -180,10 +181,18 @@ class TestCostHessian:
         H = cost_hessian(model, x, y).reshape(10, 10)
         assert np.allclose(H, 2 * np.eye(10) / 5, atol=1e-6)
 
-    def test_no_hvp_unless_requested(self, rng):
+    def test_product_set_up_only_when_read(self, rng, monkeypatch):
+        # the value and the gradient set up no product; its first read sets up one
+        setups, operators = count_product_setups(monkeypatch)
         for family in ALL_FAMILIES:
             model, x, y, Z = make_instance(family, rng)
-            assert cost_function(model, x, Z)(y)[2] is None
+            _, grad, hvp = cost_function(model, x, Z)(y)
+            grad()
+            assert (setups, operators) == ([], [])
+            hvp(rng.standard_normal(y.shape))
+            assert (len(setups), len(operators)) == (1, 1)
+            setups.clear()
+            operators.clear()
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences_of_grad(self, family, rng):
@@ -195,7 +204,7 @@ class TestCostHessian:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_hvp_symmetric(self, family, rng):
         model, x, y, Z = make_instance(family, rng, n=7)
-        assert_symmetric(cost_function(model, x, Z)(y, want_hvp=True)[2], rng, *y.shape)
+        assert_symmetric(cost_function(model, x, Z)(y)[2], rng, *y.shape)
 
     @pytest.mark.parametrize("family,d", [(f, d) for f in ALL_FAMILIES if f != "geodesic_sphere"
                                           for d in (1, 2, 3)] + [("geodesic_sphere", 2)])
@@ -207,7 +216,7 @@ class TestCostHessian:
                 x = rng.standard_normal((len(x), d)) + rng.uniform(-50.0, 50.0, d)
                 y = x + 0.4 * rng.standard_normal(x.shape)
             v = rng.standard_normal(y.shape)
-            hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
+            hvp = cost_function(model, x, Z)(y)[2]
             if family == "distortion":
                 expected = distortion_hvp_reference(model, x, y, Z)(v)
             else:
@@ -216,7 +225,7 @@ class TestCostHessian:
 
     def test_distortion_product_allocates_no_n_by_n_array(self, rng):
         model, x, y, Z = make_instance("distortion", rng, n=400)
-        hvp = cost_function(model, x, Z)(y, want_hvp=True)[2]
+        hvp = cost_function(model, x, Z)(y)[2]
         assert product_peak_bytes(hvp, rng.standard_normal(y.shape)) < 400**2 * 8 / 4
 
 

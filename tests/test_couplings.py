@@ -400,6 +400,20 @@ class TestCovariatesAndBuild:
         with pytest.raises(InvalidInputError, match="bandwidth_b"):
             Covariates.continuous(np.ones((3, 1)), bandwidth_b=bandwidth_b)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("bandwidth_b", [1e-200, 1e-160])
+    def test_tiny_bandwidth_b_is_error(self, bandwidth_b, width):
+        # 2 b^2 underflows: a division by zero, or an overflow of the kernel's scale
+        cov = Covariates.continuous(_normal(9, 10, width), bandwidth_b=bandwidth_b)
+        with pytest.raises(InvalidInputError, match="bandwidth_b"):
+            build_couplings(cov)
+
+    def test_auto_bandwidth_b_that_underflows_is_error(self):
+        # the median heuristic gives b near 1.4e-156, so 2 b^2 is subnormal
+        cov = Covariates.continuous(np.array([[0.0], [1e-156], [3e-156]]))
+        with pytest.raises(InvalidInputError, match="bandwidth_b"):
+            build_couplings(cov)
+
     def test_non_finite_values_rejected(self):
         with pytest.raises(InvalidInputError, match="finite"):
             Covariates.continuous(np.array([[0.0], [np.nan], [1.0]]), bandwidth_b=1.0)

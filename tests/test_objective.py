@@ -21,6 +21,7 @@ from conftest import (
     central_diff_jacobian,
     centering_matrix,
     combined_grad,
+    count_product_setups,
     dense_coupling,
     features_hvp_reference,
     kde_hvp_reference,
@@ -258,7 +259,7 @@ class TestEvaluate:
         lam = 0.6
         cost = cost_function(CostModel("p_norm", p=2.5), x)
         constraint = constraint_function(dense_coupling(Z), tf)
-        ev = evaluate(cost, constraint, y, want_hvp=True)
+        ev = evaluate(cost, constraint, y)
         analytic = operator_matrix(ev.hvp(lam), n, 2)
 
         def grad_at(u):
@@ -276,7 +277,7 @@ class TestEvaluate:
         lam = 0.6
         cost = cost_function(CostModel("p_norm", p=2.5), x)
         constraint = constraint_function(dense_coupling(Z), tf)
-        ev = evaluate(cost, constraint, y, want_hvp=True)
+        ev = evaluate(cost, constraint, y)
         analytic = operator_matrix(ev.hvp(lam), n, 3)
         fd = central_diff_jacobian(lambda u: combined_grad(evaluate(cost, constraint, u), lam), y)
         assert rel_err(analytic, fd) <= 1e-4
@@ -289,7 +290,7 @@ class TestEvaluate:
         # C = Z - 11^T/N of a symmetric Z is exactly symmetric, categorical or Sinkhorn
         Z = categorical_coupling(rng.integers(0, 3, n))
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
-        assert_symmetric(constraint_function(dense_coupling(Z), tf)(y, want_hvp=True)[2], rng, n, 2)
+        assert_symmetric(constraint_function(dense_coupling(Z), tf)(y)[2], rng, n, 2)
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_sinkhorn_constraint_hvp_symmetric(self, mode, rng):
@@ -299,7 +300,7 @@ class TestEvaluate:
             y = rng.standard_normal((n, 2))
             coupling = build_couplings(Covariates.continuous(rng.standard_normal((n, 1))))
             tf = 0.7 if mode == "kde" else monomial_features(2, 3)
-            assert_symmetric(constraint_function(coupling, tf)(y, want_hvp=True)[2], rng, n, 2)
+            assert_symmetric(constraint_function(coupling, tf)(y)[2], rng, n, 2)
 
     @pytest.mark.parametrize("mode", ["kde", "features"])
     def test_categorical_coupling_matches_its_dense_C(self, mode, rng):
@@ -311,7 +312,7 @@ class TestEvaluate:
         tf = 0.7 if mode == "kde" else monomial_features(2, 3)
         coupling = build_couplings(Covariates.categorical(labels))
         Z = categorical_coupling(labels)
-        got, ref = (constraint_function(c, tf)(y, want_hvp=True)
+        got, ref = (constraint_function(c, tf)(y)
                     for c in (coupling, dense_coupling(Z)))
         assert got[0] == pytest.approx(ref[0], rel=1e-13)
         assert rel_err(got[1](), ref[1]()) <= 1e-13
@@ -328,7 +329,7 @@ class TestEvaluate:
         coupling = build_couplings(Covariates.categorical(labels))
         Z = categorical_coupling(labels)
         for a in (0.4, 1.5):
-            got, ref = (constraint_function(c, a)(y, want_hvp=True, before=before)
+            got, ref = (constraint_function(c, a)(y, before=before)
                         for c in (coupling, dense_coupling(Z)))
             assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
             assert got[3] == pytest.approx(ref[3], rel=1e-13, abs=1e-300)
@@ -373,11 +374,11 @@ class TestEvaluate:
                      else dense_coupling(Z))
             if mode == "features":
                 basis = monomial_features(d, 2)
-                hvp = constraint_function(bound, basis)(y, want_hvp=True)[2]
+                hvp = constraint_function(bound, basis)(y)[2]
                 expected = features_hvp_reference(y, C, basis.exponents)(v)
             else:
                 a = float(rng.uniform(0.5, 2.0))
-                hvp = constraint_function(bound, a)(y, want_hvp=True)[2]
+                hvp = constraint_function(bound, a)(y)[2]
                 expected = kde_hvp_reference(y, a, C.T)(v)
             assert rel_err(hvp(v), expected) <= 1e-12
 
@@ -385,28 +386,36 @@ class TestEvaluate:
         n = 400
         y = rng.standard_normal((n, 2))
         Z = categorical_coupling(rng.integers(0, 3, n))
-        hvp = constraint_function(dense_coupling(Z), 0.7)(y, want_hvp=True)[2]
+        hvp = constraint_function(dense_coupling(Z), 0.7)(y)[2]
         assert product_peak_bytes(hvp, rng.standard_normal((n, 2))) < n**2 * 8 / 4
 
     @pytest.mark.parametrize("term", ["cost", "constraint"])
     def test_non_finite_gradient_raises_on_every_read(self, term, rng):
         # the values are finite, so evaluate succeeds; each read of the gradient raises
         y = rng.standard_normal((4, 2))
-        terms = {name: lambda y, want_hvp: (0.0, lambda: np.zeros_like(y), None)
+        terms = {name: lambda y: (0.0, lambda: np.zeros_like(y), None)
                  for name in ("cost", "constraint")}
-        terms[term] = lambda y, want_hvp: (0.0, lambda: np.full_like(y, np.nan), None)
+        terms[term] = lambda y: (0.0, lambda: np.full_like(y, np.nan), None)
         ev = evaluate(terms["cost"], terms["constraint"], y)
         for _ in range(2):
             with pytest.raises(NumericError, match=f"{term} gradient"):
                 getattr(ev, f"grad_{term}")
 
-    def test_hvp_needs_request(self, rng):
+    def test_hvp_set_up_on_first_read(self, rng, monkeypatch):
+        # an evaluation, its gradients and its combined product set up nothing until applied
+        setups, operators = count_product_setups(monkeypatch)
         y = rng.standard_normal((4, 2))
         Z = categorical_coupling(np.array([0, 0, 1, 1]))
-        ev = evaluate(cost_function(CostModel("sq_euclidean"), y),
-                      constraint_function(dense_coupling(Z), 1.0), y)
-        with pytest.raises(InvalidInputError):
-            ev.hvp(1.0)
+        for tf in (1.0, monomial_features(2, 2)):
+            ev = evaluate(cost_function(CostModel("sq_euclidean"), y),
+                          constraint_function(dense_coupling(Z), tf), y)
+            ev.grad_cost, ev.grad_constraint
+            hvp = ev.hvp(1.0)
+            assert (setups, operators) == ([], [])
+            hvp(rng.standard_normal(y.shape))
+            assert (len(setups), len(operators)) == (3, 1)  # the sum and its two terms
+            setups.clear()
+            operators.clear()
 
     def test_off_center_value(self, rng):
         # the constraint with centers fixed elsewhere differs from the slaved value

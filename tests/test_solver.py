@@ -12,7 +12,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, minres
 from baryflow import costs, objective, solver
 from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import Covariates, build_couplings
-from baryflow.datagen import gen_ellipses, gen_hidden_signal, lagged_dataset
+from baryflow.datagen import gen_ellipses, gen_hidden_signal, gen_sphere_patches, lagged_dataset
 from baryflow.errors import InvalidInputError, NumericError
 from baryflow.objective import MonomialBasis, constraint_function, evaluate, monomial_features
 from baryflow.solver import (
@@ -28,6 +28,7 @@ from conftest import (
     categorical_coupling,
     centering_matrix,
     combined_grad,
+    count_product_setups,
     dense_coupling,
     distortion_hvp_reference,
     features_hvp_reference,
@@ -69,18 +70,22 @@ def count_gradients(monkeypatch, binder, poisoned=()):
 
 
 def record_live_kernels(monkeypatch):
-    """For each kernel build, in order, the number of kernels built before it that are still alive."""
+    """For each kernel build, in order, the number of kernels built before it that are still alive.
+
+    Returns that list and ``live()``, the number of kernels alive when it is called.
+    """
     kernels, alive = [], []
     kernel = objective._kde_kernel
+    live = lambda: sum(ref() is not None for ref in kernels)
 
     def recording(*args):
-        alive.append(sum(ref() is not None for ref in kernels))
+        alive.append(live())
         out = kernel(*args)
         kernels.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(objective, "_kde_kernel", recording)
-    return alive
+    return alive, live
 
 
 def watch_candidates(monkeypatch, watch):
@@ -165,8 +170,7 @@ def random_implicit_system(kind, rng):
     tf = float(rng.uniform(0.3, 1.5)) if kind == "kde" else monomial_features(d, 2)
     model = CostModel("distortion")
     Z = categorical_coupling(rng.integers(0, 2, n))
-    ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y,
-                  want_hvp=True)
+    ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y)
     lam = float(10.0 ** rng.uniform(-1.0, 2.0))
     return y, combined_grad(ev, lam), ev.hvp(lam), eta
 
@@ -306,8 +310,7 @@ class TestSteps:
         y = x + rng.standard_normal((n, 2))
         model = CostModel("sq_euclidean")
         Z = categorical_coupling(np.zeros(n, dtype=int))
-        ev = evaluate(cost_function(model, x), constraint_function(dense_coupling(Z), 1.0), y,
-                      want_hvp=True)
+        ev = evaluate(cost_function(model, x), constraint_function(dense_coupling(Z), 1.0), y)
         grad = combined_grad(ev, 0.0)
         eta = 0.7
         cand, fallback = step_implicit(y, grad, ev.hvp(0.0), eta)
@@ -322,7 +325,7 @@ class TestSteps:
         Z = categorical_coupling(rng.integers(0, 2, n))
         tf = 0.8
         ev = evaluate(cost_function(CostModel("sq_euclidean"), x),
-                      constraint_function(dense_coupling(Z), tf), y, want_hvp=True)
+                      constraint_function(dense_coupling(Z), tf), y)
         grad = combined_grad(ev, 1.0)
         eta = 1e-8
         cand, _ = step_implicit(y, grad, ev.hvp(1.0), eta)
@@ -398,8 +401,7 @@ class TestSteps:
         Z = categorical_coupling(rng.integers(0, 2, n)) if cost == "distortion" else None
         tf = 0.8 if mode == "kde" else monomial_features(2, 2)
         coupling = build_couplings(Covariates.categorical(labels))
-        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y,
-                      want_hvp=True)
+        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y)
         return ev, model, x, y, Z, tf, centering_matrix(categorical_coupling(labels))
 
     @pytest.mark.parametrize("cost", ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"])
@@ -438,8 +440,7 @@ class TestSteps:
         lam, eta = 40.0, 0.3
         model = CostModel("distortion")
         Z = categorical_coupling(rng.integers(0, 2, n))
-        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y,
-                  want_hvp=True)
+        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y)
         grad = combined_grad(ev, lam)
         hvp = ev.hvp(lam)
         A = np.eye(2 * n) + eta * operator_matrix(hvp, n, 2).reshape(2 * n, 2 * n)
@@ -688,12 +689,20 @@ class TestSolve:
         assert len(operators) == len(tries) + 1  # and lambda0's, on the constraint alone
         assert len(products) > 3 * len(operators)
 
-    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"])
     def test_explicit_fixed_lambda0_sets_up_no_pair_operator(self, cost, monkeypatch):
+        # every evaluation carries its products, and none is ever read
         builds = count_pair_operators(monkeypatch)
-        ds = gen_ellipses(seed=0, n_per_class=10)
-        solve(ds.x, ds.covariates, CostModel(cost), SolverConfig(lambda0=1.0, niter=20))
-        assert builds == []
+        setups, operators = count_product_setups(monkeypatch)
+        if cost == "geodesic_sphere":
+            ds = gen_sphere_patches(seed=0, n_per_class=10)
+        else:
+            ds = gen_ellipses(seed=0, n_per_class=10)
+        for problem in ("kde", "features"):
+            cfg = SolverConfig(problem=problem, lambda0=1.0, eta0=50.0, niter=20)
+            result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+            assert sum(h.eta_halvings for h in result.history) > 0
+        assert (builds, setups, operators) == ([], [], [])
 
     @pytest.mark.parametrize("problem", ["kde", "features"])
     def test_flat_constraint_lambda0_respects_lambda_max(self, problem, rng):
@@ -776,7 +785,7 @@ class TestSolve:
     @pytest.mark.parametrize("lambda0", ["auto", 1.0])
     def test_explicit_kernel_freed_before_the_next_is_built(self, lambda0, cost, monkeypatch):
         # a whole-solve memory peak cannot see this, as set-up peaks higher
-        alive = record_live_kernels(monkeypatch)
+        alive, _ = record_live_kernels(monkeypatch)
         ds = gen_ellipses(seed=0, n_per_class=10)
         cfg = SolverConfig(lambda0=lambda0, eta0=50.0, niter=10)
         result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
@@ -786,10 +795,25 @@ class TestSolve:
 
     @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
     @pytest.mark.parametrize("lambda0", ["auto", 1.0])
+    def test_explicit_no_kernel_alive_at_history_append(self, lambda0, cost, monkeypatch):
+        # an accepted explicit step drops its unread products, which hold its kernel
+        _, live = record_live_kernels(monkeypatch)
+        appends, append = [], solver.History.append
+        monkeypatch.setattr(solver.History, "append",
+                            lambda rows, *values: appends.append(live()) or append(rows, *values))
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        cfg = SolverConfig(lambda0=lambda0, eta0=50.0, niter=10)
+        result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
+        assert sum(h.eta_halvings for h in result.history) > 0
+        assert len(appends) == result.iterations > 1
+        assert max(appends) == 0
+
+    @pytest.mark.parametrize("cost", ["sq_euclidean", "distortion"])
+    @pytest.mark.parametrize("lambda0", ["auto", 1.0])
     def test_implicit_kernel_freed_before_the_next_is_built(self, lambda0, cost, monkeypatch):
         # the step frees its products, with the accepted evaluation's weighted
         # kernel, before the candidate's kernel is built
-        alive = record_live_kernels(monkeypatch)
+        alive, _ = record_live_kernels(monkeypatch)
         ds = gen_ellipses(seed=0, n_per_class=10)
         cfg = SolverConfig(update="implicit", lambda0=lambda0, eta0=50.0, niter=10)
         result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
@@ -1082,7 +1106,7 @@ def start_system(kind, rng, n=None, d=2):
         covariates = Covariates.categorical(np.arange(n) % 3)
     tf = monomial_features(d, 2) if kind == "features" else float(rng.uniform(0.5, 2.0))
     constraint = constraint_function(build_couplings(covariates), tf)
-    ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y, want_hvp=True)
+    ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y)
     return ev.hvp_constraint, ev.grad_constraint
 
 
@@ -1136,7 +1160,7 @@ class TestAutoLambda0:
         constraint = constraint_function(
             build_couplings(Covariates.categorical(np.arange(n) % 2)),
             1.0 if kind == "kde" else monomial_features(d, 2))
-        ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y, want_hvp=True)
+        ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y)
         hvp, products = count_products(ev.hvp_constraint)
         radius = 1.0 / solver._auto_lambda0(hvp, ev.grad_constraint, 1e6, 0)
         H = operator_matrix(ev.hvp_constraint, n, d).reshape(n * d, n * d)
