@@ -48,8 +48,7 @@ from .solver import SolverConfig, solve
 
 __all__ = ["load_dataset", "main", "save_dataset"]
 
-_X_COL = re.compile(r"^x(\d+)$")
-_Z_COL = re.compile(r"^z(\d+)$")
+_NUMBERED_COL = re.compile(r"^([xz])(\d+)$")
 
 
 def _fmt(value):
@@ -71,6 +70,21 @@ def _opened(target, mode):
             yield fileobj
 
 
+def _floats(row, keys, what, line):
+    """The cells ``row[key]`` as floats; a non-numeric or missing one names ``what`` and the line."""
+    try:
+        return [float(row[key]) for key in keys]
+    except (ValueError, IndexError, TypeError):  # TypeError: a short DictReader row leaves None
+        raise InvalidInputError(f"non-numeric or missing {what} in row {line}") from None
+
+
+def _numbered(columns, message):
+    """Positions of columns numbered 1..k in number order; ``message`` if k = 0 or one is missing."""
+    if not columns or sorted(columns) != list(range(1, len(columns) + 1)):
+        raise InvalidInputError(message)
+    return [columns[i] for i in sorted(columns)]
+
+
 def load_dataset(source):
     """Parse a dataset CSV from a path, ``-`` (stdin), or a file object."""
     with _opened(source, "r") as fileobj:
@@ -79,57 +93,37 @@ def load_dataset(source):
             header = next(reader)
         except StopIteration:
             raise InvalidInputError("missing header row") from None
-        header = [h.strip() for h in header]
-        x_cols, z_num_cols = {}, {}
+        numbered = {"x": {}, "z": {}}
         z_cat_col = None
-        for pos, name in enumerate(header):
-            m = _X_COL.match(name)
+        for pos, name in enumerate(h.strip() for h in header):
+            m = _NUMBERED_COL.match(name)
             if m:
-                x_cols[int(m.group(1))] = pos
-                continue
-            m = _Z_COL.match(name)
-            if m:
-                z_num_cols[int(m.group(1))] = pos
-                continue
-            if name == "z":
+                numbered[m.group(1)][int(m.group(2))] = pos
+            elif name == "z":
                 z_cat_col = pos
-                continue
-            raise InvalidInputError(f"unexpected column {name!r} in dataset header")
-        if not x_cols or sorted(x_cols) != list(range(1, len(x_cols) + 1)):
-            raise InvalidInputError("dataset needs contiguous columns x1..xd")
-        if z_cat_col is not None and z_num_cols:
+            else:
+                raise InvalidInputError(f"unexpected column {name!r} in dataset header")
+        x_positions = _numbered(numbered["x"], "dataset needs contiguous columns x1..xd")
+        if z_cat_col is not None and numbered["z"]:
             raise InvalidInputError("ambiguous covariates: both 'z' and 'z1..' present")
-        if z_cat_col is None and not z_num_cols:
+        if z_cat_col is None and not numbered["z"]:
             raise InvalidInputError("dataset needs a 'z' column or columns z1..zm")
-        if z_num_cols and sorted(z_num_cols) != list(range(1, len(z_num_cols) + 1)):
-            raise InvalidInputError("continuous covariates need contiguous columns z1..zm")
+        if numbered["z"]:
+            z_positions = _numbered(numbered["z"],
+                                    "continuous covariates need contiguous columns z1..zm")
 
-        x_positions = [x_cols[i] for i in sorted(x_cols)]
-        z_positions = [z_num_cols[i] for i in sorted(z_num_cols)]
         rows_x, rows_z, labels = [], [], []
         for row in reader:
             if not row:
                 continue
-            try:
-                rows_x.append([float(row[pos]) for pos in x_positions])
-            except (ValueError, IndexError):
-                raise InvalidInputError(
-                    f"non-numeric or missing x value in row {reader.line_num}"
-                ) from None
-            if z_cat_col is not None:
+            rows_x.append(_floats(row, x_positions, "x value", reader.line_num))
+            if z_cat_col is None:
+                rows_z.append(_floats(row, z_positions, "z value", reader.line_num))
+            else:
                 try:
                     labels.append(row[z_cat_col].strip())
                 except IndexError:
-                    raise InvalidInputError(
-                        f"missing covariate in row {reader.line_num}"
-                    ) from None
-            else:
-                try:
-                    rows_z.append([float(row[pos]) for pos in z_positions])
-                except (ValueError, IndexError):
-                    raise InvalidInputError(
-                        f"non-numeric or missing z value in row {reader.line_num}"
-                    ) from None
+                    raise InvalidInputError(f"missing covariate in row {reader.line_num}") from None
         if len(rows_x) < 2:
             raise InvalidInputError("dataset needs at least 2 rows")
         x = np.asarray(rows_x, dtype=float)
@@ -181,25 +175,13 @@ def load_series(source):
         if reader.fieldnames is None or not {"x_theta", "x_phi"} <= set(reader.fieldnames):
             raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
         has_w = {"w_theta", "w_phi"} <= set(reader.fieldnames)
-        theta, phi, w_theta, w_phi = [], [], [], []
-        for row in reader:
-            try:
-                theta.append(float(row["x_theta"]))
-                phi.append(float(row["x_phi"]))
-                if has_w:
-                    w_theta.append(float(row["w_theta"]))
-                    w_phi.append(float(row["w_phi"]))
-            except (ValueError, TypeError):  # TypeError: a short row leaves None
-                raise InvalidInputError(
-                    f"non-numeric or missing value in row {reader.line_num}"
-                ) from None
-        if len(theta) < 2:
+        keys = ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]
+        rows = [_floats(row, keys, "value", reader.line_num) for row in reader]
+        if len(rows) < 2:
             raise InvalidInputError("time series needs at least 2 steps")
-        x = sph2cart(1.0, np.asarray(phi), np.asarray(theta))
-        if has_w:
-            w = sph2cart(1.0, np.asarray(w_phi), np.asarray(w_theta))
-        else:
-            w = np.full_like(x, np.nan)
+        theta, phi, *w_angles = np.array(rows).T
+        x = sph2cart(1.0, phi, theta)
+        w = sph2cart(1.0, w_angles[1], w_angles[0]) if has_w else np.full_like(x, np.nan)
         return TimeSeriesSample(x=x, w_hidden=w)
 
 

@@ -6,7 +6,7 @@ d x d blocks D plus at most one remainder product R, v -> D v + R v.
 Pairwise families (squared Euclidean, smoothed p-norm, great-circle on the
 unit sphere) average a per-sample cost c(x_i, y_i), so their Hessian is
 block diagonal and their product is its blocks alone.  The distortion
-family couples sample pairs through the coupling matrix Z, penalizing
+family couples sample pairs through the solve's coupling Z, penalizing
 deviation of pairwise distance ratios from one.  Its product never forms
 the (N, N, d, d) Hessian: :func:`pair_outer_operator`, which takes one
 point set, the pairs' differences y_j - y_i (the distortion cost's and the
@@ -20,8 +20,9 @@ scalings act on the blocks and remainders themselves:
 once per step, so each of MINRES's products for l2 and kde is three
 einsums, one N x N by N x (d + 1)^2 matrix product and an add.
 
-:func:`cost_function` checks x and Z once per solve; per call, only the
-great-circle cost's latitudes of y are checked, as a step can pass a pole.
+:func:`cost_function` checks x, and reads distortion's Z from the
+coupling, once per solve; per call, only the great-circle cost's
+latitudes of y are checked, as a step can pass a pole.
 Every family returns its gradient as a function that builds it and its
 product as a :class:`BlockHvp` that sets up nothing until it is read, as
 the constraint modes of :mod:`baryflow.objective` do.  A product's build
@@ -56,7 +57,7 @@ _LATITUDE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cost specification; the ``distortion`` family needs Z at binding.
+    """Cost specification; the ``distortion`` family needs the solve's coupling at binding.
 
     Families: ``sq_euclidean`` (canonical 0.5||x-y||^2), ``p_norm`` (smoothed
     coordinate-wise |t|^p with |t| ~ sqrt(t^2+eps_abs)-sqrt(eps_abs)),
@@ -252,20 +253,28 @@ def _p_norm_parts(model, x, y):
     return value, grad, BlockHvp(deferred(hessian))
 
 
-def _geodesic_q(arg, dist):
-    """Derivatives of the angle->cost profile q = dist^2 at the clipped haversine argument."""
+def _geodesic_qp(arg, dist):
+    """q' of the angle->cost profile q = dist^2 at the clipped haversine argument."""
     qp = np.empty_like(arg)
-    qpp = np.empty_like(arg)
     small = arg < _SERIES_CUTOFF
     big = ~small
     a_s = arg[small]
     qp[small] = 4.0 + (8.0 / 3.0) * a_s + (32.0 / 15.0) * a_s**2
-    qpp[small] = 8.0 / 3.0 + (64.0 / 15.0) * a_s
+    a_b = arg[big]
+    qp[big] = 2.0 * dist[big] / np.sqrt(a_b * (1.0 - a_b))
+    return qp
+
+
+def _geodesic_qpp(arg, dist):
+    """q'' of the angle->cost profile q = dist^2 at the clipped haversine argument."""
+    qpp = np.empty_like(arg)
+    small = arg < _SERIES_CUTOFF
+    big = ~small
+    qpp[small] = 8.0 / 3.0 + (64.0 / 15.0) * arg[small]
     a_b = arg[big]
     prod = a_b * (1.0 - a_b)
-    qp[big] = 2.0 * dist[big] / np.sqrt(prod)
     qpp[big] = 2.0 / prod - dist[big] * (1.0 - 2.0 * a_b) / prod**1.5
-    return qp, qpp
+    return qpp
 
 
 def _geodesic_angles(x, y):
@@ -289,14 +298,14 @@ def _geodesic_parts(x, y):
     dA = np.empty((n, 2))
     dA[:, 0] = -0.5 * cpx * cpy * np.sin(dtheta)
     dA[:, 1] = -0.5 * np.sin(dphi) - cpx * np.sin(y[:, 1]) * st2
-    qp, _ = _geodesic_q(arg, dist)
+    qp = _geodesic_qp(arg, dist)
 
     grad = lambda: np.where(antipodal[:, None], 0.0, (qp[:, None] * dA) / n)
 
     def hessian():
-        # the angles are recomputed from x and y, bit for bit, rather than kept
+        # the angles are recomputed from x and y, bit for bit, rather than kept; q' is the grad's
         dtheta, dphi, cpx, cpy, st2, arg, dist = _geodesic_angles(x, y)
-        _, qpp = _geodesic_q(arg, dist)
+        qpp = _geodesic_qpp(arg, dist)
         hA = np.empty((n, 2, 2))
         hA[:, 0, 0] = 0.5 * cpx * cpy * np.cos(dtheta)
         hA[:, 0, 1] = 0.5 * cpx * np.sin(y[:, 1]) * np.sin(dtheta)
@@ -342,19 +351,24 @@ def _distortion_parts(model, x, y, denom, W):
     return value, grad, BlockHvp(deferred(hessian))
 
 
-def cost_function(model, x, Z=None):
-    """Bind ``model`` to the points x (and, for distortion, the N x N coupling Z) of one solve.
+def cost_function(model, x, coupling=None, shift=None):
+    """Bind ``model`` to the points x of one solve, with its ``coupling`` and ``shift``.
 
-    Checks x (finite N x d; 2 columns and latitudes in range for the
-    great-circle cost) and Z here, once; distortion also computes its x- and
-    Z-only terms here.  Returns ``parts(y) -> (value, grad, hvp)`` for a
-    finite float y of x's shape, which checks only the great-circle
-    latitudes of y.  ``grad`` is a function of no arguments that builds the
-    N x d gradient.  ``hvp`` is the product of the cost's Hessian at y in
-    block form, a :class:`BlockHvp` that sets up nothing until it is read.
+    Checks x here, once (finite N x d; 2 columns and latitudes in range for
+    the great-circle cost).  The squared-Euclidean cost measures from
+    x + ``shift`` when one is given, every other family from x.  Only the
+    distortion cost reads the coupling: its N x N Z, here, before kde can
+    spend it, and its x- and Z-only terms with it; without a coupling, or
+    with a Z of another N, it raises InvalidInputError.  Returns
+    ``parts(y) -> (value, grad, hvp)`` for a finite float y of x's shape,
+    which checks only the great-circle latitudes of y.  ``grad`` is a
+    function of no arguments that builds the N x d gradient.  ``hvp`` is
+    the product of the cost's Hessian at y in block form, a
+    :class:`BlockHvp` that sets up nothing until it is read.
     """
     x = as_points(x)
     if model.family == "sq_euclidean":
+        x = x if shift is None else x + shift
         n, d = x.shape
         hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()))  # I / N at every y
         return lambda y: _sq_euclidean_parts(x, y, hvp)
@@ -369,9 +383,9 @@ def cost_function(model, x, Z=None):
             _check_latitudes(y)
             return _geodesic_parts(x, y)
         return parts
-    if Z is None or np.shape(Z) != (len(x), len(x)):
+    Z = None if coupling is None else coupling.Z()
+    if Z is None or Z.shape != (len(x), len(x)):
         raise InvalidInputError("the distortion cost requires an N x N coupling matrix Z")
-    Z = np.asarray(Z, dtype=float)
     denom = cdist(x, x, metric="sqeuclidean") + model.eps_dist**2
     W = 0.5 * (Z + Z.T)
     np.fill_diagonal(W, 0.0)

@@ -21,8 +21,9 @@ the Sinkhorn path.  A :class:`DenseCoupling` holds a Sinkhorn coupling as
 its N x N Z alone, with C implied.  The continuous covariates' kernel is
 formed and scaled into Z in place, so a continuous-covariate solve holds
 one N x N coupling array from the kernel to the last read of kde.  Both
-give the features product, kde's reads of C^T and the dense Z, the last
-only when a caller asks.
+give the conditional means under Z, the features product, kde's reads of
+C^T and the dense Z, the last only when a caller asks: a solve reads the
+covariates only through its coupling.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class Covariates:
 
     Labels are checked here, once: a non-empty 1-D array of mutually
     comparable labels with no NaN.  Their class ``index`` (classes numbered
-    in sorted label order) and class sizes ``counts`` are taken here too, and
-    shared by the coupling and the preconditioner.
+    in sorted label order) and class sizes ``counts`` are taken here too,
+    and the coupling holds them.
     Continuous values are checked here too: a finite N x m float matrix,
     N >= 1, with ``bandwidth_b`` a positive number or "auto", which
     :func:`build_couplings` resolves with the median heuristic on the values.
@@ -246,6 +247,14 @@ class CategoricalCoupling:
 
         return lambda E: float(np.vdot(Ind @ E, CTrow)), terms
 
+    def conditional_means(self, x):
+        """Each point's class mean of the N x d points x: the conditional mean under Z."""
+        cond = np.empty_like(x)
+        for c in range(len(self.counts)):
+            idx = self.index == c
+            cond[idx] = x[idx].mean(axis=0)
+        return cond
+
     def Z(self):
         """The dense N x N coupling, from one comparison of the class index."""
         return np.where(self.index[:, None] == self.index, (1.0 / self.counts)[self.index], 0.0)
@@ -256,9 +265,10 @@ class DenseCoupling:
 
     C = Z - 11^T/N is implied, never stored, and exactly symmetric because Z
     is.  kde forms C^T = C in place on Z, which spends the coupling: it is
-    taken last, as :func:`baryflow.solver.solve` takes it, and ``Z()`` or
-    ``product()`` after it raises.  A categorical coupling of more than
-    four classes reads kde through one, built from its dense Z.
+    taken last, as :func:`baryflow.solver.solve` takes it, and ``Z()``,
+    ``product()`` or ``conditional_means()`` after it raises.  A categorical
+    coupling of more than four classes reads kde through one, built from
+    its dense Z.
     """
 
     def __init__(self, Z):
@@ -294,6 +304,10 @@ class DenseCoupling:
             return M.sum(axis=1), lambda: M @ w, lambda: M
 
         return lambda E: float(np.vdot(E, CT)), terms
+
+    def conditional_means(self, x):
+        """Z^T x for N x d points x: row k is the coupling-weighted mean sum_i Z[i, k] x_i."""
+        return self._held().T @ x
 
     def Z(self):
         """The dense Z itself, until kde spends it."""

@@ -52,7 +52,6 @@ __all__ = [
     "HistoryRecord",
     "SolverConfig",
     "lambda_update",
-    "precondition_mean_shift",
     "solve",
     "step_implicit",
 ]
@@ -190,8 +189,9 @@ class BarycenterResult:
     holds each value in a column of one array and builds a record only when
     one is read.  ``x_original`` is always the unshifted input, so costs of
     the composed map can be recomputed against it; ``precondition_shift`` is
-    the rigid per-point translation applied before the flow (None when
-    preconditioning was off).
+    the rigid per-point translation applied before the flow, the overall
+    mean of x minus each point's conditional mean under the coupling (None
+    when preconditioning was off).
     """
 
     y_final: np.ndarray
@@ -218,28 +218,6 @@ class BarycenterResult:
     @property
     def final_lambda(self):
         return self._last("lam", self.lambda0)
-
-
-def precondition_mean_shift(x, covariates, Z):
-    """Rigid per-point translation matching all conditional means.
-
-    Categorical covariates use exact class means, over the classes
-    :class:`Covariates` indexed; continuous ones use the
-    coupling-weighted conditional mean xbar(z_k) = sum_i Z[i, k] x_i, which
-    needs the N x N coupling Z.  Returns ``(w, shift)`` with ``w = x + shift``.
-    """
-    x = as_points(x)
-    if covariates.kind == "categorical":
-        cond = np.empty_like(x)
-        for c in range(len(covariates.counts)):
-            idx = covariates.index == c
-            cond[idx] = x[idx].mean(axis=0)
-    elif Z is None or np.shape(Z) != (len(x), len(x)):
-        raise InvalidInputError("continuous covariates need an N x N coupling matrix Z")
-    else:
-        cond = np.asarray(Z, dtype=float).T @ x
-    shift = x.mean(axis=0) - cond
-    return x + shift, shift
 
 
 def lambda_update(lam, grad_cost, grad_constraint, omega_alpha, lambda_max):
@@ -446,13 +424,16 @@ def _auto_lambda0(hvp, grad, lambda_max, seed):
 def solve(x, covariates, cost_model, config=None):
     """Run the penalty flow; returns a :class:`BarycenterResult`.
 
-    Builds the couplings once, optionally preconditions with the rigid
-    mean-matching shift (in which case every cost except the canonical
-    squared-Euclidean one keeps being evaluated against the original points),
-    and iterates until the positions stall with a satisfied constraint or
-    ``config.niter`` is reached.  x and the coupling are checked once, when the
-    cost and the constraint bind them; a categorical coupling forms no N x N
-    array beside kde's kernel, in explicit and implicit solves alike, unless
+    Builds the coupling once; from then on the covariates are read only
+    through it.  With ``config.precondition`` the flow starts from
+    x + shift, shift = mean(x) - the coupling's conditional means of x, and
+    the squared-Euclidean cost measures from the shifted points too, every
+    other cost from x.  It iterates until the positions stall with a
+    satisfied constraint or ``config.niter`` is reached.  The shift and the
+    cost read the coupling before the constraint binds it, as kde spends a
+    dense Z.  x and the coupling are checked once, when the cost and the
+    constraint bind them; a categorical coupling forms no N x N array beside
+    kde's kernel, in explicit and implicit solves alike, unless
     the distortion cost reads Z or kde reads the C^T of more than four classes:
     an accepted explicit step drops its Hessian-vector products, which it
     never reads, and an implicit step frees its own, with the weighted kernel,
@@ -475,25 +456,15 @@ def solve(x, covariates, cost_model, config=None):
         raise InvalidInputError("covariates and points disagree on N")
 
     coupling = build_couplings(covariates)
-
-    if config.precondition:  # categorical covariates use class means, not Z
-        w, shift = precondition_mean_shift(
-            x, covariates, coupling.Z() if covariates.kind == "continuous" else None)
-        y = w.copy()
-        x_cost = w if cost_model.family == "sq_euclidean" else x
-    else:
-        y = x.copy()
-        x_cost = x
-        shift = None
+    shift = x.mean(axis=0) - coupling.conditional_means(x) if config.precondition else None
+    y = x.copy() if shift is None else x + shift
 
     kde = config.problem == "kde"
     bandwidth_a = None
     if kde:
         a = config.bandwidth_a
         bandwidth_a = float(median_heuristic_bandwidth(y) if a == "auto" else a)
-    # only the distortion cost reads Z, which a categorical coupling builds on request
-    cost = cost_function(cost_model, x_cost,
-                         coupling.Z() if cost_model.family == "distortion" else None)
+    cost = cost_function(cost_model, x, coupling, shift)  # before kde spends a dense Z
     constraint = constraint_function(
         coupling, bandwidth_a if kde else monomial_features(d, config.feature_degree))
     del coupling  # the bound terms keep what they read of it

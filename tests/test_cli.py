@@ -51,6 +51,17 @@ class TestLoadDataset:
         with pytest.raises(InvalidInputError, match="at least 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header,message", [
+        ("x2,z", "dataset needs contiguous columns x1..xd"),
+        ("z", "dataset needs contiguous columns x1..xd"),
+        ("x1", "dataset needs a 'z' column or columns z1..zm"),
+        ("x1,z1,z3", "continuous covariates need contiguous columns z1..zm"),
+    ])
+    def test_header_errors(self, header, message, tmp_path):
+        with pytest.raises(InvalidInputError) as err:
+            load_dataset(write(tmp_path, "d.csv", header + "\n"))
+        assert str(err.value) == message
+
     def test_unknown_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "x1,z,extra\n1.0,a,9\n2.0,b,9\n")
         with pytest.raises(InvalidInputError, match="unexpected column"):

@@ -10,6 +10,7 @@ from conftest import (
     central_diff_grad,
     central_diff_jacobian,
     count_product_setups,
+    dense_coupling,
     direct_pair_outer,
     distortion_hvp_reference,
     operator_matrix,
@@ -22,7 +23,7 @@ ALL_FAMILIES = ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"]
 
 
 def make_instance(family, rng, n=6):
-    """Random (model, x, y, Z) with inputs valid for the family."""
+    """Random (model, x, y, coupling) valid for the family; only distortion has a coupling."""
     if family == "geodesic_sphere":
         x = np.column_stack([rng.uniform(0, 2 * np.pi, n), rng.uniform(-1.2, 1.2, n)])
         y = x + 0.2 * rng.standard_normal((n, 2))
@@ -33,8 +34,8 @@ def make_instance(family, rng, n=6):
     if family == "p_norm":
         return CostModel("p_norm", p=1.7), x, y, None
     if family == "distortion":
-        Z = categorical_coupling(rng.integers(0, 2, n))
-        return CostModel("distortion"), x, y, Z
+        coupling = dense_coupling(categorical_coupling(rng.integers(0, 2, n)))
+        return CostModel("distortion"), x, y, coupling
     return CostModel("sq_euclidean"), x, y, None
 
 
@@ -72,15 +73,15 @@ class TestCostModel:
 class TestCostValue:
     def test_identity_map_pairwise(self, rng):
         for family in ("sq_euclidean", "p_norm", "geodesic_sphere"):
-            model, x, _, Z = make_instance(family, rng)
-            assert cost_function(model, x, Z)(x)[0] == pytest.approx(0.0, abs=1e-12)
+            model, x, _, coupling = make_instance(family, rng)
+            assert cost_function(model, x, coupling)(x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_map_distortion_near_zero(self, rng):
-        model, x, _, Z = make_instance("distortion", rng)
+        model, x, _, coupling = make_instance("distortion", rng)
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         min_sq = sq[~np.eye(len(x), dtype=bool)].min()
         # ratio term at y = x is bounded by 2*eps^2 / min ||x_i - x_j||^2
-        assert cost_function(model, x, Z)(x)[0] <= 2 * model.eps_dist**2 / min_sq
+        assert cost_function(model, x, coupling)(x)[0] <= 2 * model.eps_dist**2 / min_sq
 
     def test_sq_euclidean_single_point(self):
         assert cost_function(CostModel("sq_euclidean"), [[0.0, 0.0]])([[3.0, 4.0]])[0] == pytest.approx(12.5)
@@ -112,15 +113,15 @@ class TestCostValue:
 
     def test_nonnegative_all_families(self, rng):
         for family in ALL_FAMILIES:
-            model, x, y, Z = make_instance(family, rng)
-            assert cost_function(model, x, Z)(y)[0] >= 0.0
+            model, x, y, coupling = make_instance(family, rng)
+            assert cost_function(model, x, coupling)(y)[0] >= 0.0
 
     def test_distortion_translation_invariance_of_ratio_term(self, rng):
-        model, x, y, Z = make_instance("distortion", rng)
+        model, x, y, coupling = make_instance("distortion", rng)
         shift = np.array([3.7, -1.2])
-        base = cost_function(model, x, Z)(y)[0]
+        base = cost_function(model, x, coupling)(y)[0]
         anchor = model.omega * np.mean(np.sum((y - x) ** 2, axis=1))
-        shifted = cost_function(model, x + shift, Z)(y + shift)[0]
+        shifted = cost_function(model, x + shift, coupling)(y + shift)[0]
         anchor_shifted = model.omega * np.mean(np.sum((y - x) ** 2, axis=1))
         assert base - anchor == pytest.approx(shifted - anchor_shifted, abs=1e-12)
 
@@ -129,7 +130,15 @@ class TestCostValue:
         with pytest.raises(InvalidInputError):
             cost_function(model, x)
         with pytest.raises(InvalidInputError, match="N x N"):
-            cost_function(model, x, np.eye(len(x) + 1))
+            cost_function(model, x, dense_coupling(np.eye(len(x) + 1)))
+
+    def test_shift_moves_only_the_squared_euclidean_origin(self, rng):
+        shift = np.array([0.3, -1.1])
+        for family in ALL_FAMILIES:
+            model, x, y, coupling = make_instance(family, rng)
+            origin = x + shift if family == "sq_euclidean" else x
+            shifted = cost_function(model, x, coupling, shift)(y)[0]
+            assert shifted == cost_function(model, origin, coupling)(y)[0]
 
     def test_latitude_range_enforced(self):
         model = CostModel("geodesic_sphere")
@@ -156,15 +165,15 @@ class TestCostGrad:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences(self, family, rng):
-        model, x, y, Z = make_instance(family, rng)
-        analytic = cost_function(model, x, Z)(y)[1]()
-        fd = central_diff_grad(lambda yy: cost_function(model, x, Z)(yy)[0], y)
+        model, x, y, coupling = make_instance(family, rng)
+        analytic = cost_function(model, x, coupling)(y)[1]()
+        fd = central_diff_grad(lambda yy: cost_function(model, x, coupling)(yy)[0], y)
         assert rel_err(analytic, fd) <= 1e-5
 
 
-def cost_hessian(model, x, y, Z=None):
+def cost_hessian(model, x, y, coupling=None):
     """The cost's Hessian as (N, d, N, d), assembled from its Hessian-vector product."""
-    hvp = cost_function(model, x, Z)(y)[2]
+    hvp = cost_function(model, x, coupling)(y)[2]
     return operator_matrix(hvp, *y.shape)
 
 
@@ -185,8 +194,8 @@ class TestCostHessian:
         # the value and the gradient set up no product; its first read sets up one
         setups, operators = count_product_setups(monkeypatch)
         for family in ALL_FAMILIES:
-            model, x, y, Z = make_instance(family, rng)
-            _, grad, hvp = cost_function(model, x, Z)(y)
+            model, x, y, coupling = make_instance(family, rng)
+            _, grad, hvp = cost_function(model, x, coupling)(y)
             grad()
             assert (setups, operators) == ([], [])
             hvp(rng.standard_normal(y.shape))
@@ -196,36 +205,36 @@ class TestCostHessian:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_finite_differences_of_grad(self, family, rng):
-        model, x, y, Z = make_instance(family, rng, n=4)
-        analytic = cost_hessian(model, x, y, Z)
-        fd = central_diff_jacobian(lambda yy: cost_function(model, x, Z)(yy)[1](), y)
+        model, x, y, coupling = make_instance(family, rng, n=4)
+        analytic = cost_hessian(model, x, y, coupling)
+        fd = central_diff_jacobian(lambda yy: cost_function(model, x, coupling)(yy)[1](), y)
         assert rel_err(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_hvp_symmetric(self, family, rng):
-        model, x, y, Z = make_instance(family, rng, n=7)
-        assert_symmetric(cost_function(model, x, Z)(y)[2], rng, *y.shape)
+        model, x, y, coupling = make_instance(family, rng, n=7)
+        assert_symmetric(cost_function(model, x, coupling)(y)[2], rng, *y.shape)
 
     @pytest.mark.parametrize("family,d", [(f, d) for f in ALL_FAMILIES if f != "geodesic_sphere"
                                           for d in (1, 2, 3)] + [("geodesic_sphere", 2)])
     def test_block_form_matches_reference(self, family, d, rng):
         # the blocks plus the remainder against the product from its direct terms
         for _ in range(5):
-            model, x, y, Z = make_instance(family, rng, n=int(rng.integers(2, 30)))
+            model, x, y, coupling = make_instance(family, rng, n=int(rng.integers(2, 30)))
             if family != "geodesic_sphere":
                 x = rng.standard_normal((len(x), d)) + rng.uniform(-50.0, 50.0, d)
                 y = x + 0.4 * rng.standard_normal(x.shape)
             v = rng.standard_normal(y.shape)
-            hvp = cost_function(model, x, Z)(y)[2]
+            hvp = cost_function(model, x, coupling)(y)[2]
             if family == "distortion":
-                expected = distortion_hvp_reference(model, x, y, Z)(v)
+                expected = distortion_hvp_reference(model, x, y, coupling.Z())(v)
             else:
                 expected = np.einsum("iab,ib->ia", pairwise_hessian_reference(model, x, y), v)
             assert rel_err(hvp(v), expected) <= 1e-12
 
     def test_distortion_product_allocates_no_n_by_n_array(self, rng):
-        model, x, y, Z = make_instance("distortion", rng, n=400)
-        hvp = cost_function(model, x, Z)(y)[2]
+        model, x, y, coupling = make_instance("distortion", rng, n=400)
+        hvp = cost_function(model, x, coupling)(y)[2]
         assert product_peak_bytes(hvp, rng.standard_normal(y.shape)) < 400**2 * 8 / 4
 
 

@@ -385,7 +385,8 @@ class TestCovariatesAndBuild:
         assert np.array_equal(Z, C)
         E = rng.uniform(0.0, 1.0, (12, 12))
         assert value(E) == float(np.vdot(E, C))
-        for read in (coupling.Z, coupling.product, coupling.kde):
+        for read in (coupling.Z, coupling.product, coupling.kde,
+                     lambda: coupling.conditional_means(np.zeros((12, 2)))):
             with pytest.raises(InvalidInputError, match="spent"):
                 read()
 

@@ -19,7 +19,6 @@ from baryflow.solver import (
     HistoryRecord,
     SolverConfig,
     lambda_update,
-    precondition_mean_shift,
     solve,
     step_implicit,
 )
@@ -170,29 +169,27 @@ def random_implicit_system(kind, rng):
     tf = float(rng.uniform(0.3, 1.5)) if kind == "kde" else monomial_features(d, 2)
     model = CostModel("distortion")
     Z = categorical_coupling(rng.integers(0, 2, n))
-    ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y)
+    ev = evaluate(cost_function(model, x, dense_coupling(Z)), constraint_function(coupling, tf), y)
     lam = float(10.0 ** rng.uniform(-1.0, 2.0))
     return y, combined_grad(ev, lam), ev.hvp(lam), eta
 
 
 class TestPreconditionMeanShift:
+    """The shift mean(x) - conditional means that ``solve`` preconditions with, from the coupling."""
+
     def test_single_class_identity(self, rng):
         x = rng.standard_normal((8, 2))
-        cov = Covariates.categorical(np.zeros(8, dtype=int))
-        Z = categorical_coupling(cov.labels)
-        w, shift = precondition_mean_shift(x, cov, Z)
-        assert np.allclose(w, x) and np.allclose(shift, 0.0)
+        cond = build_couplings(Covariates.categorical(np.zeros(8, dtype=int))).conditional_means(x)
+        assert np.allclose(x.mean(axis=0) - cond, 0.0)
 
     def test_two_singletons_meet_at_global_mean(self):
         x = np.array([[0.0], [2.0]])
-        cov = Covariates.categorical(np.array([0, 1]))
-        w, _ = precondition_mean_shift(x, cov, categorical_coupling(cov.labels))
-        assert np.allclose(w, 1.0)
+        cond = build_couplings(Covariates.categorical(np.array([0, 1]))).conditional_means(x)
+        assert np.allclose(x + x.mean(axis=0) - cond, 1.0)
 
     def test_ellipse_class_means_match_global(self):
         ds = gen_ellipses(seed=0)
-        Z = categorical_coupling(ds.covariates.labels)
-        w, _ = precondition_mean_shift(ds.x, ds.covariates, Z)
+        w = ds.x + (ds.x.mean(axis=0) - build_couplings(ds.covariates).conditional_means(ds.x))
         labels = np.asarray(ds.covariates.labels)
         global_mean = ds.x.mean(axis=0)
         for z in (0, 1, 2):
@@ -205,25 +202,18 @@ class TestPreconditionMeanShift:
         cond = np.empty_like(x)
         for value in np.unique(labels):
             cond[labels == value] = x[labels == value].mean(axis=0)
-        w, shift = precondition_mean_shift(x, Covariates.categorical(labels), None)
-        assert shift.tobytes() == (x.mean(axis=0) - cond).tobytes()
-        assert w.tobytes() == (x + shift).tobytes()
+        cov = Covariates.categorical(labels)
+        assert build_couplings(cov).conditional_means(x).tobytes() == cond.tobytes()
+        res = solve(x, cov, CostModel("sq_euclidean"), SolverConfig(niter=1, precondition=True))
+        assert res.precondition_shift.tobytes() == (x.mean(axis=0) - cond).tobytes()
 
     def test_continuous_uses_coupling_weights(self, rng):
         x = rng.standard_normal((12, 2))
-        values = rng.standard_normal((12, 1))
-        cov = Covariates.continuous(values, bandwidth_b=0.8)
-        Z = build_couplings(cov).Z()
-        w, shift = precondition_mean_shift(x, cov, Z)
-        assert np.allclose(w, x + x.mean(axis=0) - Z.T @ x)
-        assert np.allclose(shift, w - x)
-
-    @pytest.mark.parametrize("Z", [None, np.eye(11)])
-    def test_continuous_needs_the_coupling(self, Z, rng):
-        x = rng.standard_normal((12, 2))
         cov = Covariates.continuous(rng.standard_normal((12, 1)), bandwidth_b=0.8)
-        with pytest.raises(InvalidInputError, match="coupling matrix Z"):
-            precondition_mean_shift(x, cov, Z)
+        Z = build_couplings(cov).Z()
+        assert build_couplings(cov).conditional_means(x).tobytes() == (Z.T @ x).tobytes()
+        res = solve(x, cov, CostModel("sq_euclidean"), SolverConfig(niter=1, precondition=True))
+        assert res.precondition_shift.tobytes() == (x.mean(axis=0) - Z.T @ x).tobytes()
 
 
 class TestLambdaUpdate:
@@ -401,7 +391,8 @@ class TestSteps:
         Z = categorical_coupling(rng.integers(0, 2, n)) if cost == "distortion" else None
         tf = 0.8 if mode == "kde" else monomial_features(2, 2)
         coupling = build_couplings(Covariates.categorical(labels))
-        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y)
+        cost = cost_function(model, x, None if Z is None else dense_coupling(Z))
+        ev = evaluate(cost, constraint_function(coupling, tf), y)
         return ev, model, x, y, Z, tf, centering_matrix(categorical_coupling(labels))
 
     @pytest.mark.parametrize("cost", ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"])
@@ -440,7 +431,8 @@ class TestSteps:
         lam, eta = 40.0, 0.3
         model = CostModel("distortion")
         Z = categorical_coupling(rng.integers(0, 2, n))
-        ev = evaluate(cost_function(model, x, Z), constraint_function(coupling, tf), y)
+        cost = cost_function(model, x, dense_coupling(Z))
+        ev = evaluate(cost, constraint_function(coupling, tf), y)
         grad = combined_grad(ev, lam)
         hvp = ev.hvp(lam)
         A = np.eye(2 * n) + eta * operator_matrix(hvp, n, 2).reshape(2 * n, 2 * n)
@@ -577,7 +569,7 @@ class TestDescentSides:
         kde = config.get("problem", "kde") == "kde"
         tf = res.bandwidth_a if kde else monomial_features(x.shape[1], 2)
         coupling = build_couplings(cov)  # the object solve binds, not a dense C of its own
-        cost = cost_function(model, x, coupling.Z())
+        cost = cost_function(model, x, coupling)
         constraint = constraint_function(coupling, tf)
         ev = evaluate(cost, constraint, y_new)
         lhs = ev.L_C + rec.lam * ev.L_F
@@ -902,6 +894,21 @@ class TestSolve:
         assert result.iterations == 5
         assert sum(np.array_equal(a, ds.x) for a, _ in calls) == 1
         assert len(calls) > 5  # and one cdist(y, y) per evaluation
+
+    @pytest.mark.parametrize("precondition", [False, True])
+    def test_cost_and_shift_read_z_before_kde_spends_it(self, precondition, rng):
+        # a Sinkhorn coupling's Z is read by the distortion cost and the
+        # shift, then spent by kde, which forms its C^T in place on it
+        x = rng.standard_normal((15, 2))
+        cov = Covariates.continuous(rng.standard_normal((15, 1)), bandwidth_b=0.8)
+        model = CostModel("distortion")
+        res = solve(x, cov, model, SolverConfig(niter=3, precondition=precondition))
+        assert res.iterations > 0
+        Z = build_couplings(cov).Z()
+        if precondition:
+            assert res.precondition_shift.tobytes() == (x.mean(axis=0) - Z.T @ x).tobytes()
+        # the cost bound to an unspent copy of Z scores the result as the solve did
+        assert cost_function(model, x, build_couplings(cov))(res.y_final)[0] == res.final_L_C
 
     @pytest.mark.parametrize("niter", [1, 10])
     def test_fixed_inputs_checked_once_per_solve(self, niter, monkeypatch):
