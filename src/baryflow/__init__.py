@@ -12,7 +12,7 @@ drives the constraint multiplier.
 __version__ = "0.1.0"
 
 from .costs import CostModel, parse_cost_spec
-from .couplings import Covariates, build_couplings, median_heuristic_bandwidth
+from .couplings import Covariates
 from .datagen import (
     Dataset,
     TimeSeriesSample,
@@ -24,7 +24,7 @@ from .datagen import (
     sph2cart,
 )
 from .errors import BaryflowError, ConvergenceError, InvalidInputError, NumericError
-from .solver import BarycenterResult, SolverConfig, lambda_update, solve
+from .solver import BarycenterResult, SolverConfig, solve
 
 __all__ = [
     "BarycenterResult",
@@ -38,14 +38,11 @@ __all__ = [
     "SolverConfig",
     "TimeSeriesSample",
     "__version__",
-    "build_couplings",
     "cart2sph",
     "gen_ellipses",
     "gen_hidden_signal",
     "gen_sphere_patches",
     "lagged_dataset",
-    "lambda_update",
-    "median_heuristic_bandwidth",
     "parse_cost_spec",
     "solve",
     "sph2cart",

@@ -3,11 +3,17 @@
 Subcommands:
 
 * ``gen {ellipses,sphere-patches,hidden-signal}`` writes a dataset CSV (or a
-  time-series CSV for ``hidden-signal``).
+  time-series CSV for ``hidden-signal``).  Each generator is a subcommand
+  of its own that takes ``--seed``, ``--output`` and only its own options;
+  an option left out takes the generator's default.
 * ``solve`` reads a dataset CSV and writes the mapped points, the iteration
   history and a run summary.
 * ``filter-timeseries`` turns a time-series CSV into a lagged-covariate
   dataset and solves it.
+
+The solving commands take one flag per :class:`~baryflow.solver.SolverConfig`
+field, with that field's default, plus their input, output, history,
+summary and cost (and ``filter-timeseries`` its lag space).
 
 Dataset CSV format: header row, numeric columns ``x1..xd``, and either a
 single ``z`` column (categorical labels, read as strings) or numeric columns
@@ -172,9 +178,10 @@ def load_series(source):
     """Read a time-series CSV (columns t, x_theta, x_phi[, w_theta, w_phi])."""
     with _opened(source, "r") as fileobj:
         reader = csv.DictReader(fileobj)
-        if reader.fieldnames is None or not {"x_theta", "x_phi"} <= set(reader.fieldnames):
+        reader.fieldnames = names = [name.strip() for name in reader.fieldnames or ()]
+        if not {"x_theta", "x_phi"} <= set(names):
             raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
-        has_w = {"w_theta", "w_phi"} <= set(reader.fieldnames)
+        has_w = {"w_theta", "w_phi"} <= set(names)
         keys = ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]
         rows = [_floats(row, keys, "value", reader.line_num) for row in reader]
         if len(rows) < 2:
@@ -223,7 +230,7 @@ def _add_solver_flags(parser):
     parser.add_argument("--problem", choices=("kde", "features"), default=cfg.problem)
     parser.add_argument("--feature-degree", type=int, default=cfg.feature_degree)
     parser.add_argument("--bandwidth-a", type=_positive_or_auto, default=cfg.bandwidth_a)
-    parser.add_argument("--bandwidth-b", type=_positive_or_auto, default="auto")
+    parser.add_argument("--bandwidth-b", type=_positive_or_auto, default=cfg.bandwidth_b)
     parser.add_argument("--update", choices=("explicit", "implicit"), default=cfg.update)
     parser.add_argument("--eta0", type=float, default=cfg.eta0)
     parser.add_argument("--niter", type=int, default=cfg.niter)
@@ -243,11 +250,6 @@ def _add_solver_flags(parser):
 
 
 def _run_solve(args, dataset):
-    if args.bandwidth_b != "auto":
-        if dataset.covariates.kind != "continuous":
-            raise InvalidInputError("--bandwidth-b applies only to continuous covariates z1..zm")
-        covariates = dataclasses.replace(dataset.covariates, bandwidth_b=args.bandwidth_b)
-        dataset = dataclasses.replace(dataset, covariates=covariates)
     config = SolverConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)})
     started = time.perf_counter()
     result = solve(dataset.x, dataset.covariates, parse_cost_spec(args.cost), config)
@@ -287,26 +289,18 @@ def _run_solve(args, dataset):
     return 0
 
 
-def _given(args, name):
-    """``{name: value}`` for a flag that was given, else ``{}``: the generator's default applies."""
-    value = getattr(args, name)
-    return {} if value is None else {name: value}
+_GENERATORS = {  # gen subcommand: (generator, writer)
+    "ellipses": (gen_ellipses, save_dataset),
+    "sphere-patches": (gen_sphere_patches, save_dataset),
+    "hidden-signal": (gen_hidden_signal, _write_series_csv),
+}
 
 
 def _cmd_gen(args):
-    others = {"ellipses": ("same_hemisphere", "steps"), "sphere-patches": ("steps",),
-              "hidden-signal": ("n_per_class", "same_hemisphere")}[args.what]
-    stray = [f"--{name.replace('_', '-')}" for name in others if getattr(args, name) is not None]
-    if stray:
-        raise InvalidInputError(f"gen {args.what} does not take {' '.join(stray)}")
-    if args.what == "ellipses":
-        data, write = gen_ellipses(args.seed, **_given(args, "n_per_class")), save_dataset
-    elif args.what == "sphere-patches":
-        data = gen_sphere_patches(args.seed, antipodal=not args.same_hemisphere,
-                                  **_given(args, "n_per_class"))
-        write = save_dataset
-    else:
-        data, write = gen_hidden_signal(args.seed, **_given(args, "steps")), _write_series_csv
+    generate, write = _GENERATORS[args.what]
+    # --seed and the generator's own flags that were given; its defaults fill in the rest
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "what", "func", "output")}
+    data = generate(**options)
     with _opened(args.output, "w") as out:  # opened once the data exist: a bad argument writes no file
         write(data, out)
     return 0
@@ -329,26 +323,33 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("what", choices=("ellipses", "sphere-patches", "hidden-signal"))
-    gen.add_argument("--n-per-class", type=int, default=None, help="ellipses, sphere-patches")
-    gen.add_argument("--same-hemisphere", action="store_true", default=None,
-                     help="sphere-patches: place both patches in one hemisphere")
-    gen.add_argument("--steps", type=int, default=None, help="hidden-signal length")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--output", default="-", help="output CSV path ('-' for stdout)")
-    gen.set_defaults(func=_cmd_gen)
+    # flags that several subcommands take are added once, to a parent whose objects they share
+    gen_flags = argparse.ArgumentParser(add_help=False)
+    gen_flags.add_argument("--seed", type=int, default=0)
+    gen_flags.add_argument("--output", default="-", help="output CSV path ('-' for stdout)")
+    gen_flags.set_defaults(func=_cmd_gen)
+    generators = sub.add_parser("gen", help="generate a synthetic dataset").add_subparsers(
+        dest="what", required=True)
+    # a generator's own flags are left out unless given, so that its defaults apply
+    ellipses, patches, signal = (
+        generators.add_parser(what, parents=[gen_flags], argument_default=argparse.SUPPRESS)
+        for what in _GENERATORS)
+    ellipses.add_argument("--n-per-class", type=int)
+    patches.add_argument("--n-per-class", type=int)
+    patches.add_argument("--same-hemisphere", dest="antipodal", action="store_false",
+                         help="place both patches in one hemisphere")
+    signal.add_argument("--steps", type=int, help="series length")
 
-    slv = sub.add_parser("solve", help="solve a dataset CSV")
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    _add_solver_flags(solver_flags)
+    slv = sub.add_parser("solve", parents=[solver_flags], help="solve a dataset CSV")
     slv.add_argument("--input", default="-", help="dataset CSV path ('-' for stdin)")
-    _add_solver_flags(slv)
     slv.set_defaults(func=_cmd_solve)
 
-    flt = sub.add_parser("filter-timeseries",
+    flt = sub.add_parser("filter-timeseries", parents=[solver_flags],
                          help="build lagged covariates from a time-series CSV and solve")
     flt.add_argument("--input", default="-", help="time-series CSV path ('-' for stdin)")
     flt.add_argument("--lag-space", choices=("spherical", "cartesian"), default="spherical")
-    _add_solver_flags(flt)
     flt.set_defaults(func=_cmd_filter_timeseries)
     return parser
 

@@ -137,18 +137,14 @@ class BlockHvp:
     a function ``rest(s)`` that sets up, once, the product v -> s R v, with
     the scale s folded into its factors.  ``parts() -> (D, remainders)``
     gives both; a cost or constraint passes a :func:`deferred` build, so an
-    evaluation whose product is never used sets up none.  Calling the object
-    applies the product; :meth:`operator` forms a scaled and shifted product
-    once for many applications.
+    evaluation whose product is never used sets up none.  :meth:`operator`
+    forms a scaled and shifted product once, to apply many times.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts):
         self._parts = parts
-
-    def __call__(self, v):
-        return self.operator()(v)
 
     def plus(self, lam, other):
         """The product of H + lam * H_other.

@@ -2,11 +2,12 @@
 
 The coupling matrix Z encodes similarity between covariate values.  For
 categorical covariates it averages over class members; for continuous ones it
-is the bi-stochastic scaling of their own Gaussian kernel matrix.  Both are
-exactly symmetric, with unit row and column sums (a Sinkhorn Z's to its
-tolerance), so the centering matrix C = Z - 11^T/N, the quadratic form the
-objective contracts against, is symmetric: its columns sum to zero and
-x'Cx >= 0 for every x whenever Z is positive semidefinite.
+is the bi-stochastic scaling of their Gaussian kernel matrix of bandwidth b,
+a setting of the solve.  Both are exactly symmetric, with unit row and
+column sums (a Sinkhorn Z's to its tolerance), so the centering matrix
+C = Z - 11^T/N, the quadratic form the objective contracts against, is
+symmetric: its columns sum to zero and x'Cx >= 0 for every x whenever Z is
+positive semidefinite.
 
 :func:`build_couplings` returns one small object per solve.  A
 :class:`CategoricalCoupling` holds only each point's class and the class
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import ConvergenceError, InvalidInputError, positive_number
+from .errors import ConvergenceError, InvalidInputError
 
 __all__ = [
     "CategoricalCoupling",
@@ -129,21 +130,20 @@ def _classes(labels):
 
 @dataclass(frozen=True)
 class Covariates:
-    """Conditioning data: class labels, or continuous vectors plus a bandwidth.
+    """Conditioning data: class labels, or continuous vectors.
 
     Labels are checked here, once: a non-empty 1-D array of mutually
     comparable labels with no NaN.  Their class ``index`` (classes numbered
     in sorted label order) and class sizes ``counts`` are taken here too,
     and the coupling holds them.
     Continuous values are checked here too: a finite N x m float matrix,
-    N >= 1, with ``bandwidth_b`` a positive number or "auto", which
-    :func:`build_couplings` resolves with the median heuristic on the values.
+    N >= 1.  Their kernel's bandwidth is a setting of the solve,
+    ``SolverConfig.bandwidth_b``, not of the data.
     """
 
     kind: str
     labels: np.ndarray | None = None
     values: np.ndarray | None = None
-    bandwidth_b: float | str = "auto"
     index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -158,8 +158,6 @@ class Covariates:
             if not np.isfinite(values).all():
                 raise InvalidInputError("covariate values must be finite")
             object.__setattr__(self, "values", values)
-            if self.bandwidth_b != "auto" and not positive_number(self.bandwidth_b):
-                raise InvalidInputError("bandwidth_b must be positive or 'auto'")
         else:
             raise InvalidInputError(f"unknown covariate kind {self.kind!r}")
 
@@ -168,8 +166,8 @@ class Covariates:
         return cls(kind="categorical", labels=np.asarray(labels))
 
     @classmethod
-    def continuous(cls, values, bandwidth_b="auto"):
-        return cls(kind="continuous", values=np.asarray(values, dtype=float), bandwidth_b=bandwidth_b)
+    def continuous(cls, values):
+        return cls(kind="continuous", values=np.asarray(values, dtype=float))
 
     @property
     def n(self):
@@ -314,22 +312,25 @@ class DenseCoupling:
         return self._held()
 
 
-def build_couplings(covariates):
+def build_couplings(covariates, bandwidth_b="auto"):
     """Return the coupling of one solve: a :class:`CategoricalCoupling` or a :class:`DenseCoupling`.
 
     Computed once per solve.  Categorical covariates give the O(N) class
-    form, built from the class index :class:`Covariates` took.  Continuous
-    values v_i of width m with bandwidth b give the Gaussian kernel
+    form, built from the class index :class:`Covariates` took, and take no
+    bandwidth: a ``bandwidth_b`` other than "auto" raises InvalidInputError.
+    Continuous values v_i of width m with bandwidth b (``bandwidth_b``, or
+    the median heuristic on the values for "auto") give the Gaussian kernel
     K[i, j] = (2 pi b^2)^(-m/2) exp(-||v_i - v_j||^2 / (2 b^2)), formed in
     place from the squared distances and scaled in place by
     :func:`_scale_in_place` into the dense Z: the build holds one N x N array.
     A b whose 2 b^2 is subnormal, or whose scale is 0 or overflows, raises InvalidInputError.
     """
     if covariates.kind == "categorical":
+        if bandwidth_b != "auto":
+            raise InvalidInputError("bandwidth_b applies only to continuous covariates")
         return CategoricalCoupling(covariates.index, covariates.counts)
     values = covariates.values
-    b = covariates.bandwidth_b
-    b = float(median_heuristic_bandwidth(values) if b == "auto" else b)
+    b = float(median_heuristic_bandwidth(values) if bandwidth_b == "auto" else bandwidth_b)
     try:  # in Python floats, which raise where numpy would warn
         norm = (2.0 * np.pi * b**2) ** (-0.5 * values.shape[1])
     except ArithmeticError:  # 2 b^2 is zero, or b^2 or the scale overflows

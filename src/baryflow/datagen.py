@@ -204,7 +204,7 @@ def lagged_dataset(series, space="spherical"):
     covariates (the 2-D formulation); ``space="cartesian"`` keeps the points
     spherical but uses the lagged unit 3-vector as the covariate, which
     avoids the longitude wrap-around in covariate space.  The first
-    observation is dropped (it has no lag).  The covariate bandwidth is "auto".
+    observation is dropped (it has no lag).
     """
     x = np.asarray(series.x, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or x.shape[0] < 2:

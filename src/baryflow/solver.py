@@ -78,7 +78,9 @@ class SolverConfig:
     Hessian is never formed and the estimate moves with the data.  ``seed``
     draws the start vector only when that gradient is zero, as it is for a
     flat constraint such as one class.  ``bandwidth_a`` applies to kde mode
-    and resolves "auto" with the median heuristic on the starting positions.
+    and resolves "auto" with the median heuristic on the starting positions;
+    ``bandwidth_b``, the covariate kernel's, applies to continuous covariates
+    and resolves "auto" with the median heuristic on their values.
     ``feature_degree`` applies to features mode.  Every field is checked on
     construction: reals must be finite and positive, counts must be
     integers, and a bad value raises InvalidInputError.
@@ -95,6 +97,7 @@ class SolverConfig:
     tol_lf: float = 1e-6
     precondition: bool = False
     bandwidth_a: float | str = "auto"
+    bandwidth_b: float | str = "auto"
     feature_degree: int = 2
     seed: int = 0
 
@@ -114,13 +117,12 @@ class SolverConfig:
                 raise InvalidInputError(f"{name} must be an integer")
             if value < low:
                 raise InvalidInputError(f"{name} must be >= {low}")
-        if self.lambda0 != "auto":
-            if not positive_number(self.lambda0):
-                raise InvalidInputError("lambda0 must be positive or 'auto'")
-            if self.lambda_max < self.lambda0:
-                raise InvalidInputError("lambda_max must be >= lambda0")
-        if self.bandwidth_a != "auto" and not positive_number(self.bandwidth_a):
-            raise InvalidInputError("bandwidth_a must be positive or 'auto'")
+        for name in ("lambda0", "bandwidth_a", "bandwidth_b"):
+            value = getattr(self, name)
+            if value != "auto" and not positive_number(value):
+                raise InvalidInputError(f"{name} must be positive or 'auto'")
+        if self.lambda0 != "auto" and self.lambda_max < self.lambda0:
+            raise InvalidInputError("lambda_max must be >= lambda0")
 
 
 @dataclass
@@ -187,11 +189,9 @@ class BarycenterResult:
 
     ``history`` is a :class:`History`, one record per accepted step, which
     holds each value in a column of one array and builds a record only when
-    one is read.  ``x_original`` is always the unshifted input, so costs of
-    the composed map can be recomputed against it; ``precondition_shift`` is
-    the rigid per-point translation applied before the flow, the overall
-    mean of x minus each point's conditional mean under the coupling (None
-    when preconditioning was off).
+    one is read.  ``precondition_shift`` is the rigid per-point translation
+    applied before the flow, the overall mean of x minus each point's
+    conditional mean under the coupling (None when preconditioning was off).
     """
 
     y_final: np.ndarray
@@ -199,7 +199,6 @@ class BarycenterResult:
     iterations: int
     history: History
     precondition_shift: np.ndarray | None
-    x_original: np.ndarray
     lambda0: float
     bandwidth_a: float | None
 
@@ -455,7 +454,7 @@ def solve(x, covariates, cost_model, config=None):
     if covariates.n != n:
         raise InvalidInputError("covariates and points disagree on N")
 
-    coupling = build_couplings(covariates)
+    coupling = build_couplings(covariates, config.bandwidth_b)
     shift = x.mean(axis=0) - coupling.conditional_means(x) if config.precondition else None
     y = x.copy() if shift is None else x + shift
 
@@ -543,7 +542,6 @@ def solve(x, covariates, cost_model, config=None):
         iterations=len(history),
         history=history,
         precondition_shift=shift,
-        x_original=x,
         lambda0=lambda0,
         bandwidth_a=bandwidth_a,
     )

@@ -147,10 +147,11 @@ def central_diff_jacobian(g, y, h=1e-6):
 
 
 def operator_matrix(hvp, n, d):
-    """Matrix of an (N, d) -> (N, d) operator, assembled column by column from hvp(e_k).
+    """Matrix of a :class:`BlockHvp`, assembled column by column from its products with e_k.
 
     Returns shape (N, d, N, d), laid out like ``central_diff_jacobian``.
     """
+    hvp = hvp.operator()
     out = np.zeros((n, d, n, d))
     for k in range(n):
         for b in range(d):
@@ -161,7 +162,8 @@ def operator_matrix(hvp, n, d):
 
 
 def assert_symmetric(hvp, rng, n, d, trials=5):
-    """|<u, H v> - <H u, v>| <= 1e-12 * ||u|| * ||H v|| on random u, v."""
+    """|<u, H v> - <H u, v>| <= 1e-12 * ||u|| * ||H v|| on random u, v, for a :class:`BlockHvp`."""
+    hvp = hvp.operator()
     for _ in range(trials):
         u = rng.standard_normal((n, d))
         v = rng.standard_normal((n, d))
@@ -296,8 +298,11 @@ def peak_bytes(call):
 
 
 def product_peak_bytes(hvp, v):
-    """tracemalloc peak of one call hvp(v), after a first call that does any deferred set-up."""
-    return peak_bytes(lambda: hvp(v))
+    """tracemalloc peak of one product of a :class:`BlockHvp` with v, its operator formed too.
+
+    A first product does any deferred set-up.
+    """
+    return peak_bytes(lambda: hvp.operator()(v))
 
 
 def rel_err(a, b):

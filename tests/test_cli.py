@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from baryflow.cli import _build_parser, load_dataset, main, save_dataset
+from baryflow.cli import _build_parser, _write_series_csv, load_dataset, load_series, main, save_dataset
 from baryflow.datagen import gen_ellipses, gen_hidden_signal, gen_sphere_patches
 from baryflow.errors import InvalidInputError
 from baryflow.solver import SolverConfig
@@ -75,6 +75,18 @@ class TestLoadDataset:
         loaded = load_dataset(buf)
         assert np.array_equal(loaded.x, ds.x)
         assert list(loaded.covariates.labels) == [str(z) for z in ds.covariates.labels]
+
+
+class TestLoadSeries:
+    def test_spaced_header_loads_as_unspaced(self):
+        # header names are stripped, as load_dataset strips them
+        buf = io.StringIO()
+        _write_series_csv(gen_hidden_signal(0, steps=20), buf)
+        header, body = buf.getvalue().split("\n", 1)
+        spaced = " " + header.replace(",", " , ") + " \n" + body
+        plain, loaded = load_series(io.StringIO(buf.getvalue())), load_series(io.StringIO(spaced))
+        assert loaded.x.tobytes() == plain.x.tobytes()
+        assert loaded.w_hidden.tobytes() == plain.w_hidden.tobytes()
 
 
 class TestCli:
@@ -252,7 +264,7 @@ class TestCli:
                      "--output", str(tmp_path / "r.csv"), "--history", str(tmp_path / "h.csv"),
                      "--summary", str(tmp_path / "s.json")])
         assert code == 1
-        assert "baryflow: error: --bandwidth-b applies only" in capsys.readouterr().err
+        assert "baryflow: error: bandwidth_b applies only" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["d.csv"]
 
     @pytest.mark.parametrize("row", ["1,0.5,abc,0.1,0.2", "1,0.5"])
@@ -285,6 +297,14 @@ class TestCli:
         args = _build_parser().parse_args([command])
         assert [f.name for f in dataclasses.fields(SolverConfig) if not hasattr(args, f.name)] == []
 
+    @pytest.mark.parametrize("command", ["solve", "filter-timeseries"])
+    def test_every_flag_is_a_solver_field_or_io(self, command):
+        # settings come from SolverConfig alone; the rest say where data go
+        args = _build_parser().parse_args([command])
+        io_flags = {"input", "output", "history", "summary", "cost", "lag_space"}
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(vars(args)) - {"command", "func"} - io_flags - fields == set()
+
     def test_solver_flag_defaults_are_the_config_defaults(self):
         args = _build_parser().parse_args(["solve"])
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
@@ -308,9 +328,12 @@ class TestCli:
         ("hidden-signal", ["--same-hemisphere"]),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
     def test_gen_flag_of_another_generator_is_error(self, what, flag, tmp_path, capsys):
+        # each generator's parser knows only its own flags, --seed and --output
         out = tmp_path / "out.csv"
-        assert main(["gen", what, "--seed", "0", *flag, "--output", str(out)]) == 1
-        assert f"baryflow: error: gen {what} does not take {flag[0]}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", what, "--seed", "0", *flag, "--output", str(out)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dash_history_and_summary_go_to_stdout(self, tmp_path, monkeypatch, capsys):

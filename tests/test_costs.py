@@ -198,7 +198,7 @@ class TestCostHessian:
             _, grad, hvp = cost_function(model, x, coupling)(y)
             grad()
             assert (setups, operators) == ([], [])
-            hvp(rng.standard_normal(y.shape))
+            hvp.operator()(rng.standard_normal(y.shape))
             assert (len(setups), len(operators)) == (1, 1)
             setups.clear()
             operators.clear()
@@ -230,7 +230,7 @@ class TestCostHessian:
                 expected = distortion_hvp_reference(model, x, y, coupling.Z())(v)
             else:
                 expected = np.einsum("iab,ib->ia", pairwise_hessian_reference(model, x, y), v)
-            assert rel_err(hvp(v), expected) <= 1e-12
+            assert rel_err(hvp.operator()(v), expected) <= 1e-12
 
     def test_distortion_product_allocates_no_n_by_n_array(self, rng):
         model, x, y, coupling = make_instance("distortion", rng, n=400)

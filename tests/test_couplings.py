@@ -15,6 +15,7 @@ from baryflow.couplings import (
 )
 from baryflow.datagen import gen_hidden_signal, lagged_dataset
 from baryflow.errors import ConvergenceError, InvalidInputError
+from baryflow.solver import SolverConfig
 
 from conftest import categorical_coupling, centering_matrix, gaussian_kernel, peak_bytes
 
@@ -43,7 +44,7 @@ def scaled(K, **limits):
 
 def continuous_z(values, bandwidth_b):
     """The dense Z that ``build_couplings`` gives continuous covariates."""
-    return build_couplings(Covariates.continuous(values, bandwidth_b=bandwidth_b)).Z()
+    return build_couplings(Covariates.continuous(values), bandwidth_b).Z()
 
 
 def _normal(seed, *shape):
@@ -344,7 +345,7 @@ class TestCovariatesAndBuild:
         # Z and about 75 kB of vectors and blocks
         n = 400
         values = rng.normal(size=(n, 2))
-        build = lambda: build_couplings(Covariates.continuous(values, bandwidth_b=bandwidth_b))
+        build = lambda: build_couplings(Covariates.continuous(values), bandwidth_b)
         assert peak_bytes(build) <= 1.1 * n**2 * 8
         Z = build().Z()
         assert np.array_equal(Z, Z.T)
@@ -392,22 +393,28 @@ class TestCovariatesAndBuild:
 
     def test_duplicate_covariate_values_allowed(self):
         values = np.array([[0.0], [0.0], [1.0], [2.0]])
-        cov = Covariates.continuous(values, bandwidth_b=0.5)
-        Z = build_couplings(cov).Z()
+        Z = build_couplings(Covariates.continuous(values), 0.5).Z()
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
 
     @pytest.mark.parametrize("bandwidth_b", ["wide", None, True, 0.0, float("nan")])
     def test_bad_bandwidth_b_rejected(self, bandwidth_b):
+        # b is a setting of the solve, checked once where it enters
         with pytest.raises(InvalidInputError, match="bandwidth_b"):
-            Covariates.continuous(np.ones((3, 1)), bandwidth_b=bandwidth_b)
+            SolverConfig(bandwidth_b=bandwidth_b)
+
+    def test_bandwidth_b_on_categorical_covariates_is_error(self):
+        cov = Covariates.categorical(np.array([0, 0, 1, 1]))
+        assert isinstance(build_couplings(cov, "auto"), CategoricalCoupling)
+        with pytest.raises(InvalidInputError, match="bandwidth_b applies only to continuous"):
+            build_couplings(cov, 0.5)
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("bandwidth_b", [1e-200, 1e-160])
     def test_tiny_bandwidth_b_is_error(self, bandwidth_b, width):
         # 2 b^2 underflows: a division by zero, or an overflow of the kernel's scale
-        cov = Covariates.continuous(_normal(9, 10, width), bandwidth_b=bandwidth_b)
+        cov = Covariates.continuous(_normal(9, 10, width))
         with pytest.raises(InvalidInputError, match="bandwidth_b"):
-            build_couplings(cov)
+            build_couplings(cov, bandwidth_b)
 
     def test_auto_bandwidth_b_that_underflows_is_error(self):
         # the median heuristic gives b near 1.4e-156, so 2 b^2 is subnormal
@@ -417,7 +424,7 @@ class TestCovariatesAndBuild:
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(InvalidInputError, match="finite"):
-            Covariates.continuous(np.array([[0.0], [np.nan], [1.0]]), bandwidth_b=1.0)
+            Covariates.continuous(np.array([[0.0], [np.nan], [1.0]]))
 
     def test_nan_labels_rejected(self):
         with pytest.raises(InvalidInputError, match="NaN"):
@@ -460,6 +467,6 @@ class TestCovariatesAndBuild:
 
     def test_invalid_covariates(self):
         with pytest.raises(InvalidInputError):
-            Covariates(kind="continuous", values=np.ones((3, 1)), bandwidth_b=-1.0)
+            Covariates(kind="continuous", values=np.ones(3))
         with pytest.raises(InvalidInputError):
             Covariates(kind="nope")

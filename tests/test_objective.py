@@ -146,7 +146,7 @@ class TestLfKde:
             n = int(rng.integers(4, 30))
             y = rng.standard_normal((n, 2))
             z = rng.standard_normal((n, 1))
-            Z = build_couplings(Covariates.continuous(z, bandwidth_b=0.7)).Z()
+            Z = build_couplings(Covariates.continuous(z), 0.7).Z()
             assert kde_value(y, Z, 0.5) >= -1e-10
 
 
@@ -161,7 +161,7 @@ class TestLfFeatures:
         one = MonomialBasis([[0, 0]])
         y = rng.standard_normal((7, 2))
         z = rng.standard_normal((7, 1))
-        Z = build_couplings(Covariates.continuous(z, bandwidth_b=0.8)).Z()
+        Z = build_couplings(Covariates.continuous(z), 0.8).Z()
         assert features_value(y, Z, one) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_singletons_value(self):
@@ -316,7 +316,7 @@ class TestEvaluate:
                     for c in (coupling, dense_coupling(Z)))
         assert got[0] == pytest.approx(ref[0], rel=1e-13)
         assert rel_err(got[1](), ref[1]()) <= 1e-13
-        assert rel_err(got[2](v), ref[2](v)) <= 1e-13
+        assert rel_err(got[2].operator()(v), ref[2].operator()(v)) <= 1e-13
 
     @pytest.mark.parametrize("labels", list(KDE_LABELS.values()), ids=list(KDE_LABELS))
     def test_categorical_kde_matches_dense_coupling(self, labels, rng):
@@ -334,7 +334,7 @@ class TestEvaluate:
             assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
             assert got[3] == pytest.approx(ref[3], rel=1e-13, abs=1e-300)
             assert rel_err(got[1](), ref[1]()) <= 1e-13
-            assert rel_err(got[2](v), ref[2](v)) <= 1e-13
+            assert rel_err(got[2].operator()(v), ref[2].operator()(v)) <= 1e-13
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -380,7 +380,7 @@ class TestEvaluate:
                 a = float(rng.uniform(0.5, 2.0))
                 hvp = constraint_function(bound, a)(y)[2]
                 expected = kde_hvp_reference(y, a, C.T)(v)
-            assert rel_err(hvp(v), expected) <= 1e-12
+            assert rel_err(hvp.operator()(v), expected) <= 1e-12
 
     def test_kde_product_allocates_no_n_by_n_array(self, rng):
         n = 400
@@ -412,7 +412,7 @@ class TestEvaluate:
             ev.grad_cost, ev.grad_constraint
             hvp = ev.hvp(1.0)
             assert (setups, operators) == ([], [])
-            hvp(rng.standard_normal(y.shape))
+            hvp.operator()(rng.standard_normal(y.shape))
             assert (len(setups), len(operators)) == (3, 1)  # the sum and its two terms
             setups.clear()
             operators.clear()
