@@ -15,11 +15,15 @@ The solving commands take one flag per :class:`~baryflow.solver.SolverConfig`
 field, with that field's default, plus their input, output, history,
 summary and cost (and ``filter-timeseries`` its lag space).
 
+A run builds the full parser of its own command only; the other commands
+stay bare entries, named in help and errors.
+
 Dataset CSV format: header row, numeric columns ``x1..xd``, and either a
 single ``z`` column (categorical labels, read as strings) or numeric columns
-``z1..zm`` (continuous covariates).  Numbers are serialized with 17
-significant digits, so re-running with the same configuration and seed
-reproduces outputs byte for byte.
+``z1..zm`` (continuous covariates).  Every number the CLI writes goes
+through one formatter with 17 significant digits, which reads back to the
+same float, so re-running with the same configuration and seed reproduces
+outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -57,10 +61,6 @@ __all__ = ["load_dataset", "main", "save_dataset"]
 _NUMBERED_COL = re.compile(r"^([xz])(\d+)$")
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 @contextlib.contextmanager
 def _opened(target, mode):
     """Yield a file for a path, ``-`` (stdin or stdout) or an open file object.
@@ -80,7 +80,7 @@ def _floats(row, keys, what, line):
     """The cells ``row[key]`` as floats; a non-numeric or missing one names ``what`` and the line."""
     try:
         return [float(row[key]) for key in keys]
-    except (ValueError, IndexError, TypeError):  # TypeError: a short DictReader row leaves None
+    except (ValueError, IndexError):
         raise InvalidInputError(f"non-numeric or missing {what} in row {line}") from None
 
 
@@ -140,50 +140,61 @@ def load_dataset(source):
         return Dataset(x=x, covariates=covariates)
 
 
-def _covariate_header_and_rows(covariates):
-    if covariates.kind == "categorical":
-        return ["z"], [[str(v)] for v in covariates.labels]
-    m = covariates.values.shape[1]
-    return [f"z{j + 1}" for j in range(m)], [
-        [_fmt(v) for v in row] for row in covariates.values
-    ]
+def _number_lines(columns, integer=()):
+    """One CSV line of text per row of the numbers in ``columns``, side by side.
+
+    ``columns`` are 1-D (one column) or 2-D (several) arrays of one length.
+    Every value prints as ``format(float(v), ".17g")`` does, which reads back
+    to the same float; the column positions in ``integer`` print as integers.
+    """
+    table = np.column_stack(columns).astype(float, copy=False)
+    line = ",".join("%d" if j in integer else "%.17g" for j in range(table.shape[1]))
+    return [line % tuple(row) for row in table.tolist()]
+
+
+def _write_csv(fileobj, header, lines):
+    fileobj.write("".join(f"{text}\n" for text in [",".join(header), *lines]))
 
 
 def save_dataset(dataset, fileobj, y=None):
     """Write a dataset CSV; with mapped points ``y``, columns y1..yd follow (the result CSV)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
     d = dataset.dim
-    z_header, z_rows = _covariate_header_and_rows(dataset.covariates)
+    covariates = dataset.covariates
+    x_header = [f"x{j + 1}" for j in range(d)]
     y_header = [] if y is None else [f"y{j + 1}" for j in range(d)]
-    writer.writerow([f"x{j + 1}" for j in range(d)] + z_header + y_header)
-    y_rows = [[]] * dataset.n if y is None else [[_fmt(v) for v in yi] for yi in y]
-    for xi, zi, yi in zip(dataset.x, z_rows, y_rows):
-        writer.writerow([_fmt(v) for v in xi] + zi + yi)
+    if covariates.kind == "continuous":
+        z_header = [f"z{j + 1}" for j in range(covariates.values.shape[1])]
+        blocks = [dataset.x, covariates.values] + ([] if y is None else [y])
+        _write_csv(fileobj, x_header + z_header + y_header, _number_lines(blocks))
+        return
+    # a label may need csv quoting; the numbers beside it never do
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(x_header + ["z"] + y_header)
+    x_cells = [text.split(",") for text in _number_lines([dataset.x])]
+    y_cells = [[]] * dataset.n if y is None else [text.split(",") for text in _number_lines([y])]
+    writer.writerows([*xc, str(label), *yc]
+                     for xc, label, yc in zip(x_cells, covariates.labels, y_cells))
 
 
 def _write_series_csv(series, fileobj):
     _, phi_x, theta_x = cart2sph(series.x)
     _, phi_w, theta_w = cart2sph(series.w_hidden)
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["t", "x_theta", "x_phi", "w_theta", "w_phi"])
-    for k in range(series.x.shape[0]):
-        writer.writerow([
-            str(k),
-            _fmt(theta_x[k]), _fmt(phi_x[k]),
-            _fmt(theta_w[k]), _fmt(phi_w[k]),
-        ])
+    steps = np.arange(series.x.shape[0])
+    _write_csv(fileobj, ["t", "x_theta", "x_phi", "w_theta", "w_phi"],
+               _number_lines([steps, theta_x, phi_x, theta_w, phi_w], integer=(0,)))
 
 
 def load_series(source):
     """Read a time-series CSV (columns t, x_theta, x_phi[, w_theta, w_phi])."""
     with _opened(source, "r") as fileobj:
-        reader = csv.DictReader(fileobj)
-        reader.fieldnames = names = [name.strip() for name in reader.fieldnames or ()]
-        if not {"x_theta", "x_phi"} <= set(names):
+        reader = csv.reader(fileobj)
+        # a column named twice is read from its last position
+        positions = {name.strip(): pos for pos, name in enumerate(next(reader, []))}
+        if not {"x_theta", "x_phi"} <= positions.keys():
             raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
-        has_w = {"w_theta", "w_phi"} <= set(names)
-        keys = ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]
-        rows = [_floats(row, keys, "value", reader.line_num) for row in reader]
+        has_w = {"w_theta", "w_phi"} <= positions.keys()
+        keys = [positions[k] for k in ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]]
+        rows = [_floats(row, keys, "value", reader.line_num) for row in reader if row]
         if len(rows) < 2:
             raise InvalidInputError("time series needs at least 2 steps")
         theta, phi, *w_angles = np.array(rows).T
@@ -194,12 +205,9 @@ def load_series(source):
 
 def _write_history_csv(history, fileobj):
     """One row per accepted step, read column by column from the solver's history."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["iter", "L", "L_C", "L_F", "lambda", "eta", "eta_halvings"])
-    columns = [history.column(name).tolist()
-               for name in ("n", "L", "L_C", "L_F", "lam", "eta", "eta_halvings")]
-    for n, L, L_C, L_F, lam, eta, halvings in zip(*columns):
-        writer.writerow([str(n), _fmt(L), _fmt(L_C), _fmt(L_F), _fmt(lam), _fmt(eta), str(halvings)])
+    columns = [history.column(name) for name in ("n", "L", "L_C", "L_F", "lam", "eta", "eta_halvings")]
+    _write_csv(fileobj, ["iter", "L", "L_C", "L_F", "lambda", "eta", "eta_halvings"],
+               _number_lines(columns, integer=(0, 6)))
 
 
 def _positive_or_auto(text):
@@ -316,20 +324,13 @@ def _cmd_filter_timeseries(args):
     return _run_solve(args, lagged_dataset(series, space=args.lag_space))
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="baryflow",
-        description="Distributional barycenters of conditional samples via penalized gradient flows.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # flags that several subcommands take are added once, to a parent whose objects they share
+def _add_gen_flags(cmd):
+    # flags that every generator takes are added once, to a parent whose objects they share
     gen_flags = argparse.ArgumentParser(add_help=False)
     gen_flags.add_argument("--seed", type=int, default=0)
     gen_flags.add_argument("--output", default="-", help="output CSV path ('-' for stdout)")
     gen_flags.set_defaults(func=_cmd_gen)
-    generators = sub.add_parser("gen", help="generate a synthetic dataset").add_subparsers(
-        dest="what", required=True)
+    generators = cmd.add_subparsers(dest="what", required=True)
     # a generator's own flags are left out unless given, so that its defaults apply
     ellipses, patches, signal = (
         generators.add_parser(what, parents=[gen_flags], argument_default=argparse.SUPPRESS)
@@ -340,24 +341,59 @@ def _build_parser():
                          help="place both patches in one hemisphere")
     signal.add_argument("--steps", type=int, help="series length")
 
-    solver_flags = argparse.ArgumentParser(add_help=False)
-    _add_solver_flags(solver_flags)
-    slv = sub.add_parser("solve", parents=[solver_flags], help="solve a dataset CSV")
-    slv.add_argument("--input", default="-", help="dataset CSV path ('-' for stdin)")
-    slv.set_defaults(func=_cmd_solve)
 
-    flt = sub.add_parser("filter-timeseries", parents=[solver_flags],
-                         help="build lagged covariates from a time-series CSV and solve")
-    flt.add_argument("--input", default="-", help="time-series CSV path ('-' for stdin)")
-    flt.add_argument("--lag-space", choices=("spherical", "cartesian"), default="spherical")
-    flt.set_defaults(func=_cmd_filter_timeseries)
+def _add_solve_flags(cmd):
+    _add_solver_flags(cmd)
+    cmd.add_argument("--input", default="-", help="dataset CSV path ('-' for stdin)")
+    cmd.set_defaults(func=_cmd_solve)
+
+
+def _add_filter_flags(cmd):
+    _add_solver_flags(cmd)
+    cmd.add_argument("--input", default="-", help="time-series CSV path ('-' for stdin)")
+    cmd.add_argument("--lag-space", choices=("spherical", "cartesian"), default="spherical")
+    cmd.set_defaults(func=_cmd_filter_timeseries)
+
+
+_COMMANDS = {  # command: (help, adds its flags)
+    "gen": ("generate a synthetic dataset", _add_gen_flags),
+    "solve": ("solve a dataset CSV", _add_solve_flags),
+    "filter-timeseries": ("build lagged covariates from a time-series CSV and solve",
+                          _add_filter_flags),
+}
+
+
+def _build_parser(command=None):
+    """The CLI's parser, with the flags of ``command`` only, or of every command if it names none.
+
+    The other commands stay bare entries, so help and errors still list them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="baryflow",
+        description="Distributional barycenters of conditional samples via penalized gradient flows.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        if command not in _COMMANDS or command == name:
+            add_flags(cmd)
     return parser
+
+
+def _parse(argv):
+    """Parsed arguments, from a parser built for the command that ``argv`` names first.
+
+    Once this returns nothing refers to the parser; its reference cycles go
+    at the next automatic collection (a forced one costs more than the whole
+    set-up of a small solve).
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    return _build_parser(argv[0] if argv else None).parse_args(argv)
 
 
 def main(argv=None):
     """Entry point; returns the process exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         if args.seed < 0:  # every subcommand takes --seed
             raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")

@@ -1,13 +1,20 @@
+import csv
 import dataclasses
+import gc
 import io
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from baryflow.cli import _build_parser, _write_series_csv, load_dataset, load_series, main, save_dataset
-from baryflow.datagen import gen_ellipses, gen_hidden_signal, gen_sphere_patches
+from baryflow import cli
+from baryflow.cli import (
+    _build_parser, _number_lines, _write_series_csv, load_dataset, load_series, main, save_dataset,
+)
+from baryflow.couplings import Covariates
+from baryflow.datagen import Dataset, gen_ellipses, gen_hidden_signal, gen_sphere_patches
 from baryflow.errors import InvalidInputError
 from baryflow.solver import SolverConfig
 
@@ -16,6 +23,61 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def reference_dataset_csv(dataset, y=None):
+    """save_dataset's text, one ``format(float(v), ".17g")`` cell at a time through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cov, d = dataset.covariates, dataset.dim
+    cells = lambda row: [format(float(v), ".17g") for v in row]
+    if cov.kind == "categorical":
+        z_header, z_rows = ["z"], [[str(v)] for v in cov.labels]
+    else:
+        z_header = [f"z{j + 1}" for j in range(cov.values.shape[1])]
+        z_rows = [cells(row) for row in cov.values]
+    y_header = [] if y is None else [f"y{j + 1}" for j in range(d)]
+    writer.writerow([f"x{j + 1}" for j in range(d)] + z_header + y_header)
+    y_rows = [[]] * dataset.n if y is None else [cells(row) for row in y]
+    for xi, zi, yi in zip(dataset.x, z_rows, y_rows):
+        writer.writerow(cells(xi) + zi + yi)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, 1e17, 123456789012345678.0,
+               np.inf, -np.inf, np.nan]
+EDGE_INTS = [0, -1, 10**16, 10**17, 123456789012345678, 2**53 + 1, -2**63, 2**63 - 1]
+
+
+class TestNumberFormat:
+    @pytest.mark.parametrize("values", [
+        np.array(EDGE_FLOATS, dtype=np.float64),
+        np.array(EDGE_FLOATS, dtype=np.float32),
+        np.array(EDGE_INTS, dtype=np.int64),
+    ], ids=lambda v: v.dtype.name)
+    def test_edge_values_print_as_format_and_read_back(self, values):
+        lines = _number_lines([values, values[::-1]])
+        for line, v, w in zip(lines, values, values[::-1]):
+            texts = line.split(",")
+            assert texts == [format(float(v), ".17g"), format(float(w), ".17g")]
+            assert np.array_equal([float(t) for t in texts], [float(v), float(w)], equal_nan=True)
+
+    def test_integer_columns_print_as_integers(self):
+        assert _number_lines([np.arange(3), np.full(3, 0.5), np.array([0, 7, 12])],
+                             integer=(0, 2)) == ["0,0.5,0", "1,0.5,7", "2,0.5,12"]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("covariates", [
+        Covariates.categorical(["a", "b,c", 'say "hi"', "", "a"]),
+        Covariates.continuous(np.linspace(-1.0, 1.0, 10).reshape(5, 2)),
+    ], ids=["categorical", "continuous"])
+    def test_save_dataset_matches_per_cell_writer(self, covariates, dtype):
+        x = (np.random.default_rng(3).standard_normal((5, 2)) * 1e3).astype(dtype)
+        dataset = Dataset(x=x, covariates=covariates)
+        for y in (None, x[::-1] / 7):
+            buf = io.StringIO()
+            save_dataset(dataset, buf, y=y)
+            assert buf.getvalue() == reference_dataset_csv(dataset, y)
 
 
 class TestLoadDataset:
@@ -85,6 +147,14 @@ class TestLoadSeries:
         header, body = buf.getvalue().split("\n", 1)
         spaced = " " + header.replace(",", " , ") + " \n" + body
         plain, loaded = load_series(io.StringIO(buf.getvalue())), load_series(io.StringIO(spaced))
+        assert loaded.x.tobytes() == plain.x.tobytes()
+        assert loaded.w_hidden.tobytes() == plain.w_hidden.tobytes()
+
+    def test_blank_lines_are_skipped(self):
+        buf = io.StringIO()
+        _write_series_csv(gen_hidden_signal(0, steps=5), buf)
+        gapped = buf.getvalue().replace("\n", "\n\n", 2)
+        plain, loaded = load_series(io.StringIO(buf.getvalue())), load_series(io.StringIO(gapped))
         assert loaded.x.tobytes() == plain.x.tobytes()
         assert loaded.w_hidden.tobytes() == plain.w_hidden.tobytes()
 
@@ -267,16 +337,21 @@ class TestCli:
         assert "baryflow: error: bandwidth_b applies only" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["d.csv"]
 
-    @pytest.mark.parametrize("row", ["1,0.5,abc,0.1,0.2", "1,0.5"])
-    def test_malformed_series_row_is_error(self, row, tmp_path, capsys):
+    @pytest.mark.parametrize("rows,line", [
+        ("1,0.5,abc,0.1,0.2\n", 3),
+        ("1,0.5\n", 3),
+        ("\n1,0.5,abc,0.1,0.2\n", 4),
+    ], ids=["1,0.5,abc,0.1,0.2", "1,0.5", "blank-line-then-1,0.5,abc,0.1,0.2"])
+    def test_malformed_series_row_is_error(self, rows, line, tmp_path, capsys):
+        # a blank line is skipped by the reader but still counts as a line
         series = write(tmp_path, "ts.csv",
-                       "t,x_theta,x_phi,w_theta,w_phi\n0,0.1,0.2,0.3,0.4\n" + row + "\n")
+                       "t,x_theta,x_phi,w_theta,w_phi\n0,0.1,0.2,0.3,0.4\n" + rows)
         code = main(["filter-timeseries", "--input", series,
                      "--output", str(tmp_path / "r.csv"),
                      "--history", str(tmp_path / "h.csv"),
                      "--summary", str(tmp_path / "s.json")])
         assert code == 1
-        assert "baryflow: error: non-numeric or missing value in row 3" in capsys.readouterr().err
+        assert f"baryflow: error: non-numeric or missing value in row {line}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         ("x1,x2,z\n1,2,a\n\n3,4,b\n5,x,a\n", "non-numeric or missing x value in row 5"),
@@ -304,6 +379,31 @@ class TestCli:
         io_flags = {"input", "output", "history", "summary", "cost", "lag_space"}
         fields = {f.name for f in dataclasses.fields(SolverConfig)}
         assert set(vars(args)) - {"command", "func"} - io_flags - fields == set()
+
+    def test_parser_builds_the_named_command_only(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser("filter-timeseries").parse_args(["solve", "--niter", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --niter 3" in capsys.readouterr().err
+
+    def test_parser_is_unreferenced_while_the_command_runs(self, monkeypatch):
+        built, alive = [], []
+        build = cli._build_parser
+
+        def tracked_build(command=None):
+            parser = build(command)
+            built.append(weakref.ref(parser))
+            return parser
+
+        def command(args):
+            gc.collect()  # what only reference cycles hold goes
+            alive.append(built[0]() is not None)
+            return 0
+
+        monkeypatch.setattr(cli, "_build_parser", tracked_build)
+        monkeypatch.setattr(cli, "_cmd_solve", command)
+        assert main(["solve"]) == 0
+        assert alive == [False]
 
     def test_solver_flag_defaults_are_the_config_defaults(self):
         args = _build_parser().parse_args(["solve"])

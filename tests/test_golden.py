@@ -1,23 +1,28 @@
 """Golden CLI outputs: small fixed runs must reproduce committed files byte for byte.
 
-Each case generates a dataset with ``baryflow gen`` and solves it in a fresh
-working directory with relative file names, so the paths echoed in
+Each solve case generates a dataset with ``baryflow gen`` and solves it in a
+fresh working directory with relative file names, so the paths echoed in
 summary.json are the same everywhere.  ``wall_time_s`` is the only field
-dropped before comparing.
+dropped before comparing.  The ``gen/*`` cases pin the CSV a ``gen`` call
+writes, and the ``help/*`` cases the help text (or usage error) that
+argparse prints with ``COLUMNS=100``.
 
 Regenerate the files of the named cases (only when an output change is
 intended for them) with::
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-For each case it prints the old and the new final history row and the
-largest change in y, relative to the largest |y| of the old result.
+Run with no case, it lists them all; naming them all rewrites every CLI
+golden in one command.  For each solve case it prints the old and the
+new final history row and the largest change in y, relative to the largest
+|y| of the old result.
 
 The one-line digests of ``solve_digest.py``'s solves are checked here too,
 against ``golden/solve_digest.txt``; that script's docstring says how to
 regenerate the listing.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -75,6 +80,22 @@ CASES = {
 }
 
 
+GEN_CASES = {  # golden/gen/<name>.csv: the gen call that writes it
+    "gen/ellipses": ["gen", "ellipses", "--seed", "0", "--n-per-class", "3"],
+    "gen/sphere-patches": ["gen", "sphere-patches", "--seed", "1", "--n-per-class", "3"],
+    "gen/hidden-signal": ["gen", "hidden-signal", "--seed", "2", "--steps", "8"],
+}
+
+HELP_CASES = {  # golden/help/<name>.txt: the argv whose printed text it holds, and the exit code
+    "help/baryflow": (["-h"], 0),
+    "help/gen": (["gen", "-h"], 0),
+    "help/gen-hidden-signal": (["gen", "hidden-signal", "-h"], 0),
+    "help/solve": (["solve", "-h"], 0),
+    "help/filter-timeseries": (["filter-timeseries", "-h"], 0),
+    "help/invalid-choice": (["no-such-command"], 2),
+}
+
+
 def run_case(name, cwd):
     """Run one case inside ``cwd``; returns {output name: bytes}."""
     gen_argv, solve_argv = CASES[name]
@@ -90,6 +111,25 @@ def run_case(name, cwd):
     del summary["wall_time_s"]
     outputs["summary.json"] = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
     return outputs
+
+
+def run_gen_case(name, cwd):
+    """The bytes of the CSV that ``name``'s gen call writes inside ``cwd``."""
+    out = Path(cwd) / "data.csv"
+    assert main(GEN_CASES[name] + ["--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def help_text(name):
+    """(exit code, stdout + stderr) of ``name``'s argv; set COLUMNS=100 first."""
+    argv, _ = HELP_CASES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exit_:
+            return exit_.code, out.getvalue() + err.getvalue()
+    raise AssertionError(f"{argv} did not exit")
 
 
 def y_columns(result_csv):
@@ -115,6 +155,19 @@ def test_outputs_match_golden(name, tmp_path):
         assert outputs[out] == (GOLDEN / name / out).read_bytes(), f"{name}/{out} changed"
 
 
+@pytest.mark.parametrize("name", sorted(GEN_CASES))
+def test_gen_output_matches_golden(name, tmp_path):
+    assert run_gen_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_text_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, text = help_text(name)
+    assert code == HELP_CASES[name][1]
+    assert text == (GOLDEN / f"{name}.txt").read_text()
+
+
 def test_solve_digest_matches_listing():
     listed = (GOLDEN / "solve_digest.txt").read_text().splitlines()
     assert dict(solve_digest.listing()) == dict(line.split(" ", 1) for line in listed if line)
@@ -123,20 +176,32 @@ def test_solve_digest_matches_listing():
 if __name__ == "__main__":
     import tempfile
 
+    everything = sorted(CASES) + sorted(GEN_CASES) + sorted(HELP_CASES)
     names = sys.argv[1:]
-    unknown = [name for name in names if name not in CASES]
+    unknown = [name for name in names if name not in everything]
     if unknown:
-        sys.exit(f"unknown cases: {' '.join(unknown)}; cases: {' '.join(sorted(CASES))}")
+        sys.exit(f"unknown cases: {' '.join(unknown)}; cases: {' '.join(everything)}")
     if not names:
-        sys.exit(f"name the cases to regenerate: {' '.join(sorted(CASES))}")
+        sys.exit(f"name the cases to regenerate: {' '.join(everything)}")
+    os.environ["COLUMNS"] = "100"
     for case in dict.fromkeys(names):
-        target = GOLDEN / case
-        old = {out: (target / out).read_bytes() for out in OUTPUTS if (target / out).exists()}
-        with tempfile.TemporaryDirectory() as tmp:
-            new = run_case(case, tmp)
-        target.mkdir(parents=True, exist_ok=True)
-        for out, data in new.items():
-            (target / out).write_bytes(data)
-        if len(old) == len(OUTPUTS):
-            print(report_change(case, old, new))
+        if case in HELP_CASES:
+            target = GOLDEN / f"{case}.txt"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(help_text(case)[1])
+        elif case in GEN_CASES:
+            target = GOLDEN / f"{case}.csv"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory() as tmp:
+                target.write_bytes(run_gen_case(case, tmp))
+        else:
+            target = GOLDEN / case
+            old = {out: (target / out).read_bytes() for out in OUTPUTS if (target / out).exists()}
+            with tempfile.TemporaryDirectory() as tmp:
+                new = run_case(case, tmp)
+            target.mkdir(parents=True, exist_ok=True)
+            for out, data in new.items():
+                (target / out).write_bytes(data)
+            if len(old) == len(OUTPUTS):
+                print(report_change(case, old, new))
         print(f"wrote {target}", file=sys.stderr)
