@@ -232,23 +232,16 @@ def _cost_spec(text):
 
 
 def _add_solver_flags(parser):
-    cfg = SolverConfig  # its fields' defaults are the flags' defaults, kept in one place
     parser.add_argument("--cost", type=_cost_spec, default="l2",
                         help="l2 | pnorm:<p> | geodesic-sphere | distortion:<omega>")
-    parser.add_argument("--problem", choices=("kde", "features"), default=cfg.problem)
-    parser.add_argument("--feature-degree", type=int, default=cfg.feature_degree)
-    parser.add_argument("--bandwidth-a", type=_positive_or_auto, default=cfg.bandwidth_a)
-    parser.add_argument("--bandwidth-b", type=_positive_or_auto, default=cfg.bandwidth_b)
-    parser.add_argument("--update", choices=("explicit", "implicit"), default=cfg.update)
-    parser.add_argument("--eta0", type=float, default=cfg.eta0)
-    parser.add_argument("--niter", type=int, default=cfg.niter)
-    parser.add_argument("--lambda0", type=_positive_or_auto, default=cfg.lambda0)
-    parser.add_argument("--lambda-max", type=float, default=cfg.lambda_max)
-    parser.add_argument("--omega-alpha", type=float, default=cfg.omega_alpha)
-    parser.add_argument("--tol-y", type=float, default=cfg.tol_y)
-    parser.add_argument("--tol-lf", type=float, default=cfg.tol_lf)
-    parser.add_argument("--precondition", action="store_true", default=cfg.precondition)
-    parser.add_argument("--seed", type=int, default=cfg.seed)
+    for f in dataclasses.fields(SolverConfig):  # one flag per setting, in field order
+        if f.name in SolverConfig.CHOICES:
+            kind = {"choices": SolverConfig.CHOICES[f.name]}
+        elif isinstance(f.default, bool):
+            kind = {"action": "store_true"}
+        else:
+            kind = {"type": _positive_or_auto if f.default == "auto" else type(f.default)}
+        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
     parser.add_argument("--output", default="result.csv",
                         help="result CSV path ('-' for stdout)")
     parser.add_argument("--history", default="history.csv",

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _FAMILIES = ("sq_euclidean", "p_norm", "geodesic_sphere", "distortion")
+_SUFFIXED_SPECS = {  # "<prefix>:<number>": (family, the field the number sets, message if no number)
+    "pnorm": ("p_norm", "p", "bad p-norm exponent"),
+    "distortion": ("distortion", "omega", "bad distortion weight"),
+}
 
 # Great-circle handling: the arcsin argument is clipped below one to keep the
 # derivative finite, and gradients/Hessians are defined as zero at exact
@@ -53,6 +57,8 @@ _FAMILIES = ("sq_euclidean", "p_norm", "geodesic_sphere", "distortion")
 _ANTIPODAL_CLIP = 1.0 - 1e-12
 _SERIES_CUTOFF = 1e-6
 _LATITUDE_SLACK = 1e-9
+_EPS_ABS = 0.01  # the p-norm's |t| ~ sqrt(t^2 + _EPS_ABS) - sqrt(_EPS_ABS)
+_EPS_DIST = 0.01  # the distortion ratios' denominators |x_j - x_i|^2 + _EPS_DIST^2
 
 
 @dataclass(frozen=True)
@@ -60,23 +66,21 @@ class CostModel:
     """Cost specification; the ``distortion`` family needs the solve's coupling at binding.
 
     Families: ``sq_euclidean`` (canonical 0.5||x-y||^2), ``p_norm`` (smoothed
-    coordinate-wise |t|^p with |t| ~ sqrt(t^2+eps_abs)-sqrt(eps_abs)),
+    coordinate-wise |t|^p with |t| ~ sqrt(t^2+0.01)-sqrt(0.01)),
     ``geodesic_sphere`` (squared great-circle distance of (longitude,
     latitude) pairs) and ``distortion`` (pairwise-distance-ratio penalty
-    plus a small anchoring term of weight ``omega``).  Every real must be
-    finite and positive, and ``p`` at least 1, whatever the family.
+    plus a small anchoring term of weight ``omega``).  ``p`` and ``omega``
+    must be finite and positive, and ``p`` at least 1, whatever the family.
     """
 
     family: str
     p: float = 2.0
-    eps_abs: float = 0.01
-    eps_dist: float = 0.01
     omega: float = 0.01
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidInputError(f"unknown cost family {self.family!r}")
-        for name in ("p", "eps_abs", "eps_dist", "omega"):
+        for name in ("p", "omega"):
             if not positive_number(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be a positive finite number")
         if self.p < 1.0:
@@ -90,18 +94,14 @@ def parse_cost_spec(text):
         return CostModel(family="sq_euclidean")
     if text == "geodesic-sphere":
         return CostModel(family="geodesic_sphere")
-    if text.startswith("pnorm:"):
+    prefix, colon, number = text.partition(":")
+    if colon and prefix in _SUFFIXED_SPECS:
+        family, field, message = _SUFFIXED_SPECS[prefix]
         try:
-            p = float(text.split(":", 1)[1])
+            value = float(number)
         except ValueError:
-            raise InvalidInputError(f"bad p-norm exponent in {text!r}") from None
-        return CostModel(family="p_norm", p=p)
-    if text.startswith("distortion:"):
-        try:
-            omega = float(text.split(":", 1)[1])
-        except ValueError:
-            raise InvalidInputError(f"bad distortion weight in {text!r}") from None
-        return CostModel(family="distortion", omega=omega)
+            raise InvalidInputError(f"{message} in {text!r}") from None
+        return CostModel(family=family, **{field: value})
     raise InvalidInputError(
         f"unknown cost {text!r}; expected l2, pnorm:<p>, geodesic-sphere or distortion:<omega>"
     )
@@ -227,7 +227,7 @@ def _sq_euclidean_parts(x, y, hvp):
 
 def _p_norm_parts(model, x, y):
     n, d = x.shape
-    p, eps = model.p, model.eps_abs
+    p, eps = model.p, _EPS_ABS
     t = x - y
     si = np.sqrt(t * t + eps)
     s = si - np.sqrt(eps)
@@ -382,7 +382,7 @@ def cost_function(model, x, coupling=None, shift=None):
     Z = None if coupling is None else coupling.Z()
     if Z is None or Z.shape != (len(x), len(x)):
         raise InvalidInputError("the distortion cost requires an N x N coupling matrix Z")
-    denom = cdist(x, x, metric="sqeuclidean") + model.eps_dist**2
+    denom = cdist(x, x, metric="sqeuclidean") + _EPS_DIST**2
     W = 0.5 * (Z + Z.T)
     np.fill_diagonal(W, 0.0)
     return lambda y: _distortion_parts(model, x, y, denom, W)

@@ -28,13 +28,14 @@ constraint modes exist:
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
-  (m, N) values and (m, N, d) gradients and ``hess(y)`` their (m, N, d, d)
-  Hessians.  Gradients use the symmetric form 2 * (C f_l)_i * f_l'(y_i),
-  exact for symmetric C.  For categorical covariates C = U diag(w) U^T is
-  applied in its class form, symmetric by construction, and so are the
-  gradient and the Hessian-vector products MINRES reads.  For continuous
-  ones C = Z - 11^T/N of the exactly symmetric Sinkhorn Z is exactly
-  symmetric too, applied as F Z - (F 1) 1^T/N.
+  (m, N) values and (m, N, d) gradients, and ``hess(y, W)`` the (N, d, d)
+  sum of their Hessians weighed by an (m, N) W, added monomial by monomial
+  in row order with no (m, N, d, d) stack.  Gradients use the symmetric
+  form 2 (C f_l)_i f_l'(y_i), exact for symmetric C.  For categorical
+  covariates C = U diag(w) U^T is applied in its class form, symmetric by
+  construction, and so are the gradient and the Hessian-vector products
+  MINRES reads.  For continuous ones C = Z - 11^T/N of the exactly
+  symmetric Sinkhorn Z is exactly symmetric too, applied as F Z - (F 1) 1^T/N.
 
 The constraint binds to one solve through :func:`constraint_function`, which
 takes the solve's coupling and a kde bandwidth or a features basis and
@@ -170,16 +171,19 @@ class MonomialBasis:
         del factors
         return vals, np.ascontiguousarray(grads.transpose(1, 2, 0))
 
-    def hess(self, y):
+    def hess(self, y, weights):
         n, d = y.shape
         table = self._powers(y).reshape(-1, n)
-        out = np.zeros((len(self), n, d, d))
+        out = np.zeros((n, d, d))
         for j1, j2, rows, coeff, slots, rest in self._hess_terms:
             block = coeff * table[slots[0]]
             for slot in slots[1:]:
                 block *= table[slot]
             block *= _product(table[r] for r in rest)
-            out[rows, :, j1, j2] = out[rows, :, j2, j1] = block
+            entry = out[:, j1, j2]
+            for term in block * weights[rows]:
+                entry += term
+            out[:, j2, j1] = entry
         return out
 
 
@@ -273,7 +277,7 @@ def _features_parts(y, product, basis):
                 g = np.einsum("lkb,kb->lk", grads, v)
                 return (2.0 * s) * np.einsum("lia,li->ia", grads, product(g))
             return apply
-        return 2.0 * np.einsum("li,liab->iab", cv, basis.hess(y)), (cross,)
+        return 2.0 * basis.hess(y, cv), (cross,)
 
     return value, grad, BlockHvp(deferred(hessian))
 

@@ -69,9 +69,8 @@ _LANCZOS_MAX_PRODUCTS = 50  # Hessian-vector products of the lambda0 estimate at
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the penalty flow; defaults are desk-scale safe.
+    """Settings of the penalty flow; its fields are the solve flags, in order.
 
-    Each field is a flag of the ``solve`` and ``filter-timeseries`` commands.
     ``lambda0="auto"`` estimates 1/spectral-radius of the constraint Hessian
     at the starting positions: Lanczos on its Hessian-vector product, at
     most 50 products, started from the constraint gradient there, so the
@@ -81,12 +80,19 @@ class SolverConfig:
     and resolves "auto" with the median heuristic on the starting positions;
     ``bandwidth_b``, the covariate kernel's, applies to continuous covariates
     and resolves "auto" with the median heuristic on their values.
-    ``feature_degree`` applies to features mode.  Every field is checked on
-    construction: reals must be finite and positive, counts must be
-    integers, and a bad value raises InvalidInputError.
+    ``feature_degree`` k applies to features mode, whose m = C(d + k, k) - 1
+    monomials take m N d doubles per evaluation.  A field in :attr:`CHOICES`
+    takes one of its values.  Every field is checked on construction: reals
+    must be finite and positive, counts must be integers, and a bad value
+    raises InvalidInputError.
     """
 
+    CHOICES = {"problem": ("kde", "features"), "update": ("explicit", "implicit")}
+
     problem: str = "kde"
+    feature_degree: int = 2
+    bandwidth_a: float | str = "auto"
+    bandwidth_b: float | str = "auto"
     update: str = "explicit"
     eta0: float = 0.1
     niter: int = 2000
@@ -96,16 +102,12 @@ class SolverConfig:
     tol_y: float = 1e-6
     tol_lf: float = 1e-6
     precondition: bool = False
-    bandwidth_a: float | str = "auto"
-    bandwidth_b: float | str = "auto"
-    feature_degree: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.problem not in ("kde", "features"):
-            raise InvalidInputError("problem must be 'kde' or 'features'")
-        if self.update not in ("explicit", "implicit"):
-            raise InvalidInputError("update must be 'explicit' or 'implicit'")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise InvalidInputError(f"{name} must be {' or '.join(map(repr, allowed))}")
         for name in ("eta0", "lambda_max", "tol_y", "tol_lf"):
             if not positive_number(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be a positive finite number")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from baryflow import costs
 from baryflow.costs import BlockHvp
 from baryflow.couplings import Covariates, DenseCoupling, build_couplings
 from baryflow.errors import InvalidInputError
@@ -196,7 +197,7 @@ def kde_hvp_reference(y, a, CT):
 def distortion_hvp_reference(model, x, y, Z):
     """The distortion cost's product pair + eye_rows v - c_eye @ v, from dense coefficients."""
     n = len(x)
-    denom = cdist(x, x, "sqeuclidean") + model.eps_dist**2
+    denom = cdist(x, x, "sqeuclidean") + costs._EPS_DIST**2
     W = 0.5 * (Z + Z.T)
     np.fill_diagonal(W, 0.0)
     c_eye = (8.0 / n**2) * W * (cdist(y, y, "sqeuclidean") / denom - 1.0) / denom
@@ -217,7 +218,7 @@ def pairwise_hessian_reference(model, x, y):
     if model.family == "sq_euclidean":
         return np.broadcast_to(np.eye(d) / n, (n, d, d))
     if model.family == "p_norm":
-        p, eps = model.p, model.eps_abs
+        p, eps = model.p, costs._EPS_ABS
         t = x - y
         root = np.sqrt(t * t + eps)
         s = root - np.sqrt(eps)

@@ -49,6 +49,25 @@ EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, 1e17, 123456789
 EDGE_INTS = [0, -1, 10**16, 10**17, 123456789012345678, 2**53 + 1, -2**63, 2**63 - 1]
 
 
+# a non-default value for every SolverConfig field, in field order: (flag text, parsed value)
+SOLVER_FLAG_VALUES = {
+    "problem": ("features", "features"),
+    "feature_degree": ("3", 3),
+    "bandwidth_a": ("0.5", 0.5),
+    "bandwidth_b": ("2", 2.0),
+    "update": ("implicit", "implicit"),
+    "eta0": ("0.25", 0.25),
+    "niter": ("7", 7),
+    "lambda0": ("3", 3.0),
+    "lambda_max": ("1e5", 1e5),
+    "omega_alpha": ("0.25", 0.25),
+    "tol_y": ("1e-4", 1e-4),
+    "tol_lf": ("1e-5", 1e-5),
+    "precondition": (None, True),
+    "seed": ("4", 4),
+}
+
+
 class TestNumberFormat:
     @pytest.mark.parametrize("values", [
         np.array(EDGE_FLOATS, dtype=np.float64),
@@ -409,6 +428,41 @@ class TestCli:
         args = _build_parser().parse_args(["solve"])
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
         assert SolverConfig(**flags) == SolverConfig()
+
+    @pytest.mark.parametrize("command,gen_args", [
+        ("solve", ["ellipses", "--n-per-class", "3"]),
+        ("filter-timeseries", ["hidden-signal", "--steps", "8"]),
+    ])
+    def test_every_solver_flag_reaches_the_config(self, command, gen_args, tmp_path, monkeypatch):
+        # a non-default value per field, of each kind: choices, switch, auto-or-positive, int, float
+        assert list(SOLVER_FLAG_VALUES) == [f.name for f in dataclasses.fields(SolverConfig)]
+        data = str(tmp_path / "in.csv")
+        assert main(["gen", *gen_args, "--output", data]) == 0
+        argv = [command, "--input", data]
+        for name, (text, _) in SOLVER_FLAG_VALUES.items():
+            argv += ["--" + name.replace("_", "-")] + ([] if text is None else [text])
+        configs = []
+
+        def recording_solve(x, covariates, cost_model, config):
+            configs.append(config)
+            raise InvalidInputError("recorded")
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        assert main(argv) == 1
+        default = SolverConfig()
+        for name, (_, value) in SOLVER_FLAG_VALUES.items():
+            got = getattr(configs[0], name)
+            assert got == value and type(got) is type(value) and got != getattr(default, name)
+
+    @pytest.mark.parametrize("name", sorted(SolverConfig.CHOICES))
+    def test_a_choice_the_flag_rejects_the_config_rejects(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser("solve").parse_args(["solve", "--" + name, "bogus"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        allowed = " or ".join(map(repr, SolverConfig.CHOICES[name]))
+        with pytest.raises(InvalidInputError, match=f"^{name} must be {allowed}$"):
+            SolverConfig(**{name: "bogus"})
 
     @pytest.mark.parametrize("what,generate", [
         ("ellipses", gen_ellipses), ("sphere-patches", gen_sphere_patches),

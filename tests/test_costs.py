@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from baryflow import costs
 from baryflow.costs import CostModel, cost_function, pair_outer_operator, parse_cost_spec
 from baryflow.errors import InvalidInputError
 
@@ -20,6 +23,7 @@ from conftest import (
 )
 
 ALL_FAMILIES = ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"]
+KNOWN_SPECS = "expected l2, pnorm:<p>, geodesic-sphere or distortion:<omega>"
 
 
 def make_instance(family, rng, n=6):
@@ -51,18 +55,37 @@ class TestParseCostSpec:
             with pytest.raises(InvalidInputError):
                 parse_cost_spec(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("pnorm:x", "bad p-norm exponent in 'pnorm:x'"),
+        ("distortion:", "bad distortion weight in 'distortion:'"),
+        ("distortion:1:2", "bad distortion weight in 'distortion:1:2'"),
+        ("pnorm:0.5", "p must be >= 1"),
+        ("distortion:-1", "omega must be a positive finite number"),
+        ("pnorm", f"unknown cost 'pnorm'; {KNOWN_SPECS}"),
+        ("l2:3", f"unknown cost 'l2:3'; {KNOWN_SPECS}"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(InvalidInputError) as err:
+            parse_cost_spec(text)
+        assert str(err.value) == message
+
 
 class TestCostModel:
     @pytest.mark.parametrize("family,field,value", [
         ("p_norm", "p", "2"), ("p_norm", "p", True), ("p_norm", "p", None),
-        ("p_norm", "p", float("nan")), ("p_norm", "eps_abs", True), ("p_norm", "eps_abs", 0.0),
+        ("p_norm", "p", float("nan")),
         ("distortion", "omega", None), ("distortion", "omega", True),
-        ("distortion", "omega", float("inf")), ("distortion", "eps_dist", "0.01"),
-        ("distortion", "eps_dist", -1.0),
+        ("distortion", "omega", float("inf")),
     ])
     def test_non_numbers_rejected(self, family, field, value):
         with pytest.raises(InvalidInputError, match=f"{field} must be a positive finite number"):
             CostModel(family, **{field: value})
+
+    def test_only_family_p_and_omega_are_set(self):
+        # the smoothing constants are the module's, not the caller's
+        assert [f.name for f in dataclasses.fields(CostModel)] == ["family", "p", "omega"]
+        with pytest.raises(TypeError):
+            CostModel("p_norm", eps_abs=0.01)
 
     @pytest.mark.parametrize("p", [0.5, np.float32(0.99)])
     def test_p_below_one_rejected(self, p):
@@ -81,7 +104,7 @@ class TestCostValue:
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         min_sq = sq[~np.eye(len(x), dtype=bool)].min()
         # ratio term at y = x is bounded by 2*eps^2 / min ||x_i - x_j||^2
-        assert cost_function(model, x, coupling)(x)[0] <= 2 * model.eps_dist**2 / min_sq
+        assert cost_function(model, x, coupling)(x)[0] <= 2 * costs._EPS_DIST**2 / min_sq
 
     def test_sq_euclidean_single_point(self):
         assert cost_function(CostModel("sq_euclidean"), [[0.0, 0.0]])([[3.0, 4.0]])[0] == pytest.approx(12.5)
@@ -98,10 +121,11 @@ class TestCostValue:
         model, x, y, _ = make_instance("geodesic_sphere", rng)
         assert cost_function(model, x)(y)[0] == pytest.approx(cost_function(model, y)(x)[0], rel=1e-12)
 
-    def test_p_norm_against_scalar_oracle(self, rng):
+    def test_p_norm_against_scalar_oracle(self, rng, monkeypatch):
         # independent per-coordinate loop with the smoothed absolute value
-        p, eps = 1.2, 0.01
-        model = CostModel("p_norm", p=p, eps_abs=eps)
+        p, eps = 1.2, 0.02
+        monkeypatch.setattr(costs, "_EPS_ABS", eps)
+        model = CostModel("p_norm", p=p)
         x = rng.standard_normal((8, 1))
         y = rng.standard_normal((8, 1))
         total = 0.0
@@ -183,8 +207,9 @@ class TestCostHessian:
         n = len(x)
         assert np.allclose(cost_hessian(model, x, y).reshape(2 * n, 2 * n), np.eye(2 * n) / n)
 
-    def test_p2_small_eps_limit(self, rng):
-        model = CostModel("p_norm", p=2.0, eps_abs=1e-12)
+    def test_p2_small_eps_limit(self, rng, monkeypatch):
+        monkeypatch.setattr(costs, "_EPS_ABS", 1e-12)
+        model = CostModel("p_norm", p=2.0)
         x = rng.standard_normal((5, 2))
         y = x + rng.standard_normal((5, 2))
         H = cost_hessian(model, x, y).reshape(10, 10)

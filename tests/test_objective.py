@@ -26,6 +26,7 @@ from conftest import (
     features_hvp_reference,
     kde_hvp_reference,
     operator_matrix,
+    peak_bytes,
     product_peak_bytes,
     rel_err,
 )
@@ -55,6 +56,13 @@ def feature_terms(y, Z, basis):
     return np.array([features_value(y, Z, MonomialBasis(E[l:l + 1])) for l in range(len(E))])
 
 
+def one_hot(basis, l, n):
+    """Weights for :meth:`MonomialBasis.hess` that pick monomial l at every one of n points."""
+    weights = np.zeros((len(basis), n))
+    weights[l] = 1.0
+    return weights
+
+
 def two_singletons():
     """1-D classes {0} and {2}; Z = I, so C = [[1/2, -1/2], [-1/2, 1/2]]."""
     x = np.array([[0.0], [2.0]])
@@ -73,21 +81,21 @@ class TestMonomialFeatures:
         vals, grads = basis.value_and_grad(y)
         assert np.allclose(vals[3], y[:, 0] * y[:, 1])
         assert np.allclose(grads[3], np.column_stack([y[:, 1], y[:, 0]]))
-        h = basis.hess(y)[3]
+        h = basis.hess(y, one_hot(basis, 3, len(y)))
         assert np.allclose(h[:, 0, 1], 1.0) and np.allclose(h[:, 0, 0], 0.0)
 
     def test_grad_hess_match_fd(self, rng):
         y = rng.standard_normal((4, 3))
         basis = monomial_features(3, 3)
         grads = basis.value_and_grad(y)[1]
-        hess = basis.hess(y)
         points = np.arange(4)
         for l in range(len(basis)):
             fd = central_diff_grad(lambda u: basis.value_and_grad(u)[0][l].sum(), y)
             assert rel_err(grads[l], fd) <= 1e-6 or np.linalg.norm(fd) < 1e-9
             jac = central_diff_jacobian(lambda u: basis.value_and_grad(u)[1][l], y)
             fd = jac[points, :, points, :]  # each point's gradient depends on that point only
-            assert rel_err(hess[l], fd) <= 1e-6 or np.linalg.norm(fd) < 1e-9
+            hess = basis.hess(y, one_hot(basis, l, len(y)))
+            assert rel_err(hess, fd) <= 1e-6 or np.linalg.norm(fd) < 1e-9
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -98,13 +106,35 @@ class TestMonomialFeatures:
         y[2] = -np.abs(y[2])
         basis = monomial_features(d, degree)
         vals, grads = basis.value_and_grad(y)
-        hess = basis.hess(y)
+        weights = rng.standard_normal((len(basis), 7))
+        hess = basis.hess(y, weights)
         refs = [ReferenceMonomial(e) for e in basis.exponents]
         assert vals.shape == (len(basis), 7) and grads.shape == (len(basis), 7, d)
-        assert hess.shape == (len(basis), 7, d, d)
+        assert hess.shape == (7, d, d)
         assert vals.tobytes() == np.stack([f.value(y) for f in refs]).tobytes()
         assert grads.tobytes() == np.stack([f.grad(y) for f in refs]).tobytes()
-        assert hess.tobytes() == np.stack([f.hess(y) for f in refs]).tobytes()
+        # the weighted sum is taken in the order of the einsum over the stacked Hessians
+        stacked = np.einsum("li,liab->iab", weights, np.stack([f.hess(y) for f in refs]))
+        assert hess.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("d,degree", [(8, 3), (6, 4)])
+    def test_weighted_hessians_bitwise_in_higher_dimensions(self, d, degree, rng):
+        y = rng.standard_normal((5, d))
+        basis = monomial_features(d, degree)
+        weights = rng.standard_normal((len(basis), 5))
+        stacked = np.einsum("li,liab->iab", weights,
+                            np.stack([ReferenceMonomial(e).hess(y) for e in basis.exponents]))
+        assert basis.hess(y, weights).tobytes() == stacked.tobytes()
+
+    def test_product_set_up_forms_no_hessian_stack(self, rng):
+        # d = 16, degree 2: the m Hessians would stack to m N d^2 doubles
+        n, d = 20, 16
+        y = rng.standard_normal((n, d))
+        basis = monomial_features(d, 2)
+        coupling = dense_coupling(categorical_coupling(np.arange(n) % 3))
+        constraint = constraint_function(coupling, basis)
+        peak = peak_bytes(lambda: constraint(y)[2].operator())
+        assert peak < len(basis) * n * d * d * 8
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_point_width_must_match_basis(self, width, rng):

@@ -630,7 +630,8 @@ class TestSolve:
         # them and the next rebuilds them; rejected candidates build none
         builds = []
         hess = MonomialBasis.hess
-        monkeypatch.setattr(MonomialBasis, "hess", lambda self, y: builds.append(1) or hess(self, y))
+        monkeypatch.setattr(MonomialBasis, "hess",
+                            lambda self, y, weights: builds.append(1) or hess(self, y, weights))
         ds = gen_ellipses(seed=0, n_per_class=10)
         cfg = SolverConfig(problem="features", update="implicit", feature_degree=3,
                            eta0=50.0, niter=30)
@@ -1269,3 +1270,24 @@ class TestEquivariance:
         result = property_solve(ds.x, labels, "kde", niter, eta0)
         moved = property_solve(ds.x @ R.T, labels, "kde", niter, eta0)
         assert_equivariant(moved, result, result.y_final @ R.T)
+
+
+def class_mean_spread(points, labels):
+    """Largest distance between two class means."""
+    means = np.stack([points[labels == k].mean(axis=0) for k in np.unique(labels)])
+    return max(np.linalg.norm(a - b) for a in means for b in means)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: kde's (2 pi a^2)^(-d/2) scale puts L_F below tol_lf at d = 32, "
+    "so the solve stops at once with y = x"))
+def test_kde_moves_class_means_together_in_32_dimensions():
+    # three classes N(2k e_1, I) in d = 32, 20 points each
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1, 2], 20)
+    x = rng.standard_normal((60, 32))
+    x[:, 0] += 2.0 * labels
+    result = solve(x, Covariates.categorical(labels), CostModel("sq_euclidean"),
+                   SolverConfig(niter=100))
+    assert not (result.converged and result.iterations == 1)
+    assert class_mean_spread(result.y_final, labels) < 0.5 * class_mean_spread(x, labels)
