@@ -109,6 +109,8 @@ def load_dataset(source):
                 z_cat_col = pos
             else:
                 raise InvalidInputError(f"unexpected column {name!r} in dataset header")
+        if len(numbered["x"]) + len(numbered["z"]) + (z_cat_col is not None) < len(header):
+            raise InvalidInputError("dataset header names a column twice")  # x1 and x01 included
         x_positions = _numbered(numbered["x"], "dataset needs contiguous columns x1..xd")
         if z_cat_col is not None and numbered["z"]:
             raise InvalidInputError("ambiguous covariates: both 'z' and 'z1..' present")
@@ -188,8 +190,10 @@ def load_series(source):
     """Read a time-series CSV (columns t, x_theta, x_phi[, w_theta, w_phi])."""
     with _opened(source, "r") as fileobj:
         reader = csv.reader(fileobj)
-        # a column named twice is read from its last position
-        positions = {name.strip(): pos for pos, name in enumerate(next(reader, []))}
+        header = next(reader, [])
+        positions = {name.strip(): pos for pos, name in enumerate(header)}
+        if len(positions) < len(header):
+            raise InvalidInputError("time-series CSV header names a column twice")
         if not {"x_theta", "x_phi"} <= positions.keys():
             raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
         has_w = {"w_theta", "w_phi"} <= positions.keys()
@@ -203,23 +207,26 @@ def load_series(source):
         return TimeSeriesSample(x=x, w_hidden=w)
 
 
+_HISTORY_COLUMNS = (("iter", "n"), ("L", "L"), ("L_C", "L_C"), ("L_F", "L_F"),  # (header, field)
+                    ("lambda", "lam"), ("eta", "eta"), ("eta_halvings", "eta_halvings"))
+
+
 def _write_history_csv(history, fileobj):
     """One row per accepted step, read column by column from the solver's history."""
-    columns = [history.column(name) for name in ("n", "L", "L_C", "L_F", "lam", "eta", "eta_halvings")]
-    _write_csv(fileobj, ["iter", "L", "L_C", "L_F", "lambda", "eta", "eta_halvings"],
-               _number_lines(columns, integer=(0, 6)))
+    columns = [history.column(name) for _, name in _HISTORY_COLUMNS]
+    integer = [j for j, column in enumerate(columns) if column.dtype.kind == "i"]
+    _write_csv(fileobj, [header for header, _ in _HISTORY_COLUMNS],
+               _number_lines(columns, integer=integer))
 
 
 def _positive_or_auto(text):
+    """A number or "auto"; :class:`SolverConfig` checks that the number is positive."""
     if text == "auto":
         return "auto"
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
 
 
 def _cost_spec(text):

@@ -20,9 +20,10 @@ scalings act on the blocks and remainders themselves:
 once per step, so each of MINRES's products for l2 and kde is three
 einsums, one N x N by N x (d + 1)^2 matrix product and an add.
 
-:func:`cost_function` checks x, and reads distortion's Z from the
-coupling, once per solve; per call, only the great-circle cost's
-latitudes of y are checked, as a step can pass a pole.
+:func:`cost_function` takes x as :func:`baryflow.solver.solve` checked
+it, and reads distortion's Z from the coupling once per solve.  It checks
+only the great-circle cost's domain: x's two columns and latitudes once,
+and the latitudes of y on every call, as a step can pass a pole.
 Every family returns its gradient as a function that builds it and its
 product as a :class:`BlockHvp` that sets up nothing until it is read, as
 the constraint modes of :mod:`baryflow.objective` do.  A product's build
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInputError, as_points, positive_number
+from .errors import InvalidInputError, positive_number
 
 __all__ = [
     "CostModel",
@@ -350,19 +351,18 @@ def _distortion_parts(model, x, y, denom, W):
 def cost_function(model, x, coupling=None, shift=None):
     """Bind ``model`` to the points x of one solve, with its ``coupling`` and ``shift``.
 
-    Checks x here, once (finite N x d; 2 columns and latitudes in range for
-    the great-circle cost).  The squared-Euclidean cost measures from
+    x is a finite float N x d array, as :func:`baryflow.solver.solve` checks
+    it; the great-circle cost checks here, once, that it has 2 columns and
+    latitudes in range.  The squared-Euclidean cost measures from
     x + ``shift`` when one is given, every other family from x.  Only the
-    distortion cost reads the coupling: its N x N Z, here, before kde can
-    spend it, and its x- and Z-only terms with it; without a coupling, or
-    with a Z of another N, it raises InvalidInputError.  Returns
+    distortion cost reads the coupling, which it needs: its N x N Z, here,
+    before kde can spend it, and its x- and Z-only terms with it.  Returns
     ``parts(y) -> (value, grad, hvp)`` for a finite float y of x's shape,
     which checks only the great-circle latitudes of y.  ``grad`` is a
     function of no arguments that builds the N x d gradient.  ``hvp`` is
     the product of the cost's Hessian at y in block form, a
     :class:`BlockHvp` that sets up nothing until it is read.
     """
-    x = as_points(x)
     if model.family == "sq_euclidean":
         x = x if shift is None else x + shift
         n, d = x.shape
@@ -379,9 +379,7 @@ def cost_function(model, x, coupling=None, shift=None):
             _check_latitudes(y)
             return _geodesic_parts(x, y)
         return parts
-    Z = None if coupling is None else coupling.Z()
-    if Z is None or Z.shape != (len(x), len(x)):
-        raise InvalidInputError("the distortion cost requires an N x N coupling matrix Z")
+    Z = coupling.Z()
     denom = cdist(x, x, metric="sqeuclidean") + _EPS_DIST**2
     W = 0.5 * (Z + Z.T)
     np.fill_diagonal(W, 0.0)

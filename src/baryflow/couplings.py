@@ -51,14 +51,11 @@ _CLASS_FORM_MAX_K = 4  # most classes for which kde reads a categorical C^T in i
 
 
 def median_heuristic_bandwidth(points):
-    """Median pairwise distance divided by sqrt(2); 1.0 when degenerate.
+    """Median pairwise distance of N x d float points divided by sqrt(2); 1.0 when degenerate.
 
     Scale-robust default bandwidth.  Falls back to 1.0 when there are no
     pairs or all points coincide.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise InvalidInputError("points must be a 2-D array")
     if points.shape[0] < 2:
         return 1.0
     med = float(np.median(pdist(points), overwrite_input=True))  # no copy of the N^2/2 distances
@@ -137,7 +134,7 @@ class Covariates:
     in sorted label order) and class sizes ``counts`` are taken here too,
     and the coupling holds them.
     Continuous values are checked here too: a finite N x m float matrix,
-    N >= 1.  Their kernel's bandwidth is a setting of the solve,
+    N, m >= 1.  Their kernel's bandwidth is a setting of the solve,
     ``SolverConfig.bandwidth_b``, not of the data.
     """
 
@@ -153,7 +150,7 @@ class Covariates:
                 object.__setattr__(self, name, value)
         elif self.kind == "continuous":
             values = np.asarray(self.values, dtype=float) if self.values is not None else None
-            if values is None or values.ndim != 2 or values.shape[0] == 0:
+            if values is None or values.ndim != 2 or values.size == 0:
                 raise InvalidInputError("continuous covariates need an N x m value matrix")
             if not np.isfinite(values).all():
                 raise InvalidInputError("covariate values must be finite")
@@ -270,8 +267,6 @@ class DenseCoupling:
     """
 
     def __init__(self, Z):
-        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise InvalidInputError("the coupling Z must be square")
         self._Z = Z
 
     def _held(self):

@@ -12,9 +12,12 @@ def positive_number(value):
 
 
 def as_points(x):
-    """Coerce to a finite float N x d array, or raise InvalidInputError."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
+    """Coerce to a finite float N x d array, N, d >= 1, or raise InvalidInputError: solve's one check of x."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("points must be numbers") from None
+    if x.ndim != 2 or x.size == 0:
         raise InvalidInputError("points must form a non-empty N x d array")
     if not np.isfinite(x).all():
         raise InvalidInputError("points must be finite")

@@ -38,9 +38,9 @@ constraint modes exist:
   symmetric Sinkhorn Z is exactly symmetric too, applied as F Z - (F 1) 1^T/N.
 
 The constraint binds to one solve through :func:`constraint_function`, which
-takes the solve's coupling and a kde bandwidth or a features basis and
-checks them once; per call, only the features' width is checked, and the
-solver checks that each candidate is finite.
+takes the solve's coupling and a kde bandwidth or a features basis, as the
+solve checked or made them.  No call checks its points: the solve checked x,
+and it checks that each candidate is finite.
 
 Both terms of the objective share one lazy contract: a bound term returns
 its value, its gradient as a function that builds it, and its Hessian-vector
@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import BlockHvp, add_diagonal, deferred, pair_outer_operator
-from .errors import InvalidInputError, NumericError, positive_number
+from .errors import NumericError
 
 __all__ = [
     "MonomialBasis",
@@ -112,10 +112,7 @@ class MonomialBasis:
     exponents: np.ndarray
 
     def __post_init__(self):
-        E = np.array(self.exponents)
-        if E.ndim != 2 or 0 in E.shape or E.dtype.kind not in "iu" or (E < 0).any():
-            raise InvalidInputError("exponents must be a nonempty (m, d) array of integers >= 0")
-        E = E.astype(np.intp)
+        E = np.array(self.exponents, dtype=np.intp)
         E.setflags(write=False)
         object.__setattr__(self, "exponents", E)
         object.__setattr__(self, "_degree", max(int(E.max()), 1))
@@ -146,8 +143,6 @@ class MonomialBasis:
 
     def _powers(self, y):
         n, d = y.shape
-        if d != self.exponents.shape[1]:
-            raise InvalidInputError(f"points have {d} coordinates, not {self.exponents.shape[1]}")
         powers = np.empty((self._degree + 1, d, n))
         powers[0] = 1.0
         powers[1] = y.T  # y**1 is y
@@ -193,8 +188,6 @@ def monomial_features(dim, degree):
     Degree 1 yields the coordinates; degree 2 adds squares and cross terms,
     ordered by total degree then lexicographically (y1, y2, y1^2, y1*y2, ...).
     """
-    if dim < 1 or degree < 1:
-        raise InvalidInputError("dim and degree must be >= 1")
     return MonomialBasis([
         np.bincount(combo, minlength=dim)
         for total in range(1, degree + 1)
@@ -245,8 +238,7 @@ def _kde_parts(y, kde, bandwidth, before=None):
     value = norm * kde_value(E)
     # s = M 1, () -> M @ w and weigh() -> M, with M[j, i] = E[j, i] * C[i, j]
     terms = deferred(lambda: kde_terms(E, w))
-    s = deferred(lambda: terms()[0])  # the product keeps s, not what M @ w holds
-    grad = lambda: -2.0 * norm / r * (s()[:, None] * w - terms()[1]())
+    grad = lambda: -2.0 * norm / r * (terms()[0][:, None] * w - terms()[1]())
 
     def hessian():
         # The product is k (2 pair - s v + M v), the pair term in units of
@@ -255,7 +247,7 @@ def _kde_parts(y, kde, bandwidth, before=None):
         k = 2.0 * norm / r**2
         D, S, pair = pair_outer_operator(terms()[2](), w)
         D *= 2.0 * k
-        add_diagonal(D, -k * s()[:, None])
+        add_diagonal(D, -k * terms()[0][:, None])
         S *= 2.0 * k
         d = w.shape[1]
         S[:, np.arange(d), np.arange(d) * (d + 1) + d] += k
@@ -287,15 +279,14 @@ def constraint_function(coupling, test_functions):
 
     ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns: a
     :class:`~baryflow.couplings.CategoricalCoupling` or a
-    :class:`~baryflow.couplings.DenseCoupling`.  ``test_functions`` is a kde
-    bandwidth (a positive number) or the :class:`MonomialBasis` of features
-    mode, whose m terms weigh equally.  Checks here, once, that
-    ``test_functions`` is one of the two.  Features keep the coupling's product
-    with C^T, which holds only what it reads.  kde keeps the coupling's reads of
-    C^T = Z - 1/N: a value, the gradient's terms and the weighted kernel; a
-    Sinkhorn coupling forms C^T in place on its Z for them, which spends it, a
-    categorical one holds its K distinct rows when K <= 4, else forms C^T in
-    place on its dense Z.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
+    :class:`~baryflow.couplings.DenseCoupling`.  ``test_functions`` is the kde
+    bandwidth, positive as the solve checked or made it, or the features
+    mode's :class:`MonomialBasis`, whose m terms weigh equally.  Features keep
+    the coupling's product with C^T, which holds only what it reads.  kde
+    keeps the coupling's reads of C^T = Z - 1/N: a value, the gradient's terms
+    and the weighted kernel; a Sinkhorn coupling forms C^T in place on its Z
+    for them, which spends it, a categorical one holds its K distinct rows
+    when K <= 4, else forms C^T in place on its dense Z.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
     Returns ``parts(y) -> (value, grad, hvp)`` for a finite N x d float y, under
     the module's lazy contract: ``grad()`` builds the N x d gradient and
     ``hvp``, a :class:`~baryflow.costs.BlockHvp`, applies the Jacobian of that
@@ -309,8 +300,6 @@ def constraint_function(coupling, test_functions):
     if isinstance(test_functions, MonomialBasis):
         product = coupling.product()
         return lambda y: _features_parts(y, product, test_functions)
-    if not positive_number(test_functions):
-        raise InvalidInputError("kde needs a positive bandwidth_a; features need a MonomialBasis")
     kde, a = coupling.kde(), float(test_functions)
     return lambda y, before=None: _kde_parts(y, kde, a, before)
 

@@ -432,9 +432,9 @@ def solve(x, covariates, cost_model, config=None):
     other cost from x.  It iterates until the positions stall with a
     satisfied constraint or ``config.niter`` is reached.  The shift and the
     cost read the coupling before the constraint binds it, as kde spends a
-    dense Z.  x and the coupling are checked once, when the cost and the
-    constraint bind them; a categorical coupling forms no N x N array beside
-    kde's kernel, in explicit and implicit solves alike, unless
+    dense Z.  x is checked once, here, and the covariates' N against it;
+    nothing behind checks them again.  A categorical coupling forms no N x N
+    array beside kde's kernel, in explicit and implicit solves alike, unless
     the distortion cost reads Z or kde reads the C^T of more than four classes:
     an accepted explicit step drops its Hessian-vector products, which it
     never reads, and an implicit step frees its own, with the weighted kernel,

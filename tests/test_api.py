@@ -1,9 +1,15 @@
 import ast
 import importlib
+import io
 import pathlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import baryflow
+from baryflow import CostModel, Covariates, InvalidInputError, SolverConfig
+from baryflow.cli import load_dataset, load_series
 
 
 def test_every_export_resolves():
@@ -43,3 +49,31 @@ def test_every_package_export_is_used():
     # nothing in src/ loads is one only tests reach, and belongs in the tests
     used = _names_loaded_in_src()
     assert [name for name in baryflow.__all__ if name not in used] == []
+
+
+def _solve(x, covariates=None):
+    if covariates is None:
+        covariates = Covariates.categorical(np.arange(6) % 2)
+    return baryflow.solve(x, covariates, CostModel("sq_euclidean"), SolverConfig(niter=1))
+
+
+_SERIES_ROWS = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n"
+
+
+@pytest.mark.parametrize("enter", [
+    pytest.param(lambda: _solve(np.zeros((6, 0))), id="solve-no-columns"),
+    pytest.param(lambda: _solve(np.full((6, 2), "a")), id="solve-strings"),
+    pytest.param(lambda: _solve(np.zeros((6, 2)), Covariates.continuous(np.zeros((6, 0)))),
+                 id="covariates-no-columns"),
+    pytest.param(lambda: load_dataset(io.StringIO("x1,x1,z\n1,2,a\n3,4,b\n")), id="load-x1-twice"),
+    pytest.param(lambda: load_dataset(io.StringIO("x1,x01,z\n1,2,a\n3,4,b\n")),
+                 id="load-x1-and-x01"),
+    pytest.param(lambda: load_dataset(io.StringIO("x1,z,z\n1,a,b\n3,c,d\n")), id="load-z-twice"),
+    pytest.param(lambda: load_series(io.StringIO("x_theta,x_phi,x_phi,t\n" + _SERIES_ROWS)),
+                 id="series-x_phi-twice"),
+])
+def test_entry_points_reject_bad_input(enter):
+    # each input is checked where it enters, as InvalidInputError, never a
+    # raw numpy error or a silent result
+    with pytest.raises(InvalidInputError):
+        enter()

@@ -289,6 +289,20 @@ class TestCli:
         assert "eta0" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lambda0", "0", "lambda0"), ("--bandwidth-a", "-1", "bandwidth_a"),
+        ("--bandwidth-b", "0", "bandwidth_b"),
+    ])
+    def test_non_positive_auto_flag_is_config_error(self, flag, value, field, tmp_path, capsys):
+        # the flag parses any number; SolverConfig alone checks its range
+        data = str(tmp_path / "d.csv")
+        main(["gen", "ellipses", "--seed", "0", "--n-per-class", "5", "--output", data])
+        code = main(["solve", "--input", data, flag, value, "--output", str(tmp_path / "r.csv"),
+                     "--history", str(tmp_path / "h.csv"), "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert f"{field} must be positive or 'auto'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.csv")
+
     def test_missing_input_is_error(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "r.csv"),

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from baryflow import costs
+from baryflow import costs, solver
 from baryflow.costs import CostModel, cost_function, pair_outer_operator, parse_cost_spec
+from baryflow.couplings import Covariates
 from baryflow.errors import InvalidInputError
+from baryflow.solver import SolverConfig, solve
 
 from conftest import (
     assert_symmetric,
@@ -107,7 +109,8 @@ class TestCostValue:
         assert cost_function(model, x, coupling)(x)[0] <= 2 * costs._EPS_DIST**2 / min_sq
 
     def test_sq_euclidean_single_point(self):
-        assert cost_function(CostModel("sq_euclidean"), [[0.0, 0.0]])([[3.0, 4.0]])[0] == pytest.approx(12.5)
+        x, y = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])
+        assert cost_function(CostModel("sq_euclidean"), x)(y)[0] == pytest.approx(12.5)
 
     def test_geodesic_antipodal(self):
         # the arcsin argument is clamped at 1 - 1e-12, shaving ~1.3e-5 off pi^2
@@ -149,12 +152,18 @@ class TestCostValue:
         anchor_shifted = model.omega * np.mean(np.sum((y - x) ** 2, axis=1))
         assert base - anchor == pytest.approx(shifted - anchor_shifted, abs=1e-12)
 
-    def test_z_required_iff_pairing(self, rng):
-        model, x, y, _ = make_instance("distortion", rng)
-        with pytest.raises(InvalidInputError):
-            cost_function(model, x)
-        with pytest.raises(InvalidInputError, match="N x N"):
-            cost_function(model, x, dense_coupling(np.eye(len(x) + 1)))
+    def test_z_required_iff_pairing(self, rng, monkeypatch):
+        # only distortion reads the coupling; solve checks its N before any cost is bound
+        for family in ALL_FAMILIES[:3]:
+            model, x, y, _ = make_instance(family, rng)
+            paired = cost_function(model, x, dense_coupling(np.eye(len(x) + 1)))(y)[0]
+            assert paired == cost_function(model, x)(y)[0]
+        bound = []
+        monkeypatch.setattr(solver, "cost_function", lambda *args: bound.append(args))
+        model, x, _, _ = make_instance("distortion", rng)
+        with pytest.raises(InvalidInputError, match="disagree on N"):
+            solve(x, Covariates.categorical(np.arange(len(x) + 1) % 2), model, SolverConfig(niter=1))
+        assert bound == []
 
     def test_shift_moves_only_the_squared_euclidean_origin(self, rng):
         shift = np.array([0.3, -1.1])
@@ -173,9 +182,16 @@ class TestCostValue:
         with pytest.raises(InvalidInputError, match="latitude"):
             parts(x)  # and on every call, as a step can pass a pole
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cost_function(CostModel("sq_euclidean"), [[np.inf, 0.0]])
+    def test_non_finite_rejected(self, rng, monkeypatch):
+        # cost_function takes x as solve checked it: finite, for every family
+        bound = []
+        monkeypatch.setattr(solver, "cost_function", lambda *args: bound.append(args))
+        for family in ALL_FAMILIES:
+            model, x, _, _ = make_instance(family, rng)
+            x[1, 0] = np.inf
+            with pytest.raises(InvalidInputError, match="finite"):
+                solve(x, Covariates.categorical(np.arange(len(x)) % 2), model, SolverConfig(niter=1))
+        assert bound == []
 
 
 class TestCostGrad:

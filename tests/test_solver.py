@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -105,9 +106,9 @@ def watch_candidates(monkeypatch, watch):
     monkeypatch.setattr(solver, "np", Numpy())
 
 
-def count_calls(monkeypatch, module, name):
-    """Record the positional arguments of each call of ``module.name``."""
-    calls = []
+def count_calls(monkeypatch, module, name, calls=None):
+    """Record the positional arguments of each call of ``module.name``, in ``calls`` if given."""
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counting(*args, **kwargs):
@@ -914,8 +915,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("niter", [1, 10])
     def test_fixed_inputs_checked_once_per_solve(self, niter, monkeypatch):
-        # x is checked where the cost binds it, C where the constraint binds it
-        x_checks = count_calls(monkeypatch, costs, "as_points")
+        # x is checked where solve takes it, counted at every module that imports
+        # the check; C is bound once, where the constraint binds it
+        x_checks = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "baryflow" and hasattr(module, "as_points"):
+                x_checks = count_calls(monkeypatch, module, "as_points", x_checks)
         c_checks = count_calls(monkeypatch, solver, "constraint_function")
         ds = gen_ellipses(seed=0, n_per_class=10)
         cfg = SolverConfig(update="implicit", eta0=50.0, niter=niter)
@@ -1078,9 +1083,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("field,value", [
         ("lambda0", "fast"), ("bandwidth_a", "wide"), ("lambda0", None), ("bandwidth_a", -1.0),
+        ("bandwidth_a", 0.0), ("bandwidth_a", None), ("bandwidth_a", True),
     ])
     def test_bad_auto_fields_rejected(self, field, value):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=field):
             SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
