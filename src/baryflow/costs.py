@@ -381,6 +381,6 @@ def cost_function(model, x, coupling=None, shift=None):
         return parts
     Z = coupling.Z()
     denom = cdist(x, x, metric="sqeuclidean") + _EPS_DIST**2
-    W = 0.5 * (Z + Z.T)
+    W = Z.copy()  # the pair weights; both couplings give an exactly symmetric Z
     np.fill_diagonal(W, 0.0)
     return lambda y: _distortion_parts(model, x, y, denom, W)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, as_points
 
 __all__ = [
     "CategoricalCoupling",
@@ -133,9 +133,9 @@ class Covariates:
     comparable labels with no NaN.  Their class ``index`` (classes numbered
     in sorted label order) and class sizes ``counts`` are taken here too,
     and the coupling holds them.
-    Continuous values are checked here too: a finite N x m float matrix,
-    N, m >= 1.  Their kernel's bandwidth is a setting of the solve,
-    ``SolverConfig.bandwidth_b``, not of the data.
+    Continuous values go through :func:`~baryflow.errors.as_points`, once:
+    a finite N x m float matrix, N, m >= 1.  Their kernel's bandwidth is a
+    setting of the solve, ``SolverConfig.bandwidth_b``, not of the data.
     """
 
     kind: str
@@ -149,22 +149,17 @@ class Covariates:
             for name, value in zip(("labels", "index", "counts"), _classes(self.labels)):
                 object.__setattr__(self, name, value)
         elif self.kind == "continuous":
-            values = np.asarray(self.values, dtype=float) if self.values is not None else None
-            if values is None or values.ndim != 2 or values.size == 0:
-                raise InvalidInputError("continuous covariates need an N x m value matrix")
-            if not np.isfinite(values).all():
-                raise InvalidInputError("covariate values must be finite")
-            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "values", as_points(self.values, "covariate values"))
         else:
             raise InvalidInputError(f"unknown covariate kind {self.kind!r}")
 
     @classmethod
     def categorical(cls, labels):
-        return cls(kind="categorical", labels=np.asarray(labels))
+        return cls(kind="categorical", labels=labels)
 
     @classmethod
     def continuous(cls, values):
-        return cls(kind="continuous", values=np.asarray(values, dtype=float))
+        return cls(kind="continuous", values=values)
 
     @property
     def n(self):

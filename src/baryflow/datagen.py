@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import Covariates
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_points, integer_at_least
 
 __all__ = [
     "Dataset",
@@ -130,10 +130,10 @@ def gen_ellipses(seed, n_per_class=100):
     The geometry is fixed: centers (0, 3), (-2, 0) and (2, 0), semi-major
     axis 1.5 and axis ratio 3:1.  Class 0 has a vertical major axis, classes
     1 and 2 horizontal ones, so class 0 sits above the horizontal pair and is
-    the outlier in both shape and position.
+    the outlier in both shape and position.  Seed and count: ``integer_at_least``.
     """
-    if n_per_class < 1:
-        raise InvalidInputError("n_per_class must be >= 1")
+    integer_at_least("seed", seed, 0)
+    integer_at_least("n_per_class", n_per_class, 1)
     rng = np.random.default_rng(seed)
     blocks, labels = [], []
     for z, center in enumerate(_ELLIPSE_CENTERS):
@@ -141,7 +141,7 @@ def gen_ellipses(seed, n_per_class=100):
         labels.extend([z] * n_per_class)
     return Dataset(
         x=np.vstack(blocks),
-        covariates=Covariates.categorical(np.asarray(labels)),
+        covariates=Covariates.categorical(labels),
     )
 
 
@@ -151,10 +151,11 @@ def gen_sphere_patches(seed, n_per_class=250, antipodal=True):
     Longitudes are uniform on [0, 2*pi) for both classes.  Class 0 covers
     latitudes [3*pi/8, pi/2].  With ``antipodal=True`` class 1 mirrors it
     across the equator, [-pi/2, -3*pi/8]; otherwise class 1 covers
-    [pi/8, pi/4] on the same side.  Columns are (theta, phi).
+    [pi/8, pi/4] on the same side.  Columns are (theta, phi).  Seed and count:
+    ``integer_at_least``.
     """
-    if n_per_class < 1:
-        raise InvalidInputError("n_per_class must be >= 1")
+    integer_at_least("seed", seed, 0)
+    integer_at_least("n_per_class", n_per_class, 1)
     rng = np.random.default_rng(seed)
     band1 = (-_PATCH_BAND0[1], -_PATCH_BAND0[0]) if antipodal else _PATCH_BAND1_SAME_HEMISPHERE
     blocks, labels = [], []
@@ -165,7 +166,7 @@ def gen_sphere_patches(seed, n_per_class=250, antipodal=True):
         labels.extend([z] * n_per_class)
     return Dataset(
         x=np.vstack(blocks),
-        covariates=Covariates.categorical(np.asarray(labels)),
+        covariates=Covariates.categorical(labels),
     )
 
 
@@ -177,10 +178,11 @@ def gen_hidden_signal(seed, steps=1000, cap_width=0.45):
     on the polar cap of angular width ``cap_width``, and reflects w through
     the axis bisecting the north pole and the advanced position.  The
     reflection is an isometry of the sphere, so each step's conditional
-    distribution is a rigidly transported copy of the cap.
+    distribution is a rigidly transported copy of the cap.  Seed and count:
+    ``integer_at_least``.
     """
-    if steps < 2:  # a lagged dataset pairs each step with the one before
-        raise InvalidInputError("steps must be >= 2")
+    integer_at_least("seed", seed, 0)
+    integer_at_least("steps", steps, 2)  # a lagged dataset pairs each step with the one before
     rng = np.random.default_rng(seed)
     phi_w = rng.uniform(np.pi / 2.0 - cap_width, np.pi / 2.0, steps)
     theta_w = rng.uniform(0.0, 2.0 * np.pi, steps)
@@ -204,10 +206,11 @@ def lagged_dataset(series, space="spherical"):
     covariates (the 2-D formulation); ``space="cartesian"`` keeps the points
     spherical but uses the lagged unit 3-vector as the covariate, which
     avoids the longitude wrap-around in covariate space.  The first
-    observation is dropped (it has no lag).
+    observation is dropped (it has no lag).  ``series.x`` meets ``as_points``,
+    then only this function's own rule: a width of 3 and T >= 2.
     """
-    x = np.asarray(series.x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 3 or x.shape[0] < 2:
+    x = as_points(series.x, "series.x")
+    if x.shape[1] != 3 or x.shape[0] < 2:
         raise InvalidInputError("series.x must be a (T, 3) array with T >= 2")
     _, phi, theta = cart2sph(x)
     coords = np.column_stack([theta, phi])

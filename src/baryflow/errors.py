@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks of a positive real and of a point set."""
+"""Exception types, and the one check of each kind of input value: real, count or seed, matrix."""
 
 import numbers
 
@@ -11,16 +11,30 @@ def positive_number(value):
             and bool(np.isfinite(value)) and value > 0)
 
 
-def as_points(x):
-    """Coerce to a finite float N x d array, N, d >= 1, or raise InvalidInputError: solve's one check of x."""
+def integer_at_least(name, value, low):
+    """Raise InvalidInputError unless ``value`` is an integer >= ``low``; booleans are not integers.
+
+    The one check of every count and seed, in SolverConfig and the generators.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}")
+
+
+def as_points(x, what="points"):
+    """Coerce to a finite float N x d array, N, d >= 1, or raise InvalidInputError naming ``what``.
+
+    The one check of every numeric matrix: solve's x, covariate values, a series' x.
+    """
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
-        raise InvalidInputError("points must be numbers") from None
+        raise InvalidInputError(f"{what} must be numbers") from None
     if x.ndim != 2 or x.size == 0:
-        raise InvalidInputError("points must form a non-empty N x d array")
+        raise InvalidInputError(f"{what} must form a non-empty N x d array")
     if not np.isfinite(x).all():
-        raise InvalidInputError("points must be finite")
+        raise InvalidInputError(f"{what} must be finite")
     return x
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import operator
 import sys
 from collections.abc import Sequence
@@ -43,7 +42,7 @@ import numpy as np
 
 from .costs import cost_function
 from .couplings import build_couplings, median_heuristic_bandwidth
-from .errors import InvalidInputError, NumericError, as_points, positive_number
+from .errors import InvalidInputError, NumericError, as_points, integer_at_least, positive_number
 from .objective import constraint_function, evaluate, monomial_features
 
 __all__ = [
@@ -82,9 +81,9 @@ class SolverConfig:
     and resolves "auto" with the median heuristic on their values.
     ``feature_degree`` k applies to features mode, whose m = C(d + k, k) - 1
     monomials take m N d doubles per evaluation.  A field in :attr:`CHOICES`
-    takes one of its values.  Every field is checked on construction: reals
-    must be finite and positive, counts must be integers, and a bad value
-    raises InvalidInputError.
+    takes one of its values.  Every field is checked on construction, reals by
+    ``positive_number`` and counts and the seed by ``integer_at_least``; a
+    bad value raises InvalidInputError.
     """
 
     CHOICES = {"problem": ("kde", "features"), "update": ("explicit", "implicit")}
@@ -114,11 +113,7 @@ class SolverConfig:
         if not (positive_number(self.omega_alpha) and self.omega_alpha < 1.0):
             raise InvalidInputError("omega_alpha must lie in (0, 1)")
         for name, low in (("niter", 1), ("feature_degree", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidInputError(f"{name} must be an integer")
-            if value < low:
-                raise InvalidInputError(f"{name} must be >= {low}")
+            integer_at_least(name, getattr(self, name), low)
         for name in ("lambda0", "bandwidth_a", "bandwidth_b"):
             value = getattr(self, name)
             if value != "auto" and not positive_number(value):

@@ -10,6 +10,13 @@ import pytest
 import baryflow
 from baryflow import CostModel, Covariates, InvalidInputError, SolverConfig
 from baryflow.cli import load_dataset, load_series
+from baryflow.datagen import (
+    TimeSeriesSample,
+    gen_ellipses,
+    gen_hidden_signal,
+    gen_sphere_patches,
+    lagged_dataset,
+)
 
 
 def test_every_export_resolves():
@@ -71,6 +78,15 @@ _SERIES_ROWS = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n"
     pytest.param(lambda: load_dataset(io.StringIO("x1,z,z\n1,a,b\n3,c,d\n")), id="load-z-twice"),
     pytest.param(lambda: load_series(io.StringIO("x_theta,x_phi,x_phi,t\n" + _SERIES_ROWS)),
                  id="series-x_phi-twice"),
+    pytest.param(lambda: Covariates.continuous(np.full((6, 1), "a")), id="covariates-strings"),
+    pytest.param(lambda: Covariates.continuous([[1.0], [1.0, 2.0]]), id="covariates-ragged"),
+    pytest.param(lambda: gen_ellipses(seed=-1), id="ellipses-negative-seed"),
+    pytest.param(lambda: gen_hidden_signal(seed=-1, steps=5), id="hidden-signal-negative-seed"),
+    pytest.param(lambda: gen_sphere_patches(seed=1.5), id="sphere-patches-float-seed"),
+    pytest.param(lambda: gen_ellipses(seed=True, n_per_class=2), id="ellipses-bool-seed"),
+    pytest.param(lambda: gen_ellipses(seed=0, n_per_class=2.5), id="ellipses-float-count"),
+    pytest.param(lambda: lagged_dataset(TimeSeriesSample(x=np.full((4, 3), "a"), w_hidden=None)),
+                 id="lagged-strings"),
 ])
 def test_entry_points_reject_bad_input(enter):
     # each input is checked where it enters, as InvalidInputError, never a

@@ -13,6 +13,7 @@ from baryflow import cli
 from baryflow.cli import (
     _build_parser, _number_lines, _write_series_csv, load_dataset, load_series, main, save_dataset,
 )
+from baryflow.costs import parse_cost_spec
 from baryflow.couplings import Covariates
 from baryflow.datagen import Dataset, gen_ellipses, gen_hidden_signal, gen_sphere_patches
 from baryflow.errors import InvalidInputError
@@ -197,7 +198,8 @@ class TestCli:
     def test_negative_seed_is_error(self, what, tmp_path, capsys):
         out = tmp_path / "a.csv"
         assert main(["gen", what, "--seed", "-1", "--output", str(out)]) == 1
-        assert "--seed must be >= 0" in capsys.readouterr().err
+        # the generator checks its seed; the CLI passes it on unchecked
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_solve_end_to_end(self, tmp_path):
@@ -254,11 +256,17 @@ class TestCli:
             assert exc.value.code == 2
         assert outs[0] == outs[1]
 
-    def test_invalid_cost_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--cost", "l3", "--input", "whatever.csv"])
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
+    def test_invalid_cost_is_input_error(self, tmp_path, capsys):
+        # --cost is plain text; parse_cost_spec in the solve is its one parse
+        data = str(tmp_path / "d.csv")
+        main(["gen", "ellipses", "--seed", "0", "--n-per-class", "5", "--output", data])
+        with pytest.raises(InvalidInputError) as exc:
+            parse_cost_spec("l3")
+        code = main(["solve", "--cost", "l3", "--input", data, "--output", str(tmp_path / "r.csv"),
+                     "--history", str(tmp_path / "h.csv"), "--summary", str(tmp_path / "s.json")])
+        assert code == 1
+        assert f"baryflow: error: {exc.value}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.csv")
 
     @pytest.mark.parametrize("cost_args", [
         ["--cost", "l2", "--cost", "pnorm:3"],  # the last occurrence wins
@@ -291,7 +299,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--lambda0", "0", "lambda0"), ("--bandwidth-a", "-1", "bandwidth_a"),
-        ("--bandwidth-b", "0", "bandwidth_b"),
+        ("--bandwidth-b", "0", "bandwidth_b"), ("--seed", "-1", "seed"),
     ])
     def test_non_positive_auto_flag_is_config_error(self, flag, value, field, tmp_path, capsys):
         # the flag parses any number; SolverConfig alone checks its range
@@ -300,7 +308,8 @@ class TestCli:
         code = main(["solve", "--input", data, flag, value, "--output", str(tmp_path / "r.csv"),
                      "--history", str(tmp_path / "h.csv"), "--summary", str(tmp_path / "s.json")])
         assert code == 1
-        assert f"{field} must be positive or 'auto'" in capsys.readouterr().err
+        message = "seed must be >= 0" if field == "seed" else f"{field} must be positive or 'auto'"
+        assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
 
     def test_missing_input_is_error(self, tmp_path, capsys):

@@ -180,6 +180,12 @@ class TestCategoricalCoupling:
         assert np.allclose(Z.sum(axis=1), 1.0)
         assert np.allclose(Z, Z.T)
 
+    @pytest.mark.parametrize("classes", [3, 7])  # either side of the class form's four
+    def test_dense_z_exactly_symmetric(self, classes, rng):
+        # the distortion cost weighs its pairs by Z as it is, so Z must equal Z^T bit for bit
+        Z = categorical_coupling(rng.integers(0, classes, size=61))
+        assert np.array_equal(Z, Z.T)
+
     def test_cross_class_entries_exactly_zero(self, rng):
         labels = rng.integers(0, 3, size=20)
         Z = categorical_coupling(labels)
