@@ -87,6 +87,27 @@ def _floats(row, keys, what, line):
         raise InvalidInputError(f"non-numeric or missing {what} in row {line}") from None
 
 
+def _rows(reader):
+    """The non-blank rows of a csv reader, and the line each ends on, blank lines counted."""
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+    return rows, lines
+
+
+def _float_table(rows, keys):
+    """The cells ``row[key]`` as a len(rows) x len(keys) float array, in one pass through ``float``.
+
+    Reads every form ``float`` reads.  Raises ValueError or IndexError at a
+    non-numeric or missing cell; the caller rescans the rows with
+    :func:`_floats` to name the first bad line.
+    """
+    cells = [row[key] for row in rows for key in keys]
+    return np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(keys))
+
+
 def _numbered(columns, message):
     """Positions of columns numbered 1..k in number order; ``message`` if k = 0 or one is missing."""
     if not columns or sorted(columns) != list(range(1, len(columns) + 1)):
@@ -123,25 +144,27 @@ def load_dataset(source):
             z_positions = _numbered(numbered["z"],
                                     "continuous covariates need contiguous columns z1..zm")
 
-        rows_x, rows_z, labels = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            rows_x.append(_floats(row, x_positions, "x value", reader.line_num))
+        rows, lines = _rows(reader)
+        try:
+            x = _float_table(rows, x_positions)
             if z_cat_col is None:
-                rows_z.append(_floats(row, z_positions, "z value", reader.line_num))
+                z = _float_table(rows, z_positions)
             else:
-                try:
-                    labels.append(row[z_cat_col].strip())
-                except IndexError:
-                    raise InvalidInputError(f"missing covariate in row {reader.line_num}") from None
-        if len(rows_x) < 2:
+                labels = [row[z_cat_col].strip() for row in rows]
+        except (ValueError, IndexError):
+            for row, line in zip(rows, lines):  # the first bad line raises
+                _floats(row, x_positions, "x value", line)
+                if z_cat_col is None:
+                    _floats(row, z_positions, "z value", line)
+                elif len(row) <= z_cat_col:
+                    raise InvalidInputError(f"missing covariate in row {line}") from None
+            raise
+        if len(rows) < 2:
             raise InvalidInputError("dataset needs at least 2 rows")
-        x = np.asarray(rows_x, dtype=float)
         if z_cat_col is not None:
             covariates = Covariates.categorical(labels)
         else:
-            covariates = Covariates.continuous(rows_z)
+            covariates = Covariates.continuous(z)
         return Dataset(x=x, covariates=covariates)
 
 
@@ -201,10 +224,16 @@ def load_series(source):
             raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
         has_w = {"w_theta", "w_phi"} <= positions.keys()
         keys = [positions[k] for k in ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]]
-        rows = [_floats(row, keys, "value", reader.line_num) for row in reader if row]
+        rows, lines = _rows(reader)
+        try:
+            table = _float_table(rows, keys)
+        except (ValueError, IndexError):
+            for row, line in zip(rows, lines):  # the first bad line raises
+                _floats(row, keys, "value", line)
+            raise
         if len(rows) < 2:
             raise InvalidInputError("time series needs at least 2 steps")
-        theta, phi, *w_angles = np.array(rows).T
+        theta, phi, *w_angles = table.T
         x = sph2cart(1.0, phi, theta)
         w = sph2cart(1.0, w_angles[1], w_angles[0]) if has_w else np.full_like(x, np.nan)
         return TimeSeriesSample(x=x, w_hidden=w)

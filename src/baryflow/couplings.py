@@ -54,11 +54,23 @@ def median_heuristic_bandwidth(points):
     """Median pairwise distance of N x d float points divided by sqrt(2); 1.0 when degenerate.
 
     Scale-robust default bandwidth.  Falls back to 1.0 when there are no
-    pairs or all points coincide.
+    pairs or all points coincide.  The median is one in-place selection of
+    the distances ``pdist`` returns, so they are held once.  It is exactly
+    ``np.median``'s: the points are finite, checked where they entered, so
+    the distances need no NaN check (``np.median``'s second selection), and
+    an even count takes the mean (lo + hi) / 2 of the two middle values, as
+    ``np.median`` does.
     """
     if points.shape[0] < 2:
         return 1.0
-    med = float(np.median(pdist(points), overwrite_input=True))  # no copy of the N^2/2 distances
+    dist = pdist(points)
+    mid = len(dist) // 2
+    if len(dist) % 2:
+        dist.partition(mid)
+        med = float(dist[mid])
+    else:
+        dist.partition([mid - 1, mid])
+        med = (float(dist[mid - 1]) + float(dist[mid])) / 2.0
     if med <= 0.0:
         return 1.0
     return med / np.sqrt(2.0)

@@ -245,6 +245,12 @@ def lambda_update(lam, grad_cost, grad_constraint, omega_alpha, lambda_max):
     return new_lam, clamped, False, slack
 
 
+def _norm(v):
+    """The 2-norm of an array's entries, as ``np.linalg.norm`` takes it, without its argument checks."""
+    f = v.ravel(order="K")
+    return math.sqrt(f.dot(f))
+
+
 def step_implicit(y, grad, hvp, eta):
     """Resolvent step: solve (I + eta*H) delta = eta*grad, H given by ``hvp``.
 
@@ -270,7 +276,7 @@ def step_implicit(y, grad, hvp, eta):
         return operator(u.reshape(n, d)).ravel()
 
     delta, converged = _minres(matvec, b)
-    if converged and np.linalg.norm(b - matvec(delta)) <= _RESIDUAL_RTOL * np.linalg.norm(b):
+    if converged and _norm(b - matvec(delta)) <= _RESIDUAL_RTOL * _norm(b):
         return y - delta.reshape(n, d), False
     return y - eta * grad, True
 
@@ -391,7 +397,7 @@ def _auto_lambda0(hvp, grad, lambda_max, seed):
     hvp = hvp.operator()
     if float(np.sum(grad * grad)) < _GRAD_SQ_FLOOR:
         grad = np.random.default_rng(seed).standard_normal(grad.shape)
-    v = grad / np.linalg.norm(grad)
+    v = grad / _norm(grad)
     v_old = np.zeros_like(v)
     alphas, betas = [], []  # T_k's diagonal and subdiagonal
     beta = t_norm2 = radius = 0.0
@@ -402,11 +408,13 @@ def _auto_lambda0(hvp, grad, lambda_max, seed):
         w -= alpha * v
         alphas.append(alpha)
         t_norm2 += alpha**2 + 2 * beta**2
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         done = beta <= _LANCZOS_BREAKDOWN * math.sqrt(t_norm2) or k == _LANCZOS_MAX_PRODUCTS
         if done or (k >= 4 and k % 2 == 0):
             # eigh reads T_k's lower triangle; S[-1] gives the Ritz residuals
-            theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            T = np.zeros((k, k))
+            T.flat[::k + 1], T.flat[k::k + 1] = alphas, betas  # diagonal, subdiagonal
+            theta, S = np.linalg.eigh(T)
             last, radius = radius, max(-theta[0], theta[-1])
             if (done or beta * np.abs(S[-1]).min() <= _LANCZOS_SEMI_ORTH * radius
                     or k > 4 and abs(radius - last) <= _LANCZOS_RTOL * radius):

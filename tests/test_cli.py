@@ -114,6 +114,14 @@ class TestLoadDataset:
         assert ds.covariates.kind == "continuous"
         assert ds.covariates.values.shape == (2, 2)
 
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        # csv quoting, spaces, signs, exponents, underscores and the special values
+        text = 'x1,x2,z1\n"1.5", 2e1 ,1_000\n-0.0,+.5,"3.5e-1"\ninf,-Infinity, 7 \n'
+        ds = load_dataset(write(tmp_path, "d.csv", text))
+        got = np.column_stack([ds.x, ds.covariates.values])
+        want = np.array([[1.5, 20.0, 1000.0], [-0.0, 0.5, 0.35], [np.inf, -np.inf, 7.0]])
+        assert got.tobytes() == want.tobytes()
+
     def test_ambiguous_covariates(self, tmp_path):
         path = write(tmp_path, "d.csv", "x1,z,z1\n0.0,a,1.0\n1.0,b,2.0\n")
         with pytest.raises(InvalidInputError, match="ambiguous"):
@@ -383,7 +391,8 @@ class TestCli:
         ("1,0.5,abc,0.1,0.2\n", 3),
         ("1,0.5\n", 3),
         ("\n1,0.5,abc,0.1,0.2\n", 4),
-    ], ids=["1,0.5,abc,0.1,0.2", "1,0.5", "blank-line-then-1,0.5,abc,0.1,0.2"])
+        ("1,0.5,0.6,0.1,0.2\n2,0.5\n3,x,0.6,0.1,0.2\n", 4),
+    ], ids=["1,0.5,abc,0.1,0.2", "1,0.5", "blank-line-then-1,0.5,abc,0.1,0.2", "two-bad-rows"])
     def test_malformed_series_row_is_error(self, rows, line, tmp_path, capsys):
         # a blank line is skipped by the reader but still counts as a line
         series = write(tmp_path, "ts.csv",
@@ -399,7 +408,9 @@ class TestCli:
         ("x1,x2,z\n1,2,a\n\n3,4,b\n5,x,a\n", "non-numeric or missing x value in row 5"),
         ("x1,x2,z\n1,2,a\n\n3,4,b\n5,6\n", "missing covariate in row 5"),
         ("x1,z1\n1,0.5\n\n2,0.1\n3,abc\n", "non-numeric or missing z value in row 5"),
-    ], ids=["x", "label", "z"])
+        ("x1,z1\n1,0.5\n2,abc\n\nx,0.1\n", "non-numeric or missing z value in row 3"),
+        ("x1,x2,z\n1,2,a\n3,4\n5,x,b\n", "missing covariate in row 3"),
+    ], ids=["x", "label", "z", "two-bad-rows-z-first", "two-bad-rows-label-first"])
     def test_malformed_dataset_row_names_its_line(self, text, message, tmp_path, capsys):
         # the blank line 3 is skipped by the reader but still counts as a line
         data = write(tmp_path, "d.csv", text)

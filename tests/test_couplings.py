@@ -318,6 +318,16 @@ class TestCovariatesAndBuild:
         assert peak_bytes(lambda: median_heuristic_bandwidth(pts)) <= 1.25 * n * (n - 1) // 2 * 8
         assert median_heuristic_bandwidth(pts) == np.median(pdist(pts)) / np.sqrt(2.0)
 
+    @pytest.mark.parametrize("n,tied", [(400, False), (150, False), (150, True), (160, True),
+                                        (2, False), (3, False)],
+                             ids=["even-79800", "odd-11175", "tied-odd", "tied-even", "n2", "n3"])
+    def test_median_heuristic_equals_np_median_in_one_copy(self, n, tied, rng):
+        # tied: points on a 3 x 3 grid, so most of the distances repeat
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float) if tied else rng.normal(size=(n, 2))
+        assert median_heuristic_bandwidth(pts) == np.median(pdist(pts)) / np.sqrt(2.0)
+        if n >= 150:  # below that, pdist's fixed few KiB of set-up outweigh the distances
+            assert peak_bytes(lambda: median_heuristic_bandwidth(pts)) <= 1.25 * n * (n - 1) // 2 * 8
+
     def test_median_heuristic(self, rng):
         pts = rng.normal(size=(30, 2))
         b = median_heuristic_bandwidth(pts)
