@@ -15,12 +15,6 @@ The solving commands take one flag per :class:`~baryflow.solver.SolverConfig`
 field, with that field's default, plus their input, output, history,
 summary and cost (and ``filter-timeseries`` its lag space).
 
-Flags are parsed, not checked: ``--seed`` and counts meet ``integer_at_least``,
-``--cost`` one ``parse_cost_spec`` per solve; a bad value exits 1 with its message.
-
-A run builds the full parser of its own command only; the other commands
-stay bare entries, named in help and errors.
-
 Dataset CSV format: header row, numeric columns ``x1..xd``, and either a
 single ``z`` column (categorical labels, read as strings) or numeric columns
 ``z1..zm`` (continuous covariates).  Every number the CLI writes goes

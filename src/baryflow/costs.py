@@ -1,34 +1,13 @@
 """Cost families: value, per-point gradient, Hessian-vector product.
 
-Every Hessian-vector product (HVP), of a cost here or of a constraint in
-:mod:`baryflow.objective`, takes one form, :class:`BlockHvp`: per-point
-d x d blocks D plus at most one remainder product R, v -> D v + R v.
 Pairwise families (squared Euclidean, smoothed p-norm, great-circle on the
 unit sphere) average a per-sample cost c(x_i, y_i), so their Hessian is
 block diagonal and their product is its blocks alone.  The distortion
 family couples sample pairs through the solve's coupling Z, penalizing
-deviation of pairwise distance ratios from one.  Its product never forms
-the (N, N, d, d) Hessian: :func:`pair_outer_operator`, which takes one
-point set, the pairs' differences y_j - y_i (the distortion cost's and the
-kde constraint's, whose kernel centers are the points), sets up per-point
-d x d blocks once in O(N^2 d^2), the per-point terms fold into them, and
-the remainder is one N x N by N x (d^2 + 2d + 1) matrix product plus the
-product with the N x N identity-term coefficients.  A product costs one
-einsum over the (N, d, d) blocks, O(N d^2), plus its remainder.  Sums and
-scalings act on the blocks and remainders themselves:
-:meth:`BlockHvp.operator` forms the implicit step's I + eta (H_C + lam H_F)
-once per step, so each of MINRES's products for l2 and kde is three
-einsums, one N x N by N x (d + 1)^2 matrix product and an add.
-
-:func:`cost_function` takes x as :func:`baryflow.solver.solve` checked
-it, and reads distortion's Z from the coupling once per solve.  It checks
-only the great-circle cost's domain: x's two columns and latitudes once,
-and the latitudes of y on every call, as a step can pass a pole.
-Every family returns its gradient as a function that builds it and its
-product as a :class:`BlockHvp` that sets up nothing until it is read, as
-the constraint modes of :mod:`baryflow.objective` do.  A product's build
-holds only what the gradient holds, x and y; the squared-Euclidean
-product, I / N at every y, is made once per solve.
+deviation of pairwise distance ratios from one.  Every family keeps the
+lazy contract of :mod:`baryflow.objective`, its product in the block form of
+:class:`BlockHvp` (a pair term's set up by :func:`pair_outer_operator`), and
+a product's build holds only what the gradient holds, x and y.
 """
 
 from __future__ import annotations
@@ -134,12 +113,15 @@ class deferred:
 class BlockHvp:
     """A Hessian-vector product in block form: v -> D v + the remainders' products.
 
-    D holds per-point d x d blocks, an (N, d, d) array.  Each remainder is
-    a function ``rest(s)`` that sets up, once, the product v -> s R v, with
-    the scale s folded into its factors.  ``parts() -> (D, remainders)``
-    gives both; a cost or constraint passes a :func:`deferred` build, so an
-    evaluation whose product is never used sets up none.  :meth:`operator`
-    forms a scaled and shifted product once, to apply many times.
+    D holds per-point d x d blocks, an (N, d, d) array, so no product forms
+    the (N, N, d, d) Hessian.  Each remainder is a function ``rest(s)`` that
+    sets up, once, the product v -> s R v, with the scale s folded into its
+    factors.  ``parts() -> (D, remainders)`` gives both; a cost or constraint
+    passes a :func:`deferred` build, so an evaluation whose product is never
+    used sets up none.  Sums (:meth:`plus`) and scalings act on the blocks and
+    remainders themselves, and :meth:`operator` forms a scaled and shifted
+    product once, to apply many times: one einsum over the blocks, O(N d^2),
+    plus the remainders' products.
     """
 
     __slots__ = ("_parts",)
@@ -351,16 +333,14 @@ def _distortion_parts(model, x, y, denom, W):
 def cost_function(model, x, coupling=None, shift=None):
     """Bind ``model`` to the points x of one solve, with its ``coupling`` and ``shift``.
 
-    x is a finite float N x d array, as :func:`baryflow.solver.solve` checks
-    it; the great-circle cost checks here, once, that it has 2 columns and
-    latitudes in range.  The squared-Euclidean cost measures from
+    x is a finite float N x d array, with 2 columns and latitudes in range
+    for the great-circle cost.  The squared-Euclidean cost measures from
     x + ``shift`` when one is given, every other family from x.  Only the
     distortion cost reads the coupling, which it needs: its N x N Z, here,
     before kde can spend it, and its x- and Z-only terms with it.  Returns
-    ``parts(y) -> (value, grad, hvp)`` for a finite float y of x's shape,
-    which checks only the great-circle latitudes of y.  ``grad`` is a
-    function of no arguments that builds the N x d gradient.  ``hvp`` is
-    the product of the cost's Hessian at y in block form, a
+    ``parts(y) -> (value, grad, hvp)`` for a finite float y of x's shape.
+    ``grad`` is a function of no arguments that builds the N x d gradient.
+    ``hvp`` is the product of the cost's Hessian at y in block form, a
     :class:`BlockHvp` that sets up nothing until it is read.
     """
     if model.family == "sq_euclidean":

@@ -1,30 +1,15 @@
 """Covariate couplings: the coupling Z of class labels or of continuous covariates.
 
-The coupling matrix Z encodes similarity between covariate values.  For
-categorical covariates it averages over class members; for continuous ones it
-is the bi-stochastic scaling of their Gaussian kernel matrix of bandwidth b,
-a setting of the solve.  Both are exactly symmetric, with unit row and
-column sums (a Sinkhorn Z's to its tolerance), so the centering matrix
-C = Z - 11^T/N, the quadratic form the objective contracts against, is
-symmetric: its columns sum to zero and x'Cx >= 0 for every x whenever Z is
-positive semidefinite.
-
-:func:`build_couplings` returns one small object per solve.  A
-:class:`CategoricalCoupling` holds only each point's class and the class
-sizes: with U = [class indicator | 1] and w = [1/N_c | -1/N], C is
-U diag(w) U^T, symmetric by construction, and a product with C^T costs
-O(N m K) for m stacked rows and K classes.  Every coupling's C is
-Z - 11^T/N exactly, so C^T = C.  A categorical C^T has only K distinct
-rows, one per class; with at most four classes kde weighs its N x N
-kernel by C^T from those K rows and forms no N x N array of its own, and
-with more it reads the dense Z as a :class:`DenseCoupling`, bit for bit
-the Sinkhorn path.  A :class:`DenseCoupling` holds a Sinkhorn coupling as
-its N x N Z alone, with C implied.  The continuous covariates' kernel is
-formed and scaled into Z in place, so a continuous-covariate solve holds
-one N x N coupling array from the kernel to the last read of kde.  Both
-give the conditional means under Z, the features product, kde's reads of
-C^T and the dense Z, the last only when a caller asks: a solve reads the
-covariates only through its coupling.
+Z encodes similarity between covariate values: for categorical covariates
+it averages over class members, for continuous ones it is the bi-stochastic
+scaling of their Gaussian kernel.  Both are exactly symmetric, with unit
+row and column sums (a Sinkhorn Z's to its tolerance), so the centering
+matrix C = Z - 11^T/N that the objective contracts against is symmetric:
+its columns sum to zero and x'Cx >= 0 for every x whenever Z is positive
+semidefinite.  :func:`build_couplings` returns one small object per solve,
+and a solve reads the covariates only through it: the conditional means
+under Z, the features product with C^T, kde's reads of C^T (told in
+:meth:`CategoricalCoupling.kde` and :meth:`DenseCoupling.kde`) and the dense Z.
 """
 
 from __future__ import annotations
@@ -53,13 +38,11 @@ _CLASS_FORM_MAX_K = 4  # most classes for which kde reads a categorical C^T in i
 def median_heuristic_bandwidth(points):
     """Median pairwise distance of N x d float points divided by sqrt(2); 1.0 when degenerate.
 
-    Scale-robust default bandwidth.  Falls back to 1.0 when there are no
-    pairs or all points coincide.  The median is one in-place selection of
+    Scale-robust default bandwidth.  The median is one in-place selection of
     the distances ``pdist`` returns, so they are held once.  It is exactly
-    ``np.median``'s: the points are finite, checked where they entered, so
-    the distances need no NaN check (``np.median``'s second selection), and
-    an even count takes the mean (lo + hi) / 2 of the two middle values, as
-    ``np.median`` does.
+    ``np.median``'s: finite points' distances need no NaN check
+    (``np.median``'s second selection), and an even count takes the mean
+    (lo + hi) / 2 of the two middle values, as ``np.median`` does.
     """
     if points.shape[0] < 2:
         return 1.0
@@ -77,15 +60,15 @@ def median_heuristic_bandwidth(points):
 
 
 def _scale_in_place(K, tol=1e-10, max_iter=10_000):
-    """Scale a symmetric, nonnegative K in place into the bi-stochastic Z = D K D.
+    """Scale an exactly symmetric, nonnegative K in place into the bi-stochastic Z = D K D.
 
     The damped symmetric fixed-point step d <- sqrt(d / (K d)) keeps one
-    scaling vector, so rows and columns are balanced together.  Z is formed
-    as (D K D + (D K D)^T) / 2 in mirrored pairs of 32 x 32 blocks, so it is
-    exactly symmetric, and positive semidefinite whenever K is.  Raises
-    InvalidInputError when K d has an entry <= 0, and ConvergenceError,
-    carrying the achieved residual, when the largest row-sum residual is
-    above ``tol`` after ``max_iter`` steps.
+    scaling vector, so rows and columns are balanced together.  Z[i, j] is
+    formed as K[i, j] (d_i d_j) in mirrored pairs of ``_BLOCK`` x ``_BLOCK``
+    blocks, exactly symmetric because K is and d_i d_j = d_j d_i, and positive
+    semidefinite whenever K is.  Raises InvalidInputError when K d has an
+    entry <= 0, and ConvergenceError, carrying the achieved residual, when the
+    largest row-sum residual is above ``tol`` after ``max_iter`` steps.
     """
     d = np.ones(K.shape[0])
     residual = np.inf
@@ -105,16 +88,13 @@ def _scale_in_place(K, tol=1e-10, max_iter=10_000):
             residual=residual,
             iterations=max_iter,
         )
-    K *= d[:, None]
-    K *= d[None, :]
     n = len(K)
     for r0 in range(0, n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
         for c0 in range(r0, n, _BLOCK):
             cols = slice(c0, c0 + _BLOCK)
-            block = np.add(K[rows, cols], K[cols, rows].T)
-            block *= 0.5
-            K[rows, cols] = block
+            block = K[rows, cols]
+            block *= d[rows, None] * d[cols]
             K[cols, rows] = block.T
 
 
@@ -141,13 +121,11 @@ def _classes(labels):
 class Covariates:
     """Conditioning data: class labels, or continuous vectors.
 
-    Labels are checked here, once: a non-empty 1-D array of mutually
-    comparable labels with no NaN.  Their class ``index`` (classes numbered
-    in sorted label order) and class sizes ``counts`` are taken here too,
-    and the coupling holds them.
-    Continuous values go through :func:`~baryflow.errors.as_points`, once:
-    a finite N x m float matrix, N, m >= 1.  Their kernel's bandwidth is a
-    setting of the solve, ``SolverConfig.bandwidth_b``, not of the data.
+    Labels must form a non-empty 1-D array of mutually comparable labels
+    with no NaN; their class ``index`` and sizes ``counts`` are taken here,
+    and the coupling holds them.  Continuous values must form a finite
+    N x m float matrix.  Their kernel's bandwidth is a setting of the solve,
+    ``SolverConfig.bandwidth_b``, not of the data.
     """
 
     kind: str
@@ -186,12 +164,13 @@ class CategoricalCoupling:
     Z[i, j] is 1/N_c when points i and j share class c, else 0.  With
     U = [class indicator | 1], an N x (K + 1) matrix, and w = [1/N_c | -1/N],
     C = Z - 11^T/N = U diag(w) U^T, symmetric by construction.  Only the
-    class index and sizes are stored, as :class:`Covariates` takes them; each
-    method builds what it returns.
+    class index and sizes, as :class:`Covariates` takes them, and w are
+    stored; each method builds what it returns.
     """
 
     def __init__(self, index, counts):
         self.index, self.counts = index, counts
+        self._w = np.append(1.0 / counts, -1.0 / len(index))
 
     def product(self):
         """F -> F @ C^T for an (m, N) array F, as ((F @ U) * w) @ U^T.
@@ -200,11 +179,10 @@ class CategoricalCoupling:
         The function holds U, N x (K + 1) doubles for K classes, and costs
         O(N m K): linear in N for a fixed number of classes.
         """
-        index, k = self.index, len(self.counts)
+        index, k, w = self.index, len(self.counts), self._w
         U = np.zeros((len(index), k + 1))
         U[np.arange(len(index)), index] = 1.0
         U[:, k] = 1.0
-        w = np.append(1.0 / self.counts, -1.0 / len(index))
         return lambda F: ((F @ U) * w) @ U.T
 
     def kde(self):
@@ -215,19 +193,19 @@ class CategoricalCoupling:
         classes the reads take the class form: ``value(E)`` is
         vdot(Ind @ E, CTrow), Ind the K x N class indicator; ``terms`` takes
         s and M @ w from one product E @ (CTrow^T (x) [1 | w]), gathered by
-        class; ``weigh()`` forms M in E in blocks of 32 rows, bitwise the
-        product with a dense C^T.  For N x d points the class form holds
-        3 K N doubles, a gradient forms 2 K (d + 1) N more, and no N x N
-        array is formed.  Its products take K and K (d + 1) multiply-adds
-        per kernel entry, so with more classes the reads are those of
+        class; ``weigh()``, which only a Hessian-vector product reads, forms
+        M in E in blocks of ``_BLOCK`` rows, bitwise the product with a dense
+        C^T.  For N x d points the class form holds 3 K N doubles, a gradient
+        forms 2 K (d + 1) N more, and no N x N array is formed beside the
+        kernel.  Its products take K and K (d + 1) multiply-adds per kernel
+        entry, so with more classes the reads are those of
         :class:`DenseCoupling` on the dense Z, bit for bit, and hold and
         cost what a Sinkhorn coupling's do.
         """
-        index, n, k = self.index, len(self.index), len(self.counts)
+        index, n, k, w = self.index, len(self.index), len(self.counts), self._w
         if k > _CLASS_FORM_MAX_K:
             return DenseCoupling(self.Z()).kde()
         is_class = np.arange(k)[:, None] == index
-        w = np.append(1.0 / self.counts, -1.0 / n)  # product()'s w: C = U diag(w) U^T
         CTrow = np.where(is_class, w[:k, None] + w[k], w[k])
         Ind = is_class.astype(float)
         CTcol = np.ascontiguousarray(CTrow.T)
@@ -266,11 +244,8 @@ class DenseCoupling:
     """A coupling held as its dense, exactly symmetric N x N Z alone: a Sinkhorn coupling.
 
     C = Z - 11^T/N is implied, never stored, and exactly symmetric because Z
-    is.  kde forms C^T = C in place on Z, which spends the coupling: it is
-    taken last, as :func:`baryflow.solver.solve` takes it, and ``Z()``,
-    ``product()`` or ``conditional_means()`` after it raises.  A categorical
-    coupling of more than four classes reads kde through one, built from
-    its dense Z.
+    is.  :meth:`kde` spends the coupling.  A categorical coupling of more than
+    ``_CLASS_FORM_MAX_K`` classes reads kde through one, built from its dense Z.
     """
 
     def __init__(self, Z):
@@ -292,9 +267,11 @@ class DenseCoupling:
         For an N x N kernel E, ``value(E)`` is sum_{j,i} E[j, i] C[i, j].
         ``terms(E, w)``, for an N x d w, returns the row sums s of
         M = E * C^T and two functions: one returns M @ w, and ``weigh()``,
-        called at most once, returns M formed in E.  Here M is formed when
-        ``terms`` is called, and M @ w when it is asked for.  The coupling
-        is spent: its Z became C^T.
+        called at most once, returns M formed in E.  Here M is formed in
+        place when ``terms`` is called, and M @ w when it is asked for.  The
+        coupling is spent, as its Z became C^T: it is read last, as
+        :func:`baryflow.solver.solve` reads it, and ``Z()``, ``product()`` or
+        ``conditional_means()`` after it raise.
         """
         CT, self._Z = self._held(), None
         CT -= 1.0 / len(CT)
@@ -320,12 +297,13 @@ def build_couplings(covariates, bandwidth_b="auto"):
     Computed once per solve.  Categorical covariates give the O(N) class
     form, built from the class index :class:`Covariates` took, and take no
     bandwidth: a ``bandwidth_b`` other than "auto" raises InvalidInputError.
-    Continuous values v_i of width m with bandwidth b (``bandwidth_b``, or
-    the median heuristic on the values for "auto") give the Gaussian kernel
-    K[i, j] = (2 pi b^2)^(-m/2) exp(-||v_i - v_j||^2 / (2 b^2)), formed in
-    place from the squared distances and scaled in place by
-    :func:`_scale_in_place` into the dense Z: the build holds one N x N array.
-    A b whose 2 b^2 is subnormal, or whose scale is 0 or overflows, raises InvalidInputError.
+    Continuous values v_i with bandwidth b (``bandwidth_b``, or the median
+    heuristic on the values for "auto") give the Gaussian kernel
+    K[i, j] = exp(-||v_i - v_j||^2 / (2 b^2)), formed in place from the
+    squared distances and scaled in place by :func:`_scale_in_place` into the
+    dense Z: the build holds one N x N array.  The density's constant is left
+    out, as the scaling divides it out.  A b whose 2 b^2 is below the normal
+    float range raises InvalidInputError; a huge b gives Z = 11^T/N.
     """
     if covariates.kind == "categorical":
         if bandwidth_b != "auto":
@@ -333,15 +311,10 @@ def build_couplings(covariates, bandwidth_b="auto"):
         return CategoricalCoupling(covariates.index, covariates.counts)
     values = covariates.values
     b = float(median_heuristic_bandwidth(values) if bandwidth_b == "auto" else bandwidth_b)
-    try:  # in Python floats, which raise where numpy would warn
-        norm = (2.0 * np.pi * b**2) ** (-0.5 * values.shape[1])
-    except ArithmeticError:  # 2 b^2 is zero, or b^2 or the scale overflows
-        norm = 0.0
-    if not (norm > 0.0 and 2.0 * b**2 >= sys.float_info.min):  # numpy divides by 2 b^2
-        raise InvalidInputError(f"bandwidth_b = {b!r} is out of the Gaussian kernel's float range")
+    if not 2.0 * b * b >= sys.float_info.min:  # numpy divides by 2 b^2
+        raise InvalidInputError(f"bandwidth_b = {b!r} puts 2 b^2 below the normal float range")
     Z = cdist(values, values, metric="sqeuclidean")
-    Z /= -(2.0 * b**2)
+    Z /= -(2.0 * b * b)
     np.exp(Z, out=Z)
-    Z *= norm
     _scale_in_place(Z)
     return DenseCoupling(Z)

@@ -130,7 +130,7 @@ def gen_ellipses(seed, n_per_class=100):
     The geometry is fixed: centers (0, 3), (-2, 0) and (2, 0), semi-major
     axis 1.5 and axis ratio 3:1.  Class 0 has a vertical major axis, classes
     1 and 2 horizontal ones, so class 0 sits above the horizontal pair and is
-    the outlier in both shape and position.  Seed and count: ``integer_at_least``.
+    the outlier in both shape and position.
     """
     integer_at_least("seed", seed, 0)
     integer_at_least("n_per_class", n_per_class, 1)
@@ -151,8 +151,7 @@ def gen_sphere_patches(seed, n_per_class=250, antipodal=True):
     Longitudes are uniform on [0, 2*pi) for both classes.  Class 0 covers
     latitudes [3*pi/8, pi/2].  With ``antipodal=True`` class 1 mirrors it
     across the equator, [-pi/2, -3*pi/8]; otherwise class 1 covers
-    [pi/8, pi/4] on the same side.  Columns are (theta, phi).  Seed and count:
-    ``integer_at_least``.
+    [pi/8, pi/4] on the same side.  Columns are (theta, phi).
     """
     integer_at_least("seed", seed, 0)
     integer_at_least("n_per_class", n_per_class, 1)
@@ -178,8 +177,7 @@ def gen_hidden_signal(seed, steps=1000, cap_width=0.45):
     on the polar cap of angular width ``cap_width``, and reflects w through
     the axis bisecting the north pole and the advanced position.  The
     reflection is an isometry of the sphere, so each step's conditional
-    distribution is a rigidly transported copy of the cap.  Seed and count:
-    ``integer_at_least``.
+    distribution is a rigidly transported copy of the cap.
     """
     integer_at_least("seed", seed, 0)
     integer_at_least("steps", steps, 2)  # a lagged dataset pairs each step with the one before
@@ -206,8 +204,8 @@ def lagged_dataset(series, space="spherical"):
     covariates (the 2-D formulation); ``space="cartesian"`` keeps the points
     spherical but uses the lagged unit 3-vector as the covariate, which
     avoids the longitude wrap-around in covariate space.  The first
-    observation is dropped (it has no lag).  ``series.x`` meets ``as_points``,
-    then only this function's own rule: a width of 3 and T >= 2.
+    observation is dropped (it has no lag).  ``series.x`` must be a finite
+    (T, 3) array with T >= 2.
     """
     x = as_points(series.x, "series.x")
     if x.shape[1] != 3 or x.shape[0] < 2:

@@ -1,4 +1,19 @@
-"""Exception types, and the one check of each kind of input value: real, count or seed, matrix."""
+"""Exception types, and the one check of each kind of input value: real, count or seed, matrix.
+
+Each input is checked once, where it enters, and nothing behind re-checks it.
+:func:`as_points` checks every numeric matrix (solve's x, continuous covariate
+values, a series' x), :func:`positive_number` every real setting of
+``SolverConfig`` and ``CostModel``, and :func:`integer_at_least` every count
+and seed, in ``SolverConfig`` and the generators.  ``solve`` checks the
+covariates' N against x and that each candidate step is finite, and
+``build_couplings`` a continuous bandwidth's float range.  No cost or
+constraint call checks its points, except the great-circle cost: x's 2
+columns and latitudes once, and y's latitudes on every call, as a step can
+pass a pole.  ``CostModel``, ``parse_cost_spec``, ``Covariates``,
+``lagged_dataset`` and the two CLI loaders check the rest of their own input.
+The CLI parses its flags without checking them: a bad value exits 1 with the
+library's message.
+"""
 
 import numbers
 
@@ -12,10 +27,7 @@ def positive_number(value):
 
 
 def integer_at_least(name, value, low):
-    """Raise InvalidInputError unless ``value`` is an integer >= ``low``; booleans are not integers.
-
-    The one check of every count and seed, in SolverConfig and the generators.
-    """
+    """Raise InvalidInputError unless ``value`` is an integer >= ``low``; booleans are not integers."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be an integer")
     if value < low:
@@ -23,10 +35,7 @@ def integer_at_least(name, value, low):
 
 
 def as_points(x, what="points"):
-    """Coerce to a finite float N x d array, N, d >= 1, or raise InvalidInputError naming ``what``.
-
-    The one check of every numeric matrix: solve's x, covariate values, a series' x.
-    """
+    """Coerce to a finite float N x d array, N, d >= 1, or raise InvalidInputError naming ``what``."""
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError):

@@ -2,74 +2,37 @@
 
 The full objective is L = L_C + lambda * L_F, where L_C is a cost from
 :mod:`baryflow.costs` and L_F tests whether the mapped points depend on the
-covariate.  An evaluation returns the two parts separately; the multiplier
-lambda belongs to the solver's outer iteration, which combines them.  Two
-constraint modes exist:
+covariate; an evaluation returns the two parts (:class:`ObjectiveEval`).
+Two constraint modes exist:
 
 * ``kde`` scores the discrepancy between conditional kernel density
-  estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l].
-  The kernel centers are the evaluated points themselves.  The descent
-  direction differentiates the kernel only through the evaluation slot,
-  holding the centers at the current positions.  ``before`` is the one way
-  to score points against centers elsewhere: the solver's descent check
-  evaluates the stepped points with ``before`` set to the points before the
-  step, and one call forms the stepped points' frame (their mean, the
-  scaled points and the kernel's centers factor) once, scores both point
-  sets in it, and frees the kernel at ``before`` before it builds the one
-  at the stepped points.  A value is one matrix product and ``exp``, taken
-  about the points' mean so that far-off clouds lose no digits, then the
-  coupling's value read of C^T = Z - 1/N: one dot product with a dense C^T
-  (formed in place on a Sinkhorn Z, or on a categorical Z of more than
-  four classes), or for categorical covariates in at most four classes,
-  whose C^T has one distinct row per class, a K x N class sum of the
-  kernel dotted with those K rows.  The kernel is then the only N x N
-  array a kde evaluation forms.  (2 pi a^2)^(-d/2) scales the value and
-  the O(N d) outputs, never N x N arrays.
+  estimates of the mapped points: L_F = sum_{i,l} K_a(y_l, y_i) C[i, l],
+  K_a the Gaussian density of bandwidth a, whose (2 pi a^2)^(-d/2) scales
+  the value and the O(N d) outputs, never N x N arrays.  The kernel centers
+  are the evaluated points themselves, and ``before`` (see
+  :func:`constraint_function`) is the one way to score points against
+  centers elsewhere.  The descent direction differentiates the kernel only
+  through the evaluation slot, holding the centers at the current positions.
+  A value is one matrix product and ``exp``, taken about the points' mean so
+  that far-off clouds lose no digits, then the coupling's value read of C^T
+  (:meth:`~baryflow.couplings.CategoricalCoupling.kde`).
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
   :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
   (m, N) values and (m, N, d) gradients, and ``hess(y, W)`` the (N, d, d)
   sum of their Hessians weighed by an (m, N) W, added monomial by monomial
   in row order with no (m, N, d, d) stack.  Gradients use the symmetric
-  form 2 (C f_l)_i f_l'(y_i), exact for symmetric C.  For categorical
-  covariates C = U diag(w) U^T is applied in its class form, symmetric by
-  construction, and so are the gradient and the Hessian-vector products
-  MINRES reads.  For continuous ones C = Z - 11^T/N of the exactly
-  symmetric Sinkhorn Z is exactly symmetric too, applied as F Z - (F 1) 1^T/N.
-
-The constraint binds to one solve through :func:`constraint_function`, which
-takes the solve's coupling and a kde bandwidth or a features basis, as the
-solve checked or made them.  No call checks its points: the solve checked x,
-and it checks that each candidate is finite.
+  form 2 (C f_l)_i f_l'(y_i), exact because every coupling's C is exactly
+  symmetric, and so are the Hessian-vector products MINRES reads.
 
 Both terms of the objective share one lazy contract: a bound term returns
 its value, its gradient as a function that builds it, and its Hessian-vector
 product as a :class:`~baryflow.costs.BlockHvp` that sets up nothing until it
 is read.  Gradient and product build from what the value left behind (the
 kde kernel matrix, the features' C f_l) and the points, nothing else.
-:func:`evaluate` computes both values; the solver reads gradients only at
-the points it keeps and products only for lambda0 and implicit steps, so a
-rejected step or a descent check's right side pays for its values alone.
-
-Hessian-vector products apply the Jacobian of the returned gradient field,
-so they include the cross terms that arise from the kernel centers (or
-feature averages) tracking the points.  They never form the (N, N, d, d)
-Hessian: both modes give per-point d x d blocks D plus one remainder
-product.  kde's gradient reads the row sums s of the weighted kernel
-M = E * C^T and M @ w, where w holds the points in their frame: a dense
-coupling forms M in place on the first gradient read and takes both from
-it; a categorical one in K <= 4 classes takes both from one product of the
-kernel with K (d + 1) columns, and forms M in place only for a
-Hessian-vector product, which reads the same s.  The product's first use
-sets up the pair operator of M in O(N^2 d^2) (see
-:func:`baryflow.costs.pair_outer_operator`) and folds the product's scale,
-its -s v and its M v into the operator's blocks and its factor S, in place;
-the remainder is S (M (T v)), so a kde product is the blocks' einsum, two
-more einsums and one N x N by N x (d + 1)^2 matrix product.  Features take
-the blocks 2 sum_l (C f_l)_i Hess f_l(y_i), and the cross term
-2 sum_l grad f_l (C g_l) as the remainder: O(N m d) plus two products with
-C^T of m stacked rows, O(N m K) each for categorical covariates in K
-classes and O(N^2 m) for a Sinkhorn Z.
+Products apply the Jacobian of the returned gradient field, so they include
+the cross terms of the kernel centers (or feature averages) tracking the
+points; kde's is set up by :func:`~baryflow.costs.pair_outer_operator`.
 """
 
 from __future__ import annotations
@@ -277,25 +240,18 @@ def _features_parts(y, product, basis):
 def constraint_function(coupling, test_functions):
     """Bind a constraint to the coupling of one solve.
 
-    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns: a
-    :class:`~baryflow.couplings.CategoricalCoupling` or a
-    :class:`~baryflow.couplings.DenseCoupling`.  ``test_functions`` is the kde
-    bandwidth, positive as the solve checked or made it, or the features
-    mode's :class:`MonomialBasis`, whose m terms weigh equally.  Features keep
-    the coupling's product with C^T, which holds only what it reads.  kde
-    keeps the coupling's reads of C^T = Z - 1/N: a value, the gradient's terms
-    and the weighted kernel; a Sinkhorn coupling forms C^T in place on its Z
-    for them, which spends it, a categorical one holds its K distinct rows
-    when K <= 4, else forms C^T in place on its dense Z.  (2 pi a^2)^(-d/2) scales only O(N d) outputs.
-    Returns ``parts(y) -> (value, grad, hvp)`` for a finite N x d float y, under
-    the module's lazy contract: ``grad()`` builds the N x d gradient and
-    ``hvp``, a :class:`~baryflow.costs.BlockHvp`, applies the Jacobian of that
-    gradient field, with the centers tracking the points.  kde's kernel centers
-    are the points y, and its gradient differentiates only the kernel's
-    evaluation slot.  kde's ``parts`` also takes ``before``, points of y's
-    shape, and then returns ``(value, grad, hvp, value_before)``: the value at
-    ``before`` with the centers at y, in y's frame, its kernel freed before y's
-    is built.
+    ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns.
+    ``test_functions`` is the kde bandwidth, positive, or the features mode's
+    :class:`MonomialBasis`, whose m terms weigh equally.  Features keep the
+    coupling's product with C^T, which holds only what it reads; kde keeps
+    its reads of C^T, which spend a dense coupling
+    (:meth:`~baryflow.couplings.DenseCoupling.kde`).  Returns
+    ``parts(y) -> (value, grad, hvp)`` for a finite N x d float y, under the
+    module's lazy contract.  kde's ``parts`` also takes ``before``, points of
+    y's shape, and then returns ``(value, grad, hvp, value_before)``: the
+    value at ``before`` with the centers at y.  One call forms y's frame
+    (their mean, the scaled points and the centers' factor) once, scores both
+    point sets in it, and frees the kernel at ``before`` before it builds y's.
     """
     if isinstance(test_functions, MonomialBasis):
         product = coupling.product()
@@ -323,13 +279,10 @@ class ObjectiveEval:
     :meth:`hvp` combines the two products the same way.  ``grads`` holds the
     cost's and the constraint's gradient builders; each gradient is built on the
     first read of ``grad_cost`` or ``grad_constraint``, which raises
-    NumericError when it is not finite, and the build and what it held are
-    dropped then.  ``hvp_cost`` and ``hvp_constraint`` set up nothing until
-    read, but hold what the gradients held (kde's weighted kernel among it)
-    until the solver drops them: an explicit step at its acceptance, an implicit
-    one after taking :meth:`hvp`.  ``L_F_before`` is the kde constraint at the
-    points :func:`evaluate` was given as ``before``, with the kernel centers at
-    the evaluated points; None when none were given.
+    NumericError when it is not finite, and the build is dropped then.
+    :func:`~baryflow.solver.solve` tells who holds ``hvp_cost`` and
+    ``hvp_constraint`` and when they are dropped.  ``L_F_before`` is kde's
+    value at :func:`evaluate`'s ``before``; None without one.
     """
 
     L_C: float
@@ -359,9 +312,8 @@ def evaluate(cost, constraint, y, before=None):
     and :func:`constraint_function`; kernel centers sit at y.  Raises
     NumericError when either value is not finite, and on a read of ``grad_cost``
     or ``grad_constraint`` whose gradient is not finite.  With ``before`` (kde
-    only), the same constraint call also scores those points with the centers at
-    y, as ``L_F_before``: the descent check's right side, from the frame y's own
-    kernel uses.
+    only) the same constraint call also scores those points, as ``L_F_before``:
+    the descent check's right side.
     """
     cv, cg, chvp = cost(y)
     fv, fg, fhvp, *fv_before = constraint(y) if before is None else constraint(y, before=before)

@@ -3,30 +3,13 @@
 One solve owns its state exclusively.  The objective is evaluated once on
 the starting points; then each iteration grows the learning rate, raises the
 multiplier to keep the descent direction of the full objective a descent
-direction for the constraint, steps (explicit or implicit), and backtracks
-the learning rate until the stepped objective does not increase with the
-kernel centers at the stepped positions on both sides.  Each try scores both
-sides with one evaluation of the stepped points, which in kde mode also
-scores the points before the step in the same centers' frame.  The
-evaluation at the accepted step is the next iteration's evaluation, so each
-point set is evaluated once.  Every evaluation carries its Hessian-vector
-products unbuilt, and the solver owns their lifetime: the start's serve
-lambda0 and the first implicit step; an accepted explicit step drops its own
-at once, as they would keep kde's weighted kernel alive; an implicit step
-frees its own, with that kernel, before its candidate is scored, and a try
-after a rejected one rebuilds them at the same points, bit for bit.  The
-implicit step forms its operator I + eta (H_C + lam H_F) once per try, from
-the block form of the two Hessian-vector products (per-point blocks plus one
-remainder each, see :class:`baryflow.costs.BlockHvp`): the blocks are added
-and scaled, and each remainder takes its scale into its factors.  Each of
-its products is then one einsum over the blocks plus the remainders'
-products: for l2 and kde, three einsums, one N x N by N x (d + 1)^2 product
-and an add.  It solves the symmetric system matrix-free with the module's
-own MINRES (:func:`_minres`), which runs scipy's recurrences and stopping
-tests (residual estimate within 1e-12 * ||A|| ||x||) on buffers updated in
-place, so its steps are bitwise scipy's.  Each accepted step writes one row
-of the run's :class:`History`, a structured array of 75 bytes a row that
-builds a :class:`HistoryRecord` only when one is read.
+direction for the constraint, steps (explicit, or implicit by
+:func:`step_implicit`), and backtracks the learning rate until the stepped
+objective does not increase with the kernel centers at the stepped positions
+on both sides.  The evaluation at the accepted step is the next iteration's
+evaluation, so each point set is evaluated once; :func:`solve` tells what an
+evaluation holds and when each part is dropped.  Each accepted step writes
+one row of the run's :class:`History`.
 """
 
 from __future__ import annotations
@@ -57,13 +40,14 @@ __all__ = [
 
 _GRAD_SQ_FLOOR = 1e-30
 _KRYLOV_RTOL = 1e-12  # MINRES stopping tolerance of the implicit step
-_KRYLOV_MAXITER = 500
+_KRYLOV_MAXITER = 500  # MINRES iterations before the implicit step falls back
 _RESIDUAL_RTOL = 1e-8  # accepted ||b - A x|| / ||b|| of the implicit step
 _MAX_HALVINGS = 60  # learning-rate halvings before a run ends without a step
 _LANCZOS_RTOL = 1e-3  # settled move of the lambda0 estimate between two readings
 _LANCZOS_BREAKDOWN = 1e-12  # beta_k / ||T_k|| at which the lambda0 estimate is exact
 _LANCZOS_SEMI_ORTH = math.sqrt(sys.float_info.epsilon)  # Ritz residual / radius that ends it
 _LANCZOS_MAX_PRODUCTS = 50  # Hessian-vector products of the lambda0 estimate at most
+_LANCZOS_FLAT = 1e-12  # spectral radius at or below which the constraint is flat and lambda0 is 1
 
 
 @dataclass(frozen=True)
@@ -71,19 +55,16 @@ class SolverConfig:
     """Settings of the penalty flow; its fields are the solve flags, in order.
 
     ``lambda0="auto"`` estimates 1/spectral-radius of the constraint Hessian
-    at the starting positions: Lanczos on its Hessian-vector product, at
-    most 50 products, started from the constraint gradient there, so the
-    Hessian is never formed and the estimate moves with the data.  ``seed``
-    draws the start vector only when that gradient is zero, as it is for a
-    flat constraint such as one class.  ``bandwidth_a`` applies to kde mode
-    and resolves "auto" with the median heuristic on the starting positions;
-    ``bandwidth_b``, the covariate kernel's, applies to continuous covariates
-    and resolves "auto" with the median heuristic on their values.
-    ``feature_degree`` k applies to features mode, whose m = C(d + k, k) - 1
-    monomials take m N d doubles per evaluation.  A field in :attr:`CHOICES`
-    takes one of its values.  Every field is checked on construction, reals by
-    ``positive_number`` and counts and the seed by ``integer_at_least``; a
-    bad value raises InvalidInputError.
+    at the starting positions by Lanczos (:func:`_auto_lambda0`).  ``seed``
+    draws its start vector only when the constraint gradient there is zero,
+    as it is for a flat constraint such as one class.  ``bandwidth_a``
+    applies to kde mode and resolves "auto" with the median heuristic on the
+    starting positions; ``bandwidth_b``, the covariate kernel's, applies to
+    continuous covariates and resolves "auto" with the median heuristic on
+    their values.  ``feature_degree`` k applies to features mode, whose
+    m = C(d + k, k) - 1 monomials take m N d doubles per evaluation.  A field
+    in :attr:`CHOICES` takes one of its values.  Every field is checked on
+    construction; a bad value raises InvalidInputError.
     """
 
     CHOICES = {"problem": ("kde", "features"), "update": ("explicit", "implicit")}
@@ -256,17 +237,18 @@ def step_implicit(y, grad, hvp, eta):
 
     ``hvp`` is H's product in block form, a :class:`~baryflow.costs.BlockHvp`
     such as :meth:`~baryflow.objective.ObjectiveEval.hvp` returns.  The step
-    forms the operator I + eta*H once: its blocks I + eta*D and its
-    remainders scaled by eta.  The symmetric, possibly indefinite system is
-    solved matrix-free by :func:`_minres` (stopping when its residual
-    estimate is within 1e-12 * ||A|| ||delta||, at most 500 iterations),
-    warm-started from the explicit step's delta.  Falls back to the explicit
-    step when MINRES hits its iteration cap or meets a non-finite Lanczos
-    norm, or when the explicitly recomputed residual
-    ||eta*grad - (I + eta*H) delta|| is not within 1e-8 * ||eta*grad||; that
-    test also catches a breakdown (singular or non-symmetric operator) and a
-    non-finite delta, whose residual is NaN.  Returns
-    ``(candidate, used_fallback)``.
+    forms the operator I + eta*H once, by
+    :meth:`~baryflow.costs.BlockHvp.operator`: its blocks I + eta*D are added
+    and scaled, and each remainder takes eta into its factors.  Each of its
+    products is then one einsum over the blocks plus the remainders'
+    products: for l2 and kde, three einsums, one N x N by N x (d + 1)^2
+    product and an add.  The symmetric, possibly indefinite system is solved
+    matrix-free by :func:`_minres`, warm-started from the explicit step's
+    delta.  Falls back to the explicit step when MINRES does not converge, or
+    when the explicitly recomputed residual ||eta*grad - (I + eta*H) delta||
+    is above ``_RESIDUAL_RTOL`` ||eta*grad||; that test also catches a
+    breakdown (singular or non-symmetric operator) and a non-finite delta,
+    whose residual is NaN.  Returns ``(candidate, used_fallback)``.
     """
     n, d = y.shape
     b = eta * grad.ravel()
@@ -287,7 +269,7 @@ def _minres(matvec, b):
     Unpreconditioned, with the recurrences, operation order and stopping
     tests of ``scipy.sparse.linalg.minres`` started from x0 = b, with
     ``rtol=_KRYLOV_RTOL`` and ``maxiter=_KRYLOV_MAXITER``, so the iterates are
-    bitwise equal to scipy's; the vectors are updated in place.  The run
+    bitwise equal to scipy's, on buffers updated in place.  The run
     stops when the residual estimate is within ``rtol * ||A|| ||x||`` (or
     A r within ``rtol * ||A|| ||r||``), when x is accurate to machine
     precision or A looks singular, and after ``maxiter`` iterations.
@@ -384,15 +366,16 @@ def _auto_lambda0(hvp, grad, lambda_max, seed):
     recurrence holds three vectors and the tridiagonal T_k, but no Krylov
     basis.  The radius, max |theta| over T_k's eigenvalues, is read at every
     other product from the fourth.  The estimate stops when a reading moves
-    by at most 1e-3 of itself; at a breakdown, beta_k <= 1e-12 ||T_k||, where
-    T_k's eigenvalues are H's own; once a Ritz residual beta_k |s_ki| falls
-    to sqrt(eps) times the radius, past which the Lanczos vectors lose
-    orthogonality along that pair (Paige 1971) and take in rounding that
-    differs between a data set and its permuted or rotated copy; and after
-    50 products.  Points with a symmetry (two in the plane, say) confine the
-    gradient to an invariant subspace of H, whose spectrum alone it sees.
-    The estimate is 1 when the constraint is locally flat, and never more
-    than ``lambda_max``.
+    by at most ``_LANCZOS_RTOL`` of itself; at a breakdown, beta_k at most
+    ``_LANCZOS_BREAKDOWN`` ||T_k||, where T_k's eigenvalues are H's own; once
+    a Ritz residual beta_k |s_ki| falls to ``_LANCZOS_SEMI_ORTH`` times the
+    radius, past which the Lanczos vectors lose orthogonality along that pair
+    (Paige 1971) and take in rounding that differs between a data set and its
+    permuted or rotated copy; and after ``_LANCZOS_MAX_PRODUCTS`` products.
+    Points with a symmetry (two in the plane, say) confine the gradient to an
+    invariant subspace of H, whose spectrum alone it sees.  The estimate is 1
+    when the radius is at most ``_LANCZOS_FLAT`` (a locally flat constraint),
+    and never more than ``lambda_max``.
     """
     hvp = hvp.operator()
     if float(np.sum(grad * grad)) < _GRAD_SQ_FLOOR:
@@ -422,7 +405,7 @@ def _auto_lambda0(hvp, grad, lambda_max, seed):
         betas.append(beta)
         v_old, v = v, w
         v /= beta
-    return float(min(1.0 / radius if radius > 1e-12 else 1.0, lambda_max))
+    return float(min(1.0 / radius if radius > _LANCZOS_FLAT else 1.0, lambda_max))
 
 
 def solve(x, covariates, cost_model, config=None):
@@ -432,25 +415,27 @@ def solve(x, covariates, cost_model, config=None):
     through it.  With ``config.precondition`` the flow starts from
     x + shift, shift = mean(x) - the coupling's conditional means of x, and
     the squared-Euclidean cost measures from the shifted points too, every
-    other cost from x.  It iterates until the positions stall with a
-    satisfied constraint or ``config.niter`` is reached.  The shift and the
-    cost read the coupling before the constraint binds it, as kde spends a
-    dense Z.  x is checked once, here, and the covariates' N against it;
-    nothing behind checks them again.  A categorical coupling forms no N x N
-    array beside kde's kernel, in explicit and implicit solves alike, unless
-    the distortion cost reads Z or kde reads the C^T of more than four classes:
-    an accepted explicit step drops its Hessian-vector products, which it
-    never reads, and an implicit step frees its own, with the weighted kernel,
-    before its candidate is scored.  A Sinkhorn coupling is one N x N array,
-    Z, from its kernel on: kde, bound last, forms its C^T in place on Z.  A
-    candidate step is rejected, and the learning rate halved, when it is not finite,
-    raises the objective, leaves the cost's domain, or gives a non-finite
-    value or gradient; both gradients are built on first read, which happens
-    only for the starting points and for each accepted step.  The run ends
-    early when 60 halvings find no step.
-    ``lambda0="auto"`` runs on the starting points' one evaluation: Lanczos on
-    its constraint Hessian-vector product, started from its constraint
-    gradient.  Raises :class:`NumericError` only when that evaluation (its
+    other cost from x.  The shift and the cost read the coupling before the
+    constraint binds it, as kde spends a dense Z.  It iterates until the
+    positions stall with a satisfied constraint or ``config.niter`` is
+    reached, and ends early when ``_MAX_HALVINGS`` halvings find no step.  A
+    candidate step is rejected, and the learning rate halved, when it is not
+    finite, raises the objective, leaves the cost's domain, or gives a
+    non-finite value or gradient.  Both gradients are built on first read,
+    only for the starting points and each accepted step, so a rejected step
+    pays for its values alone.
+
+    An evaluation's Hessian-vector products are unbuilt and hold what its
+    gradients hold, kde's kernel among it.  The start's serve
+    ``lambda0="auto"``; each iteration then hands its evaluation's products
+    to the implicit step, or drops them.  An accepted explicit step drops its
+    own at once, as it never reads them.  An implicit step frees its own,
+    with the weighted kernel and the operator's factors, before its candidate
+    is scored, and a try after a rejected one rebuilds them at the same
+    points, bit for bit.  So a categorical coupling forms no N x N array
+    beside kde's kernel unless the distortion cost reads Z or kde reads a
+    dense C^T, and a Sinkhorn coupling is one N x N array, Z, from its kernel
+    on.  Raises :class:`NumericError` only when the starting evaluation (its
     values or either gradient) is not finite.
     """
     config = config or SolverConfig()
@@ -471,7 +456,6 @@ def solve(x, covariates, cost_model, config=None):
     cost = cost_function(cost_model, x, coupling, shift)  # before kde spends a dense Z
     constraint = constraint_function(
         coupling, bandwidth_a if kde else monomial_features(d, config.feature_degree))
-    del coupling  # the bound terms keep what they read of it
     implicit = config.update == "implicit"
     ev = evaluate(cost, constraint, y)
     ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here

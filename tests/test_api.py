@@ -87,6 +87,18 @@ _SERIES_ROWS = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n"
     pytest.param(lambda: gen_ellipses(seed=0, n_per_class=2.5), id="ellipses-float-count"),
     pytest.param(lambda: lagged_dataset(TimeSeriesSample(x=np.full((4, 3), "a"), w_hidden=None)),
                  id="lagged-strings"),
+    pytest.param(lambda: lagged_dataset(TimeSeriesSample(x=np.ones((4, 2)), w_hidden=None)),
+                 id="lagged-two-columns"),
+    pytest.param(lambda: lagged_dataset(gen_hidden_signal(seed=0, steps=4), space="polar"),
+                 id="lagged-polar-space"),
+    pytest.param(lambda: CostModel("nope"), id="cost-unknown-family"),
+    pytest.param(lambda: baryflow.solve(np.zeros((6, 3)), Covariates.categorical(np.arange(6) % 2),
+                                        CostModel("geodesic_sphere"), SolverConfig(niter=1)),
+                 id="geodesic-three-columns"),
+    pytest.param(lambda: load_series(io.StringIO("t,theta,phi\n" + _SERIES_ROWS)),
+                 id="series-no-x-columns"),
+    pytest.param(lambda: load_series(io.StringIO("t,x_theta,x_phi\n0,0.1,0.2\n")),
+                 id="series-one-step"),
 ])
 def test_entry_points_reject_bad_input(enter):
     # each input is checked where it enters, as InvalidInputError, never a

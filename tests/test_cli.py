@@ -320,6 +320,12 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
 
+    def test_non_numeric_auto_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--lambda0", "abc"])
+        assert exit_.value.code == 2
+        assert "expected a number or 'auto', got 'abc'" in capsys.readouterr().err
+
     def test_missing_input_is_error(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "r.csv"),

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from baryflow.couplings import (
     _CLASS_FORM_MAX_K,
@@ -91,11 +91,13 @@ class TestGaussianKernel:
 
     @pytest.mark.parametrize("case", range(len(CONTINUOUS_SETS)))
     def test_build_scales_the_reference_kernel(self, case):
-        # bitwise: build_couplings forms this kernel in place and scales it
+        # bitwise: build_couplings forms the kernel without the density's
+        # constant, which the scaling divides out, and scales it in place
         values, b = CONTINUOUS_SETS[case]
         h = median_heuristic_bandwidth(values) if b == "auto" else b
         Z = continuous_z(values, b)
-        assert Z.tobytes() == scaled(gaussian_kernel(values, h)).tobytes()
+        unnormalised = np.exp(cdist(values, values, "sqeuclidean") / -(2.0 * h * h))
+        assert Z.tobytes() == scaled(unnormalised).tobytes()
 
 
 class TestKernelMatrix:
@@ -161,6 +163,12 @@ class TestSinkhorn:
         with pytest.raises(ConvergenceError) as exc:
             scaled(K, tol=1e-10, max_iter=2)
         assert exc.value.residual > 0
+
+    def test_zero_row_rejected(self):
+        K = np.eye(3)
+        K[1, 1] = 0.0
+        with pytest.raises(InvalidInputError, match="no positive bi-stochastic scaling"):
+            scaled(K)
 
 
 class TestCategoricalCoupling:
@@ -431,6 +439,19 @@ class TestCovariatesAndBuild:
         cov = Covariates.continuous(_normal(9, 10, width))
         with pytest.raises(InvalidInputError, match="bandwidth_b"):
             build_couplings(cov, bandwidth_b)
+
+    def test_tiny_bandwidth_b_of_wide_covariates_builds_the_identity(self):
+        # 2 b^2 = 2e-80 is a normal float: every distinct pair's kernel entry
+        # is 0 and the diagonal's is 1, so K = I, its own scaling
+        values = _normal(9, 10, 8)
+        assert np.array_equal(continuous_z(values, 1e-40), np.eye(10))
+
+    def test_huge_bandwidth_b_builds_the_uniform_coupling(self):
+        # 2 b^2 overflows to inf: every kernel entry is exp(-0) = 1
+        n = 10
+        Z = continuous_z(_normal(9, n, 3), 1e200)
+        assert np.array_equal(Z, Z.T)
+        assert np.abs(Z - 1.0 / n).max() <= 1e-10
 
     def test_auto_bandwidth_b_that_underflows_is_error(self):
         # the median heuristic gives b near 1.4e-156, so 2 b^2 is subnormal

@@ -1053,6 +1053,34 @@ class TestSolve:
         with pytest.raises(NumericError, match="cost gradient"):
             solve(ds.x, ds.covariates, CostModel("sq_euclidean"), SolverConfig(lambda0=lambda0))
 
+    def test_non_finite_start_value_raises(self):
+        # the degree-2 features of points near 1e200 overflow to inf; numpy's
+        # overflow warning is expected here, the NumericError is the contract
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="^non-finite objective evaluation$"):
+            solve(1e200 * ds.x, ds.covariates, CostModel("sq_euclidean"),
+                  SolverConfig(problem="features"))
+
+    def test_run_ends_when_no_halving_finds_a_step(self, monkeypatch):
+        # every candidate's evaluation raises, so each try is rejected until
+        # the halvings run out: the run stops at its starting points
+        ds = gen_ellipses(seed=0, n_per_class=5)
+        calls = 0
+
+        def start_only(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls > 1:
+                raise NumericError("non-finite objective evaluation")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate", start_only)
+        res = solve(ds.x, ds.covariates, CostModel("sq_euclidean"), SolverConfig(niter=5))
+        assert res.iterations == 0 and not res.converged and len(res.history) == 0
+        assert calls == 1 + solver._MAX_HALVINGS + 1
+        assert np.array_equal(res.y_final, ds.x)
+
     def test_precondition_result_carries_provenance(self):
         ds = gen_ellipses(seed=4, n_per_class=20)
         cfg = SolverConfig(problem="features", feature_degree=1, niter=100, precondition=True)
