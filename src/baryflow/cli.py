@@ -73,33 +73,38 @@ def _opened(target, mode):
             yield fileobj
 
 
-def _floats(row, keys, what, line):
-    """The cells ``row[key]`` as floats; a non-numeric or missing one names ``what`` and the line."""
-    try:
-        return [float(row[key]) for key in keys]
-    except (ValueError, IndexError):
-        raise InvalidInputError(f"non-numeric or missing {what} in row {line}") from None
+def _read_csv(fileobj):
+    """The header row of a CSV file (None when it is empty) and its non-blank rows.
 
-
-def _rows(reader):
-    """The non-blank rows of a csv reader, and the line each ends on, blank lines counted."""
-    rows, lines = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(reader.line_num)
-    return rows, lines
-
-
-def _float_table(rows, keys):
-    """The cells ``row[key]`` as a len(rows) x len(keys) float array, in one pass through ``float``.
-
-    Reads every form ``float`` reads.  Raises ValueError or IndexError at a
-    non-numeric or missing cell; the caller rescans the rows with
-    :func:`_floats` to name the first bad line.
+    Each row comes as ``(line, cells)``, ``line`` the line it ends on, blank lines counted.
     """
-    cells = [row[key] for row in rows for key in keys]
-    return np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(keys))
+    reader = csv.reader(fileobj)
+    header = next(reader, None)
+    return header, [(reader.line_num, row) for row in reader if row]
+
+
+def _float_table(rows, columns, label=None):
+    """The cells of ``columns``, (position, what) pairs, as a len(rows) x len(columns) float array.
+
+    Reads every form ``float`` reads, in one pass.  With a ``label``
+    position it returns each row's stripped label too.  At a non-numeric or
+    missing cell, or a missing label, it rescans the rows in order and
+    raises InvalidInputError naming the first bad one, what it is and its line.
+    """
+    try:
+        cells = [row[pos] for _, row in rows for pos, _ in columns]
+        table = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(columns))
+        return table if label is None else (table, [row[label].strip() for _, row in rows])
+    except (ValueError, IndexError):
+        for line, row in rows:  # the first bad line raises
+            for pos, what in columns:
+                try:
+                    float(row[pos])
+                except (ValueError, IndexError):
+                    raise InvalidInputError(f"non-numeric or missing {what} in row {line}") from None
+            if label is not None and len(row) <= label:
+                raise InvalidInputError(f"missing covariate in row {line}") from None
+        raise
 
 
 def _numbered(columns, message):
@@ -112,54 +117,38 @@ def _numbered(columns, message):
 def load_dataset(source):
     """Parse a dataset CSV from a path, ``-`` (stdin), or a file object."""
     with _opened(source, "r") as fileobj:
-        reader = csv.reader(fileobj)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError("missing header row") from None
-        numbered = {"x": {}, "z": {}}
-        z_cat_col = None
-        for pos, name in enumerate(h.strip() for h in header):
-            m = _NUMBERED_COL.match(name)
-            if m:
-                numbered[m.group(1)][int(m.group(2))] = pos
-            elif name == "z":
-                z_cat_col = pos
-            else:
-                raise InvalidInputError(f"unexpected column {name!r} in dataset header")
-        if len(numbered["x"]) + len(numbered["z"]) + (z_cat_col is not None) < len(header):
-            raise InvalidInputError("dataset header names a column twice")  # x1 and x01 included
-        x_positions = _numbered(numbered["x"], "dataset needs contiguous columns x1..xd")
-        if z_cat_col is not None and numbered["z"]:
-            raise InvalidInputError("ambiguous covariates: both 'z' and 'z1..' present")
-        if z_cat_col is None and not numbered["z"]:
-            raise InvalidInputError("dataset needs a 'z' column or columns z1..zm")
-        if numbered["z"]:
-            z_positions = _numbered(numbered["z"],
-                                    "continuous covariates need contiguous columns z1..zm")
-
-        rows, lines = _rows(reader)
-        try:
-            x = _float_table(rows, x_positions)
-            if z_cat_col is None:
-                z = _float_table(rows, z_positions)
-            else:
-                labels = [row[z_cat_col].strip() for row in rows]
-        except (ValueError, IndexError):
-            for row, line in zip(rows, lines):  # the first bad line raises
-                _floats(row, x_positions, "x value", line)
-                if z_cat_col is None:
-                    _floats(row, z_positions, "z value", line)
-                elif len(row) <= z_cat_col:
-                    raise InvalidInputError(f"missing covariate in row {line}") from None
-            raise
-        if len(rows) < 2:
-            raise InvalidInputError("dataset needs at least 2 rows")
-        if z_cat_col is not None:
-            covariates = Covariates.categorical(labels)
+        header, rows = _read_csv(fileobj)
+    if header is None:
+        raise InvalidInputError("missing header row")
+    numbered = {"x": {}, "z": {}}
+    z_cat_col = None
+    for pos, name in enumerate(h.strip() for h in header):
+        m = _NUMBERED_COL.match(name)
+        if m:
+            numbered[m.group(1)][int(m.group(2))] = pos
+        elif name == "z":
+            z_cat_col = pos
         else:
-            covariates = Covariates.continuous(z)
-        return Dataset(x=x, covariates=covariates)
+            raise InvalidInputError(f"unexpected column {name!r} in dataset header")
+    if len(numbered["x"]) + len(numbered["z"]) + (z_cat_col is not None) < len(header):
+        raise InvalidInputError("dataset header names a column twice")  # x1 and x01 included
+    x_columns = [(pos, "x value")
+                 for pos in _numbered(numbered["x"], "dataset needs contiguous columns x1..xd")]
+    if z_cat_col is not None and numbered["z"]:
+        raise InvalidInputError("ambiguous covariates: both 'z' and 'z1..' present")
+    if z_cat_col is None and not numbered["z"]:
+        raise InvalidInputError("dataset needs a 'z' column or columns z1..zm")
+    if numbered["z"]:
+        z_columns = [(pos, "z value") for pos in _numbered(
+            numbered["z"], "continuous covariates need contiguous columns z1..zm")]
+        table = _float_table(rows, x_columns + z_columns)
+        x, z = (np.ascontiguousarray(part) for part in np.hsplit(table, [len(x_columns)]))
+    else:
+        x, labels = _float_table(rows, x_columns, label=z_cat_col)
+    if len(rows) < 2:
+        raise InvalidInputError("dataset needs at least 2 rows")
+    covariates = Covariates.continuous(z) if numbered["z"] else Covariates.categorical(labels)
+    return Dataset(x=x, covariates=covariates)
 
 
 def _number_lines(columns, integer=()):
@@ -209,28 +198,21 @@ def _write_series_csv(series, fileobj):
 def load_series(source):
     """Read a time-series CSV (columns t, x_theta, x_phi[, w_theta, w_phi])."""
     with _opened(source, "r") as fileobj:
-        reader = csv.reader(fileobj)
-        header = next(reader, [])
-        positions = {name.strip(): pos for pos, name in enumerate(header)}
-        if len(positions) < len(header):
-            raise InvalidInputError("time-series CSV header names a column twice")
-        if not {"x_theta", "x_phi"} <= positions.keys():
-            raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
-        has_w = {"w_theta", "w_phi"} <= positions.keys()
-        keys = [positions[k] for k in ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]]
-        rows, lines = _rows(reader)
-        try:
-            table = _float_table(rows, keys)
-        except (ValueError, IndexError):
-            for row, line in zip(rows, lines):  # the first bad line raises
-                _floats(row, keys, "value", line)
-            raise
-        if len(rows) < 2:
-            raise InvalidInputError("time series needs at least 2 steps")
-        theta, phi, *w_angles = table.T
-        x = sph2cart(1.0, phi, theta)
-        w = sph2cart(1.0, w_angles[1], w_angles[0]) if has_w else np.full_like(x, np.nan)
-        return TimeSeriesSample(x=x, w_hidden=w)
+        header, rows = _read_csv(fileobj)
+    positions = {name.strip(): pos for pos, name in enumerate(header or [])}
+    if len(positions) < len(header or []):
+        raise InvalidInputError("time-series CSV header names a column twice")
+    if not {"x_theta", "x_phi"} <= positions.keys():
+        raise InvalidInputError("time-series CSV needs columns x_theta and x_phi")
+    has_w = {"w_theta", "w_phi"} <= positions.keys()
+    names = ("x_theta", "x_phi", "w_theta", "w_phi")[:4 if has_w else 2]
+    table = _float_table(rows, [(positions[name], "value") for name in names])
+    if len(rows) < 2:
+        raise InvalidInputError("time series needs at least 2 steps")
+    theta, phi, *w_angles = table.T
+    x = sph2cart(1.0, phi, theta)
+    w = sph2cart(1.0, w_angles[1], w_angles[0]) if has_w else np.full_like(x, np.nan)
+    return TimeSeriesSample(x=x, w_hidden=w)
 
 
 _HISTORY_COLUMNS = (("iter", "n"), ("L", "L"), ("L_C", "L_C"), ("L_F", "L_F"),  # (header, field)

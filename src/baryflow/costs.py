@@ -337,8 +337,8 @@ def cost_function(model, x, coupling=None, shift=None):
     for the great-circle cost.  The squared-Euclidean cost measures from
     x + ``shift`` when one is given, every other family from x.  Only the
     distortion cost reads the coupling, which it needs: its N x N Z, here,
-    before kde can spend it, and its x- and Z-only terms with it.  Returns
-    ``parts(y) -> (value, grad, hvp)`` for a finite float y of x's shape.
+    and its x- and Z-only terms with it.  Returns ``parts(y) -> (value,
+    grad, hvp)`` for a finite float y of x's shape.
     ``grad`` is a function of no arguments that builds the N x d gradient.
     ``hvp`` is the product of the cost's Hessian at y in block form, a
     :class:`BlockHvp` that sets up nothing until it is read.
@@ -359,8 +359,7 @@ def cost_function(model, x, coupling=None, shift=None):
             _check_latitudes(y)
             return _geodesic_parts(x, y)
         return parts
-    Z = coupling.Z()
     denom = cdist(x, x, metric="sqeuclidean") + _EPS_DIST**2
-    W = Z.copy()  # the pair weights; both couplings give an exactly symmetric Z
+    W = coupling.Z()  # the pair weights; both couplings give a new, exactly symmetric Z
     np.fill_diagonal(W, 0.0)
     return lambda y: _distortion_parts(model, x, y, denom, W)

@@ -6,10 +6,11 @@ scaling of their Gaussian kernel.  Both are exactly symmetric, with unit
 row and column sums (a Sinkhorn Z's to its tolerance), so the centering
 matrix C = Z - 11^T/N that the objective contracts against is symmetric:
 its columns sum to zero and x'Cx >= 0 for every x whenever Z is positive
-semidefinite.  :func:`build_couplings` returns one small object per solve,
-and a solve reads the covariates only through it: the conditional means
-under Z, the features product with C^T, kde's reads of C^T (told in
-:meth:`CategoricalCoupling.kde` and :meth:`DenseCoupling.kde`) and the dense Z.
+semidefinite.  :func:`build_couplings` returns one small, read-only object
+per solve, and a solve reads the covariates only through it, in any order:
+the conditional means under Z, the features product with C^T, kde's reads
+of C^T (told in :meth:`CategoricalCoupling.kde` and :meth:`DenseCoupling.kde`)
+and the dense Z.
 """
 
 from __future__ import annotations
@@ -199,12 +200,14 @@ class CategoricalCoupling:
         forms 2 K (d + 1) N more, and no N x N array is formed beside the
         kernel.  Its products take K and K (d + 1) multiply-adds per kernel
         entry, so with more classes the reads are those of
-        :class:`DenseCoupling` on the dense Z, bit for bit, and hold and
-        cost what a Sinkhorn coupling's do.
+        :class:`DenseCoupling` on C^T, formed in place on the dense Z, bit for
+        bit, and hold and cost what a Sinkhorn coupling's do.
         """
         index, n, k, w = self.index, len(self.index), len(self.counts), self._w
         if k > _CLASS_FORM_MAX_K:
-            return DenseCoupling(self.Z()).kde()
+            CT = self.Z()
+            CT -= 1.0 / n
+            return DenseCoupling(CT).kde()
         is_class = np.arange(k)[:, None] == index
         CTrow = np.where(is_class, w[:k, None] + w[k], w[k])
         Ind = is_class.astype(float)
@@ -241,40 +244,31 @@ class CategoricalCoupling:
 
 
 class DenseCoupling:
-    """A coupling held as its dense, exactly symmetric N x N Z alone: a Sinkhorn coupling.
+    """A coupling held as its N x N C^T = Z - 1/N alone: a Sinkhorn coupling.
 
-    C = Z - 11^T/N is implied, never stored, and exactly symmetric because Z
-    is.  :meth:`kde` spends the coupling.  A categorical coupling of more than
+    C^T is exactly symmetric because the dense Z it comes from is.  Every
+    method reads it and none changes it.  A categorical coupling of more than
     ``_CLASS_FORM_MAX_K`` classes reads kde through one, built from its dense Z.
     """
 
-    def __init__(self, Z):
-        self._Z = Z
-
-    def _held(self):
-        if self._Z is None:
-            raise InvalidInputError("the coupling is spent: kde() formed C^T in place on Z")
-        return self._Z
+    def __init__(self, CT):
+        self.CT = CT
 
     def product(self):
-        """F -> F @ C^T = F Z - (F 1) 1^T / N for an (m, N) array F; the function holds Z alone."""
-        Z = self._held()
-        return lambda F: F @ Z - F.sum(axis=1, keepdims=True) / len(Z)
+        """F -> F @ C^T for an (m, N) array F; the function holds C^T alone."""
+        CT = self.CT
+        return lambda F: F @ CT
 
     def kde(self):
-        """kde's reads of C^T: ``(value, terms)``, which hold C^T = Z - 1/N, formed in place on Z.
+        """kde's reads of C^T: ``(value, terms)``, which hold C^T.
 
         For an N x N kernel E, ``value(E)`` is sum_{j,i} E[j, i] C[i, j].
         ``terms(E, w)``, for an N x d w, returns the row sums s of
         M = E * C^T and two functions: one returns M @ w, and ``weigh()``,
         called at most once, returns M formed in E.  Here M is formed in
-        place when ``terms`` is called, and M @ w when it is asked for.  The
-        coupling is spent, as its Z became C^T: it is read last, as
-        :func:`baryflow.solver.solve` reads it, and ``Z()``, ``product()`` or
-        ``conditional_means()`` after it raise.
+        place when ``terms`` is called, and M @ w when it is asked for.
         """
-        CT, self._Z = self._held(), None
-        CT -= 1.0 / len(CT)
+        CT = self.CT
 
         def terms(E, w):
             M = np.multiply(E, CT, out=E)
@@ -283,12 +277,12 @@ class DenseCoupling:
         return lambda E: float(np.vdot(E, CT)), terms
 
     def conditional_means(self, x):
-        """Z^T x for N x d points x: row k is the coupling-weighted mean sum_i Z[i, k] x_i."""
-        return self._held().T @ x
+        """Z^T x = C x + mean(x) for N x d points x: row k is the weighted mean sum_i Z[i, k] x_i."""
+        return self.CT.T @ x + x.mean(axis=0)
 
     def Z(self):
-        """The dense Z itself, until kde spends it."""
-        return self._held()
+        """The dense Z = C^T + 1/N, as a new array."""
+        return self.CT + 1.0 / len(self.CT)
 
 
 def build_couplings(covariates, bandwidth_b="auto"):
@@ -300,10 +294,11 @@ def build_couplings(covariates, bandwidth_b="auto"):
     Continuous values v_i with bandwidth b (``bandwidth_b``, or the median
     heuristic on the values for "auto") give the Gaussian kernel
     K[i, j] = exp(-||v_i - v_j||^2 / (2 b^2)), formed in place from the
-    squared distances and scaled in place by :func:`_scale_in_place` into the
-    dense Z: the build holds one N x N array.  The density's constant is left
-    out, as the scaling divides it out.  A b whose 2 b^2 is below the normal
-    float range raises InvalidInputError; a huge b gives Z = 11^T/N.
+    squared distances, scaled in place by :func:`_scale_in_place` into the
+    dense Z, and turned in place into C^T = Z - 1/N: the build holds one
+    N x N array.  The density's constant is left out, as the scaling divides
+    it out.  A b whose 2 b^2 is below the normal float range raises
+    InvalidInputError; a huge b gives Z = 11^T/N.
     """
     if covariates.kind == "categorical":
         if bandwidth_b != "auto":
@@ -317,4 +312,5 @@ def build_couplings(covariates, bandwidth_b="auto"):
     Z /= -(2.0 * b * b)
     np.exp(Z, out=Z)
     _scale_in_place(Z)
+    Z -= 1.0 / len(Z)  # C^T, as Z is symmetric
     return DenseCoupling(Z)

@@ -243,15 +243,14 @@ def constraint_function(coupling, test_functions):
     ``coupling`` is what :func:`baryflow.couplings.build_couplings` returns.
     ``test_functions`` is the kde bandwidth, positive, or the features mode's
     :class:`MonomialBasis`, whose m terms weigh equally.  Features keep the
-    coupling's product with C^T, which holds only what it reads; kde keeps
-    its reads of C^T, which spend a dense coupling
-    (:meth:`~baryflow.couplings.DenseCoupling.kde`).  Returns
-    ``parts(y) -> (value, grad, hvp)`` for a finite N x d float y, under the
-    module's lazy contract.  kde's ``parts`` also takes ``before``, points of
-    y's shape, and then returns ``(value, grad, hvp, value_before)``: the
-    value at ``before`` with the centers at y.  One call forms y's frame
-    (their mean, the scaled points and the centers' factor) once, scores both
-    point sets in it, and frees the kernel at ``before`` before it builds y's.
+    coupling's product with C^T, and kde its reads of C^T; each holds only
+    what it reads.  Returns ``parts(y) -> (value, grad, hvp)`` for a finite
+    N x d float y, under the module's lazy contract.  kde's ``parts`` also
+    takes ``before``, points of y's shape, and then returns
+    ``(value, grad, hvp, value_before)``: the value at ``before`` with the
+    centers at y.  One call forms y's frame (their mean, the scaled points
+    and the centers' factor) once, scores both point sets in it, and frees
+    the kernel at ``before`` before it builds y's.
     """
     if isinstance(test_functions, MonomialBasis):
         product = coupling.product()

@@ -93,6 +93,8 @@ class SolverConfig:
                 raise InvalidInputError(f"{name} must be a positive finite number")
         if not (positive_number(self.omega_alpha) and self.omega_alpha < 1.0):
             raise InvalidInputError("omega_alpha must lie in (0, 1)")
+        if not isinstance(self.precondition, bool):
+            raise InvalidInputError("precondition must be True or False")
         for name, low in (("niter", 1), ("feature_degree", 1), ("seed", 0)):
             integer_at_least(name, getattr(self, name), low)
         for name in ("lambda0", "bandwidth_a", "bandwidth_b"):
@@ -415,15 +417,16 @@ def solve(x, covariates, cost_model, config=None):
     through it.  With ``config.precondition`` the flow starts from
     x + shift, shift = mean(x) - the coupling's conditional means of x, and
     the squared-Euclidean cost measures from the shifted points too, every
-    other cost from x.  The shift and the cost read the coupling before the
-    constraint binds it, as kde spends a dense Z.  It iterates until the
-    positions stall with a satisfied constraint or ``config.niter`` is
-    reached, and ends early when ``_MAX_HALVINGS`` halvings find no step.  A
-    candidate step is rejected, and the learning rate halved, when it is not
-    finite, raises the objective, leaves the cost's domain, or gives a
-    non-finite value or gradient.  Both gradients are built on first read,
-    only for the starting points and each accepted step, so a rejected step
-    pays for its values alone.
+    other cost from x.  It iterates until the positions stall with a
+    satisfied constraint or ``config.niter`` is reached, and ends early when
+    ``_MAX_HALVINGS`` halvings find no step.  A candidate step is rejected,
+    and the learning rate halved, when it is not finite, raises the
+    objective, leaves the cost's domain, or gives a non-finite value or
+    gradient.  Both gradients are built on first read, only for the starting
+    points and each accepted step, so a rejected step pays for its values
+    alone.  The evaluations run under one ``np.errstate`` that ignores
+    overflow, invalid and divide-by-zero, so a non-finite result is a value
+    the checks read, whatever the caller's warning filters.
 
     An evaluation's Hessian-vector products are unbuilt and hold what its
     gradients hold, kde's kernel among it.  The start's serve
@@ -434,9 +437,9 @@ def solve(x, covariates, cost_model, config=None):
     is scored, and a try after a rejected one rebuilds them at the same
     points, bit for bit.  So a categorical coupling forms no N x N array
     beside kde's kernel unless the distortion cost reads Z or kde reads a
-    dense C^T, and a Sinkhorn coupling is one N x N array, Z, from its kernel
-    on.  Raises :class:`NumericError` only when the starting evaluation (its
-    values or either gradient) is not finite.
+    dense C^T, and a Sinkhorn coupling is one N x N array, C^T, from its
+    kernel on.  Raises :class:`NumericError` only when the starting
+    evaluation (its values or either gradient) is not finite.
     """
     config = config or SolverConfig()
     x = as_points(x)
@@ -453,77 +456,79 @@ def solve(x, covariates, cost_model, config=None):
     if kde:
         a = config.bandwidth_a
         bandwidth_a = float(median_heuristic_bandwidth(y) if a == "auto" else a)
-    cost = cost_function(cost_model, x, coupling, shift)  # before kde spends a dense Z
+    cost = cost_function(cost_model, x, coupling, shift)
     constraint = constraint_function(
         coupling, bandwidth_a if kde else monomial_features(d, config.feature_degree))
     implicit = config.update == "implicit"
-    ev = evaluate(cost, constraint, y)
-    ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here
-    if config.lambda0 == "auto":
-        lam = _auto_lambda0(ev.hvp_constraint, ev.grad_constraint, config.lambda_max, config.seed)
-    else:
-        lam = float(config.lambda0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ev = evaluate(cost, constraint, y)
+        ev.grad_cost, ev.grad_constraint  # built now: a non-finite start raises NumericError here
+        if config.lambda0 == "auto":
+            lam = _auto_lambda0(ev.hvp_constraint, ev.grad_constraint, config.lambda_max,
+                                config.seed)
+        else:
+            lam = float(config.lambda0)
 
-    lambda0 = lam
-    eta = config.eta0
-    history = History()
-    converged = False
+        lambda0 = lam
+        eta = config.eta0
+        history = History()
+        converged = False
 
-    for it in range(config.niter):
-        eta = min(2.01 * eta, config.eta0)
-        lam, clamped, skipped, slack = lambda_update(
-            lam, ev.grad_cost, ev.grad_constraint, config.omega_alpha, config.lambda_max,
-        )
-        grad = ev.grad_cost + lam * ev.grad_constraint
-        # A product lives until its last step: the loop's hvp holds it from here.
-        hvp = ev.hvp(lam) if implicit else None
-        ev.hvp_cost = ev.hvp_constraint = None
+        for it in range(config.niter):
+            eta = min(2.01 * eta, config.eta0)
+            lam, clamped, skipped, slack = lambda_update(
+                lam, ev.grad_cost, ev.grad_constraint, config.omega_alpha, config.lambda_max,
+            )
+            grad = ev.grad_cost + lam * ev.grad_constraint
+            # A product lives until its last step: the loop's hvp holds it from here.
+            hvp = ev.hvp(lam) if implicit else None
+            ev.hvp_cost = ev.hvp_constraint = None
 
-        # Descent check: L must not increase with the kernel centers at the
-        # stepped points on both sides.  The left side is the next
-        # iteration's evaluation.  For kde the same constraint call scores
-        # the right side in the centers' frame the left side's kernel uses,
-        # and frees that kernel before it builds the left side's.
-        ev_new = None
-        halvings = 0
-        fallback = False
-        while halvings <= _MAX_HALVINGS:
-            if implicit:
-                if hvp is None:  # a rejected try released it: rebuild it at y, bit for bit
-                    hvp = evaluate(cost, constraint, y).hvp(lam)
-                candidate, fallback = step_implicit(y, grad, hvp, eta)
-                hvp = None  # frees M and the operator's factors before the candidate is scored
-            else:
-                candidate = y - eta * grad
-            try:
-                if not np.isfinite(candidate).all():
-                    raise NumericError("non-finite candidate")
-                ev_new = evaluate(cost, constraint, candidate, before=y if kde else None)
-                # features have no kernel centers to move
-                rhs = ev.L_C + lam * (ev_new.L_F_before if kde else ev.L_F)
-                L = ev_new.L_C + lam * ev_new.L_F
-                if L <= rhs:
-                    # built only now: a non-finite gradient rejects the step
-                    ev_new.grad_cost, ev_new.grad_constraint
-                    if not implicit:  # its products, and kde's kernel, are not read
-                        ev_new.hvp_cost = ev_new.hvp_constraint = None
-                    break
-            except (InvalidInputError, NumericError):
-                pass  # candidate left the cost's domain or blew up
-            ev_new = None  # rejected
-            eta *= 0.5
-            halvings += 1
+            # Descent check: L must not increase with the kernel centers at the
+            # stepped points on both sides.  The left side is the next
+            # iteration's evaluation.  For kde the same constraint call scores
+            # the right side in the centers' frame the left side's kernel uses,
+            # and frees that kernel before it builds the left side's.
+            ev_new = None
+            halvings = 0
+            fallback = False
+            while halvings <= _MAX_HALVINGS:
+                if implicit:
+                    if hvp is None:  # a rejected try released it: rebuild it at y, bit for bit
+                        hvp = evaluate(cost, constraint, y).hvp(lam)
+                    candidate, fallback = step_implicit(y, grad, hvp, eta)
+                    hvp = None  # frees M and the operator's factors before the candidate is scored
+                else:
+                    candidate = y - eta * grad
+                try:
+                    if not np.isfinite(candidate).all():
+                        raise NumericError("non-finite candidate")
+                    ev_new = evaluate(cost, constraint, candidate, before=y if kde else None)
+                    # features have no kernel centers to move
+                    rhs = ev.L_C + lam * (ev_new.L_F_before if kde else ev.L_F)
+                    L = ev_new.L_C + lam * ev_new.L_F
+                    if L <= rhs:
+                        # built only now: a non-finite gradient rejects the step
+                        ev_new.grad_cost, ev_new.grad_constraint
+                        if not implicit:  # its products, and kde's kernel, are not read
+                            ev_new.hvp_cost = ev_new.hvp_constraint = None
+                        break
+                except (InvalidInputError, NumericError):
+                    pass  # candidate left the cost's domain or blew up
+                ev_new = None  # rejected
+                eta *= 0.5
+                halvings += 1
 
-        if ev_new is None:
-            break
+            if ev_new is None:
+                break
 
-        rel_change = float(np.abs(candidate - y).max()) / max(1.0, float(np.abs(y).max()))
-        y, ev = candidate, ev_new
-        history.append(it, L, ev.L_C, ev.L_F, lam, eta, halvings, rhs,  # HistoryRecord's order
-                       slack, clamped, skipped, fallback)
-        if rel_change < config.tol_y and ev.L_F < config.tol_lf:
-            converged = True
-            break
+            rel_change = float(np.abs(candidate - y).max()) / max(1.0, float(np.abs(y).max()))
+            y, ev = candidate, ev_new
+            history.append(it, L, ev.L_C, ev.L_F, lam, eta, halvings, rhs,  # HistoryRecord's order
+                           slack, clamped, skipped, fallback)
+            if rel_change < config.tol_y and ev.L_F < config.tol_lf:
+                converged = True
+                break
 
     return BarycenterResult(
         y_final=y,

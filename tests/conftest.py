@@ -65,11 +65,14 @@ class ReferenceMonomial:
 
 
 def dense_coupling(Z):
-    """A copy of a dense, symmetric coupling Z, wrapped as the coupling ``constraint_function`` binds.
+    """A dense, symmetric coupling Z, wrapped as the coupling ``constraint_function`` binds.
 
-    The copy is the one kde spends, so the caller's Z stays as it was.
+    Its C^T = Z - 1/N is formed as ``build_couplings`` forms a Sinkhorn
+    coupling's, in place, here on a copy, so the caller's Z stays as it was.
     """
-    return DenseCoupling(np.array(Z, dtype=float))
+    CT = np.array(Z, dtype=float)
+    CT -= 1.0 / len(CT)
+    return DenseCoupling(CT)
 
 
 def categorical_coupling(labels):

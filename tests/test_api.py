@@ -85,6 +85,11 @@ _SERIES_ROWS = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n"
     pytest.param(lambda: gen_sphere_patches(seed=1.5), id="sphere-patches-float-seed"),
     pytest.param(lambda: gen_ellipses(seed=True, n_per_class=2), id="ellipses-bool-seed"),
     pytest.param(lambda: gen_ellipses(seed=0, n_per_class=2.5), id="ellipses-float-count"),
+    *(pytest.param(lambda width=width: gen_hidden_signal(seed=0, steps=5, cap_width=width),
+                   id=f"hidden-signal-cap-width-{width}")
+      for width in (float("nan"), float("inf"), -1.0, "a", True)),
+    *(pytest.param(lambda flag=flag: SolverConfig(precondition=flag), id=f"precondition-{flag}")
+      for flag in ("no", 0, None)),
     pytest.param(lambda: lagged_dataset(TimeSeriesSample(x=np.full((4, 3), "a"), w_hidden=None)),
                  id="lagged-strings"),
     pytest.param(lambda: lagged_dataset(TimeSeriesSample(x=np.ones((4, 2)), w_hidden=None)),

@@ -4,6 +4,9 @@ import gc
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -553,3 +556,16 @@ class TestCli:
                      "--history", hist, "--summary", str(tmp_path / "s.json")])
         assert code != 0
         assert not os.path.exists(out)
+
+
+def test_module_entry_point_exits_with_mains_status():
+    # python -m baryflow.cli runs main in a process of its own and exits with its status
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    golden = pathlib.Path(__file__).parent / "golden" / "gen" / "ellipses.csv"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = lambda *flags: subprocess.run(
+        [sys.executable, "-m", "baryflow.cli", "gen", "ellipses", *flags], capture_output=True, env=env)
+    done = run("--seed", "0", "--n-per-class", "3")
+    assert done.returncode == 0
+    assert done.stdout == golden.read_bytes()
+    assert run("--seed", "-1").returncode == 1

@@ -92,12 +92,13 @@ class TestGaussianKernel:
     @pytest.mark.parametrize("case", range(len(CONTINUOUS_SETS)))
     def test_build_scales_the_reference_kernel(self, case):
         # bitwise: build_couplings forms the kernel without the density's
-        # constant, which the scaling divides out, and scales it in place
+        # constant, which the scaling divides out, scales it in place and
+        # holds C^T = Z - 1/N
         values, b = CONTINUOUS_SETS[case]
         h = median_heuristic_bandwidth(values) if b == "auto" else b
-        Z = continuous_z(values, b)
+        CT = build_couplings(Covariates.continuous(values), b).CT
         unnormalised = np.exp(cdist(values, values, "sqeuclidean") / -(2.0 * h * h))
-        assert Z.tobytes() == scaled(unnormalised).tobytes()
+        assert CT.tobytes() == (scaled(unnormalised) - 1.0 / len(values)).tobytes()
 
 
 class TestKernelMatrix:
@@ -364,9 +365,9 @@ class TestCovariatesAndBuild:
 
     @pytest.mark.parametrize("bandwidth_b", ["auto", 0.8])
     def test_continuous_build_holds_one_square_array(self, bandwidth_b, rng):
-        # the kernel is formed and scaled into Z in place, and the median
-        # heuristic's distances are freed before it: 1.059 N^2 doubles here,
-        # Z and about 75 kB of vectors and blocks
+        # the kernel is formed, scaled into Z and turned into C^T in place,
+        # and the median heuristic's distances are freed before it: 1.059 N^2
+        # doubles here, C^T and about 75 kB of vectors and blocks
         n = 400
         values = rng.normal(size=(n, 2))
         build = lambda: build_couplings(Covariates.continuous(values), bandwidth_b)
@@ -376,9 +377,9 @@ class TestCovariatesAndBuild:
 
     @pytest.mark.parametrize("n", [9, 60])
     def test_continuous_C_is_exactly_symmetric(self, n, rng):
-        # C = Z - 11^T/N of the exactly symmetric Sinkhorn Z, never stored
+        # C^T = Z - 11^T/N of the exactly symmetric Sinkhorn Z, held from the build
         coupling = build_couplings(Covariates.continuous(rng.normal(size=(n, 2))))
-        C = coupling.Z() - 1.0 / n
+        C = coupling.CT
         assert np.array_equal(C, C.T)
         F = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
         got = coupling.product()(F)
@@ -401,19 +402,30 @@ class TestCovariatesAndBuild:
         # one: zero to the Sinkhorn tolerance, 1e-10
         assert np.abs(terms(np.ones((n, n)), w)[0]).max() <= 1e-10
 
-    def test_kde_spends_a_dense_coupling(self, rng):
-        # kde forms C^T in place on Z: the coupling's one N x N array
-        coupling = build_couplings(Covariates.continuous(rng.normal(size=(12, 1))))
-        Z = coupling.Z()
-        C = Z - 1.0 / 12
-        value, _ = coupling.kde()
-        assert np.array_equal(Z, C)
-        E = rng.uniform(0.0, 1.0, (12, 12))
-        assert value(E) == float(np.vdot(E, C))
-        for read in (coupling.Z, coupling.product, coupling.kde,
-                     lambda: coupling.conditional_means(np.zeros((12, 2)))):
-            with pytest.raises(InvalidInputError, match="spent"):
-                read()
+    def test_dense_coupling_reads_in_any_order(self, rng):
+        # the coupling holds C^T from its build on, and no read changes it
+        n = 12
+        coupling = build_couplings(Covariates.continuous(rng.normal(size=(n, 1))))
+        held = coupling.CT.copy()
+        E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
+        F, x = rng.standard_normal((3, n)), rng.standard_normal((n, 2))
+
+        def kde():
+            value, terms = coupling.kde()
+            s, weighted, weigh = terms(E.copy(), w)
+            return value(E), s, weighted(), weigh()
+
+        reads = {"kde": kde, "product": lambda: (coupling.product()(F),),
+                 "Z": lambda: (coupling.Z(),),
+                 "conditional_means": lambda: (coupling.conditional_means(x),)}
+        as_bytes = lambda got: b"".join(np.asarray(part).tobytes() for part in got)
+        first = {name: as_bytes(read()) for name, read in reads.items()}
+        for order in itertools.permutations(reads):
+            for name in order + order:  # each read twice
+                assert as_bytes(reads[name]()) == first[name]
+        assert coupling.CT.tobytes() == held.tobytes()
+        assert kde()[0] == float(np.vdot(E, held))
+        assert first["Z"] == (held + 1.0 / n).tobytes()
 
     def test_duplicate_covariate_values_allowed(self):
         values = np.array([[0.0], [0.0], [1.0], [2.0]])

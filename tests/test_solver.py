@@ -210,11 +210,13 @@ class TestPreconditionMeanShift:
     def test_continuous_uses_coupling_weights(self, rng):
         x = rng.standard_normal((12, 2))
         cov = Covariates.continuous(rng.standard_normal((12, 1)))
-        Z = build_couplings(cov, 0.8).Z()
-        assert build_couplings(cov, 0.8).conditional_means(x).tobytes() == (Z.T @ x).tobytes()
+        coupling = build_couplings(cov, 0.8)
+        cond = coupling.CT.T @ x + x.mean(axis=0)  # Z^T x, as C x + mean(x)
+        assert np.abs(cond - coupling.Z().T @ x).max() <= 1e-13
+        assert build_couplings(cov, 0.8).conditional_means(x).tobytes() == cond.tobytes()
         cfg = SolverConfig(niter=1, precondition=True, bandwidth_b=0.8)
         res = solve(x, cov, CostModel("sq_euclidean"), cfg)
-        assert res.precondition_shift.tobytes() == (x.mean(axis=0) - Z.T @ x).tobytes()
+        assert res.precondition_shift.tobytes() == (x.mean(axis=0) - cond).tobytes()
 
 
 class TestLambdaUpdate:
@@ -899,19 +901,21 @@ class TestSolve:
         assert len(calls) > 5  # and one cdist(y, y) per evaluation
 
     @pytest.mark.parametrize("precondition", [False, True])
-    def test_cost_and_shift_read_z_before_kde_spends_it(self, precondition, rng):
-        # a Sinkhorn coupling's Z is read by the distortion cost and the
-        # shift, then spent by kde, which forms its C^T in place on it
+    def test_cost_and_shift_read_the_coupling_kde_reads(self, precondition, rng):
+        # a Sinkhorn coupling's one C^T is read by the distortion cost, the
+        # shift and kde, and none of them changes it
         x = rng.standard_normal((15, 2))
         cov = Covariates.continuous(rng.standard_normal((15, 1)))
         model = CostModel("distortion")
         res = solve(x, cov, model, SolverConfig(niter=3, precondition=precondition, bandwidth_b=0.8))
         assert res.iterations > 0
-        Z = build_couplings(cov, 0.8).Z()
+        coupling = build_couplings(cov, 0.8)
+        constraint_function(coupling, 1.0)  # kde's reads first
         if precondition:
-            assert res.precondition_shift.tobytes() == (x.mean(axis=0) - Z.T @ x).tobytes()
-        # the cost bound to an unspent copy of Z scores the result as the solve did
-        assert cost_function(model, x, build_couplings(cov, 0.8))(res.y_final)[0] == res.final_L_C
+            shift = x.mean(axis=0) - coupling.conditional_means(x)
+            assert res.precondition_shift.tobytes() == shift.tobytes()
+        # the cost bound after kde's reads scores the result as the solve did
+        assert cost_function(model, x, coupling)(res.y_final)[0] == res.final_L_C
 
     @pytest.mark.parametrize("niter", [1, 10])
     def test_fixed_inputs_checked_once_per_solve(self, niter, monkeypatch):
@@ -1054,13 +1058,28 @@ class TestSolve:
             solve(ds.x, ds.covariates, CostModel("sq_euclidean"), SolverConfig(lambda0=lambda0))
 
     def test_non_finite_start_value_raises(self):
-        # the degree-2 features of points near 1e200 overflow to inf; numpy's
-        # overflow warning is expected here, the NumericError is the contract
+        # the degree-2 features of points near 1e200 overflow to inf, under
+        # solve's own errstate: the NumericError is the contract, not a warning
         ds = gen_ellipses(seed=0, n_per_class=10)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match="^non-finite objective evaluation$"):
+        with pytest.raises(NumericError, match="^non-finite objective evaluation$"):
             solve(1e200 * ds.x, ds.covariates, CostModel("sq_euclidean"),
                   SolverConfig(problem="features"))
+
+    def test_overflowing_candidates_rejected_whatever_the_warning_filters(self):
+        # every candidate's features overflow to inf, which rejects it; with
+        # numpy's warnings raised as errors the run still ends at its start
+        ds = gen_ellipses(seed=0, n_per_class=10)
+        run = lambda: solve(ds.x, ds.covariates, CostModel("sq_euclidean"),
+                            SolverConfig(problem="features", eta0=1e200, niter=3, lambda0=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run()
+        assert result.iterations == 0
+        assert np.array_equal(result.y_final, ds.x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_run_ends_when_no_halving_finds_a_step(self, monkeypatch):
         # every candidate's evaluation raises, so each try is rejected until
