@@ -173,17 +173,19 @@ def gen_hidden_signal(seed, steps=1000, cap_width=0.45):
     """Unit-sphere time series: deterministic drift composed with hidden noise.
 
     Starting from the south pole, each step advances the longitude by
-    sin(theta) + 1/2 (latitude unchanged), draws a hidden point w uniformly
-    on the polar cap of angular width ``cap_width``, and reflects w through
-    the axis bisecting the north pole and the advanced position.  The
-    reflection is an isometry of the sphere, so each step's conditional
-    distribution is a rigidly transported copy of the cap; a width of 0
-    pins every w at the north pole.
+    sin(theta) + 1/2 (latitude unchanged), draws a hidden point w on the
+    polar cap of angular width ``cap_width`` in [0, pi], latitude and
+    longitude each uniform (so denser near the pole than the cap's area),
+    and reflects w through the axis bisecting the north pole and the
+    advanced position.  The reflection is an isometry of the sphere, so each
+    step's conditional distribution is a rigidly transported copy of the
+    cap; a width of 0 pins every w at the north pole.
     """
     integer_at_least("seed", seed, 0)
     integer_at_least("steps", steps, 2)  # a lagged dataset pairs each step with the one before
-    if isinstance(cap_width, bool) or not (cap_width == 0 or positive_number(cap_width)):
-        raise InvalidInputError("cap_width must be a finite number >= 0")
+    if (isinstance(cap_width, bool) or not (cap_width == 0 or positive_number(cap_width))
+            or cap_width > np.pi):
+        raise InvalidInputError("cap_width must be a number in [0, pi]")
     rng = np.random.default_rng(seed)
     phi_w = rng.uniform(np.pi / 2.0 - cap_width, np.pi / 2.0, steps)
     theta_w = rng.uniform(0.0, 2.0 * np.pi, steps)

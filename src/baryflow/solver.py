@@ -40,8 +40,7 @@ __all__ = [
 
 _GRAD_SQ_FLOOR = 1e-30
 _KRYLOV_RTOL = 1e-12  # MINRES stopping tolerance of the implicit step
-_KRYLOV_MAXITER = 500  # MINRES iterations before the implicit step falls back
-_RESIDUAL_RTOL = 1e-8  # accepted ||b - A x|| / ||b|| of the implicit step
+_KRYLOV_MAXITER = 500  # MINRES iterations before the try is rejected
 _MAX_HALVINGS = 60  # learning-rate halvings before a run ends without a step
 _LANCZOS_RTOL = 1e-3  # settled move of the lambda0 estimate between two readings
 _LANCZOS_BREAKDOWN = 1e-12  # beta_k / ||T_k|| at which the lambda0 estimate is exact
@@ -120,14 +119,13 @@ class HistoryRecord:
     lambda_slack: float
     lambda_clamped: bool
     lambda_skipped: bool
-    implicit_fallback: bool
 
 
 class History(Sequence):
     """The accepted steps of one solve, read as a sequence of :class:`HistoryRecord`.
 
     Rows live in one structured numpy array with a column per record field
-    (float64, int64 or bool, 75 bytes a row), which doubles when full, so
+    (float64, int64 or bool, 74 bytes a row), which doubles when full, so
     it never holds more than twice the rows used.  Indexing (negative
     indices too) and iteration build records of Python floats, ints and
     bools; :meth:`column` reads one field of every row without building any.
@@ -246,23 +244,14 @@ def step_implicit(y, grad, hvp, eta):
     products: for l2 and kde, three einsums, one N x N by N x (d + 1)^2
     product and an add.  The symmetric, possibly indefinite system is solved
     matrix-free by :func:`_minres`, warm-started from the explicit step's
-    delta.  Falls back to the explicit step when MINRES does not converge, or
-    when the explicitly recomputed residual ||eta*grad - (I + eta*H) delta||
-    is above ``_RESIDUAL_RTOL`` ||eta*grad||; that test also catches a
-    breakdown (singular or non-symmetric operator) and a non-finite delta,
-    whose residual is NaN.  Returns ``(candidate, used_fallback)``.
+    delta.  Returns ``(y - delta, failed)``, ``failed`` True when MINRES did
+    not converge; the caller's descent check judges the step, as in an
+    inexact Newton method (Dembo, Eisenstat & Steihaug 1982).
     """
     n, d = y.shape
-    b = eta * grad.ravel()
-    operator = hvp.operator(eta, shift=1.0)
-
-    def matvec(u):
-        return operator(u.reshape(n, d)).ravel()
-
-    delta, converged = _minres(matvec, b)
-    if converged and _norm(b - matvec(delta)) <= _RESIDUAL_RTOL * _norm(b):
-        return y - delta.reshape(n, d), False
-    return y - eta * grad, True
+    resolvent = hvp.operator(eta, shift=1.0)
+    delta, converged = _minres(lambda u: resolvent(u.reshape(n, d)).ravel(), eta * grad.ravel())
+    return y - delta.reshape(n, d), not converged
 
 
 def _minres(matvec, b):
@@ -420,11 +409,11 @@ def solve(x, covariates, cost_model, config=None):
     other cost from x.  It iterates until the positions stall with a
     satisfied constraint or ``config.niter`` is reached, and ends early when
     ``_MAX_HALVINGS`` halvings find no step.  A candidate step is rejected,
-    and the learning rate halved, when it is not finite, raises the
-    objective, leaves the cost's domain, or gives a non-finite value or
-    gradient.  Both gradients are built on first read, only for the starting
-    points and each accepted step, so a rejected step pays for its values
-    alone.  The evaluations run under one ``np.errstate`` that ignores
+    and the learning rate halved, when its implicit solve failed, when it is
+    not finite, raises the objective, leaves the cost's domain, or gives a
+    non-finite value or gradient.  Both gradients are built on first read,
+    only for the starting points and each accepted step, so a rejected step
+    pays for its values alone.  The evaluations run under one ``np.errstate`` that ignores
     overflow, invalid and divide-by-zero, so a non-finite result is a value
     the checks read, whatever the caller's warning filters.
 
@@ -491,18 +480,17 @@ def solve(x, covariates, cost_model, config=None):
             # and frees that kernel before it builds the left side's.
             ev_new = None
             halvings = 0
-            fallback = False
             while halvings <= _MAX_HALVINGS:
                 if implicit:
                     if hvp is None:  # a rejected try released it: rebuild it at y, bit for bit
                         hvp = evaluate(cost, constraint, y).hvp(lam)
-                    candidate, fallback = step_implicit(y, grad, hvp, eta)
+                    candidate, failed = step_implicit(y, grad, hvp, eta)
                     hvp = None  # frees M and the operator's factors before the candidate is scored
                 else:
-                    candidate = y - eta * grad
+                    candidate, failed = y - eta * grad, False
                 try:
-                    if not np.isfinite(candidate).all():
-                        raise NumericError("non-finite candidate")
+                    if failed or not np.isfinite(candidate).all():
+                        raise NumericError("failed implicit solve or non-finite candidate")
                     ev_new = evaluate(cost, constraint, candidate, before=y if kde else None)
                     # features have no kernel centers to move
                     rhs = ev.L_C + lam * (ev_new.L_F_before if kde else ev.L_F)
@@ -525,7 +513,7 @@ def solve(x, covariates, cost_model, config=None):
             rel_change = float(np.abs(candidate - y).max()) / max(1.0, float(np.abs(y).max()))
             y, ev = candidate, ev_new
             history.append(it, L, ev.L_C, ev.L_F, lam, eta, halvings, rhs,  # HistoryRecord's order
-                           slack, clamped, skipped, fallback)
+                           slack, clamped, skipped)
             if rel_change < config.tol_y and ev.L_F < config.tol_lf:
                 converged = True
                 break

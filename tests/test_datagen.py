@@ -147,6 +147,13 @@ class TestHiddenSignal:
         _, phi, _ = cart2sph(ts.w_hidden)
         assert phi.min() >= np.pi / 2 - 0.45 - 1e-12
 
+    def test_widest_cap_reaches_the_south_pole(self):
+        # width pi draws latitudes over the whole sphere and never past a pole
+        ts = gen_hidden_signal(seed=1, steps=500, cap_width=np.pi)
+        _, phi, _ = cart2sph(ts.w_hidden)
+        assert np.isfinite(ts.x).all()
+        assert -np.pi / 2 <= phi.min() < -np.pi / 2 + 0.1
+
     def test_degenerate_cap_reproduces_deterministic_path(self):
         # cap width 0 pins w at the north pole; the reflection then lands each
         # step exactly on the advanced deterministic point

@@ -22,9 +22,11 @@ def test_docstring_blank_lines_count_as_docstring(tmp_path):
 
 
 def test_docstrings_name_tuned_constants_not_their_values():
-    # _CLASS_FORM_MAX_K (4), _BLOCK (32) and the MINRES constants (1e-12, 500,
-    # 1e-8) are named, never written as values, so a retuned constant leaves
-    # no stale docstring; kde's density constant appears at its definition only
+    # _CLASS_FORM_MAX_K (4), _BLOCK (32) and the MINRES constants (1e-12, 500)
+    # are named, never written as values, so a retuned constant leaves no
+    # stale docstring; nor is the implicit step's accuracy (1e-8 against a
+    # dense solve in the tests) a docstring's claim; kde's density constant
+    # appears at its definition only
     values = re.compile(r"\bfour\b|<= ?4\b|\b32\b|1e-12|\b500\b|1e-8")
     stated, density = [], 0
     for path in sorted(SRC.rglob("*.py")):
