@@ -7,10 +7,11 @@ row and column sums (a Sinkhorn Z's to its tolerance), so the centering
 matrix C = Z - 11^T/N that the objective contracts against is symmetric:
 its columns sum to zero and x'Cx >= 0 for every x whenever Z is positive
 semidefinite.  :func:`build_couplings` returns one small, read-only object
-per solve, and a solve reads the covariates only through it, in any order:
-the conditional means under Z, the features product with C^T, kde's reads
-of C^T (told in :meth:`CategoricalCoupling.kde` and :meth:`DenseCoupling.kde`)
-and the dense Z.
+per solve, and a solve reads the covariates only through its three reads,
+in any order: ``product()``, F -> F @ C^T, which the features constraint and
+the precondition shift read; ``kde()``, kde's reads of C^T (told in
+:meth:`CategoricalCoupling.kde` and :meth:`DenseCoupling.kde`); and ``Z()``,
+the dense Z, which the distortion cost reads.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ __all__ = [
 
 _BLOCK = 32  # rows (and columns) per block of in-place work on an N x N array
 _CLASS_FORM_MAX_K = 4  # most classes for which kde reads a categorical C^T in its class form
+_SINKHORN_TOL = 1e-10  # largest row-sum residual |Z 1 - 1| a Sinkhorn scaling accepts
+_SINKHORN_MAX_ITER = 10_000  # most fixed-point steps before a Sinkhorn scaling gives up
 
 
 def median_heuristic_bandwidth(points):
@@ -60,7 +63,7 @@ def median_heuristic_bandwidth(points):
     return med / np.sqrt(2.0)
 
 
-def _scale_in_place(K, tol=1e-10, max_iter=10_000):
+def _scale_in_place(K):
     """Scale an exactly symmetric, nonnegative K in place into the bi-stochastic Z = D K D.
 
     The damped symmetric fixed-point step d <- sqrt(d / (K d)) keeps one
@@ -69,25 +72,26 @@ def _scale_in_place(K, tol=1e-10, max_iter=10_000):
     blocks, exactly symmetric because K is and d_i d_j = d_j d_i, and positive
     semidefinite whenever K is.  Raises InvalidInputError when K d has an
     entry <= 0, and ConvergenceError, carrying the achieved residual, when the
-    largest row-sum residual is above ``tol`` after ``max_iter`` steps.
+    largest row-sum residual is above ``_SINKHORN_TOL`` after
+    ``_SINKHORN_MAX_ITER`` steps.
     """
     d = np.ones(K.shape[0])
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_SINKHORN_MAX_ITER):
         u = K @ d
         if np.any(u <= 0):
             raise InvalidInputError("K admits no positive bi-stochastic scaling")
         r = d * u  # row sums of diag(d) K diag(d)
         residual = float(np.abs(r - 1.0).max())
-        if residual <= tol:
+        if residual <= _SINKHORN_TOL:
             break
         d = np.sqrt(d / u)
-    if residual > tol:
+    if residual > _SINKHORN_TOL:
         raise ConvergenceError(
-            f"Sinkhorn scaling did not reach tol={tol:g} "
-            f"(residual {residual:.3e} after {max_iter} iterations)",
+            f"Sinkhorn scaling did not reach tol={_SINKHORN_TOL:g} "
+            f"(residual {residual:.3e} after {_SINKHORN_MAX_ITER} iterations)",
             residual=residual,
-            iterations=max_iter,
+            iterations=_SINKHORN_MAX_ITER,
         )
     n = len(K)
     for r0 in range(0, n, _BLOCK):
@@ -118,7 +122,7 @@ def _classes(labels):
     return labels, index, counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covariates:
     """Conditioning data: class labels, or continuous vectors.
 
@@ -132,8 +136,8 @@ class Covariates:
     kind: str
     labels: np.ndarray | None = None
     values: np.ndarray | None = None
-    index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    index: np.ndarray | None = field(default=None, init=False, repr=False)
+    counts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "categorical":
@@ -230,14 +234,6 @@ class CategoricalCoupling:
 
         return lambda E: float(np.vdot(Ind @ E, CTrow)), terms
 
-    def conditional_means(self, x):
-        """Each point's class mean of the N x d points x: the conditional mean under Z."""
-        cond = np.empty_like(x)
-        for c in range(len(self.counts)):
-            idx = self.index == c
-            cond[idx] = x[idx].mean(axis=0)
-        return cond
-
     def Z(self):
         """The dense N x N coupling, from one comparison of the class index."""
         return np.where(self.index[:, None] == self.index, (1.0 / self.counts)[self.index], 0.0)
@@ -275,10 +271,6 @@ class DenseCoupling:
             return M.sum(axis=1), lambda: M @ w, lambda: M
 
         return lambda E: float(np.vdot(E, CT)), terms
-
-    def conditional_means(self, x):
-        """Z^T x = C x + mean(x) for N x d points x: row k is the weighted mean sum_i Z[i, k] x_i."""
-        return self.CT.T @ x + x.mean(axis=0)
 
     def Z(self):
         """The dense Z = C^T + 1/N, as a new array."""

@@ -37,7 +37,7 @@ _PATCH_BAND0 = (3.0 * np.pi / 8.0, np.pi / 2.0)
 _PATCH_BAND1_SAME_HEMISPHERE = (np.pi / 8.0, np.pi / 4.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Sample points paired with their covariates."""
 
@@ -53,7 +53,7 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesSample:
     """Observed unit-sphere series ``x`` and its hidden driver ``w_hidden``; row k is step k."""
 

@@ -128,7 +128,8 @@ class History(Sequence):
     (float64, int64 or bool, 74 bytes a row), which doubles when full, so
     it never holds more than twice the rows used.  Indexing (negative
     indices too) and iteration build records of Python floats, ints and
-    bools; :meth:`column` reads one field of every row without building any.
+    bools, and a slice a list of them; :meth:`column` reads one field of
+    every row without building any.
     """
 
     _DTYPE = np.dtype([(f.name, {"float": "f8", "int": "i8", "bool": "?"}[f.type])
@@ -157,19 +158,20 @@ class History(Sequence):
         return self._len
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(self._len)[index]]
         row = range(self._len)[operator.index(index)]  # negative from the end; IndexError past it
         return HistoryRecord(*self._rows[row].item())
 
 
-@dataclass
+@dataclass(eq=False)
 class BarycenterResult:
     """Final positions plus provenance of one solve.
 
     ``history`` is a :class:`History`, one record per accepted step, which
     holds each value in a column of one array and builds a record only when
-    one is read.  ``precondition_shift`` is the rigid per-point translation
-    applied before the flow, the overall mean of x minus each point's
-    conditional mean under the coupling (None when preconditioning was off).
+    one is read.  ``precondition_shift`` is the shift :func:`solve` adds to x
+    before the flow (None when preconditioning was off).
     """
 
     y_final: np.ndarray
@@ -404,9 +406,10 @@ def solve(x, covariates, cost_model, config=None):
 
     Builds the coupling once; from then on the covariates are read only
     through it.  With ``config.precondition`` the flow starts from
-    x + shift, shift = mean(x) - the coupling's conditional means of x, and
-    the squared-Euclidean cost measures from the shifted points too, every
-    other cost from x.  It iterates until the positions stall with a
+    x + shift, shift = -C x = mean(x) - Z x from the coupling's
+    ``product()``, so that class means meet at the overall mean.  The
+    squared-Euclidean cost measures from the shifted points too, every other
+    cost from x.  It iterates until the positions stall with a
     satisfied constraint or ``config.niter`` is reached, and ends early when
     ``_MAX_HALVINGS`` halvings find no step.  A candidate step is rejected,
     and the learning rate halved, when its implicit solve failed, when it is
@@ -437,7 +440,7 @@ def solve(x, covariates, cost_model, config=None):
         raise InvalidInputError("covariates and points disagree on N")
 
     coupling = build_couplings(covariates, config.bandwidth_b)
-    shift = x.mean(axis=0) - coupling.conditional_means(x) if config.precondition else None
+    shift = -coupling.product()(x.T).T if config.precondition else None
     y = x.copy() if shift is None else x + shift
 
     kde = config.problem == "kde"

@@ -110,3 +110,19 @@ def test_entry_points_reject_bad_input(enter):
     # raw numpy error or a silent result
     with pytest.raises(InvalidInputError):
         enter()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Covariates.categorical([0, 1, 1]), id="categorical-covariates"),
+    pytest.param(lambda: Covariates.continuous(np.ones((3, 1))), id="continuous-covariates"),
+    pytest.param(lambda: gen_ellipses(seed=0, n_per_class=2), id="dataset"),
+    pytest.param(lambda: gen_hidden_signal(seed=0, steps=4), id="time-series-sample"),
+    pytest.param(lambda: baryflow.solve(np.arange(6.0).reshape(3, 2), Covariates.categorical([0, 1, 1]),
+                                        CostModel("sq_euclidean"), SolverConfig(niter=1)),
+                 id="barycenter-result"),
+])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # a data class holding arrays is equal only to itself, and hashes
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, first, second}) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
+from baryflow import couplings
 from baryflow.couplings import (
     _CLASS_FORM_MAX_K,
     CategoricalCoupling,
@@ -35,10 +36,10 @@ LABEL_SETS = [
 ]
 
 
-def scaled(K, **limits):
+def scaled(K):
     """The Z that ``_scale_in_place`` forms from a copy of K; K is left as it was."""
     Z = np.array(K, dtype=float)
-    _scale_in_place(Z, **limits)
+    _scale_in_place(Z)
     return Z
 
 
@@ -143,7 +144,7 @@ class TestSinkhorn:
 
     def test_rows_and_columns_sum_to_one(self, rng):
         pts = rng.normal(size=(40, 3))
-        Z = scaled(gaussian_kernel(pts, 1.2), tol=1e-10)
+        Z = scaled(gaussian_kernel(pts, 1.2))
         assert np.abs(Z.sum(axis=0) - 1).max() <= 1e-8
         assert np.abs(Z.sum(axis=1) - 1).max() <= 1e-8
 
@@ -158,11 +159,12 @@ class TestSinkhorn:
         Z = scaled(gaussian_kernel(pts, 1.0))
         assert np.linalg.eigvalsh(Z).min() >= -1e-12
 
-    def test_convergence_error_carries_residual(self, rng):
+    def test_convergence_error_carries_residual(self, rng, monkeypatch):
+        monkeypatch.setattr(couplings, "_SINKHORN_MAX_ITER", 2)
         pts = rng.normal(size=(30, 2))
         K = gaussian_kernel(pts, 0.3)
         with pytest.raises(ConvergenceError) as exc:
-            scaled(K, tol=1e-10, max_iter=2)
+            scaled(K)
         assert exc.value.residual > 0
 
     def test_zero_row_rejected(self):
@@ -408,7 +410,7 @@ class TestCovariatesAndBuild:
         coupling = build_couplings(Covariates.continuous(rng.normal(size=(n, 1))))
         held = coupling.CT.copy()
         E, w = rng.uniform(0.0, 1.0, (n, n)), rng.standard_normal((n, 2))
-        F, x = rng.standard_normal((3, n)), rng.standard_normal((n, 2))
+        F = rng.standard_normal((3, n))
 
         def kde():
             value, terms = coupling.kde()
@@ -416,8 +418,7 @@ class TestCovariatesAndBuild:
             return value(E), s, weighted(), weigh()
 
         reads = {"kde": kde, "product": lambda: (coupling.product()(F),),
-                 "Z": lambda: (coupling.Z(),),
-                 "conditional_means": lambda: (coupling.conditional_means(x),)}
+                 "Z": lambda: (coupling.Z(),)}
         as_bytes = lambda got: b"".join(np.asarray(part).tobytes() for part in got)
         first = {name: as_bytes(read()) for name, read in reads.items()}
         for order in itertools.permutations(reads):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh, minres
 
@@ -171,49 +172,52 @@ def random_implicit_system(kind, rng):
     return y, combined_grad(ev, lam), ev.hvp(lam), eta
 
 
+def precondition_shift(x, covariates, **config):
+    """The shift a one-iteration preconditioned solve adds to x."""
+    config = SolverConfig(niter=1, precondition=True, **config)
+    return solve(x, covariates, CostModel("sq_euclidean"), config).precondition_shift
+
+
 class TestPreconditionMeanShift:
-    """The shift mean(x) - conditional means that ``solve`` preconditions with, from the coupling."""
+    """The shift -C x = mean(x) - Z x that ``solve`` preconditions with, from the coupling's product."""
 
     def test_single_class_identity(self, rng):
         x = rng.standard_normal((8, 2))
-        cond = build_couplings(Covariates.categorical(np.zeros(8, dtype=int))).conditional_means(x)
-        assert np.allclose(x.mean(axis=0) - cond, 0.0)
+        shift = precondition_shift(x, Covariates.categorical(np.zeros(8, dtype=int)))
+        assert np.allclose(shift, 0.0)
 
     def test_two_singletons_meet_at_global_mean(self):
         x = np.array([[0.0], [2.0]])
-        cond = build_couplings(Covariates.categorical(np.array([0, 1]))).conditional_means(x)
-        assert np.allclose(x + x.mean(axis=0) - cond, 1.0)
+        shift = precondition_shift(x, Covariates.categorical(np.array([0, 1])))
+        assert np.allclose(x + shift, 1.0)
 
     def test_ellipse_class_means_match_global(self):
         ds = gen_ellipses(seed=0)
-        w = ds.x + (ds.x.mean(axis=0) - build_couplings(ds.covariates).conditional_means(ds.x))
+        w = ds.x + precondition_shift(ds.x, ds.covariates)
         labels = np.asarray(ds.covariates.labels)
         global_mean = ds.x.mean(axis=0)
         for z in (0, 1, 2):
             assert np.abs(w[labels == z].mean(axis=0) - global_mean).max() <= 1e-12
 
     def test_categorical_equals_per_label_means(self, rng):
-        # the class index Covariates took gives each label's own mean, bit for bit
+        # the class index Covariates took gives each label's own mean
         labels = rng.permutation(np.repeat(["b", "a", "c"], [7, 1, 12]))
         x = rng.standard_normal((20, 2)) * 10.0
         cond = np.empty_like(x)
         for value in np.unique(labels):
             cond[labels == value] = x[labels == value].mean(axis=0)
         cov = Covariates.categorical(labels)
-        assert build_couplings(cov).conditional_means(x).tobytes() == cond.tobytes()
-        res = solve(x, cov, CostModel("sq_euclidean"), SolverConfig(niter=1, precondition=True))
-        assert res.precondition_shift.tobytes() == (x.mean(axis=0) - cond).tobytes()
+        shift = precondition_shift(x, cov)
+        assert shift.tobytes() == (-build_couplings(cov).product()(x.T).T).tobytes()
+        assert np.abs(shift - (x.mean(axis=0) - cond)).max() <= 1e-15 * np.abs(x).max()
 
     def test_continuous_uses_coupling_weights(self, rng):
         x = rng.standard_normal((12, 2))
         cov = Covariates.continuous(rng.standard_normal((12, 1)))
         coupling = build_couplings(cov, 0.8)
-        cond = coupling.CT.T @ x + x.mean(axis=0)  # Z^T x, as C x + mean(x)
-        assert np.abs(cond - coupling.Z().T @ x).max() <= 1e-13
-        assert build_couplings(cov, 0.8).conditional_means(x).tobytes() == cond.tobytes()
-        cfg = SolverConfig(niter=1, precondition=True, bandwidth_b=0.8)
-        res = solve(x, cov, CostModel("sq_euclidean"), cfg)
-        assert res.precondition_shift.tobytes() == (x.mean(axis=0) - cond).tobytes()
+        shift = precondition_shift(x, cov, bandwidth_b=0.8)
+        assert shift.tobytes() == (-(x.T @ coupling.CT).T).tobytes()
+        assert np.abs(shift - (x.mean(axis=0) - coupling.Z() @ x)).max() <= 1e-13
 
 
 class TestLambdaUpdate:
@@ -527,6 +531,11 @@ class TestHistory:
         for index in (n, -n - 1):
             with pytest.raises(IndexError):
                 history[index]
+        for s in (slice(2, 5), slice(-2, None), slice(None, None, 3), slice(-1, 3, -4),
+                  slice(4, 4), slice(5, 2), slice(n - 1, n + 10), slice(n + 3, None)):
+            assert history[s] == list(history)[s]
+        assert history[-2:] == [history[n - 2], history[n - 1]]
+        assert history[n:] == []
 
     def test_final_values_and_read_only_columns(self):
         res, last = self.result, self.result.history[-1]
@@ -936,7 +945,7 @@ class TestSolve:
         coupling = build_couplings(cov, 0.8)
         constraint_function(coupling, 1.0)  # kde's reads first
         if precondition:
-            shift = x.mean(axis=0) - coupling.conditional_means(x)
+            shift = -coupling.product()(x.T).T
             assert res.precondition_shift.tobytes() == shift.tobytes()
         # the cost bound after kde's reads scores the result as the solve did
         assert cost_function(model, x, coupling)(res.y_final)[0] == res.final_L_C
@@ -1311,11 +1320,27 @@ class TestAutoLambda0:
 # at most 30 iterations).  A fixed lambda0 holds kde to 3e-15, so 1e-9 on y
 # is fair; lambda0 itself moves only in rounding.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+FAMILIES = ["sq_euclidean", "p_norm", "geodesic_sphere", "distortion"]
 
 
-def property_solve(x, labels, problem, niter, eta0):
-    return solve(x, Covariates.categorical(labels), CostModel("sq_euclidean"),
-                 SolverConfig(problem=problem, niter=niter, eta0=eta0))
+def property_data(seed, n_per_class, family, coupling):
+    """Points for ``family`` (sphere patches for the geodesic cost, else ellipses) and covariates.
+
+    The covariates are the class labels, or for a Sinkhorn ``coupling`` one
+    standard normal value per point.
+    """
+    ds = (gen_sphere_patches if family == "geodesic_sphere" else gen_ellipses)(
+        seed=seed, n_per_class=n_per_class)
+    if coupling == "categorical":
+        return ds.x, ds.covariates.labels
+    return ds.x, np.random.default_rng(seed).standard_normal((len(ds.x), 1))
+
+
+def property_solve(x, z, problem, niter, eta0, family="sq_euclidean", update="explicit"):
+    covariates = Covariates.categorical(z) if z.ndim == 1 else Covariates.continuous(z)
+    model = CostModel("p_norm", p=1.5) if family == "p_norm" else CostModel(family)
+    return solve(x, covariates, model,
+                 SolverConfig(problem=problem, update=update, niter=niter, eta0=eta0))
 
 
 def assert_equivariant(moved, result, y_expected):
@@ -1323,29 +1348,84 @@ def assert_equivariant(moved, result, y_expected):
     assert np.abs(moved.y_final - y_expected).max() <= 1e-9 * np.abs(y_expected).max()
 
 
+def every_case(test):
+    """``test`` with one example for each cost family, problem, update and coupling."""
+    for family, problem, update, coupling in itertools.product(
+            FAMILIES, ["kde", "features"], ["explicit", "implicit"], ["categorical", "sinkhorn"]):
+        eta0 = 0.1 if amplifies_rounding(family, update, eta0=1.0) else 1.0
+        test = example(seed=0, n_per_class=10, problem=problem, niter=30, eta0=eta0,
+                       family=family, update=update, coupling=coupling)(test)
+    return test
+
+
+def amplifies_rounding(family, update, eta0):
+    """Whether explicit distortion steps from ``eta0`` may amplify rounding past 1e-9 in 30 steps.
+
+    Such steps can pass the cost's stability limit while the descent check
+    still accepts them; ``test_permutation_explicit_distortion`` shows it.
+    """
+    return family == "distortion" and update == "explicit" and eta0 >= 1.0
+
+
 class TestEquivariance:
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n_per_class=st.integers(2, 13),
            problem=st.sampled_from(["kde", "features"]), niter=st.integers(1, 30),
-           eta0=st.sampled_from([0.1, 1.0, 5.0]))
-    def test_permutation(self, seed, n_per_class, problem, niter, eta0):
-        ds = gen_ellipses(seed=seed, n_per_class=n_per_class)
-        labels = ds.covariates.labels
-        order = np.random.default_rng(seed).permutation(len(ds.x))
-        result = property_solve(ds.x, labels, problem, niter, eta0)
-        moved = property_solve(ds.x[order], labels[order], problem, niter, eta0)
+           eta0=st.sampled_from([0.1, 1.0, 5.0]), family=st.sampled_from(FAMILIES),
+           update=st.sampled_from(["explicit", "implicit"]),
+           coupling=st.sampled_from(["categorical", "sinkhorn"]))
+    @every_case
+    def test_permutation(self, seed, n_per_class, problem, niter, eta0, family, update, coupling):
+        assume(not amplifies_rounding(family, update, eta0))
+        x, z = property_data(seed, n_per_class, family, coupling)
+        order = np.random.default_rng(seed).permutation(len(x))
+        result = property_solve(x, z, problem, niter, eta0, family, update)
+        moved = property_solve(x[order], z[order], problem, niter, eta0, family, update)
+        assert_equivariant(moved, result, result.y_final[order])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "explicit distortion steps of eta >= 1 pass the cost's stability limit and "
+        "amplify rounding about tenfold every two iterations (ROADMAP items 4 and 9)"))
+    @pytest.mark.parametrize("problem", ["kde", "features"])
+    def test_permutation_explicit_distortion(self, problem):
+        x, labels = property_data(0, 10, "distortion", "categorical")
+        order = np.random.default_rng(0).permutation(len(x))
+        result = property_solve(x, labels, problem, 30, 1.0, "distortion")
+        moved = property_solve(x[order], labels[order], problem, 30, 1.0, "distortion")
         assert_equivariant(moved, result, result.y_final[order])
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n_per_class=st.integers(2, 13),
+           family=st.sampled_from(["sq_euclidean", "p_norm", "distortion"]),
+           niter=st.integers(1, 30), eta0=st.sampled_from([0.1, 1.0, 5.0]))
+    def test_translation_kde(self, seed, n_per_class, family, niter, eta0):
+        x, labels = property_data(seed, n_per_class, family, "categorical")
+        shift = np.array([5.0, -3.0])
+        result = property_solve(x, labels, "kde", niter, eta0, family)
+        moved = property_solve(x + shift, labels, "kde", niter, eta0, family)
+        assert_equivariant(moved, result, result.y_final + shift)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: features weigh the raw monomials of y, so the penalty "
+        "depends on the origin"))
+    def test_translation_features(self):
+        x, labels = property_data(0, 10, "sq_euclidean", "categorical")
+        shift = np.array([5.0, -3.0])
+        result = property_solve(x, labels, "features", 30, 1.0)
+        moved = property_solve(x + shift, labels, "features", 30, 1.0)
+        assert_equivariant(moved, result, result.y_final + shift)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n_per_class=st.integers(2, 13),
+           family=st.sampled_from(["sq_euclidean", "distortion"]),
            angle=st.floats(-np.pi, np.pi), niter=st.integers(1, 30),
            eta0=st.sampled_from([0.1, 1.0, 5.0]))
-    def test_rotation_kde_l2(self, seed, n_per_class, angle, niter, eta0):
-        ds = gen_ellipses(seed=seed, n_per_class=n_per_class)
-        labels = ds.covariates.labels
+    def test_rotation_kde(self, seed, n_per_class, family, angle, niter, eta0):
+        # not p-norm: that cost is coordinate-wise
+        x, labels = property_data(seed, n_per_class, family, "categorical")
         R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        result = property_solve(ds.x, labels, "kde", niter, eta0)
-        moved = property_solve(ds.x @ R.T, labels, "kde", niter, eta0)
+        result = property_solve(x, labels, "kde", niter, eta0, family)
+        moved = property_solve(x @ R.T, labels, "kde", niter, eta0, family)
         assert_equivariant(moved, result, result.y_final @ R.T)
 
 
