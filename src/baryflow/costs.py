@@ -6,8 +6,8 @@ block diagonal and their product is its blocks alone.  The distortion
 family couples sample pairs through the solve's coupling Z, penalizing
 deviation of pairwise distance ratios from one.  Every family keeps the
 lazy contract of :mod:`baryflow.objective`, its product in the block form of
-:class:`BlockHvp` (a pair term's set up by :func:`pair_outer_operator`), and
-a product's build holds only what the gradient holds, x and y.
+:func:`block_operator` (a pair term's set up by :func:`pair_outer_operator`),
+and a product's build holds only what the gradient holds, x and y.
 """
 
 from __future__ import annotations
@@ -110,54 +110,35 @@ class deferred:
         return self._value
 
 
-class BlockHvp:
-    """A Hessian-vector product in block form: v -> D v + the remainders' products.
+def block_operator(terms, scale=1.0, shift=0.0):
+    """v -> (shift I + scale H) v, H = lam_0 H_0 + lam_1 H_1 + ..., formed now, once.
 
-    D holds per-point d x d blocks, an (N, d, d) array, so no product forms
-    the (N, N, d, d) Hessian.  Each remainder is a function ``rest(s)`` that
-    sets up, once, the product v -> s R v, with the scale s folded into its
-    factors.  ``parts() -> (D, remainders)`` gives both; a cost or constraint
-    passes a :func:`deferred` build, so an evaluation whose product is never
-    used sets up none.  Sums (:meth:`plus`) and scalings act on the blocks and
-    remainders themselves, and :meth:`operator` forms a scaled and shifted
-    product once, to apply many times: one einsum over the blocks, O(N d^2),
-    plus the remainders' products.
+    ``terms`` is a list ``[(lam_k, parts_k)]``: each ``parts_k()`` gives H_k
+    in block form, ``(D_k, rests_k)``.  D_k holds per-point d x d blocks, an
+    (N, d, d) array, so no product forms the (N, N, d, d) Hessian.  Each
+    remainder ``rest(s)`` sets up, once, the product v -> s R v, the scale s
+    folded into its factors.  A cost or constraint gives its build unrun,
+    :func:`deferred` where it is more than I / N, so an evaluation whose
+    product is never read sets up none.  Forming one adds the blocks,
+    D = scale (lam_0 D_0 + lam_1 D_1 + ...) + shift I, held only by the
+    operator, and sets up each remainder, in term order, as
+    ``rest(lam_k * scale)``.  Each application is one einsum over the blocks,
+    O(N d^2), plus each remainder's product, added in place.
     """
+    built = [(lam, parts()) for lam, parts in terms]
+    D = None
+    for lam, (D_k, _) in built:
+        D = lam * D_k if D is None else D + lam * D_k
+    if scale != 1.0 or shift:
+        D = scale * D + shift * np.eye(D.shape[-1])
+    products = [rest(lam * scale) for lam, (_, rests) in built for rest in rests]
 
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts):
-        self._parts = parts
-
-    def plus(self, lam, other):
-        """The product of H + lam * H_other.
-
-        Its blocks are added when an operator is formed, and not kept: the
-        sum lives only as long as that operator.
-        """
-        def parts():
-            (D, rests), (D_other, rests_other) = self._parts(), other._parts()
-            return D + lam * D_other, rests + tuple(
-                (lambda s, rest=rest: rest(lam * s)) for rest in rests_other)
-        return BlockHvp(parts)
-
-    def operator(self, scale=1.0, shift=0.0):
-        """v -> (shift I + scale H) v, its blocks and scaled remainders formed now, once.
-
-        Each application is one einsum over the blocks plus one product per
-        remainder, added in place.
-        """
-        D, rests = self._parts()
-        if scale != 1.0 or shift:
-            D = scale * D + shift * np.eye(D.shape[-1])
-        products = [rest(scale) for rest in rests]
-
-        def apply(v):
-            out = np.einsum("jab,jb->ja", D, v)
-            for product in products:
-                out += product(v)
-            return out
-        return apply
+    def apply(v):
+        out = np.einsum("jab,jb->ja", D, v)
+        for product in products:
+            out += product(v)
+        return out
+    return apply
 
 
 def add_diagonal(blocks, values):
@@ -229,7 +210,7 @@ def _p_norm_parts(model, x, y):
         diag = (p / n) * (curv1 + curv2)  # the Hessian is diagonal per coordinate
         return add_diagonal(np.zeros((n, d, d)), diag), ()
 
-    return value, grad, BlockHvp(deferred(hessian))
+    return value, grad, deferred(hessian)
 
 
 def _geodesic_qp(arg, dist):
@@ -295,7 +276,7 @@ def _geodesic_parts(x, y):
         out[antipodal] = 0.0
         return out, ()
 
-    return value, grad, BlockHvp(deferred(hessian))
+    return value, grad, deferred(hessian)
 
 
 def _distortion_parts(model, x, y, denom, W):
@@ -327,7 +308,7 @@ def _distortion_parts(model, x, y, denom, W):
             return lambda v: pair_s(v) - s * (c_eye @ v)
         return B, (rest,)
 
-    return value, grad, BlockHvp(deferred(hessian))
+    return value, grad, deferred(hessian)
 
 
 def cost_function(model, x, coupling=None, shift=None):
@@ -340,13 +321,13 @@ def cost_function(model, x, coupling=None, shift=None):
     and its x- and Z-only terms with it.  Returns ``parts(y) -> (value,
     grad, hvp)`` for a finite float y of x's shape.
     ``grad`` is a function of no arguments that builds the N x d gradient.
-    ``hvp`` is the product of the cost's Hessian at y in block form, a
-    :class:`BlockHvp` that sets up nothing until it is read.
+    ``hvp`` builds the cost's Hessian at y in the block form of
+    :func:`block_operator`, and sets up nothing until it is read.
     """
     if model.family == "sq_euclidean":
         x = x if shift is None else x + shift
         n, d = x.shape
-        hvp = BlockHvp(lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ()))  # I / N at every y
+        hvp = lambda: (add_diagonal(np.zeros((n, d, d)), 1.0 / n), ())  # I / N at every y
         return lambda y: _sq_euclidean_parts(x, y, hvp)
     if model.family == "p_norm":
         return lambda y: _p_norm_parts(model, x, y)

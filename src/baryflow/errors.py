@@ -4,13 +4,15 @@ Each input is checked once, where it enters, and nothing behind re-checks it.
 :func:`as_points` checks every numeric matrix (solve's x, continuous covariate
 values, a series' x), :func:`positive_number` every real setting of
 ``SolverConfig`` and ``CostModel``, and :func:`integer_at_least` every count
-and seed, in ``SolverConfig`` and the generators.  ``solve`` checks the
-covariates' N against x and that each candidate step is finite, and
-``build_couplings`` a continuous bandwidth's float range.  No cost or
-constraint call checks its points, except the great-circle cost: x's 2
-columns and latitudes once, and y's latitudes on every call, as a step can
-pass a pole.  ``CostModel``, ``parse_cost_spec``, ``Covariates``,
-``lagged_dataset`` and the two CLI loaders check the rest of their own input.
+and seed, in ``SolverConfig`` and the generators.  ``solve`` checks that
+its covariates, cost model and config are a ``Covariates``, a ``CostModel``
+and a ``SolverConfig`` or None, the covariates' N against x, and that each
+candidate step is finite, and ``build_couplings`` a continuous bandwidth's
+float range.  No cost or constraint call checks its points, except the
+great-circle cost: x's 2 columns and latitudes once, and y's latitudes on
+every call, as a step can pass a pole.  ``CostModel``, ``parse_cost_spec``,
+``Covariates``, ``lagged_dataset`` and the two CLI loaders check the rest of
+their own input.
 The CLI parses its flags without checking them: a bad value exits 1 with the
 library's message.
 """

@@ -18,18 +18,18 @@ Two constraint modes exist:
   (:meth:`~baryflow.couplings.CategoricalCoupling.kde`).
 * ``features`` penalizes disagreement of conditional feature averages
   through the quadratic forms f_l' C f_l over the m monomials f_l of one
-  :class:`MonomialBasis`: ``len`` is m, ``value_and_grad(y)`` gives their
-  (m, N) values and (m, N, d) gradients, and ``hess(y, W)`` the (N, d, d)
-  sum of their Hessians weighed by an (m, N) W, added monomial by monomial
-  in row order with no (m, N, d, d) stack.  Gradients use the symmetric
-  form 2 (C f_l)_i f_l'(y_i), exact because every coupling's C is exactly
+  :class:`MonomialBasis`: ``value_and_grad(y)`` gives their (m, N) values
+  and (m, N, d) gradients, and ``hess(y, W)`` the (N, d, d) sum of their
+  Hessians weighed by an (m, N) W, added monomial by monomial in row order
+  with no (m, N, d, d) stack.  Gradients use the symmetric form
+  2 (C f_l)_i f_l'(y_i), exact because every coupling's C is exactly
   symmetric, and so are the Hessian-vector products MINRES reads.
 
 Both terms of the objective share one lazy contract: a bound term returns
-its value, its gradient as a function that builds it, and its Hessian-vector
-product as a :class:`~baryflow.costs.BlockHvp` that sets up nothing until it
-is read.  Gradient and product build from what the value left behind (the
-kde kernel matrix, the features' C f_l) and the points, nothing else.
+its value, and builders of its gradient and of its Hessian in the block
+form of :func:`~baryflow.costs.block_operator`, each run on first read.
+Gradient and product build from what the value left behind (the kde
+kernel matrix, the features' C f_l) and the points, nothing else.
 Products apply the Jacobian of the returned gradient field, so they include
 the cross terms of the kernel centers (or feature averages) tracking the
 points; kde's is set up by :func:`~baryflow.costs.pair_outer_operator`.
@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import BlockHvp, add_diagonal, deferred, pair_outer_operator
+from .costs import add_diagonal, deferred, pair_outer_operator
 from .errors import NumericError
 
 __all__ = [
@@ -100,9 +101,6 @@ class MonomialBasis:
                 rest = [rows_of[k, rows] for k in range(d) if k not in (j1, j2)]
                 terms.append((j1, j2, rows, coeff[:, None], slots, rest))
         object.__setattr__(self, "_hess_terms", terms)
-
-    def __len__(self):
-        return self.exponents.shape[0]
 
     def _powers(self, y):
         n, d = y.shape
@@ -216,7 +214,7 @@ def _kde_parts(y, kde, bandwidth, before=None):
         S[:, np.arange(d), np.arange(d) * (d + 1) + d] += k
         return D, (pair,)
 
-    parts = value, grad, BlockHvp(deferred(hessian))
+    parts = value, grad, deferred(hessian)
     return parts if before is None else (*parts, value_before)
 
 
@@ -234,7 +232,7 @@ def _features_parts(y, product, basis):
             return apply
         return 2.0 * basis.hess(y, cv), (cross,)
 
-    return value, grad, BlockHvp(deferred(hessian))
+    return value, grad, deferred(hessian)
 
 
 def constraint_function(coupling, test_functions):
@@ -275,9 +273,9 @@ class ObjectiveEval:
 
     No multiplier enters an evaluation: the solver forms L = L_C + lam * L_F and
     its gradient at whatever multiplier its outer iteration holds, and
-    :meth:`hvp` combines the two products the same way.  ``grads`` holds the
-    cost's and the constraint's gradient builders; each gradient is built on the
-    first read of ``grad_cost`` or ``grad_constraint``, which raises
+    :meth:`hvp` weighs the two Hessian builds the same way.  ``grads`` holds
+    the cost's and the constraint's gradient builders; each gradient is built
+    on the first read of ``grad_cost`` or ``grad_constraint``, which raises
     NumericError when it is not finite, and the build is dropped then.
     :func:`~baryflow.solver.solve` tells who holds ``hvp_cost`` and
     ``hvp_constraint`` and when they are dropped.  ``L_F_before`` is kde's
@@ -287,21 +285,16 @@ class ObjectiveEval:
     L_C: float
     L_F: float
     grads: tuple = field(repr=False)
-    hvp_cost: BlockHvp | None = None
-    hvp_constraint: BlockHvp | None = None
+    hvp_cost: Callable | None = None
+    hvp_constraint: Callable | None = None
     L_F_before: float | None = None
 
     grad_cost = property(lambda self: self.grads[0]())
     grad_constraint = property(lambda self: self.grads[1]())
 
     def hvp(self, lam):
-        """Hessian-vector product v -> (H_C + lam * H_F) v at multiplier ``lam``, in block form.
-
-        A :class:`~baryflow.costs.BlockHvp` whose blocks D_C + lam * D_F are
-        added once for each operator formed from it, and whose remainders
-        are the two terms'.
-        """
-        return self.hvp_cost.plus(lam, self.hvp_constraint)
+        """The terms of H_C + lam * H_F that :func:`~baryflow.costs.block_operator` forms."""
+        return [(1.0, self.hvp_cost), (lam, self.hvp_constraint)]
 
 
 def evaluate(cost, constraint, y, before=None):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import cost_function
-from .couplings import build_couplings, median_heuristic_bandwidth
+from .costs import CostModel, block_operator, cost_function
+from .couplings import Covariates, build_couplings, median_heuristic_bandwidth
 from .errors import InvalidInputError, NumericError, as_points, integer_at_least, positive_number
 from .objective import constraint_function, evaluate, monomial_features
 
@@ -237,21 +237,18 @@ def _norm(v):
 def step_implicit(y, grad, hvp, eta):
     """Resolvent step: solve (I + eta*H) delta = eta*grad, H given by ``hvp``.
 
-    ``hvp`` is H's product in block form, a :class:`~baryflow.costs.BlockHvp`
-    such as :meth:`~baryflow.objective.ObjectiveEval.hvp` returns.  The step
-    forms the operator I + eta*H once, by
-    :meth:`~baryflow.costs.BlockHvp.operator`: its blocks I + eta*D are added
-    and scaled, and each remainder takes eta into its factors.  Each of its
-    products is then one einsum over the blocks plus the remainders'
-    products: for l2 and kde, three einsums, one N x N by N x (d + 1)^2
-    product and an add.  The symmetric, possibly indefinite system is solved
-    matrix-free by :func:`_minres`, warm-started from the explicit step's
-    delta.  Returns ``(y - delta, failed)``, ``failed`` True when MINRES did
-    not converge; the caller's descent check judges the step, as in an
-    inexact Newton method (Dembo, Eisenstat & Steihaug 1982).
+    ``hvp`` is H's terms, such as :meth:`~baryflow.objective.ObjectiveEval.hvp`
+    returns.  The step forms the operator I + eta*H once, by
+    :func:`~baryflow.costs.block_operator`; each of its products is then, for
+    l2 and kde, three einsums, one N x N by N x (d + 1)^2 product and an
+    add.  The symmetric, possibly indefinite system is solved matrix-free by
+    :func:`_minres`, warm-started from the explicit step's delta.  Returns
+    ``(y - delta, failed)``, ``failed`` True when MINRES did not converge;
+    the caller's descent check judges the step, as in an inexact Newton
+    method (Dembo, Eisenstat & Steihaug 1982).
     """
     n, d = y.shape
-    resolvent = hvp.operator(eta, shift=1.0)
+    resolvent = block_operator(hvp, eta, shift=1.0)
     delta, converged = _minres(lambda u: resolvent(u.reshape(n, d)).ravel(), eta * grad.ravel())
     return y - delta.reshape(n, d), not converged
 
@@ -350,10 +347,10 @@ def _minres(matvec, b):
 def _auto_lambda0(hvp, grad, lambda_max, seed):
     """1 / spectral-radius estimate of the constraint Hessian H at the start.
 
-    Lanczos on ``hvp``, the constraint's :class:`~baryflow.costs.BlockHvp`,
-    whose product is formed once, started from the starting constraint
-    gradient ``grad``.  That vector moves with the data, so the estimate is
-    permutation-equivariant, and rotation-equivariant wherever the
+    Lanczos on the product of ``hvp``, the constraint's Hessian build, formed
+    once by :func:`~baryflow.costs.block_operator`, started from the starting
+    constraint gradient ``grad``.  That vector moves with the data, so the
+    estimate is permutation-equivariant, and rotation-equivariant wherever the
     constraint is; a gradient whose squared norm is below the solver's floor
     gives way to a standard normal vector drawn with ``seed``.  The
     recurrence holds three vectors and the tridiagonal T_k, but no Krylov
@@ -370,7 +367,7 @@ def _auto_lambda0(hvp, grad, lambda_max, seed):
     when the radius is at most ``_LANCZOS_FLAT`` (a locally flat constraint),
     and never more than ``lambda_max``.
     """
-    hvp = hvp.operator()
+    hvp = block_operator([(1.0, hvp)])
     if float(np.sum(grad * grad)) < _GRAD_SQ_FLOOR:
         grad = np.random.default_rng(seed).standard_normal(grad.shape)
     v = grad / _norm(grad)
@@ -433,6 +430,12 @@ def solve(x, covariates, cost_model, config=None):
     kernel on.  Raises :class:`NumericError` only when the starting
     evaluation (its values or either gradient) is not finite.
     """
+    for name, value, kind, expected in (
+            ("covariates", covariates, Covariates, "a Covariates"),
+            ("cost_model", cost_model, CostModel, "a CostModel"),
+            ("config", config, (SolverConfig, type(None)), "a SolverConfig or None")):
+        if not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be {expected}")
     config = config or SolverConfig()
     x = as_points(x)
     n, d = x.shape

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from baryflow import costs
-from baryflow.costs import BlockHvp
+from baryflow import costs, solver
 from baryflow.couplings import Covariates, DenseCoupling, build_couplings
 from baryflow.errors import InvalidInputError
 
@@ -150,12 +149,23 @@ def central_diff_jacobian(g, y, h=1e-6):
     return out
 
 
-def operator_matrix(hvp, n, d):
-    """Matrix of a :class:`BlockHvp`, assembled column by column from its products with e_k.
+def operator_of(hvp, scale=1.0, shift=0.0):
+    """The operator ``costs.block_operator`` forms from a list of terms, or from one build alone.
 
-    Returns shape (N, d, N, d), laid out like ``central_diff_jacobian``.
+    ``hvp`` is a ``[(lam, parts)]`` list or one ``parts`` function, the
+    Hessian build a cost or constraint returns, read as ``[(1.0, parts)]``.
     """
-    hvp = hvp.operator()
+    terms = hvp if isinstance(hvp, list) else [(1.0, hvp)]
+    return costs.block_operator(terms, scale, shift)
+
+
+def operator_matrix(hvp, n, d):
+    """Matrix of a product, assembled column by column from its products with e_k.
+
+    ``hvp`` is what :func:`operator_of` takes.  Returns shape (N, d, N, d),
+    laid out like ``central_diff_jacobian``.
+    """
+    hvp = operator_of(hvp)
     out = np.zeros((n, d, n, d))
     for k in range(n):
         for b in range(d):
@@ -166,8 +176,8 @@ def operator_matrix(hvp, n, d):
 
 
 def assert_symmetric(hvp, rng, n, d, trials=5):
-    """|<u, H v> - <H u, v>| <= 1e-12 * ||u|| * ||H v|| on random u, v, for a :class:`BlockHvp`."""
-    hvp = hvp.operator()
+    """|<u, H v> - <H u, v>| <= 1e-12 * ||u|| * ||H v|| on random u, v, for a Hessian build."""
+    hvp = operator_of(hvp)
     for _ in range(trials):
         u = rng.standard_normal((n, d))
         v = rng.standard_normal((n, d))
@@ -263,31 +273,30 @@ def features_hvp_reference(y, C, exponents):
 
 
 def remainder_hvp(product, n, d):
-    """A bare product v -> H v of N x d arrays in block form: zero blocks, H the one remainder."""
-    return BlockHvp(lambda: (np.zeros((n, d, d)), (lambda s: lambda v: s * product(v),)))
+    """A bare product v -> H v of N x d arrays as a Hessian build: zero blocks, H its remainder."""
+    return lambda: (np.zeros((n, d, d)), (lambda s: lambda v: s * product(v),))
 
 
-def count_product_setups(monkeypatch):
-    """Record each set-up of a Hessian-vector product and each operator formed from one.
+def count_operators(monkeypatch):
+    """Record what ``block_operator`` does, called through ``costs`` or ``solver``.
 
-    Returns ``(setups, operators)``: ``setups`` gains an entry each time a
-    :class:`BlockHvp`'s blocks and remainders are built (its ``parts()`` is
-    called, a sum's and its terms' alike), ``operators`` each time
-    :meth:`BlockHvp.operator` runs.
+    Returns ``(setups, operators, products)``: ``setups`` gains an entry
+    each time a term's blocks and remainders are built (its ``parts()`` is
+    called), ``operators`` the list of terms of each operator formed, and
+    ``products`` an entry for each application of any of them.
     """
-    setups, operators = [], []
-    init, operator = BlockHvp.__init__, BlockHvp.operator
+    setups, operators, products = [], [], []
+    form = costs.block_operator
 
-    def counting_init(self, parts):
-        init(self, lambda: setups.append(1) or parts())
+    def counting(terms, *args, **kwargs):
+        operators.append(terms)
+        apply = form([(lam, lambda parts=parts: setups.append(1) or parts())
+                      for lam, parts in terms], *args, **kwargs)
+        return lambda v: products.append(1) or apply(v)
 
-    def counting_operator(self, *args, **kwargs):
-        operators.append(1)
-        return operator(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockHvp, "__init__", counting_init)
-    monkeypatch.setattr(BlockHvp, "operator", counting_operator)
-    return setups, operators
+    monkeypatch.setattr(costs, "block_operator", counting)
+    monkeypatch.setattr(solver, "block_operator", counting)
+    return setups, operators, products
 
 
 def peak_bytes(call):
@@ -302,11 +311,11 @@ def peak_bytes(call):
 
 
 def product_peak_bytes(hvp, v):
-    """tracemalloc peak of one product of a :class:`BlockHvp` with v, its operator formed too.
+    """tracemalloc peak of one product of a Hessian build with v, its operator formed too.
 
     A first product does any deferred set-up.
     """
-    return peak_bytes(lambda: hvp.operator()(v))
+    return peak_bytes(lambda: operator_of(hvp)(v))
 
 
 def rel_err(a, b):

@@ -18,7 +18,8 @@ then names on stderr each solve whose line differs from the listing (or is
 missing from one side) and exits 1 if there is any; it exits 0 when all
 lines match.  With no argument it prints the lines and exits 0.
 The solves cover every cost family, both constraint modes, both updates,
-categorical and Sinkhorn couplings, preconditioning, fixed and automatic
+categorical couplings (kde's class form and, past its class count, the
+dense C^T) and Sinkhorn ones, preconditioning, fixed and automatic
 lambda0, and runs whose learning rate is halved.  Each line reads
 ``name iterations halvings sha256``.  The name does not start with ``test_``,
 so pytest does not collect this file.  CHANGES.md records which solves
@@ -54,6 +55,9 @@ def shuffled_strings():
 
 
 SHUFFLED_STRINGS = shuffled_strings()
+# six classes of five, more than kde reads in its class form: the dense C^T read
+SIX_CLASSES = Dataset(x=ELLIPSES.x, covariates=Covariates.categorical(
+    2 * ELLIPSES.covariates.index + np.arange(30) % 2))
 
 # name: (dataset, cost, config)
 SOLVES = {
@@ -75,6 +79,8 @@ SOLVES = {
                              SolverConfig(eta0=5.0, niter=20)),
     "l2-kde-shuffled-strings": (SHUFFLED_STRINGS, CostModel("sq_euclidean"),
                                 SolverConfig(eta0=5.0, niter=30)),
+    "l2-kde-six-classes": (SIX_CLASSES, CostModel("sq_euclidean"),
+                           SolverConfig(eta0=5.0, niter=30)),
     "l2-features-explicit": (ELLIPSES, CostModel("sq_euclidean"),
                              SolverConfig(problem="features", eta0=2.0, niter=40)),
     "distortion-features-explicit-lambda1": (

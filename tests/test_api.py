@@ -65,6 +65,13 @@ def _solve(x, covariates=None):
 
 
 _SERIES_ROWS = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n"
+_LABELS = Covariates.categorical(np.arange(6) % 2)
+# solve's (covariates, cost_model, config), one of them of the wrong type
+_WRONG_TYPED_SOLVES = {
+    "cost-string": (_LABELS, "l2"),
+    "config-dict": (_LABELS, CostModel("sq_euclidean"), {"niter": 1}),
+    "covariates-labels": (list(np.arange(6) % 2), CostModel("sq_euclidean")),
+}
 
 
 @pytest.mark.parametrize("enter", [
@@ -104,12 +111,24 @@ _SERIES_ROWS = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n"
                  id="series-no-x-columns"),
     pytest.param(lambda: load_series(io.StringIO("t,x_theta,x_phi\n0,0.1,0.2\n")),
                  id="series-one-step"),
+    *(pytest.param(lambda args=args: baryflow.solve(np.zeros((6, 2)), *args), id=f"solve-{name}")
+      for name, args in _WRONG_TYPED_SOLVES.items()),
 ])
 def test_entry_points_reject_bad_input(enter):
     # each input is checked where it enters, as InvalidInputError, never a
     # raw numpy error or a silent result
     with pytest.raises(InvalidInputError):
         enter()
+
+
+@pytest.mark.parametrize("name", list(_WRONG_TYPED_SOLVES))
+def test_solve_names_a_wrong_typed_input(name):
+    # the message names the parameter and the type it takes, not an attribute it lacks
+    expected = {"cost-string": "cost_model must be a CostModel",
+                "config-dict": "config must be a SolverConfig or None",
+                "covariates-labels": "covariates must be a Covariates"}[name]
+    with pytest.raises(InvalidInputError, match=expected):
+        baryflow.solve(np.zeros((6, 2)), *_WRONG_TYPED_SOLVES[name])
 
 
 @pytest.mark.parametrize("make", [

@@ -203,7 +203,7 @@ class TestCli:
         b = str(tmp_path / "b.csv")
         main(["gen", "ellipses", "--seed", "5", "--output", a])
         main(["gen", "ellipses", "--seed", "5", "--output", b])
-        assert open(a).read() == open(b).read()
+        assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
 
     @pytest.mark.parametrize("what", ["ellipses", "hidden-signal"])
     def test_negative_seed_is_error(self, what, tmp_path, capsys):
@@ -223,14 +223,14 @@ class TestCli:
                      "--feature-degree", "2", "--niter", "300",
                      "--output", out, "--history", hist, "--summary", summ])
         assert code == 0
-        rows = open(out).read().strip().splitlines()
+        rows = pathlib.Path(out).read_text().strip().splitlines()
         assert rows[0] == "x1,x2,z,y1,y2"
         assert len(rows) == 61
-        hrows = open(hist).read().strip().splitlines()
+        hrows = pathlib.Path(hist).read_text().strip().splitlines()
         assert hrows[0] == "iter,L,L_C,L_F,lambda,eta,eta_halvings"
         lams = [float(r.split(",")[4]) for r in hrows[1:]]
         assert all(a <= b for a, b in zip(lams, lams[1:]))
-        summary = json.load(open(summ))
+        summary = json.loads(pathlib.Path(summ).read_text())
         assert summary["config"]["cost"] == "pnorm:2"
         assert summary["config"]["seed"] == 0  # the default, echoed as parsed
         assert "final_L_F" in summary and "wall_time_s" in summary
@@ -242,8 +242,8 @@ class TestCli:
         main(["solve", "--input", data, "--niter", "5",
               "--output", out, "--history", str(tmp_path / "h.csv"),
               "--summary", str(tmp_path / "s.json")])
-        in_rows = open(data).read().strip().splitlines()[1:]
-        out_rows = open(out).read().strip().splitlines()[1:]
+        in_rows = pathlib.Path(data).read_text().strip().splitlines()[1:]
+        out_rows = pathlib.Path(out).read_text().strip().splitlines()[1:]
         for src, dst in zip(in_rows, out_rows):
             assert dst.startswith(src)
 
@@ -257,11 +257,11 @@ class TestCli:
                      for stem, ext in (("r", "csv"), ("h", "csv"), ("s", "json"))]
             assert main(["solve", "--input", data, "--niter", "50", "--seed", "0",
                          "--output", files[0], "--history", files[1], "--summary", files[2]]) == 0
-            summary = json.load(open(files[2]))
+            summary = json.loads(pathlib.Path(files[2]).read_text())
             del summary["wall_time_s"]
             for key, path in zip(("output", "history", "summary"), files):
                 assert summary["config"].pop(key) == path
-            outs.append([open(files[0]).read(), open(files[1]).read(), summary])
+            outs.append([pathlib.Path(path).read_text() for path in files[:2]] + [summary])
             with pytest.raises(SystemExit) as exc:
                 main(["solve", "--input", data, "--niter", "many", "--update", "sideways"])
             assert exc.value.code == 2
@@ -341,7 +341,7 @@ class TestCli:
         series = str(tmp_path / "ts.csv")
         assert main(["gen", "hidden-signal", "--seed", "0", "--steps", "60",
                      "--output", series]) == 0
-        rows = open(series).read().strip().splitlines()
+        rows = pathlib.Path(series).read_text().strip().splitlines()
         assert rows[0] == "t,x_theta,x_phi,w_theta,w_phi"
         assert len(rows) == 61
         out = str(tmp_path / "r.csv")
@@ -350,7 +350,7 @@ class TestCli:
                      "--history", str(tmp_path / "h.csv"),
                      "--summary", str(tmp_path / "s.json")])
         assert code == 0
-        rows = open(out).read().strip().splitlines()
+        rows = pathlib.Path(out).read_text().strip().splitlines()
         assert rows[0] == "x1,x2,z1,z2,y1,y2"
         assert len(rows) == 60  # first step has no lag
 

@@ -14,11 +14,12 @@ from conftest import (
     categorical_coupling,
     central_diff_grad,
     central_diff_jacobian,
-    count_product_setups,
+    count_operators,
     dense_coupling,
     direct_pair_outer,
     distortion_hvp_reference,
     operator_matrix,
+    operator_of,
     pairwise_hessian_reference,
     product_peak_bytes,
     rel_err,
@@ -233,13 +234,13 @@ class TestCostHessian:
 
     def test_product_set_up_only_when_read(self, rng, monkeypatch):
         # the value and the gradient set up no product; its first read sets up one
-        setups, operators = count_product_setups(monkeypatch)
+        setups, operators, _ = count_operators(monkeypatch)
         for family in ALL_FAMILIES:
             model, x, y, coupling = make_instance(family, rng)
             _, grad, hvp = cost_function(model, x, coupling)(y)
             grad()
             assert (setups, operators) == ([], [])
-            hvp.operator()(rng.standard_normal(y.shape))
+            operator_of(hvp)(rng.standard_normal(y.shape))
             assert (len(setups), len(operators)) == (1, 1)
             setups.clear()
             operators.clear()
@@ -271,7 +272,7 @@ class TestCostHessian:
                 expected = distortion_hvp_reference(model, x, y, coupling.Z())(v)
             else:
                 expected = np.einsum("iab,ib->ia", pairwise_hessian_reference(model, x, y), v)
-            assert rel_err(hvp.operator()(v), expected) <= 1e-12
+            assert rel_err(operator_of(hvp)(v), expected) <= 1e-12
 
     def test_distortion_product_allocates_no_n_by_n_array(self, rng):
         model, x, y, coupling = make_instance("distortion", rng, n=400)

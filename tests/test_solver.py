@@ -29,12 +29,13 @@ from conftest import (
     categorical_coupling,
     centering_matrix,
     combined_grad,
-    count_product_setups,
+    count_operators,
     dense_coupling,
     distortion_hvp_reference,
     features_hvp_reference,
     kde_hvp_reference,
     operator_matrix,
+    operator_of,
     pairwise_hessian_reference,
     peak_bytes,
     rel_err,
@@ -137,11 +138,11 @@ def count_pair_operators(monkeypatch):
 def scipy_step_implicit(y, grad, hvp, eta):
     """The implicit step through scipy's MINRES: ``step_implicit`` must equal it bit for bit.
 
-    Both sides apply the same operator I + eta*H, formed by ``hvp.operator``.
+    Both sides apply the same operator I + eta*H, formed by ``block_operator``.
     """
     n, d = y.shape
     b = eta * grad.ravel()
-    operator = hvp.operator(eta, shift=1.0)
+    operator = costs.block_operator(hvp, eta, shift=1.0)
 
     def matvec(u):
         return operator(u.reshape(n, d)).ravel()
@@ -160,7 +161,8 @@ def random_implicit_system(kind, rng):
     if kind in ("spd", "indefinite"):
         B = rng.standard_normal((n * d, n * d))
         H = B @ B.T / (n * d) if kind == "spd" else (B + B.T) / 2.0
-        return y, grad, remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape), n, d), eta
+        hvp = remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape), n, d)
+        return y, grad, [(1.0, hvp)], eta
     # the solver's own operators, at a random multiplier
     x = y + 0.5 * rng.standard_normal((n, d))
     coupling = dense_coupling(categorical_coupling(rng.integers(0, 3, n)))
@@ -294,7 +296,8 @@ class TestSteps:
 
     def test_implicit_zero_grad(self, rng):
         y = rng.standard_normal((4, 2))
-        cand, failed = step_implicit(y, np.zeros_like(y), remainder_hvp(lambda v: v, 4, 2), 0.3)
+        hvp = [(1.0, remainder_hvp(lambda v: v, 4, 2))]
+        cand, failed = step_implicit(y, np.zeros_like(y), hvp, 0.3)
         assert np.allclose(cand, y) and not failed
 
     def test_implicit_identity_hessian_resolvent(self, rng):
@@ -331,7 +334,7 @@ class TestSteps:
         # its start x0 = eta*grad, a finite step the solver's descent check judges
         y = rng.standard_normal((1, 1))
         grad = np.array([[1.0]])
-        cand, failed = step_implicit(y, grad, remainder_hvp(lambda v: -v, 1, 1), 1.0)
+        cand, failed = step_implicit(y, grad, [(1.0, remainder_hvp(lambda v: -v, 1, 1))], 1.0)
         assert not failed
         assert np.isfinite(cand).all() and np.allclose(cand, y - grad)
 
@@ -342,7 +345,7 @@ class TestSteps:
     def test_implicit_unsolved_fails(self, hvp):
         y = np.zeros((2, 1))
         grad = np.array([[1.0], [0.5]])
-        _, failed = step_implicit(y, grad, remainder_hvp(hvp, 2, 1), 0.5)
+        _, failed = step_implicit(y, grad, [(1.0, remainder_hvp(hvp, 2, 1))], 0.5)
         assert failed is True
 
     def test_implicit_iteration_cap_fails(self, rng, monkeypatch):
@@ -351,7 +354,7 @@ class TestSteps:
         H = B @ B.T  # symmetric positive definite, needs more than one MINRES step
         y = np.zeros((6, 1))
         grad = rng.standard_normal((6, 1))
-        _, failed = step_implicit(y, grad, remainder_hvp(lambda v: H @ v, 6, 1), 0.5)
+        _, failed = step_implicit(y, grad, [(1.0, remainder_hvp(lambda v: H @ v, 6, 1))], 0.5)
         assert failed is True
 
     @pytest.mark.parametrize("maxiter", [3, 500])
@@ -379,7 +382,7 @@ class TestSteps:
 
         y = np.zeros((2, 1))
         grad = np.array([[1.0], [0.5]])
-        _, failed = step_implicit(y, grad, remainder_hvp(hvp, 2, 1), 0.5)
+        _, failed = step_implicit(y, grad, [(1.0, remainder_hvp(hvp, 2, 1))], 0.5)
         assert failed is True
         assert len(products) <= 2
 
@@ -413,13 +416,13 @@ class TestSteps:
               else features_hvp_reference(y, C, tf.exponents))
         v = rng.standard_normal(y.shape)
         expected = v + eta * (hc(v) + lam * hf(v))
-        assert rel_err(ev.hvp(lam).operator(eta, shift=1.0)(v), expected) <= 1e-12
+        assert rel_err(operator_of(ev.hvp(lam), eta, shift=1.0)(v), expected) <= 1e-12
 
     @pytest.mark.parametrize("mode,cost", [("kde", "sq_euclidean"), ("features", "distortion")])
     def test_step_operator_product_allocates_no_n_by_n_array(self, mode, cost, rng):
         n = 400
         ev = self.step_system(mode, cost, rng, n)[0]
-        operator = ev.hvp(30.0).operator(0.2, shift=1.0)
+        operator = operator_of(ev.hvp(30.0), 0.2, shift=1.0)
         v = rng.standard_normal((n, 2))
         assert peak_bytes(lambda: operator(v)) < n**2 * 8 / 4
 
@@ -693,28 +696,14 @@ class TestSolve:
         # each try adds D_C + lam D_F and forms I + eta (...) once; MINRES
         # then applies that operator many times
         tries = count_calls(monkeypatch, solver, "step_implicit")
-        sums, operators, products = [], [], []
-        plus, operator = costs.BlockHvp.plus, costs.BlockHvp.operator
-
-        def counting_plus(self, lam, other):
-            summed = plus(self, lam, other)
-            parts = summed._parts
-            summed._parts = lambda: sums.append(1) or parts()
-            return summed
-
-        def counting_operator(self, *args, **kwargs):
-            operators.append(1)
-            apply = operator(self, *args, **kwargs)
-            return lambda v: products.append(1) or apply(v)
-
-        monkeypatch.setattr(costs.BlockHvp, "plus", counting_plus)
-        monkeypatch.setattr(costs.BlockHvp, "operator", counting_operator)
+        _, operators, products = count_operators(monkeypatch)
         ds = gen_ellipses(seed=0, n_per_class=10)
         cfg = SolverConfig(problem=problem, update="implicit", eta0=50.0, niter=30)
         result = solve(ds.x, ds.covariates, CostModel(cost), cfg)
         halvings = sum(h.eta_halvings for h in result.history)
         assert halvings > 0
         assert len(tries) == result.iterations + halvings
+        sums = [terms for terms in operators if len(terms) == 2]
         assert len(sums) == len(tries)
         assert len(operators) == len(tries) + 1  # and lambda0's, on the constraint alone
         assert len(products) > 3 * len(operators)
@@ -723,7 +712,7 @@ class TestSolve:
     def test_explicit_fixed_lambda0_sets_up_no_pair_operator(self, cost, monkeypatch):
         # every evaluation carries its products, and none is ever read
         builds = count_pair_operators(monkeypatch)
-        setups, operators = count_product_setups(monkeypatch)
+        setups, operators, _ = count_operators(monkeypatch)
         if cost == "geodesic_sphere":
             ds = gen_sphere_patches(seed=0, n_per_class=10)
         else:
@@ -1206,21 +1195,9 @@ def start_system(kind, rng, n=None, d=2):
 
 def spectral_radius(hvp, shape):
     """|lambda|max of the product by scipy's ``eigsh``, to 1e-13."""
-    m, apply = int(np.prod(shape)), hvp.operator()
+    m, apply = int(np.prod(shape)), operator_of(hvp)
     A = LinearOperator((m, m), matvec=lambda u: apply(u.reshape(shape)).ravel(), dtype=float)
     return abs(eigsh(A, k=1, which="LM", tol=1e-13)[0][0])
-
-
-def count_products(hvp):
-    """``(counting, products)``: ``hvp`` whose operator records each of its applications."""
-    products = []
-
-    class Counting:
-        def operator(self, *args, **kwargs):
-            apply = hvp.operator(*args, **kwargs)
-            return lambda v: products.append(1) or apply(v)
-
-    return Counting(), products
 
 
 class TestAutoLambda0:
@@ -1232,13 +1209,13 @@ class TestAutoLambda0:
             assert rel_err(radius, spectral_radius(hvp, grad.shape)) <= 1e-2
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (1, 4)])
-    def test_tiny_system_breaks_down_at_the_exact_radius(self, n, d, rng):
+    def test_tiny_system_breaks_down_at_the_exact_radius(self, n, d, rng, monkeypatch):
         # a Krylov space of at most n d <= 4 vectors is exhausted before the
         # first reading: the breakdown returns T_k's exact eigenvalues
         A = rng.standard_normal((n * d, n * d))
         H = (A + A.T) / 2.0
-        hvp, products = count_products(remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape),
-                                                     n, d))
+        hvp = remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape), n, d)
+        products = count_operators(monkeypatch)[2]
         grad = rng.standard_normal((n, d))
         radius = 1.0 / solver._auto_lambda0(hvp, grad, 1e6, 0)
         assert len(products) <= n * d
@@ -1246,7 +1223,7 @@ class TestAutoLambda0:
 
     @pytest.mark.parametrize("kind,n,d", [("kde", 3, 1), ("kde", 4, 1), ("features", 4, 1),
                                           ("features", 2, 2)])
-    def test_tiny_solver_system_is_exact(self, kind, n, d, rng):
+    def test_tiny_solver_system_is_exact(self, kind, n, d, rng, monkeypatch):
         # the solver's own product, on points in general position: two points
         # in the plane are not, as kde's gradient there is blind to the
         # pair's rotation
@@ -1255,9 +1232,9 @@ class TestAutoLambda0:
             build_couplings(Covariates.categorical(np.arange(n) % 2)),
             1.0 if kind == "kde" else monomial_features(d, 2))
         ev = evaluate(cost_function(CostModel("sq_euclidean"), y), constraint, y)
-        hvp, products = count_products(ev.hvp_constraint)
-        radius = 1.0 / solver._auto_lambda0(hvp, ev.grad_constraint, 1e6, 0)
         H = operator_matrix(ev.hvp_constraint, n, d).reshape(n * d, n * d)
+        products = count_operators(monkeypatch)[2]
+        radius = 1.0 / solver._auto_lambda0(ev.hvp_constraint, ev.grad_constraint, 1e6, 0)
         assert len(products) <= n * d
         assert rel_err(radius, np.abs(np.linalg.eigvalsh(H)).max()) <= 1e-12
 
@@ -1278,11 +1255,12 @@ class TestAutoLambda0:
         assert res.lambda0 == 1.0
 
     @pytest.mark.parametrize("kind", ["kde", "kde-sinkhorn", "features"])
-    def test_products_within_fifty(self, kind, rng):
+    def test_products_within_fifty(self, kind, rng, monkeypatch):
+        products = count_operators(monkeypatch)[2]
         for _ in range(4):
             hvp, grad = start_system(kind, rng, n=int(rng.integers(20, 60)))
-            counting, products = count_products(hvp)
-            solver._auto_lambda0(counting, grad, 1e6, 0)
+            products.clear()
+            solver._auto_lambda0(hvp, grad, 1e6, 0)
             assert 4 <= len(products) <= 50
 
     def test_products_capped_at_fifty(self, rng, monkeypatch):
@@ -1290,8 +1268,8 @@ class TestAutoLambda0:
         monkeypatch.setattr(solver, "_LANCZOS_SEMI_ORTH", 0.0)  # never loses orthogonality
         A = rng.standard_normal((120, 120))
         H = (A + A.T) / 2.0  # no breakdown in 50 products
-        hvp, products = count_products(remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape),
-                                                     60, 2))
+        hvp = remainder_hvp(lambda v: (H @ v.ravel()).reshape(v.shape), 60, 2)
+        products = count_operators(monkeypatch)[2]
         radius = 1.0 / solver._auto_lambda0(hvp, rng.standard_normal((60, 2)), 1e6, 0)
         assert len(products) == 50
         assert radius <= np.abs(np.linalg.eigvalsh(H)).max() * (1 + 1e-12)  # a Ritz value
@@ -1300,14 +1278,7 @@ class TestAutoLambda0:
     @pytest.mark.parametrize("problem,bound", [("kde", 50), ("features", 10)])
     def test_solve_sets_up_lambda0_within_bound(self, problem, bound, n_per_class, monkeypatch):
         # an explicit solve forms no operator but lambda0's
-        products = []
-        operator = costs.BlockHvp.operator
-
-        def counting(self, *args, **kwargs):
-            apply = operator(self, *args, **kwargs)
-            return lambda v: products.append(1) or apply(v)
-
-        monkeypatch.setattr(costs.BlockHvp, "operator", counting)
+        products = count_operators(monkeypatch)[2]
         for seed in range(4):
             products.clear()
             ds = gen_ellipses(seed=seed, n_per_class=n_per_class)
